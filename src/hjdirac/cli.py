@@ -23,7 +23,7 @@ from . import dynamics as dyn
 from . import geometry as geo
 from . import hamilton_jacobi as hj
 from . import statmech as sm
-from ._util import write_csv, write_json
+from ._util import check_keys, write_csv, write_json
 from .clifford import (ETA_DIAG, anticommutator, build_gamma_rep, frobenius,
                        minkowski_dot, slash, slash_eigensystem)
 from .dirac import conventional_dirac_residual, derivative_split
@@ -281,11 +281,11 @@ def cmd_verify(args):
     out_dir = _ensure_out(args.out)
     write_json(os.path.join(out_dir, "verify_report.json"), report)
     if args.format == "csv":
-        rows = ([s, c["check"], c["residual"], c["tolerance"], c["passed"]]
-                for s in report["suites"]
-                for c in report["suites"][s]["checks"])
-        write_csv(os.path.join(out_dir, "verify_report.csv"),
-                  ["suite", "check", "residual", "tolerance", "passed"], rows)
+        rows = [dict(c, suite=s) for s, suite in report["suites"].items()
+                for c in suite["checks"]]
+        header = ["suite", "check", "residual", "tolerance", "passed"]
+        write_csv(os.path.join(out_dir, "verify_report.csv"), header,
+                  [[row[key] for row in rows] for key in header])
     return 0 if all_passed else 1
 
 
@@ -317,12 +317,8 @@ _COV_DEFAULTS = {
 
 
 def _merge_config(defaults, supplied):
-    merged = dict(defaults)
-    unknown = set(supplied) - set(defaults)
-    if unknown:
-        raise UsageError("unknown config key(s): %s" % ", ".join(sorted(unknown)))
-    merged.update(supplied)
-    return merged
+    check_keys(supplied, defaults, "config")
+    return dict(defaults, **supplied)
 
 
 def _line_fit_residual(s, x, y):
@@ -343,10 +339,7 @@ def cmd_simulate(args):
                                        np.asarray(cfg["p0_upper"], float),
                                        cfg["s_max"], step=cfg["step"],
                                        record_stride=cfg["record_stride"])
-        rows = (list(row) for row in np.column_stack(
-            [traj.s, traj.x, traj.p_upper, traj.k, traj.geodesic_residual]))
-        header = ["s", "x0", "x1", "x2", "x3", "p0", "p1", "p2", "p3", "K",
-                  "geodesic_residual"]
+        header = traj.header()
         diagnostics = {"k_drift": traj.k_drift(),
                        "max_geodesic_residual": traj.max_residual(),
                        "samples": int(len(traj.s))}
@@ -372,7 +365,6 @@ def cmd_simulate(args):
                              canonical=cfg["canonical"],
                              record_stride=cfg["record_stride"])
         header = list(traj.COLUMNS)
-        rows = (list(row) for row in traj.table())
         late = traj.comm_norm[traj.s > 0.1]
         diagnostics = {"energy_drift": traj.energy_drift(),
                        "mass_shell_drift": traj.mass_shell_drift(),
@@ -393,9 +385,10 @@ def cmd_simulate(args):
     if args.format == "json":
         write_json(os.path.join(out_dir, "trajectory.json"),
                    {"columns": header,
-                    "rows": [[float(v) for v in row] for row in rows]})
+                    "rows": np.column_stack(traj.columns()).tolist()})
     else:
-        write_csv(os.path.join(out_dir, "trajectory.csv"), header, rows)
+        write_csv(os.path.join(out_dir, "trajectory.csv"), header,
+                  traj.columns())
     write_json(os.path.join(out_dir, "simulate_report.json"),
                {"command": "simulate", "effective_config": cfg,
                 "diagnostics": diagnostics})
@@ -436,14 +429,15 @@ def cmd_ensemble(args):
     ens = sm.EnsembleConfig(n=int(cfg["n"]), m0=cfg["m0"], T=cfg["T"],
                             kB=cfg["kB"], seed=args.seed)
     sample = sm.sample_mb(ens)
+    # the histogram goes first: a bad bins value then leaves no samples file
+    sm.write_histogram_csv(sample, os.path.join(out_dir, "histogram.csv"),
+                           bins=cfg["bins"])
     if args.format == "json":
         write_json(os.path.join(out_dir, "samples.json"),
                    {"velocities": sample.velocities.tolist(),
                     "energies": sample.energies.tolist()})
     else:
         sm.write_samples_csv(sample, os.path.join(out_dir, "samples.csv"))
-    sm.write_histogram_csv(sample, os.path.join(out_dir, "histogram.csv"),
-                           bins=int(cfg["bins"]))
     moments = sample.moments()
     write_json(os.path.join(out_dir, "moments.json"),
                dict(moments, command="ensemble",
@@ -524,6 +518,9 @@ def main(argv=None):
         return 1
     except HJDiracError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 1
+    except np.linalg.LinAlgError as exc:  # a ValueError, but a run failure
+        print("run failed: %s" % exc, file=sys.stderr)
         return 1
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print("config error: %s" % exc, file=sys.stderr)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .clifford import ETA_DIAG, build_gamma_rep, classify, commutator, frobenius, minkowski_dot, slash
 from .geometry import _metric_partials, christoffel_at
-from ._util import write_csv, write_json
+from ._util import config_kind, positive_int, write_csv, write_json
 from .errors import NonSeparable, StepRejected, UsageError
 from .hamilton_jacobi import projectile_field
 
@@ -183,8 +183,13 @@ def custom_model(hamiltonian, dh_dx=None, dh_dp=None, separable=False, name="cus
     return HamiltonianModel(name, hamiltonian, dh_dx, dh_dp, separable=separable)
 
 
+# config keys each model kind reads, besides "kind"
+_MODEL_KEYS = {"free": ("m0",), "projectile": ("m0", "u_x", "u_y", "g"),
+               "quadratic": (), "harmonic": ("omega",)}
+
+
 def model_from_config(cfg):
-    kind = cfg.get("kind")
+    kind = config_kind(cfg, _MODEL_KEYS, "model")
     if kind == "free":
         return free_particle_model(float(cfg["m0"]))
     if kind == "projectile":
@@ -192,9 +197,7 @@ def model_from_config(cfg):
                                 float(cfg["u_y"]), float(cfg["g"]))
     if kind == "quadratic":
         return quadratic_model()
-    if kind == "harmonic":
-        return harmonic_model(float(cfg.get("omega", 1.0)))
-    raise UsageError(f"unknown model kind {kind!r}")
+    return harmonic_model(float(cfg.get("omega", 1.0)))
 
 
 def operator_commutator(p, pdot, rep=None):
@@ -255,15 +258,27 @@ class Trajectory:
             "mass_shell_drift": self.mass_shell_drift(),
         }
 
-    def table(self):
-        return np.column_stack([self.s, self.x, self.p, self.h,
-                                self.dm_ds, self.comm_norm])
+    def columns(self):
+        """One array per COLUMNS name, in order."""
+        return [self.s, *self.x.T, *self.p.T, self.h, self.dm_ds, self.comm_norm]
 
     def write_csv(self, path):
-        write_csv(path, self.COLUMNS, self.table())
+        write_csv(path, self.COLUMNS, self.columns())
 
     def write_meta(self, path):
         write_json(path, self.meta())
+
+
+def _step_count(s_max, step, record_stride):
+    """Number of fixed steps covering [0, s_max]; UsageError for a bad step,
+    an s_max off the step grid, or a record_stride that is not an int >= 1."""
+    if step <= 0:
+        raise UsageError("step must be positive")
+    positive_int(record_stride, "record_stride")
+    n_steps = int(round(s_max / step))
+    if n_steps < 1 or abs(n_steps * step - s_max) > 1e-9 * max(1.0, abs(s_max)):
+        raise UsageError("s_max must be a positive multiple of step")
+    return n_steps
 
 
 def _rhs_for(model, canonical):
@@ -280,13 +295,9 @@ def integrate(model, x0, p0, s_max, step=1e-3, method="rk4", record_stride=1,
     canonical=True to force the literal canonical equations); "leapfrog" is
     kick-drift-kick on the canonical equations and demands a separable H.
     Raises StepRejected when the state goes non-finite or the model's guard
-    trips, and UsageError for a bad step or method.
+    trips, and UsageError for a bad step, record_stride or method.
     """
-    if step <= 0:
-        raise UsageError("step must be positive")
-    n_steps = int(round(s_max / step))
-    if n_steps < 1 or abs(n_steps * step - s_max) > 1e-9 * max(1.0, abs(s_max)):
-        raise UsageError("s_max must be a positive multiple of step")
+    n_steps = _step_count(s_max, step, record_stride)
     if method not in ("rk4", "leapfrog"):
         raise UsageError(f"unknown method {method!r}")
     if method == "leapfrog" and not model.separable:
@@ -419,6 +430,15 @@ class CovariantTrajectory:
     def max_residual(self):
         return float(self.geodesic_residual.max())
 
+    def header(self):
+        dims = range(self.x.shape[1])
+        return (["s"] + ["x%d" % i for i in dims] + ["p%d" % i for i in dims]
+                + ["K", "geodesic_residual"])
+
+    def columns(self):
+        """One array per header() name, in order."""
+        return [self.s, *self.x.T, *self.p_upper.T, self.k, self.geodesic_residual]
+
 
 def covariant_integrate(metric, x0, p0_upper, s_max, step=1e-3, record_stride=1):
     """Geodesic flow in a chart: canonical variables (x^mu, p_mu) under
@@ -428,11 +448,7 @@ def covariant_integrate(metric, x0, p0_upper, s_max, step=1e-3, record_stride=1)
     recorded residual is |dp^mu/ds + Gamma^mu_{nu lam} u^nu p^lam| per sample,
     which the exact flow sends to rounding.
     """
-    if step <= 0:
-        raise UsageError("step must be positive")
-    n_steps = int(round(s_max / step))
-    if n_steps < 1 or abs(n_steps * step - s_max) > 1e-9 * max(1.0, abs(s_max)):
-        raise UsageError("s_max must be a positive multiple of step")
+    n_steps = _step_count(s_max, step, record_stride)
     dim = metric.dim
     x = np.asarray(x0, dtype=float).copy()
     p_low = metric.matrix(x) @ np.asarray(p0_upper, dtype=float)

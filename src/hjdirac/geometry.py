@@ -8,6 +8,7 @@ sum(coeff * prod(x_i**e_i)); no string expressions are evaluated.
 
 import numpy as np
 
+from ._util import config_kind
 from .clifford import ETA_DIAG
 from .errors import BadSignature, SingularJacobian, SingularMetric, UsageError
 
@@ -94,27 +95,31 @@ def diagonal_metric(entry_polys, dim=None):
     return MetricField(g, dim=dim, kind="diagonal")
 
 
+# config keys each metric kind reads, besides "kind"
+_METRIC_KEYS = {"minkowski": ("dim",), "polar": ("dim",),
+                "diagonal": ("entries", "dim"), "custom-polynomial": ("entries",)}
+
+
 def metric_from_config(cfg):
-    kind = cfg.get("kind")
+    kind = config_kind(cfg, _METRIC_KEYS, "metric")
     if kind == "minkowski":
         return minkowski_metric(int(cfg.get("dim", 4)))
     if kind == "polar":
         return polar_metric(int(cfg.get("dim", 4)))
     if kind == "diagonal":
         return diagonal_metric(cfg["entries"], cfg.get("dim"))
-    if kind == "custom-polynomial":
-        entries = cfg["entries"]
-        dim = len(entries)
+    # custom-polynomial: a full matrix of term lists
+    entries = cfg["entries"]
+    dim = len(entries)
 
-        def g(x):
-            out = np.empty((dim, dim))
-            for i in range(dim):
-                for j in range(dim):
-                    out[i, j] = eval_poly(entries[i][j], x)
-            return 0.5 * (out + out.T)
+    def g(x):
+        out = np.empty((dim, dim))
+        for i in range(dim):
+            for j in range(dim):
+                out[i, j] = eval_poly(entries[i][j], x)
+        return 0.5 * (out + out.T)
 
-        return MetricField(g, dim=dim, kind="custom-polynomial")
-    raise UsageError(f"unknown metric kind {kind!r}")
+    return MetricField(g, dim=dim, kind="custom-polynomial")
 
 
 def _check_signature(gx):

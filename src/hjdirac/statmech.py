@@ -24,7 +24,7 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from ._util import thread_cap, write_csv, write_json
+from ._util import check_keys, positive_int, thread_cap, write_csv
 from .clifford import ETA_DIAG
 from .errors import DegenerateData, NotIntegrable, TooLarge, UsageError
 
@@ -58,10 +58,7 @@ class EnsembleConfig:
 
 
 def config_from_dict(data):
-    known = {"n", "m0", "T", "kB", "seed"}
-    extra = set(data) - known
-    if extra:
-        raise UsageError("unknown ensemble config keys: %s" % ", ".join(sorted(extra)))
+    check_keys(data, ("n", "m0", "T", "kB", "seed"), "ensemble config")
     try:
         return EnsembleConfig(**data)
     except TypeError as exc:
@@ -153,21 +150,21 @@ def sample_mb(config):
 
 
 def write_samples_csv(sample, path):
-    rows = ([i] + list(v) + [e] for i, (v, e) in
-            enumerate(zip(sample.velocities, sample.energies)))
-    write_csv(path, ["index", "vx", "vy", "vz", "energy"], rows)
+    v = sample.velocities
+    write_csv(path, ["index", "vx", "vy", "vz", "energy"],
+              [np.arange(len(v)), v[:, 0], v[:, 1], v[:, 2], sample.energies])
 
 
 def write_histogram_csv(sample, path, bins=50, component=0):
     """Histogram one velocity component against the Gaussian prediction."""
+    bins = positive_int(bins, "bins")
     sigma = math.sqrt(sample.config.sigma2)
     edges = np.linspace(-5.0 * sigma, 5.0 * sigma, bins + 1)
     counts, _ = np.histogram(sample.velocities[:, component], edges)
     cdf = [0.5 * (1.0 + math.erf(e / (sigma * math.sqrt(2.0)))) for e in edges]
-    n = len(sample.velocities)
-    rows = [[edges[i], edges[i + 1], int(counts[i]),
-             n * (cdf[i + 1] - cdf[i])] for i in range(bins)]
-    write_csv(path, ["bin_lo", "bin_hi", "count", "expected"], rows)
+    expected = len(sample.velocities) * np.diff(cdf)
+    write_csv(path, ["bin_lo", "bin_hi", "count", "expected"],
+              [edges[:-1], edges[1:], counts, expected])
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +306,9 @@ def partition_enumerate(levels, n, beta, statistics):
 
 
 def write_occupancy_csv(table, path):
-    rows = ([";".join(str(c) for c in occ), e, p] for occ, e, p in
-            zip(table.occupations, table.energies, table.probabilities))
-    write_csv(path, ["state", "energy", "probability"], rows)
+    states = [";".join(map(str, occ)) for occ in table.occupations]
+    write_csv(path, ["state", "energy", "probability"],
+              [states, table.energies, table.probabilities])
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +398,3 @@ def eigen_solution_check(k, trajectory, amplitude=1.0):
         "psi_variation": psi_variation,
         "psi_constant": bool(psi_variation < 1e-8),
     }
-
-
-def write_moments_json(sample, path):
-    write_json(path, sample.moments())

@@ -141,6 +141,54 @@ class TestSimulate:
         assert main(["simulate", "--config", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("stride", [0, 2.5])
+    def test_bad_record_stride_exits_two(self, tmp_path, capsys, stride):
+        for kind in ("model", "covariant"):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"kind": kind, "s_max": 0.01,
+                                       "record_stride": stride}))
+            assert main(["simulate", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 2
+            assert "record_stride" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+    def test_nested_unknown_keys_exit_two(self, tmp_path, capsys):
+        model = {"kind": "projectile", "m0": 1.0, "u_x": 0.5, "u_y": 1.0,
+                 "g": 0.2, "mass": 2.0}
+        for supplied in ({"kind": "model", "model": model},
+                         {"kind": "covariant",
+                          "metric": {"kind": "polar", "entries": []}}):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(dict(supplied, s_max=0.01)))
+            assert main(["simulate", "--config", str(cfg),
+                         "--out", str(tmp_path)]) == 2
+            assert "unknown" in capsys.readouterr().err
+
+    def test_singular_solve_exits_one(self, tmp_path, capsys):
+        # g22 = 0: the first inverse metric solve raises LinAlgError
+        entries = [[[1.0, [0, 0, 0, 0]]], [[-1.0, [0, 0, 0, 0]]],
+                   [[0.0, [0, 0, 0, 0]]], [[-1.0, [0, 0, 0, 0]]]]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "covariant", "s_max": 0.01,
+                                   "metric": {"kind": "diagonal",
+                                              "entries": entries}}))
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 1
+        assert "run failed" in capsys.readouterr().err
+
+    def test_covariant_header_follows_dimension(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "covariant",
+                                   "metric": {"kind": "polar", "dim": 3},
+                                   "x0": [0.0, 1.0, 0.3],
+                                   "p0_upper": [1.5, 0.3, -0.2],
+                                   "s_max": 0.1, "step": 0.01}))
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+        assert lines[0] == "s,x0,x1,x2,p0,p1,p2,K,geodesic_residual"
+        assert {len(line.split(",")) for line in lines} == {9}
+
 
 class TestEnsemble:
     def test_mb_run(self, tmp_path):
@@ -202,6 +250,15 @@ class TestEnsemble:
         cfg.write_text(json.dumps({"kind": "grand-canonical"}))
         assert main(["ensemble", "--config", str(cfg),
                      "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("bins", [0, 2.5])
+    def test_bad_bins_exits_two_and_writes_no_csv(self, tmp_path, capsys, bins):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 100, "bins": bins}))
+        out = tmp_path / "out"
+        assert main(["ensemble", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "bins" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
 
 class TestEntryPoint:

@@ -101,6 +101,32 @@ class TestCanonicalFlow:
         with pytest.raises(UsageError):
             dyn.model_from_config({"kind": "bogus"})
 
+    def test_model_config_rejects_keys_its_kind_does_not_read(self):
+        with pytest.raises(UsageError, match="mass"):
+            dyn.model_from_config({"kind": "projectile", "m0": 1.0, "u_x": 0.5,
+                                   "u_y": 1.0, "g": 0.2, "mass": 2.0})
+        with pytest.raises(UsageError, match="omega"):
+            dyn.model_from_config({"kind": "free", "m0": 1.0, "omega": 2.0})
+        with pytest.raises(UsageError):
+            dyn.model_from_config(["kind", "free"])
+
+    @pytest.mark.parametrize("stride", [0, -1, 2.5, 1.0, True, "2", None])
+    def test_record_stride_must_be_positive_int(self, stride):
+        model = dyn.free_particle_model(1.0)
+        with pytest.raises(UsageError, match="record_stride"):
+            dyn.integrate(model, np.zeros(4), np.array([1.0, 0, 0, 0]), 0.1,
+                          step=0.01, record_stride=stride)
+        with pytest.raises(UsageError, match="record_stride"):
+            dyn.covariant_integrate(geo.minkowski_metric(), np.zeros(4),
+                                    np.array([1.0, 0, 0, 0]), 0.1, step=0.01,
+                                    record_stride=stride)
+
+    def test_record_stride_accepts_numpy_int(self):
+        traj = dyn.integrate(dyn.free_particle_model(1.0), np.zeros(4),
+                             np.array([1.0, 0, 0, 0]), 0.1, step=0.01,
+                             record_stride=np.int64(4))
+        assert np.allclose(traj.s, [0.0, 0.04, 0.08, 0.1])
+
 
 class TestProjectileKinematics:
     def test_matches_closed_form(self):

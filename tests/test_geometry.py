@@ -136,6 +136,18 @@ def test_metric_from_config_kinds():
         geo.metric_from_config({"kind": "nope"})
 
 
+@pytest.mark.parametrize("cfg", [
+    {"kind": "polar", "entries": []},
+    {"kind": "minkowski", "dim": 4, "signature": "-+++"},
+    {"kind": "custom-polynomial", "entries": [[[[1.0, [0]]]]], "dim": 1},
+    {"kind": "diagonal", "entries": [[[1.0, [0]]]], "scale": 2.0},
+    "polar",
+])
+def test_metric_config_rejects_keys_its_kind_does_not_read(cfg):
+    with pytest.raises(UsageError):
+        geo.metric_from_config(cfg)
+
+
 def test_eval_poly():
     # 2*x0^2*x1 - 3
     terms = [[2, [2, 1, 0, 0]], [-3, [0, 0, 0, 0]]]

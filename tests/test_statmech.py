@@ -91,6 +91,13 @@ class TestSampling:
         expected = 0.5 * cfg.m0 * (sample.velocities ** 2).sum(axis=1)
         assert np.array_equal(sample.energies, expected)
 
+    @pytest.mark.parametrize("bins", [0, -3, 2.5, 10.0, True])
+    def test_histogram_bins_must_be_positive_int(self, tmp_path, bins):
+        sample = sm.sample_mb(sm.EnsembleConfig(n=100, m0=1.0, T=1.0))
+        with pytest.raises(UsageError, match="bins"):
+            sm.write_histogram_csv(sample, tmp_path / "hist.csv", bins=bins)
+        assert not (tmp_path / "hist.csv").exists()
+
     def test_csv_outputs_deterministic(self, tmp_path):
         cfg = sm.EnsembleConfig(n=300, m0=1.0, T=2.0, seed=6)
         sample = sm.sample_mb(cfg)
