@@ -1,5 +1,5 @@
 """Small shared helpers: atomic file writes, stable formatting, config checks,
-env knobs."""
+env knobs, and the central-difference stencil."""
 
 import json
 import os
@@ -68,6 +68,25 @@ def write_csv(path, header, columns):
             yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
     atomic_write_text(path, chunks())
+
+
+def central_difference(f, x, scale):
+    """First partials of f by scaled central differences.
+
+    out[a] = (f(x + h e_a) - f(x - h e_a)) / (2 h) with h = scale * max(1,
+    |x_a|), taken per point when x stacks points (..., n); out[a] has the
+    shape of f's value. Every first-derivative stencil in the package is
+    this one, so they all share its steps and rounding.
+    """
+    x = np.asarray(x, dtype=float)
+    parts = []
+    for a, h in enumerate((scale * np.maximum(1.0, np.abs(x))).T):
+        xp, xm = x.copy(), x.copy()
+        xp.T[a] += h
+        xm.T[a] -= h
+        # np.subtract keeps a numpy type for scalar-valued f, so .T applies
+        parts.append((np.subtract(f(xp), f(xm)).T / (2.0 * h)).T)
+    return np.array(parts)
 
 
 def positive_int(value, name):

@@ -24,8 +24,8 @@ from . import geometry as geo
 from . import hamilton_jacobi as hj
 from . import statmech as sm
 from ._util import check_keys, write_csv, write_json
-from .clifford import (ETA_DIAG, anticommutator, build_gamma_rep, frobenius,
-                       minkowski_dot, slash, slash_eigensystem)
+from .clifford import (anticommutator, build_gamma_rep, minkowski_dot, slash,
+                       slash_eigensystem)
 from .dirac import conventional_dirac_residual, derivative_split
 from .errors import HJDiracError, StepRejected, UsageError
 
@@ -46,6 +46,8 @@ class TolOverrides:
             except ValueError:
                 raise UsageError("--tol %s needs a numeric value, got %r"
                                  % (name, val))
+            if not math.isfinite(self.values[name]):  # strict JSON report
+                raise UsageError("--tol %s must be finite, got %r" % (name, val))
         self.consumed = set()
 
     def get(self, name, default):
@@ -426,8 +428,10 @@ def cmd_ensemble(args):
     if kind != "mb":
         raise UsageError("config kind must be 'mb' or 'occupancy'")
     cfg = _merge_config(_ENS_DEFAULTS, supplied)
-    ens = sm.EnsembleConfig(n=int(cfg["n"]), m0=cfg["m0"], T=cfg["T"],
+    ens = sm.EnsembleConfig(n=cfg["n"], m0=cfg["m0"], T=cfg["T"],
                             kB=cfg["kB"], seed=args.seed)
+    if ens.n < 2:  # the moments divide by n - 1
+        raise UsageError("mb needs n >= 2 samples, got %d" % ens.n)
     sample = sm.sample_mb(ens)
     # the histogram goes first: a bad bins value then leaves no samples file
     sm.write_histogram_csv(sample, os.path.join(out_dir, "histogram.csv"),

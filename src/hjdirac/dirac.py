@@ -21,6 +21,8 @@ from .clifford import (
     slash_covector,
     slash_eigensystem,
 )
+from ._util import central_difference
+from .dynamics import rk4_step
 from .errors import NotCommuting, OffShell, UsageError
 
 __all__ = [
@@ -245,14 +247,10 @@ class Congruence:
         """Integrate dx/ds = u(x) with fixed-step RK4; returns (s_grid, path)."""
         x = np.asarray(x0, dtype=float).copy()
         h = s_max / n_steps
-        path = [x.copy()]
+        path = [x]
         for _ in range(n_steps):
-            k1 = self.u_of(x)
-            k2 = self.u_of(x + 0.5 * h * k1)
-            k3 = self.u_of(x + 0.5 * h * k2)
-            k4 = self.u_of(x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            path.append(x.copy())
+            x, = rk4_step(lambda y: [self.u_of(y)], [x], h)
+            path.append(x)
         return np.linspace(0.0, s_max, n_steps + 1), np.asarray(path)
 
 
@@ -297,29 +295,18 @@ def sheared_congruence(m0, base=(0.0, 0.0, 0.0, 0.0), amplitude=0.1):
     return Congruence(u_of, p_of, name="sheared-fan")
 
 
-def _vector_jacobian(f, x, step=1e-5):
-    """J[a, b] = d f^a / d x^b by central differences."""
-    x = np.asarray(x, dtype=float)
-    jac = np.empty((4, 4))
-    for b in range(4):
-        h = step * max(1.0, abs(x[b]))
-        xp, xm = x.copy(), x.copy()
-        xp[b] += h
-        xm[b] -= h
-        jac[:, b] = (np.asarray(f(xp), dtype=float) - np.asarray(f(xm), dtype=float)) / (2 * h)
-    return jac
-
-
 def directional_derivative(f, u, x, step=1e-5):
     """u^b d_b f at x (f vector-valued)."""
-    return _vector_jacobian(f, x, step) @ np.asarray(u, dtype=float)
+    # C order: a matmul's rounding depends on its operands' memory layout
+    jac = np.ascontiguousarray(central_difference(f, x, step).T)
+    return jac @ np.asarray(u, dtype=float)
 
 
 def lie_derivative(u_of, p_of, x, step=1e-5):
     """(L_u p)^a = u^b d_b p^a - p^b d_b u^a by central differences."""
     u = np.asarray(u_of(x), dtype=float)
     p = np.asarray(p_of(x), dtype=float)
-    return _vector_jacobian(p_of, x, step) @ u - _vector_jacobian(u_of, x, step) @ p
+    return directional_derivative(p_of, u, x, step) - directional_derivative(u_of, p, x, step)
 
 
 def geodesic_criterion_check(rep, congruence, points, tol_lie=1e-8,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .clifford import ETA_DIAG, build_gamma_rep, classify, commutator, frobenius, minkowski_dot, slash
 from .geometry import _metric_partials, christoffel_at
-from ._util import config_kind, positive_int, write_csv, write_json
+from ._util import central_difference, config_kind, positive_int, write_csv, write_json
 from .errors import NonSeparable, StepRejected, UsageError
 from .hamilton_jacobi import projectile_field
 
@@ -70,34 +70,17 @@ class HamiltonianModel:
     def hamiltonian(self, x, p):
         return float(self._h(np.asarray(x, dtype=float), np.asarray(p, dtype=float)))
 
-    def _fd_partial(self, x, p, wrt):
-        out = np.empty(4)
-        for a in range(4):
-            base = x[a] if wrt == "x" else p[a]
-            h = PARTIAL_FD_SCALE * max(1.0, abs(base))
-            if wrt == "x":
-                xp, xm = x.copy(), x.copy()
-                xp[a] += h
-                xm[a] -= h
-                out[a] = (self._h(xp, p) - self._h(xm, p)) / (2 * h)
-            else:
-                pp, pm = p.copy(), p.copy()
-                pp[a] += h
-                pm[a] -= h
-                out[a] = (self._h(x, pp) - self._h(x, pm)) / (2 * h)
-        return out
-
     def dh_dx(self, x, p):
         x, p = np.asarray(x, dtype=float), np.asarray(p, dtype=float)
         if self._dh_dx is not None:
             return np.asarray(self._dh_dx(x, p), dtype=float)
-        return self._fd_partial(x, p, "x")
+        return central_difference(lambda y: self._h(y, p), x, PARTIAL_FD_SCALE)
 
     def dh_dp(self, x, p):
         x, p = np.asarray(x, dtype=float), np.asarray(p, dtype=float)
         if self._dh_dp is not None:
             return np.asarray(self._dh_dp(x, p), dtype=float)
-        return self._fd_partial(x, p, "p")
+        return central_difference(lambda y: self._h(x, y), p, PARTIAL_FD_SCALE)
 
 
 def hamilton_rhs(model, x, p):
@@ -269,16 +252,48 @@ class Trajectory:
         write_json(path, self.meta())
 
 
-def _step_count(s_max, step, record_stride):
-    """Number of fixed steps covering [0, s_max]; UsageError for a bad step,
-    an s_max off the step grid, or a record_stride that is not an int >= 1."""
+def rk4_step(rhs, state, step):
+    """One classical RK4 step of d(state)/ds = rhs(*state), where state and
+    rhs's value are matching lists of arrays; returns the new state list."""
+    half, sixth = 0.5 * step, step / 6.0
+    k1 = rhs(*state)
+    k2 = rhs(*[y + half * k for y, k in zip(state, k1)])
+    k3 = rhs(*[y + half * k for y, k in zip(state, k2)])
+    k4 = rhs(*[y + step * k for y, k in zip(state, k3)])
+    return [y + sixth * (a + 2 * b + 2 * c + d)
+            for y, a, b, c, d in zip(state, k1, k2, k3, k4)]
+
+
+def _drive(state, advance, s_max, step, record_stride, record, guard=None):
+    """The fixed-step loop of every integrator over [0, s_max].
+
+    state is a list of arrays that advance(state) maps one step on;
+    record(i, *state) sees step 0, every record_stride-th step and the last.
+    Raises StepRejected when the state goes non-finite or guard(*state)
+    returns a message, and UsageError for a bad step, an s_max off the step
+    grid, or a record_stride that is not an int >= 1.
+    """
     if step <= 0:
         raise UsageError("step must be positive")
     positive_int(record_stride, "record_stride")
     n_steps = int(round(s_max / step))
     if n_steps < 1 or abs(n_steps * step - s_max) > 1e-9 * max(1.0, abs(s_max)):
         raise UsageError("s_max must be a positive multiple of step")
-    return n_steps
+    msg = guard and guard(*state)
+    if msg:
+        raise StepRejected(f"initial state: {msg}")
+    record(0, *state)
+    # overflow here is a detected condition (StepRejected), not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, n_steps + 1):
+            state = advance(state)
+            if not all(np.isfinite(y).all() for y in state):
+                raise StepRejected(f"non-finite state at step {i}")
+            msg = guard and guard(*state)
+            if msg:
+                raise StepRejected(f"step {i}: {msg}")
+            if i % record_stride == 0 or i == n_steps:
+                record(i, *state)
 
 
 def _rhs_for(model, canonical):
@@ -297,15 +312,20 @@ def integrate(model, x0, p0, s_max, step=1e-3, method="rk4", record_stride=1,
     Raises StepRejected when the state goes non-finite or the model's guard
     trips, and UsageError for a bad step, record_stride or method.
     """
-    n_steps = _step_count(s_max, step, record_stride)
     if method not in ("rk4", "leapfrog"):
         raise UsageError(f"unknown method {method!r}")
     if method == "leapfrog" and not model.separable:
         raise NonSeparable(f"model {model.name!r} has no T(p) + V(x) split")
-
-    x = np.asarray(x0, dtype=float).copy()
-    p = np.asarray(p0, dtype=float).copy()
     rhs = _rhs_for(model, canonical)
+
+    def advance(state):
+        if method == "rk4":
+            return rk4_step(rhs, state, step)
+        x, p = state
+        p = p - 0.5 * step * ETA_DIAG * model.dh_dx(x, p)
+        x = x + step * ETA_DIAG * model.dh_dp(x, p)
+        p = p - 0.5 * step * ETA_DIAG * model.dh_dx(x, p)
+        return [x, p]
 
     samples = []
 
@@ -316,34 +336,8 @@ def integrate(model, x0, p0, s_max, step=1e-3, method="rk4", record_stride=1,
         samples.append((i * step, xs.copy(), ps.copy(),
                         model.hamiltonian(xs, ps), np.sqrt(abs(fdotf)), norm))
 
-    if model.guard is not None:
-        msg = model.guard(x, p)
-        if msg:
-            raise StepRejected(f"initial state: {msg}")
-    record(0, x, p)
-    # overflow here is a detected condition (StepRejected), not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, n_steps + 1):
-            if method == "rk4":
-                k1x, k1p = rhs(x, p)
-                k2x, k2p = rhs(x + 0.5 * step * k1x, p + 0.5 * step * k1p)
-                k3x, k3p = rhs(x + 0.5 * step * k2x, p + 0.5 * step * k2p)
-                k4x, k4p = rhs(x + step * k3x, p + step * k3p)
-                x = x + (step / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-                p = p + (step / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-            else:
-                p = p - 0.5 * step * ETA_DIAG * model.dh_dx(x, p)
-                x = x + step * ETA_DIAG * model.dh_dp(x, p)
-                p = p - 0.5 * step * ETA_DIAG * model.dh_dx(x, p)
-            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
-                raise StepRejected(f"non-finite state at step {i}")
-            if model.guard is not None:
-                msg = model.guard(x, p)
-                if msg:
-                    raise StepRejected(f"step {i}: {msg}")
-            if i % record_stride == 0 or i == n_steps:
-                record(i, x, p)
-
+    _drive([np.asarray(x0, dtype=float).copy(), np.asarray(p0, dtype=float).copy()],
+           advance, s_max, step, record_stride, record, model.guard)
     s, xs, ps, hs, dms, comms = zip(*samples)
     return Trajectory(model.name, method, step, s, np.asarray(xs), np.asarray(ps),
                       hs, dms, comms)
@@ -401,14 +395,9 @@ def hessian_det_check(field, x, step=1e-4):
                     vals += si * sj * float(field.value(xx))
                 hess[i, j] = hess[j, i] = vals / (4 * hi * hj)
     else:
-        raw = np.empty((3, 3))
-        for j in range(3):
-            hj = step * max(1.0, abs(x[1 + j]))
-            xp, xm = x.copy(), x.copy()
-            xp[1 + j] += hj
-            xm[1 + j] -= hj
-            raw[:, j] = (field.one_form(xp)[1:] - field.one_form(xm)[1:]) / (2 * hj)
-        hess = 0.5 * (raw + raw.T)
+        # d[j, i] = d_j w_i over the spatial axes, time held at x[0]
+        d = central_difference(lambda y: field.one_form(np.r_[x[0], y])[1:], x[1:], step)
+        hess = 0.5 * (d + d.T)
     det = np.linalg.det(hess)
     scale = max(1.0, float(np.abs(hess).max()))
     return HessianReport(hess, det, abs(det) > 1e-10 * scale ** 3)
@@ -448,7 +437,6 @@ def covariant_integrate(metric, x0, p0_upper, s_max, step=1e-3, record_stride=1)
     recorded residual is |dp^mu/ds + Gamma^mu_{nu lam} u^nu p^lam| per sample,
     which the exact flow sends to rounding.
     """
-    n_steps = _step_count(s_max, step, record_stride)
     dim = metric.dim
     x = np.asarray(x0, dtype=float).copy()
     p_low = metric.matrix(x) @ np.asarray(p0_upper, dtype=float)
@@ -476,18 +464,8 @@ def covariant_integrate(metric, x0, p0_upper, s_max, step=1e-3, record_stride=1)
         resid = dup + np.einsum("mnl,n,l->m", gamma, xdot, up)
         samples.append((i * step, xs.copy(), up, k, float(np.abs(resid).max())))
 
-    record(0, x, p_low)
-    for i in range(1, n_steps + 1):
-        k1x, k1p = rhs(x, p_low)
-        k2x, k2p = rhs(x + 0.5 * step * k1x, p_low + 0.5 * step * k1p)
-        k3x, k3p = rhs(x + 0.5 * step * k2x, p_low + 0.5 * step * k2p)
-        k4x, k4p = rhs(x + step * k3x, p_low + step * k3p)
-        x = x + (step / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        p_low = p_low + (step / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p_low))):
-            raise StepRejected(f"non-finite state at step {i}")
-        if i % record_stride == 0 or i == n_steps:
-            record(i, x, p_low)
+    _drive([x, p_low], lambda state: rk4_step(rhs, state, step),
+           s_max, step, record_stride, record)
 
     s, xs, ups, ks, resids = zip(*samples)
     return CovariantTrajectory(s, np.asarray(xs), np.asarray(ups), ks, resids)

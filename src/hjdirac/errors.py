@@ -65,6 +65,10 @@ class TooLarge(HJDiracError):
     """Occupation enumeration bounds exceeded."""
 
 
+class DegeneratePartition(HJDiracError):
+    """Partition sum underflowed to zero or overflowed; probabilities undefined."""
+
+
 class DegenerateData(HJDiracError):
     """Data set carries no usable information (e.g. zero elapsed time)."""
 

@@ -8,7 +8,7 @@ sum(coeff * prod(x_i**e_i)); no string expressions are evaluated.
 
 import numpy as np
 
-from ._util import config_kind
+from ._util import central_difference, config_kind
 from .clifford import ETA_DIAG
 from .errors import BadSignature, SingularJacobian, SingularMetric, UsageError
 
@@ -37,13 +37,23 @@ CHART_FD_SCALE = 1e-6
 
 
 def eval_poly(terms, x):
-    """Evaluate a polynomial term list [[coeff, [exponents...]], ...] at x."""
-    total = 0.0
+    """Evaluate a polynomial term list [[coeff, [exponents...]], ...] at x.
+
+    A single point (n,) gives a float; a stack of points (..., n) gives one
+    value per point, also for a constant or empty list. A single point is
+    evaluated in Python floats and a stack in numpy arrays: the two round
+    x ** e differently, and each route keeps the bytes of its callers.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        coords, total = x.tolist(), 0.0
+    else:
+        coords, total = np.moveaxis(x, -1, 0), np.zeros(x.shape[:-1])
     for coeff, exps in terms:
         term = float(coeff)
-        for xi, ei in zip(x, exps):
+        for xi, ei in zip(coords, exps):
             if ei:
-                term *= float(xi) ** int(ei)
+                term *= xi ** int(ei)
         total += term
     return total
 
@@ -164,18 +174,11 @@ def tetrad_at(metric, x):
 
 
 def _metric_partials(metric, x):
-    if metric.dg is not None:
-        return np.asarray(metric.dg(np.asarray(x, dtype=float)), dtype=float)
+    """dg[lam] = d_lam g at x: the metric's own dg, else central differences."""
     x = np.asarray(x, dtype=float)
-    dim = metric.dim
-    dg = np.empty((dim, dim, dim))  # dg[lam] = d_lam g
-    for lam in range(dim):
-        h = METRIC_FD_SCALE * max(1.0, abs(x[lam]))
-        xp, xm = x.copy(), x.copy()
-        xp[lam] += h
-        xm[lam] -= h
-        dg[lam] = (metric.matrix(xp) - metric.matrix(xm)) / (2.0 * h)
-    return dg
+    if metric.dg is not None:
+        return np.asarray(metric.dg(x), dtype=float)
+    return central_difference(metric.matrix, x, METRIC_FD_SCALE)
 
 
 def christoffel_at(metric, x):
@@ -221,15 +224,8 @@ class CoordinateChart:
         x = np.asarray(x, dtype=float)
         if self._jacobian is not None:
             return np.asarray(self._jacobian(x), dtype=float)
-        dim = self.dim
-        jac = np.empty((dim, dim))
-        for mu in range(dim):
-            h = CHART_FD_SCALE * max(1.0, abs(x[mu]))
-            xp, xm = x.copy(), x.copy()
-            xp[mu] += h
-            xm[mu] -= h
-            jac[:, mu] = (np.asarray(self.forward(xp)) - np.asarray(self.forward(xm))) / (2.0 * h)
-        return jac
+        # C order: a matmul's rounding depends on its operands' memory layout
+        return np.ascontiguousarray(central_difference(self.forward, x, CHART_FD_SCALE).T)
 
 
 def identity_chart(dim=4):

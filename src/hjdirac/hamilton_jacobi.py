@@ -16,8 +16,9 @@ value-only fields the loop route carries the information.
 
 import numpy as np
 
-from .clifford import ETA_DIAG, minkowski_dot
-from ._util import write_json
+from .clifford import ETA_DIAG
+from ._util import central_difference, write_json
+from .geometry import eval_poly
 from .errors import (
     DomainBoundary,
     IllConditioned,
@@ -33,7 +34,6 @@ __all__ = [
     "HJReport",
     "ScaleReport",
     "PerpDecomposition",
-    "gradient",
     "loop_integral",
     "is_exact",
     "mass_shell_check",
@@ -111,7 +111,10 @@ class HamiltonJacobiField:
         self._guard(x)
         if self._one_form is not None:
             return self._apply(self._one_form, x, scalar=False)
-        return self._fd_gradient(np.asarray(x, dtype=float))
+        grad = central_difference(lambda y: self._apply(self._value, y, scalar=True),
+                                  x, GRAD_FD_SCALE)
+        # C order: a matmul's rounding depends on its operands' memory layout
+        return np.ascontiguousarray(np.moveaxis(grad, 0, -1))
 
     def _apply(self, fn, x, scalar):
         x = np.asarray(x, dtype=float)
@@ -120,20 +123,6 @@ class HamiltonJacobiField:
         flat = x.reshape(-1, 4)
         out = np.asarray([fn(p) for p in flat], dtype=float)
         return out.reshape(x.shape[:-1] if scalar else x.shape)
-
-    def _fd_gradient(self, x):
-        single = x.ndim == 1
-        pts = x.reshape(-1, 4)
-        grad = np.empty_like(pts)
-        for a in range(4):
-            h = GRAD_FD_SCALE * np.maximum(1.0, np.abs(pts[:, a]))
-            xp, xm = pts.copy(), pts.copy()
-            xp[:, a] += h
-            xm[:, a] -= h
-            wp = self._apply(self._value, xp, scalar=True)
-            wm = self._apply(self._value, xm, scalar=True)
-            grad[:, a] = (np.atleast_1d(wp) - np.atleast_1d(wm)) / (2.0 * h)
-        return grad[0] if single else grad.reshape(x.shape)
 
     def momentum(self, x):
         return self.one_form(x)[..., 1:]
@@ -145,11 +134,6 @@ class HamiltonJacobiField:
         return self._value is not None
 
 
-def gradient(field, x):
-    """One-form (dW/dt, dW/dx1, dW/dx2, dW/dx3) at x."""
-    return field.one_form(x)
-
-
 # -- exactness ---------------------------------------------------------------
 
 def _closedness_residual(field, points):
@@ -159,24 +143,10 @@ def _closedness_residual(field, points):
     is antisymmetry-exact; one-form fields difference the one-form (step
     1e-5 * max(1, |x_a|)).
     """
-    pts = np.asarray(points, dtype=float)
     if field._one_form is None:
         return 0.0  # symmetric stencil: mixed partials of FD(W) coincide identically
-    worst = 0.0
-    for a in range(4):
-        for b in range(a + 1, 4):
-            ha = 1e-5 * np.maximum(1.0, np.abs(pts[:, a]))
-            hb = 1e-5 * np.maximum(1.0, np.abs(pts[:, b]))
-            xpa, xma = pts.copy(), pts.copy()
-            xpa[:, a] += ha
-            xma[:, a] -= ha
-            d_a_wb = (field.one_form(xpa)[:, b] - field.one_form(xma)[:, b]) / (2 * ha)
-            xpb, xmb = pts.copy(), pts.copy()
-            xpb[:, b] += hb
-            xmb[:, b] -= hb
-            d_b_wa = (field.one_form(xpb)[:, a] - field.one_form(xmb)[:, a]) / (2 * hb)
-            worst = max(worst, float(np.abs(d_a_wb - d_b_wa).max()))
-    return worst
+    d = central_difference(field.one_form, points, 1e-5)  # d[a, ..., b] = d_a w_b
+    return float(np.abs(d - np.swapaxes(d, 0, -1)).max())
 
 
 def loop_integral(field, axes, corner, extents, segments=4096):
@@ -524,22 +494,12 @@ def polynomial_field(terms, m0=None, region=None):
                 ga.append([coeff * exps[a], reduced])
         grads.append(ga)
 
-    def _poly(term_list, x):
-        out = np.zeros(x.shape[:-1])
-        for coeff, exps in term_list:
-            term = np.full(x.shape[:-1], float(coeff))
-            for axis, e in enumerate(exps):
-                if e:
-                    term = term * x[..., axis] ** e
-            out = out + term
-        return out
-
     def value(x):
-        return _poly(terms, np.asarray(x, dtype=float))
+        return eval_poly(terms, x)
 
     def one_form(x):
         x = np.asarray(x, dtype=float)
-        return np.stack([_poly(g, x) for g in grads], axis=-1)
+        return np.stack([eval_poly(g, x) for g in grads], axis=-1)
 
     return HamiltonJacobiField(value=value, one_form=one_form, m0=m0,
                                region=region, name="polynomial", vectorized=True)

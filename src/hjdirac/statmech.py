@@ -24,9 +24,9 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from ._util import check_keys, positive_int, thread_cap, write_csv
+from ._util import positive_int, thread_cap, write_csv
 from .clifford import ETA_DIAG
-from .errors import DegenerateData, NotIntegrable, TooLarge, UsageError
+from .errors import DegenerateData, DegeneratePartition, NotIntegrable, TooLarge, UsageError
 
 SAMPLE_CHUNK = 65536  # substream granularity; fixed so results ignore worker count
 ENUM_BOUND = 12
@@ -41,6 +41,8 @@ class EnsembleConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
+            raise UsageError("particle count n must be an integer, got %r" % (self.n,))
         if self.n < 0:
             raise UsageError("particle count must be nonnegative")
         if self.T <= 0.0 or self.m0 <= 0.0 or self.kB <= 0.0:
@@ -55,14 +57,6 @@ class EnsembleConfig:
     def sigma2(self):
         """Per-axis velocity variance of the squared-amplitude distribution."""
         return self.kB * self.T / (2.0 * self.m0)
-
-
-def config_from_dict(data):
-    check_keys(data, ("n", "m0", "T", "kB", "seed"), "ensemble config")
-    try:
-        return EnsembleConfig(**data)
-    except TypeError as exc:
-        raise UsageError("bad ensemble config: %s" % exc)
 
 
 def mb_density(config, v):
@@ -255,6 +249,8 @@ def partition_enumerate(levels, n, beta, statistics):
     BE: any nonnegative occupations summing to n. FD: occupations in {0,1}.
     MB (distinguishable): BE support with multinomial multiplicity
     n!/(prod n_l!). Brute force, so both the level count and n are capped.
+    Raises DegeneratePartition when the partition sum underflows to zero or
+    overflows, since the probabilities are then undefined.
     """
     tag = _STAT_TAGS.get(str(statistics).strip().upper())
     if tag is None:
@@ -300,6 +296,9 @@ def partition_enumerate(levels, n, beta, statistics):
                          for occ in occupations])
     weights = multiplicities * np.exp(-beta * energies)
     z = float(weights.sum())
+    if not (math.isfinite(z) and z > 0.0):
+        raise DegeneratePartition("partition sum is %r at beta = %r; the Boltzmann "
+                                  "weights under- or overflow" % (z, beta))
     return PartitionTable(statistics=tag, levels=levels, n=n, beta=float(beta),
                           occupations=occupations, energies=energies,
                           weights=weights, probabilities=weights / z, z=z)

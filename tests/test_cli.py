@@ -45,6 +45,14 @@ class TestVerify:
         assert main(["verify", "--suite", "clifford", "--tol", "step=fast",
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_tolerance_exits_two(self, tmp_path, capsys, value):
+        out = tmp_path / "out"
+        assert main(["verify", "--suite", "clifford", "--tol",
+                     "anticomm=" + value, "--out", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_csv_format(self, tmp_path):
         assert main(["verify", "--suite", "clifford", "--format", "csv",
                      "--out", str(tmp_path)]) == 0
@@ -258,6 +266,28 @@ class TestEnsemble:
         out = tmp_path / "out"
         assert main(["ensemble", "--config", str(cfg), "--out", str(out)]) == 2
         assert "bins" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("cfg", [{"n": 2.5}, {"n": 1}, {"n": True},
+                                     {"n": 0}, {"n": "100"},
+                                     {"n": 100, "beta": 2.0}])
+    def test_bad_mb_config_exits_two_and_writes_nothing(self, tmp_path, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["ensemble", "--config", str(path), "--out", str(out)]) == 2
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("statistics", ["BE", "MB"])
+    def test_underflowed_partition_sum_exits_one(self, tmp_path, capsys,
+                                                 statistics):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "occupancy", "levels": [1.0, 2.0],
+                                   "n": 3, "beta": 1e6,
+                                   "statistics": statistics}))
+        out = tmp_path / "out"
+        assert main(["ensemble", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "partition sum" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -252,6 +253,17 @@ class TestCovariant:
         with pytest.raises(UsageError):
             dyn.covariant_integrate(geo.minkowski_metric(4), np.zeros(4),
                                     np.array([1.0, 0, 0, 0]), 1.0, step=-0.1)
+
+    def test_overflow_is_step_rejected_without_warning(self):
+        # partials that vanish at x0 = 0 and reach 1e305 one stage later
+        eta = np.diag([1.0, -1.0, -1.0, -1.0])
+        metric = geo.MetricField(lambda x: eta,
+                                 dg=lambda x: np.full((4, 4, 4), 1e308 * x[0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepRejected, match="step 1"):
+                dyn.covariant_integrate(metric, np.zeros(4),
+                                        np.array([1.5, 0.3, 0.0, 0.0]), 0.01)
 
 
 class TestHessianCheck:

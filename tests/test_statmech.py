@@ -6,7 +6,8 @@ import pytest
 
 from hjdirac import dynamics as dyn
 from hjdirac import statmech as sm
-from hjdirac.errors import DegenerateData, NotIntegrable, TooLarge, UsageError
+from hjdirac.errors import (DegenerateData, DegeneratePartition, NotIntegrable,
+                            TooLarge, UsageError)
 
 
 class TestConfigAndDensity:
@@ -20,8 +21,10 @@ class TestConfigAndDensity:
             sm.EnsembleConfig(n=10, m0=1.0, T=0.0)
         with pytest.raises(UsageError):
             sm.EnsembleConfig(n=-1, m0=1.0, T=1.0)
-        with pytest.raises(UsageError):
-            sm.config_from_dict({"n": 1, "m0": 1.0, "T": 1.0, "beta": 2.0})
+        for n in (2.5, True, "10", None):
+            with pytest.raises(UsageError):
+                sm.EnsembleConfig(n=n, m0=1.0, T=1.0)
+        assert sm.EnsembleConfig(n=np.int64(3), m0=1.0, T=1.0).n == 3
 
     def test_density_point_values(self):
         cfg = sm.EnsembleConfig(n=1, m0=1.0, T=2.0)
@@ -192,6 +195,13 @@ class TestPartitionEnumeration:
             sm.partition_enumerate([0.0, 1.0], 13, 1.0, "BE")
         with pytest.raises(UsageError):
             sm.partition_enumerate([0.0], 1, 1.0, "boltzmann-ish")
+
+    @pytest.mark.parametrize("statistics, beta", [("BE", 1e6), ("MB", 1e6),
+                                                  ("FD", -1e6)])
+    def test_degenerate_partition_sum_raises(self, statistics, beta):
+        # every weight under- (beta > 0) or overflows (beta < 0)
+        with np.errstate(over="ignore"), pytest.raises(DegeneratePartition):
+            sm.partition_enumerate([1.0, 2.0], 2, beta, statistics)
 
     def test_occupancy_csv(self, tmp_path):
         table = sm.partition_enumerate([0.0, 1.0], 2, 1.0, "BE")
