@@ -1,5 +1,5 @@
-"""Small shared helpers: atomic file writes, stable formatting, config checks,
-env knobs, and the central-difference stencil."""
+"""Small shared helpers: atomic file writes, stable formatting, config checks
+and the central-difference stencil."""
 
 import json
 import os
@@ -7,7 +7,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import DegenerateData, UsageError
 
 SCHEMA_VERSION = 1
 CSV_BLOCK = 16384  # rows formatted per written chunk; bounds memory, not bytes
@@ -30,10 +30,16 @@ def atomic_write_text(path, text):
 
 
 def write_json(path, payload):
-    """Serialize payload (dict) with schema_version, stable key order, atomic write."""
+    """Serialize payload (dict) with schema_version, stable key order, atomic
+    write. Strict JSON only: a NaN or infinite value raises DegenerateData
+    before any file is created."""
     body = dict(payload)
     body.setdefault("schema_version", SCHEMA_VERSION)
-    atomic_write_text(path, json.dumps(body, indent=2, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(body, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise DegenerateData("%s not written: %s" % (path, exc))
+    atomic_write_text(path, text + "\n")
 
 
 def fmt(value):
@@ -116,12 +122,3 @@ def config_kind(cfg, keys_by_kind, what):
     check_keys(cfg, ("kind",) + keys_by_kind[kind], "%s %r" % (what, kind))
     return kind
 
-
-def thread_cap():
-    """Worker cap from HJDIRAC_THREADS (default 1); results never depend on it."""
-    raw = os.environ.get("HJDIRAC_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)

@@ -8,7 +8,7 @@ Three subcommands, all file-oriented and reproducible from (config, seed):
 
 Exit codes: 0 success, 1 a check or run failed, 2 usage or config error.
 Outputs carry no timestamps, so identical invocations produce identical
-bytes. HJDIRAC_THREADS caps worker counts without changing any output.
+bytes.
 """
 
 import argparse
@@ -75,9 +75,7 @@ def _check(name, residual, tolerance):
 def _suite_clifford(seed, tol):
     rep = build_gamma_rep()
     rng = np.random.default_rng(seed)
-    anti = max(np.abs(anticommutator(rep.gammas[a], rep.gammas[b])
-                      - 2.0 * rep.eta[a, b] * np.eye(4)).max()
-               for a in range(4) for b in range(4))
+    anti = rep.check()
     vs = rng.normal(size=(200, 4))
     sq = max(np.abs(slash(rep, v) @ slash(rep, v)
                     - minkowski_dot(v, v) * np.eye(4)).max() for v in vs)
@@ -523,7 +521,9 @@ def main(argv=None):
     except HJDiracError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except np.linalg.LinAlgError as exc:  # a ValueError, but a run failure
+    # before ValueError: a LinAlgError is one, but like an overflow it is a
+    # run failure, not a config error
+    except (np.linalg.LinAlgError, ArithmeticError) as exc:
         print("run failed: %s" % exc, file=sys.stderr)
         return 1
     except (OSError, ValueError, KeyError, TypeError) as exc:

@@ -23,7 +23,6 @@ from .errors import NonSeparable, StepRejected, UsageError
 from .hamilton_jacobi import projectile_field
 
 __all__ = [
-    "PhaseState",
     "HamiltonianModel",
     "free_particle_model",
     "projectile_model",
@@ -44,15 +43,6 @@ __all__ = [
 
 _REP = build_gamma_rep()
 PARTIAL_FD_SCALE = 1e-6
-
-
-class PhaseState:
-    """Parameter value with the event and four-momentum there."""
-
-    def __init__(self, s, x, p):
-        self.s = float(s)
-        self.x = np.asarray(x, dtype=float).copy()
-        self.p = np.asarray(p, dtype=float).copy()
 
 
 class HamiltonianModel:
@@ -226,9 +216,6 @@ class Trajectory:
     def mass_shell_drift(self):
         pp = self.p[:, 0] ** 2 - (self.p[:, 1:] ** 2).sum(axis=1)
         return float(np.abs(pp - pp[0]).max())
-
-    def final_state(self):
-        return PhaseState(self.s[-1], self.x[-1], self.p[-1])
 
     def meta(self):
         return {
@@ -446,22 +433,22 @@ def covariant_integrate(metric, x0, p0_upper, s_max, step=1e-3, record_stride=1)
         dg = _metric_partials(metric, xs)
         return ginv, np.array([-ginv @ dg[lam] @ ginv for lam in range(dim)])
 
+    def flow(ginv, dginv, pl):
+        """(dx/ds, dp_mu/ds); dx/ds = g^{-1} p is also p^mu."""
+        return ginv @ pl, -0.5 * np.array([pl @ dginv[mu] @ pl for mu in range(dim)])
+
     def rhs(xs, pl):
-        ginv, dginv = dginv_at(xs)
-        xdot = ginv @ pl
-        pdot = -0.5 * np.array([pl @ dginv[mu] @ pl for mu in range(dim)])
-        return xdot, pdot
+        return flow(*dginv_at(xs), pl)
 
     samples = []
 
     def record(i, xs, pl):
         ginv, dginv = dginv_at(xs)
-        up = ginv @ pl
+        up, pdot_low = flow(ginv, dginv, pl)
         k = 0.5 * float(pl @ ginv @ pl)
-        xdot, pdot_low = rhs(xs, pl)
-        dup = np.tensordot(dginv, xdot, axes=(0, 0)) @ pl + ginv @ pdot_low
-        gamma = christoffel_at(metric, xs)
-        resid = dup + np.einsum("mnl,n,l->m", gamma, xdot, up)
+        dup = np.tensordot(dginv, up, axes=(0, 0)) @ pl + ginv @ pdot_low
+        gamma = christoffel_at(metric, xs)  # the residual's independent route
+        resid = dup + np.einsum("mnl,n,l->m", gamma, up, up)
         samples.append((i * step, xs.copy(), up, k, float(np.abs(resid).max())))
 
     _drive([x, p_low], lambda state: rk4_step(rhs, state, step),

@@ -20,8 +20,6 @@ __all__ = [
     "polar_metric",
     "diagonal_metric",
     "metric_from_config",
-    "chart_from_config",
-    "identity_chart",
     "polar_chart",
     "scaled_time_chart",
     "tetrad_at",
@@ -193,16 +191,12 @@ def christoffel_at(metric, x):
         raise SingularMetric(f"cond(g) = {np.linalg.cond(gx):.3e} at x = {np.asarray(x).tolist()}")
     ginv = np.linalg.inv(gx)
     dg = _metric_partials(metric, x)
-    dim = metric.dim
-    gamma = np.zeros((dim, dim, dim))
-    for mu in range(dim):
-        for nu in range(dim):
-            for lam in range(dim):
-                acc = 0.0
-                for sig in range(dim):
-                    acc += ginv[mu, sig] * (dg[nu][sig, lam] + dg[lam][sig, nu] - dg[sig][nu, lam])
-                gamma[mu, nu, lam] = 0.5 * acc
-    return gamma
+    # one sigma term at a time: each entry sums in the order of the index formula
+    gamma = np.zeros((metric.dim,) * 3)
+    for sig in range(metric.dim):
+        d = dg[:, sig, :]  # d[nu, lam] = d_nu g_{sig lam}
+        gamma += ginv[:, sig, None, None] * (d + d.T - dg[sig])
+    return 0.5 * gamma
 
 
 class CoordinateChart:
@@ -226,13 +220,6 @@ class CoordinateChart:
             return np.asarray(self._jacobian(x), dtype=float)
         # C order: a matmul's rounding depends on its operands' memory layout
         return np.ascontiguousarray(central_difference(self.forward, x, CHART_FD_SCALE).T)
-
-
-def identity_chart(dim=4):
-    eye = np.eye(dim)
-    return CoordinateChart("identity", lambda x: np.asarray(x, float).copy(),
-                           lambda x: np.asarray(x, float).copy(),
-                           jacobian=lambda x: eye.copy(), dim=dim)
 
 
 def polar_chart():
@@ -269,17 +256,6 @@ def scaled_time_chart(factor):
                            lambda x: np.asarray(x, float) * scale,
                            lambda x: np.asarray(x, float) / scale,
                            jacobian=jacobian)
-
-
-def chart_from_config(cfg):
-    kind = cfg.get("kind")
-    if kind == "identity":
-        return identity_chart(int(cfg.get("dim", 4)))
-    if kind == "polar":
-        return polar_chart()
-    if kind == "scaled-time":
-        return scaled_time_chart(float(cfg.get("factor", 2.0)))
-    raise UsageError(f"unknown chart kind {kind!r}")
 
 
 def chart_metric(chart, x):

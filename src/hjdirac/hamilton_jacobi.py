@@ -61,10 +61,6 @@ class Box:
         if np.any(self.hi <= self.lo):
             raise UsageError("box needs hi > lo on every axis")
 
-    def contains(self, x, margin=0.0):
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lo - margin) and np.all(x <= self.hi + margin))
-
     def sample(self, rng, n):
         return self.lo + rng.uniform(size=(n, 4)) * (self.hi - self.lo)
 

@@ -184,6 +184,16 @@ class TestSimulate:
                      "--out", str(tmp_path)]) == 1
         assert "run failed" in capsys.readouterr().err
 
+    def test_coordinate_overflow_exits_one(self, tmp_path, capsys):
+        # r = 1e100: the polar metric's Python-float r ** 2 overflows
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "covariant", "s_max": 0.01,
+                                   "p0_upper": [1e100, 0, 1e100, 0]}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "run failed" in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
+
     def test_covariant_header_follows_dimension(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"kind": "covariant",
@@ -289,6 +299,16 @@ class TestEnsemble:
         assert main(["ensemble", "--config", str(cfg), "--out", str(out)]) == 1
         assert "partition sum" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    def test_non_finite_moments_exit_one(self, tmp_path, capsys):
+        # T = 1e-300: the second moment underflows and the kurtosis is NaN
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "mb", "n": 1000, "T": 1e-300}))
+        out = tmp_path / "out"
+        assert main(["ensemble", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "moments.json not written" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["histogram.csv",
+                                                         "samples.csv"]
 
 
 class TestEntryPoint:

@@ -1,10 +1,15 @@
 """The shared numerical kernels against the code they replaced.
 
 rk4_step, central_difference and eval_poly each took over several
-hand-written copies. Those copies are kept here as the oracles, and every
-comparison is exact (np.array_equal): the kernels keep the old operation
-order, so they must reproduce the old bits, not just the old values.
+hand-written copies, and christoffel_at, partition_enumerate and the
+covariant record replaced slower loops. The replaced code is kept here as the
+oracle, and every comparison is exact (np.array_equal or ==): the new code
+keeps the old operation order, so it must reproduce the old bits, not just
+the old values.
 """
+
+import math
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -13,6 +18,7 @@ from hjdirac import dirac as dr
 from hjdirac import dynamics as dyn
 from hjdirac import geometry as geo
 from hjdirac import hamilton_jacobi as hj
+from hjdirac import statmech as sm
 from hjdirac._util import central_difference
 from hjdirac.dynamics import rk4_step
 
@@ -169,6 +175,95 @@ def ref_poly(term_list, x):
                 term = term * x[..., axis] ** e
         out = out + term
     return out
+
+
+def ref_christoffel(metric, x):
+    """christoffel_at's quadruple loop over (mu, nu, lambda, sigma)."""
+    ginv = np.linalg.inv(metric.matrix(x))
+    dg = geo._metric_partials(metric, x)
+    dim = metric.dim
+    gamma = np.zeros((dim, dim, dim))
+    for mu in range(dim):
+        for nu in range(dim):
+            for lam in range(dim):
+                acc = 0.0
+                for sig in range(dim):
+                    acc += ginv[mu, sig] * (dg[nu][sig, lam] + dg[lam][sig, nu] - dg[sig][nu, lam])
+                gamma[mu, nu, lam] = 0.5 * acc
+    return gamma
+
+
+def ref_covariant_records(metric, x0, p0_upper, step, n_steps):
+    """covariant_integrate's former record, which evaluated the RHS twice,
+    at every step: rows of (p^mu, K, geodesic residual)."""
+    dim = metric.dim
+
+    def dginv_at(xs):
+        ginv = np.linalg.inv(metric.matrix(xs))
+        dg = geo._metric_partials(metric, xs)
+        return ginv, np.array([-ginv @ dg[lam] @ ginv for lam in range(dim)])
+
+    def rhs(xs, pl):
+        ginv, dginv = dginv_at(xs)
+        return ginv @ pl, -0.5 * np.array([pl @ dginv[mu] @ pl for mu in range(dim)])
+
+    def record(xs, pl):
+        ginv, dginv = dginv_at(xs)
+        up = ginv @ pl
+        k = 0.5 * float(pl @ ginv @ pl)
+        xdot, pdot_low = rhs(xs, pl)
+        dup = np.tensordot(dginv, xdot, axes=(0, 0)) @ pl + ginv @ pdot_low
+        resid = dup + np.einsum("mnl,n,l->m", ref_christoffel(metric, xs), xdot, up)
+        return up, k, float(np.abs(resid).max())
+
+    x = np.asarray(x0, dtype=float)
+    pl = metric.matrix(x) @ np.asarray(p0_upper, dtype=float)
+    rows = [record(x, pl)]
+    for _ in range(n_steps):
+        x, pl = ref_rk4(rhs, x, pl, step, 1)
+        rows.append(record(x, pl))
+    return rows
+
+
+def ref_partition(levels, n, beta, statistics):
+    """partition_enumerate's two generation branches, sort and per-state sum:
+    (occupations, energies, weights)."""
+    levels = tuple(float(e) for e in levels)
+    L = len(levels)
+    occupations, multiplicities = [], []
+    if statistics == "FD":
+        for chosen in combinations(range(L), n):
+            occ = [0] * L
+            for idx in chosen:
+                occ[idx] = 1
+            occupations.append(tuple(occ))
+            multiplicities.append(1)
+    else:
+        n_fact = math.factorial(n)
+        for assignment in combinations_with_replacement(range(L), n):
+            occ = [0] * L
+            for idx in assignment:
+                occ[idx] += 1
+            occupations.append(tuple(occ))
+            if statistics == "MB":
+                mult = n_fact
+                for c in occ:
+                    mult //= math.factorial(c)
+                multiplicities.append(mult)
+            else:
+                multiplicities.append(1)
+    order = sorted(range(len(occupations)), key=lambda i: occupations[i])
+    occupations = [occupations[i] for i in order]
+    multiplicities = np.array([multiplicities[i] for i in order], dtype=float)
+    energies = np.array([sum(o * e for o, e in zip(occ, levels))
+                         for occ in occupations])
+    return occupations, energies, multiplicities * np.exp(-beta * energies)
+
+
+def same_bits(a, b):
+    """Equal values and equal signs of zero, element by element."""
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 # -- RK4 ---------------------------------------------------------------------------
@@ -328,3 +423,86 @@ def test_polynomial_field_stacks_match_array_loop():
     assert np.array_equal(field.value(pts), ref_poly(TERMS, pts))
     assert np.array_equal(field.one_form(pts),
                           np.stack([ref_poly(g, pts) for g in grads], axis=-1))
+
+
+# -- Christoffel symbols and the covariant record ----------------------------------
+
+NON_DIAGONAL = geo.metric_from_config({"kind": "custom-polynomial", "entries": [
+    [[[1.0, [0, 0, 0, 0]], [0.2, [0, 1, 1, 0]]], [[0.1, [0, 1, 0, 0]]], [], [[0.05, [1, 0, 0, 1]]]],
+    [[[0.1, [0, 1, 0, 0]]], [[-1.0, [0, 0, 0, 0]]], [[0.05, [0, 0, 1, 0]]], []],
+    [[], [[0.05, [0, 0, 1, 0]]], [[-1.0, [0, 2, 0, 0]]], [[-0.3, [0, 0, 0, 3]]]],
+    [[[0.05, [1, 0, 0, 1]]], [], [[-0.3, [0, 0, 0, 3]]], [[-1.0, [0, 0, 0, 0]]]]]})
+
+
+@pytest.mark.parametrize("metric", [
+    geo.polar_metric(4),
+    geo.polar_metric(3),
+    geo.diagonal_metric([[[1.0, [0, 0, 0, 0]]], [[-1.0, [0, 0, 0, 0]]],
+                         [[-1.0, [0, 2, 0, 0]], [0.3, [1, 1, 1, 0]]],
+                         [[-1.0, [0, 0, 0, 0]]]]),
+    NON_DIAGONAL,
+])
+def test_christoffel_matches_quadruple_loop(metric):
+    rng = np.random.default_rng(12)
+    for _ in range(30):
+        x = rng.normal(size=metric.dim)
+        x[1] = rng.uniform(0.3, 3.0)  # off the polar axis r = 0
+        assert same_bits(geo.christoffel_at(metric, x), ref_christoffel(metric, x))
+
+
+@pytest.mark.parametrize("metric, x0, p0", [
+    (geo.polar_metric(4), [0.0, 1.0, 0.3, 0.0], [1.5, 0.3, -0.19, 0.1]),
+    (geo.polar_metric(3), [0.0, 1.2, -0.4], [1.4, -0.2, 0.25]),
+    (NON_DIAGONAL, [0.1, 1.0, 0.3, -0.2], [1.5, 0.2, -0.1, 0.05]),
+])
+def test_covariant_records_match_two_rhs_record(metric, x0, p0):
+    traj = dyn.covariant_integrate(metric, x0, p0, 0.12, step=0.01)
+    rows = ref_covariant_records(metric, x0, p0, 0.01, 12)
+    assert np.array_equal(traj.p_upper, [r[0] for r in rows])
+    assert np.array_equal(traj.k, [r[1] for r in rows])
+    assert np.array_equal(traj.geodesic_residual, [r[2] for r in rows])
+
+
+def test_covariant_record_evaluates_the_metric_partials_once(monkeypatch):
+    calls = {"partials": 0, "christoffel": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(dyn, "_metric_partials", counted("partials", dyn._metric_partials))
+    monkeypatch.setattr(dyn, "christoffel_at", counted("christoffel", dyn.christoffel_at))
+    dyn.covariant_integrate(geo.polar_metric(4), [0.0, 1.0, 0.3, 0.0],
+                            [1.5, 0.3, -0.19, 0.0], 0.1, step=0.01, record_stride=5)
+    # 10 RK4 steps of 4 stages each, plus one each for the 3 records
+    assert calls == {"partials": 4 * 10 + 3, "christoffel": 3}
+
+
+# -- occupation enumeration --------------------------------------------------------
+
+def partition_cases():
+    rng = np.random.default_rng(13)
+    cases = [([0.0, -0.0, 0.5], 0, 0.7, "MB"), ([-0.0, -0.0], 2, 1.1, "BE"),
+             ([0.3, -0.0, -1.2], 3, 0.9, "FD"), ([0.25, 0.5], 2, 2.0, "FD"),
+             ([1.0], 0, 1.0, "FD"), ([1.0], 5, 1.0, "MB")]
+    for _ in range(24):
+        L = int(rng.integers(1, 7))
+        levels = rng.normal(size=L) * 10.0 ** rng.integers(-3, 2, size=L)
+        levels[rng.random(L) < 0.2] = -0.0
+        statistics = str(rng.choice(["BE", "FD", "MB"]))
+        n = int(rng.integers(0, L + 1 if statistics == "FD" else 7))
+        cases.append((levels.tolist(), n, float(rng.uniform(0.1, 3.0)), statistics))
+    return cases
+
+
+@pytest.mark.parametrize("levels, n, beta, statistics", partition_cases())
+def test_partition_enumerate_matches_sorted_per_state_sums(levels, n, beta, statistics):
+    table = sm.partition_enumerate(levels, n, beta, statistics)
+    occupations, energies, weights = ref_partition(levels, n, beta, statistics)
+    assert table.occupations == occupations
+    assert same_bits(table.energies, energies)
+    assert same_bits(table.weights, weights)
+    assert table.z == float(weights.sum())
+    assert same_bits(table.probabilities, weights / table.z)

@@ -80,13 +80,17 @@ class TestSampling:
         assert np.abs(sample.velocities).max() < 1e-4
         assert (sample.energies >= 0.0).all()
 
-    def test_seed_determinism_across_worker_counts(self, monkeypatch):
-        cfg = sm.EnsembleConfig(n=200000, m0=1.0, T=2.0, seed=3)
-        monkeypatch.setenv("HJDIRAC_THREADS", "1")
-        a = sm.sample_mb(cfg).velocities
-        monkeypatch.setenv("HJDIRAC_THREADS", "4")
-        b = sm.sample_mb(cfg).velocities
-        assert np.array_equal(a, b)
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_moments_need_two_samples(self, n):
+        sample = sm.sample_mb(sm.EnsembleConfig(n=n, m0=1.0, T=1.0))
+        assert sample.velocities.shape == (n, 3)
+        with pytest.raises(DegenerateData, match="at least 2 samples"):
+            sample.moments()
+
+    def test_underflowed_kurtosis_is_nan_without_warning(self):
+        # -W error::RuntimeWarning (pyproject) would turn a warning into a failure
+        mom = sm.sample_mb(sm.EnsembleConfig(n=1000, m0=1.0, T=1e-300)).moments()
+        assert all(math.isnan(k) for k in mom["excess_kurtosis"])
 
     def test_energy_definition(self):
         cfg = sm.EnsembleConfig(n=500, m0=1.7, T=1.0, seed=1)

@@ -3,8 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from hjdirac._util import CSV_BLOCK, fmt, write_csv
-from hjdirac.errors import UsageError
+from hjdirac._util import CSV_BLOCK, fmt, write_csv, write_json
+from hjdirac.errors import DegenerateData, UsageError
 
 HEADER = ["i", "flag", "name", "x", "y"]
 
@@ -76,3 +76,11 @@ def test_failed_write_leaves_no_temp_file(tmp_path):
         write_csv(path, ["a"], [Boom()])
     assert os.listdir(tmp_path) == ["t.csv"]
     assert path.read_text() == "old\n"
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_write_json_refuses_non_finite_values(tmp_path, value):
+    path = tmp_path / "r.json"
+    with pytest.raises(DegenerateData, match="r.json"):
+        write_json(path, {"ok": 1.0, "nested": {"values": [0.5, value]}})
+    assert os.listdir(tmp_path) == []
