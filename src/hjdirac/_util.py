@@ -29,17 +29,22 @@ def atomic_write_text(path, text):
         raise
 
 
-def write_json(path, payload):
-    """Serialize payload (dict) with schema_version, stable key order, atomic
-    write. Strict JSON only: a NaN or infinite value raises DegenerateData
-    before any file is created."""
+def json_text(path, payload):
+    """The text write_json(path, payload) writes: payload (dict) with
+    schema_version, in stable key order. Strict JSON only: a NaN or infinite
+    value raises DegenerateData naming path."""
     body = dict(payload)
     body.setdefault("schema_version", SCHEMA_VERSION)
     try:
-        text = json.dumps(body, indent=2, sort_keys=True, allow_nan=False)
+        return json.dumps(body, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
         raise DegenerateData("%s not written: %s" % (path, exc))
-    atomic_write_text(path, text + "\n")
+
+
+def write_json(path, payload):
+    """Write json_text(path, payload) atomically; a payload that is not strict
+    JSON raises DegenerateData before any file is created."""
+    atomic_write_text(path, json_text(path, payload))
 
 
 def fmt(value):

@@ -23,7 +23,8 @@ from . import dynamics as dyn
 from . import geometry as geo
 from . import hamilton_jacobi as hj
 from . import statmech as sm
-from ._util import check_keys, write_csv, write_json
+from ._util import (atomic_write_text, check_keys, json_text, positive_int,
+                    write_csv, write_json)
 from .clifford import (anticommutator, build_gamma_rep, minkowski_dot, slash,
                        slash_eigensystem)
 from .dirac import conventional_dirac_residual, derivative_split
@@ -430,8 +431,13 @@ def cmd_ensemble(args):
                             kB=cfg["kB"], seed=args.seed)
     if ens.n < 2:  # the moments divide by n - 1
         raise UsageError("mb needs n >= 2 samples, got %d" % ens.n)
+    positive_int(cfg["bins"], "bins")
     sample = sm.sample_mb(ens)
-    # the histogram goes first: a bad bins value then leaves no samples file
+    # everything that can fail runs before the first file is written
+    moments = sample.moments()
+    moments_path = os.path.join(out_dir, "moments.json")
+    moments_text = json_text(moments_path, dict(
+        moments, command="ensemble", effective_config=dict(cfg, seed=args.seed)))
     sm.write_histogram_csv(sample, os.path.join(out_dir, "histogram.csv"),
                            bins=cfg["bins"])
     if args.format == "json":
@@ -440,10 +446,7 @@ def cmd_ensemble(args):
                     "energies": sample.energies.tolist()})
     else:
         sm.write_samples_csv(sample, os.path.join(out_dir, "samples.csv"))
-    moments = sample.moments()
-    write_json(os.path.join(out_dir, "moments.json"),
-               dict(moments, command="ensemble",
-                    effective_config=dict(cfg, seed=args.seed)))
+    atomic_write_text(moments_path, moments_text)
     worst = max(abs(v - ens.sigma2) for v in moments["variance"])
     if worst > 4.0 * moments["variance_se"]:
         print("ensemble: variance off by %.3g (4 se = %.3g)"

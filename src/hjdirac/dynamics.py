@@ -14,9 +14,11 @@ with slash(pdot). The last is the geodesic criterion: it vanishes iff pdot
 is parallel to p.
 """
 
+import math
+
 import numpy as np
 
-from .clifford import ETA_DIAG, build_gamma_rep, classify, commutator, frobenius, minkowski_dot, slash
+from .clifford import ETA_DIAG, classify, minkowski_dot
 from .geometry import _metric_partials, christoffel_at
 from ._util import central_difference, config_kind, positive_int, write_csv, write_json
 from .errors import NonSeparable, StepRejected, UsageError
@@ -41,8 +43,11 @@ __all__ = [
     "covariant_integrate",
 ]
 
-_REP = build_gamma_rep()
 PARTIAL_FD_SCALE = 1e-6
+# Most samples one run may record, (s_max / step) // record_stride + 1. A
+# record holds a few small arrays, so this bounds a run's memory; a larger
+# request is a usage error raised before the first step.
+MAX_RECORDS = 10 ** 6
 
 
 class HamiltonianModel:
@@ -173,21 +178,30 @@ def model_from_config(cfg):
     return harmonic_model(float(cfg.get("omega", 1.0)))
 
 
-def operator_commutator(p, pdot, rep=None):
+def operator_commutator(p, pdot):
     """(raw, normalized) Frobenius norms of [slash(p), slash(pdot)].
 
     normalized divides by |slash(p)|_F |slash(pdot)|_F and is defined as zero
-    when the force vanishes, so geodesics sit at exactly 0.
+    when the force vanishes, so geodesics sit at exactly 0. Both come in
+    closed form from the lowered components P and Q: the commutator is
+    2 sum_{a<b} (P ^ Q)_{ab} gamma^a gamma^b, and the six gamma^a gamma^b, like
+    the four gamma^a, are Frobenius-orthogonal with norm 2, so
+    raw = 4 |P ^ Q| and |slash(p)|_F = 2 |P| (Euclidean norms). Lowering only
+    flips signs, which leaves every square below unchanged, so the upper
+    components are used as given.
     """
-    rep = rep or _REP
     p = np.asarray(p, dtype=float)
     pdot = np.asarray(pdot, dtype=float)
     if np.abs(pdot).max() <= 1e-13 * max(1.0, np.abs(p).max()):
         return 0.0, 0.0
-    a = slash(rep, p)
-    b = slash(rep, pdot)
-    raw = frobenius(commutator(a, b))
-    denom = frobenius(a) * frobenius(b)
+    p0, p1, p2, p3 = p.tolist()  # Python floats: no array overhead per term
+    q0, q1, q2, q3 = pdot.tolist()
+    w01, w02, w03 = p0 * q1 - p1 * q0, p0 * q2 - p2 * q0, p0 * q3 - p3 * q0
+    w12, w13, w23 = p1 * q2 - p2 * q1, p1 * q3 - p3 * q1, p2 * q3 - p3 * q2
+    raw = 4.0 * math.sqrt(w01 * w01 + w02 * w02 + w03 * w03
+                          + w12 * w12 + w13 * w13 + w23 * w23)
+    denom = 4.0 * (math.sqrt(p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3)
+                   * math.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3))
     if denom < 1e-280:
         return raw, 0.0
     return raw, raw / denom
@@ -251,6 +265,12 @@ def rk4_step(rhs, state, step):
             for y, a, b, c, d in zip(state, k1, k2, k3, k4)]
 
 
+def _rejected(i, step, state, msg):
+    """StepRejected naming step i, its s and the last finite state."""
+    return StepRejected("step %d (s = %r): %s; last finite state %s"
+                        % (i, i * step, msg, [y.tolist() for y in state]))
+
+
 def _drive(state, advance, s_max, step, record_stride, record, guard=None):
     """The fixed-step loop of every integrator over [0, s_max].
 
@@ -258,7 +278,8 @@ def _drive(state, advance, s_max, step, record_stride, record, guard=None):
     record(i, *state) sees step 0, every record_stride-th step and the last.
     Raises StepRejected when the state goes non-finite or guard(*state)
     returns a message, and UsageError for a bad step, an s_max off the step
-    grid, or a record_stride that is not an int >= 1.
+    grid, a record_stride that is not an int >= 1, or more than MAX_RECORDS
+    records.
     """
     if step <= 0:
         raise UsageError("step must be positive")
@@ -266,19 +287,24 @@ def _drive(state, advance, s_max, step, record_stride, record, guard=None):
     n_steps = int(round(s_max / step))
     if n_steps < 1 or abs(n_steps * step - s_max) > 1e-9 * max(1.0, abs(s_max)):
         raise UsageError("s_max must be a positive multiple of step")
+    n_records = n_steps // record_stride + 1
+    if n_records > MAX_RECORDS:
+        raise UsageError("%d steps at record_stride %d make %d records, more "
+                         "than the cap of %d" % (n_steps, record_stride, n_records,
+                                                 MAX_RECORDS))
     msg = guard and guard(*state)
     if msg:
-        raise StepRejected(f"initial state: {msg}")
+        raise _rejected(0, step, state, msg)
     record(0, *state)
     # overflow here is a detected condition (StepRejected), not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, n_steps + 1):
-            state = advance(state)
+            last, state = state, advance(state)
             if not all(np.isfinite(y).all() for y in state):
-                raise StepRejected(f"non-finite state at step {i}")
+                raise _rejected(i, step, last, "non-finite state")
             msg = guard and guard(*state)
             if msg:
-                raise StepRejected(f"step {i}: {msg}")
+                raise _rejected(i, step, state, msg)
             if i % record_stride == 0 or i == n_steps:
                 record(i, *state)
 
@@ -420,33 +446,34 @@ def covariant_integrate(metric, x0, p0_upper, s_max, step=1e-3, record_stride=1)
     """Geodesic flow in a chart: canonical variables (x^mu, p_mu) under
     K = (1/2) g^{mu nu} p_mu p_nu, integrated with RK4.
 
-    dx = g^{-1} p and dp_mu = -(1/2) d_mu(g^{alpha beta}) p_alpha p_beta; the
-    recorded residual is |dp^mu/ds + Gamma^mu_{nu lam} u^nu p^lam| per sample,
-    which the exact flow sends to rounding.
+    dx = u = g^{-1} p and dp_mu = (1/2) u^alpha d_mu g_{alpha beta} u^beta,
+    which is -(1/2) d_mu(g^{alpha beta}) p_alpha p_beta written with the
+    lowered-index partials. The recorded residual is
+    |dp^mu/ds + Gamma^mu_{nu lam} u^nu p^lam| per sample, which the exact
+    flow sends to rounding.
     """
-    dim = metric.dim
     x = np.asarray(x0, dtype=float).copy()
     p_low = metric.matrix(x) @ np.asarray(p0_upper, dtype=float)
 
-    def dginv_at(xs):
+    def flow(xs, pl):
+        """(g^{-1}, u = dx/ds = p^mu, dgu[lam, alpha] = d_lam g_{alpha beta} u^beta,
+        dp_mu/ds): one metric and one partials evaluation."""
         ginv = np.linalg.inv(metric.matrix(xs))
-        dg = _metric_partials(metric, xs)
-        return ginv, np.array([-ginv @ dg[lam] @ ginv for lam in range(dim)])
-
-    def flow(ginv, dginv, pl):
-        """(dx/ds, dp_mu/ds); dx/ds = g^{-1} p is also p^mu."""
-        return ginv @ pl, -0.5 * np.array([pl @ dginv[mu] @ pl for mu in range(dim)])
+        up = ginv @ pl
+        dgu = _metric_partials(metric, xs) @ up
+        return ginv, up, dgu, 0.5 * (dgu @ up)
 
     def rhs(xs, pl):
-        return flow(*dginv_at(xs), pl)
+        _, up, _, pdot_low = flow(xs, pl)
+        return up, pdot_low
 
     samples = []
 
     def record(i, xs, pl):
-        ginv, dginv = dginv_at(xs)
-        up, pdot_low = flow(ginv, dginv, pl)
-        k = 0.5 * float(pl @ ginv @ pl)
-        dup = np.tensordot(dginv, up, axes=(0, 0)) @ pl + ginv @ pdot_low
+        ginv, up, dgu, pdot_low = flow(xs, pl)
+        k = 0.5 * float(pl @ up)
+        # d(g^{-1} p)/ds = g^{-1} (dp/ds - (u^lam d_lam g) u)
+        dup = ginv @ (pdot_low - up @ dgu)
         gamma = christoffel_at(metric, xs)  # the residual's independent route
         resid = dup + np.einsum("mnl,n,l->m", gamma, up, up)
         samples.append((i * step, xs.copy(), up, k, float(np.abs(resid).max())))

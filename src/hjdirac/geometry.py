@@ -27,6 +27,7 @@ __all__ = [
     "covariant_gamma",
     "chart_metric",
     "eval_poly",
+    "poly_partials",
 ]
 
 COND_GUARD = 1e12
@@ -56,11 +57,29 @@ def eval_poly(terms, x):
     return total
 
 
+def poly_partials(terms, dim):
+    """The term lists of d_a of a polynomial term list, one per axis a < dim,
+    differentiated term by term: c x^e becomes (c e_a) x^(e - 1_a). Like
+    eval_poly, it reads each coefficient as float(c) and exponent as int(e)."""
+    partials = []
+    for a in range(dim):
+        part = []
+        for coeff, exps in terms:
+            e = int(exps[a]) if a < len(exps) else 0
+            if e:
+                reduced = list(exps)
+                reduced[a] = e - 1
+                part.append([float(coeff) * e, reduced])
+        partials.append(part)
+    return partials
+
+
 class MetricField:
     """A metric given by a callable x -> symmetric (dim, dim) matrix.
 
     Optional dg(x) -> array (dim, dim, dim) of partials d_lambda g_{mu nu}
-    replaces the central-difference default in christoffel_at.
+    replaces the central-difference default in christoffel_at; every built-in
+    metric carries one.
     """
 
     def __init__(self, g, dim=4, kind="custom", dg=None):
@@ -91,7 +110,28 @@ def polar_metric(dim=4):
         entries = [1.0, -1.0, -float(x[1]) ** 2] + ([-1.0] if dim == 4 else [])
         return np.diag(np.array(entries))
 
-    return MetricField(g, dim=dim, kind="polar")
+    def dg(x):
+        out = np.zeros((dim, dim, dim))
+        out[1, 2, 2] = -2.0 * float(x[1])
+        return out
+
+    return MetricField(g, dim=dim, kind="polar", dg=dg)
+
+
+def _termwise_dg(indexed_terms, dim):
+    """dg(x) with dg[lam, i, j] = d_lam of the term list at (i, j), for the
+    ((i, j), terms) pairs given and zero elsewhere; partials that are the empty
+    term list are dropped up front, so no known zero is evaluated."""
+    partials = [(lam, i, j, part) for (i, j), terms in indexed_terms
+                for lam, part in enumerate(poly_partials(terms, dim)) if part]
+
+    def dg(x):
+        out = np.zeros((dim, dim, dim))
+        for lam, i, j, terms in partials:
+            out[lam, i, j] = eval_poly(terms, x)
+        return out
+
+    return dg
 
 
 def diagonal_metric(entry_polys, dim=None):
@@ -100,7 +140,8 @@ def diagonal_metric(entry_polys, dim=None):
     def g(x):
         return np.diag(np.array([eval_poly(p, x) for p in entry_polys]))
 
-    return MetricField(g, dim=dim, kind="diagonal")
+    dg = _termwise_dg((((i, i), p) for i, p in enumerate(entry_polys)), dim)
+    return MetricField(g, dim=dim, kind="diagonal", dg=dg)
 
 
 # config keys each metric kind reads, besides "kind"
@@ -127,7 +168,14 @@ def metric_from_config(cfg):
                 out[i, j] = eval_poly(entries[i][j], x)
         return 0.5 * (out + out.T)
 
-    return MetricField(g, dim=dim, kind="custom-polynomial")
+    raw_dg = _termwise_dg((((i, j), entries[i][j]) for i in range(dim)
+                           for j in range(dim)), dim)
+
+    def dg(x):  # symmetrized exactly as g is
+        out = raw_dg(x)
+        return 0.5 * (out + out.transpose(0, 2, 1))
+
+    return MetricField(g, dim=dim, kind="custom-polynomial", dg=dg)
 
 
 def _check_signature(gx):

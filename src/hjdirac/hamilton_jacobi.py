@@ -18,7 +18,7 @@ import numpy as np
 
 from .clifford import ETA_DIAG
 from ._util import central_difference, write_json
-from .geometry import eval_poly
+from .geometry import eval_poly, poly_partials
 from .errors import (
     DomainBoundary,
     IllConditioned,
@@ -480,15 +480,7 @@ def plane_wave_field(components, w0=0.0, m0=None, region=None):
 
 def polynomial_field(terms, m0=None, region=None):
     """W given by a polynomial term list; the gradient is differentiated termwise."""
-    grads = []
-    for a in range(4):
-        ga = []
-        for coeff, exps in terms:
-            if exps[a]:
-                reduced = list(exps)
-                reduced[a] -= 1
-                ga.append([coeff * exps[a], reduced])
-        grads.append(ga)
+    grads = poly_partials(terms, 4)
 
     def value(x):
         return eval_poly(terms, x)

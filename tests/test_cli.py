@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from hjdirac import dynamics as dyn
 from hjdirac.cli import main
 
 
@@ -123,11 +124,24 @@ class TestSimulate:
         assert data["columns"][0] == "s"
         assert len(data["rows"]) == 11
 
-    def test_guard_trip_exits_one(self, tmp_path):
+    def test_guard_trip_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"p0": [1e-13, 0.0, 0.0, 0.0]}))
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "step 0 (s = 0.0): energy component vanished" in err
+        assert "last finite state [[0.0, 0.0, 0.0, 0.0], [1e-13, 0.0, 0.0, 0.0]]" in err
+
+    def test_record_cap_exits_two_at_once(self, tmp_path, capsys):
+        # 1e15 steps: refused before the first one, so this returns at once
+        for kind in ("model", "covariant"):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"kind": kind, "s_max": 1e12}))
+            out = tmp_path / kind
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+            assert "more than the cap of %d" % dyn.MAX_RECORDS in capsys.readouterr().err
+            assert list(out.iterdir()) == []
 
     def test_config_errors_exit_two(self, tmp_path):
         bad_model = tmp_path / "m.json"
@@ -307,8 +321,7 @@ class TestEnsemble:
         out = tmp_path / "out"
         assert main(["ensemble", "--config", str(cfg), "--out", str(out)]) == 1
         assert "moments.json not written" in capsys.readouterr().err
-        assert sorted(p.name for p in out.iterdir()) == ["histogram.csv",
-                                                         "samples.csv"]
+        assert list(out.iterdir()) == []
 
 
 class TestEntryPoint:

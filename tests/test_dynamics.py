@@ -195,6 +195,17 @@ class TestProjectileKinematics:
             dyn.integrate(blow, np.array([0.0, 1.0, 0.0, 0.0]),
                           np.array([0.0, 1.0, 0.0, 0.0]), 100.0, step=0.01)
 
+    def test_guard_trip_names_step_and_state(self):
+        drift = dyn.HamiltonianModel(
+            "drift", lambda x, p: 0.0, dh_dx=lambda x, p: np.zeros(4),
+            dh_dp=lambda x, p: np.array([0.0, 1.0, 0.0, 0.0]),
+            guard=lambda x, p: "x1 below -0.3" if x[1] < -0.3 else None)
+        with pytest.raises(StepRejected) as info:
+            dyn.integrate(drift, np.zeros(4), np.zeros(4), 1.0, step=0.25)
+        assert str(info.value) == (
+            "step 2 (s = 0.5): x1 below -0.3; last finite state "
+            "[[0.0, -0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]")
+
 
 class TestGeodesicCommutator:
     def test_synthetic_reparameterized_trajectories(self):
@@ -261,9 +272,18 @@ class TestCovariant:
                                  dg=lambda x: np.full((4, 4, 4), 1e308 * x[0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(StepRejected, match="step 1"):
+            with pytest.raises(StepRejected) as info:
                 dyn.covariant_integrate(metric, np.zeros(4),
                                         np.array([1.5, 0.3, 0.0, 0.0]), 0.01)
+        assert str(info.value) == (
+            "step 1 (s = 0.001): non-finite state; last finite state "
+            "[[0.0, 0.0, 0.0, 0.0], [1.5, -0.3, 0.0, 0.0]]")
+
+    def test_record_cap_refused_before_the_first_step(self):
+        metric = geo.MetricField(lambda x: np.diag([1.0, -1.0, -1.0, -1.0]),
+                                 dg=lambda x: pytest.fail("a step was taken"))
+        with pytest.raises(UsageError, match="cap of %d" % dyn.MAX_RECORDS):
+            dyn.covariant_integrate(metric, np.zeros(4), np.ones(4), 1e12)
 
 
 class TestHessianCheck:

@@ -3,9 +3,15 @@
 rk4_step, central_difference and eval_poly each took over several
 hand-written copies, and christoffel_at, partition_enumerate and the
 covariant record replaced slower loops. The replaced code is kept here as the
-oracle, and every comparison is exact (np.array_equal or ==): the new code
+oracle, and those comparisons are exact (np.array_equal or ==): the new code
 keeps the old operation order, so it must reproduce the old bits, not just
 the old values.
+
+Three routes changed their algebra, not just their loops: the built-in
+metrics' analytic partials (central differences before), the covariant
+right-hand side in lowered-index form (g^{-1} dg g^{-1} before) and the
+closed-form commutator norm (4x4 complex matrices before). Their old routes
+are kept here too and agree within stated tolerances.
 """
 
 import math
@@ -20,6 +26,7 @@ from hjdirac import geometry as geo
 from hjdirac import hamilton_jacobi as hj
 from hjdirac import statmech as sm
 from hjdirac._util import central_difference
+from hjdirac.clifford import build_gamma_rep, commutator, frobenius, slash
 from hjdirac.dynamics import rk4_step
 
 BOX = hj.Box([2.0, -0.5, -0.5, -0.5], [3.0, 0.5, 0.5, 0.5])
@@ -82,7 +89,8 @@ def ref_fd_partial(h_fn, x, p, wrt):
 
 
 def ref_metric_partials(metric, x):
-    """geometry._metric_partials without an analytic dg."""
+    """geometry._metric_partials's central differences, for a metric
+    without an analytic dg."""
     dim = metric.dim
     dg = np.empty((dim, dim, dim))
     for lam in range(dim):
@@ -225,6 +233,33 @@ def ref_covariant_records(metric, x0, p0_upper, step, n_steps):
     return rows
 
 
+def ref_geodesic_rhs(metric, x, pl):
+    """The lowered-index geodesic flow summed component by component:
+    (g^{-1}, u = g^{-1} p, dp_mu/ds = (1/2) u^a d_mu g_ab u^b, d_l g_ab)."""
+    dim = metric.dim
+    ginv = np.linalg.inv(metric.matrix(x))
+    dg = geo._metric_partials(metric, x)
+    u = np.array([sum(ginv[m, n] * pl[n] for n in range(dim)) for m in range(dim)])
+    pdot = np.array([0.5 * sum(u[a] * dg[m, a, b] * u[b] for a in range(dim) for b in range(dim))
+                     for m in range(dim)])
+    return ginv, u, pdot, dg
+
+
+def ref_operator_commutator(p, pdot, rep=build_gamma_rep()):
+    """operator_commutator's 4x4 complex matrix route."""
+    p = np.asarray(p, dtype=float)
+    pdot = np.asarray(pdot, dtype=float)
+    if np.abs(pdot).max() <= 1e-13 * max(1.0, np.abs(p).max()):
+        return 0.0, 0.0
+    a = slash(rep, p)
+    b = slash(rep, pdot)
+    raw = frobenius(commutator(a, b))
+    denom = frobenius(a) * frobenius(b)
+    if denom < 1e-280:
+        return raw, 0.0
+    return raw, raw / denom
+
+
 def ref_partition(levels, n, beta, statistics):
     """partition_enumerate's two generation branches, sort and per-state sum:
     (occupations, energies, weights)."""
@@ -323,10 +358,13 @@ def test_model_partials_match_old_loop():
                          [[-1.0, [0, 0, 0, 0]]]]),
 ])
 def test_metric_partials_match_old_loop(metric):
+    """The central-difference fallback, on the same metric given without dg."""
+    fd_metric = geo.MetricField(metric.g, dim=metric.dim)
     rng = np.random.default_rng(3)
     for _ in range(20):
         x = wide_points(rng, metric.dim)
-        assert np.array_equal(geo._metric_partials(metric, x), ref_metric_partials(metric, x))
+        assert np.array_equal(geo._metric_partials(fd_metric, x),
+                              ref_metric_partials(fd_metric, x))
 
 
 def test_chart_jacobian_and_vector_jacobian_match_old_loop():
@@ -434,12 +472,65 @@ NON_DIAGONAL = geo.metric_from_config({"kind": "custom-polynomial", "entries": [
     [[[0.05, [1, 0, 0, 1]]], [], [[-0.3, [0, 0, 0, 3]]], [[-1.0, [0, 0, 0, 0]]]]]})
 
 
+DIAGONAL = geo.diagonal_metric([[[1.0, [0, 0, 0, 0]]], [[-1.0, [0, 0, 0, 0]]],
+                                [[-1.0, [0, 2, 0, 0]], [0.3, [1, 1, 1, 0]]],
+                                [[-1.0, [0, 0, 0, 0]]]])
+
+
+def polar_dg(x):
+    """d_lam of diag(1, -1, -r^2[, -1]): only d_r g_thth = -2 r."""
+    out = np.zeros((len(x),) * 3)
+    out[1, 2, 2] = -2.0 * float(x[1])
+    return out
+
+
+def diagonal_dg(x):
+    """d_lam of DIAGONAL, whose g_22 is -x1^2 + 0.3 x0 x1 x2."""
+    x0, x1, x2, _ = map(float, x)
+    out = np.zeros((4, 4, 4))
+    out[0, 2, 2] = 0.3 * x1 * x2
+    out[1, 2, 2] = -2.0 * x1 + 0.3 * x0 * x2
+    out[2, 2, 2] = 0.3 * x0 * x1
+    return out
+
+
+def non_diagonal_dg(x):
+    """d_lam of NON_DIAGONAL, whose entry lists are already symmetric."""
+    x0, x1, x2, x3 = map(float, x)
+    out = np.zeros((4, 4, 4))
+    out[1, 0, 0] = 0.2 * x2
+    out[2, 0, 0] = 0.2 * x1
+    out[1, 0, 1] = out[1, 1, 0] = 0.1
+    out[0, 0, 3] = out[0, 3, 0] = 0.05 * x3
+    out[3, 0, 3] = out[3, 3, 0] = 0.05 * x0
+    out[2, 1, 2] = out[2, 2, 1] = 0.05
+    out[1, 2, 2] = -2.0 * x1
+    out[3, 2, 3] = out[3, 3, 2] = -0.3 * 3 * x3 ** 2
+    return out
+
+
+@pytest.mark.parametrize("metric, closed_form", [
+    (geo.polar_metric(4), polar_dg),
+    (geo.polar_metric(3), polar_dg),
+    (DIAGONAL, diagonal_dg),
+    (NON_DIAGONAL, non_diagonal_dg),
+])
+def test_analytic_metric_partials(metric, closed_form):
+    """Exactly the hand-derived partials, and central differences agree."""
+    rng = np.random.default_rng(14)
+    for _ in range(30):
+        x = 3.0 * rng.normal(size=metric.dim)
+        x[1] = rng.uniform(0.3, 3.0)
+        dg = geo._metric_partials(metric, x)
+        assert np.array_equal(dg, closed_form(x))
+        fd = central_difference(metric.matrix, x, geo.METRIC_FD_SCALE)
+        assert np.abs(dg - fd).max() <= 1e-8 * max(1.0, np.abs(dg).max())
+
+
 @pytest.mark.parametrize("metric", [
     geo.polar_metric(4),
     geo.polar_metric(3),
-    geo.diagonal_metric([[[1.0, [0, 0, 0, 0]]], [[-1.0, [0, 0, 0, 0]]],
-                         [[-1.0, [0, 2, 0, 0]], [0.3, [1, 1, 1, 0]]],
-                         [[-1.0, [0, 0, 0, 0]]]]),
+    DIAGONAL,
     NON_DIAGONAL,
 ])
 def test_christoffel_matches_quadruple_loop(metric):
@@ -456,11 +547,64 @@ def test_christoffel_matches_quadruple_loop(metric):
     (NON_DIAGONAL, [0.1, 1.0, 0.3, -0.2], [1.5, 0.2, -0.1, 0.05]),
 ])
 def test_covariant_records_match_two_rhs_record(metric, x0, p0):
+    """The lowered-index flow against the old g^{-1} dg g^{-1} algebra, on the
+    same partials: they differ only by rounding."""
     traj = dyn.covariant_integrate(metric, x0, p0, 0.12, step=0.01)
     rows = ref_covariant_records(metric, x0, p0, 0.01, 12)
-    assert np.array_equal(traj.p_upper, [r[0] for r in rows])
-    assert np.array_equal(traj.k, [r[1] for r in rows])
-    assert np.array_equal(traj.geodesic_residual, [r[2] for r in rows])
+    assert np.abs(traj.p_upper - [r[0] for r in rows]).max() <= 1e-13
+    assert np.abs(traj.k - [r[1] for r in rows]).max() <= 1e-13
+    assert np.abs(traj.geodesic_residual - [r[2] for r in rows]).max() <= 1e-13
+
+
+@pytest.mark.parametrize("metric, x0, p0", [
+    (geo.polar_metric(4), [0.0, 1.0, 0.3, 0.0], [1.5, 0.3, -0.19, 0.1]),
+    (geo.polar_metric(3), [0.0, 1.2, -0.4], [1.4, -0.2, 0.25]),
+    (DIAGONAL, [0.2, 1.1, -0.3, 0.4], [1.3, 0.1, 0.2, -0.1]),
+    (NON_DIAGONAL, [0.1, 1.0, 0.3, -0.2], [1.5, 0.2, -0.1, 0.05]),
+])
+def test_covariant_rhs_matches_per_component_sums(metric, x0, p0):
+    """States, K and residuals of the flow written out index by index."""
+    dim = metric.dim
+
+    def rhs(x, pl):
+        _, u, pdot, _ = ref_geodesic_rhs(metric, x, pl)
+        return u, pdot
+
+    traj = dyn.covariant_integrate(metric, x0, p0, 0.12, step=0.01)
+    x = np.asarray(x0, dtype=float)
+    pl = metric.matrix(x) @ np.asarray(p0, dtype=float)
+    for k in range(13):
+        if k:
+            x, pl = ref_rk4(rhs, x, pl, 0.01, 1)
+        ginv, u, pdot, dg = ref_geodesic_rhs(metric, x, pl)
+        dup = [sum(ginv[m, n] * (pdot[n] - sum(u[lam] * dg[lam, n, b] * u[b]
+                                              for lam in range(dim) for b in range(dim)))
+                   for n in range(dim)) for m in range(dim)]
+        gamma = ref_christoffel(metric, x)
+        resid = [dup[m] + sum(gamma[m, n, lam] * u[n] * u[lam]
+                              for n in range(dim) for lam in range(dim)) for m in range(dim)]
+        assert np.abs(traj.x[k] - x).max() <= 1e-13
+        assert np.abs(traj.p_upper[k] - u).max() <= 1e-13
+        assert abs(traj.k[k] - 0.5 * sum(pl[m] * u[m] for m in range(dim))) <= 1e-13
+        assert abs(traj.geodesic_residual[k] - np.abs(resid).max()) <= 1e-13
+
+
+def test_covariant_rhs_evaluates_metric_and_partials_once():
+    polar = geo.polar_metric(4)
+    calls = {"g": 0, "dg": 0}
+
+    def counted(name, fn):
+        def wrapper(x):
+            calls[name] += 1
+            return fn(x)
+        return wrapper
+
+    metric = geo.MetricField(counted("g", polar.g), dim=4, dg=counted("dg", polar.dg))
+    dyn.covariant_integrate(metric, [0.0, 1.0, 0.3, 0.0], [1.5, 0.3, -0.19, 0.0],
+                            0.1, step=0.01, record_stride=5)
+    # 10 RK4 steps of 4 RHS calls each; each of the 3 records makes one RHS
+    # call and one christoffel_at call; the initial lowering reads g once
+    assert calls == {"g": 4 * 10 + 3 * 2 + 1, "dg": 4 * 10 + 3 * 2}
 
 
 def test_covariant_record_evaluates_the_metric_partials_once(monkeypatch):
@@ -478,6 +622,34 @@ def test_covariant_record_evaluates_the_metric_partials_once(monkeypatch):
                             [1.5, 0.3, -0.19, 0.0], 0.1, step=0.01, record_stride=5)
     # 10 RK4 steps of 4 stages each, plus one each for the 3 records
     assert calls == {"partials": 4 * 10 + 3, "christoffel": 3}
+
+
+# -- the commutator norm -----------------------------------------------------------
+
+def test_operator_commutator_matches_matrix_route():
+    rng = np.random.default_rng(15)
+    for k in range(2000):
+        p, q = wide_points(rng, 4), wide_points(rng, 4)
+        if k % 4 == 0:  # nearly parallel: the geodesic side of the criterion
+            q = rng.normal() * p + 1e-9 * rng.normal(size=4)
+        raw, norm = dyn.operator_commutator(p, q)
+        want_raw, want_norm = ref_operator_commutator(p, q)
+        assert abs(raw - want_raw) <= 1e-14 * 4.0 * np.linalg.norm(p) * np.linalg.norm(q)
+        assert abs(norm - want_norm) <= 1e-14
+
+
+@pytest.mark.parametrize("p, q", [
+    ([1.3, 0.2, 0.0, 0.1], [0.0, 0.0, 0.0, 0.0]),        # zero force
+    ([1e3, 2.0, 0.0, 0.1], [1e-11, 0.0, -5e-11, 0.0]),   # force below the shortcut
+    ([0.0, 0.0, 0.0, 0.0], [1.0, 0.5, 0.0, -0.2]),        # zero denominator
+    ([1e-200, 2e-200, 0.0, 0.0], [1.0, 0.5, 0.0, -0.2]),  # underflowed denominator
+    ([1e-150, 2e-150, 0.0, 0.0], [1.0, 0.5, 0.0, -0.2]),  # just above the floor
+])
+def test_operator_commutator_branches_match_matrix_route(p, q):
+    raw, norm = dyn.operator_commutator(p, q)
+    want_raw, want_norm = ref_operator_commutator(p, q)
+    assert abs(raw - want_raw) <= 1e-14 * max(want_raw, 1e-300)
+    assert abs(norm - want_norm) <= 1e-14
 
 
 # -- occupation enumeration --------------------------------------------------------
