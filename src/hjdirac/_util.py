@@ -1,5 +1,5 @@
-"""Small shared helpers: atomic file writes, stable formatting, config checks
-and the central-difference stencil."""
+"""Small shared helpers: atomic file writes, stable formatting and the
+central-difference stencil."""
 
 import json
 import os
@@ -98,32 +98,3 @@ def central_difference(f, x, scale):
         # np.subtract keeps a numpy type for scalar-valued f, so .T applies
         parts.append((np.subtract(f(xp), f(xm)).T / (2.0 * h)).T)
     return np.array(parts)
-
-
-def positive_int(value, name):
-    """value as an int >= 1; bools, floats and strings are usage errors."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise UsageError("%s must be an integer >= 1, got %r" % (name, value))
-    return int(value)
-
-
-def check_keys(cfg, known, what):
-    """Reject a config that is not an object or names keys outside known."""
-    if not isinstance(cfg, dict):
-        raise UsageError("%s must be a JSON object" % what)
-    unknown = set(cfg) - set(known)
-    if unknown:
-        raise UsageError("unknown %s key(s): %s" % (what, ", ".join(sorted(unknown))))
-
-
-def config_kind(cfg, keys_by_kind, what):
-    """cfg["kind"], once it names a known kind and cfg holds only "kind" plus
-    the keys that kind reads (keys_by_kind maps kind -> tuple of keys)."""
-    if not isinstance(cfg, dict):
-        raise UsageError("%s must be a JSON object" % what)
-    kind = cfg.get("kind")
-    if not isinstance(kind, str) or kind not in keys_by_kind:
-        raise UsageError("unknown %s kind %r" % (what, kind))
-    check_keys(cfg, ("kind",) + keys_by_kind[kind], "%s %r" % (what, kind))
-    return kind
-

@@ -23,10 +23,10 @@ from . import dynamics as dyn
 from . import geometry as geo
 from . import hamilton_jacobi as hj
 from . import statmech as sm
-from ._util import (atomic_write_text, check_keys, json_text, positive_int,
-                    write_csv, write_json)
+from ._util import atomic_write_text, json_text, write_csv, write_json
 from .clifford import (anticommutator, build_gamma_rep, minkowski_dot, slash,
                        slash_eigensystem)
+from .config import ENSEMBLE, SIMULATE, Spec, parse
 from .dirac import conventional_dirac_residual, derivative_split
 from .errors import HJDiracError, StepRejected, UsageError
 
@@ -293,35 +293,6 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 # simulate
 
-_SIM_DEFAULTS = {
-    "kind": "model",
-    "model": {"kind": "projectile", "m0": 1.0, "u_x": 0.5, "u_y": 1.0,
-              "g": 0.2},
-    "x0": [0.0, 0.0, 0.0, 0.0],
-    "p0": None,
-    "s_max": 2.0,
-    "step": 1e-3,
-    "method": "rk4",
-    "canonical": False,
-    "record_stride": 1,
-}
-
-_COV_DEFAULTS = {
-    "kind": "covariant",
-    "metric": {"kind": "polar"},
-    "x0": [0.0, 1.0, 0.3, 0.0],
-    "p0_upper": [1.5, 0.3055, -0.1935, 0.0],
-    "s_max": 2.0,
-    "step": 1e-3,
-    "record_stride": 10,
-}
-
-
-def _merge_config(defaults, supplied):
-    check_keys(supplied, defaults, "config")
-    return dict(defaults, **supplied)
-
-
 def _line_fit_residual(s, x, y):
     design = np.stack([np.ones_like(s), s], axis=1)
     rx = x - design @ np.linalg.lstsq(design, x, rcond=None)[0]
@@ -331,11 +302,14 @@ def _line_fit_residual(s, x, y):
 
 def cmd_simulate(args):
     supplied = _load_config(args.config)
-    kind = supplied.get("kind", "model")
     out_dir = _ensure_out(args.out)
-    if kind == "covariant":
-        cfg = _merge_config(_COV_DEFAULTS, supplied)
+    cfg = parse(SIMULATE, supplied, "simulate config", "model")
+    if cfg["kind"] == "covariant":
         metric = geo.metric_from_config(cfg["metric"])
+        for key in ("x0", "p0_upper"):
+            Spec("a list of %d numbers, one per metric dimension" % metric.dim,
+                 lambda v: len(v) == metric.dim).check(
+                     cfg[key], "simulate config 'covariant' key %r" % key)
         traj = dyn.covariant_integrate(metric, np.asarray(cfg["x0"], float),
                                        np.asarray(cfg["p0_upper"], float),
                                        cfg["s_max"], step=cfg["step"],
@@ -349,8 +323,7 @@ def cmd_simulate(args):
             cart_y = traj.x[:, 1] * np.sin(traj.x[:, 2])
             diagnostics["straightness_residual"] = \
                 _line_fit_residual(traj.s, cart_x, cart_y)
-    elif kind == "model":
-        cfg = _merge_config(_SIM_DEFAULTS, supplied)
+    else:
         model = dyn.model_from_config(cfg["model"])
         p0 = cfg["p0"]
         if p0 is None:
@@ -378,10 +351,7 @@ def cmd_simulate(args):
             diagnostics["closed_form_deviation"] = float(max(
                 np.abs(traj.x - ref.position(traj.s)).max(),
                 np.abs(traj.p - model.m0 * ref.tangent(traj.s)).max()))
-        cfg = dict(cfg)
         cfg["p0"] = [float(v) for v in np.asarray(p0, float)]
-    else:
-        raise UsageError("config kind must be 'model' or 'covariant'")
 
     if args.format == "json":
         write_json(os.path.join(out_dir, "trajectory.json"),
@@ -400,18 +370,11 @@ def cmd_simulate(args):
 # ---------------------------------------------------------------------------
 # ensemble
 
-_ENS_DEFAULTS = {"kind": "mb", "n": 10 ** 5, "m0": 1.0, "T": 2.0, "kB": 1.0,
-                 "bins": 50}
-_OCC_DEFAULTS = {"kind": "occupancy", "levels": [0.0, 1.0], "n": 2,
-                 "beta": 1.0, "statistics": "BE"}
-
-
 def cmd_ensemble(args):
     supplied = _load_config(args.config)
-    kind = supplied.get("kind", "mb")
     out_dir = _ensure_out(args.out)
-    if kind == "occupancy":
-        cfg = _merge_config(_OCC_DEFAULTS, supplied)
+    cfg = parse(ENSEMBLE, supplied, "ensemble config", "mb")
+    if cfg["kind"] == "occupancy":
         table = sm.partition_enumerate(cfg["levels"], cfg["n"], cfg["beta"],
                                        cfg["statistics"])
         sm.write_occupancy_csv(table, os.path.join(out_dir, "occupancy.csv"))
@@ -424,14 +387,8 @@ def cmd_ensemble(args):
         write_json(os.path.join(out_dir, "ensemble_report.json"), payload)
         print("ensemble: %d states enumerated" % len(table.occupations))
         return 0
-    if kind != "mb":
-        raise UsageError("config kind must be 'mb' or 'occupancy'")
-    cfg = _merge_config(_ENS_DEFAULTS, supplied)
     ens = sm.EnsembleConfig(n=cfg["n"], m0=cfg["m0"], T=cfg["T"],
                             kB=cfg["kB"], seed=args.seed)
-    if ens.n < 2:  # the moments divide by n - 1
-        raise UsageError("mb needs n >= 2 samples, got %d" % ens.n)
-    positive_int(cfg["bins"], "bins")
     sample = sm.sample_mb(ens)
     # everything that can fail runs before the first file is written
     moments = sample.moments()
@@ -465,14 +422,20 @@ def _load_config(path):
         return {}
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise UsageError("cannot read config: %s" % exc)
     except json.JSONDecodeError as exc:
         raise UsageError("config is not valid JSON: %s" % exc)
-    if not isinstance(data, dict):
-        raise UsageError("config must be a JSON object")
-    return data
+
+
+def _unique_keys(pairs):
+    """json.load's object hook: an object that repeats a key is refused."""
+    keys = [key for key, _ in pairs]
+    for key in keys:
+        if keys.count(key) > 1:
+            raise UsageError("config repeats key %r" % key)
+    return dict(pairs)
 
 
 def _ensure_out(path):

@@ -22,7 +22,7 @@ from .clifford import (
     slash_eigensystem,
 )
 from ._util import central_difference
-from .dynamics import rk4_step
+from .dynamics import operator_commutator, rk4_step
 from .errors import NotCommuting, OffShell, UsageError
 
 __all__ = [
@@ -325,12 +325,11 @@ def geodesic_criterion_check(rep, congruence, points, tol_lie=1e-8,
         lie_worst = max(lie_worst, float(np.abs(lie_derivative(
             congruence.u_of, congruence.p_of, x, step)).max()))
         pdot = directional_derivative(congruence.p_of, u, x, step)
+        comm_worst = max(comm_worst, operator_commutator(p, pdot)[0])
         if np.abs(pdot).max() > 1e-13 * max(1.0, np.abs(p).max()):
             b_matrix = slash(rep, pdot)
         else:
             b_matrix = np.zeros((4, 4), dtype=complex)
-        a_matrix = slash(rep, p)
-        comm_worst = max(comm_worst, frobenius(commutator(a_matrix, b_matrix)))
         states = _joint_candidates(rep, p, b_matrix)
         best = min(max(st.residual_a, st.residual_b) for st in states)
         eigen_worst = max(eigen_worst, best)

@@ -20,8 +20,9 @@ import numpy as np
 
 from .clifford import ETA_DIAG, classify, minkowski_dot
 from .geometry import _metric_partials, christoffel_at
-from ._util import central_difference, config_kind, positive_int, write_csv, write_json
-from .errors import NonSeparable, StepRejected, UsageError
+from ._util import central_difference
+from .config import MODEL, integer, parse
+from .errors import NonSeparable, SingularMetric, StepRejected, UsageError
 from .hamilton_jacobi import projectile_field
 
 __all__ = [
@@ -161,21 +162,16 @@ def custom_model(hamiltonian, dh_dx=None, dh_dp=None, separable=False, name="cus
     return HamiltonianModel(name, hamiltonian, dh_dx, dh_dp, separable=separable)
 
 
-# config keys each model kind reads, besides "kind"
-_MODEL_KEYS = {"free": ("m0",), "projectile": ("m0", "u_x", "u_y", "g"),
-               "quadratic": (), "harmonic": ("omega",)}
-
-
 def model_from_config(cfg):
-    kind = config_kind(cfg, _MODEL_KEYS, "model")
-    if kind == "free":
+    cfg = parse(MODEL, cfg, "model")
+    if cfg["kind"] == "free":
         return free_particle_model(float(cfg["m0"]))
-    if kind == "projectile":
+    if cfg["kind"] == "projectile":
         return projectile_model(float(cfg["m0"]), float(cfg["u_x"]),
                                 float(cfg["u_y"]), float(cfg["g"]))
-    if kind == "quadratic":
+    if cfg["kind"] == "quadratic":
         return quadratic_model()
-    return harmonic_model(float(cfg.get("omega", 1.0)))
+    return harmonic_model(float(cfg["omega"]))
 
 
 def operator_commutator(p, pdot):
@@ -213,10 +209,7 @@ class Trajectory:
     COLUMNS = ["s", "x0", "x1", "x2", "x3", "p0", "p1", "p2", "p3",
                "H", "dm_ds", "comm_norm"]
 
-    def __init__(self, model_name, method, step, s, x, p, h, dm_ds, comm_norm):
-        self.model_name = model_name
-        self.method = method
-        self.step = float(step)
+    def __init__(self, s, x, p, h, dm_ds, comm_norm):
         self.s = np.asarray(s)
         self.x = np.asarray(x)
         self.p = np.asarray(p)
@@ -231,26 +224,9 @@ class Trajectory:
         pp = self.p[:, 0] ** 2 - (self.p[:, 1:] ** 2).sum(axis=1)
         return float(np.abs(pp - pp[0]).max())
 
-    def meta(self):
-        return {
-            "model": self.model_name,
-            "method": self.method,
-            "step": self.step,
-            "s_max": float(self.s[-1]),
-            "samples": int(len(self.s)),
-            "energy_drift": self.energy_drift(),
-            "mass_shell_drift": self.mass_shell_drift(),
-        }
-
     def columns(self):
         """One array per COLUMNS name, in order."""
         return [self.s, *self.x.T, *self.p.T, self.h, self.dm_ds, self.comm_norm]
-
-    def write_csv(self, path):
-        write_csv(path, self.COLUMNS, self.columns())
-
-    def write_meta(self, path):
-        write_json(path, self.meta())
 
 
 def rk4_step(rhs, state, step):
@@ -265,10 +241,10 @@ def rk4_step(rhs, state, step):
             for y, a, b, c, d in zip(state, k1, k2, k3, k4)]
 
 
-def _rejected(i, step, state, msg):
-    """StepRejected naming step i, its s and the last finite state."""
-    return StepRejected("step %d (s = %r): %s; last finite state %s"
-                        % (i, i * step, msg, [y.tolist() for y in state]))
+def _rejected(i, step, state, msg, error=StepRejected):
+    """An error (StepRejected) naming step i, its s and the last finite state."""
+    return error("step %d (s = %r): %s; last finite state %s"
+                 % (i, i * step, msg, [y.tolist() for y in state]))
 
 
 def _drive(state, advance, s_max, step, record_stride, record, guard=None):
@@ -279,11 +255,12 @@ def _drive(state, advance, s_max, step, record_stride, record, guard=None):
     Raises StepRejected when the state goes non-finite or guard(*state)
     returns a message, and UsageError for a bad step, an s_max off the step
     grid, a record_stride that is not an int >= 1, or more than MAX_RECORDS
-    records.
+    records. A singular or overflowing evaluation during the run is
+    re-raised as its own type, naming the step as StepRejected does.
     """
     if step <= 0:
         raise UsageError("step must be positive")
-    positive_int(record_stride, "record_stride")
+    integer(1).check(record_stride, "record_stride")
     n_steps = int(round(s_max / step))
     if n_steps < 1 or abs(n_steps * step - s_max) > 1e-9 * max(1.0, abs(s_max)):
         raise UsageError("s_max must be a positive multiple of step")
@@ -295,18 +272,23 @@ def _drive(state, advance, s_max, step, record_stride, record, guard=None):
     msg = guard and guard(*state)
     if msg:
         raise _rejected(0, step, state, msg)
-    record(0, *state)
-    # overflow here is a detected condition (StepRejected), not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, n_steps + 1):
-            last, state = state, advance(state)
-            if not all(np.isfinite(y).all() for y in state):
-                raise _rejected(i, step, last, "non-finite state")
-            msg = guard and guard(*state)
-            if msg:
-                raise _rejected(i, step, state, msg)
-            if i % record_stride == 0 or i == n_steps:
-                record(i, *state)
+    i = 0
+    try:
+        record(0, *state)
+        # overflow here is a detected condition (StepRejected), not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(1, n_steps + 1):
+                last, state = state, advance(state)
+                if not all(np.isfinite(y).all() for y in state):
+                    raise _rejected(i, step, last, "non-finite state")
+                msg = guard and guard(*state)
+                if msg:
+                    raise _rejected(i, step, state, msg)
+                if i % record_stride == 0 or i == n_steps:
+                    record(i, *state)
+    except (np.linalg.LinAlgError, ArithmeticError, SingularMetric) as exc:
+        # state is finite: advance raised before replacing it, or record raised
+        raise _rejected(i, step, state, exc, type(exc)) from exc
 
 
 def _rhs_for(model, canonical):
@@ -352,8 +334,7 @@ def integrate(model, x0, p0, s_max, step=1e-3, method="rk4", record_stride=1,
     _drive([np.asarray(x0, dtype=float).copy(), np.asarray(p0, dtype=float).copy()],
            advance, s_max, step, record_stride, record, model.guard)
     s, xs, ps, hs, dms, comms = zip(*samples)
-    return Trajectory(model.name, method, step, s, np.asarray(xs), np.asarray(ps),
-                      hs, dms, comms)
+    return Trajectory(s, np.asarray(xs), np.asarray(ps), hs, dms, comms)
 
 
 def force_diagnostic(traj, index):

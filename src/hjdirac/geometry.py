@@ -8,8 +8,9 @@ sum(coeff * prod(x_i**e_i)); no string expressions are evaluated.
 
 import numpy as np
 
-from ._util import central_difference, config_kind
+from ._util import central_difference
 from .clifford import ETA_DIAG
+from .config import METRIC, parse
 from .errors import BadSignature, SingularJacobian, SingularMetric, UsageError
 
 __all__ = [
@@ -144,19 +145,14 @@ def diagonal_metric(entry_polys, dim=None):
     return MetricField(g, dim=dim, kind="diagonal", dg=dg)
 
 
-# config keys each metric kind reads, besides "kind"
-_METRIC_KEYS = {"minkowski": ("dim",), "polar": ("dim",),
-                "diagonal": ("entries", "dim"), "custom-polynomial": ("entries",)}
-
-
 def metric_from_config(cfg):
-    kind = config_kind(cfg, _METRIC_KEYS, "metric")
-    if kind == "minkowski":
-        return minkowski_metric(int(cfg.get("dim", 4)))
-    if kind == "polar":
-        return polar_metric(int(cfg.get("dim", 4)))
-    if kind == "diagonal":
-        return diagonal_metric(cfg["entries"], cfg.get("dim"))
+    cfg = parse(METRIC, cfg, "metric")
+    if cfg["kind"] == "minkowski":
+        return minkowski_metric(cfg["dim"])
+    if cfg["kind"] == "polar":
+        return polar_metric(cfg["dim"])
+    if cfg["kind"] == "diagonal":
+        return diagonal_metric(cfg["entries"], cfg["dim"])
     # custom-polynomial: a full matrix of term lists
     entries = cfg["entries"]
     dim = len(entries)

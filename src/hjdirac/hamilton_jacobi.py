@@ -17,7 +17,7 @@ value-only fields the loop route carries the information.
 import numpy as np
 
 from .clifford import ETA_DIAG
-from ._util import central_difference, write_json
+from ._util import central_difference
 from .geometry import eval_poly, poly_partials
 from .errors import (
     DomainBoundary,
@@ -44,7 +44,6 @@ __all__ = [
     "polynomial_field",
     "curl_counterexample_field",
     "linearly_shifted",
-    "field_from_config",
     "decompose_parallel_perp",
 ]
 
@@ -203,9 +202,6 @@ class HJReport:
             "segments": self.segments,
             "passed": self.passed,
         }
-
-    def write(self, path):
-        write_json(path, self.to_dict())
 
 
 def is_exact(field, region=None, n_points=40, n_loops=20, segments=4096,
@@ -522,23 +518,6 @@ def linearly_shifted(field, coeffs, name=None):
                                region=field.region,
                                name=name or f"{field.name}+linear",
                                vectorized=field.vectorized)
-
-
-def field_from_config(cfg):
-    kind = cfg.get("kind")
-    if kind == "geodesic":
-        return construct_geodesic_W(float(cfg["m0"]), cfg.get("base_point", (0, 0, 0, 0)),
-                                    k=float(cfg.get("k", 0.0)))
-    if kind == "projectile":
-        field = projectile_field(float(cfg["m0"]), float(cfg["u_x"]), float(cfg["u_y"]),
-                                 float(cfg["g"]), w0=float(cfg.get("w0", 0.0)))
-        return field.at_parameter(float(cfg.get("s", 0.0)))
-    if kind == "plane-wave":
-        return plane_wave_field(cfg["components"], w0=float(cfg.get("w0", 0.0)),
-                                m0=cfg.get("m0"))
-    if kind == "custom-polynomial":
-        return polynomial_field(cfg["terms"], m0=cfg.get("m0"))
-    raise UsageError(f"unknown field kind {kind!r}")
 
 
 # -- parallel / perpendicular split ------------------------------------------

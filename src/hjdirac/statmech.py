@@ -23,8 +23,9 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from ._util import positive_int, write_csv
+from ._util import write_csv
 from .clifford import ETA_DIAG
+from .config import integer
 from .errors import DegenerateData, DegeneratePartition, NotIntegrable, TooLarge, UsageError
 
 SAMPLE_CHUNK = 65536  # draws per spawned substream; part of the sampled bytes
@@ -143,12 +144,12 @@ def write_samples_csv(sample, path):
               [np.arange(len(v)), v[:, 0], v[:, 1], v[:, 2], sample.energies])
 
 
-def write_histogram_csv(sample, path, bins=50, component=0):
-    """Histogram one velocity component against the Gaussian prediction."""
-    bins = positive_int(bins, "bins")
+def write_histogram_csv(sample, path, bins=50):
+    """Histogram vx against the Gaussian prediction."""
+    integer(1).check(bins, "bins")
     sigma = math.sqrt(sample.config.sigma2)
     edges = np.linspace(-5.0 * sigma, 5.0 * sigma, bins + 1)
-    counts, _ = np.histogram(sample.velocities[:, component], edges)
+    counts, _ = np.histogram(sample.velocities[:, 0], edges)
     cdf = [0.5 * (1.0 + math.erf(e / (sigma * math.sqrt(2.0)))) for e in edges]
     expected = len(sample.velocities) * np.diff(cdf)
     write_csv(path, ["bin_lo", "bin_hi", "count", "expected"],

@@ -1,11 +1,14 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from hjdirac import dynamics as dyn
 from hjdirac.cli import main
+from hjdirac.config import ENSEMBLE, METRIC, MODEL, SIMULATE
 
 
 def read_json(path):
@@ -196,7 +199,10 @@ class TestSimulate:
                                               "entries": entries}}))
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path)]) == 1
-        assert "run failed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "run failed" in err
+        assert "step 0 (s = 0.0): Singular matrix; last finite state " \
+            "[[0.0, 1.0, 0.3, 0.0], [1.5, -0.3055, 0.0, 0.0]]" in err
 
     def test_coordinate_overflow_exits_one(self, tmp_path, capsys):
         # r = 1e100: the polar metric's Python-float r ** 2 overflows
@@ -322,6 +328,78 @@ class TestEnsemble:
         assert main(["ensemble", "--config", str(cfg), "--out", str(out)]) == 1
         assert "moments.json not written" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+
+# Configs the schema refuses: command, config text and the key to be named.
+# Each ran at an earlier commit, exited 0 after silently reading the value,
+# ended in a traceback, or refused it without naming the key.
+_COV = '{"kind": "covariant", "metric": %s}'
+_EXPONENT = ('{"kind": "diagonal", "entries": [[[1.0, [0, 0, 0, 0]]], '
+             '[[-1.0, [0, 0, 0, 0]]], [[-1.0, [0, 1.5, 0, 0]]], [[-1.0, [0, 0, 0, 0]]]]}')
+_NOT_SQUARE = ('{"kind": "custom-polynomial", '
+               '"entries": [[[[1.0, [0, 0, 0, 0]]]], [[]]]}')
+BAD_CONFIGS = [
+    pytest.param("simulate", '{"canonical": "no"}', "canonical", id="canonical-string"),
+    pytest.param("simulate", _COV % '{"kind": "polar", "dim": 4.9}', "dim",
+                 id="polar-dim-float"),
+    pytest.param("simulate", _COV % '{"kind": "polar", "dim": "4"}', "dim",
+                 id="polar-dim-string"),
+    pytest.param("simulate", '{"model": {"kind": "free", "m0": "1.0"}}', "m0",
+                 id="m0-string"),
+    pytest.param("simulate", _COV % _EXPONENT, "entries", id="exponent-float"),
+    pytest.param("simulate", _COV % _NOT_SQUARE, "entries", id="entries-not-square"),
+    pytest.param("simulate", '{"s_max": 0.01, "s_max": 0.02}', "s_max",
+                 id="repeated-key"),
+    pytest.param("simulate", '{"model": {"kind": "free", "m0": 1, "m0": 2}}', "m0",
+                 id="repeated-nested-key"),
+    pytest.param("simulate", '{"x0": [0, 0]}', "x0", id="x0-short"),
+    pytest.param("simulate", '{"kind": "covariant", "x0": [0, 1]}', "x0",
+                 id="covariant-x0-short"),
+    pytest.param("simulate", '{"method": 5}', "method", id="method-int"),
+    pytest.param("simulate", '{"step": NaN}', "step", id="step-nan"),
+    pytest.param("ensemble", '{"kind": "occupancy", "n": true}', "n",
+                 id="occupancy-n-bool"),
+    pytest.param("ensemble", '{"kind": "occupancy", "beta": true}', "beta",
+                 id="occupancy-beta-bool"),
+    pytest.param("ensemble", '{"n": 100, "T": true}', "T", id="mb-T-bool"),
+    pytest.param("ensemble", '{"n": 2.5}', "n", id="mb-n-float"),
+    pytest.param("ensemble", '{"n": 1}', "n", id="mb-n-one"),
+    pytest.param("ensemble", '{"n": 100, "bins": 0}', "bins", id="mb-bins-zero"),
+    pytest.param("ensemble", '{"n": 100, "bins": 2.5}', "bins", id="mb-bins-float"),
+]
+
+
+@pytest.mark.parametrize("command,text,key", BAD_CONFIGS)
+def test_schema_refuses_and_names_the_key(tmp_path, capsys, command, text, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "'%s'" % key in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def readme_config_tables():
+    """{(family, kind): keys} from the README's "Config schema" tables."""
+    tables, current = {}, None
+    for line in (Path(__file__).parents[1] / "README.md").read_text().splitlines():
+        heading = re.match(r"#### `(\w+)` kind `([\w-]+)`", line)
+        if heading:
+            current = tables.setdefault(heading.groups(), set())
+        elif line.startswith("#"):
+            current = None
+        elif current is not None and re.match(r"\| `\w+` \|", line):
+            current.add(line.split("`")[1])
+    return tables
+
+
+def test_readme_tables_list_the_schema_keys():
+    families = {"simulate": SIMULATE, "ensemble": ENSEMBLE, "model": MODEL,
+                "metric": METRIC}
+    assert readme_config_tables() == {
+        (family, kind): set(table) for family, kinds in families.items()
+        for kind, table in kinds.items()}
 
 
 class TestEntryPoint:

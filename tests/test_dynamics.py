@@ -1,4 +1,3 @@
-import json
 import warnings
 
 import numpy as np
@@ -314,24 +313,3 @@ class TestHessianCheck:
         a = dyn.hessian_det_check(field, x)
         b = dyn.hessian_det_check(formonly, x)
         assert abs(a.det - b.det) < 1e-6
-
-
-class TestTrajectoryIO:
-    def test_csv_layout_and_determinism(self, tmp_path):
-        model, x0, p0 = projectile_setup()
-        out = tmp_path / "run.csv"
-        dyn.integrate(model, x0, p0, 0.5, step=1e-2).write_csv(out)
-        first = out.read_bytes()
-        assert first.decode().splitlines()[0] == \
-            "s,x0,x1,x2,x3,p0,p1,p2,p3,H,dm_ds,comm_norm"
-        dyn.integrate(model, x0, p0, 0.5, step=1e-2).write_csv(out)
-        assert out.read_bytes() == first
-
-    def test_meta_sidecar(self, tmp_path):
-        model, x0, p0 = projectile_setup()
-        out = tmp_path / "run.json"
-        dyn.integrate(model, x0, p0, 0.5, step=1e-2).write_meta(out)
-        meta = json.loads(out.read_text())
-        assert meta["schema_version"] == 1
-        assert meta["model"] == "projectile"
-        assert meta["samples"] == 51

@@ -10,7 +10,8 @@ the old values.
 Three routes changed their algebra, not just their loops: the built-in
 metrics' analytic partials (central differences before), the covariant
 right-hand side in lowered-index form (g^{-1} dg g^{-1} before) and the
-closed-form commutator norm (4x4 complex matrices before). Their old routes
+closed-form commutator norm (4x4 complex matrices before, in
+operator_commutator and in geodesic_criterion_check). Their old routes
 are kept here too and agree within stated tolerances.
 """
 
@@ -650,6 +651,35 @@ def test_operator_commutator_branches_match_matrix_route(p, q):
     want_raw, want_norm = ref_operator_commutator(p, q)
     assert abs(raw - want_raw) <= 1e-14 * max(want_raw, 1e-300)
     assert abs(norm - want_norm) <= 1e-14
+
+
+def ref_criterion_commutator(rep, congruence, points, step=1e-5):
+    """geodesic_criterion_check's old commutator_norm: the largest Frobenius
+    norm of [slash(p), slash(dp/du)] built as 4x4 matrices."""
+    worst = 0.0
+    for x in points:
+        u = np.asarray(congruence.u_of(x), dtype=float)
+        p = np.asarray(congruence.p_of(x), dtype=float)
+        pdot = dr.directional_derivative(congruence.p_of, u, x, step)
+        if np.abs(pdot).max() > 1e-13 * max(1.0, np.abs(p).max()):
+            b_matrix = slash(rep, pdot)
+        else:
+            b_matrix = np.zeros((4, 4), dtype=complex)
+        worst = max(worst, frobenius(commutator(slash(rep, p), b_matrix)))
+    return worst
+
+
+@pytest.mark.parametrize("congruence, box, seed", [
+    (dr.geodesic_congruence(1.3), BOX, 9),
+    (dr.sheared_congruence(1.0, amplitude=0.1),
+     hj.Box([2.2, -1.0, -1.0, -1.0], [3.0, 1.0, 1.0, 1.0]), 10),
+])
+def test_criterion_commutator_matches_matrix_route(congruence, box, seed):
+    rep = build_gamma_rep()
+    points = box.sample(np.random.default_rng(seed), 10)
+    want = ref_criterion_commutator(rep, congruence, points)
+    got = dr.geodesic_criterion_check(rep, congruence, points)["commutator_norm"]
+    assert want > 0.0 and abs(got - want) <= 1e-12 * want
 
 
 # -- occupation enumeration --------------------------------------------------------
