@@ -279,13 +279,13 @@ def cmd_verify(args):
             name, sum(c["passed"] for c in checks), len(checks)))
     tol.reject_unknown()
     report["passed"] = all_passed
-    out_dir = _ensure_out(args.out)
-    write_json(os.path.join(out_dir, "verify_report.json"), report)
+    os.makedirs(args.out, exist_ok=True)
+    write_json(os.path.join(args.out, "verify_report.json"), report)
     if args.format == "csv":
         rows = [dict(c, suite=s) for s, suite in report["suites"].items()
                 for c in suite["checks"]]
         header = ["suite", "check", "residual", "tolerance", "passed"]
-        write_csv(os.path.join(out_dir, "verify_report.csv"), header,
+        write_csv(os.path.join(args.out, "verify_report.csv"), header,
                   [[row[key] for row in rows] for key in header])
     return 0 if all_passed else 1
 
@@ -301,9 +301,7 @@ def _line_fit_residual(s, x, y):
 
 
 def cmd_simulate(args):
-    supplied = _load_config(args.config)
-    out_dir = _ensure_out(args.out)
-    cfg = parse(SIMULATE, supplied, "simulate config", "model")
+    cfg = parse(SIMULATE, _load_config(args.config), "simulate config", "model")
     if cfg["kind"] == "covariant":
         metric = geo.metric_from_config(cfg["metric"])
         for key in ("x0", "p0_upper"):
@@ -353,14 +351,15 @@ def cmd_simulate(args):
                 np.abs(traj.p - model.m0 * ref.tangent(traj.s)).max()))
         cfg["p0"] = [float(v) for v in np.asarray(p0, float)]
 
+    os.makedirs(args.out, exist_ok=True)
     if args.format == "json":
-        write_json(os.path.join(out_dir, "trajectory.json"),
+        write_json(os.path.join(args.out, "trajectory.json"),
                    {"columns": header,
                     "rows": np.column_stack(traj.columns()).tolist()})
     else:
-        write_csv(os.path.join(out_dir, "trajectory.csv"), header,
+        write_csv(os.path.join(args.out, "trajectory.csv"), header,
                   traj.columns())
-    write_json(os.path.join(out_dir, "simulate_report.json"),
+    write_json(os.path.join(args.out, "simulate_report.json"),
                {"command": "simulate", "effective_config": cfg,
                 "diagnostics": diagnostics})
     print("simulate: %d samples written" % diagnostics["samples"])
@@ -371,20 +370,19 @@ def cmd_simulate(args):
 # ensemble
 
 def cmd_ensemble(args):
-    supplied = _load_config(args.config)
-    out_dir = _ensure_out(args.out)
-    cfg = parse(ENSEMBLE, supplied, "ensemble config", "mb")
+    cfg = parse(ENSEMBLE, _load_config(args.config), "ensemble config", "mb")
     if cfg["kind"] == "occupancy":
         table = sm.partition_enumerate(cfg["levels"], cfg["n"], cfg["beta"],
                                        cfg["statistics"])
-        sm.write_occupancy_csv(table, os.path.join(out_dir, "occupancy.csv"))
+        os.makedirs(args.out, exist_ok=True)
+        sm.write_occupancy_csv(table, os.path.join(args.out, "occupancy.csv"))
         payload = {"command": "ensemble", "effective_config": cfg,
                    "statistics": table.statistics, "states":
                        int(len(table.occupations)), "partition_sum": table.z}
         if table.statistics == "MB":
             payload["factorization_residual"] = abs(
                 table.z - table.single_particle_z() ** table.n) / table.z
-        write_json(os.path.join(out_dir, "ensemble_report.json"), payload)
+        write_json(os.path.join(args.out, "ensemble_report.json"), payload)
         print("ensemble: %d states enumerated" % len(table.occupations))
         return 0
     ens = sm.EnsembleConfig(n=cfg["n"], m0=cfg["m0"], T=cfg["T"],
@@ -392,17 +390,18 @@ def cmd_ensemble(args):
     sample = sm.sample_mb(ens)
     # everything that can fail runs before the first file is written
     moments = sample.moments()
-    moments_path = os.path.join(out_dir, "moments.json")
+    moments_path = os.path.join(args.out, "moments.json")
     moments_text = json_text(moments_path, dict(
         moments, command="ensemble", effective_config=dict(cfg, seed=args.seed)))
-    sm.write_histogram_csv(sample, os.path.join(out_dir, "histogram.csv"),
+    os.makedirs(args.out, exist_ok=True)
+    sm.write_histogram_csv(sample, os.path.join(args.out, "histogram.csv"),
                            bins=cfg["bins"])
     if args.format == "json":
-        write_json(os.path.join(out_dir, "samples.json"),
+        write_json(os.path.join(args.out, "samples.json"),
                    {"velocities": sample.velocities.tolist(),
                     "energies": sample.energies.tolist()})
     else:
-        sm.write_samples_csv(sample, os.path.join(out_dir, "samples.csv"))
+        sm.write_samples_csv(sample, os.path.join(args.out, "samples.csv"))
     atomic_write_text(moments_path, moments_text)
     worst = max(abs(v - ens.sigma2) for v in moments["variance"])
     if worst > 4.0 * moments["variance_se"]:
@@ -436,11 +435,6 @@ def _unique_keys(pairs):
         if keys.count(key) > 1:
             raise UsageError("config repeats key %r" % key)
     return dict(pairs)
-
-
-def _ensure_out(path):
-    os.makedirs(path, exist_ok=True)
-    return path
 
 
 def build_parser():

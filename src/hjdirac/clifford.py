@@ -23,11 +23,9 @@ __all__ = [
     "GammaRep",
     "build_gamma_rep",
     "minkowski_dot",
-    "classify",
     "slash",
     "slash_covector",
     "slash_eigensystem",
-    "product_decomposition",
     "frobenius",
     "commutator",
     "anticommutator",
@@ -70,16 +68,11 @@ def frobenius(a):
 
 
 class GammaRep:
-    """A concrete gamma representation plus the derived alpha matrices.
-
-    gammas[a] carries the upper-index matrix gamma^a; alphas[0] = gamma^0 and
-    alphas[k] = gamma^0 gamma^k square to the identity.
-    """
+    """A concrete gamma representation: gammas[a] carries the upper-index
+    matrix gamma^a."""
 
     def __init__(self, gammas):
         self.gammas = tuple(np.array(g, dtype=complex) for g in gammas)
-        g0 = self.gammas[0]
-        self.alphas = (g0,) + tuple(g0 @ g for g in self.gammas[1:])
         self.eta = ETA
 
     def check(self):
@@ -105,14 +98,6 @@ def minkowski_dot(u, w):
     u = np.asarray(u, dtype=float)
     w = np.asarray(w, dtype=float)
     return float(u[0] * w[0] - u[1] * w[1] - u[2] * w[2] - u[3] * w[3])
-
-
-def classify(v, tol_null=TOL_NULL):
-    """'timelike' / 'null' / 'spacelike' by the sign of v.v at tol_null."""
-    n2 = minkowski_dot(v, v)
-    if abs(n2) <= tol_null:
-        return "null"
-    return "timelike" if n2 > 0 else "spacelike"
 
 
 def slash_covector(rep, w):
@@ -182,14 +167,3 @@ def slash_eigensystem(rep, v, tol_null=TOL_NULL):
             pairs.append((sign * lam, e))
     pairs.sort(key=lambda it: (-np.real(it[0]), -np.imag(it[0])))
     return pairs
-
-
-def product_decomposition(rep, u, w):
-    """Split slash(u) slash(w) into dot * I + wedge.
-
-    dot = eta_ab u^a w^b; wedge = [slash(u), slash(w)]/2 is traceless and
-    antisymmetric under u <-> w; slash(u) @ slash(w) reconstructs exactly.
-    """
-    dot = minkowski_dot(u, w)
-    wedge = 0.5 * commutator(slash(rep, u), slash(rep, w))
-    return dot, wedge

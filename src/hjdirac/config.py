@@ -54,8 +54,7 @@ MODEL = {"free": {"m0": (NUMBER, REQUIRED)},
          "quadratic": {}, "harmonic": {"omega": (NUMBER, 1.0)}}
 METRIC = {"minkowski": {"dim": (integer(1), 4)},
           "polar": {"dim": (Spec("3 or 4", lambda v: _int(v) and v in (3, 4)), 4)},
-          "diagonal": {"entries": (TERM_LISTS, REQUIRED), "dim": (Spec(
-              "null or an integer >= 1", lambda v: v is None or integer(1).ok(v)), None)},
+          "diagonal": {"entries": (TERM_LISTS, REQUIRED)},
           "custom-polynomial": {"entries": (SQUARE, REQUIRED)}}
 
 # the top-level configs of simulate and ensemble
@@ -97,7 +96,8 @@ def parse(kinds, cfg, what, default_kind=None):
     what = "%s %r" % (what, kind)
     unknown = set(cfg) - set(kinds[kind]) - {"kind"}
     if unknown:
-        raise UsageError("unknown %s key(s): %s" % (what, ", ".join(sorted(unknown))))
+        raise UsageError("unknown %s key(s): %s"
+                         % (what, ", ".join(map(repr, sorted(unknown)))))
     out = {"kind": kind}
     for key, (spec, default) in kinds[kind].items():
         if key not in cfg and default is REQUIRED:

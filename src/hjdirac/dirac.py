@@ -22,7 +22,7 @@ from .clifford import (
     slash_eigensystem,
 )
 from ._util import central_difference
-from .dynamics import operator_commutator, rk4_step
+from .dynamics import operator_commutator
 from .errors import NotCommuting, OffShell, UsageError
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "SpinorState",
     "simultaneous_eigenvector",
     "conventional_dirac_residual",
-    "alpha_form_residual",
     "Congruence",
     "geodesic_congruence",
     "sheared_congruence",
@@ -51,12 +50,11 @@ __all__ = [
 class WaveFunction:
     """Psi(x) = amplitude(W(x)) * spinor for a scalar field W."""
 
-    def __init__(self, field, amplitude, amplitude_prime, spinor, name="psi"):
+    def __init__(self, field, amplitude, amplitude_prime, spinor):
         self.field = field
         self.amplitude = amplitude
         self.amplitude_prime = amplitude_prime
         self.spinor = np.asarray(spinor, dtype=complex)
-        self.name = name
         if self.spinor.shape != (4,):
             raise UsageError("spinor must be a length-4 complex vector")
 
@@ -70,7 +68,7 @@ class WaveFunction:
         def amp_prime(w):
             return kappa * np.exp(kappa * w)
 
-        return cls(field, amp, amp_prime, spinor, name="exp")
+        return cls(field, amp, amp_prime, spinor)
 
     def value(self, x):
         return self.amplitude(self.field.value(x)) * self.spinor
@@ -83,24 +81,20 @@ class WaveFunction:
 class CurveSegment:
     """Parameterized curve s -> event with its tangent dx/ds."""
 
-    def __init__(self, position, tangent, s_range=(0.0, 1.0), name="curve"):
+    def __init__(self, position, tangent):
         self.position = position
         self.tangent = tangent
-        self.s_range = tuple(float(v) for v in s_range)
-        self.name = name
 
 
-def line_curve(base, direction, s_range=(0.0, 1.0)):
+def line_curve(base, direction):
     base = np.asarray(base, dtype=float)
     direction = np.asarray(direction, dtype=float)
-    return CurveSegment(lambda s: base + s * direction,
-                        lambda s: direction.copy(), s_range, name="line")
+    return CurveSegment(lambda s: base + s * direction, lambda s: direction.copy())
 
 
-def projectile_curve(proj_field, s_range=(0.0, 1.0)):
+def projectile_curve(proj_field):
     """Curve of a uniform-force trajectory, tangent from its closed forms."""
-    return CurveSegment(proj_field.position, proj_field.tangent, s_range,
-                        name="projectile")
+    return CurveSegment(proj_field.position, proj_field.tangent)
 
 
 def momentum_operator(rep, field, x):
@@ -220,38 +214,14 @@ def conventional_dirac_residual(rep, p, xi, m0=None, kappa=1j, tol_shell=1e-8):
     return float(np.linalg.norm(op @ xi) / np.linalg.norm(xi))
 
 
-def alpha_form_residual(rep, p, xi, m0):
-    """Residual of the split form: (alpha . p_spatial + m0 alpha0) xi vs p^0 xi.
-
-    alpha0 is the timelike gamma itself; the spatial alphas are gamma0 gamma^k.
-    Algebraically this is the slash residual rotated by a unitary, so the two
-    numbers agree to rounding.
-    """
-    p = np.asarray(p, dtype=float)
-    xi = np.asarray(xi, dtype=complex)
-    h = m0 * rep.alphas[0] + sum(p[k] * rep.alphas[k] for k in (1, 2, 3))
-    return float(np.linalg.norm(h @ xi - p[0] * xi) / np.linalg.norm(xi))
-
-
 # -- congruences ----------------------------------------------------------------
 
 class Congruence:
     """A tangent field u(x) with a momentum field p(x) carried along it."""
 
-    def __init__(self, u_of, p_of, name="congruence"):
+    def __init__(self, u_of, p_of):
         self.u_of = u_of
         self.p_of = p_of
-        self.name = name
-
-    def trace(self, x0, s_max, n_steps=200):
-        """Integrate dx/ds = u(x) with fixed-step RK4; returns (s_grid, path)."""
-        x = np.asarray(x0, dtype=float).copy()
-        h = s_max / n_steps
-        path = [x]
-        for _ in range(n_steps):
-            x, = rk4_step(lambda y: [self.u_of(y)], [x], h)
-            path.append(x)
-        return np.linspace(0.0, s_max, n_steps + 1), np.asarray(path)
 
 
 def _radial_unit(x, base):
@@ -272,7 +242,7 @@ def geodesic_congruence(m0, base=(0.0, 0.0, 0.0, 0.0)):
     def p_of(x):
         return m0 * _radial_unit(x, base)
 
-    return Congruence(u_of, p_of, name="geodesic-fan")
+    return Congruence(u_of, p_of)
 
 
 def sheared_congruence(m0, base=(0.0, 0.0, 0.0, 0.0), amplitude=0.1):
@@ -292,7 +262,7 @@ def sheared_congruence(m0, base=(0.0, 0.0, 0.0, 0.0), amplitude=0.1):
         out[1], out[2] = m0 * (c * u[1] - s * u[2]), m0 * (s * u[1] + c * u[2])
         return out
 
-    return Congruence(u_of, p_of, name="sheared-fan")
+    return Congruence(u_of, p_of)
 
 
 def directional_derivative(f, u, x, step=1e-5):

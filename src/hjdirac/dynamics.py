@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .clifford import ETA_DIAG, classify, minkowski_dot
+from .clifford import ETA_DIAG, minkowski_dot
 from .geometry import _metric_partials, christoffel_at
 from ._util import central_difference
 from .config import MODEL, integer, parse
@@ -31,15 +31,11 @@ __all__ = [
     "projectile_model",
     "quadratic_model",
     "harmonic_model",
-    "custom_model",
     "model_from_config",
     "hamilton_rhs",
     "Trajectory",
     "integrate",
     "operator_commutator",
-    "force_diagnostic",
-    "HessianReport",
-    "hessian_det_check",
     "CovariantTrajectory",
     "covariant_integrate",
 ]
@@ -156,10 +152,6 @@ def harmonic_model(omega=1.0):
         return np.array([0.0, p[1], 0.0, 0.0])
 
     return HamiltonianModel("harmonic", h, dh_dx, dh_dp, separable=True)
-
-
-def custom_model(hamiltonian, dh_dx=None, dh_dp=None, separable=False, name="custom"):
-    return HamiltonianModel(name, hamiltonian, dh_dx, dh_dp, separable=separable)
 
 
 def model_from_config(cfg):
@@ -335,66 +327,6 @@ def integrate(model, x0, p0, s_max, step=1e-3, method="rk4", record_stride=1,
            advance, s_max, step, record_stride, record, model.guard)
     s, xs, ps, hs, dms, comms = zip(*samples)
     return Trajectory(s, np.asarray(xs), np.asarray(ps), hs, dms, comms)
-
-
-def force_diagnostic(traj, index):
-    """Central-difference four-force at one interior sample of a trajectory.
-
-    Returns the force vector, its norm sqrt(|f.f|), and the causal class of
-    f. Raises BoundaryIndex at the ends where no centered stencil exists.
-    """
-    from .errors import BoundaryIndex
-
-    n = len(traj.s)
-    if index <= 0 or index >= n - 1:
-        raise BoundaryIndex(f"index {index} has no two-sided neighbors in 0..{n - 1}")
-    ds = traj.s[index + 1] - traj.s[index - 1]
-    force = (traj.p[index + 1] - traj.p[index - 1]) / ds
-    fdotf = minkowski_dot(force, force)
-    return {
-        "force": force,
-        "dm_ds": float(np.sqrt(abs(fdotf))),
-        "classification": classify(force, tol_null=1e-12),
-    }
-
-
-class HessianReport:
-    def __init__(self, hessian, det, ok):
-        self.hessian = hessian
-        self.det = float(det)
-        self.ok = bool(ok)
-
-
-def hessian_det_check(field, x, step=1e-4):
-    """Spatial 3x3 Hessian of W at x and whether its determinant clears the
-    degeneracy floor 1e-10 * max(1, |Hessian|)^3. Symmetric stencils on W
-    when the field has values, else differenced one-forms symmetrized."""
-    x = np.asarray(x, dtype=float)
-    hess = np.empty((3, 3))
-    if field.has_value():
-        w0 = float(field.value(x))
-        for i in range(3):
-            hi = step * max(1.0, abs(x[1 + i]))
-            xp, xm = x.copy(), x.copy()
-            xp[1 + i] += hi
-            xm[1 + i] -= hi
-            hess[i, i] = (float(field.value(xp)) - 2 * w0 + float(field.value(xm))) / hi ** 2
-            for j in range(i + 1, 3):
-                hj = step * max(1.0, abs(x[1 + j]))
-                vals = 0.0
-                for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                    xx = x.copy()
-                    xx[1 + i] += si * hi
-                    xx[1 + j] += sj * hj
-                    vals += si * sj * float(field.value(xx))
-                hess[i, j] = hess[j, i] = vals / (4 * hi * hj)
-    else:
-        # d[j, i] = d_j w_i over the spatial axes, time held at x[0]
-        d = central_difference(lambda y: field.one_form(np.r_[x[0], y])[1:], x[1:], step)
-        hess = 0.5 * (d + d.T)
-    det = np.linalg.det(hess)
-    scale = max(1.0, float(np.abs(hess).max()))
-    return HessianReport(hess, det, abs(det) > 1e-10 * scale ** 3)
 
 
 # -- curved-chart runs ---------------------------------------------------------

@@ -75,7 +75,3 @@ class DegenerateData(HJDiracError):
 
 class NotIntegrable(HJDiracError):
     """Slice carries non-negligible mass on the grid boundary."""
-
-
-class BoundaryIndex(HJDiracError):
-    """Central difference requested at the first or last sample."""

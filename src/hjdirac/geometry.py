@@ -22,7 +22,6 @@ __all__ = [
     "diagonal_metric",
     "metric_from_config",
     "polar_chart",
-    "scaled_time_chart",
     "tetrad_at",
     "christoffel_at",
     "covariant_gamma",
@@ -135,8 +134,8 @@ def _termwise_dg(indexed_terms, dim):
     return dg
 
 
-def diagonal_metric(entry_polys, dim=None):
-    dim = dim or len(entry_polys)
+def diagonal_metric(entry_polys):
+    dim = len(entry_polys)
 
     def g(x):
         return np.diag(np.array([eval_poly(p, x) for p in entry_polys]))
@@ -152,7 +151,7 @@ def metric_from_config(cfg):
     if cfg["kind"] == "polar":
         return polar_metric(cfg["dim"])
     if cfg["kind"] == "diagonal":
-        return diagonal_metric(cfg["entries"], cfg["dim"])
+        return diagonal_metric(cfg["entries"])
     # custom-polynomial: a full matrix of term lists
     entries = cfg["entries"]
     dim = len(entries)
@@ -287,19 +286,6 @@ def polar_chart():
         ])
 
     return CoordinateChart("polar", forward, backward, jacobian=jacobian)
-
-
-def scaled_time_chart(factor):
-    """Chart whose time coordinate is `factor` times the reference time."""
-    scale = np.array([1.0 / factor, 1.0, 1.0, 1.0])
-
-    def jacobian(x):
-        return np.diag(scale)
-
-    return CoordinateChart(f"scaled-time({factor})",
-                           lambda x: np.asarray(x, float) * scale,
-                           lambda x: np.asarray(x, float) / scale,
-                           jacobian=jacobian)
 
 
 def chart_metric(chart, x):

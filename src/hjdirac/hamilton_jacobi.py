@@ -18,7 +18,6 @@ import numpy as np
 
 from .clifford import ETA_DIAG
 from ._util import central_difference
-from .geometry import eval_poly, poly_partials
 from .errors import (
     DomainBoundary,
     IllConditioned,
@@ -40,8 +39,6 @@ __all__ = [
     "scale_check",
     "construct_geodesic_W",
     "projectile_field",
-    "plane_wave_field",
-    "polynomial_field",
     "curl_counterexample_field",
     "linearly_shifted",
     "decompose_parallel_perp",
@@ -259,14 +256,6 @@ class ScaleReport:
         self.w_range = w_range
         self.passed = passed
 
-    def to_dict(self):
-        return {
-            "forward": self.forward.to_dict(),
-            "inverse_max_err": self.inverse_max_err,
-            "w_range": list(self.w_range),
-            "passed": self.passed,
-        }
-
 
 def _invert_monotone(psi, y, lo, hi, increasing, tol=1e-13, max_iter=200):
     flo, fhi = psi(lo), psi(hi)
@@ -431,10 +420,6 @@ class ProjectileField(HamiltonJacobiField):
             np.zeros(s.shape),
         ], axis=-1)
 
-    def momentum4(self, s):
-        """p^a = m0 * dx^a/ds on the trajectory; p^0 = m0 * tdot is H(s)."""
-        return self.m0 * self.tangent(s)
-
     def at_parameter(self, s):
         return ProjectileField(self.m0, self.u_x, self.u_y, self.g, w0=self.w0,
                                base_event=self.base_event, frozen_s=s, region=self.region)
@@ -457,36 +442,6 @@ class ProjectileField(HamiltonJacobiField):
 
 def projectile_field(m0, u_x, u_y, g, w0=0.0, base_event=(0.0, 0.0, 0.0, 0.0), region=None):
     return ProjectileField(m0, u_x, u_y, g, w0=w0, base_event=base_event, region=region)
-
-
-def plane_wave_field(components, w0=0.0, m0=None, region=None):
-    """W = c_a x^a + w0 with the constant one-form `components` (lower index)."""
-    coeffs = np.asarray(components, dtype=float)
-
-    def value(x):
-        return np.asarray(x, dtype=float) @ coeffs + w0
-
-    def one_form(x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(coeffs, x.shape).copy()
-
-    return HamiltonJacobiField(value=value, one_form=one_form, m0=m0,
-                               region=region, name="plane-wave", vectorized=True)
-
-
-def polynomial_field(terms, m0=None, region=None):
-    """W given by a polynomial term list; the gradient is differentiated termwise."""
-    grads = poly_partials(terms, 4)
-
-    def value(x):
-        return eval_poly(terms, x)
-
-    def one_form(x):
-        x = np.asarray(x, dtype=float)
-        return np.stack([eval_poly(g, x) for g in grads], axis=-1)
-
-    return HamiltonJacobiField(value=value, one_form=one_form, m0=m0,
-                               region=region, name="polynomial", vectorized=True)
 
 
 def curl_counterexample_field(region=None):
@@ -528,13 +483,6 @@ class PerpDecomposition:
         self.parallel_field = parallel_field
         self.residual = residual
         self.n_points = n_points
-
-    def to_dict(self):
-        return {
-            "constants": self.constants.tolist(),
-            "residual": self.residual,
-            "n_points": self.n_points,
-        }
 
 
 def decompose_parallel_perp(field, tangent, points):

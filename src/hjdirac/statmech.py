@@ -59,25 +59,6 @@ class EnsembleConfig:
         return self.kB * self.T / (2.0 * self.m0)
 
 
-def mb_density(config, v):
-    """Amplitude-level weight exp(-m0 |v|^2 / (2 kB T)), unnormalized.
-
-    v may be a single 3-velocity or an array with trailing axis 3.
-    """
-    v = np.asarray(v, dtype=float)
-    r2 = (v * v).sum(axis=-1)
-    return np.exp(-config.m0 * r2 / (2.0 * config.kB * config.T))
-
-
-def mb_probability_density(config, v):
-    """Normalized squared-amplitude density; the square of mb_density up to
-    the Gaussian constant (2 pi sigma^2)^{-3/2}."""
-    v = np.asarray(v, dtype=float)
-    r2 = (v * v).sum(axis=-1)
-    s2 = config.sigma2
-    return (2.0 * np.pi * s2) ** -1.5 * np.exp(-r2 / (2.0 * s2))
-
-
 @dataclass
 class VelocitySample:
     velocities: np.ndarray  # (n, 3)
@@ -173,10 +154,6 @@ class SliceNormalization:
     boundary_fraction: float
     t: float
     grid_shape: tuple
-    _psi_squared: object = field(repr=False, default=None)
-
-    def density(self, x):
-        return np.asarray(self._psi_squared(x, self.t)) / self.constant
 
 
 def _trapezoid_3d(values, axes):
@@ -212,8 +189,7 @@ def slice_normalize(psi_squared, t, grid, boundary_tol=1e-6):
                             "enlarge the grid box" % boundary_fraction)
     return SliceNormalization(constant=total,
                               boundary_fraction=float(boundary_fraction),
-                              t=float(t), grid_shape=values.shape,
-                              _psi_squared=psi_squared)
+                              t=float(t), grid_shape=values.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,6 @@ def test_gamma_squares():
         assert np.array_equal(rep.gammas[k] @ rep.gammas[k], -np.eye(4))
 
 
-def test_alpha_matrices_square_to_identity():
-    for alpha in rep.alphas:
-        assert np.allclose(alpha @ alpha, np.eye(4), atol=0)
-
-
 @pytest.mark.parametrize(
     "v,expected",
     [
@@ -134,38 +129,6 @@ def test_eigensystem_spacelike_complex_pair():
         assert np.linalg.norm(s @ vec - val * vec) < 1e-10
 
 
-def test_product_decomposition_orthogonal_pair():
-    dot, wedge = cl.product_decomposition(rep, [1, 0, 0, 0], [0, 1, 0, 0])
-    assert dot == 0.0
-    # dot = 0, so the wedge is the full product (explicit matrix product oracle)
-    product = cl.slash(rep, [1, 0, 0, 0]) @ cl.slash(rep, [0, 1, 0, 0])
-    assert np.array_equal(wedge, product)
-    assert abs(np.trace(wedge)) == 0.0
-
-
-def test_product_decomposition_reconstructs():
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        u, w = rng.normal(size=4), rng.normal(size=4)
-        dot, wedge = cl.product_decomposition(rep, u, w)
-        product = cl.slash(rep, u) @ cl.slash(rep, w)
-        scale = max(1.0, np.abs(product).max())
-        assert np.abs(product - (dot * np.eye(4) + wedge)).max() < 1e-12 * scale
-        assert abs(np.trace(wedge)) < 1e-12 * scale
-
-
-def test_wedge_antisymmetry_and_bilinearity():
-    rng = np.random.default_rng(29)
-    for _ in range(100):
-        u, w = rng.normal(size=4), rng.normal(size=4)
-        a, b = rng.uniform(0.1, 3, size=2)
-        _, wedge_uw = cl.product_decomposition(rep, u, w)
-        _, wedge_wu = cl.product_decomposition(rep, w, u)
-        _, wedge_scaled = cl.product_decomposition(rep, a * u, b * w)
-        assert np.abs(wedge_uw + wedge_wu).max() < 1e-12 * max(1, np.abs(wedge_uw).max())
-        assert np.abs(wedge_scaled - a * b * wedge_uw).max() < 1e-10 * max(1, np.abs(wedge_scaled).max())
-
-
 def test_parallel_vectors_commute():
     rng = np.random.default_rng(31)
     for _ in range(100):
@@ -174,8 +137,3 @@ def test_parallel_vectors_commute():
         comm = cl.commutator(cl.slash(rep, v), cl.slash(rep, lam * v))
         assert cl.frobenius(comm) < 1e-12 * max(1.0, lam * cl.minkowski_dot(v, v))
 
-
-def test_classify():
-    assert cl.classify([1, 0, 0, 0]) == "timelike"
-    assert cl.classify([1, 1, 0, 0]) == "null"
-    assert cl.classify([0.3, 2, 0, 0]) == "spacelike"

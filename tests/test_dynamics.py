@@ -5,8 +5,7 @@ import pytest
 
 from hjdirac import dynamics as dyn
 from hjdirac import geometry as geo
-from hjdirac import hamilton_jacobi as hj
-from hjdirac.errors import BoundaryIndex, NonSeparable, StepRejected, UsageError
+from hjdirac.errors import NonSeparable, StepRejected, UsageError
 
 M0, UX, UY, G = 1.0, 0.5, 1.0, 0.2
 
@@ -49,8 +48,8 @@ class TestCanonicalFlow:
 
     @pytest.mark.parametrize("make", [
         lambda: dyn.harmonic_model(),
-        lambda: dyn.custom_model(lambda x, p: 0.5 * p[1] ** 2 + 0.3 * x[1] * p[1]
-                                 + 0.5 * x[1] ** 2),
+        lambda: dyn.HamiltonianModel("mixed", lambda x, p: 0.5 * p[1] ** 2
+                                     + 0.3 * x[1] * p[1] + 0.5 * x[1] ** 2),
     ])
     def test_h_conserved_under_literal_flow(self, make):
         model = make()
@@ -77,7 +76,7 @@ class TestCanonicalFlow:
         assert traj.energy_drift() < 1e-6
 
     def test_leapfrog_requires_separable(self):
-        mixed = dyn.custom_model(lambda x, p: x[1] * p[1] * p[2])
+        mixed = dyn.HamiltonianModel("mixed", lambda x, p: x[1] * p[1] * p[2])
         with pytest.raises(NonSeparable):
             dyn.integrate(mixed, np.zeros(4), np.ones(4), 1.0, step=0.1,
                           method="leapfrog")
@@ -167,17 +166,6 @@ class TestProjectileKinematics:
         pred = M0 * G * np.sqrt(1.0 - (traj.p[:, 2] / traj.p[:, 0]) ** 2)
         assert np.abs(traj.dm_ds - pred).max() < 1e-12
 
-    def test_force_diagnostic(self):
-        model, x0, p0 = projectile_setup()
-        traj = dyn.integrate(model, x0, p0, 2.0, step=1e-3)
-        mid = len(traj.s) // 2
-        diag = dyn.force_diagnostic(traj, mid)
-        assert diag["classification"] == "spacelike"
-        assert abs(diag["dm_ds"] - traj.dm_ds[mid]) < 1e-6
-        for bad in (0, len(traj.s) - 1):
-            with pytest.raises(BoundaryIndex):
-                dyn.force_diagnostic(traj, bad)
-
     def test_model_h_not_conserved_under_kinematic_flow(self):
         # the override is proper-time kinematics: H = E + m0 g y moves, and
         # that is recorded honestly rather than smoothed over
@@ -186,8 +174,8 @@ class TestProjectileKinematics:
         assert traj.energy_drift() > 1e-3
 
     def test_runaway_model_rejected(self):
-        blow = dyn.custom_model(
-            lambda x, p: -10.0 * x[1] * p[1],
+        blow = dyn.HamiltonianModel(
+            "runaway", lambda x, p: -10.0 * x[1] * p[1],
             dh_dx=lambda x, p: np.array([0.0, -10.0 * p[1], 0.0, 0.0]),
             dh_dp=lambda x, p: np.array([0.0, -10.0 * x[1], 0.0, 0.0]))
         with pytest.raises(StepRejected):
@@ -284,32 +272,3 @@ class TestCovariant:
         with pytest.raises(UsageError, match="cap of %d" % dyn.MAX_RECORDS):
             dyn.covariant_integrate(metric, np.zeros(4), np.ones(4), 1e12)
 
-
-class TestHessianCheck:
-    def test_geodesic_oracle(self):
-        m0 = 1.3
-        field = hj.construct_geodesic_W(m0)
-        x = np.array([2.5, 0.3, -0.2, 0.4])
-        s2 = x[0] ** 2 - (x[1:] ** 2).sum()
-        s = np.sqrt(s2)
-        report = dyn.hessian_det_check(field, x)
-        predicted = -(m0 / s) * (np.eye(3) + np.outer(x[1:], x[1:]) / s2)
-        assert np.abs(report.hessian - predicted).max() < 1e-6
-        assert abs(report.det - (-(m0 / s) ** 3 * x[0] ** 2 / s2)) < 1e-5
-        assert report.ok
-
-    def test_plane_wave_is_degenerate(self):
-        field = hj.plane_wave_field([-1.2, 0.3, 0.0, 0.0])
-        report = dyn.hessian_det_check(field, np.array([2.0, 0.1, 0.0, 0.0]))
-        assert report.det == 0.0
-        assert not report.ok
-
-    def test_one_form_route_agrees(self):
-        m0 = 1.3
-        field = hj.construct_geodesic_W(m0)
-        formonly = hj.HamiltonJacobiField(one_form=field.one_form, m0=m0,
-                                          vectorized=True)
-        x = np.array([2.5, 0.3, -0.2, 0.4])
-        a = dyn.hessian_det_check(field, x)
-        b = dyn.hessian_det_check(formonly, x)
-        assert abs(a.det - b.det) < 1e-6

@@ -55,21 +55,6 @@ def ref_rk4(rhs, x, p, step, n_steps):
     return x, p
 
 
-def ref_trace(u_of, x0, s_max, n_steps):
-    """Congruence.trace's one-variable loop."""
-    x = np.asarray(x0, dtype=float).copy()
-    h = s_max / n_steps
-    path = [x.copy()]
-    for _ in range(n_steps):
-        k1 = u_of(x)
-        k2 = u_of(x + 0.5 * h * k1)
-        k3 = u_of(x + 0.5 * h * k2)
-        k4 = u_of(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        path.append(x.copy())
-    return np.asarray(path)
-
-
 def ref_fd_partial(h_fn, x, p, wrt):
     """HamiltonianModel._fd_partial."""
     out = np.empty(4)
@@ -150,18 +135,6 @@ def ref_closedness(field, pts):
     return worst
 
 
-def ref_hessian_from_one_form(field, x, step=1e-4):
-    """hessian_det_check's branch for fields without W."""
-    raw = np.empty((3, 3))
-    for j in range(3):
-        hj_ = step * max(1.0, abs(x[1 + j]))
-        xp, xm = x.copy(), x.copy()
-        xp[1 + j] += hj_
-        xm[1 + j] -= hj_
-        raw[:, j] = (field.one_form(xp)[1:] - field.one_form(xm)[1:]) / (2 * hj_)
-    return 0.5 * (raw + raw.T)
-
-
 def ref_eval_poly(terms, x):
     """geometry.eval_poly's scalar loop."""
     total = 0.0
@@ -175,7 +148,8 @@ def ref_eval_poly(terms, x):
 
 
 def ref_poly(term_list, x):
-    """polynomial_field's private array evaluator."""
+    """The array loop of polynomial fields that eval_poly's point stacks
+    replaced."""
     out = np.zeros(x.shape[:-1])
     for coeff, exps in term_list:
         term = np.full(x.shape[:-1], float(coeff))
@@ -330,20 +304,13 @@ def test_integrate_records_the_inline_loop_states():
         assert np.array_equal(traj.x[k], x) and np.array_equal(traj.p[k], p)
 
 
-def test_congruence_trace_matches_inline_loop():
-    cong = dr.sheared_congruence(1.2, amplitude=0.3)
-    x0 = np.array([3.0, 0.2, 0.1, -0.3])
-    _, path = cong.trace(x0, 2.0, n_steps=60)
-    assert np.array_equal(path, ref_trace(cong.u_of, x0, 2.0, 60))
-
-
 # -- central differences -----------------------------------------------------------
 
 def test_model_partials_match_old_loop():
     def h_fn(x, p):
         return np.sqrt(1.0 + (p[1:] ** 2).sum()) + 0.3 * x[1] ** 2 * x[2] - 0.1 * x[3] ** 3
 
-    model = dyn.custom_model(h_fn)
+    model = dyn.HamiltonianModel("fd", h_fn)
     rng = np.random.default_rng(2)
     for _ in range(20):
         x, p = wide_points(rng, 4), wide_points(rng, 4)
@@ -416,21 +383,16 @@ def test_central_difference_on_point_stacks():
 
 
 def test_closedness_residual_matches_old_loop():
-    pf = hj.polynomial_field(TERMS)
+    grads = geo.poly_partials(TERMS, 4)
+
+    def not_closed(x):  # the gradient of TERMS plus a term that is no gradient
+        return np.stack([geo.eval_poly(g, x) for g in grads], axis=-1) + 0.01 * x ** 2
+
     fields = [hj.construct_geodesic_W(1.3), hj.curl_counterexample_field(),
-              hj.HamiltonJacobiField(one_form=lambda x: pf.one_form(x) + 0.01 * x ** 2,
-                                     vectorized=True)]
+              hj.HamiltonJacobiField(one_form=not_closed, vectorized=True)]
     pts = BOX.sample(np.random.default_rng(7), 40)
     for field in fields:
         assert hj._closedness_residual(field, pts) == ref_closedness(field, pts)
-
-
-def test_hessian_one_form_branch_matches_old_loop():
-    geod = hj.construct_geodesic_W(1.3)
-    formonly = hj.HamiltonJacobiField(one_form=geod.one_form, vectorized=True)
-    for x in BOX.sample(np.random.default_rng(8), 10):
-        report = dyn.hessian_det_check(formonly, x)
-        assert np.array_equal(report.hessian, ref_hessian_from_one_form(formonly, x))
 
 
 # -- polynomials -------------------------------------------------------------------
@@ -452,16 +414,6 @@ def test_eval_poly_stacks_match_array_loop(terms, shape):
     got = geo.eval_poly(terms, pts)
     assert got.shape == shape[:-1]
     assert np.array_equal(got, ref_poly(terms, pts))
-
-
-def test_polynomial_field_stacks_match_array_loop():
-    field = hj.polynomial_field(TERMS)
-    pts = BOX.sample(np.random.default_rng(11), 60).reshape(3, 20, 4)
-    grads = [[[c * e[a], [k - (i == a) for i, k in enumerate(e)]]
-              for c, e in TERMS if e[a]] for a in range(4)]
-    assert np.array_equal(field.value(pts), ref_poly(TERMS, pts))
-    assert np.array_equal(field.one_form(pts),
-                          np.stack([ref_poly(g, pts) for g in grads], axis=-1))
 
 
 # -- Christoffel symbols and the covariant record ----------------------------------

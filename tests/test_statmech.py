@@ -26,28 +26,6 @@ class TestConfigAndDensity:
                 sm.EnsembleConfig(n=n, m0=1.0, T=1.0)
         assert sm.EnsembleConfig(n=np.int64(3), m0=1.0, T=1.0).n == 3
 
-    def test_density_point_values(self):
-        cfg = sm.EnsembleConfig(n=1, m0=1.0, T=2.0)
-        assert sm.mb_density(cfg, [0.0, 0.0, 0.0]) == 1.0
-        assert abs(sm.mb_density(cfg, [1.0, 0.0, 0.0]) - math.exp(-0.25)) < 1e-15
-
-    def test_probability_density_is_squared_amplitude(self):
-        cfg = sm.EnsembleConfig(n=1, m0=1.3, T=0.8)
-        v = np.array([0.2, -0.4, 0.1])
-        norm = (2.0 * np.pi * cfg.sigma2) ** -1.5
-        assert abs(sm.mb_probability_density(cfg, v)
-                   - norm * sm.mb_density(cfg, v) ** 2) < 1e-15
-
-    def test_probability_density_variance(self):
-        # quadrature second moment of the squared amplitude, one axis
-        cfg = sm.EnsembleConfig(n=1, m0=1.0, T=2.0)
-        u = np.linspace(-12.0, 12.0, 2001)
-        pts = np.zeros(u.shape + (3,))
-        pts[:, 0] = u
-        dens = sm.mb_probability_density(cfg, pts)
-        marginal_var = np.trapezoid(u ** 2 * dens, u) / np.trapezoid(dens, u)
-        assert abs(marginal_var - cfg.sigma2) < 1e-10
-
 
 class TestSampling:
     def test_variance_within_three_se(self):
@@ -129,9 +107,6 @@ class TestSliceNormalize:
             lambda x, t: np.exp(-(np.asarray(x) ** 2).sum(axis=-1)),
             0.0, sm.grid_cube(6.0, 49))
         assert abs(res.constant - np.pi ** 1.5) < 1e-6
-        pt = np.array([0.3, -0.2, 0.5])
-        assert abs(res.density(pt)
-                   - np.exp(-(pt ** 2).sum()) / np.pi ** 1.5) < 1e-12
 
     def test_stationary_constant_matches_across_slices(self):
         psi2 = lambda x, t: np.exp(-(np.asarray(x) ** 2).sum(axis=-1))
