@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hjdirac import clifford as cl
+from hjdirac.dirac import derivative_split
 from hjdirac.errors import NullVector
 
 rep = cl.build_gamma_rep()
@@ -127,6 +128,19 @@ def test_eigensystem_spacelike_complex_pair():
     s = cl.slash(rep, [0, 1, 0, 0])
     for val, vec in pairs:
         assert np.linalg.norm(s @ vec - val * vec) < 1e-10
+
+
+def test_product_decomposition_reconstructs():
+    # slash(u) slash(w) = (u.w) I + wedge, with w entering as its lowered covector
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        u, w = rng.normal(size=4), rng.normal(size=4)
+        split = derivative_split(rep, u, cl.ETA_DIAG * w)
+        product = cl.slash(rep, u) @ cl.slash(rep, w)
+        scale = max(1.0, np.abs(product).max())
+        assert abs(split.scalar - cl.minkowski_dot(u, w)) < 1e-12 * scale
+        assert np.abs(product - (split.scalar * np.eye(4) + split.wedge)).max() < 1e-12 * scale
+        assert abs(np.trace(split.wedge)) < 1e-12 * scale
 
 
 def test_parallel_vectors_commute():
