@@ -54,11 +54,26 @@ def fmt(value):
     return str(value)
 
 
+def _formatter(column):
+    """The function write_csv applies to every cell of column: float.__repr__
+    for a float16, float32 or float64 array, str for an int, uint or bool
+    array, fmt for anything else. Each gives fmt's bytes for the builtin
+    scalars tolist() returns; longdouble is left to fmt because its tolist()
+    returns numpy scalars, which float.__repr__ refuses."""
+    if isinstance(column, np.ndarray):
+        if column.dtype.type in (np.float16, np.float32, np.float64):
+            return float.__repr__
+        if column.dtype.kind in "iub":
+            return str
+    return fmt
+
+
 def write_csv(path, header, columns):
-    """Write one CSV table given column-wise: each column is a numpy array or
-    a list, one entry per row. Rows are formatted CSV_BLOCK at a time and
-    streamed into the atomic write, so memory stays bounded while every cell
-    reads exactly fmt(value). Ragged columns raise UsageError, writing nothing.
+    """Write one CSV table given column-wise: each column is a numpy array, a
+    list, or a sequence whose slices are lists, one entry per row. Rows are
+    formatted CSV_BLOCK at a time and streamed into the atomic write, so
+    memory stays bounded while every cell reads exactly fmt(value). Ragged
+    columns raise UsageError, writing nothing.
     """
     lengths = {len(column) for column in columns}
     if len(columns) != len(header) or len(lengths) > 1:
@@ -66,16 +81,17 @@ def write_csv(path, header, columns):
                          "one length; got %d names and lengths %s"
                          % (len(header), sorted(lengths)))
     n_rows = lengths.pop() if lengths else 0
+    formatters = [_formatter(column) for column in columns]
 
     def chunks():
         yield ",".join(header) + "\n"
         for lo in range(0, n_rows, CSV_BLOCK):
             cells = []
-            for column in columns:
+            for column, formatter in zip(columns, formatters):
                 part = column[lo:lo + CSV_BLOCK]
                 if isinstance(part, np.ndarray):
                     part = part.tolist()  # builtin scalars: fmt's bytes, faster
-                cells.append(map(fmt, part))
+                cells.append(map(formatter, part))
             yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
     atomic_write_text(path, chunks())

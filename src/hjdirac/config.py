@@ -44,9 +44,12 @@ POSITIVE = Spec("a number > 0", lambda v: _num(v) and v > 0)
 NUMBERS = Spec("a list of numbers", lambda v: isinstance(v, list) and all(map(_num, v)))
 VECTOR = Spec("a list of 4 numbers", lambda v: NUMBERS.ok(v) and len(v) == 4)
 OBJECT = Spec("a JSON object", lambda v: isinstance(v, dict))
-TERM_LISTS = Spec("a list of term lists", lambda v: isinstance(v, list) and all(map(_terms, v)))
-SQUARE = Spec("a square matrix of term lists", lambda v: isinstance(v, list) and all(
-    TERM_LISTS.ok(row) and len(row) == len(v) for row in v))
+# a metric needs at least one dimension, so an empty entries list is refused
+TERM_LISTS = Spec("a non-empty list of term lists",
+                  lambda v: isinstance(v, list) and len(v) > 0 and all(map(_terms, v)))
+SQUARE = Spec("a non-empty square matrix of term lists",
+              lambda v: isinstance(v, list) and len(v) > 0 and all(
+                  TERM_LISTS.ok(row) and len(row) == len(v) for row in v))
 
 # simulate's "model" and "metric" objects
 MODEL = {"free": {"m0": (NUMBER, REQUIRED)},

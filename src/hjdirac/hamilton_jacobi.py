@@ -185,21 +185,6 @@ class HJReport:
         self.passed = bool(self.closedness_residual <= self.tol_closed
                            and self.max_loop_normalized <= self.tol_loop)
 
-    def to_dict(self):
-        return {
-            "field": self.name,
-            "closedness_residual": self.closedness_residual,
-            "max_loop_abs": self.max_loop_abs,
-            "max_loop_normalized": self.max_loop_normalized,
-            "mass_shell_residual": self.mass_shell_residual,
-            "tol_closed": self.tol_closed,
-            "tol_loop": self.tol_loop,
-            "n_points": self.n_points,
-            "n_loops": self.n_loops,
-            "segments": self.segments,
-            "passed": self.passed,
-        }
-
 
 def is_exact(field, region=None, n_points=40, n_loops=20, segments=4096,
              tol_closed=1e-8, tol_loop=1e-8, seed=0):

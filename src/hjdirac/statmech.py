@@ -29,7 +29,7 @@ from .config import integer
 from .errors import DegenerateData, DegeneratePartition, NotIntegrable, TooLarge, UsageError
 
 SAMPLE_CHUNK = 65536  # draws per spawned substream; part of the sampled bytes
-ENUM_BOUND = 12
+ENUM_BOUND = 12  # partition_enumerate's count table holds one byte per count: keep < 256
 
 
 @dataclass(frozen=True)
@@ -237,19 +237,20 @@ def partition_enumerate(levels, n, beta, statistics):
         raise UsageError("exclusion admits at most one particle per level")
 
     generate = combinations if tag == "FD" else combinations_with_replacement
-    occupations = []
+    occupations, count_table = [], bytearray()
     for chosen in generate(range(L), n):
         occ = [0] * L
         for idx in chosen:
             occ[idx] += 1
         occupations.append(tuple(occ))
+        count_table.extend(occ)
     occupations.reverse()  # both generators run in descending lexicographic order
+    counts = np.frombuffer(count_table, np.uint8).reshape(len(occupations), L)[::-1]
 
     # level by level from 0.0, so every energy adds its terms in level order
-    counts = np.array(occupations)
     energies = np.zeros(len(occupations))
     for level, e in enumerate(levels):
-        energies += counts[:, level] * e
+        energies += counts[:, level].astype(float) * e
     weights = np.exp(-beta * energies)
     if tag == "MB":  # multinomial multiplicity n!/prod(c!)
         n_fact = math.factorial(n)
@@ -264,10 +265,25 @@ def partition_enumerate(levels, n, beta, statistics):
                           weights=weights, probabilities=weights / z, z=z)
 
 
+class _States:
+    """occupancy.csv's state column, "n_0;n_1;...", formatted one written
+    block at a time so the whole column is never held at once."""
+
+    def __init__(self, occupations, n_levels):
+        self.occupations = occupations
+        self.template = ";".join(["%d"] * n_levels)
+
+    def __len__(self):
+        return len(self.occupations)
+
+    def __getitem__(self, rows):
+        return [self.template % occ for occ in self.occupations[rows]]
+
+
 def write_occupancy_csv(table, path):
-    states = [";".join(map(str, occ)) for occ in table.occupations]
     write_csv(path, ["state", "energy", "probability"],
-              [states, table.energies, table.probabilities])
+              [_States(table.occupations, len(table.levels)),
+               table.energies, table.probabilities])
 
 
 # ---------------------------------------------------------------------------

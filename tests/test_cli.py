@@ -342,6 +342,9 @@ _NOT_SQUARE = ('{"kind": "custom-polynomial", '
 _DIAGONAL_DIM = ('{"kind": "covariant", "x0": [0, 1, 0.3], "p0_upper": [1.5, 0.3, 0], '
                  '"metric": {"kind": "diagonal", "dim": 3, "entries": [[[1.0, [0, 0, 0, 0]]], '
                  '[[-1.0, [0, 0, 0, 0]]], [[-1.0, [0, 2, 0, 0]]], [[-1.0, [0, 0, 0, 0]]]]}}')
+# no entries: a 0-dimensional metric, with empty x0 and p0_upper to match
+_EMPTY = ('{"kind": "covariant", "x0": [], "p0_upper": [], '
+          '"metric": {"kind": "%s", "entries": []}}')
 BAD_CONFIGS = [
     pytest.param("simulate", '{"canonical": "no"}', "canonical", id="canonical-string"),
     pytest.param("simulate", _COV % '{"kind": "polar", "dim": 4.9}', "dim",
@@ -353,6 +356,9 @@ BAD_CONFIGS = [
     pytest.param("simulate", _COV % _EXPONENT, "entries", id="exponent-float"),
     pytest.param("simulate", _COV % _NOT_SQUARE, "entries", id="entries-not-square"),
     pytest.param("simulate", _DIAGONAL_DIM, "dim", id="diagonal-dim"),
+    pytest.param("simulate", _EMPTY % "diagonal", "entries", id="diagonal-entries-empty"),
+    pytest.param("simulate", _EMPTY % "custom-polynomial", "entries",
+                 id="custom-polynomial-entries-empty"),
     pytest.param("simulate", '{"s_max": 0.01, "s_max": 0.02}', "s_max",
                  id="repeated-key"),
     pytest.param("simulate", '{"model": {"kind": "free", "m0": 1, "m0": 2}}', "m0",

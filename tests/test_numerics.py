@@ -636,6 +636,15 @@ def test_criterion_commutator_matches_matrix_route(congruence, box, seed):
 
 # -- occupation enumeration --------------------------------------------------------
 
+# n = 0, L = 1, two-digit counts (BE with L = 2, n = 12; MB with n = 12) and
+# 19448 states, more than one CSV block
+ENUM_EDGES = [([0.5, 1.5], 12, 0.3, "BE"), ([0.0, 1.0, 2.0], 0, 1.0, "BE"),
+              ([2.0], 7, 1.0, "BE"), ([0.1, 0.2, 0.4, 0.8], 2, 1.0, "FD"),
+              ([1.0], 0, 1.0, "FD"), ([1.0], 1, 1.0, "FD"), ([0.0, 1.0], 0, 0.5, "MB"),
+              ([0.3], 4, 1.0, "MB"), ([0.25, 0.5, 1.0], 12, 0.7, "MB"),
+              ([0.0, 0.1, 0.2, 0.3, 0.5, 0.8, 1.3, 2.1], 10, 0.5, "BE")]
+
+
 def partition_cases():
     rng = np.random.default_rng(13)
     cases = [([0.0, -0.0, 0.5], 0, 0.7, "MB"), ([-0.0, -0.0], 2, 1.1, "BE"),
@@ -648,7 +657,7 @@ def partition_cases():
         statistics = str(rng.choice(["BE", "FD", "MB"]))
         n = int(rng.integers(0, L + 1 if statistics == "FD" else 7))
         cases.append((levels.tolist(), n, float(rng.uniform(0.1, 3.0)), statistics))
-    return cases
+    return cases + ENUM_EDGES
 
 
 @pytest.mark.parametrize("levels, n, beta, statistics", partition_cases())
@@ -660,3 +669,12 @@ def test_partition_enumerate_matches_sorted_per_state_sums(levels, n, beta, stat
     assert same_bits(table.weights, weights)
     assert table.z == float(weights.sum())
     assert same_bits(table.probabilities, weights / table.z)
+
+
+@pytest.mark.parametrize("levels, n, beta, statistics", ENUM_EDGES)
+def test_occupancy_states_match_joined_counts(tmp_path, levels, n, beta, statistics):
+    table = sm.partition_enumerate(levels, n, beta, statistics)
+    path = tmp_path / "occupancy.csv"
+    sm.write_occupancy_csv(table, path)
+    states = [line.split(",")[0] for line in path.read_text().splitlines()[1:]]
+    assert states == [";".join(map(str, occ)) for occ in table.occupations]

@@ -3,23 +3,30 @@ import os
 import numpy as np
 import pytest
 
-from hjdirac._util import CSV_BLOCK, fmt, write_csv, write_json
+from hjdirac._util import CSV_BLOCK, _formatter, fmt, write_csv, write_json
 from hjdirac.errors import DegenerateData, UsageError
 
 HEADER = ["i", "flag", "name", "x", "y"]
 
 
 def reference_csv(header, columns):
-    """The per-row formatter the streamed writer replaced, kept as its oracle."""
+    """The per-row formatter the streamed writer replaced, kept as its oracle:
+    fmt on every cell, an array's cells taken as the builtin scalars its
+    tolist() gives. A float32 cell is thus the repr of the float64 it widens
+    to, as the streamed writer has always printed it; its numpy scalar would
+    print the shorter float32 form."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
     lines = [",".join(header)]
     for row in zip(*columns):
         lines.append(",".join(fmt(v) for v in row))
     return ("\n".join(lines) + "\n").encode()
 
 
+SPECIALS = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 1e-5, 0.1, 1.0 / 3]
+
+
 def mixed_columns(n):
-    specials = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 1e-5, 0.1, 1.0 / 3]
-    x = np.resize(np.array(specials), n)
+    x = np.resize(np.array(SPECIALS), n)
     rng = np.random.default_rng(3)
     y = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
     return [np.arange(n), np.arange(n) % 3 == 0,
@@ -32,6 +39,49 @@ def test_matches_per_row_reference(tmp_path, n):
     path = tmp_path / "t.csv"
     write_csv(path, HEADER, columns)
     assert path.read_bytes() == reference_csv(HEADER, columns)
+
+
+def kind_column(kind, n):
+    """An n-row column of one of the kinds _formatter tells apart."""
+    x = np.resize(np.array(SPECIALS), n)
+    k = np.arange(n)
+    mixed = [[SPECIALS[i % 9], i - 5, i % 3 == 0, "s%d" % i][i % 4] for i in range(n)]
+    if kind in ("float16", "float32"):
+        with np.errstate(over="ignore"):  # 1e16 is inf in float16
+            return x.astype(kind)
+    if kind == "longdouble":  # x / 3 has digits a float64 cannot hold
+        return x.astype(np.longdouble) / 3
+    if kind == "complex":
+        out = np.empty(n, dtype=complex)
+        out.real, out.imag = x, x[::-1]
+        return out
+    return {"float64": x, "int8": (k % 256 - 128).astype(np.int8),
+            "uint8": (k % 256).astype(np.uint8), "int64": k * 10 ** 12 - 7,
+            "bool": k % 3 == 0, "object": np.array(mixed, dtype=object),
+            "str_": np.array(["s%d;%d" % (i, i % 7) for i in range(n)]),
+            "list": mixed}[kind]
+
+
+# the formatter each kind must get: the fast paths give fmt's bytes on the
+# builtin scalars tolist() returns, every other kind keeps fmt
+KIND_FORMATTERS = {"float16": float.__repr__, "float32": float.__repr__,
+                   "float64": float.__repr__, "longdouble": fmt, "int8": str,
+                   "uint8": str, "int64": str, "bool": str, "object": fmt,
+                   "str_": fmt, "complex": fmt, "list": fmt}
+
+
+@pytest.mark.parametrize("n", [0, 1, CSV_BLOCK, CSV_BLOCK + 1])
+@pytest.mark.parametrize("kind", sorted(KIND_FORMATTERS))
+def test_each_column_kind_matches_per_row_reference(tmp_path, kind, n):
+    columns = [np.arange(n), kind_column(kind, n)]
+    path = tmp_path / "t.csv"
+    write_csv(path, ["i", kind], columns)
+    assert path.read_bytes() == reference_csv(["i", kind], columns)
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_FORMATTERS))
+def test_formatter_rule(kind):
+    assert _formatter(kind_column(kind, 3)) is KIND_FORMATTERS[kind]
 
 
 def test_zero_rows_is_header_only(tmp_path):
