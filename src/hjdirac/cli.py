@@ -344,7 +344,8 @@ def cmd_simulate(args):
                        "comm_norm_late_min":
                            float(late.min()) if late.size else 0.0,
                        "samples": int(len(traj.s))}
-        if cfg["model"].get("kind") == "projectile" and not cfg["canonical"]:
+        if (cfg["model"].get("kind") == "projectile" and cfg["method"] == "rk4"
+                and not cfg["canonical"]):
             ref = model.reference
             diagnostics["closed_form_deviation"] = float(max(
                 np.abs(traj.x - ref.position(traj.s)).max(),

@@ -95,9 +95,10 @@ def build_gamma_rep():
 
 
 def minkowski_dot(u, w):
-    u = np.asarray(u, dtype=float)
-    w = np.asarray(w, dtype=float)
-    return float(u[0] * w[0] - u[1] * w[1] - u[2] * w[2] - u[3] * w[3])
+    """u . w under eta, per vector when u and w are (..., 4) stacks."""
+    u = np.asarray(u, dtype=float).T
+    w = np.asarray(w, dtype=float).T
+    return (u[0] * w[0] - u[1] * w[1] - u[2] * w[2] - u[3] * w[3]).T
 
 
 def slash_covector(rep, w):

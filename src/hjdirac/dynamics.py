@@ -14,7 +14,7 @@ with slash(pdot). The last is the geodesic criterion: it vanishes iff pdot
 is parallel to p.
 """
 
-import math
+from itertools import combinations
 
 import numpy as np
 
@@ -41,57 +41,63 @@ __all__ = [
 ]
 
 PARTIAL_FD_SCALE = 1e-6
-# Most samples one run may record, (s_max / step) // record_stride + 1. A
-# record holds a few small arrays, so this bounds a run's memory; a larger
-# request is a usage error raised before the first step.
+# Most samples one run may record, ceil((s_max / step) / record_stride) + 1.
+# Each is a preallocated row of floats (72 bytes in a model run: s and the 8
+# state components), so this bounds a run's memory; a larger request is a
+# usage error raised before the first step.
 MAX_RECORDS = 10 ** 6
 
 
 class HamiltonianModel:
+    """H(x, p), its partials, an optional flow override and a guard. H, the
+    partials and the flow take one state, x and p of shape (4,), or stacks
+    of shape (..., 4), and answer per state; the guard sees one state. A
+    partial not given is the central difference of H, bound here once."""
+
     def __init__(self, name, hamiltonian, dh_dx=None, dh_dp=None, flow=None,
                  separable=False, guard=None, m0=None):
+        def fd(f, y):  # central_difference puts the component first
+            return np.moveaxis(central_difference(f, y, PARTIAL_FD_SCALE), 0, -1)
+
         self.name = name
-        self._h = hamiltonian
-        self._dh_dx = dh_dx
-        self._dh_dp = dh_dp
+        self.hamiltonian = hamiltonian
+        self.dh_dx = dh_dx or (lambda x, p: fd(lambda y: hamiltonian(y, p), x))
+        self.dh_dp = dh_dp or (lambda x, p: fd(lambda y: hamiltonian(x, y), p))
         self.flow = flow
         self.separable = separable
         self.guard = guard
         self.m0 = m0
 
-    def hamiltonian(self, x, p):
-        return float(self._h(np.asarray(x, dtype=float), np.asarray(p, dtype=float)))
-
-    def dh_dx(self, x, p):
-        x, p = np.asarray(x, dtype=float), np.asarray(p, dtype=float)
-        if self._dh_dx is not None:
-            return np.asarray(self._dh_dx(x, p), dtype=float)
-        return central_difference(lambda y: self._h(y, p), x, PARTIAL_FD_SCALE)
-
-    def dh_dp(self, x, p):
-        x, p = np.asarray(x, dtype=float), np.asarray(p, dtype=float)
-        if self._dh_dp is not None:
-            return np.asarray(self._dh_dp(x, p), dtype=float)
-        return central_difference(lambda y: self._h(x, y), p, PARTIAL_FD_SCALE)
-
 
 def hamilton_rhs(model, x, p):
     """The literal canonical equations; see the module docstring."""
-    xdot = ETA_DIAG * model.dh_dp(x, p)
-    pdot = -ETA_DIAG * model.dh_dx(x, p)
-    return xdot, pdot
+    return ETA_DIAG * model.dh_dp(x, p), -ETA_DIAG * model.dh_dx(x, p)
+
+
+def _vector(p, *parts):
+    """The array shaped like p whose last axis holds parts (numbers, or stacks
+    shaped like p.T[0]). Models index components as p.T[a], a number for one
+    state (p[..., a] is a slower 0-d array), which np.array builds fastest."""
+    if p.ndim == 1:
+        return np.array(parts)
+    return np.array(np.broadcast_arrays(*parts, p.T[0])[:-1]).T
+
+
+def _energy(p, m0):
+    """sqrt(m0^2 + |p_spatial|^2) per state."""
+    return np.sqrt(m0 ** 2 + (p[..., 1:] ** 2).sum(axis=-1))
 
 
 def free_particle_model(m0):
     def h(x, p):
-        return np.sqrt(m0 ** 2 + (p[1:] ** 2).sum())
+        return _energy(p, m0)
 
     def dh_dx(x, p):
-        return np.zeros(4)
+        return np.zeros(p.shape)
 
     def dh_dp(x, p):
-        e = np.sqrt(m0 ** 2 + (p[1:] ** 2).sum())
-        return np.array([0.0, p[1] / e, p[2] / e, p[3] / e])
+        e, q = _energy(p, m0).T, p.T
+        return _vector(p, 0.0, q[1] / e, q[2] / e, q[3] / e)
 
     return HamiltonianModel("free", h, dh_dx, dh_dp, separable=True, m0=m0)
 
@@ -103,19 +109,18 @@ def projectile_model(m0, u_x, u_y, g):
     reference = projectile_field(m0, u_x, u_y, g)
 
     def h(x, p):
-        return np.sqrt(m0 ** 2 + (p[1:] ** 2).sum()) + m0 * g * x[2]
+        return _energy(p, m0) + m0 * g * x[..., 2]
 
     def dh_dx(x, p):
-        return np.array([0.0, 0.0, m0 * g, 0.0])
+        return _vector(p, 0.0, 0.0, m0 * g, 0.0)
 
     def dh_dp(x, p):
-        e = np.sqrt(m0 ** 2 + (p[1:] ** 2).sum())
-        return np.array([0.0, p[1] / e, p[2] / e, p[3] / e])
+        e, q = _energy(p, m0).T, p.T
+        return _vector(p, 0.0, q[1] / e, q[2] / e, q[3] / e)
 
     def flow(x, p):
-        xdot = p / m0
-        pdot = np.array([-m0 * g * p[2] / p[0], 0.0, -m0 * g, 0.0])
-        return xdot, pdot
+        q = p.T
+        return p / m0, _vector(p, -m0 * g * q[2] / q[0], 0.0, -m0 * g, 0.0)
 
     def guard(x, p):
         if p[0] <= 1e-12:
@@ -133,7 +138,7 @@ def quadratic_model():
         return 0.5 * minkowski_dot(p, p)
 
     def dh_dx(x, p):
-        return np.zeros(4)
+        return np.zeros(p.shape)
 
     def dh_dp(x, p):
         return ETA_DIAG * p
@@ -143,13 +148,13 @@ def quadratic_model():
 
 def harmonic_model(omega=1.0):
     def h(x, p):
-        return 0.5 * p[1] ** 2 + 0.5 * omega ** 2 * x[1] ** 2
+        return 0.5 * p[..., 1] ** 2 + 0.5 * omega ** 2 * x[..., 1] ** 2
 
     def dh_dx(x, p):
-        return np.array([0.0, omega ** 2 * x[1], 0.0, 0.0])
+        return _vector(p, 0.0, omega ** 2 * x.T[1], 0.0, 0.0)
 
     def dh_dp(x, p):
-        return np.array([0.0, p[1], 0.0, 0.0])
+        return _vector(p, 0.0, p.T[1], 0.0, 0.0)
 
     return HamiltonianModel("harmonic", h, dh_dx, dh_dp, separable=True)
 
@@ -167,7 +172,8 @@ def model_from_config(cfg):
 
 
 def operator_commutator(p, pdot):
-    """(raw, normalized) Frobenius norms of [slash(p), slash(pdot)].
+    """(raw, normalized) Frobenius norms of [slash(p), slash(pdot)], per
+    state when p and pdot are (..., 4) stacks.
 
     normalized divides by |slash(p)|_F |slash(pdot)|_F and is defined as zero
     when the force vanishes, so geodesics sit at exactly 0. Both come in
@@ -178,21 +184,20 @@ def operator_commutator(p, pdot):
     flips signs, which leaves every square below unchanged, so the upper
     components are used as given.
     """
-    p = np.asarray(p, dtype=float)
-    pdot = np.asarray(pdot, dtype=float)
-    if np.abs(pdot).max() <= 1e-13 * max(1.0, np.abs(p).max()):
-        return 0.0, 0.0
-    p0, p1, p2, p3 = p.tolist()  # Python floats: no array overhead per term
-    q0, q1, q2, q3 = pdot.tolist()
-    w01, w02, w03 = p0 * q1 - p1 * q0, p0 * q2 - p2 * q0, p0 * q3 - p3 * q0
-    w12, w13, w23 = p1 * q2 - p2 * q1, p1 * q3 - p3 * q1, p2 * q3 - p3 * q2
-    raw = 4.0 * math.sqrt(w01 * w01 + w02 * w02 + w03 * w03
-                          + w12 * w12 + w13 * w13 + w23 * w23)
-    denom = 4.0 * (math.sqrt(p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3)
-                   * math.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3))
-    if denom < 1e-280:
-        return raw, 0.0
-    return raw, raw / denom
+    p = np.moveaxis(np.asarray(p, dtype=float), -1, 0)
+    q = np.moveaxis(np.asarray(pdot, dtype=float), -1, 0)
+    # fmax passes over a NaN component of p: a zero force still reads as none
+    no_force = np.abs(q).max(axis=0) <= 1e-13 * np.fmax(1.0, np.abs(p).max(axis=0))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN, silently
+        wedge = 0.0
+        for a, b in combinations(range(4), 2):  # (P ^ Q)_ab squared, in order
+            w = p[a] * q[b] - p[b] * q[a]
+            wedge = wedge + w * w
+        raw = np.where(no_force, 0.0, 4.0 * np.sqrt(wedge))
+        denom = 4.0 * (np.sqrt(sum(c * c for c in p)) * np.sqrt(sum(c * c for c in q)))
+        norm = np.divide(raw, denom, out=np.zeros_like(raw),
+                         where=~(no_force | (denom < 1e-280)))
+    return raw[()], norm[()]  # numbers for one state
 
 
 class Trajectory:
@@ -222,29 +227,32 @@ class Trajectory:
 
 
 def rk4_step(rhs, state, step):
-    """One classical RK4 step of d(state)/ds = rhs(*state), where state and
-    rhs's value are matching lists of arrays; returns the new state list."""
+    """One classical RK4 step of d(state)/ds = rhs(state) on a flat state
+    array; returns the new state."""
     half, sixth = 0.5 * step, step / 6.0
-    k1 = rhs(*state)
-    k2 = rhs(*[y + half * k for y, k in zip(state, k1)])
-    k3 = rhs(*[y + half * k for y, k in zip(state, k2)])
-    k4 = rhs(*[y + step * k for y, k in zip(state, k3)])
-    return [y + sixth * (a + 2 * b + 2 * c + d)
-            for y, a, b, c, d in zip(state, k1, k2, k3, k4)]
+    k1 = rhs(state)
+    k2 = rhs(state + half * k1)
+    k3 = rhs(state + half * k2)
+    k4 = rhs(state + step * k3)
+    return state + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def _rejected(i, step, state, msg, error=StepRejected):
-    """An error (StepRejected) naming step i, its s and the last finite state."""
+    """An error (StepRejected) naming step i, its s and the last finite
+    state, printed as its two halves [[x...], [p...]]."""
+    half = state.size // 2
     return error("step %d (s = %r): %s; last finite state %s"
-                 % (i, i * step, msg, [y.tolist() for y in state]))
+                 % (i, i * step, msg, [state[:half].tolist(), state[half:].tolist()]))
 
 
-def _drive(state, advance, s_max, step, record_stride, record, guard=None):
+def _drive(state, advance, s_max, step, record_stride, guard=None, record=None):
     """The fixed-step loop of every integrator over [0, s_max].
 
-    state is a list of arrays that advance(state) maps one step on;
-    record(i, *state) sees step 0, every record_stride-th step and the last.
-    Raises StepRejected when the state goes non-finite or guard(*state)
+    state is one flat array, the coordinates then the momenta, that
+    advance(state) maps one step on. Step 0, every record_stride-th step and
+    the last are recorded: returns (s, rows), their s values and one
+    preallocated row each, holding record(state) (by default the state).
+    Raises StepRejected when the state goes non-finite or guard(state)
     returns a message, and UsageError for a bad step, an s_max off the step
     grid, a record_stride that is not an int >= 1, or more than MAX_RECORDS
     records. A singular or overflowing evaluation during the run is
@@ -256,35 +264,42 @@ def _drive(state, advance, s_max, step, record_stride, record, guard=None):
     n_steps = int(round(s_max / step))
     if n_steps < 1 or abs(n_steps * step - s_max) > 1e-9 * max(1.0, abs(s_max)):
         raise UsageError("s_max must be a positive multiple of step")
-    n_records = n_steps // record_stride + 1
+    n_records = -(-n_steps // record_stride) + 1
     if n_records > MAX_RECORDS:
         raise UsageError("%d steps at record_stride %d make %d records, more "
                          "than the cap of %d" % (n_steps, record_stride, n_records,
                                                  MAX_RECORDS))
-    msg = guard and guard(*state)
+    msg = guard and guard(state)
     if msg:
         raise _rejected(0, step, state, msg)
-    i = 0
+    record = record or (lambda y: y)
+    i = k = 0
     try:
-        record(0, *state)
+        first = record(state)
+        rows = np.empty((n_records, first.size))
+        rows[0] = first
         # overflow here is a detected condition (StepRejected), not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(1, n_steps + 1):
                 last, state = state, advance(state)
-                if not all(np.isfinite(y).all() for y in state):
+                if not np.isfinite(state).all():
                     raise _rejected(i, step, last, "non-finite state")
-                msg = guard and guard(*state)
+                msg = guard and guard(state)
                 if msg:
                     raise _rejected(i, step, state, msg)
                 if i % record_stride == 0 or i == n_steps:
-                    record(i, *state)
+                    k += 1
+                    rows[k] = record(state)
     except (np.linalg.LinAlgError, ArithmeticError, SingularMetric) as exc:
         # state is finite: advance raised before replacing it, or record raised
         raise _rejected(i, step, state, exc, type(exc)) from exc
+    return np.append(np.arange(0, n_steps, record_stride), n_steps) * step, rows
 
 
-def _rhs_for(model, canonical):
-    if model.flow is not None and not canonical:
+def _rhs_for(model, method, canonical):
+    """integrate's (x, p) -> (dx/ds, dp/ds): the model's flow override for rk4
+    unless canonical, else the canonical equations, as leapfrog always is."""
+    if model.flow is not None and method == "rk4" and not canonical:
         return model.flow
     return lambda x, p: hamilton_rhs(model, x, p)
 
@@ -296,6 +311,8 @@ def integrate(model, x0, p0, s_max, step=1e-3, method="rk4", record_stride=1,
     method "rk4" uses the model's flow override when it has one (pass
     canonical=True to force the literal canonical equations); "leapfrog" is
     kick-drift-kick on the canonical equations and demands a separable H.
+    The dm_ds and comm_norm columns come from the right-hand side that was
+    integrated, evaluated once over all recorded states.
     Raises StepRejected when the state goes non-finite or the model's guard
     trips, and UsageError for a bad step, record_stride or method.
     """
@@ -303,30 +320,30 @@ def integrate(model, x0, p0, s_max, step=1e-3, method="rk4", record_stride=1,
         raise UsageError(f"unknown method {method!r}")
     if method == "leapfrog" and not model.separable:
         raise NonSeparable(f"model {model.name!r} has no T(p) + V(x) split")
-    rhs = _rhs_for(model, canonical)
+    rhs = _rhs_for(model, method, canonical)
 
-    def advance(state):
+    def flat_rhs(y):
+        return np.concatenate(rhs(y[:4], y[4:]))
+
+    def advance(y):
         if method == "rk4":
-            return rk4_step(rhs, state, step)
-        x, p = state
+            return rk4_step(flat_rhs, y, step)
+        x, p = y[:4], y[4:]
         p = p - 0.5 * step * ETA_DIAG * model.dh_dx(x, p)
         x = x + step * ETA_DIAG * model.dh_dp(x, p)
         p = p - 0.5 * step * ETA_DIAG * model.dh_dx(x, p)
-        return [x, p]
+        return np.concatenate((x, p))
 
-    samples = []
-
-    def record(i, xs, ps):
-        xdot, pdot = rhs(xs, ps)
-        fdotf = minkowski_dot(pdot, pdot)
-        raw, norm = operator_commutator(ps, pdot)
-        samples.append((i * step, xs.copy(), ps.copy(),
-                        model.hamiltonian(xs, ps), np.sqrt(abs(fdotf)), norm))
-
-    _drive([np.asarray(x0, dtype=float).copy(), np.asarray(p0, dtype=float).copy()],
-           advance, s_max, step, record_stride, record, model.guard)
-    s, xs, ps, hs, dms, comms = zip(*samples)
-    return Trajectory(s, np.asarray(xs), np.asarray(ps), hs, dms, comms)
+    guard = model.guard and (lambda y: model.guard(y[:4], y[4:]))
+    state = np.concatenate((np.asarray(x0, dtype=float), np.asarray(p0, dtype=float)))
+    s, rows = _drive(state, advance, s_max, step, record_stride, guard)
+    xs, ps = rows[:, :4], rows[:, 4:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = model.hamiltonian(xs, ps)
+        pdot = rhs(xs, ps)[1]
+        comm = operator_commutator(ps, pdot)[1]
+        dm_ds = np.sqrt(np.abs(minkowski_dot(pdot, pdot)))
+    return Trajectory(s, xs, ps, h, dm_ds, comm)
 
 
 # -- curved-chart runs ---------------------------------------------------------
@@ -365,7 +382,8 @@ def covariant_integrate(metric, x0, p0_upper, s_max, step=1e-3, record_stride=1)
     |dp^mu/ds + Gamma^mu_{nu lam} u^nu p^lam| per sample, which the exact
     flow sends to rounding.
     """
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.asarray(x0, dtype=float)
+    dim = x.size
     p_low = metric.matrix(x) @ np.asarray(p0_upper, dtype=float)
 
     def flow(xs, pl):
@@ -376,23 +394,22 @@ def covariant_integrate(metric, x0, p0_upper, s_max, step=1e-3, record_stride=1)
         dgu = _metric_partials(metric, xs) @ up
         return ginv, up, dgu, 0.5 * (dgu @ up)
 
-    def rhs(xs, pl):
-        _, up, _, pdot_low = flow(xs, pl)
-        return up, pdot_low
+    def rhs(y):
+        _, up, _, pdot_low = flow(y[:dim], y[dim:])
+        return np.concatenate((up, pdot_low))
 
-    samples = []
-
-    def record(i, xs, pl):
+    def record(y):
+        """The row (x, p^mu, K, geodesic residual) of state y."""
+        xs, pl = y[:dim], y[dim:]
         ginv, up, dgu, pdot_low = flow(xs, pl)
         k = 0.5 * float(pl @ up)
         # d(g^{-1} p)/ds = g^{-1} (dp/ds - (u^lam d_lam g) u)
         dup = ginv @ (pdot_low - up @ dgu)
         gamma = christoffel_at(metric, xs)  # the residual's independent route
         resid = dup + np.einsum("mnl,n,l->m", gamma, up, up)
-        samples.append((i * step, xs.copy(), up, k, float(np.abs(resid).max())))
+        return np.concatenate((xs, up, [k, np.abs(resid).max()]))
 
-    _drive([x, p_low], lambda state: rk4_step(rhs, state, step),
-           s_max, step, record_stride, record)
-
-    s, xs, ups, ks, resids = zip(*samples)
-    return CovariantTrajectory(s, np.asarray(xs), np.asarray(ups), ks, resids)
+    s, rows = _drive(np.concatenate((x, p_low)), lambda y: rk4_step(rhs, y, step),
+                     s_max, step, record_stride, record=record)
+    return CovariantTrajectory(s, rows[:, :dim], rows[:, dim:2 * dim],
+                               rows[:, 2 * dim], rows[:, 2 * dim + 1])

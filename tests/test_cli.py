@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import subprocess
@@ -96,6 +97,43 @@ class TestSimulate:
             (b / "trajectory.csv").read_bytes()
         assert (a / "simulate_report.json").read_bytes() == \
             (b / "simulate_report.json").read_bytes()
+
+    # sha256 of the artifacts of model runs, which make no BLAS calls, so
+    # their bits do not depend on the linear algebra library: any change to
+    # the arithmetic of a model run shows here, not only in reruns
+    @pytest.mark.parametrize("config, csv_digest, report_digest", [
+        ({}, "19f3d61f842b5c49e23341c9a91b7b613ad31ad926e0aadb297c1eb959a62e9f",
+         "30a5f1daacecb8cf2a89d39effd52d64d426f456763d413281c112c241d3232c"),
+        ({"canonical": True},
+         "17566a6d46b6bedf9ddd5a59adea046b5f1aed906df496147d3258fe639dec47",
+         "3df964f8912ffdee049c02e30ff129e640e0b3c99462db02a9c78367bfd84859"),
+    ])
+    def test_model_run_bytes_are_pinned(self, tmp_path, config, csv_digest,
+                                        report_digest):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        for name, digest in (("trajectory.csv", csv_digest),
+                             ("simulate_report.json", report_digest)):
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+    def test_closed_form_deviation_only_for_rk4_flow_runs(self, tmp_path):
+        reported = {}
+        for method in ("rk4", "leapfrog"):
+            for canonical in (False, True):
+                cfg = tmp_path / "cfg.json"
+                cfg.write_text(json.dumps({"method": method, "canonical": canonical,
+                                           "s_max": 0.1}))
+                out = tmp_path / ("%s-%s" % (method, canonical))
+                assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+                diag = read_json(out / "simulate_report.json")["diagnostics"]
+                reported[method, canonical] = "closed_form_deviation" in diag
+        assert reported == {("rk4", False): True, ("rk4", True): False,
+                            ("leapfrog", False): False, ("leapfrog", True): False}
+        # leapfrog integrates the canonical equations either way
+        assert (tmp_path / "leapfrog-False" / "trajectory.csv").read_bytes() == \
+            (tmp_path / "leapfrog-True" / "trajectory.csv").read_bytes()
 
     def test_free_particle_commutator_column_zero(self, tmp_path):
         cfg = tmp_path / "cfg.json"

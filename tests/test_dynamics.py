@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -48,8 +49,8 @@ class TestCanonicalFlow:
 
     @pytest.mark.parametrize("make", [
         lambda: dyn.harmonic_model(),
-        lambda: dyn.HamiltonianModel("mixed", lambda x, p: 0.5 * p[1] ** 2
-                                     + 0.3 * x[1] * p[1] + 0.5 * x[1] ** 2),
+        lambda: dyn.HamiltonianModel("mixed", lambda x, p: 0.5 * p[..., 1] ** 2
+                                     + 0.3 * x[..., 1] * p[..., 1] + 0.5 * x[..., 1] ** 2),
     ])
     def test_h_conserved_under_literal_flow(self, make):
         model = make()
@@ -76,7 +77,7 @@ class TestCanonicalFlow:
         assert traj.energy_drift() < 1e-6
 
     def test_leapfrog_requires_separable(self):
-        mixed = dyn.HamiltonianModel("mixed", lambda x, p: x[1] * p[1] * p[2])
+        mixed = dyn.HamiltonianModel("mixed", lambda x, p: x[..., 1] * p[..., 1] * p[..., 2])
         with pytest.raises(NonSeparable):
             dyn.integrate(mixed, np.zeros(4), np.ones(4), 1.0, step=0.1,
                           method="leapfrog")
@@ -166,6 +167,17 @@ class TestProjectileKinematics:
         pred = M0 * G * np.sqrt(1.0 - (traj.p[:, 2] / traj.p[:, 0]) ** 2)
         assert np.abs(traj.dm_ds - pred).max() < 1e-12
 
+    def test_leapfrog_diagnostics_come_from_the_integrated_equations(self):
+        # leapfrog steps the canonical equations, flow override or not, so
+        # canonical=False and True are the same run, columns and all
+        model, x0, p0 = projectile_setup()
+        runs = [dyn.integrate(model, x0, p0, 1.0, step=1e-2, method="leapfrog",
+                              canonical=canonical) for canonical in (False, True)]
+        for a, b in zip(runs[0].columns(), runs[1].columns()):
+            assert np.array_equal(a, b)
+        _, pdot = dyn.hamilton_rhs(model, runs[0].x[0], runs[0].p[0])
+        assert runs[0].comm_norm[0] == dyn.operator_commutator(runs[0].p[0], pdot)[1]
+
     def test_model_h_not_conserved_under_kinematic_flow(self):
         # the override is proper-time kinematics: H = E + m0 g y moves, and
         # that is recorded honestly rather than smoothed over
@@ -192,6 +204,23 @@ class TestProjectileKinematics:
         assert str(info.value) == (
             "step 2 (s = 0.5): x1 below -0.3; last finite state "
             "[[0.0, -0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]")
+
+
+def test_record_memory_per_sample():
+    # records are preallocated float rows, s and the 8 state components, and
+    # the H, dm_ds and comm_norm columns are computed over them; a list of
+    # per-record tuples of small arrays cost about 600 bytes per record here.
+    # Leapfrog keeps the 100,000 steps quick; the records are those of rk4.
+    model = dyn.free_particle_model(1.0)
+    tracemalloc.start()
+    try:
+        traj = dyn.integrate(model, np.zeros(4), np.array([1.2, 0.3, -0.4, 0.5]),
+                             100.0, step=1e-3, method="leapfrog")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj.s) == 100001
+    assert peak / len(traj.s) < 200
 
 
 class TestGeodesicCommutator:

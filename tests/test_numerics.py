@@ -13,6 +13,10 @@ right-hand side in lowered-index form (g^{-1} dg g^{-1} before) and the
 closed-form commutator norm (4x4 complex matrices before, in
 operator_commutator and in geodesic_criterion_check). Their old routes
 are kept here too and agree within stated tolerances.
+
+integrate's H, dm_ds and comm_norm columns were computed one record at a
+time; they are now computed once over all recorded states, and the
+per-record route is kept here as their exact oracle.
 """
 
 import math
@@ -220,6 +224,40 @@ def ref_geodesic_rhs(metric, x, pl):
     return ginv, u, pdot, dg
 
 
+def ref_scalar_commutator(p, pdot):
+    """operator_commutator's one-state route in Python floats."""
+    p = np.asarray(p, dtype=float)
+    pdot = np.asarray(pdot, dtype=float)
+    if np.abs(pdot).max() <= 1e-13 * max(1.0, np.abs(p).max()):
+        return 0.0, 0.0
+    p0, p1, p2, p3 = p.tolist()
+    q0, q1, q2, q3 = pdot.tolist()
+    w01, w02, w03 = p0 * q1 - p1 * q0, p0 * q2 - p2 * q0, p0 * q3 - p3 * q0
+    w12, w13, w23 = p1 * q2 - p2 * q1, p1 * q3 - p3 * q1, p2 * q3 - p3 * q2
+    raw = 4.0 * math.sqrt(w01 * w01 + w02 * w02 + w03 * w03
+                          + w12 * w12 + w13 * w13 + w23 * w23)
+    denom = 4.0 * (math.sqrt(p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3)
+                   * math.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3))
+    if denom < 1e-280:
+        return raw, 0.0
+    return raw, raw / denom
+
+
+def ref_record_columns(model, traj, rhs):
+    """integrate's per-record diagnostics, one recorded state at a time, with
+    rhs the (x, p) -> (xdot, pdot) that was integrated: (H, dm_ds, comm_norm)."""
+    h, dm_ds, comm = [], [], []
+    for x, p in zip(traj.x, traj.p):
+        x, p = x.copy(), p.copy()
+        _, pdot = rhs(x, p)
+        fdotf = float(pdot[0] * pdot[0] - pdot[1] * pdot[1]
+                      - pdot[2] * pdot[2] - pdot[3] * pdot[3])
+        h.append(float(model.hamiltonian(x, p)))
+        dm_ds.append(np.sqrt(abs(fdotf)))
+        comm.append(ref_scalar_commutator(p, pdot)[1])
+    return h, dm_ds, comm
+
+
 def ref_operator_commutator(p, pdot, rep=build_gamma_rep()):
     """operator_commutator's 4x4 complex matrix route."""
     p = np.asarray(p, dtype=float)
@@ -281,16 +319,16 @@ def same_bits(a, b):
 @pytest.mark.parametrize("canonical", [False, True])
 def test_rk4_step_matches_inline_loop(canonical):
     model = dyn.projectile_model(1.1, 0.4, 0.9, 0.2)
-    rhs = dyn._rhs_for(model, canonical)
+    rhs = dyn._rhs_for(model, "rk4", canonical)
     rng = np.random.default_rng(1)
     for _ in range(5):
         x, p = rng.normal(size=4), rng.normal(size=4)
         p[0] = abs(p[0]) + 3.0
-        state = [x, p]
+        state = np.concatenate((x, p))
         for _ in range(50):
-            state = rk4_step(rhs, state, 1e-3)
+            state = rk4_step(lambda y: np.concatenate(rhs(y[:4], y[4:])), state, 1e-3)
         want = ref_rk4(rhs, x, p, 1e-3, 50)
-        assert np.array_equal(state[0], want[0]) and np.array_equal(state[1], want[1])
+        assert np.array_equal(state[:4], want[0]) and np.array_equal(state[4:], want[1])
 
 
 def test_integrate_records_the_inline_loop_states():
@@ -302,6 +340,55 @@ def test_integrate_records_the_inline_loop_states():
     for k, i in enumerate(steps):
         x, p = ref_rk4(model.flow, x0, p0, 1e-2, i)
         assert np.array_equal(traj.x[k], x) and np.array_equal(traj.p[k], p)
+
+
+def mixed_model():
+    """A model with no analytic partials: central differences of H."""
+    return dyn.HamiltonianModel("mixed", lambda x, p: 0.5 * p[..., 1] ** 2
+                                + 0.3 * x[..., 1] * p[..., 1] + 0.5 * x[..., 1] ** 2)
+
+
+PROJECTILE = dyn.projectile_model(1.0, 0.5, 1.0, 0.2)
+
+
+@pytest.mark.parametrize("model, p0, method, canonical", [
+    (dyn.free_particle_model(1.1), [1.2, 0.3, -0.4, 0.5], "rk4", False),
+    (PROJECTILE, PROJECTILE.reference.tangent(0.0), "rk4", False),
+    (PROJECTILE, PROJECTILE.reference.tangent(0.0), "rk4", True),
+    (PROJECTILE, PROJECTILE.reference.tangent(0.0), "leapfrog", False),
+    (dyn.quadratic_model(), [1.4, 0.3, -0.2, 0.1], "rk4", False),
+    (dyn.harmonic_model(1.3), [0.0, 0.5, 0.0, 0.0], "rk4", False),
+    (dyn.harmonic_model(1.3), [0.0, 0.5, 0.0, 0.0], "leapfrog", False),
+    (mixed_model(), [0.0, 0.5, 0.0, 0.0], "rk4", False),
+])
+def test_record_columns_match_per_record_route(model, p0, method, canonical):
+    traj = dyn.integrate(model, [0.0, 1.0, 0.2, 0.0], p0, 0.6, step=1e-2,
+                         method=method, canonical=canonical, record_stride=4)
+    if model.flow is not None and method == "rk4" and not canonical:
+        rhs = model.flow
+    else:
+        def rhs(x, p):
+            return dyn.hamilton_rhs(model, x, p)
+    h, dm_ds, comm = ref_record_columns(model, traj, rhs)
+    assert same_bits(traj.h, h)
+    assert same_bits(traj.dm_ds, dm_ds)
+    assert same_bits(traj.comm_norm, comm)
+
+
+@pytest.mark.parametrize("model", [
+    dyn.free_particle_model(1.1), PROJECTILE, dyn.quadratic_model(),
+    dyn.harmonic_model(1.3), mixed_model(),
+])
+def test_model_callables_answer_per_state_on_stacks(model):
+    rng = np.random.default_rng(17)
+    x, p = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 4))
+    p[..., 0] = np.abs(p[..., 0]) + 3.0
+    calls = [model.hamiltonian, model.dh_dx, model.dh_dp]
+    if model.flow is not None:
+        calls += [lambda x, p: model.flow(x, p)[0], lambda x, p: model.flow(x, p)[1]]
+    for call in calls:
+        want = [[call(x[i, j], p[i, j]) for j in range(3)] for i in range(2)]
+        assert same_bits(call(x, p), want)
 
 
 # -- central differences -----------------------------------------------------------
@@ -591,18 +678,40 @@ def test_operator_commutator_matches_matrix_route():
         assert abs(norm - want_norm) <= 1e-14
 
 
-@pytest.mark.parametrize("p, q", [
+COMMUTATOR_BRANCHES = [
     ([1.3, 0.2, 0.0, 0.1], [0.0, 0.0, 0.0, 0.0]),        # zero force
+    ([np.nan, 0.2, 0.0, 0.1], [0.0, 0.0, 0.0, 0.0]),     # zero force, NaN momentum
     ([1e3, 2.0, 0.0, 0.1], [1e-11, 0.0, -5e-11, 0.0]),   # force below the shortcut
     ([0.0, 0.0, 0.0, 0.0], [1.0, 0.5, 0.0, -0.2]),        # zero denominator
     ([1e-200, 2e-200, 0.0, 0.0], [1.0, 0.5, 0.0, -0.2]),  # underflowed denominator
     ([1e-150, 2e-150, 0.0, 0.0], [1.0, 0.5, 0.0, -0.2]),  # just above the floor
-])
+]
+
+
+@pytest.mark.parametrize("p, q", COMMUTATOR_BRANCHES)
 def test_operator_commutator_branches_match_matrix_route(p, q):
     raw, norm = dyn.operator_commutator(p, q)
     want_raw, want_norm = ref_operator_commutator(p, q)
     assert abs(raw - want_raw) <= 1e-14 * max(want_raw, 1e-300)
     assert abs(norm - want_norm) <= 1e-14
+
+
+def test_operator_commutator_rows_match_per_row_calls():
+    """Over rows, every branch included, the same bits as one state at a
+    time and as the Python-float route."""
+    rng = np.random.default_rng(16)
+    ps, qs = wide_points(rng, (200, 4)), wide_points(rng, (200, 4))
+    qs[::4] = rng.normal(size=(50, 1)) * ps[::4] + 1e-9 * rng.normal(size=(50, 4))
+    ps = np.concatenate([ps, [p for p, _ in COMMUTATOR_BRANCHES]])
+    qs = np.concatenate([qs, [q for _, q in COMMUTATOR_BRANCHES]])
+    raw, norm = dyn.operator_commutator(ps, qs)
+    for route in (dyn.operator_commutator, ref_scalar_commutator):
+        want = [route(p, q) for p, q in zip(ps, qs)]
+        assert same_bits(raw, [w[0] for w in want])
+        assert same_bits(norm, [w[1] for w in want])
+    stacked = dyn.operator_commutator(ps.reshape(2, -1, 4), qs.reshape(2, -1, 4))
+    assert same_bits(stacked[0], raw.reshape(2, -1))
+    assert same_bits(stacked[1], norm.reshape(2, -1))
 
 
 def ref_criterion_commutator(rep, congruence, points, step=1e-5):
