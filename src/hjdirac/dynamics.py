@@ -14,6 +14,8 @@ with slash(pdot). The last is the geodesic criterion: it vanishes iff pdot
 is parallel to p.
 """
 
+import math
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -49,15 +51,23 @@ MAX_RECORDS = 10 ** 6
 
 
 class HamiltonianModel:
-    """H(x, p), its partials, an optional flow override and a guard. H, the
-    partials and the flow take one state, x and p of shape (4,), or stacks
-    of shape (..., 4), and answer per state; the guard sees one state. A
-    partial not given is the central difference of H, bound here once."""
+    """H(x, p), its partials, an optional flow override and a guard, in
+    component form: x and p are 4 components each; H answers one number per
+    state, each partial 4 components (a tuple; a constant one may be a plain
+    number) and the flow a pair of them. integrate passes one state's
+    components as Python floats (y.tolist()) while stepping and the recorded
+    states' numpy columns (rows.T) for its diagnostics. + - * / and square
+    roots round alike on both, so one definition serves both; write x * x,
+    not x ** 2, which the two round and overflow differently. The guard sees
+    one state. A partial not given is the central difference of H, bound
+    here once."""
 
     def __init__(self, name, hamiltonian, dh_dx=None, dh_dp=None, flow=None,
                  separable=False, guard=None, m0=None):
-        def fd(f, y):  # central_difference puts the component first
-            return np.moveaxis(central_difference(f, y, PARTIAL_FD_SCALE), 0, -1)
+        def fd(f, y):  # the stencil takes the component last, answers it first
+            return central_difference(lambda z: f(np.moveaxis(z, -1, 0)),
+                                      np.moveaxis(np.array(y, dtype=float), 0, -1),
+                                      PARTIAL_FD_SCALE)
 
         self.name = name
         self.hamiltonian = hamiltonian
@@ -69,35 +79,41 @@ class HamiltonianModel:
         self.m0 = m0
 
 
+def _momentum_rhs(model, x, p):
+    """dp^a/ds = -eta^{ab} dH/dx^b, with eta = diag(1, -1, -1, -1) written out."""
+    f = model.dh_dx(x, p)
+    return -f[0], f[1], f[2], f[3]
+
+
 def hamilton_rhs(model, x, p):
-    """The literal canonical equations; see the module docstring."""
-    return ETA_DIAG * model.dh_dp(x, p), -ETA_DIAG * model.dh_dx(x, p)
+    """The literal canonical equations, per component; see the module docstring."""
+    v = model.dh_dp(x, p)
+    return (v[0], -v[1], -v[2], -v[3]), _momentum_rhs(model, x, p)
 
 
-def _vector(p, *parts):
-    """The array shaped like p whose last axis holds parts (numbers, or stacks
-    shaped like p.T[0]). Models index components as p.T[a], a number for one
-    state (p[..., a] is a slower 0-d array), which np.array builds fastest."""
-    if p.ndim == 1:
-        return np.array(parts)
-    return np.array(np.broadcast_arrays(*parts, p.T[0])[:-1]).T
+def _sqrt(v):
+    """The square root of a Python float (math.sqrt, which raises on a
+    negative) or of a column (np.sqrt); both are correctly rounded."""
+    return math.sqrt(v) if isinstance(v, float) else np.sqrt(v)
 
 
-def _energy(p, m0):
-    """sqrt(m0^2 + |p_spatial|^2) per state."""
-    return np.sqrt(m0 ** 2 + (p[..., 1:] ** 2).sum(axis=-1))
+def _energy(p, m0_sq):
+    """sqrt(m0^2 + |p_spatial|^2)."""
+    return _sqrt(m0_sq + (p[1] * p[1] + p[2] * p[2] + p[3] * p[3]))
 
 
 def free_particle_model(m0):
+    m0_sq = m0 ** 2
+
     def h(x, p):
-        return _energy(p, m0)
+        return _energy(p, m0_sq)
 
     def dh_dx(x, p):
-        return np.zeros(p.shape)
+        return 0.0, 0.0, 0.0, 0.0
 
     def dh_dp(x, p):
-        e, q = _energy(p, m0).T, p.T
-        return _vector(p, 0.0, q[1] / e, q[2] / e, q[3] / e)
+        e = _energy(p, m0_sq)
+        return 0.0, p[1] / e, p[2] / e, p[3] / e
 
     return HamiltonianModel("free", h, dh_dx, dh_dp, separable=True, m0=m0)
 
@@ -107,20 +123,21 @@ def projectile_model(m0, u_x, u_y, g):
     dx/ds = p/m0 and dp2/ds = -m0 g, with dp0/ds chosen so p.p stays put.
     reference carries the closed-form trajectory for oracles."""
     reference = projectile_field(m0, u_x, u_y, g)
+    m0_sq, mg = m0 ** 2, m0 * g
 
     def h(x, p):
-        return _energy(p, m0) + m0 * g * x[..., 2]
+        return _energy(p, m0_sq) + mg * x[2]
 
     def dh_dx(x, p):
-        return _vector(p, 0.0, 0.0, m0 * g, 0.0)
+        return 0.0, 0.0, mg, 0.0
 
     def dh_dp(x, p):
-        e, q = _energy(p, m0).T, p.T
-        return _vector(p, 0.0, q[1] / e, q[2] / e, q[3] / e)
+        e = _energy(p, m0_sq)
+        return 0.0, p[1] / e, p[2] / e, p[3] / e
 
     def flow(x, p):
-        q = p.T
-        return p / m0, _vector(p, -m0 * g * q[2] / q[0], 0.0, -m0 * g, 0.0)
+        return ((p[0] / m0, p[1] / m0, p[2] / m0, p[3] / m0),
+                (-mg * p[2] / p[0], 0.0, -mg, 0.0))
 
     def guard(x, p):
         if p[0] <= 1e-12:
@@ -135,26 +152,28 @@ def projectile_model(m0, u_x, u_y, g):
 
 def quadratic_model():
     def h(x, p):
-        return 0.5 * minkowski_dot(p, p)
+        return 0.5 * (p[0] * p[0] - p[1] * p[1] - p[2] * p[2] - p[3] * p[3])
 
     def dh_dx(x, p):
-        return np.zeros(p.shape)
+        return 0.0, 0.0, 0.0, 0.0
 
     def dh_dp(x, p):
-        return ETA_DIAG * p
+        return p[0], -p[1], -p[2], -p[3]
 
     return HamiltonianModel("quadratic", h, dh_dx, dh_dp, separable=True)
 
 
 def harmonic_model(omega=1.0):
+    omega_sq = omega ** 2
+
     def h(x, p):
-        return 0.5 * p[..., 1] ** 2 + 0.5 * omega ** 2 * x[..., 1] ** 2
+        return 0.5 * (p[1] * p[1]) + 0.5 * omega_sq * (x[1] * x[1])
 
     def dh_dx(x, p):
-        return _vector(p, 0.0, omega ** 2 * x.T[1], 0.0, 0.0)
+        return 0.0, omega_sq * x[1], 0.0, 0.0
 
     def dh_dp(x, p):
-        return _vector(p, 0.0, p.T[1], 0.0, 0.0)
+        return 0.0, p[1], 0.0, 0.0
 
     return HamiltonianModel("harmonic", h, dh_dx, dh_dp, separable=True)
 
@@ -297,11 +316,17 @@ def _drive(state, advance, s_max, step, record_stride, guard=None, record=None):
 
 
 def _rhs_for(model, method, canonical):
-    """integrate's (x, p) -> (dx/ds, dp/ds): the model's flow override for rk4
-    unless canonical, else the canonical equations, as leapfrog always is."""
+    """integrate's (x, p) -> (dx/ds, dp/ds) and its dp/ds half alone: the
+    model's flow override for rk4 unless canonical, else the canonical
+    equations, as leapfrog always is."""
     if model.flow is not None and method == "rk4" and not canonical:
-        return model.flow
-    return lambda x, p: hamilton_rhs(model, x, p)
+        return model.flow, lambda x, p: model.flow(x, p)[1]
+    return partial(hamilton_rhs, model), partial(_momentum_rhs, model)
+
+
+# Python floats raise where numpy returns inf or nan; a stage that raises one
+# of these leaves a NaN state, which _drive rejects as non-finite
+_FLOAT_FAULTS = (ZeroDivisionError, OverflowError, ValueError)
 
 
 def integrate(model, x0, p0, s_max, step=1e-3, method="rk4", record_stride=1,
@@ -311,39 +336,55 @@ def integrate(model, x0, p0, s_max, step=1e-3, method="rk4", record_stride=1,
     method "rk4" uses the model's flow override when it has one (pass
     canonical=True to force the literal canonical equations); "leapfrog" is
     kick-drift-kick on the canonical equations and demands a separable H.
-    The dm_ds and comm_norm columns come from the right-hand side that was
-    integrated, evaluated once over all recorded states.
-    Raises StepRejected when the state goes non-finite or the model's guard
+    Each step hands the model one state's components as Python floats. The
+    dm_ds and comm_norm columns come from the dp/ds half of the right-hand
+    side that was integrated, evaluated once over the recorded columns.
+    Raises StepRejected when the state goes non-finite (also when a model
+    callable raises ZeroDivisionError, OverflowError or ValueError on the
+    Python floats, where numpy would give inf or nan) or the model's guard
     trips, and UsageError for a bad step, record_stride or method.
     """
     if method not in ("rk4", "leapfrog"):
         raise UsageError(f"unknown method {method!r}")
     if method == "leapfrog" and not model.separable:
         raise NonSeparable(f"model {model.name!r} has no T(p) + V(x) split")
-    rhs = _rhs_for(model, method, canonical)
+    rhs, pdot_of = _rhs_for(model, method, canonical)
+    kick = (0.5 * step * ETA_DIAG).tolist()
+    drift = (step * ETA_DIAG).tolist()
 
-    def flat_rhs(y):
-        return np.concatenate(rhs(y[:4], y[4:]))
+    def stage(y):
+        v = y.tolist()
+        try:
+            dx, dp = rhs(v[:4], v[4:])
+        except _FLOAT_FAULTS:
+            return y * np.nan
+        return np.array((*dx, *dp))
+
+    def leapfrog(y):
+        v = y.tolist()
+        x, p = v[:4], v[4:]
+        try:
+            p = [b - k * f for b, k, f in zip(p, kick, model.dh_dx(x, p))]
+            x = [a + d * u for a, d, u in zip(x, drift, model.dh_dp(x, p))]
+            p = [b - k * f for b, k, f in zip(p, kick, model.dh_dx(x, p))]
+        except _FLOAT_FAULTS:
+            return y * np.nan
+        return np.array(x + p)
 
     def advance(y):
-        if method == "rk4":
-            return rk4_step(flat_rhs, y, step)
-        x, p = y[:4], y[4:]
-        p = p - 0.5 * step * ETA_DIAG * model.dh_dx(x, p)
-        x = x + step * ETA_DIAG * model.dh_dp(x, p)
-        p = p - 0.5 * step * ETA_DIAG * model.dh_dx(x, p)
-        return np.concatenate((x, p))
+        return rk4_step(stage, y, step) if method == "rk4" else leapfrog(y)
 
     guard = model.guard and (lambda y: model.guard(y[:4], y[4:]))
     state = np.concatenate((np.asarray(x0, dtype=float), np.asarray(p0, dtype=float)))
     s, rows = _drive(state, advance, s_max, step, record_stride, guard)
-    xs, ps = rows[:, :4], rows[:, 4:]
+    cols = rows.T
     with np.errstate(over="ignore", invalid="ignore"):
-        h = model.hamiltonian(xs, ps)
-        pdot = rhs(xs, ps)[1]
-        comm = operator_commutator(ps, pdot)[1]
+        h = np.broadcast_to(model.hamiltonian(cols[:4], cols[4:]), s.shape)
+        # a constant component comes back a number: broadcast it to a column
+        pdot = np.array(np.broadcast_arrays(*pdot_of(cols[:4], cols[4:]), s)[:-1]).T
+        comm = operator_commutator(rows[:, 4:], pdot)[1]
         dm_ds = np.sqrt(np.abs(minkowski_dot(pdot, pdot)))
-    return Trajectory(s, xs, ps, h, dm_ds, comm)
+    return Trajectory(s, rows[:, :4], rows[:, 4:], h, dm_ds, comm)
 
 
 # -- curved-chart runs ---------------------------------------------------------
@@ -387,10 +428,10 @@ def covariant_integrate(metric, x0, p0_upper, s_max, step=1e-3, record_stride=1)
     p_low = metric.matrix(x) @ np.asarray(p0_upper, dtype=float)
 
     def flow(xs, pl):
-        """(g^{-1}, u = dx/ds = p^mu, dgu[lam, alpha] = d_lam g_{alpha beta} u^beta,
-        dp_mu/ds): one metric and one partials evaluation."""
-        ginv = np.linalg.inv(metric.matrix(xs))
-        up = ginv @ pl
+        """(v -> g^{-1} v, u = dx/ds = p^mu, dgu[lam, alpha] = d_lam g_{alpha beta}
+        u^beta, dp_mu/ds): one inverse and one partials evaluation."""
+        ginv = metric.inverse(xs)
+        up = ginv(pl)
         dgu = _metric_partials(metric, xs) @ up
         return ginv, up, dgu, 0.5 * (dgu @ up)
 
@@ -404,7 +445,7 @@ def covariant_integrate(metric, x0, p0_upper, s_max, step=1e-3, record_stride=1)
         ginv, up, dgu, pdot_low = flow(xs, pl)
         k = 0.5 * float(pl @ up)
         # d(g^{-1} p)/ds = g^{-1} (dp/ds - (u^lam d_lam g) u)
-        dup = ginv @ (pdot_low - up @ dgu)
+        dup = ginv(pdot_low - up @ dgu)
         gamma = christoffel_at(metric, xs)  # the residual's independent route
         resid = dup + np.einsum("mnl,n,l->m", gamma, up, up)
         return np.concatenate((xs, up, [k, np.abs(resid).max()]))

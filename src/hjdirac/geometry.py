@@ -75,18 +75,23 @@ def poly_partials(terms, dim):
 
 
 class MetricField:
-    """A metric given by a callable x -> symmetric (dim, dim) matrix.
+    """A metric given by a callable x -> symmetric (dim, dim) matrix, or by
+    diag(x) -> its dim diagonal entries, from which both g and g^{-1} follow.
 
     Optional dg(x) -> array (dim, dim, dim) of partials d_lambda g_{mu nu}
     replaces the central-difference default in christoffel_at; every built-in
     metric carries one.
     """
 
-    def __init__(self, g, dim=4, kind="custom", dg=None):
+    def __init__(self, g=None, dim=4, kind="custom", dg=None, diag=None):
+        if diag is not None:
+            def g(x):
+                return np.diag(np.array(diag(x), dtype=float))
         self.g = g
         self.dim = dim
         self.kind = kind
         self.dg = dg
+        self.diag = diag
 
     def matrix(self, x):
         out = np.asarray(self.g(np.asarray(x, dtype=float)), dtype=float)
@@ -94,10 +99,23 @@ class MetricField:
             raise UsageError(f"metric returned shape {out.shape}, expected ({self.dim}, {self.dim})")
         return out
 
+    def inverse(self, x):
+        """The map v -> g^{-1} v at x: np.linalg.inv's product, which a
+        diagonal metric gives in closed form as 1/diag entry by entry (+ 0.0
+        makes an exact zero +0.0, as the product's sum does), raising the
+        same LinAlgError("Singular matrix") on a zero entry."""
+        if self.diag is None:
+            return np.linalg.inv(self.matrix(x)).__matmul__
+        d = np.array(self.diag(np.asarray(x, dtype=float)), dtype=float)
+        if not d.all():
+            raise np.linalg.LinAlgError("Singular matrix")
+        inv = 1.0 / d
+        return lambda v: inv * v + 0.0
+
 
 def minkowski_metric(dim=4):
-    eta = np.diag(np.array([1.0] + [-1.0] * (dim - 1)))
-    return MetricField(lambda x: eta.copy(), dim=dim, kind="minkowski",
+    eta = [1.0] + [-1.0] * (dim - 1)
+    return MetricField(dim=dim, kind="minkowski", diag=lambda x: eta,
                        dg=lambda x: np.zeros((dim, dim, dim)))
 
 
@@ -106,16 +124,15 @@ def polar_metric(dim=4):
     if dim not in (3, 4):
         raise UsageError("polar metric supports dim 3 or 4")
 
-    def g(x):
-        entries = [1.0, -1.0, -float(x[1]) ** 2] + ([-1.0] if dim == 4 else [])
-        return np.diag(np.array(entries))
+    def diag(x):
+        return [1.0, -1.0, -float(x[1]) ** 2] + ([-1.0] if dim == 4 else [])
 
     def dg(x):
         out = np.zeros((dim, dim, dim))
         out[1, 2, 2] = -2.0 * float(x[1])
         return out
 
-    return MetricField(g, dim=dim, kind="polar", dg=dg)
+    return MetricField(dim=dim, kind="polar", dg=dg, diag=diag)
 
 
 def _termwise_dg(indexed_terms, dim):
@@ -137,11 +154,11 @@ def _termwise_dg(indexed_terms, dim):
 def diagonal_metric(entry_polys):
     dim = len(entry_polys)
 
-    def g(x):
-        return np.diag(np.array([eval_poly(p, x) for p in entry_polys]))
+    def diag(x):
+        return [eval_poly(p, x) for p in entry_polys]
 
     dg = _termwise_dg((((i, i), p) for i, p in enumerate(entry_polys)), dim)
-    return MetricField(g, dim=dim, kind="diagonal", dg=dg)
+    return MetricField(dim=dim, kind="diagonal", dg=dg, diag=diag)
 
 
 def metric_from_config(cfg):

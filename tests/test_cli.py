@@ -118,6 +118,54 @@ class TestSimulate:
                              ("simulate_report.json", report_digest)):
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("config, csv_digest, report_digest", [
+        ({"model": {"kind": "harmonic", "omega": 1.3}, "x0": [0.0, 1.0, 0.0, 0.0],
+          "p0": [0.0, 0.5, 0.0, 0.0], "s_max": 10.0, "method": "leapfrog",
+          "record_stride": 10},
+         "1b3ce68c48e209a848b1bb1570ac0ddefcf9405954405b93e2c47e2994a2ec05",
+         "60fc6e5d94d695f1d89e0cfc3f82c2ab954d74bcd1eb5d6a6d8abb11db0b9c80"),
+        # the benchmark's projectile-canonical run at seed 1
+        ({"model": {"kind": "projectile", "m0": 1.0047, "u_x": 0.6802,
+                    "u_y": 0.8577, "g": 0.2449}, "s_max": 10.0,
+          "canonical": True, "record_stride": 100},
+         "7598a8d6c2ab1b274b93327d19c51aac52ec1502215f1da6d751e97d6ef68655",
+         "b77a81b59bc34d057484db341d58501f0c7068a7d7b4e29c7ba4347a9c793b50"),
+        ({"kind": "covariant", "metric": {"kind": "polar", "dim": 3},
+          "x0": [0.0, 1.2, -0.4], "p0_upper": [1.4, -0.2, 0.25], "s_max": 1.0,
+          "record_stride": 5},
+         "33082ae33a40a5f9b10e5290d46c714f37e30f6effa19faa519d65fe14451ab4",
+         "3be3763a44c695923724fafade0b99bb1a82e89305a211649c7c80767f7cf31f"),
+    ])
+    def test_leapfrog_canonical_and_polar_bytes_are_pinned(self, tmp_path, config,
+                                                           csv_digest, report_digest):
+        # digests taken before the model callables took components and the
+        # diagonal metrics inverted in closed form
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        for name, digest in (("trajectory.csv", csv_digest),
+                             ("simulate_report.json", report_digest)):
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+    def test_python_float_fault_exits_one_naming_the_step(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # a flow dividing by x1, which reaches exactly 0 in step 4's last stage
+        model = dyn.HamiltonianModel(
+            "pole", lambda x, p: 0.0,
+            flow=lambda x, p: ((0.0, -1.0, 0.0, 0.0), (0.0, 1.0 / x[1], 0.0, 0.0)))
+        monkeypatch.setattr(dyn, "model_from_config", lambda cfg: model)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"x0": [0.0, 0.5, 0.0, 0.0], "p0": [1.0, 0.0, 0.0, 0.0],
+                                   "s_max": 1.0, "step": 0.125}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("integration failed: step 4 (s = 0.5): non-finite state; "
+                              "last finite state [[0.0, 0.125, 0.0, 0.0], [1.0, ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_closed_form_deviation_only_for_rk4_flow_runs(self, tmp_path):
         reported = {}
         for method in ("rk4", "leapfrog"):

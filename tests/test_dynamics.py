@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -49,8 +50,8 @@ class TestCanonicalFlow:
 
     @pytest.mark.parametrize("make", [
         lambda: dyn.harmonic_model(),
-        lambda: dyn.HamiltonianModel("mixed", lambda x, p: 0.5 * p[..., 1] ** 2
-                                     + 0.3 * x[..., 1] * p[..., 1] + 0.5 * x[..., 1] ** 2),
+        lambda: dyn.HamiltonianModel("mixed", lambda x, p: 0.5 * (p[1] * p[1])
+                                     + 0.3 * x[1] * p[1] + 0.5 * (x[1] * x[1])),
     ])
     def test_h_conserved_under_literal_flow(self, make):
         model = make()
@@ -77,7 +78,7 @@ class TestCanonicalFlow:
         assert traj.energy_drift() < 1e-6
 
     def test_leapfrog_requires_separable(self):
-        mixed = dyn.HamiltonianModel("mixed", lambda x, p: x[..., 1] * p[..., 1] * p[..., 2])
+        mixed = dyn.HamiltonianModel("mixed", lambda x, p: x[1] * p[1] * p[2])
         with pytest.raises(NonSeparable):
             dyn.integrate(mixed, np.zeros(4), np.ones(4), 1.0, step=0.1,
                           method="leapfrog")
@@ -204,6 +205,41 @@ class TestProjectileKinematics:
         assert str(info.value) == (
             "step 2 (s = 0.5): x1 below -0.3; last finite state "
             "[[0.0, -0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]")
+
+
+def reciprocal(x1, numpy):
+    return np.float64(1.0) / x1 if numpy else 1.0 / x1
+
+
+def root(x1, numpy):
+    return (np.sqrt if numpy else math.sqrt)(x1 - 0.1)
+
+
+@pytest.mark.parametrize("fn", [reciprocal, root])
+@pytest.mark.parametrize("method", ["rk4", "leapfrog"])
+def test_python_float_faults_read_as_non_finite_state(fn, method):
+    # x1 falls from 0.5 by 0.125 per step; in step 4 it is 0.0625 at the
+    # second RK4 stage and 0.0 at the last one and at the second leapfrog kick.
+    # There 1 / 0.0 raises ZeroDivisionError and math.sqrt of a negative
+    # ValueError on Python floats, where numpy gives inf or nan: the run is
+    # rejected at the same step, with the same message, either way.
+    messages = []
+    for numpy in (False, True):
+        if method == "rk4":
+            model = dyn.HamiltonianModel("pole", lambda x, p: 0.0, flow=lambda x, p: (
+                (0.0, -1.0, 0.0, 0.0), (0.0, fn(x[1], numpy), 0.0, 0.0)))
+        else:
+            model = dyn.HamiltonianModel(
+                "pole", lambda x, p: 0.0, separable=True,
+                dh_dx=lambda x, p: (0.0, fn(x[1], numpy), 0.0, 0.0),
+                dh_dp=lambda x, p: (0.0, 1.0, 0.0, 0.0))
+        with np.errstate(divide="ignore"), pytest.raises(StepRejected) as info:
+            dyn.integrate(model, [0.0, 0.5, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], 1.0,
+                          step=0.125, method=method)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("step 4 (s = 0.5): non-finite state; "
+                                  "last finite state [[0.0, 0.125, 0.0, 0.0], [1.0, ")
 
 
 def test_record_memory_per_sample():

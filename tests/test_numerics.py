@@ -17,6 +17,12 @@ are kept here too and agree within stated tolerances.
 integrate's H, dm_ds and comm_norm columns were computed one record at a
 time; they are now computed once over all recorded states, and the
 per-record route is kept here as their exact oracle.
+
+Model callables took (..., 4) arrays and now take components: Python floats
+for one state, numpy columns for a stack; the two round alike, so each
+callable is checked for the same bits on both, and the array-valued
+reference loops above read the components as arrays. The diagonal metrics
+invert in closed form, 1/diag; np.linalg.inv is their exact oracle.
 """
 
 import math
@@ -48,12 +54,16 @@ def wide_points(rng, shape):
 # -- the replaced code ----------------------------------------------------------
 
 def ref_rk4(rhs, x, p, step, n_steps):
-    """The inline two-variable loop of integrate and covariant_integrate."""
+    """The inline two-variable loop of integrate and covariant_integrate. rhs
+    may answer in components; they are made arrays before the arithmetic."""
+    def arrays(x, p):
+        return [np.asarray(v, dtype=float) for v in rhs(x, p)]
+
     for _ in range(n_steps):
-        k1x, k1p = rhs(x, p)
-        k2x, k2p = rhs(x + 0.5 * step * k1x, p + 0.5 * step * k1p)
-        k3x, k3p = rhs(x + 0.5 * step * k2x, p + 0.5 * step * k2p)
-        k4x, k4p = rhs(x + step * k3x, p + step * k3p)
+        k1x, k1p = arrays(x, p)
+        k2x, k2p = arrays(x + 0.5 * step * k1x, p + 0.5 * step * k1p)
+        k3x, k3p = arrays(x + 0.5 * step * k2x, p + 0.5 * step * k2p)
+        k4x, k4p = arrays(x + step * k3x, p + step * k3p)
         x = x + (step / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
         p = p + (step / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
     return x, p
@@ -319,7 +329,7 @@ def same_bits(a, b):
 @pytest.mark.parametrize("canonical", [False, True])
 def test_rk4_step_matches_inline_loop(canonical):
     model = dyn.projectile_model(1.1, 0.4, 0.9, 0.2)
-    rhs = dyn._rhs_for(model, "rk4", canonical)
+    rhs = dyn._rhs_for(model, "rk4", canonical)[0]
     rng = np.random.default_rng(1)
     for _ in range(5):
         x, p = rng.normal(size=4), rng.normal(size=4)
@@ -344,8 +354,8 @@ def test_integrate_records_the_inline_loop_states():
 
 def mixed_model():
     """A model with no analytic partials: central differences of H."""
-    return dyn.HamiltonianModel("mixed", lambda x, p: 0.5 * p[..., 1] ** 2
-                                + 0.3 * x[..., 1] * p[..., 1] + 0.5 * x[..., 1] ** 2)
+    return dyn.HamiltonianModel("mixed", lambda x, p: 0.5 * (p[1] * p[1])
+                                + 0.3 * x[1] * p[1] + 0.5 * (x[1] * x[1]))
 
 
 PROJECTILE = dyn.projectile_model(1.0, 0.5, 1.0, 0.2)
@@ -375,20 +385,57 @@ def test_record_columns_match_per_record_route(model, p0, method, canonical):
     assert same_bits(traj.comm_norm, comm)
 
 
+def component_states(rng, n):
+    """n states (x, p) of wide magnitudes with signed zeros, and p0 kept
+    clear of zero so the projectile flow's 1/p0 stays finite."""
+    x, p = wide_points(rng, (n, 4)), wide_points(rng, (n, 4))
+    x[rng.random((n, 4)) < 0.15] = -0.0
+    p[rng.random((n, 4)) < 0.15] = -0.0
+    x[rng.random((n, 4)) < 0.1] = 0.0
+    p[:, 0] = np.abs(p[:, 0]) + 3.0
+    return x, p
+
+
 @pytest.mark.parametrize("model", [
     dyn.free_particle_model(1.1), PROJECTILE, dyn.quadratic_model(),
     dyn.harmonic_model(1.3), mixed_model(),
 ])
 def test_model_callables_answer_per_state_on_stacks(model):
-    rng = np.random.default_rng(17)
-    x, p = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 4))
-    p[..., 0] = np.abs(p[..., 0]) + 3.0
+    """Per state, Python-float components, a 1-D float array and column
+    stacks (one axis or two) give the same bits."""
+    x, p = component_states(np.random.default_rng(17), 60)
     calls = [model.hamiltonian, model.dh_dx, model.dh_dp]
     if model.flow is not None:
         calls += [lambda x, p: model.flow(x, p)[0], lambda x, p: model.flow(x, p)[1]]
     for call in calls:
-        want = [[call(x[i, j], p[i, j]) for j in range(3)] for i in range(2)]
-        assert same_bits(call(x, p), want)
+        on_floats = [call(a.tolist(), b.tolist()) for a, b in zip(x, p)]
+        on_arrays = [call(a, b) for a, b in zip(x, p)]
+        on_columns = call(x.T, p.T)
+        on_grid = call(x.T.reshape(4, 3, 20), p.T.reshape(4, 3, 20))
+        if call is model.hamiltonian:  # one number per state
+            on_floats, on_arrays = [on_floats], [on_arrays]
+            on_columns, on_grid = [on_columns], [on_grid]
+        else:
+            on_floats, on_arrays = list(zip(*on_floats)), list(zip(*on_arrays))
+        assert len(on_columns) == len(on_grid) == len(on_floats)
+        for want, got_arrays, got_columns, got_grid in zip(on_floats, on_arrays,
+                                                           on_columns, on_grid):
+            assert all(isinstance(v, float) for v in want)  # numbers, not arrays
+            assert same_bits(got_arrays, want)
+            assert same_bits(np.broadcast_to(got_columns, (60,)), want)
+            assert same_bits(np.broadcast_to(got_grid, (3, 20)).reshape(60), want)
+
+
+def test_canonical_rhs_applies_eta_per_component():
+    """hamilton_rhs is eta dH/dp and -eta dH/dx, as the arrays it replaced."""
+    x, p = component_states(np.random.default_rng(18), 40)
+    eta = np.array([1.0, -1.0, -1.0, -1.0])
+    for model in (dyn.free_particle_model(1.1), PROJECTILE, dyn.quadratic_model(),
+                  dyn.harmonic_model(1.3), mixed_model()):
+        for a, b in zip(x, p):
+            xdot, pdot = dyn.hamilton_rhs(model, a.tolist(), b.tolist())
+            assert same_bits(xdot, eta * np.asarray(model.dh_dp(a, b), dtype=float))
+            assert same_bits(pdot, -eta * np.asarray(model.dh_dx(a, b), dtype=float))
 
 
 # -- central differences -----------------------------------------------------------
@@ -627,6 +674,44 @@ def test_covariant_rhs_matches_per_component_sums(metric, x0, p0):
         assert np.abs(traj.p_upper[k] - u).max() <= 1e-13
         assert abs(traj.k[k] - 0.5 * sum(pl[m] * u[m] for m in range(dim))) <= 1e-13
         assert abs(traj.geodesic_residual[k] - np.abs(resid).max()) <= 1e-13
+
+
+@pytest.mark.parametrize("metric", [
+    geo.minkowski_metric(3), geo.minkowski_metric(4), geo.polar_metric(3),
+    geo.polar_metric(4), DIAGONAL,
+])
+def test_diagonal_inverse_matches_linalg_inv(metric):
+    """1/diag applied entry by entry gives np.linalg.inv's matrix product,
+    signed zeros included, and a zero entry fails as np.linalg.inv does."""
+    rng = np.random.default_rng(19)
+    for _ in range(200):
+        x, v = wide_points(rng, metric.dim), wide_points(rng, metric.dim)
+        v[rng.random(metric.dim) < 0.3] = 0.0
+        v[rng.random(metric.dim) < 0.2] = -0.0
+        assert same_bits(metric.inverse(x)(v), np.linalg.inv(metric.matrix(x)) @ v)
+        assert same_bits(metric.matrix(x), np.diag(metric.diag(x)))
+    if metric.kind == "polar":  # g_thth = -r^2 vanishes on the axis
+        x = np.zeros(metric.dim)
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            np.linalg.inv(metric.matrix(x))
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            metric.inverse(x)
+        assert str(got.value) == str(want.value) == "Singular matrix"
+
+
+def test_diagonal_metric_flow_reads_no_matrix(monkeypatch):
+    calls = []
+    matrix = geo.MetricField.matrix
+
+    def counted(self, x):
+        calls.append(1)
+        return matrix(self, x)
+
+    monkeypatch.setattr(geo.MetricField, "matrix", counted)
+    dyn.covariant_integrate(geo.polar_metric(4), [0.0, 1.0, 0.3, 0.0],
+                            [1.5, 0.3, -0.19, 0.0], 0.1, step=0.01, record_stride=5)
+    # the initial lowering, then christoffel_at once for each of the 3 records
+    assert len(calls) == 1 + 3
 
 
 def test_covariant_rhs_evaluates_metric_and_partials_once():
