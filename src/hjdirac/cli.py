@@ -21,264 +21,55 @@ import numpy as np
 
 from . import dynamics as dyn
 from . import geometry as geo
-from . import hamilton_jacobi as hj
 from . import statmech as sm
+from . import verify
 from ._util import atomic_write_text, json_text, write_csv, write_json
-from .clifford import (anticommutator, build_gamma_rep, minkowski_dot, slash,
-                       slash_eigensystem)
 from .config import ENSEMBLE, SIMULATE, Spec, parse
-from .dirac import conventional_dirac_residual, derivative_split
 from .errors import HJDiracError, StepRejected, UsageError
-
-SUITES = ("clifford", "geometry", "hj", "dirac", "dynamics", "statmech")
-
-
-class TolOverrides:
-    """--tol NAME=VALUE pairs; names nothing consumed are config errors."""
-
-    def __init__(self, pairs):
-        self.values = {}
-        for raw in pairs or []:
-            name, sep, val = raw.partition("=")
-            if not sep or not name:
-                raise UsageError("--tol expects NAME=VALUE, got %r" % raw)
-            try:
-                self.values[name] = float(val)
-            except ValueError:
-                raise UsageError("--tol %s needs a numeric value, got %r"
-                                 % (name, val))
-            if not math.isfinite(self.values[name]):  # strict JSON report
-                raise UsageError("--tol %s must be finite, got %r" % (name, val))
-        self.consumed = set()
-
-    def get(self, name, default):
-        if name in self.values:
-            self.consumed.add(name)
-            return self.values[name]
-        return default
-
-    def reject_unknown(self):
-        unknown = set(self.values) - self.consumed
-        if unknown:
-            raise UsageError("unknown tolerance name(s): %s"
-                             % ", ".join(sorted(unknown)))
-
-
-def _check(name, residual, tolerance):
-    residual = float(residual)
-    return {"check": name, "residual": residual, "tolerance": float(tolerance),
-            "passed": bool(residual <= tolerance)}
 
 
 # ---------------------------------------------------------------------------
-# verification suites
+# verify
 
-def _suite_clifford(seed, tol):
-    rep = build_gamma_rep()
-    rng = np.random.default_rng(seed)
-    anti = rep.check()
-    vs = rng.normal(size=(200, 4))
-    sq = max(np.abs(slash(rep, v) @ slash(rep, v)
-                    - minkowski_dot(v, v) * np.eye(4)).max() for v in vs)
-    spread = 0.0
-    for _ in range(20):
-        v = rng.normal(size=4)
-        v[0] = np.linalg.norm(v[1:]) + rng.uniform(0.5, 2.0)
-        root = np.sqrt(minkowski_dot(v, v))
-        eigs = sorted(ev for ev, _ in slash_eigensystem(rep, v))
-        spread = max(spread, np.abs(np.array(eigs)
-                                    - [-root, -root, root, root]).max())
-    return [
-        _check("gamma anticommutators reproduce the flat quadratic form",
-               anti, tol.get("anticomm", 1e-12)),
-        _check("slashed vector squares to its invariant length",
-               sq, tol.get("slash_square", 1e-10)),
-        _check("timelike slash spectrum is two symmetric pairs",
-               spread, tol.get("spectrum", 1e-10)),
-    ]
+def _tol_overrides(pairs, suites):
+    """--tol NAME=VALUE pairs as {name: value}; a name none of the suites
+    reads is refused before any of them runs."""
+    values = {}
+    for raw in pairs or []:
+        name, sep, val = raw.partition("=")
+        if not sep or not name:
+            raise UsageError("--tol expects NAME=VALUE, got %r" % raw)
+        try:
+            values[name] = float(val)
+        except ValueError:
+            raise UsageError("--tol %s needs a numeric value, got %r"
+                             % (name, val))
+        if not math.isfinite(values[name]):  # strict JSON report
+            raise UsageError("--tol %s must be finite, got %r" % (name, val))
+    known = verify.tol_keys(suites)
+    unknown = set(values) - set(known)
+    if unknown:
+        raise UsageError("unknown tolerance name(s): %s; valid names: %s"
+                         % (", ".join(sorted(unknown)), ", ".join(known)))
+    return values
 
 
-def _suite_geometry(seed, tol):
-    rep = build_gamma_rep()
-    rng = np.random.default_rng(seed)
-    metric = geo.polar_metric(4)
-    chart = geo.polar_chart()
-    tetrad_res = chart_res = gamma_res = 0.0
-    for _ in range(20):
-        x = np.array([rng.uniform(0, 2), rng.uniform(0.3, 2.0),
-                      rng.uniform(0, 2 * np.pi), rng.uniform(-1, 1)])
-        tetrad_res = max(tetrad_res, geo.tetrad_at(metric, x).residual)
-        chart_res = max(chart_res, np.abs(geo.chart_metric(chart, x)
-                                          - metric.matrix(x)).max())
-        gammas, ginv = geo.covariant_gamma(rep, chart, x)
-        gamma_res = max(gamma_res,
-                        max(np.abs(anticommutator(gammas[m], gammas[n])
-                                   - 2.0 * ginv[m, n] * np.eye(4)).max()
-                            for m in range(4) for n in range(4)))
-    return [
-        _check("tetrad squares to the metric at random points",
-               tetrad_res, tol.get("tetrad", 1e-10)),
-        _check("polar chart pullback matches the polar metric",
-               chart_res, tol.get("chart", 1e-9)),
-        _check("chart gammas anticommute to the inverse metric",
-               gamma_res, tol.get("gamma", 1e-9)),
-    ]
-
-
-def _suite_hj(seed, tol):
-    box = hj.Box([2.0, -0.5, -0.5, -0.5], [3.0, 0.5, 0.5, 0.5])
-    geod = hj.construct_geodesic_W(1.3)
-    rep_g = hj.is_exact(geod, region=box, seed=seed)
-    proj = hj.projectile_field(1.0, 0.5, 1.0, 0.2).at_parameter(0.7)
-    rep_p = hj.is_exact(proj, region=box, seed=seed)
-    counter = hj.curl_counterexample_field()
-    loop, _ = hj.loop_integral(counter, (1, 2), corner=[0.0, 0.2, -0.1, 0.0],
-                               extents=(0.5, 0.4))
-    area_law = abs(loop - 2.0 * 0.5 * 0.4) / (2.0 * 0.5 * 0.4)
-    return [
-        _check("geodesic distance field is closed around loops",
-               max(rep_g.closedness_residual, rep_g.max_loop_normalized),
-               tol.get("closed", 1e-8)),
-        _check("geodesic distance field sits on the mass shell",
-               rep_g.mass_shell_residual, tol.get("shell", 1e-8)),
-        _check("projectile family member is exact and on shell",
-               max(rep_p.closedness_residual, rep_p.max_loop_normalized,
-                   rep_p.mass_shell_residual),
-               tol.get("loop", 1e-8)),
-        _check("rotational counterexample loop obeys its area law",
-               area_law, tol.get("counterexample", 0.01)),
-    ]
-
-
-def _suite_dirac(seed, tol):
-    rep = build_gamma_rep()
-    rng = np.random.default_rng(seed)
-    plus = minus = split_res = 0.0
-    for _ in range(100):
-        m0 = rng.uniform(0.5, 2.0)
-        p = rng.normal(size=4)
-        p[0] = np.sqrt(m0 ** 2 + (p[1:] ** 2).sum())
-        pairs = slash_eigensystem(rep, p)
-        for ev, xi in pairs:
-            res = conventional_dirac_residual(rep, p, xi, m0=m0)
-            if ev > 0:
-                plus = max(plus, res)
-            else:
-                minus = max(minus, abs(res - 2.0 * m0))
-        u = rng.normal(size=4)
-        w = rng.normal(size=4)
-        split = derivative_split(rep, u, w)
-        split_res = max(split_res, abs(split.scalar - u @ w))
-    return [
-        _check("plane-wave spinors solve the momentum-space equation",
-               plus, tol.get("plane_wave", 1e-10)),
-        _check("opposite eigenspace misses by twice the mass",
-               minus, tol.get("opposite", 1e-10)),
-        _check("derivative split scalar equals the tangent contraction",
-               split_res, tol.get("split", 1e-10)),
-    ]
-
-
-def _suite_dynamics(seed, tol):
-    step = tol.get("step", 1e-3)
-    model = dyn.projectile_model(1.0, 0.5, 1.0, 0.2)
-    p0 = model.reference.tangent(0.0)
-    traj = dyn.integrate(model, np.zeros(4), p0, 2.0, step=step)
-    exact_x = model.reference.position(traj.s)
-    exact_p = model.reference.tangent(traj.s)
-    traj_err = max(np.abs(traj.x - exact_x).max(),
-                   np.abs(traj.p - exact_p).max())
-    canonical = dyn.integrate(model, np.zeros(4), p0, 10.0, step=step,
-                              canonical=True, record_stride=100)
-    late = traj.comm_norm[traj.s > 0.1]
-    comm_floor = 1.0 / late.min() if late.size and late.min() > 0 else np.inf
-
-    r0, th0 = 1.0, 0.3
-    vx, vy = 0.4, -0.25
-    cx0, cy0 = r0 * np.cos(th0), r0 * np.sin(th0)
-    u0 = np.array([1.5, (cx0 * vx + cy0 * vy) / r0,
-                   (cx0 * vy - cy0 * vx) / r0 ** 2, 0.0])
-    cov = dyn.covariant_integrate(geo.polar_metric(4),
-                                  np.array([0.0, r0, th0, 0.0]), u0, 2.0,
-                                  step=step, record_stride=10)
-    cart_x = cov.x[:, 1] * np.cos(cov.x[:, 2])
-    cart_y = cov.x[:, 1] * np.sin(cov.x[:, 2])
-    line_err = max(np.abs(cart_x - (cx0 + vx * cov.s)).max(),
-                   np.abs(cart_y - (cy0 + vy * cov.s)).max())
-    return [
-        _check("projectile integration matches the closed form",
-               traj_err, tol.get("traj", 1e-9)),
-        _check("energy is conserved under the canonical flow",
-               canonical.energy_drift(), tol.get("h_drift", 1e-8)),
-        _check("forced motion keeps the operator commutator positive",
-               comm_floor, tol.get("comm_floor", 1e3)),
-        _check("polar geodesic maps to a straight line",
-               line_err, tol.get("line", 1e-6)),
-    ]
-
-
-def _suite_statmech(seed, tol):
-    cfg = sm.EnsembleConfig(n=10 ** 5, m0=1.0, T=2.0, seed=seed)
-    mom = sm.sample_mb(cfg).moments()
-    var_sigmas = max(abs(v - cfg.sigma2) for v in mom["variance"]) \
-        / mom["variance_se"]
-
-    levels = np.linspace(0.0, 1.0, 5)
-    be = sm.partition_enumerate(levels, 4, 0.7, "BE")
-    fd = sm.partition_enumerate(levels, 4, 0.7, "FD")
-    mb = sm.partition_enumerate(levels, 4, 0.7, "MB")
-    count_err = max(abs(len(be.occupations) - math.comb(8, 4)),
-                    abs(len(fd.occupations) - math.comb(5, 4)))
-    fact_err = abs(mb.z - mb.single_particle_z() ** 4) / mb.z
-
-    theta = 2.5
-    arr = sm.exp_arrival_estimator(sm.synthetic_arrivals(theta, 2 * 10 ** 4,
-                                                         seed=seed))
-    arr_sigmas = abs(arr - theta) / (theta / np.sqrt(2 * 10 ** 4))
-
-    const = sm.slice_normalize(
-        lambda x, t: np.exp(-(np.asarray(x) ** 2).sum(axis=-1)),
-        0.0, sm.grid_cube(6.0, 49)).constant
-    slice_err = abs(const - np.pi ** 1.5) / np.pi ** 1.5
-    return [
-        _check("sampled velocity variance matches kB T over twice the mass",
-               var_sigmas, tol.get("var_sigmas", 3.0)),
-        _check("occupation counts match the combinatorial formulas",
-               count_err, tol.get("enum", 0.5)),
-        _check("distinguishable partition sum factorizes",
-               fact_err, tol.get("factorize", 1e-12)),
-        _check("arrival rate estimate is consistent",
-               arr_sigmas, tol.get("arrival_sigmas", 3.0)),
-        _check("gaussian slice normalizes to the closed form",
-               slice_err, tol.get("slice", 1e-6)),
-    ]
-
-
-_SUITE_FUNCS = {
-    "clifford": _suite_clifford,
-    "geometry": _suite_geometry,
-    "hj": _suite_hj,
-    "dirac": _suite_dirac,
-    "dynamics": _suite_dynamics,
-    "statmech": _suite_statmech,
-}
+# perfbench/spans.py times each suite by patching this dict's items
+_SUITE_FUNCS = verify.SUITE_FUNCS
 
 
 def cmd_verify(args):
-    tol = TolOverrides(args.tol)
-    names = SUITES if args.suite == "all" else (args.suite,)
+    names = verify.SUITES if args.suite == "all" else (args.suite,)
+    tol = _tol_overrides(args.tol, names)
     report = {"command": "verify", "suite": args.suite, "seed": args.seed,
-              "overrides": dict(tol.values), "suites": {}}
-    all_passed = True
+              "overrides": tol, "suites": {}}
     for name in names:
-        checks = _SUITE_FUNCS[name](args.seed, tol)
-        passed = all(c["passed"] for c in checks)
-        all_passed &= passed
-        report["suites"][name] = {"checks": checks, "passed": passed}
-        print("%-9s %d/%d checks passed" % (
-            name, sum(c["passed"] for c in checks), len(checks)))
-    tol.reject_unknown()
-    report["passed"] = all_passed
+        checks = list(verify.checks(name, args.seed, tol=tol).values())
+        passed = sum(c["passed"] for c in checks)
+        report["suites"][name] = {"checks": checks,
+                                  "passed": passed == len(checks)}
+        print("%-9s %d/%d checks passed" % (name, passed, len(checks)))
+    report["passed"] = all(s["passed"] for s in report["suites"].values())
     os.makedirs(args.out, exist_ok=True)
     write_json(os.path.join(args.out, "verify_report.json"), report)
     if args.format == "csv":
@@ -287,7 +78,7 @@ def cmd_verify(args):
         header = ["suite", "check", "residual", "tolerance", "passed"]
         write_csv(os.path.join(args.out, "verify_report.csv"), header,
                   [[row[key] for row in rows] for key in header])
-    return 0 if all_passed else 1
+    return 0 if report["passed"] else 1
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +245,7 @@ def build_parser():
     p_verify = sub.add_parser("verify", parents=[common],
                               help="run an invariant suite")
     p_verify.add_argument("--suite", default="all",
-                          choices=SUITES + ("all",))
+                          choices=verify.SUITES + ("all",))
     p_verify.add_argument("--tol", action="append", metavar="NAME=VALUE",
                           help="tolerance override, repeatable")
     p_verify.set_defaults(func=cmd_verify)

@@ -81,7 +81,9 @@ ENSEMBLE = {
            "kB": (POSITIVE, 1.0), "bins": (integer(1), 50)},
     "occupancy": {"levels": (NUMBERS, [0.0, 1.0]), "n": (integer(0), 2),
                   "beta": (NUMBER, 1.0), "statistics": (Spec(
-                      "a string (BE, FD or MB, in any case)", lambda v: isinstance(v, str)), "BE")},
+                      "BE, FD or MB (in any case)",
+                      lambda v: isinstance(v, str) and v.strip().upper() in ("BE", "FD", "MB")),
+                      "BE")},
 }
 
 

@@ -48,6 +48,11 @@ PARTIAL_FD_SCALE = 1e-6
 # state components), so this bounds a run's memory; a larger request is a
 # usage error raised before the first step.
 MAX_RECORDS = 10 ** 6
+# Most steps one run may take, s_max / step, whatever its record_stride: this
+# bounds a run's time (about 4.5 minutes at the 27 us a model RK4 step takes
+# on a 2-core x86 machine). A larger request is a usage error raised before
+# the first step.
+MAX_STEPS = 10 ** 7
 
 
 class HamiltonianModel:
@@ -273,9 +278,10 @@ def _drive(state, advance, s_max, step, record_stride, guard=None, record=None):
     preallocated row each, holding record(state) (by default the state).
     Raises StepRejected when the state goes non-finite or guard(state)
     returns a message, and UsageError for a bad step, an s_max off the step
-    grid, a record_stride that is not an int >= 1, or more than MAX_RECORDS
-    records. A singular or overflowing evaluation during the run is
-    re-raised as its own type, naming the step as StepRejected does.
+    grid, a record_stride that is not an int >= 1, more than MAX_RECORDS
+    records or more than MAX_STEPS steps. A singular or overflowing
+    evaluation during the run is re-raised as its own type, naming the step
+    as StepRejected does.
     """
     if step <= 0:
         raise UsageError("step must be positive")
@@ -288,6 +294,8 @@ def _drive(state, advance, s_max, step, record_stride, guard=None, record=None):
         raise UsageError("%d steps at record_stride %d make %d records, more "
                          "than the cap of %d" % (n_steps, record_stride, n_records,
                                                  MAX_RECORDS))
+    if n_steps > MAX_STEPS:
+        raise UsageError("%d steps, more than the cap of %d" % (n_steps, MAX_STEPS))
     msg = guard and guard(state)
     if msg:
         raise _rejected(0, step, state, msg)

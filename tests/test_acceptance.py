@@ -2,10 +2,11 @@
 
 Each test covers one advertised guarantee and prints a single verdict line,
 so a bare run reads as a checklist. Timed suites assert their own budget.
+A guarantee that is also a `verify` row runs through hjdirac.verify's suite
+at the seed and size published here, so each check has one definition.
 """
 
 import json
-import math
 import time
 from contextlib import contextmanager
 
@@ -14,13 +15,12 @@ import pytest
 
 from hjdirac import dirac as dr
 from hjdirac import dynamics as dyn
-from hjdirac import geometry as geo
 from hjdirac import hamilton_jacobi as hj
 from hjdirac import statmech as sm
+from hjdirac import verify
 from hjdirac.cli import main as cli_main
-from hjdirac.clifford import (anticommutator, build_gamma_rep, commutator,
-                              minkowski_dot, slash, slash_covector,
-                              slash_eigensystem)
+from hjdirac.clifford import (build_gamma_rep, commutator, minkowski_dot,
+                              slash, slash_covector)
 from hjdirac.errors import NotCommuting
 
 REP = build_gamma_rep()
@@ -37,6 +37,13 @@ def verdict(label):
     print("[acceptance] %s: PASS" % label)
 
 
+def assert_suite(suite, seed, size, **bounds):
+    """Every row of verify's suite, run at seed and size, sits strictly below
+    its tolerance, or below the tighter bound given here by its --tol key."""
+    for key, row in verify.checks(suite, seed, size).items():
+        assert row["residual"] < bounds.get(key, row["tolerance"]), (key, row)
+
+
 def radial_tangent(x):
     s = np.sqrt(minkowski_dot(x, x))
     return np.asarray(x, dtype=float) / s
@@ -45,52 +52,35 @@ def radial_tangent(x):
 def test_clifford_algebra_suite():
     with verdict("clifford algebra"):
         t0 = time.perf_counter()
-        eye = np.eye(4)
-        for a in range(4):
-            for b in range(4):
-                res = anticommutator(REP.gammas[a], REP.gammas[b]) \
-                    - 2.0 * REP.eta[a, b] * eye
-                assert np.abs(res).max() <= 1e-12
-        rng = np.random.default_rng(0)
-        for v in rng.normal(size=(1000, 4)):
-            sq = slash(REP, v) @ slash(REP, v)
-            vv = minkowski_dot(v, v)
-            assert np.abs(sq - vv * eye).max() <= 1e-12 * max(1.0, abs(vv))
-        for _ in range(100):
-            v = rng.normal(size=4)
-            v[0] = np.linalg.norm(v[1:]) + rng.uniform(0.5, 2.0)
-            root = np.sqrt(minkowski_dot(v, v))
-            eigs = np.array(sorted(ev for ev, _ in slash_eigensystem(REP, v)))
-            assert np.abs(eigs - [-root, -root, root, root]).max() <= 1e-10
+        # 1000 squares and 100 spectra; the absolute 1e-12 on the squares is
+        # tighter than a relative 1e-12 * max(1, |v.v|)
+        assert_suite("clifford", 0, 1000, slash_square=1e-12)
         assert time.perf_counter() - t0 < 1.0
 
 
 def test_field_exactness_suite():
     with verdict("field exactness"):
         t0 = time.perf_counter()
+        # the family member at s = 0.7, and the area law on a 0.37 x 0.52 loop
+        assert_suite("hj", 0, (0.37, 0.52))
         m0 = 1.0
         family = hj.projectile_field(m0, 0.5, 1.0, 0.2)
+        report = hj.is_exact(family.at_parameter(0.0), region=BOX)
+        assert report.passed
+        assert report.max_loop_normalized < 1e-8
+        assert report.closedness_residual < 1e-8
         pts = BOX.sample(np.random.default_rng(1), 30)
         for s in (0.0, 0.7):
             member = family.at_parameter(s)
-            report = hj.is_exact(member, region=BOX)
-            assert report.passed
-            assert report.max_loop_normalized < 1e-8
-            assert report.closedness_residual < 1e-8
             assert hj.mass_shell_check(member, pts) < 1e-8
             for x in pts[:10]:
                 h_val = member.hamiltonian(x)
                 p_vec = member.momentum(x)
                 assert abs(h_val ** 2 - (p_vec ** 2).sum() - m0 ** 2) < 1e-8
 
-        curl = hj.curl_counterexample_field()
         curl_box = hj.Box([-1.0, -1.0, -1.0, -1.0], [1.0, 1.0, 1.0, 1.0])
-        assert not hj.is_exact(curl, region=curl_box).passed
-        extents = (0.37, 0.52)
-        loop, _ = hj.loop_integral(curl, (1, 2), corner=[0.0, -0.2, 0.1, 0.0],
-                                   extents=extents)
-        predicted = 2.0 * extents[0] * extents[1]
-        assert abs(loop - predicted) <= 0.01 * abs(predicted)
+        assert not hj.is_exact(hj.curl_counterexample_field(),
+                               region=curl_box).passed
         assert time.perf_counter() - t0 < 5.0
 
 
@@ -144,17 +134,7 @@ def test_scaling_and_joint_eigenvectors():
 
 def test_plane_wave_solutions():
     with verdict("plane-wave solutions"):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            m0 = rng.uniform(0.5, 2.0)
-            p = rng.normal(size=4)
-            p[0] = np.sqrt(m0 ** 2 + (p[1:] ** 2).sum())
-            for ev, xi in slash_eigensystem(REP, p):
-                res = dr.conventional_dirac_residual(REP, p, xi, m0=m0)
-                if ev > 0:
-                    assert res < 1e-10
-                else:
-                    assert abs(res - 2.0 * m0) <= 1e-10
+        assert_suite("dirac", 3, 100)
 
 
 def test_transport_criterion():
@@ -198,40 +178,19 @@ def test_transport_criterion():
 def test_integration_accuracy():
     with verdict("integration accuracy"):
         t0 = time.perf_counter()
+        # closed form, canonical H drift and polar straight line at step 1e-3
+        assert_suite("dynamics", 0, 1e-3)
         model = dyn.projectile_model(1.0, 0.5, 1.0, 0.2)
-        p0 = model.reference.tangent(0.0)
-        traj = dyn.integrate(model, np.zeros(4), p0, 2.0, step=1e-3)
-        exact_y = model.reference.position(traj.s)[:, 2]
-        assert np.abs(traj.x[:, 2] - exact_y).max() < 1e-9
-
         ref = model.reference
 
         def endpoint_error(h):
-            run = dyn.integrate(model, np.zeros(4), p0, 2.0, step=h,
-                                record_stride=10 ** 9)
+            run = dyn.integrate(model, np.zeros(4), ref.tangent(0.0), 2.0,
+                                step=h, record_stride=10 ** 9)
             exact = np.concatenate([ref.position(2.0), ref.tangent(2.0)])
             return np.abs(np.concatenate([run.x[-1], run.p[-1]]) - exact).max()
 
         ratio = endpoint_error(0.1) / endpoint_error(0.05)
         assert 12.0 <= ratio <= 20.0
-
-        r0, th0 = 1.0, 0.3
-        vx, vy = 0.4, -0.25
-        cx0, cy0 = r0 * np.cos(th0), r0 * np.sin(th0)
-        u0 = np.array([1.5, (cx0 * vx + cy0 * vy) / r0,
-                       (cx0 * vy - cy0 * vx) / r0 ** 2, 0.0])
-        cov = dyn.covariant_integrate(geo.polar_metric(4),
-                                      np.array([0.0, r0, th0, 0.0]),
-                                      u0, 2.0, step=1e-3, record_stride=20)
-        cart_x = cov.x[:, 1] * np.cos(cov.x[:, 2])
-        cart_y = cov.x[:, 1] * np.sin(cov.x[:, 2])
-        assert np.abs(cart_x - (cx0 + vx * cov.s)).max() < 1e-6
-        assert np.abs(cart_y - (cy0 + vy * cov.s)).max() < 1e-6
-
-        canonical = dyn.integrate(model, np.zeros(4), p0, 10.0, step=1e-3,
-                                  canonical=True, record_stride=100)
-        assert len(canonical.s) == 101  # ten thousand steps behind it
-        assert canonical.energy_drift() < 1e-8
         assert time.perf_counter() - t0 < 10.0
 
 
@@ -251,41 +210,21 @@ def test_commutator_criterion():
                 raw, _ = dyn.operator_commutator(rho * p0, rho_prime * p0)
                 assert raw < 1e-12
 
-        model = dyn.projectile_model(1.0, 0.5, 1.0, 0.2)
-        traj = dyn.integrate(model, np.zeros(4),
-                             model.reference.tangent(0.0), 2.0, step=1e-2)
-        late = traj.comm_norm[traj.s > 0.1]
-        assert late.min() > 1e-3
+        # the projectile's late commutator stays above 1e-3 at step 1e-2
+        assert_suite("dynamics", 0, 1e-2)
 
 
 def test_ensemble_statistics():
     with verdict("ensemble statistics"):
         t0 = time.perf_counter()
-        cfg = sm.EnsembleConfig(n=10 ** 6, m0=1.0, T=2.0, seed=11)
-        moments = sm.sample_mb(cfg).moments()
-        for var in moments["variance"]:
-            assert abs(var - cfg.sigma2) < 3.0 * moments["variance_se"]
-
+        # a million velocities, and three (levels, particles) enumerations
+        assert_suite("statmech", 11, (10 ** 6, ((5, 4), (7, 3), (4, 4))))
         variances = []
         for i, temp in enumerate((1.0, 2.0, 4.0)):
             run = sm.EnsembleConfig(n=400000, m0=1.0, T=temp, seed=60 + i)
             variances.append(sm.sample_mb(run).velocities.var())
         for temp, var in zip((1.0, 2.0, 4.0), variances):
             assert abs(var / variances[0] - temp) <= 0.02 * temp
-
-        for L, n in ((5, 4), (7, 3), (4, 4)):
-            levels = np.linspace(0.0, 1.0, L)
-            be = sm.partition_enumerate(levels, n, 0.7, "BE")
-            assert len(be.occupations) == math.comb(n + L - 1, n)
-            fd = sm.partition_enumerate(levels, n, 0.7, "FD")
-            assert len(fd.occupations) == math.comb(L, n)
-            mb = sm.partition_enumerate(levels, n, 0.7, "MB")
-            assert abs(mb.z - mb.single_particle_z() ** n) <= 1e-12 * mb.z
-
-        theta = 2.5
-        est = sm.exp_arrival_estimator(sm.synthetic_arrivals(theta, 10 ** 5,
-                                                             seed=9))
-        assert abs(est - theta) < 3.0 * theta / math.sqrt(10 ** 5)
         assert time.perf_counter() - t0 < 30.0
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from hjdirac import dynamics as dyn
+from hjdirac import verify
 from hjdirac.cli import main
 from hjdirac.config import ENSEMBLE, METRIC, MODEL, SIMULATE
 
@@ -40,9 +41,32 @@ class TestVerify:
         assert not checks["projectile integration matches the closed form"]["passed"]
         assert report["overrides"] == {"step": 0.5}
 
-    def test_unknown_tolerance_rejected(self, tmp_path):
-        assert main(["verify", "--suite", "clifford", "--tol", "bogus=1",
-                     "--out", str(tmp_path)]) == 2
+    def test_report_bytes_are_pinned(self, tmp_path):
+        # sha256 of the report of every suite at seed 0: a change to any
+        # row's residual, tolerance, name or order, or to the report's
+        # format, shows here. Rows built on eigensolvers and inverses may
+        # differ in their last bits under another LAPACK build.
+        assert main(["verify", "--suite", "all", "--format", "csv", "--seed", "0",
+                     "--out", str(tmp_path)]) == 0
+        for name, digest in (
+                ("verify_report.json",
+                 "7858b616015dea2e412171bca4e31354650fcf543350da8f58799fc96fdf4148"),
+                ("verify_report.csv",
+                 "370ebd01e95f60fd2349a2816b6c77f1dd28bd35ac5138f102c63cc4bd219de7")):
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+    def test_unknown_tolerance_rejected(self, tmp_path, capsys):
+        # refused before any suite runs: no stdout and no output directory
+        out = tmp_path / "out"
+        for suite, name in (("clifford", "bogus"), ("all", "bogus"), ("clifford", "step")):
+            assert main(["verify", "--suite", suite, "--tol", name + "=1",
+                         "--out", str(out)]) == 2
+            stdout, err = capsys.readouterr()
+            assert stdout == ""
+            names = verify.SUITES if suite == "all" else (suite,)
+            assert "unknown tolerance name(s): %s; valid names: %s" % (
+                name, ", ".join(verify.tol_keys(names))) in err
+            assert not out.exists()
 
     def test_malformed_tolerance(self, tmp_path):
         assert main(["verify", "--suite", "clifford", "--tol", "step",
@@ -223,14 +247,18 @@ class TestSimulate:
         assert "last finite state [[0.0, 0.0, 0.0, 0.0], [1e-13, 0.0, 0.0, 0.0]]" in err
 
     def test_record_cap_exits_two_at_once(self, tmp_path, capsys):
-        # 1e15 steps: refused before the first one, so this returns at once
-        for kind in ("model", "covariant"):
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps({"kind": kind, "s_max": 1e12}))
-            out = tmp_path / kind
-            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
-            assert "more than the cap of %d" % dyn.MAX_RECORDS in capsys.readouterr().err
-            assert not out.exists()
+        # 1e15 steps: refused before the first one, so this returns at once;
+        # at a stride of 1e12 they make 1,001 records, and the step cap holds
+        for extra, text in (({}, "more than the cap of %d" % dyn.MAX_RECORDS),
+                            ({"record_stride": 10 ** 12}, "%d steps, more than the cap of %d"
+                             % (10 ** 15, dyn.MAX_STEPS))):
+            for kind in ("model", "covariant"):
+                cfg = tmp_path / "cfg.json"
+                cfg.write_text(json.dumps(dict(extra, kind=kind, s_max=1e12)))
+                out = tmp_path / kind
+                assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+                assert text in capsys.readouterr().err
+                assert not out.exists()
 
     def test_config_errors_exit_two(self, tmp_path):
         bad_model = tmp_path / "m.json"
@@ -463,6 +491,8 @@ BAD_CONFIGS = [
     pytest.param("ensemble", '{"n": 1}', "n", id="mb-n-one"),
     pytest.param("ensemble", '{"n": 100, "bins": 0}', "bins", id="mb-bins-zero"),
     pytest.param("ensemble", '{"n": 100, "bins": 2.5}', "bins", id="mb-bins-float"),
+    pytest.param("ensemble", '{"kind": "occupancy", "statistics": "XY"}', "statistics",
+                 id="occupancy-statistics-spelling"),
 ]
 
 
@@ -497,6 +527,23 @@ def test_readme_tables_list_the_schema_keys():
     assert readme_config_tables() == {
         (family, kind): set(table) for family, kinds in families.items()
         for kind, table in kinds.items()}
+
+
+def readme_verify_table():
+    """(suite, check, --tol key, default, claim) rows of the README's verify
+    table; a claim cell that is not C1-C4 says what the row protects."""
+    rows = []
+    for line in (Path(__file__).parents[1] / "README.md").read_text().splitlines():
+        cells = re.match(r"\| `(\w+)` \| (.+?) \| `(\w+)` \| (\S+) \| (.+) \|$", line)
+        if cells:
+            suite, check, key, default, claim = cells.groups()
+            rows.append((suite, check, key, float(default),
+                         claim if re.fullmatch(r"C[1-4]", claim) else None))
+    return rows
+
+
+def test_readme_verify_table_matches_the_check_table():
+    assert readme_verify_table() == [tuple(row) for row in verify.ROWS]
 
 
 class TestEntryPoint:
