@@ -33,7 +33,8 @@ from .errors import HJDiracError, StepRejected, UsageError
 
 def _tol_overrides(pairs, suites):
     """--tol NAME=VALUE pairs as {name: value}; a name none of the suites
-    reads is refused before any of them runs."""
+    reads, or a step the dynamics suite cannot take, is refused before any
+    of them runs."""
     values = {}
     for raw in pairs or []:
         name, sep, val = raw.partition("=")
@@ -51,6 +52,8 @@ def _tol_overrides(pairs, suites):
     if unknown:
         raise UsageError("unknown tolerance name(s): %s; valid names: %s"
                          % (", ".join(sorted(unknown)), ", ".join(known)))
+    if "step" in values:
+        verify.check_step(values["step"])
     return values
 
 

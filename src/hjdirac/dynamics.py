@@ -49,9 +49,9 @@ PARTIAL_FD_SCALE = 1e-6
 # usage error raised before the first step.
 MAX_RECORDS = 10 ** 6
 # Most steps one run may take, s_max / step, whatever its record_stride: this
-# bounds a run's time (about 4.5 minutes at the 27 us a model RK4 step takes
-# on a 2-core x86 machine). A larger request is a usage error raised before
-# the first step.
+# bounds a run's time (about 2 to 3 minutes at the 11-17 us a canonical model
+# RK4 step takes on a shared 2-core x86 machine). A larger request is a usage
+# error raised before the first step.
 MAX_STEPS = 10 ** 7
 
 
@@ -60,11 +60,11 @@ class HamiltonianModel:
     component form: x and p are 4 components each; H answers one number per
     state, each partial 4 components (a tuple; a constant one may be a plain
     number) and the flow a pair of them. integrate passes one state's
-    components as Python floats (y.tolist()) while stepping and the recorded
-    states' numpy columns (rows.T) for its diagnostics. + - * / and square
-    roots round alike on both, so one definition serves both; write x * x,
-    not x ** 2, which the two round and overflow differently. The guard sees
-    one state. A partial not given is the central difference of H, bound
+    components as Python floats (its state is a list of them) while stepping
+    and the recorded states' numpy columns (rows.T) for its diagnostics.
+    + - * / and square roots round alike on both, so one definition serves
+    both; write x * x, not x ** 2, which the two round and overflow
+    differently. The guard sees one state. A partial not given is the central difference of H, bound
     here once."""
 
     def __init__(self, name, hamiltonian, dh_dx=None, dh_dp=None, flow=None,
@@ -195,6 +195,15 @@ def model_from_config(cfg):
     return harmonic_model(float(cfg["omega"]))
 
 
+def _abs_max(components):
+    """max_a |c_a| per state, as np.abs(c).max(axis=0) but one component at
+    a time: no temporary of the whole stack's size is built."""
+    out = np.abs(components[0])
+    for c in components[1:]:
+        out = np.maximum(out, np.abs(c))
+    return out
+
+
 def operator_commutator(p, pdot):
     """(raw, normalized) Frobenius norms of [slash(p), slash(pdot)], per
     state when p and pdot are (..., 4) stacks.
@@ -211,13 +220,14 @@ def operator_commutator(p, pdot):
     p = np.moveaxis(np.asarray(p, dtype=float), -1, 0)
     q = np.moveaxis(np.asarray(pdot, dtype=float), -1, 0)
     # fmax passes over a NaN component of p: a zero force still reads as none
-    no_force = np.abs(q).max(axis=0) <= 1e-13 * np.fmax(1.0, np.abs(p).max(axis=0))
+    no_force = _abs_max(q) <= 1e-13 * np.fmax(1.0, _abs_max(p))
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN, silently
         wedge = 0.0
         for a, b in combinations(range(4), 2):  # (P ^ Q)_ab squared, in order
             w = p[a] * q[b] - p[b] * q[a]
             wedge = wedge + w * w
         raw = np.where(no_force, 0.0, 4.0 * np.sqrt(wedge))
+        del w, wedge  # free before the denominator's temporaries
         denom = 4.0 * (np.sqrt(sum(c * c for c in p)) * np.sqrt(sum(c * c for c in q)))
         norm = np.divide(raw, denom, out=np.zeros_like(raw),
                          where=~(no_force | (denom < 1e-280)))
@@ -251,42 +261,35 @@ class Trajectory:
 
 
 def rk4_step(rhs, state, step):
-    """One classical RK4 step of d(state)/ds = rhs(state) on a flat state
-    array; returns the new state."""
+    """One classical RK4 step of d(state)/ds = rhs(state); returns the new
+    state. state is a list of components (Python floats for one state, numpy
+    columns for a stack) and rhs answers one such list. Each component is
+    combined as state + sixth * (k1 + 2 k2 + 2 k3 + k4) combines arrays, in
+    the same order, so the bits are those of the array formula."""
     half, sixth = 0.5 * step, step / 6.0
     k1 = rhs(state)
-    k2 = rhs(state + half * k1)
-    k3 = rhs(state + half * k2)
-    k4 = rhs(state + step * k3)
-    return state + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+    k2 = rhs([a + half * b for a, b in zip(state, k1)])
+    k3 = rhs([a + half * b for a, b in zip(state, k2)])
+    k4 = rhs([a + step * b for a, b in zip(state, k3)])
+    return [a + sixth * (b + 2 * c + 2 * d + e)
+            for a, b, c, d, e in zip(state, k1, k2, k3, k4)]
 
 
-def _rejected(i, step, state, msg, error=StepRejected):
-    """An error (StepRejected) naming step i, its s and the last finite
-    state, printed as its two halves [[x...], [p...]]."""
-    half = state.size // 2
-    return error("step %d (s = %r): %s; last finite state %s"
-                 % (i, i * step, msg, [state[:half].tolist(), state[half:].tolist()]))
-
-
-def _drive(state, advance, s_max, step, record_stride, guard=None, record=None):
-    """The fixed-step loop of every integrator over [0, s_max].
-
-    state is one flat array, the coordinates then the momenta, that
-    advance(state) maps one step on. Step 0, every record_stride-th step and
-    the last are recorded: returns (s, rows), their s values and one
-    preallocated row each, holding record(state) (by default the state).
-    Raises StepRejected when the state goes non-finite or guard(state)
-    returns a message, and UsageError for a bad step, an s_max off the step
-    grid, a record_stride that is not an int >= 1, more than MAX_RECORDS
-    records or more than MAX_STEPS steps. A singular or overflowing
-    evaluation during the run is re-raised as its own type, naming the step
-    as StepRejected does.
-    """
-    if step <= 0:
+def step_count(s_max, step, record_stride):
+    """(steps, records) of a fixed-step run over [0, s_max] that records
+    step 0, every record_stride-th step and the last. Every run checks its
+    size here before its first step: UsageError for a step that is not
+    positive, an s_max that is not a positive multiple of it, a
+    record_stride that is not an int >= 1, more than MAX_RECORDS records or
+    more than MAX_STEPS steps."""
+    if not step > 0:
         raise UsageError("step must be positive")
     integer(1).check(record_stride, "record_stride")
-    n_steps = int(round(s_max / step))
+    ratio = s_max / step
+    if math.isinf(ratio):  # no int to round to
+        raise UsageError("s_max / step overflows, more than the cap of %d steps"
+                         % MAX_STEPS)
+    n_steps = int(round(ratio))
     if n_steps < 1 or abs(n_steps * step - s_max) > 1e-9 * max(1.0, abs(s_max)):
         raise UsageError("s_max must be a positive multiple of step")
     n_records = -(-n_steps // record_stride) + 1
@@ -296,6 +299,31 @@ def _drive(state, advance, s_max, step, record_stride, guard=None, record=None):
                                                  MAX_RECORDS))
     if n_steps > MAX_STEPS:
         raise UsageError("%d steps, more than the cap of %d" % (n_steps, MAX_STEPS))
+    return n_steps, n_records
+
+
+def _rejected(i, step, state, msg, error=StepRejected):
+    """An error (StepRejected) naming step i, its s and the last finite
+    state, printed as its two halves [[x...], [p...]] of plain floats."""
+    state = np.asarray(state, dtype=float).tolist()
+    half = len(state) // 2
+    return error("step %d (s = %r): %s; last finite state %s"
+                 % (i, i * step, msg, [state[:half], state[half:]]))
+
+
+def _drive(state, advance, s_max, step, record_stride, guard=None, record=None):
+    """The fixed-step loop of every integrator over [0, s_max].
+
+    state is one list of components, the coordinates then the momenta, that
+    advance(state) maps one step on. Step 0, every record_stride-th step and
+    the last are recorded: returns (s, rows), their s values and one
+    preallocated row each, holding record(state) (by default the state).
+    Raises StepRejected when the state goes non-finite or guard(state)
+    returns a message, and step_count's UsageError before the first step. A
+    singular or overflowing evaluation during the run is re-raised as its
+    own type, naming the step as StepRejected does.
+    """
+    n_steps, n_records = step_count(s_max, step, record_stride)
     msg = guard and guard(state)
     if msg:
         raise _rejected(0, step, state, msg)
@@ -303,13 +331,14 @@ def _drive(state, advance, s_max, step, record_stride, guard=None, record=None):
     i = k = 0
     try:
         first = record(state)
-        rows = np.empty((n_records, first.size))
+        rows = np.empty((n_records, len(first)))
         rows[0] = first
         # overflow here is a detected condition (StepRejected), not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(1, n_steps + 1):
                 last, state = state, advance(state)
-                if not np.isfinite(state).all():
+                # not a sum: that overflows on some finite states
+                if not all(map(math.isfinite, state)):
                     raise _rejected(i, step, last, "non-finite state")
                 msg = guard and guard(state)
                 if msg:
@@ -344,9 +373,11 @@ def integrate(model, x0, p0, s_max, step=1e-3, method="rk4", record_stride=1,
     method "rk4" uses the model's flow override when it has one (pass
     canonical=True to force the literal canonical equations); "leapfrog" is
     kick-drift-kick on the canonical equations and demands a separable H.
-    Each step hands the model one state's components as Python floats. The
-    dm_ds and comm_norm columns come from the dp/ds half of the right-hand
-    side that was integrated, evaluated once over the recorded columns.
+    The state is one list of 8 Python floats, the coordinates then the
+    momenta: each stage hands the model its halves and lists the components
+    it answers, with no numpy call per step. The dm_ds and comm_norm columns
+    come from the dp/ds half of the right-hand side that was integrated,
+    evaluated once over the recorded columns.
     Raises StepRejected when the state goes non-finite (also when a model
     callable raises ZeroDivisionError, OverflowError or ValueError on the
     Python floats, where numpy would give inf or nan) or the model's guard
@@ -361,29 +392,28 @@ def integrate(model, x0, p0, s_max, step=1e-3, method="rk4", record_stride=1,
     drift = (step * ETA_DIAG).tolist()
 
     def stage(y):
-        v = y.tolist()
         try:
-            dx, dp = rhs(v[:4], v[4:])
+            dx, dp = rhs(y[:4], y[4:])
         except _FLOAT_FAULTS:
-            return y * np.nan
-        return np.array((*dx, *dp))
+            return [math.nan] * 8
+        return [*dx, *dp]
 
     def leapfrog(y):
-        v = y.tolist()
-        x, p = v[:4], v[4:]
+        x, p = y[:4], y[4:]
         try:
             p = [b - k * f for b, k, f in zip(p, kick, model.dh_dx(x, p))]
             x = [a + d * u for a, d, u in zip(x, drift, model.dh_dp(x, p))]
             p = [b - k * f for b, k, f in zip(p, kick, model.dh_dx(x, p))]
         except _FLOAT_FAULTS:
-            return y * np.nan
-        return np.array(x + p)
+            return [math.nan] * 8
+        return x + p
 
     def advance(y):
         return rk4_step(stage, y, step) if method == "rk4" else leapfrog(y)
 
     guard = model.guard and (lambda y: model.guard(y[:4], y[4:]))
-    state = np.concatenate((np.asarray(x0, dtype=float), np.asarray(p0, dtype=float)))
+    state = np.concatenate((np.asarray(x0, dtype=float),
+                            np.asarray(p0, dtype=float))).tolist()
     s, rows = _drive(state, advance, s_max, step, record_stride, guard)
     cols = rows.T
     with np.errstate(over="ignore", invalid="ignore"):
@@ -444,11 +474,13 @@ def covariant_integrate(metric, x0, p0_upper, s_max, step=1e-3, record_stride=1)
         return ginv, up, dgu, 0.5 * (dgu @ up)
 
     def rhs(y):
+        y = np.array(y)
         _, up, _, pdot_low = flow(y[:dim], y[dim:])
-        return np.concatenate((up, pdot_low))
+        return up.tolist() + pdot_low.tolist()
 
     def record(y):
         """The row (x, p^mu, K, geodesic residual) of state y."""
+        y = np.array(y)
         xs, pl = y[:dim], y[dim:]
         ginv, up, dgu, pdot_low = flow(xs, pl)
         k = 0.5 * float(pl @ up)
@@ -458,7 +490,8 @@ def covariant_integrate(metric, x0, p0_upper, s_max, step=1e-3, record_stride=1)
         resid = dup + np.einsum("mnl,n,l->m", gamma, up, up)
         return np.concatenate((xs, up, [k, np.abs(resid).max()]))
 
-    s, rows = _drive(np.concatenate((x, p_low)), lambda y: rk4_step(rhs, y, step),
-                     s_max, step, record_stride, record=record)
+    s, rows = _drive(np.concatenate((x, p_low)).tolist(),
+                     lambda y: rk4_step(rhs, y, step), s_max, step, record_stride,
+                     record=record)
     return CovariantTrajectory(s, rows[:, :dim], rows[:, dim:2 * dim],
                                rows[:, 2 * dim], rows[:, 2 * dim + 1])

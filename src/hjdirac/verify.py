@@ -22,6 +22,7 @@ from . import statmech as sm
 from .clifford import (anticommutator, build_gamma_rep, minkowski_dot, slash,
                        slash_eigensystem)
 from .dirac import conventional_dirac_residual, derivative_split
+from .errors import UsageError
 
 Row = namedtuple("Row", "suite check key default claim")
 
@@ -150,15 +151,34 @@ def dirac(seed, size):
     return [plus, minus, split_res]
 
 
+# (s_max, record_stride) of the dynamics suite's runs: the projectile against
+# its closed form, its canonical H drift and the polar straight line
+DYNAMICS_RUNS = ((2.0, 1), (10.0, 100), (2.0, 10))
+
+
+def check_step(step):
+    """UsageError, naming --tol step, unless every run of the dynamics suite
+    takes this step (dynamics.step_count's rules)."""
+    for s_max, record_stride in DYNAMICS_RUNS:
+        try:
+            dyn.step_count(s_max, step, record_stride)
+        except UsageError as exc:
+            raise UsageError("--tol step=%r does not fit the dynamics suite's "
+                             "run over s_max = %r: %s" % (step, s_max, exc)) from None
+
+
 def dynamics(seed, size):
     """size is the integration step of every run."""
+    ((traj_s, traj_stride), (canonical_s, canonical_stride),
+     (line_s, line_stride)) = DYNAMICS_RUNS
     model = dyn.projectile_model(1.0, 0.5, 1.0, 0.2)
     p0 = model.reference.tangent(0.0)
-    traj = dyn.integrate(model, np.zeros(4), p0, 2.0, step=size)
+    traj = dyn.integrate(model, np.zeros(4), p0, traj_s, step=size,
+                         record_stride=traj_stride)
     traj_err = max(np.abs(traj.x - model.reference.position(traj.s)).max(),
                    np.abs(traj.p - model.reference.tangent(traj.s)).max())
-    canonical = dyn.integrate(model, np.zeros(4), p0, 10.0, step=size,
-                              canonical=True, record_stride=100)
+    canonical = dyn.integrate(model, np.zeros(4), p0, canonical_s, step=size,
+                              canonical=True, record_stride=canonical_stride)
     late = traj.comm_norm[traj.s > 0.1]
     comm_floor = 1.0 / late.min() if late.size and late.min() > 0 else np.inf
 
@@ -168,8 +188,8 @@ def dynamics(seed, size):
     u0 = np.array([1.5, (cx0 * vx + cy0 * vy) / r0,
                    (cx0 * vy - cy0 * vx) / r0 ** 2, 0.0])
     cov = dyn.covariant_integrate(geo.polar_metric(4),
-                                  np.array([0.0, r0, th0, 0.0]), u0, 2.0,
-                                  step=size, record_stride=10)
+                                  np.array([0.0, r0, th0, 0.0]), u0, line_s,
+                                  step=size, record_stride=line_stride)
     cart_x = cov.x[:, 1] * np.cos(cov.x[:, 2])
     cart_y = cov.x[:, 1] * np.sin(cov.x[:, 2])
     line_err = max(np.abs(cart_x - (cx0 + vx * cov.s)).max(),

@@ -18,6 +18,17 @@ def read_json(path):
         return json.load(fh)
 
 
+def assert_simulate_digests(tmp_path, config, csv_digest, report_digest):
+    """simulate config writes files of these sha256 digests."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    for name, digest in (("trajectory.csv", csv_digest),
+                         ("simulate_report.json", report_digest)):
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
 class TestVerify:
     def test_all_suites_green(self, tmp_path):
         assert main(["verify", "--suite", "all", "--out", str(tmp_path)]) == 0
@@ -67,6 +78,22 @@ class TestVerify:
             assert "unknown tolerance name(s): %s; valid names: %s" % (
                 name, ", ".join(verify.tol_keys(names))) in err
             assert not out.exists()
+
+    @pytest.mark.parametrize("step, rule", [
+        ("0.3", "s_max must be a positive multiple of step"),
+        ("0", "step must be positive"),
+        ("-1e-3", "step must be positive"),
+        ("5e-324", "s_max / step overflows, more than the cap of %d steps"
+         % dyn.MAX_STEPS)])
+    def test_bad_step_rejected_before_any_suite(self, tmp_path, capsys, step, rule):
+        out = tmp_path / "out"
+        assert main(["verify", "--suite", "all", "--tol", "step=" + step,
+                     "--out", str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert "--tol step=%r does not fit the dynamics suite's run over " \
+            "s_max = 2.0: %s" % (float(step), rule) in err
+        assert not out.exists()
 
     def test_malformed_tolerance(self, tmp_path):
         assert main(["verify", "--suite", "clifford", "--tol", "step",
@@ -134,13 +161,7 @@ class TestSimulate:
     ])
     def test_model_run_bytes_are_pinned(self, tmp_path, config, csv_digest,
                                         report_digest):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        out = tmp_path / "out"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-        for name, digest in (("trajectory.csv", csv_digest),
-                             ("simulate_report.json", report_digest)):
-            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+        assert_simulate_digests(tmp_path, config, csv_digest, report_digest)
 
     @pytest.mark.parametrize("config, csv_digest, report_digest", [
         ({"model": {"kind": "harmonic", "omega": 1.3}, "x0": [0.0, 1.0, 0.0, 0.0],
@@ -164,13 +185,27 @@ class TestSimulate:
                                                            csv_digest, report_digest):
         # digests taken before the model callables took components and the
         # diagonal metrics inverted in closed form
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        out = tmp_path / "out"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-        for name, digest in (("trajectory.csv", csv_digest),
-                             ("simulate_report.json", report_digest)):
-            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+        assert_simulate_digests(tmp_path, config, csv_digest, report_digest)
+
+    @pytest.mark.parametrize("config, csv_digest, report_digest", [
+        # the benchmark's covariant-diagonal run at seed 1
+        ({"kind": "covariant", "metric": {"kind": "diagonal", "entries": [
+            [[1.0, [0, 0, 0, 0]]], [[-1.0, [0, 0, 0, 0]]], [[-1.0, [0, 2, 0, 0]]],
+            [[-1.0, [0, 0, 0, 0]]]]}, "x0": [0.0, 0.9247, 2.6598, 0.0],
+          "p0_upper": [1.5298, 0.3397, -0.078512, 0.0], "s_max": 2.0, "step": 0.001,
+          "record_stride": 10},
+         "0233ac14e91cb6cbf39b9318e719fc173e55b71efa8ef7b929c1f41a4cbd8d9c",
+         "da990777e76fb8baa843207367f7a2df3bc367cf0803840222c9d6995d4bd6dc"),
+        ({"model": {"kind": "quadratic"}, "x0": [0.0, 0.1, -0.2, 0.3],
+          "p0": [1.4, 0.3, -0.2, 0.1], "s_max": 5.0, "step": 0.01,
+          "method": "leapfrog", "record_stride": 5},
+         "e2752b242d845f508807a6c0436c0be3d79ec9e3849467052640b3496aa57cef",
+         "38bdee2b85533daaea6af00799c6ad4bf7e870a69f436657d99f6e82999dde70"),
+    ])
+    def test_diagonal_and_quadratic_bytes_are_pinned(self, tmp_path, config,
+                                                     csv_digest, report_digest):
+        # digests taken while the integrator stepped a numpy state array
+        assert_simulate_digests(tmp_path, config, csv_digest, report_digest)
 
     def test_python_float_fault_exits_one_naming_the_step(self, tmp_path, capsys,
                                                           monkeypatch):
@@ -248,13 +283,15 @@ class TestSimulate:
 
     def test_record_cap_exits_two_at_once(self, tmp_path, capsys):
         # 1e15 steps: refused before the first one, so this returns at once;
-        # at a stride of 1e12 they make 1,001 records, and the step cap holds
+        # at a stride of 1e12 they make 1,001 records, and the step cap holds;
+        # a subnormal step makes s_max / step overflow to inf
         for extra, text in (({}, "more than the cap of %d" % dyn.MAX_RECORDS),
                             ({"record_stride": 10 ** 12}, "%d steps, more than the cap of %d"
-                             % (10 ** 15, dyn.MAX_STEPS))):
+                             % (10 ** 15, dyn.MAX_STEPS)),
+                            ({"s_max": 2.0, "step": 5e-324}, "s_max / step overflows")):
             for kind in ("model", "covariant"):
                 cfg = tmp_path / "cfg.json"
-                cfg.write_text(json.dumps(dict(extra, kind=kind, s_max=1e12)))
+                cfg.write_text(json.dumps(dict({"s_max": 1e12}, kind=kind, **extra)))
                 out = tmp_path / kind
                 assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
                 assert text in capsys.readouterr().err

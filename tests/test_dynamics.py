@@ -242,6 +242,40 @@ def test_python_float_faults_read_as_non_finite_state(fn, method):
                                   "last finite state [[0.0, 0.125, 0.0, 0.0], [1.0, ")
 
 
+@pytest.mark.parametrize("dp1, dx1, message", [
+    # the flow's own product overflows: 1e300 * 5e8 at step 3's second stage
+    (lambda x1: 1e300 * max(x1 - 1.2e10, 0.0), 1e10,
+     "step 3 (s = 1.5): non-finite state; last finite state "
+     "[[0.0, 10000000000.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]"),
+    # the flow stays finite and RK4's weighted sum of its stages overflows
+    (lambda x1: x1 * 1e308, 1.0,
+     "step 2 (s = 1.0): non-finite state; last finite state "
+     "[[0.0, 0.5, 0.0, 0.0], [1.0, 1.25e+307, 0.0, 0.0]]"),
+])
+def test_silent_float_overflow_reads_as_non_finite_state(dp1, dx1, message):
+    # Python's * and + overflow to inf without raising, so no stage fault
+    # catches these; _drive's finiteness check must. The messages are those
+    # of the integrator that stepped a numpy state array.
+    model = dyn.HamiltonianModel("overflow", lambda x, p: 0.0, flow=lambda x, p: (
+        (0.0, dx1, 0.0, 0.0), (0.0, dp1(x[1]), 0.0, 0.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepRejected) as info:
+            dyn.integrate(model, [0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], 4.0,
+                          step=0.5)
+    assert str(info.value) == message
+
+
+def test_finite_state_with_an_overflowing_sum_runs():
+    # every component is finite though their sum is not: a finiteness check
+    # by summing the state would reject this run
+    model = dyn.HamiltonianModel("still", lambda x, p: 0.0, flow=lambda x, p: (
+        (0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)))
+    traj = dyn.integrate(model, [0.0, 1e308, 1e308, 0.0], [1.0, 0.0, 0.0, 0.0], 1.0,
+                         step=0.25)
+    assert np.array_equal(traj.x[-1], [0.0, 1e308, 1e308, 0.0])
+
+
 def test_record_memory_per_sample():
     # records are preallocated float rows, s and the 8 state components, and
     # the H, dm_ds and comm_norm columns are computed over them; a list of

@@ -23,6 +23,10 @@ for one state, numpy columns for a stack; the two round alike, so each
 callable is checked for the same bits on both, and the array-valued
 reference loops above read the components as arrays. The diagonal metrics
 invert in closed form, 1/diag; np.linalg.inv is their exact oracle.
+
+rk4_step combined flat state arrays and now combines lists of components,
+Python floats or numpy columns; ref_rk4's array formula is its exact oracle
+on both.
 """
 
 import math
@@ -326,19 +330,55 @@ def same_bits(a, b):
 
 # -- RK4 ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("canonical", [False, True])
+def swap_rhs(x, p):
+    """dx/ds = p, dp/ds = -x: no rounding of its own, so the stages see the
+    states' magnitudes and zero signs as they are."""
+    return tuple(p), tuple(-a for a in x)
+
+
+def wide_states(rng, n):
+    """n states of 8 components of magnitude 1e-300 to 1e300, either sign,
+    about a fifth of them zeros of either sign."""
+    y = rng.choice([-1.0, 1.0], size=(n, 8)) * 10.0 ** rng.uniform(-300, 300, (n, 8))
+    zeros = rng.random((n, 8)) < 0.2
+    y[zeros] = np.copysign(0.0, y[zeros])
+    return y
+
+
+def on_stacks(rhs):
+    """rhs for ref_rk4 on (4, N) stacks: a constant component becomes a column."""
+    return lambda x, p: [np.broadcast_arrays(*part, x[0])[:-1] for part in rhs(x, p)]
+
+
+@pytest.mark.parametrize("canonical", [False, True, pytest.param(None, id="wide")])
 def test_rk4_step_matches_inline_loop(canonical):
-    model = dyn.projectile_model(1.1, 0.4, 0.9, 0.2)
-    rhs = dyn._rhs_for(model, "rk4", canonical)[0]
+    # rk4_step on one state's Python floats and on the numpy columns of a
+    # stack of three; canonical None steps swap_rhs from wide_states
     rng = np.random.default_rng(1)
-    for _ in range(5):
-        x, p = rng.normal(size=4), rng.normal(size=4)
-        p[0] = abs(p[0]) + 3.0
-        state = np.concatenate((x, p))
+    if canonical is None:
+        rhs, states = swap_rhs, wide_states(rng, 15)
+    else:
+        model = dyn.projectile_model(1.1, 0.4, 0.9, 0.2)
+        rhs = dyn._rhs_for(model, "rk4", canonical)[0]
+        states = rng.normal(size=(15, 8))
+        states[:, 4] = np.abs(states[:, 4]) + 3.0
+
+    def stage(y):
+        dx, dp = rhs(y[:4], y[4:])
+        return [*dx, *dp]
+
+    for stack in states.reshape(5, 3, 8):
+        for y0 in stack:
+            y = y0.tolist()
+            for _ in range(50):
+                y = rk4_step(stage, y, 1e-3)
+            assert all(type(v) is float for v in y)
+            assert same_bits(y, np.concatenate(ref_rk4(rhs, y0[:4], y0[4:], 1e-3, 50)))
+        columns = list(stack.T)
         for _ in range(50):
-            state = rk4_step(lambda y: np.concatenate(rhs(y[:4], y[4:])), state, 1e-3)
-        want = ref_rk4(rhs, x, p, 1e-3, 50)
-        assert np.array_equal(state[:4], want[0]) and np.array_equal(state[4:], want[1])
+            columns = rk4_step(stage, columns, 1e-3)
+        want = ref_rk4(on_stacks(rhs), stack.T[:4], stack.T[4:], 1e-3, 50)
+        assert same_bits(columns, np.concatenate(want))
 
 
 def test_integrate_records_the_inline_loop_states():
