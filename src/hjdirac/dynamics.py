@@ -21,8 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from .clifford import ETA_DIAG, minkowski_dot
-from .geometry import _metric_partials, christoffel_at
-from ._util import central_difference
+from .geometry import christoffel_at
 from .config import MODEL, integer, parse
 from .errors import NonSeparable, SingularMetric, StepRejected, UsageError
 from .hamilton_jacobi import projectile_field
@@ -42,7 +41,6 @@ __all__ = [
     "covariant_integrate",
 ]
 
-PARTIAL_FD_SCALE = 1e-6
 # Most samples one run may record, ceil((s_max / step) / record_stride) + 1.
 # Each is a preallocated row of floats (72 bytes in a model run: s and the 8
 # state components), so this bounds a run's memory; a larger request is a
@@ -64,20 +62,15 @@ class HamiltonianModel:
     and the recorded states' numpy columns (rows.T) for its diagnostics.
     + - * / and square roots round alike on both, so one definition serves
     both; write x * x, not x ** 2, which the two round and overflow
-    differently. The guard sees one state. A partial not given is the central difference of H, bound
-    here once."""
+    differently. Both partials are required, in closed form. The guard sees
+    one state."""
 
-    def __init__(self, name, hamiltonian, dh_dx=None, dh_dp=None, flow=None,
+    def __init__(self, name, hamiltonian, dh_dx, dh_dp, flow=None,
                  separable=False, guard=None, m0=None):
-        def fd(f, y):  # the stencil takes the component last, answers it first
-            return central_difference(lambda z: f(np.moveaxis(z, -1, 0)),
-                                      np.moveaxis(np.array(y, dtype=float), 0, -1),
-                                      PARTIAL_FD_SCALE)
-
         self.name = name
         self.hamiltonian = hamiltonian
-        self.dh_dx = dh_dx or (lambda x, p: fd(lambda y: hamiltonian(y, p), x))
-        self.dh_dp = dh_dp or (lambda x, p: fd(lambda y: hamiltonian(x, y), p))
+        self.dh_dx = dh_dx
+        self.dh_dp = dh_dp
         self.flow = flow
         self.separable = separable
         self.guard = guard
@@ -333,8 +326,9 @@ def _drive(state, advance, s_max, step, record_stride, guard=None, record=None):
         first = record(state)
         rows = np.empty((n_records, len(first)))
         rows[0] = first
-        # overflow here is a detected condition (StepRejected), not a warning
-        with np.errstate(over="ignore", invalid="ignore"):
+        # overflow or a zero division here is a detected condition
+        # (StepRejected), not a warning
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for i in range(1, n_steps + 1):
                 last, state = state, advance(state)
                 # not a sum: that overflows on some finite states
@@ -470,7 +464,7 @@ def covariant_integrate(metric, x0, p0_upper, s_max, step=1e-3, record_stride=1)
         u^beta, dp_mu/ds): one inverse and one partials evaluation."""
         ginv = metric.inverse(xs)
         up = ginv(pl)
-        dgu = _metric_partials(metric, xs) @ up
+        dgu = metric.dg(xs) @ up
         return ginv, up, dgu, 0.5 * (dgu @ up)
 
     def rhs(y):

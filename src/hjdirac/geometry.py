@@ -8,7 +8,6 @@ sum(coeff * prod(x_i**e_i)); no string expressions are evaluated.
 
 import numpy as np
 
-from ._util import central_difference
 from .clifford import ETA_DIAG
 from .config import METRIC, parse
 from .errors import BadSignature, SingularJacobian, SingularMetric, UsageError
@@ -31,8 +30,6 @@ __all__ = [
 ]
 
 COND_GUARD = 1e12
-METRIC_FD_SCALE = 1e-5  # h_lambda = 1e-5 * max(1, |x_lambda|)
-CHART_FD_SCALE = 1e-6
 
 
 def eval_poly(terms, x):
@@ -76,14 +73,13 @@ def poly_partials(terms, dim):
 
 class MetricField:
     """A metric given by a callable x -> symmetric (dim, dim) matrix, or by
-    diag(x) -> its dim diagonal entries, from which both g and g^{-1} follow.
-
-    Optional dg(x) -> array (dim, dim, dim) of partials d_lambda g_{mu nu}
-    replaces the central-difference default in christoffel_at; every built-in
-    metric carries one.
+    diag(x) -> its dim diagonal entries, from which both g and g^{-1} follow,
+    together with dg(x) -> array (dim, dim, dim) of its partials
+    d_lambda g_{mu nu} in closed form, which christoffel_at and the
+    covariant flow read.
     """
 
-    def __init__(self, g=None, dim=4, kind="custom", dg=None, diag=None):
+    def __init__(self, g=None, dim=4, kind="custom", *, dg, diag=None):
         if diag is not None:
             def g(x):
                 return np.diag(np.array(diag(x), dtype=float))
@@ -231,26 +227,17 @@ def tetrad_at(metric, x):
     return TetradFrame(frame, x, residual)
 
 
-def _metric_partials(metric, x):
-    """dg[lam] = d_lam g at x: the metric's own dg, else central differences."""
-    x = np.asarray(x, dtype=float)
-    if metric.dg is not None:
-        return np.asarray(metric.dg(x), dtype=float)
-    return central_difference(metric.matrix, x, METRIC_FD_SCALE)
-
-
 def christoffel_at(metric, x):
     """Gamma^mu_{nu lambda} from the metric, symmetric in (nu, lambda).
 
-    Partials are analytic when the metric provides dg, else central
-    differences with step 1e-5 * max(1, |x^lambda|) per axis. Raises
-    SingularMetric when cond(g) exceeds 1e12.
+    The partials are the metric's dg. Raises SingularMetric when cond(g)
+    exceeds 1e12.
     """
     gx = metric.matrix(x)
     if np.linalg.cond(gx) > COND_GUARD:
         raise SingularMetric(f"cond(g) = {np.linalg.cond(gx):.3e} at x = {np.asarray(x).tolist()}")
     ginv = np.linalg.inv(gx)
-    dg = _metric_partials(metric, x)
+    dg = metric.dg(np.asarray(x, dtype=float))
     # one sigma term at a time: each entry sums in the order of the index formula
     gamma = np.zeros((metric.dim,) * 3)
     for sig in range(metric.dim):
@@ -260,38 +247,21 @@ def christoffel_at(metric, x):
 
 
 class CoordinateChart:
-    """Map from chart coordinates to the flat reference frame.
-
-    forward: chart -> reference, backward: reference -> chart,
-    jacobian(x_chart) -> J[a, mu] = d(reference^a)/d(chart^mu); when jacobian
-    is omitted it is built from forward by central differences.
+    """A chart of the flat reference frame, given by its Jacobian in closed
+    form: jacobian(x_chart) -> J[a, mu] = d(reference^a)/d(chart^mu).
     """
 
-    def __init__(self, name, forward, backward, jacobian=None, dim=4):
+    def __init__(self, name, jacobian, dim=4):
         self.name = name
-        self.forward = forward
-        self.backward = backward
         self._jacobian = jacobian
         self.dim = dim
 
     def jacobian_matrix(self, x):
-        x = np.asarray(x, dtype=float)
-        if self._jacobian is not None:
-            return np.asarray(self._jacobian(x), dtype=float)
-        # C order: a matmul's rounding depends on its operands' memory layout
-        return np.ascontiguousarray(central_difference(self.forward, x, CHART_FD_SCALE).T)
+        return np.asarray(self._jacobian(np.asarray(x, dtype=float)), dtype=float)
 
 
 def polar_chart():
-    """(t, r, theta, z) -> (t, r cos theta, r sin theta, z)."""
-
-    def forward(x):
-        t, r, th, z = x
-        return np.array([t, r * np.cos(th), r * np.sin(th), z])
-
-    def backward(x):
-        t, cx, cy, z = x
-        return np.array([t, np.hypot(cx, cy), np.arctan2(cy, cx), z])
+    """The Jacobian of (t, r, theta, z) -> (t, r cos theta, r sin theta, z)."""
 
     def jacobian(x):
         _, r, th, _ = x
@@ -302,7 +272,7 @@ def polar_chart():
             [0.0, 0.0, 0.0, 1.0],
         ])
 
-    return CoordinateChart("polar", forward, backward, jacobian=jacobian)
+    return CoordinateChart("polar", jacobian)
 
 
 def chart_metric(chart, x):

@@ -1,17 +1,14 @@
 """Hamilton-Jacobi fields and their verification checks.
 
-A field is W(x) on events x = (t, x1, x2, x3) together with its one-form
-dW = (dW/dt, dW/dx1, dW/dx2, dW/dx3) in lower-index components; the momentum
-is the spatial part and H = -dW/dt. Fields may be given by W alone (one-form
-by central differences, step 1e-6 * max(1, |x_a|) per axis), by an analytic
-one-form, or by a raw one-form with no W at all (how counterexamples that are
-not gradients of anything get checked).
+A field is its one-form dW = (dW/dt, dW/dx1, dW/dx2, dW/dx3) on events
+x = (t, x1, x2, x3), in lower-index components and in closed form, and
+optionally W(x) itself; the momentum is the spatial part and H = -dW/dt. A
+field with no W is how counterexamples that are not gradients of anything
+get checked.
 
 Exactness is verified by two independent routes: antisymmetry of the mixed
 partials of the one-form, and trapezoid loop integrals around random
-axis-aligned rectangles. A raw one-form built directly from W's central
-differences has exactly symmetric mixed partials by construction, so for
-value-only fields the loop route carries the information.
+axis-aligned rectangles.
 """
 
 import numpy as np
@@ -44,7 +41,6 @@ __all__ = [
     "decompose_parallel_perp",
 ]
 
-GRAD_FD_SCALE = 1e-6
 TOL_NULL = 1e-10
 
 
@@ -62,23 +58,16 @@ class Box:
 
 
 class HamiltonJacobiField:
-    """See the module docstring for the three construction modes.
+    """one_form(x) -> dW and, optionally, value(x) -> W; both take one point
+    (4,) or a stack of points (..., 4), so loop quadrature runs at array
+    speed."""
 
-    vectorized=True promises that value/one_form accept stacked points
-    (..., 4); the built-in factories all do, which keeps loop quadrature
-    at array speed.
-    """
-
-    def __init__(self, value=None, one_form=None, m0=None, region=None,
-                 name="field", vectorized=False):
-        if value is None and one_form is None:
-            raise UsageError("field needs W or a one-form")
+    def __init__(self, one_form, value=None, m0=None, region=None, name="field"):
         self._value = value
         self._one_form = one_form
         self.m0 = m0
         self.region = region
         self.name = name
-        self.vectorized = vectorized
 
     # -- evaluation ---------------------------------------------------------
 
@@ -96,31 +85,12 @@ class HamiltonJacobiField:
         if self._value is None:
             raise UsageError(f"field {self.name!r} has no W, only a one-form")
         self._guard(x)
-        return self._apply(self._value, x, scalar=True)
+        return np.asarray(self._value(np.asarray(x, dtype=float)), dtype=float)
 
     def one_form(self, x):
         """dW components at x (or at a stack of points (..., 4))."""
         self._guard(x)
-        if self._one_form is not None:
-            return self._apply(self._one_form, x, scalar=False)
-        grad = central_difference(lambda y: self._apply(self._value, y, scalar=True),
-                                  x, GRAD_FD_SCALE)
-        # C order: a matmul's rounding depends on its operands' memory layout
-        return np.ascontiguousarray(np.moveaxis(grad, 0, -1))
-
-    def _apply(self, fn, x, scalar):
-        x = np.asarray(x, dtype=float)
-        if self.vectorized or x.ndim == 1:
-            return np.asarray(fn(x), dtype=float)
-        flat = x.reshape(-1, 4)
-        out = np.asarray([fn(p) for p in flat], dtype=float)
-        return out.reshape(x.shape[:-1] if scalar else x.shape)
-
-    def momentum(self, x):
-        return self.one_form(x)[..., 1:]
-
-    def hamiltonian(self, x):
-        return -self.one_form(x)[..., 0]
+        return np.asarray(self._one_form(np.asarray(x, dtype=float)), dtype=float)
 
     def has_value(self):
         return self._value is not None
@@ -129,14 +99,8 @@ class HamiltonJacobiField:
 # -- exactness ---------------------------------------------------------------
 
 def _closedness_residual(field, points):
-    """max |d_a w_b - d_b w_a| over the sampled points.
-
-    Value-only fields use the symmetric second-difference stencil on W, which
-    is antisymmetry-exact; one-form fields difference the one-form (step
-    1e-5 * max(1, |x_a|)).
-    """
-    if field._one_form is None:
-        return 0.0  # symmetric stencil: mixed partials of FD(W) coincide identically
+    """max |d_a w_b - d_b w_a| over the sampled points, from central
+    differences of the one-form (step 1e-5 * max(1, |x_a|))."""
     d = central_difference(field.one_form, points, 1e-5)  # d[a, ..., b] = d_a w_b
     return float(np.abs(d - np.swapaxes(d, 0, -1)).max())
 
@@ -235,8 +199,8 @@ def mass_shell_check(field, points):
 # -- reparameterization (scaling) -------------------------------------------
 
 class ScaleReport:
-    def __init__(self, forward, inverse_max_err, w_range, passed):
-        self.forward = forward          # HJReport of the transformed field
+    def __init__(self, exactness, inverse_max_err, w_range, passed):
+        self.exactness = exactness      # HJReport of the transformed field
         self.inverse_max_err = inverse_max_err
         self.w_range = w_range
         self.passed = passed
@@ -290,9 +254,9 @@ def scale_check(field, psi, psi_prime, region=None, n_points=25, seed=0,
 
     transformed = HamiltonJacobiField(
         value=scaled_value, one_form=scaled_form, m0=None, region=region,
-        name=f"psi({field.name})", vectorized=field.vectorized,
+        name=f"psi({field.name})",
     )
-    forward = is_exact(transformed, region=region, seed=seed)
+    exactness = is_exact(transformed, region=region, seed=seed)
 
     # scaled momentum / H at sample points (componentwise identity)
     pts = probe[:n_points]
@@ -308,8 +272,8 @@ def scale_check(field, psi, psi_prime, region=None, n_points=25, seed=0,
             y = psi(field.value(x))
             w_rec = _invert_monotone(psi, y, lo, hi, increasing)
             inv_err = max(inv_err, abs(w_rec - field.value(x)))
-    passed = forward.passed and comp_err <= tol and inv_err <= 1e-7 * max(1.0, abs(w_hi))
-    report = ScaleReport(forward, inv_err, (w_lo, w_hi), passed)
+    passed = exactness.passed and comp_err <= tol and inv_err <= 1e-7 * max(1.0, abs(w_hi))
+    report = ScaleReport(exactness, inv_err, (w_lo, w_hi), passed)
     return report
 
 
@@ -342,7 +306,7 @@ def construct_geodesic_W(m0, base_point=(0.0, 0.0, 0.0, 0.0), k=0.0, region=None
         return m0 * lowered / s[..., None]
 
     return HamiltonJacobiField(value=value, one_form=one_form, m0=m0,
-                               region=region, name="geodesic", vectorized=True)
+                               region=region, name="geodesic")
 
 
 class ProjectileField(HamiltonJacobiField):
@@ -366,7 +330,7 @@ class ProjectileField(HamiltonJacobiField):
         self.frozen_s = float(frozen_s)
         m0 = float(m0)
         super().__init__(value=self._value_fn, one_form=self._one_form_fn, m0=m0,
-                         region=region, name="projectile", vectorized=True)
+                         region=region, name="projectile")
 
     # kinematics ------------------------------------------------------------
 
@@ -440,7 +404,7 @@ def curl_counterexample_field(region=None):
         return out
 
     return HamiltonJacobiField(one_form=one_form, region=region,
-                               name="curl-counterexample", vectorized=True)
+                               name="curl-counterexample")
 
 
 def linearly_shifted(field, coeffs, name=None):
@@ -456,8 +420,7 @@ def linearly_shifted(field, coeffs, name=None):
 
     return HamiltonJacobiField(value=value, one_form=one_form, m0=field.m0,
                                region=field.region,
-                               name=name or f"{field.name}+linear",
-                               vectorized=field.vectorized)
+                               name=name or f"{field.name}+linear")
 
 
 # -- parallel / perpendicular split ------------------------------------------

@@ -74,8 +74,8 @@ def test_field_exactness_suite():
             member = family.at_parameter(s)
             assert hj.mass_shell_check(member, pts) < 1e-8
             for x in pts[:10]:
-                h_val = member.hamiltonian(x)
-                p_vec = member.momentum(x)
+                h_val = -member.one_form(x)[..., 0]
+                p_vec = member.one_form(x)[..., 1:]
                 assert abs(h_val ** 2 - (p_vec ** 2).sum() - m0 ** 2) < 1e-8
 
         curl_box = hj.Box([-1.0, -1.0, -1.0, -1.0], [1.0, 1.0, 1.0, 1.0])

@@ -210,8 +210,9 @@ class TestSimulate:
     def test_python_float_fault_exits_one_naming_the_step(self, tmp_path, capsys,
                                                           monkeypatch):
         # a flow dividing by x1, which reaches exactly 0 in step 4's last stage
+        zero = (0.0, 0.0, 0.0, 0.0)  # the partials of H = 0
         model = dyn.HamiltonianModel(
-            "pole", lambda x, p: 0.0,
+            "pole", lambda x, p: 0.0, lambda x, p: zero, lambda x, p: zero,
             flow=lambda x, p: ((0.0, -1.0, 0.0, 0.0), (0.0, 1.0 / x[1], 0.0, 0.0)))
         monkeypatch.setattr(dyn, "model_from_config", lambda cfg: model)
         cfg = tmp_path / "cfg.json"

@@ -50,8 +50,10 @@ class TestCanonicalFlow:
 
     @pytest.mark.parametrize("make", [
         lambda: dyn.harmonic_model(),
-        lambda: dyn.HamiltonianModel("mixed", lambda x, p: 0.5 * (p[1] * p[1])
-                                     + 0.3 * x[1] * p[1] + 0.5 * (x[1] * x[1])),
+        lambda: dyn.HamiltonianModel(
+            "mixed", lambda x, p: 0.5 * (p[1] * p[1]) + 0.3 * x[1] * p[1] + 0.5 * (x[1] * x[1]),
+            dh_dx=lambda x, p: (0.0, 0.3 * p[1] + x[1], 0.0, 0.0),
+            dh_dp=lambda x, p: (0.0, p[1] + 0.3 * x[1], 0.0, 0.0)),
     ])
     def test_h_conserved_under_literal_flow(self, make):
         model = make()
@@ -78,7 +80,10 @@ class TestCanonicalFlow:
         assert traj.energy_drift() < 1e-6
 
     def test_leapfrog_requires_separable(self):
-        mixed = dyn.HamiltonianModel("mixed", lambda x, p: x[1] * p[1] * p[2])
+        mixed = dyn.HamiltonianModel(
+            "mixed", lambda x, p: x[1] * p[1] * p[2],
+            dh_dx=lambda x, p: (0.0, p[1] * p[2], 0.0, 0.0),
+            dh_dp=lambda x, p: (0.0, x[1] * p[2], x[1] * p[1], 0.0))
         with pytest.raises(NonSeparable):
             dyn.integrate(mixed, np.zeros(4), np.ones(4), 1.0, step=0.1,
                           method="leapfrog")
@@ -207,6 +212,11 @@ class TestProjectileKinematics:
             "[[0.0, -0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]")
 
 
+def zero_partials(x, p):
+    """dH/dx and dH/dp of H = 0, the H of the flow-only models below."""
+    return 0.0, 0.0, 0.0, 0.0
+
+
 def reciprocal(x1, numpy):
     return np.float64(1.0) / x1 if numpy else 1.0 / x1
 
@@ -222,20 +232,24 @@ def test_python_float_faults_read_as_non_finite_state(fn, method):
     # second RK4 stage and 0.0 at the last one and at the second leapfrog kick.
     # There 1 / 0.0 raises ZeroDivisionError and math.sqrt of a negative
     # ValueError on Python floats, where numpy gives inf or nan: the run is
-    # rejected at the same step, with the same message, either way.
+    # rejected at the same step, with the same message, either way, and
+    # numpy's division by zero warns of nothing, with no np.errstate here.
     messages = []
     for numpy in (False, True):
         if method == "rk4":
-            model = dyn.HamiltonianModel("pole", lambda x, p: 0.0, flow=lambda x, p: (
-                (0.0, -1.0, 0.0, 0.0), (0.0, fn(x[1], numpy), 0.0, 0.0)))
+            model = dyn.HamiltonianModel(
+                "pole", lambda x, p: 0.0, zero_partials, zero_partials, flow=lambda x, p: (
+                    (0.0, -1.0, 0.0, 0.0), (0.0, fn(x[1], numpy), 0.0, 0.0)))
         else:
             model = dyn.HamiltonianModel(
                 "pole", lambda x, p: 0.0, separable=True,
                 dh_dx=lambda x, p: (0.0, fn(x[1], numpy), 0.0, 0.0),
                 dh_dp=lambda x, p: (0.0, 1.0, 0.0, 0.0))
-        with np.errstate(divide="ignore"), pytest.raises(StepRejected) as info:
-            dyn.integrate(model, [0.0, 0.5, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], 1.0,
-                          step=0.125, method=method)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepRejected) as info:
+                dyn.integrate(model, [0.0, 0.5, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], 1.0,
+                              step=0.125, method=method)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert messages[0].startswith("step 4 (s = 0.5): non-finite state; "
@@ -256,8 +270,9 @@ def test_silent_float_overflow_reads_as_non_finite_state(dp1, dx1, message):
     # Python's * and + overflow to inf without raising, so no stage fault
     # catches these; _drive's finiteness check must. The messages are those
     # of the integrator that stepped a numpy state array.
-    model = dyn.HamiltonianModel("overflow", lambda x, p: 0.0, flow=lambda x, p: (
-        (0.0, dx1, 0.0, 0.0), (0.0, dp1(x[1]), 0.0, 0.0)))
+    model = dyn.HamiltonianModel(
+        "overflow", lambda x, p: 0.0, zero_partials, zero_partials, flow=lambda x, p: (
+            (0.0, dx1, 0.0, 0.0), (0.0, dp1(x[1]), 0.0, 0.0)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(StepRejected) as info:
@@ -269,8 +284,8 @@ def test_silent_float_overflow_reads_as_non_finite_state(dp1, dx1, message):
 def test_finite_state_with_an_overflowing_sum_runs():
     # every component is finite though their sum is not: a finiteness check
     # by summing the state would reject this run
-    model = dyn.HamiltonianModel("still", lambda x, p: 0.0, flow=lambda x, p: (
-        (0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)))
+    model = dyn.HamiltonianModel("still", lambda x, p: 0.0, zero_partials, zero_partials,
+                                 flow=lambda x, p: ((0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)))
     traj = dyn.integrate(model, [0.0, 1e308, 1e308, 0.0], [1.0, 0.0, 0.0, 0.0], 1.0,
                          step=0.25)
     assert np.array_equal(traj.x[-1], [0.0, 1e308, 1e308, 0.0])

@@ -2,7 +2,11 @@
 
 rk4_step, central_difference and eval_poly each took over several
 hand-written copies, and christoffel_at, partition_enumerate and the
-covariant record replaced slower loops. The replaced code is kept here as the
+covariant record replaced slower loops. central_difference now serves the
+closedness residual and the directional derivative only: every model,
+metric, chart and field gives its derivatives in closed form, each checked
+here or in its module's tests against central differences with the step
+written in the test. The replaced code is kept here as the
 oracle, and those comparisons are exact (np.array_equal or ==): the new code
 keeps the old operation order, so it must reproduce the old bits, not just
 the old values.
@@ -73,41 +77,8 @@ def ref_rk4(rhs, x, p, step, n_steps):
     return x, p
 
 
-def ref_fd_partial(h_fn, x, p, wrt):
-    """HamiltonianModel._fd_partial."""
-    out = np.empty(4)
-    for a in range(4):
-        base = x[a] if wrt == "x" else p[a]
-        h = dyn.PARTIAL_FD_SCALE * max(1.0, abs(base))
-        if wrt == "x":
-            xp, xm = x.copy(), x.copy()
-            xp[a] += h
-            xm[a] -= h
-            out[a] = (h_fn(xp, p) - h_fn(xm, p)) / (2 * h)
-        else:
-            pp, pm = p.copy(), p.copy()
-            pp[a] += h
-            pm[a] -= h
-            out[a] = (h_fn(x, pp) - h_fn(x, pm)) / (2 * h)
-    return out
-
-
-def ref_metric_partials(metric, x):
-    """geometry._metric_partials's central differences, for a metric
-    without an analytic dg."""
-    dim = metric.dim
-    dg = np.empty((dim, dim, dim))
-    for lam in range(dim):
-        h = geo.METRIC_FD_SCALE * max(1.0, abs(x[lam]))
-        xp, xm = x.copy(), x.copy()
-        xp[lam] += h
-        xm[lam] -= h
-        dg[lam] = (metric.matrix(xp) - metric.matrix(xm)) / (2.0 * h)
-    return dg
-
-
 def ref_vector_jacobian(f, x, scale):
-    """CoordinateChart.jacobian_matrix's loop and dirac._vector_jacobian."""
+    """dirac._vector_jacobian's loop, which directional_derivative replaced."""
     jac = np.empty((4, 4))
     for b in range(4):
         h = scale * max(1.0, abs(x[b]))
@@ -116,22 +87,6 @@ def ref_vector_jacobian(f, x, scale):
         xm[b] -= h
         jac[:, b] = (np.asarray(f(xp), dtype=float) - np.asarray(f(xm), dtype=float)) / (2 * h)
     return jac
-
-
-def ref_fd_gradient(field, x):
-    """HamiltonJacobiField._fd_gradient."""
-    single = x.ndim == 1
-    pts = x.reshape(-1, 4)
-    grad = np.empty_like(pts)
-    for a in range(4):
-        h = hj.GRAD_FD_SCALE * np.maximum(1.0, np.abs(pts[:, a]))
-        xp, xm = pts.copy(), pts.copy()
-        xp[:, a] += h
-        xm[:, a] -= h
-        wp = field._apply(field._value, xp, scalar=True)
-        wm = field._apply(field._value, xm, scalar=True)
-        grad[:, a] = (np.atleast_1d(wp) - np.atleast_1d(wm)) / (2.0 * h)
-    return grad[0] if single else grad.reshape(x.shape)
 
 
 def ref_closedness(field, pts):
@@ -181,7 +136,7 @@ def ref_poly(term_list, x):
 def ref_christoffel(metric, x):
     """christoffel_at's quadruple loop over (mu, nu, lambda, sigma)."""
     ginv = np.linalg.inv(metric.matrix(x))
-    dg = geo._metric_partials(metric, x)
+    dg = metric.dg(x)
     dim = metric.dim
     gamma = np.zeros((dim, dim, dim))
     for mu in range(dim):
@@ -201,7 +156,7 @@ def ref_covariant_records(metric, x0, p0_upper, step, n_steps):
 
     def dginv_at(xs):
         ginv = np.linalg.inv(metric.matrix(xs))
-        dg = geo._metric_partials(metric, xs)
+        dg = metric.dg(xs)
         return ginv, np.array([-ginv @ dg[lam] @ ginv for lam in range(dim)])
 
     def rhs(xs, pl):
@@ -231,7 +186,7 @@ def ref_geodesic_rhs(metric, x, pl):
     (g^{-1}, u = g^{-1} p, dp_mu/ds = (1/2) u^a d_mu g_ab u^b, d_l g_ab)."""
     dim = metric.dim
     ginv = np.linalg.inv(metric.matrix(x))
-    dg = geo._metric_partials(metric, x)
+    dg = metric.dg(x)
     u = np.array([sum(ginv[m, n] * pl[n] for n in range(dim)) for m in range(dim)])
     pdot = np.array([0.5 * sum(u[a] * dg[m, a, b] * u[b] for a in range(dim) for b in range(dim))
                      for m in range(dim)])
@@ -393,9 +348,11 @@ def test_integrate_records_the_inline_loop_states():
 
 
 def mixed_model():
-    """A model with no analytic partials: central differences of H."""
-    return dyn.HamiltonianModel("mixed", lambda x, p: 0.5 * (p[1] * p[1])
-                                + 0.3 * x[1] * p[1] + 0.5 * (x[1] * x[1]))
+    """A model whose H couples x1 and p1, so no T(p) + V(x) split exists."""
+    return dyn.HamiltonianModel(
+        "mixed", lambda x, p: 0.5 * (p[1] * p[1]) + 0.3 * x[1] * p[1] + 0.5 * (x[1] * x[1]),
+        dh_dx=lambda x, p: (0.0, 0.3 * p[1] + x[1], 0.0, 0.0),
+        dh_dp=lambda x, p: (0.0, p[1] + 0.3 * x[1], 0.0, 0.0))
 
 
 PROJECTILE = dyn.projectile_model(1.0, 0.5, 1.0, 0.2)
@@ -480,45 +437,10 @@ def test_canonical_rhs_applies_eta_per_component():
 
 # -- central differences -----------------------------------------------------------
 
-def test_model_partials_match_old_loop():
-    def h_fn(x, p):
-        return np.sqrt(1.0 + (p[1:] ** 2).sum()) + 0.3 * x[1] ** 2 * x[2] - 0.1 * x[3] ** 3
-
-    model = dyn.HamiltonianModel("fd", h_fn)
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        x, p = wide_points(rng, 4), wide_points(rng, 4)
-        assert np.array_equal(model.dh_dx(x, p), ref_fd_partial(h_fn, x, p, "x"))
-        assert np.array_equal(model.dh_dp(x, p), ref_fd_partial(h_fn, x, p, "p"))
-
-
-@pytest.mark.parametrize("metric", [
-    geo.polar_metric(4),
-    geo.polar_metric(3),
-    geo.diagonal_metric([[[1.0, [0, 0, 0, 0]]], [[-1.0, [0, 0, 0, 0]]],
-                         [[-1.0, [0, 2, 0, 0]], [0.3, [1, 1, 1, 0]]],
-                         [[-1.0, [0, 0, 0, 0]]]]),
-])
-def test_metric_partials_match_old_loop(metric):
-    """The central-difference fallback, on the same metric given without dg."""
-    fd_metric = geo.MetricField(metric.g, dim=metric.dim)
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        x = wide_points(rng, metric.dim)
-        assert np.array_equal(geo._metric_partials(fd_metric, x),
-                              ref_metric_partials(fd_metric, x))
-
-
-def test_chart_jacobian_and_vector_jacobian_match_old_loop():
-    polar = geo.polar_chart()
-    fd_chart = geo.CoordinateChart("fd", polar.forward, polar.backward)
+def test_vector_jacobian_matches_old_loop():
     cong = dr.sheared_congruence(1.2, amplitude=0.3)
     rng = np.random.default_rng(4)
     for _ in range(20):
-        x = wide_points(rng, 4)
-        jac = fd_chart.jacobian_matrix(x)
-        assert np.array_equal(jac, ref_vector_jacobian(polar.forward, x, geo.CHART_FD_SCALE))
-        assert jac.flags.c_contiguous
         y = np.array([8.0, 0.0, 0.0, 0.0]) + rng.uniform(-1.0, 1.0, size=4)
         u = rng.normal(size=4)
         want = ref_vector_jacobian(cong.p_of, y, 1e-5) @ u
@@ -526,18 +448,6 @@ def test_chart_jacobian_and_vector_jacobian_match_old_loop():
         lie = (ref_vector_jacobian(cong.p_of, y, 1e-5) @ cong.u_of(y)
                - ref_vector_jacobian(cong.u_of, y, 1e-5) @ cong.p_of(y))
         assert np.array_equal(dr.lie_derivative(cong.u_of, cong.p_of, y), lie)
-
-
-@pytest.mark.parametrize("vectorized", [True, False])
-@pytest.mark.parametrize("shape", [(4,), (30, 4), (5, 6, 4)])
-def test_value_only_gradient_matches_old_loop(vectorized, shape):
-    geod = hj.construct_geodesic_W(1.3)
-    if vectorized:
-        field = hj.HamiltonJacobiField(value=geod.value, vectorized=True)
-    else:
-        field = hj.HamiltonJacobiField(value=lambda x: float(geod.value(x)))
-    pts = BOX.sample(np.random.default_rng(5), int(np.prod(shape[:-1]))).reshape(shape)
-    assert np.array_equal(field.one_form(pts), ref_fd_gradient(field, pts))
 
 
 def test_central_difference_on_point_stacks():
@@ -563,7 +473,7 @@ def test_closedness_residual_matches_old_loop():
         return np.stack([geo.eval_poly(g, x) for g in grads], axis=-1) + 0.01 * x ** 2
 
     fields = [hj.construct_geodesic_W(1.3), hj.curl_counterexample_field(),
-              hj.HamiltonJacobiField(one_form=not_closed, vectorized=True)]
+              hj.HamiltonJacobiField(one_form=not_closed)]
     pts = BOX.sample(np.random.default_rng(7), 40)
     for field in fields:
         assert hj._closedness_residual(field, pts) == ref_closedness(field, pts)
@@ -648,9 +558,9 @@ def test_analytic_metric_partials(metric, closed_form):
     for _ in range(30):
         x = 3.0 * rng.normal(size=metric.dim)
         x[1] = rng.uniform(0.3, 3.0)
-        dg = geo._metric_partials(metric, x)
+        dg = metric.dg(x)
         assert np.array_equal(dg, closed_form(x))
-        fd = central_difference(metric.matrix, x, geo.METRIC_FD_SCALE)
+        fd = central_difference(metric.matrix, x, 1e-5)
         assert np.abs(dg - fd).max() <= 1e-8 * max(1.0, np.abs(dg).max())
 
 
@@ -773,7 +683,7 @@ def test_covariant_rhs_evaluates_metric_and_partials_once():
 
 
 def test_covariant_record_evaluates_the_metric_partials_once(monkeypatch):
-    calls = {"partials": 0, "christoffel": 0}
+    calls = {"dg": 0, "christoffel": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -781,12 +691,14 @@ def test_covariant_record_evaluates_the_metric_partials_once(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(dyn, "_metric_partials", counted("partials", dyn._metric_partials))
+    metric = geo.polar_metric(4)
+    metric.dg = counted("dg", metric.dg)
     monkeypatch.setattr(dyn, "christoffel_at", counted("christoffel", dyn.christoffel_at))
-    dyn.covariant_integrate(geo.polar_metric(4), [0.0, 1.0, 0.3, 0.0],
+    dyn.covariant_integrate(metric, [0.0, 1.0, 0.3, 0.0],
                             [1.5, 0.3, -0.19, 0.0], 0.1, step=0.01, record_stride=5)
-    # 10 RK4 steps of 4 stages each, plus one each for the 3 records
-    assert calls == {"partials": 4 * 10 + 3, "christoffel": 3}
+    # 10 RK4 steps of 4 stages each, plus one flow call and one christoffel_at
+    # call, each reading dg once, for each of the 3 records
+    assert calls == {"dg": 4 * 10 + 3 + 3, "christoffel": 3}
 
 
 # -- the commutator norm -----------------------------------------------------------

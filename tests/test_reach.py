@@ -1,0 +1,179 @@
+"""Every function in src/ is entered by some command-line run.
+
+One process runs a fixed list of cli.main invocations under sys.setprofile:
+every model kind under rk4 and leapfrog with canonical on and off, every
+metric kind, verify --suite all, mb in csv and json at small n, BE, FD and
+MB occupancy, and test_cli's refused (exit 2) and failing (exit 1) configs.
+A function is keyed by its module and co_qualname, nested functions and
+lambdas included (two lambdas of one scope share a key), as enumerated from
+the modules' code objects. The test fails on a function that no invocation
+enters and that ALLOWED does not name, and on an ALLOWED entry that names
+no such function any more.
+"""
+
+import contextlib
+import importlib
+import inspect
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from hjdirac.cli import main
+from test_cli import BAD_CONFIGS
+from test_public_names import CLAIM_CHECKS, public_names
+
+SRC = Path(__file__).parents[1] / "src" / "hjdirac"
+
+# (module, qualname) of a definition no invocation enters, and why; an entry
+# covers everything defined inside it too
+_ACCEPTANCE = ("acceptance-only check of ROADMAP item 8; it becomes a verify "
+               "row in a change that edits perfbench/")
+_CONGRUENCE = "C1: the transport criterion along congruences waits for item 2"
+ALLOWED = {
+    ("hjdirac.dirac", "Congruence"): _CONGRUENCE,
+    ("hjdirac.dirac", "_radial_unit"): _CONGRUENCE,
+    ("hjdirac.dirac", "geodesic_congruence"): _CONGRUENCE,
+    ("hjdirac.dirac", "sheared_congruence"): _CONGRUENCE,
+    ("hjdirac.dirac", "geodesic_criterion_check"): _CONGRUENCE,
+    ("hjdirac.dirac", "lie_derivative"): _CONGRUENCE,
+    ("hjdirac.dirac", "directional_derivative"): _CONGRUENCE,
+    ("hjdirac.dirac", "_joint_candidates"):
+        "the joint eigenvectors of the criterion and of simultaneous_eigenvector",
+    ("hjdirac.dirac", "SpinorState"): "what _joint_candidates returns",
+    ("hjdirac.dirac", "CurveSegment"): "C1: the curve of line_curve and projectile_curve",
+    ("hjdirac.statmech", "EnsembleConfig.k"): "C4: the k of eigen_solution_check",
+    ("hjdirac.hamilton_jacobi", "scale_check"): _ACCEPTANCE,
+    ("hjdirac.hamilton_jacobi", "ScaleReport"): "what scale_check returns",
+    ("hjdirac.hamilton_jacobi", "_invert_monotone"): "scale_check's inverse route",
+    ("hjdirac.hamilton_jacobi", "Box.sample"): "scale_check's probe points",
+    ("hjdirac.hamilton_jacobi", "HamiltonJacobiField.value"):
+        "W itself, which only scale_check, linearly_shifted and WaveFunction read",
+    ("hjdirac.hamilton_jacobi", "HamiltonJacobiField.has_value"):
+        "only scale_check and linearly_shifted ask",
+    ("hjdirac.hamilton_jacobi", "construct_geodesic_W.<locals>.value"): "a W, as above",
+    ("hjdirac.hamilton_jacobi", "ProjectileField._value_fn"): "a W, as above",
+    ("hjdirac.hamilton_jacobi", "decompose_parallel_perp"): _ACCEPTANCE,
+    ("hjdirac.hamilton_jacobi", "PerpDecomposition"): "what decompose_parallel_perp returns",
+    ("hjdirac.hamilton_jacobi", "linearly_shifted"): "decompose_parallel_perp's parallel field",
+    ("hjdirac.dirac", "simultaneous_eigenvector"): _ACCEPTANCE,
+    ("hjdirac.clifford", "commutator"): "only simultaneous_eigenvector calls it",
+    ("hjdirac.clifford", "frobenius"): "only simultaneous_eigenvector calls it",
+}
+# the claim checks no verify row runs yet, named once, in test_public_names
+ALLOWED.update({(module, name): "%s: waits for a verify row (ROADMAP item 2)"
+                                % CLAIM_CHECKS[name]
+                for name, module in public_names().items() if name in CLAIM_CHECKS})
+
+MODEL_KINDS = [{"kind": "free", "m0": 1.0},
+               {"kind": "projectile", "m0": 1.0, "u_x": 0.5, "u_y": 1.0, "g": 0.2},
+               {"kind": "quadratic"}, {"kind": "harmonic"}]
+ONE = [[1.0, [0, 0, 0, 0]]]
+MINUS_ONE = [[-1.0, [0, 0, 0, 0]]]
+METRIC_KINDS = [{"kind": "minkowski"}, {"kind": "polar"},
+                {"kind": "diagonal", "entries": [ONE, MINUS_ONE, [[-1.0, [0, 2, 0, 0]]],
+                                                 MINUS_ONE]},
+                {"kind": "custom-polynomial", "entries": [
+                    [ONE, [], [], []], [[], MINUS_ONE, [], []],
+                    [[], [], [[-1.0, [0, 2, 0, 0]]], []], [[], [], [], MINUS_ONE]]}]
+SHORT = {"s_max": 0.02, "step": 0.01}
+
+
+def invocations(tmp_path):
+    """(exit code, argv, config or None) of every run, the config as JSON
+    text or an object."""
+    runs = [(0, ["verify", "--suite", "all"], None)]
+    for model in MODEL_KINDS:
+        for method in ("rk4", "leapfrog"):
+            for canonical in (False, True):
+                runs.append((0, ["simulate"], dict(SHORT, model=model, method=method,
+                                                   canonical=canonical,
+                                                   p0=[1.2, 0.1, 0.2, 0.0])))
+    for metric in METRIC_KINDS:
+        runs.append((0, ["simulate"], dict(SHORT, kind="covariant", metric=metric)))
+    for fmt in ("csv", "json"):
+        runs.append((0, ["ensemble", "--format", fmt], {"kind": "mb", "n": 200}))
+    for statistics in ("BE", "FD", "MB"):
+        runs.append((0, ["ensemble"], {"kind": "occupancy", "levels": [0.0, 0.5, 1.0],
+                                       "statistics": statistics}))
+    # refused: exit 2
+    runs += [(2, [command], text) for command, text, _ in (p.values for p in BAD_CONFIGS)]
+    for tol in ("bogus=1", "step", "step=fast", "anticomm=nan", "step=0.3"):
+        runs.append((2, ["verify", "--suite", "all", "--tol", tol], None))
+    runs += [(2, ["simulate"], text) for text in ("{ not json", "[1, 2]", '{"stepp": 0.1}')]
+    runs += [(2, ["simulate"], {"model": {"kind": "warp"}}),
+             (2, ["simulate"], {"model": {"kind": "quadratic"}}),  # no p0
+             (2, ["simulate"], {"s_max": 1e12}),
+             (2, ["simulate"], {"kind": "covariant", "s_max": 1e12}),
+             (2, ["ensemble"], {"kind": "grand-canonical"}),
+             (2, ["simulate", "--config", str(tmp_path / "absent.json")], None)]
+    # failing: exit 1
+    runs += [(1, ["verify", "--suite", "dynamics", "--tol", "step=0.5"], None),
+             (1, ["simulate"], {"p0": [1e-13, 0.0, 0.0, 0.0]}),  # guard
+             (1, ["simulate"], {"kind": "covariant", "s_max": 0.01, "metric": {
+                 "kind": "diagonal", "entries": [ONE, MINUS_ONE, [[0.0, [0, 0, 0, 0]]],
+                                                 MINUS_ONE]}}),  # singular
+             (1, ["simulate"], {"kind": "covariant", "s_max": 0.01,
+                                "p0_upper": [1e100, 0, 1e100, 0]}),  # overflow
+             (1, ["ensemble"], {"kind": "occupancy", "levels": [1.0, 2.0], "n": 3,
+                                "beta": 1e6}),  # partition sum underflows
+             (1, ["ensemble"], {"kind": "mb", "n": 1000, "T": 1e-300})]  # NaN kurtosis
+    return runs
+
+
+def src_functions():
+    """{(module, co_qualname)} of every function and lambda in src/."""
+    keys = set()
+    for path in sorted(SRC.glob("*.py")):
+        name = "hjdirac." + path.stem
+        stack = [importlib.import_module(name).__loader__.get_code(name)]
+        while stack:
+            code = stack.pop()
+            stack.extend(c for c in code.co_consts if inspect.iscode(c))
+            # a function's own locals: not a module or class body, nor a
+            # comprehension or generator expression
+            if code.co_flags & inspect.CO_NEWLOCALS and (
+                    code.co_name == "<lambda>" or not code.co_name.startswith("<")):
+                keys.add((name, code.co_qualname))
+    return keys
+
+
+def covered(key, entry):
+    return key[0] == entry[0] and (key[1] == entry[1] or key[1].startswith(entry[1] + "."))
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="co_qualname is Python 3.11+")
+def test_every_src_function_is_entered(tmp_path):
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    runs, codes = invocations(tmp_path), []
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for i, (_, argv, config) in enumerate(runs):
+            argv = argv + ["--out", str(tmp_path / ("out%d" % i))]
+            if config is not None:
+                path = tmp_path / ("cfg%d.json" % i)
+                path.write_text(config if isinstance(config, str) else json.dumps(config))
+                argv += ["--config", str(path)]
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                codes.append(main(argv))
+    finally:
+        sys.setprofile(previous)
+    assert codes == [code for code, _, _ in runs]
+
+    names = ["hjdirac." + path.stem for path in SRC.glob("*.py")]
+    modules = {importlib.import_module(name).__file__: name for name in names}
+    reached = {(modules[code.co_filename], code.co_qualname) for code in entered
+               if code.co_filename in modules}
+    missed = src_functions() - reached
+    unexplained = sorted(k for k in missed if not any(covered(k, e) for e in ALLOWED))
+    stale = sorted(e for e in ALLOWED if not any(covered(k, e) for k in missed))
+    assert (unexplained, stale) == ([], [])
