@@ -70,8 +70,4 @@ class DegeneratePartition(HJDiracError):
 
 
 class DegenerateData(HJDiracError):
-    """Data set carries no usable information (e.g. zero elapsed time)."""
-
-
-class NotIntegrable(HJDiracError):
-    """Slice carries non-negligible mass on the grid boundary."""
+    """Data set carries no usable information (e.g. fewer than two samples)."""

@@ -6,11 +6,10 @@ gets sampled has per-axis variance
 
     sigma^2 = kB T / (2 m0).
 
-The rest of the module is counting and estimation: occupation enumeration
-for the three counting rules (symmetric, exclusive, distinguishable),
-per-slice normalization of a spatial density, an arrival-rate estimator for
-exponential gap data, and a check that psi = A exp((k/2) p.p) behaves as an
-eigenfunction of d/ds along a trajectory.
+The rest of the module is occupation enumeration for the three counting
+rules (symmetric, exclusive, distinguishable) and a check that
+psi = A exp((k/2) p.p) behaves as an eigenfunction of d/ds along a
+trajectory.
 
 Sign note: with w = (1/2) p.p the chain rule gives dpsi/ds = k psi (pdot.p),
 plus sign. Some derivations carry a minus sign at this step; we verify the
@@ -26,7 +25,7 @@ import numpy as np
 from ._util import write_csv
 from .clifford import ETA_DIAG
 from .config import integer
-from .errors import DegenerateData, DegeneratePartition, NotIntegrable, TooLarge, UsageError
+from .errors import DegenerateData, DegeneratePartition, TooLarge, UsageError
 
 SAMPLE_CHUNK = 65536  # draws per spawned substream; part of the sampled bytes
 ENUM_BOUND = 12  # partition_enumerate's count table holds one byte per count: keep < 256
@@ -138,61 +137,6 @@ def write_histogram_csv(sample, path, bins=50):
 
 
 # ---------------------------------------------------------------------------
-# slice normalization
-
-def grid_cube(half_width, points):
-    """Three equal axes spanning [-half_width, half_width]."""
-    if points < 2 or half_width <= 0:
-        raise UsageError("grid needs half_width > 0 and at least 2 points")
-    axis = np.linspace(-half_width, half_width, points)
-    return (axis, axis.copy(), axis.copy())
-
-
-@dataclass
-class SliceNormalization:
-    constant: float
-    boundary_fraction: float
-    t: float
-    grid_shape: tuple
-
-
-def _trapezoid_3d(values, axes):
-    out = values
-    for axis_points in reversed(axes):
-        out = np.trapezoid(out, axis_points, axis=-1)
-    return float(out)
-
-
-def slice_normalize(psi_squared, t, grid, boundary_tol=1e-6):
-    """Normalize psi_squared(., t) to unit mass on the grid box.
-
-    psi_squared is called with points of shape (..., 3) plus the slice time.
-    The integral is a composite trapezoid over the tensor grid. If the mass
-    in the outermost shell of cells exceeds boundary_tol of the total, the
-    density has not decayed inside the box and NotIntegrable is raised.
-    """
-    ax1, ax2, ax3 = grid
-    mesh = np.stack(np.meshgrid(ax1, ax2, ax3, indexing="ij"), axis=-1)
-    values = np.asarray(psi_squared(mesh, t), dtype=float)
-    if values.shape != mesh.shape[:-1]:
-        raise UsageError("psi_squared must map (...,3) points to scalars")
-    if not np.isfinite(values).all() or (values < 0).any():
-        raise NotIntegrable("density must be finite and nonnegative on the grid")
-    total = _trapezoid_3d(values, (ax1, ax2, ax3))
-    if total <= 0.0:
-        raise NotIntegrable("density integrates to zero on the grid")
-    interior = _trapezoid_3d(values[1:-1, 1:-1, 1:-1],
-                             (ax1[1:-1], ax2[1:-1], ax3[1:-1]))
-    boundary_fraction = (total - interior) / total
-    if boundary_fraction > boundary_tol:
-        raise NotIntegrable("boundary shell holds %.3g of the mass; "
-                            "enlarge the grid box" % boundary_fraction)
-    return SliceNormalization(constant=total,
-                              boundary_fraction=float(boundary_fraction),
-                              t=float(t), grid_shape=values.shape)
-
-
-# ---------------------------------------------------------------------------
 # occupation enumeration
 
 _STAT_TAGS = {"BE": "BE", "FD": "FD", "MB": "MB", "MB-DISTINGUISHABLE": "MB"}
@@ -284,43 +228,6 @@ def write_occupancy_csv(table, path):
     write_csv(path, ["state", "energy", "probability"],
               [_States(table.occupations, len(table.levels)),
                table.energies, table.probabilities])
-
-
-# ---------------------------------------------------------------------------
-# arrival estimation
-
-@dataclass(frozen=True)
-class ArrivalData:
-    times: np.ndarray
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        object.__setattr__(self, "times", times)
-        if times.ndim != 1 or len(times) < 2:
-            raise UsageError("need an ordered 1-d array of at least two times")
-        if (np.diff(times) < 0).any():
-            raise UsageError("detection times must be nondecreasing")
-
-
-def exp_arrival_estimator(data):
-    """Rate estimate theta_hat = (gap count) / (t_n - t_0).
-
-    The mean gap of an exponential stream estimates 1/theta, and only the
-    endpoints survive the telescoping sum.
-    """
-    t = data.times
-    span = t[-1] - t[0]
-    if span == 0.0:
-        raise DegenerateData("all detection times coincide")
-    return (len(t) - 1) / span
-
-
-def synthetic_arrivals(theta, n_gaps, seed=0, t0=0.0):
-    if theta <= 0 or n_gaps < 1:
-        raise UsageError("theta must be positive and n_gaps >= 1")
-    rng = np.random.default_rng(seed)
-    gaps = rng.exponential(1.0 / theta, size=n_gaps)
-    return ArrivalData(times=t0 + np.concatenate([[0.0], gaps.cumsum()]))
 
 
 # ---------------------------------------------------------------------------

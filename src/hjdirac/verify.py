@@ -3,10 +3,10 @@ compute them.
 
 A row names its suite, its check, the --tol key of its tolerance, the
 default tolerance and the claim of the paper it checks (C1-C4, as ROADMAP.md
-numbers them; None for a row that serves none). A suite is one function of
-(seed, size) that returns its rows' residuals in table order. The clifford,
-geometry and dirac suites draw all their rows from one rng stream, so a
-suite, not a row, is the unit that computes. `verify` runs each suite at its
+numbers them). A suite is one function of (seed, size) that returns its
+rows' residuals in table order. The clifford, geometry and dirac suites draw
+all their rows from one rng stream, so a suite, not a row, is the unit that
+computes. `verify` runs each suite at its
 SIZES entry; tests/test_acceptance.py calls the same suites at larger sizes.
 """
 
@@ -21,7 +21,9 @@ from . import hamilton_jacobi as hj
 from . import statmech as sm
 from .clifford import (anticommutator, build_gamma_rep, minkowski_dot, slash,
                        slash_eigensystem)
-from .dirac import conventional_dirac_residual, derivative_split
+from .dirac import (conventional_dirac_residual, derivative_split,
+                    geodesic_congruence, geodesic_criterion_check,
+                    sheared_congruence)
 from .errors import UsageError
 
 Row = namedtuple("Row", "suite check key default claim")
@@ -53,6 +55,10 @@ ROWS = [Row(*fields) for fields in [
      "opposite", 1e-10, "C1"),
     ("dirac", "derivative split scalar equals the tangent contraction",
      "split", 1e-10, "C1"),
+    ("dirac", "geodesic fan transports its momentum",
+     "transport", 1e-8, "C1"),
+    ("dirac", "sheared fan fails all three transport criteria",
+     "shear", 1e6, "C1"),
     ("dynamics", "projectile integration matches the closed form",
      "traj", 1e-9, "C2"),
     ("dynamics", "energy is conserved under the canonical flow",
@@ -67,10 +73,6 @@ ROWS = [Row(*fields) for fields in [
      "enum", 0.5, "C4"),
     ("statmech", "distinguishable partition sum factorizes",
      "factorize", 1e-12, "C4"),
-    ("statmech", "arrival rate estimate is consistent",
-     "arrival_sigmas", 3.0, None),
-    ("statmech", "gaussian slice normalizes to the closed form",
-     "slice", 1e-6, None),
 ]]
 
 
@@ -130,8 +132,19 @@ def hamilton_jacobi(seed, size):
             abs(loop - area) / area]
 
 
+# where the transport rows sample: a geodesic fan through an event near the
+# origin, and a fan from the origin whose momentum is sheared in (x1, x2);
+# every point is timelike-separated from its fan's base
+FAN_BOX = hj.Box([2.0, -0.5, -0.5, -0.5], [3.0, 0.5, 0.5, 0.5])
+SHEAR_BOX = hj.Box([2.2, -1.0, -1.0, -1.0], [3.0, 1.0, 1.0, 1.0])
+CRITERIA = ("lie_residual", "commutator_norm", "eigen_residual")
+
+
 def dirac(seed, size):
-    """size random on-shell momenta, each with one random tangent pair."""
+    """size random on-shell momenta, each with one random tangent pair, then
+    size // 10 points of a geodesic and of a sheared fan. The geodesic fan's
+    residual is its worst criterion; the sheared fan must fail all three, so
+    its residual is the inverse of its least."""
     rep = build_gamma_rep()
     rng = np.random.default_rng(seed)
     plus = minus = split_res = 0.0
@@ -148,7 +161,16 @@ def dirac(seed, size):
         u = rng.normal(size=4)
         w = rng.normal(size=4)
         split_res = max(split_res, abs(derivative_split(rep, u, w).scalar - u @ w))
-    return [plus, minus, split_res]
+
+    m0 = rng.uniform(0.7, 1.8)
+    base = rng.uniform(-0.3, 0.3, size=4)
+    fan = geodesic_criterion_check(rep, geodesic_congruence(m0, base),
+                                   FAN_BOX.sample(rng, size // 10))
+    sheared = geodesic_criterion_check(rep, sheared_congruence(m0, amplitude=0.1),
+                                       SHEAR_BOX.sample(rng, size // 10))
+    least = min(sheared[key] for key in CRITERIA)
+    return [plus, minus, split_res, max(fan[key] for key in CRITERIA),
+            1.0 / least if least > 0 else np.inf]
 
 
 # (s_max, record_stride) of the dynamics suite's runs: the projectile against
@@ -198,8 +220,7 @@ def dynamics(seed, size):
 
 
 def statmech(seed, size):
-    """size is (velocity samples, ((levels, particles), ...) to enumerate);
-    the arrival estimate draws a fifth as many arrivals as velocities."""
+    """size is (velocity samples, ((levels, particles), ...) to enumerate)."""
     samples, enumerations = size
     cfg = sm.EnsembleConfig(n=samples, m0=1.0, T=2.0, seed=seed)
     mom = sm.sample_mb(cfg).moments()
@@ -216,17 +237,7 @@ def statmech(seed, size):
                         abs(len(be.occupations) - math.comb(n + n_levels - 1, n)),
                         abs(len(fd.occupations) - math.comb(n_levels, n)))
         fact_err = max(fact_err, abs(mb.z - mb.single_particle_z() ** n) / mb.z)
-
-    theta, arrivals = 2.5, samples // 5
-    arr = sm.exp_arrival_estimator(sm.synthetic_arrivals(theta, arrivals,
-                                                         seed=seed))
-    arr_sigmas = abs(arr - theta) / (theta / np.sqrt(arrivals))
-
-    const = sm.slice_normalize(
-        lambda x, t: np.exp(-(np.asarray(x) ** 2).sum(axis=-1)),
-        0.0, sm.grid_cube(6.0, 49)).constant
-    slice_err = abs(const - np.pi ** 1.5) / np.pi ** 1.5
-    return [var_sigmas, count_err, fact_err, arr_sigmas, slice_err]
+    return [var_sigmas, count_err, fact_err]
 
 
 SUITE_FUNCS = {"clifford": clifford, "geometry": geometry, "hj": hamilton_jacobi,

@@ -61,9 +61,9 @@ class TestVerify:
                      "--out", str(tmp_path)]) == 0
         for name, digest in (
                 ("verify_report.json",
-                 "7858b616015dea2e412171bca4e31354650fcf543350da8f58799fc96fdf4148"),
+                 "17c96aa7be4cc8d5481cc21718ca97cc9360499f145f654985ef484e1b2df142"),
                 ("verify_report.csv",
-                 "370ebd01e95f60fd2349a2816b6c77f1dd28bd35ac5138f102c63cc4bd219de7")):
+                 "818c39954041e3439a6542795b764d783697f28c35e907ee330794ea90f4504a")):
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
     def test_unknown_tolerance_rejected(self, tmp_path, capsys):

@@ -31,24 +31,12 @@ SRC = Path(__file__).parents[1] / "src" / "hjdirac"
 # covers everything defined inside it too
 _ACCEPTANCE = ("acceptance-only check of ROADMAP item 8; it becomes a verify "
                "row in a change that edits perfbench/")
-_CONGRUENCE = "C1: the transport criterion along congruences waits for item 2"
 ALLOWED = {
-    ("hjdirac.dirac", "Congruence"): _CONGRUENCE,
-    ("hjdirac.dirac", "_radial_unit"): _CONGRUENCE,
-    ("hjdirac.dirac", "geodesic_congruence"): _CONGRUENCE,
-    ("hjdirac.dirac", "sheared_congruence"): _CONGRUENCE,
-    ("hjdirac.dirac", "geodesic_criterion_check"): _CONGRUENCE,
-    ("hjdirac.dirac", "lie_derivative"): _CONGRUENCE,
-    ("hjdirac.dirac", "directional_derivative"): _CONGRUENCE,
-    ("hjdirac.dirac", "_joint_candidates"):
-        "the joint eigenvectors of the criterion and of simultaneous_eigenvector",
-    ("hjdirac.dirac", "SpinorState"): "what _joint_candidates returns",
     ("hjdirac.dirac", "CurveSegment"): "C1: the curve of line_curve and projectile_curve",
     ("hjdirac.statmech", "EnsembleConfig.k"): "C4: the k of eigen_solution_check",
     ("hjdirac.hamilton_jacobi", "scale_check"): _ACCEPTANCE,
     ("hjdirac.hamilton_jacobi", "ScaleReport"): "what scale_check returns",
     ("hjdirac.hamilton_jacobi", "_invert_monotone"): "scale_check's inverse route",
-    ("hjdirac.hamilton_jacobi", "Box.sample"): "scale_check's probe points",
     ("hjdirac.hamilton_jacobi", "HamiltonJacobiField.value"):
         "W itself, which only scale_check, linearly_shifted and WaveFunction read",
     ("hjdirac.hamilton_jacobi", "HamiltonJacobiField.has_value"):

@@ -6,8 +6,7 @@ import pytest
 
 from hjdirac import dynamics as dyn
 from hjdirac import statmech as sm
-from hjdirac.errors import (DegenerateData, DegeneratePartition, NotIntegrable,
-                            TooLarge, UsageError)
+from hjdirac.errors import DegenerateData, DegeneratePartition, TooLarge, UsageError
 
 
 class TestConfigAndDensity:
@@ -101,37 +100,6 @@ class TestSampling:
         assert counts == cfg.n  # 5 sigma window holds every draw here
 
 
-class TestSliceNormalize:
-    def test_gaussian_constant(self):
-        res = sm.slice_normalize(
-            lambda x, t: np.exp(-(np.asarray(x) ** 2).sum(axis=-1)),
-            0.0, sm.grid_cube(6.0, 49))
-        assert abs(res.constant - np.pi ** 1.5) < 1e-6
-
-    def test_stationary_constant_matches_across_slices(self):
-        psi2 = lambda x, t: np.exp(-(np.asarray(x) ** 2).sum(axis=-1))
-        c0 = sm.slice_normalize(psi2, 0.0, sm.grid_cube(6.0, 49)).constant
-        c1 = sm.slice_normalize(psi2, 1.0, sm.grid_cube(6.0, 49)).constant
-        assert abs(c0 - c1) < 1e-10
-
-    def test_refinement_halving_is_quadratic(self):
-        kink = lambda x, t: np.exp(-2.0 * np.abs(np.asarray(x)).sum(axis=-1))
-        e1 = abs(sm.slice_normalize(kink, 0.0, sm.grid_cube(8.0, 65)).constant - 1.0)
-        e2 = abs(sm.slice_normalize(kink, 0.0, sm.grid_cube(8.0, 129)).constant - 1.0)
-        assert 3.5 < e1 / e2 < 4.5
-
-    def test_non_decaying_density_rejected(self):
-        flat = lambda x, t: np.ones(np.asarray(x).shape[:-1])
-        with pytest.raises(NotIntegrable):
-            sm.slice_normalize(flat, 0.0, sm.grid_cube(2.0, 17))
-
-    def test_bad_grid(self):
-        with pytest.raises(UsageError):
-            sm.grid_cube(0.0, 10)
-        with pytest.raises(UsageError):
-            sm.grid_cube(1.0, 1)
-
-
 class TestPartitionEnumeration:
     def test_two_level_hand_oracles(self):
         be = sm.partition_enumerate([0.0, 1.0], 2, 1.0, "BE")
@@ -190,37 +158,6 @@ class TestPartitionEnumeration:
         assert lines[0] == "state,energy,probability"
         assert lines[1].startswith("0;2,")
         assert len(lines) == 4
-
-
-class TestArrivalEstimator:
-    def test_unit_gaps(self):
-        assert sm.exp_arrival_estimator(sm.ArrivalData(np.arange(5.0))) == 1.0
-
-    def test_two_gap_example(self):
-        data = sm.ArrivalData(np.array([0.0, 0.5, 3.5]))
-        assert abs(sm.exp_arrival_estimator(data) - 2.0 / 3.5) < 1e-15
-
-    def test_scale_equivariance(self):
-        times = np.array([0.0, 0.4, 1.1, 2.9, 3.0])
-        base = sm.exp_arrival_estimator(sm.ArrivalData(times))
-        scaled = sm.exp_arrival_estimator(sm.ArrivalData(4.0 * times))
-        assert scaled == base / 4.0
-
-    def test_recovers_rate_within_three_se(self):
-        theta = 2.5
-        data = sm.synthetic_arrivals(theta, 10 ** 5, seed=9)
-        est = sm.exp_arrival_estimator(data)
-        assert abs(est - theta) < 3.0 * theta / math.sqrt(10 ** 5)
-
-    def test_degenerate_and_invalid(self):
-        with pytest.raises(DegenerateData):
-            sm.exp_arrival_estimator(sm.ArrivalData(np.array([2.0, 2.0, 2.0])))
-        with pytest.raises(UsageError):
-            sm.ArrivalData(np.array([1.0]))
-        with pytest.raises(UsageError):
-            sm.ArrivalData(np.array([0.0, 2.0, 1.0]))
-        with pytest.raises(UsageError):
-            sm.synthetic_arrivals(-1.0, 10)
 
 
 class TestEigenSolutionCheck:
