@@ -26,8 +26,6 @@ __all__ = [
     "slash",
     "slash_covector",
     "slash_eigensystem",
-    "frobenius",
-    "commutator",
     "anticommutator",
 ]
 
@@ -55,16 +53,8 @@ GAMMA3 = np.block([[_ZERO2, _SIGMA3], [-_SIGMA3, _ZERO2]])
 ID4 = np.eye(4, dtype=complex)
 
 
-def commutator(a, b):
-    return a @ b - b @ a
-
-
 def anticommutator(a, b):
     return a @ b + b @ a
-
-
-def frobenius(a):
-    return float(np.linalg.norm(a))
 
 
 class GammaRep:

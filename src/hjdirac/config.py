@@ -10,6 +10,9 @@ import numpy as np
 from .errors import UsageError
 
 REQUIRED = object()  # the default of a key that has none
+# occupancy enumeration's cap on levels and on particles; its count table
+# holds one byte per count, so keep it below 256
+ENUM_BOUND = 12
 
 
 class Spec(namedtuple("Spec", "text ok")):
@@ -35,8 +38,10 @@ def _terms(v):  # a polynomial term list [[coeff, [e0, e1, ...]], ...]
         and isinstance(t[1], list) and all(map(_int, t[1])) for t in v)
 
 
-def integer(lo):
-    return Spec("an integer >= %d" % lo, lambda v: _int(v) and v >= lo)
+def integer(lo, hi=None):
+    if hi is None:
+        return Spec("an integer >= %d" % lo, lambda v: _int(v) and v >= lo)
+    return Spec("an integer from %d to %d" % (lo, hi), lambda v: _int(v) and lo <= v <= hi)
 
 
 NUMBER = Spec("a finite number", _num)
@@ -79,7 +84,10 @@ SIMULATE = {
 ENSEMBLE = {
     "mb": {"n": (integer(2), 10 ** 5), "m0": (POSITIVE, 1.0), "T": (POSITIVE, 2.0),
            "kB": (POSITIVE, 1.0), "bins": (integer(1), 50)},
-    "occupancy": {"levels": (NUMBERS, [0.0, 1.0]), "n": (integer(0), 2),
+    "occupancy": {"levels": (Spec("a list of 1 to %d numbers" % ENUM_BOUND,
+                                  lambda v: NUMBERS.ok(v) and 1 <= len(v) <= ENUM_BOUND),
+                             [0.0, 1.0]),
+                  "n": (integer(0, ENUM_BOUND), 2),
                   "beta": (NUMBER, 1.0), "statistics": (Spec(
                       "BE, FD or MB (in any case)",
                       lambda v: isinstance(v, str) and v.strip().upper() in ("BE", "FD", "MB")),

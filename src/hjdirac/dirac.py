@@ -14,8 +14,6 @@ import numpy as np
 
 from .clifford import (
     ID4,
-    commutator,
-    frobenius,
     minkowski_dot,
     slash,
     slash_covector,
@@ -179,17 +177,16 @@ def _joint_candidates(rep, v, b_matrix):
 def simultaneous_eigenvector(rep, v, w, tol_comm=1e-8):
     """Joint eigenvector of slash(v) and slash(w) for commuting slashes.
 
-    Raises NotCommuting when the commutator of the two slash matrices exceeds
-    tol_comm times the product of their Frobenius norms. The returned state
-    carries both eigenvalues and both residuals.
+    Raises NotCommuting when the Frobenius norm of the commutator of the two
+    slash matrices exceeds tol_comm times max(1, the product of their
+    Frobenius norms), which is 4 |v| |w| (Euclidean norms). The returned
+    state carries both eigenvalues and both residuals.
     """
-    a = slash(rep, v)
-    b = slash(rep, w)
-    scale = max(1.0, frobenius(a) * frobenius(b))
-    comm = frobenius(commutator(a, b))
+    comm = operator_commutator(v, w)[0]
+    scale = max(1.0, 4.0 * np.linalg.norm(v) * np.linalg.norm(w))
     if comm > tol_comm * scale:
         raise NotCommuting(f"slash commutator {comm:.3e} exceeds {tol_comm:.1e} * {scale:.3e}")
-    states = _joint_candidates(rep, v, b)
+    states = _joint_candidates(rep, v, slash(rep, w))
     return min(states, key=lambda st: max(st.residual_a, st.residual_b))
 
 

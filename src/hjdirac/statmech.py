@@ -24,11 +24,10 @@ import numpy as np
 
 from ._util import write_csv
 from .clifford import ETA_DIAG
-from .config import integer
+from .config import ENUM_BOUND, integer
 from .errors import DegenerateData, DegeneratePartition, TooLarge, UsageError
 
 SAMPLE_CHUNK = 65536  # draws per spawned substream; part of the sampled bytes
-ENUM_BOUND = 12  # partition_enumerate's count table holds one byte per count: keep < 256
 
 
 @dataclass(frozen=True)
@@ -73,13 +72,14 @@ class VelocitySample:
         n = len(v)
         if n < 2:  # the variance divides by n - 1
             raise DegenerateData("moments need at least 2 samples, got %d" % n)
-        mean = v.mean(axis=0)
-        var = v.var(axis=0, ddof=1)
-        centered = v - mean
-        m2 = (centered ** 2).mean(axis=0)
-        m4 = (centered ** 4).mean(axis=0)
-        # an underflowed m2 gives NaN or inf here, which write_json refuses
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # an underflowed m2, or an overflowed square or fourth power, gives
+        # NaN or inf here, which write_json refuses
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            mean = v.mean(axis=0)
+            var = v.var(axis=0, ddof=1)
+            centered = v - mean
+            m2 = (centered ** 2).mean(axis=0)
+            m4 = (centered ** 4).mean(axis=0)
             excess = m4 / m2 ** 2 - 3.0
         target = self.config.sigma2 if self.config else float(var.mean())
         report = {
@@ -148,14 +148,17 @@ class PartitionTable:
     levels: tuple
     n: int
     beta: float
-    occupations: list      # tuples, ascending lexicographic
+    occupations: np.ndarray  # (states, levels) uint8 counts, ascending lexicographic
     energies: np.ndarray
     weights: np.ndarray
     probabilities: np.ndarray
     z: float
 
     def single_particle_z(self):
-        return float(np.exp(-self.beta * np.asarray(self.levels)).sum())
+        # a term that overflows to inf has overflowed the partition sum too,
+        # which partition_enumerate refuses, unless n = 0, where z ** 0 is 1
+        with np.errstate(over="ignore"):
+            return float(np.exp(-self.beta * np.asarray(self.levels)).sum())
 
 
 def partition_enumerate(levels, n, beta, statistics):
@@ -181,53 +184,57 @@ def partition_enumerate(levels, n, beta, statistics):
         raise UsageError("exclusion admits at most one particle per level")
 
     generate = combinations if tag == "FD" else combinations_with_replacement
-    occupations, count_table = [], bytearray()
+    count_table = bytearray()
     for chosen in generate(range(L), n):
         occ = [0] * L
         for idx in chosen:
             occ[idx] += 1
-        occupations.append(tuple(occ))
         count_table.extend(occ)
-    occupations.reverse()  # both generators run in descending lexicographic order
-    counts = np.frombuffer(count_table, np.uint8).reshape(len(occupations), L)[::-1]
+    # both generators run in descending lexicographic order
+    counts = np.frombuffer(count_table, np.uint8).reshape(-1, L)[::-1]
 
-    # level by level from 0.0, so every energy adds its terms in level order
-    energies = np.zeros(len(occupations))
-    for level, e in enumerate(levels):
-        energies += counts[:, level].astype(float) * e
-    weights = np.exp(-beta * energies)
-    if tag == "MB":  # multinomial multiplicity n!/prod(c!)
-        n_fact = math.factorial(n)
-        weights *= np.array([n_fact // math.prod(map(math.factorial, o))
-                             for o in occupations], dtype=float)
+    # An overflow gives inf weights or an inf or NaN sum, which the check
+    # below refuses; an underflow to 0 only drops a state's weight.
+    with np.errstate(over="ignore"):
+        # level by level from 0.0, so every energy adds its terms in level order
+        energies = np.zeros(len(counts))
+        for level, e in enumerate(levels):
+            energies += counts[:, level].astype(float) * e
+        weights = np.exp(-beta * energies)
+        if tag == "MB":  # multinomial multiplicity n!/prod(c!)
+            n_fact = math.factorial(n)
+            weights *= np.array([n_fact // math.prod(map(math.factorial, o))
+                                 for o in counts.tolist()], dtype=float)
     z = float(weights.sum())
     if not (math.isfinite(z) and z > 0.0):
         raise DegeneratePartition("partition sum is %r at beta = %r; the Boltzmann "
                                   "weights under- or overflow" % (z, beta))
     return PartitionTable(statistics=tag, levels=levels, n=n, beta=float(beta),
-                          occupations=occupations, energies=energies,
+                          occupations=counts, energies=energies,
                           weights=weights, probabilities=weights / z, z=z)
+
+
+_COUNT_TEXT = np.array([str(c) for c in range(ENUM_BOUND + 1)], dtype=object)
 
 
 class _States:
     """occupancy.csv's state column, "n_0;n_1;...", formatted one written
     block at a time so the whole column is never held at once."""
 
-    def __init__(self, occupations, n_levels):
-        self.occupations = occupations
-        self.template = ";".join(["%d"] * n_levels)
+    def __init__(self, counts):
+        self.counts = counts
 
     def __len__(self):
-        return len(self.occupations)
+        return len(self.counts)
 
     def __getitem__(self, rows):
-        return [self.template % occ for occ in self.occupations[rows]]
+        # one text per count, looked up, then joined level by level per row
+        return list(map(";".join, zip(*_COUNT_TEXT[self.counts[rows]].T)))
 
 
 def write_occupancy_csv(table, path):
     write_csv(path, ["state", "energy", "probability"],
-              [_States(table.occupations, len(table.levels)),
-               table.energies, table.probabilities])
+              [_States(table.occupations), table.energies, table.probabilities])
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -481,6 +482,28 @@ class TestEnsemble:
         assert "moments.json not written" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("cfg, code, message", [
+        # the weight exp(1e308) overflows: the partition sum is inf
+        ({"kind": "occupancy", "levels": [0, 1e308], "beta": -1}, 1,
+         "error: partition sum is inf"),
+        # -beta * energy overflows to -inf, whose weight 0 is right
+        ({"kind": "occupancy", "levels": [0, 1], "n": 2, "beta": 1e308}, 0,
+         "ensemble: 3 states enumerated"),
+        # and so in the single-particle sum of the factorization residual
+        ({"kind": "occupancy", "levels": [0, 2], "n": 2, "beta": 1e308,
+          "statistics": "MB"}, 0, "ensemble: 3 states enumerated"),
+        # the fourth moments overflow: the kurtosis is NaN
+        ({"kind": "mb", "n": 1000, "T": 1e300}, 1, "moments.json not written")])
+    def test_overflow_is_judged_without_warnings(self, tmp_path, capsys, cfg, code,
+                                                 message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["ensemble", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == code
+        assert message in "".join(capsys.readouterr())
+
 
 # Configs the schema refuses: command, config text and the key to be named.
 # Each ran at an earlier commit, exited 0 after silently reading the value,
@@ -531,6 +554,11 @@ BAD_CONFIGS = [
     pytest.param("ensemble", '{"n": 100, "bins": 2.5}', "bins", id="mb-bins-float"),
     pytest.param("ensemble", '{"kind": "occupancy", "statistics": "XY"}', "statistics",
                  id="occupancy-statistics-spelling"),
+    pytest.param("ensemble", '{"kind": "occupancy", "levels": %s}' % list(range(13)),
+                 "levels", id="occupancy-13-levels"),
+    pytest.param("ensemble", '{"kind": "occupancy", "n": 13}', "n", id="occupancy-n-13"),
+    pytest.param("ensemble", '{"kind": "occupancy", "levels": []}', "levels",
+                 id="occupancy-levels-empty"),
 ]
 
 

@@ -47,8 +47,6 @@ ALLOWED = {
     ("hjdirac.hamilton_jacobi", "PerpDecomposition"): "what decompose_parallel_perp returns",
     ("hjdirac.hamilton_jacobi", "linearly_shifted"): "decompose_parallel_perp's parallel field",
     ("hjdirac.dirac", "simultaneous_eigenvector"): _ACCEPTANCE,
-    ("hjdirac.clifford", "commutator"): "only simultaneous_eigenvector calls it",
-    ("hjdirac.clifford", "frobenius"): "only simultaneous_eigenvector calls it",
 }
 # the claim checks no verify row runs yet, named once, in test_public_names
 ALLOWED.update({(module, name): "%s: waits for a verify row (ROADMAP item 2)"
