@@ -193,8 +193,8 @@ def partition_enumerate(levels, n, beta, statistics):
     # both generators run in descending lexicographic order
     counts = np.frombuffer(count_table, np.uint8).reshape(-1, L)[::-1]
 
-    # An overflow gives inf weights or an inf or NaN sum, which the check
-    # below refuses; an underflow to 0 only drops a state's weight.
+    # An overflow gives an inf weight, and so a sum the check below refuses,
+    # or an exponent of -inf, whose weight 0 is right.
     with np.errstate(over="ignore"):
         # level by level from 0.0, so every energy adds its terms in level order
         energies = np.zeros(len(counts))

@@ -6,8 +6,8 @@ default tolerance and the claim of the paper it checks (C1-C4, as ROADMAP.md
 numbers them). A suite is one function of (seed, size) that returns its
 rows' residuals in table order. The clifford, geometry and dirac suites draw
 all their rows from one rng stream, so a suite, not a row, is the unit that
-computes. `verify` runs each suite at its
-SIZES entry; tests/test_acceptance.py calls the same suites at larger sizes.
+computes. `verify` runs each suite at its SIZES entry; tests/test_acceptance.py
+calls the same suites at larger sizes.
 """
 
 import math
@@ -132,14 +132,6 @@ def hamilton_jacobi(seed, size):
             abs(loop - area) / area]
 
 
-# where the transport rows sample: a geodesic fan through an event near the
-# origin, and a fan from the origin whose momentum is sheared in (x1, x2);
-# every point is timelike-separated from its fan's base
-FAN_BOX = hj.Box([2.0, -0.5, -0.5, -0.5], [3.0, 0.5, 0.5, 0.5])
-SHEAR_BOX = hj.Box([2.2, -1.0, -1.0, -1.0], [3.0, 1.0, 1.0, 1.0])
-CRITERIA = ("lie_residual", "commutator_norm", "eigen_residual")
-
-
 def dirac(seed, size):
     """size random on-shell momenta, each with one random tangent pair, then
     size // 10 points of a geodesic and of a sheared fan. The geodesic fan's
@@ -162,14 +154,18 @@ def dirac(seed, size):
         w = rng.normal(size=4)
         split_res = max(split_res, abs(derivative_split(rep, u, w).scalar - u @ w))
 
+    # each point is timelike-separated from its fan's base
     m0 = rng.uniform(0.7, 1.8)
     base = rng.uniform(-0.3, 0.3, size=4)
+    box = hj.Box([2.0, -0.5, -0.5, -0.5], [3.0, 0.5, 0.5, 0.5])
     fan = geodesic_criterion_check(rep, geodesic_congruence(m0, base),
-                                   FAN_BOX.sample(rng, size // 10))
+                                   box.sample(rng, size // 10))
+    shear_box = hj.Box([2.2, -1.0, -1.0, -1.0], [3.0, 1.0, 1.0, 1.0])
     sheared = geodesic_criterion_check(rep, sheared_congruence(m0, amplitude=0.1),
-                                       SHEAR_BOX.sample(rng, size // 10))
-    least = min(sheared[key] for key in CRITERIA)
-    return [plus, minus, split_res, max(fan[key] for key in CRITERIA),
+                                       shear_box.sample(rng, size // 10))
+    criteria = ("lie_residual", "commutator_norm", "eigen_residual")
+    least = min(sheared[key] for key in criteria)
+    return [plus, minus, split_res, max(fan[key] for key in criteria),
             1.0 / least if least > 0 else np.inf]
 
 
