@@ -14,14 +14,9 @@ import numpy as np
 from .errors import NullVector
 
 __all__ = [
-    "ETA",
     "ETA_DIAG",
-    "GAMMA0",
-    "GAMMA1",
-    "GAMMA2",
-    "GAMMA3",
-    "GammaRep",
-    "build_gamma_rep",
+    "GAMMAS",
+    "anticommutator_residual",
     "minkowski_dot",
     "slash",
     "slash_covector",
@@ -33,7 +28,6 @@ TOL_NULL = 1e-10
 
 # eta is its own inverse, so raised and lowered components share these values
 ETA_DIAG = np.array([1.0, -1.0, -1.0, -1.0])
-ETA = np.diag(ETA_DIAG)
 
 _SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 _SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -49,6 +43,8 @@ GAMMA1 = np.block([[_ZERO2, _SIGMA1], [-_SIGMA1, _ZERO2]])
 GAMMA2 = np.block([[_ZERO2, _SIGMA2], [-_SIGMA2, _ZERO2]])
 # gamma3
 GAMMA3 = np.block([[_ZERO2, _SIGMA3], [-_SIGMA3, _ZERO2]])
+# GAMMAS[a] is the upper-index matrix gamma^a
+GAMMAS = (GAMMA0, GAMMA1, GAMMA2, GAMMA3)
 
 ID4 = np.eye(4, dtype=complex)
 
@@ -57,31 +53,12 @@ def anticommutator(a, b):
     return a @ b + b @ a
 
 
-class GammaRep:
-    """A concrete gamma representation: gammas[a] carries the upper-index
-    matrix gamma^a."""
-
-    def __init__(self, gammas):
-        self.gammas = tuple(np.array(g, dtype=complex) for g in gammas)
-        self.eta = ETA
-
-    def check(self):
-        """Entrywise-exact anticommutator table; returns max deviation (0.0)."""
-        worst = 0.0
-        for a in range(4):
-            for b in range(4):
-                lhs = anticommutator(self.gammas[a], self.gammas[b])
-                rhs = 2.0 * ETA[a, b] * ID4
-                worst = max(worst, float(np.abs(lhs - rhs).max()))
-        return worst
-
-
-def build_gamma_rep():
-    """Standard Dirac representation; raises if the defining relation fails."""
-    rep = GammaRep([GAMMA0, GAMMA1, GAMMA2, GAMMA3])
-    if rep.check() != 0.0:
-        raise AssertionError("gamma representation violates the anticommutator table")
-    return rep
+def anticommutator_residual():
+    """Largest entrywise deviation of {gamma^a, gamma^b} from 2 eta^{ab} I
+    over GAMMAS; 0.0, since the table holds exactly."""
+    return max(float(np.abs(anticommutator(GAMMAS[a], GAMMAS[b])
+                            - 2.0 * (ETA_DIAG[a] if a == b else 0.0) * ID4).max())
+               for a in range(4) for b in range(4))
 
 
 def minkowski_dot(u, w):
@@ -91,22 +68,22 @@ def minkowski_dot(u, w):
     return (u[0] * w[0] - u[1] * w[1] - u[2] * w[2] - u[3] * w[3]).T
 
 
-def slash_covector(rep, w):
+def slash_covector(w):
     """gamma^a w_a for a one-form given in lower-index components."""
     w = np.asarray(w)
     out = np.zeros((4, 4), dtype=complex)
     for a in range(4):
-        out += w[a] * rep.gammas[a]
+        out += w[a] * GAMMAS[a]
     return out
 
 
-def slash(rep, v):
+def slash(v):
     """gamma_a v^a for a vector given in upper-index components.
 
-    Equal to slash_covector(rep, eta @ v); squares to (v.v) * I.
+    Equal to slash_covector(eta @ v); squares to (v.v) * I.
     """
     v = np.asarray(v)
-    return slash_covector(rep, ETA_DIAG * v)
+    return slash_covector(ETA_DIAG * v)
 
 
 def _phase_fix(vec, tol=1e-12):
@@ -130,7 +107,7 @@ def _projector_basis(proj, tol=1e-10):
     return [_phase_fix(e) for e in basis]
 
 
-def slash_eigensystem(rep, v, tol_null=TOL_NULL):
+def slash_eigensystem(v):
     """Spectral decomposition of slash(v).
 
     Returns a list of four (eigenvalue, bispinor) pairs ordered by descending
@@ -140,13 +117,13 @@ def slash_eigensystem(rep, v, tol_null=TOL_NULL):
     of each eigenvector is fixed by making its first nonzero component real
     and positive, so repeated calls are bit-identical.
 
-    Raises NullVector when |v.v| <= tol_null.
+    Raises NullVector when |v.v| <= TOL_NULL.
     """
     n2 = minkowski_dot(v, v)
-    if abs(n2) <= tol_null:
-        raise NullVector(f"|v.v| = {abs(n2):.3e} <= {tol_null:.1e}")
+    if abs(n2) <= TOL_NULL:
+        raise NullVector(f"|v.v| = {abs(n2):.3e} <= {TOL_NULL:.1e}")
     lam = np.sqrt(n2) if n2 > 0 else 1j * np.sqrt(-n2)
-    s = slash(rep, v)
+    s = slash(v)
     pairs = []
     for sign in (+1.0, -1.0):
         # (I +- S/lam)/2 projects onto the +-lam eigenspace since S^2 = (v.v) I

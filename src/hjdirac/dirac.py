@@ -23,6 +23,11 @@ from ._util import central_difference
 from .dynamics import operator_commutator
 from .errors import NotCommuting, OffShell, UsageError
 
+# the tolerance of every judgement here: the mass shell, commutation and the
+# three transport criteria
+TOL = 1e-8
+STEP = 1e-5  # central-difference step of the congruence derivatives
+
 __all__ = [
     "WaveFunction",
     "CurveSegment",
@@ -95,9 +100,9 @@ def projectile_curve(proj_field):
     return CurveSegment(proj_field.position, proj_field.tangent)
 
 
-def momentum_operator(rep, field, x):
+def momentum_operator(field, x):
     """gamma^a (dW)_a at x; squares to (dW . dW) times the identity."""
-    return slash_covector(rep, field.one_form(x))
+    return slash_covector(field.one_form(x))
 
 
 class DerivativeSplit:
@@ -109,15 +114,15 @@ class DerivativeSplit:
         self.identity_deviation = identity_deviation
 
 
-def derivative_split(rep, u, omega):
+def derivative_split(u, omega):
     """Split slash(u) slash_covector(omega) into scalar and wedge parts.
 
     The scalar comes from the anticommutator route (its deviation from a pure
     multiple of I is reported, not assumed); the direct contraction u^a w_a
     is left to callers as an independent cross-check.
     """
-    a = slash(rep, u)
-    b = slash_covector(rep, omega)
+    a = slash(u)
+    b = slash_covector(omega)
     anti = 0.5 * (a @ b + b @ a)
     scalar = complex(np.trace(anti)) / 4.0
     if abs(scalar.imag) < 1e-14 * max(1.0, abs(scalar.real)):
@@ -134,13 +139,13 @@ def curve_derivative(wave, curve, s, step=1e-6):
     return (plus - minus) / (2.0 * step)
 
 
-def operator_derivative(rep, wave, x, u):
+def operator_derivative(wave, x, u):
     """dPsi/ds from the chain rule: amplitude'(W) * (u^a dW_a) * spinor.
 
     Returns the derivative and the DerivativeSplit whose scalar fed it, so
     callers can look at the wedge remainder.
     """
-    split = derivative_split(rep, u, wave.field.one_form(x))
+    split = derivative_split(u, wave.field.one_form(x))
     return wave.derivative_factor(x) * split.scalar * wave.spinor, split
 
 
@@ -155,13 +160,13 @@ class SpinorState:
         self.residual_b = float(residual_b)
 
 
-def _joint_candidates(rep, v, b_matrix):
+def _joint_candidates(v, b_matrix):
     """Spinors from the positive eigenspace of slash(v), diagonalizing the
     restriction of b_matrix to it. Returns a list of SpinorState."""
-    pairs = slash_eigensystem(rep, v)
+    pairs = slash_eigensystem(v)
     lam = pairs[0][0]
     basis = np.stack([pairs[0][1], pairs[1][1]], axis=1)  # 4 x 2, eigenvalue +lam
-    a_matrix = slash(rep, v)
+    a_matrix = slash(v)
     restricted = basis.conj().T @ b_matrix @ basis
     mus, vecs = np.linalg.eig(restricted)
     states = []
@@ -174,28 +179,28 @@ def _joint_candidates(rep, v, b_matrix):
     return states
 
 
-def simultaneous_eigenvector(rep, v, w, tol_comm=1e-8):
+def simultaneous_eigenvector(v, w):
     """Joint eigenvector of slash(v) and slash(w) for commuting slashes.
 
     Raises NotCommuting when the Frobenius norm of the commutator of the two
-    slash matrices exceeds tol_comm times max(1, the product of their
+    slash matrices exceeds TOL times max(1, the product of their
     Frobenius norms), which is 4 |v| |w| (Euclidean norms). The returned
     state carries both eigenvalues and both residuals.
     """
     comm = operator_commutator(v, w)[0]
     scale = max(1.0, 4.0 * np.linalg.norm(v) * np.linalg.norm(w))
-    if comm > tol_comm * scale:
-        raise NotCommuting(f"slash commutator {comm:.3e} exceeds {tol_comm:.1e} * {scale:.3e}")
-    states = _joint_candidates(rep, v, slash(rep, w))
+    if comm > TOL * scale:
+        raise NotCommuting(f"slash commutator {comm:.3e} exceeds {TOL:.1e} * {scale:.3e}")
+    states = _joint_candidates(v, slash(w))
     return min(states, key=lambda st: max(st.residual_a, st.residual_b))
 
 
-def conventional_dirac_residual(rep, p, xi, m0=None, kappa=1j, tol_shell=1e-8):
-    """Residual of (i gamma^a d_a - m0) on exp(-kappa p.x) xi, per unit spinor.
+def conventional_dirac_residual(p, xi, m0=None):
+    """Residual of (i gamma^a d_a - m0) on exp(-i p.x) xi, per unit spinor.
 
-    With kappa = i this reduces to |slash(p) xi - m0 xi| / |xi|: zero exactly
-    on the positive eigenspace of slash(p), 2 m0 on the negative one. Raises
-    OffShell when m0 is supplied but p.p does not match it.
+    That is |slash(p) xi - m0 xi| / |xi|: zero exactly on the positive
+    eigenspace of slash(p), 2 m0 on the negative one. Raises OffShell when
+    m0 is supplied but p.p does not match it.
     """
     p = np.asarray(p, dtype=float)
     xi = np.asarray(xi, dtype=complex)
@@ -205,9 +210,9 @@ def conventional_dirac_residual(rep, p, xi, m0=None, kappa=1j, tol_shell=1e-8):
     mass = np.sqrt(pp)
     if m0 is None:
         m0 = mass
-    elif abs(mass - m0) > tol_shell * max(1.0, abs(m0)):
+    elif abs(mass - m0) > TOL * max(1.0, abs(m0)):
         raise OffShell(f"sqrt(p.p) = {mass:.12g} but m0 = {m0:.12g}")
-    op = -1j * kappa * slash(rep, p) - m0 * ID4
+    op = slash(p) - m0 * ID4
     return float(np.linalg.norm(op @ xi) / np.linalg.norm(xi))
 
 
@@ -242,11 +247,11 @@ def geodesic_congruence(m0, base=(0.0, 0.0, 0.0, 0.0)):
     return Congruence(u_of, p_of)
 
 
-def sheared_congruence(m0, base=(0.0, 0.0, 0.0, 0.0), amplitude=0.1):
-    """Same fan, but the momentum is rotated in the (x1, x2) plane by an angle
-    amplitude * x1. Norm-preserving, so the mass shell survives while the
-    transport law breaks."""
-    base = np.asarray(base, dtype=float)
+def sheared_congruence(m0, amplitude=0.1):
+    """The fan through the origin, but the momentum is rotated in the (x1, x2)
+    plane by an angle amplitude * x1. Norm-preserving, so the mass shell
+    survives while the transport law breaks."""
+    base = np.zeros(4)
 
     def u_of(x):
         return _radial_unit(x, base)
@@ -262,46 +267,45 @@ def sheared_congruence(m0, base=(0.0, 0.0, 0.0, 0.0), amplitude=0.1):
     return Congruence(u_of, p_of)
 
 
-def directional_derivative(f, u, x, step=1e-5):
+def directional_derivative(f, u, x):
     """u^b d_b f at x (f vector-valued)."""
     # C order: a matmul's rounding depends on its operands' memory layout
-    jac = np.ascontiguousarray(central_difference(f, x, step).T)
+    jac = np.ascontiguousarray(central_difference(f, x, STEP).T)
     return jac @ np.asarray(u, dtype=float)
 
 
-def lie_derivative(u_of, p_of, x, step=1e-5):
-    """(L_u p)^a = u^b d_b p^a - p^b d_b u^a by central differences."""
+def lie_derivative(u_of, p_of, x):
+    """(u^b d_b p, L_u p) at x by central differences, where
+    (L_u p)^a = u^b d_b p^a - p^b d_b u^a."""
     u = np.asarray(u_of(x), dtype=float)
     p = np.asarray(p_of(x), dtype=float)
-    return directional_derivative(p_of, u, x, step) - directional_derivative(u_of, p, x, step)
+    pdot = directional_derivative(p_of, u, x)
+    return pdot, pdot - directional_derivative(u_of, p, x)
 
 
-def geodesic_criterion_check(rep, congruence, points, tol_lie=1e-8,
-                             tol_comm=1e-8, tol_eigen=1e-8, step=1e-5):
+def geodesic_criterion_check(congruence, points):
     """Three-way transport criterion over sampled points of a congruence.
 
     Checks that (a) the momentum field is Lie-dragged by the flow, (b) the
     slash of p commutes with the slash of its directional derivative along u,
-    and (c) a joint spinor eigenvector exists with small residuals. The three
-    stand or fall together; the report keeps them separate.
+    and (c) a joint spinor eigenvector exists with residuals, each at most
+    TOL. The three stand or fall together; the report keeps them separate.
     """
     lie_worst = comm_worst = eigen_worst = 0.0
     for x in np.asarray(points, dtype=float).reshape(-1, 4):
-        u = np.asarray(congruence.u_of(x), dtype=float)
         p = np.asarray(congruence.p_of(x), dtype=float)
-        lie_worst = max(lie_worst, float(np.abs(lie_derivative(
-            congruence.u_of, congruence.p_of, x, step)).max()))
-        pdot = directional_derivative(congruence.p_of, u, x, step)
+        pdot, lie = lie_derivative(congruence.u_of, congruence.p_of, x)
+        lie_worst = max(lie_worst, float(np.abs(lie).max()))
         comm_worst = max(comm_worst, operator_commutator(p, pdot)[0])
         if np.abs(pdot).max() > 1e-13 * max(1.0, np.abs(p).max()):
-            b_matrix = slash(rep, pdot)
+            b_matrix = slash(pdot)
         else:
             b_matrix = np.zeros((4, 4), dtype=complex)
-        states = _joint_candidates(rep, p, b_matrix)
+        states = _joint_candidates(p, b_matrix)
         best = min(max(st.residual_a, st.residual_b) for st in states)
         eigen_worst = max(eigen_worst, best)
-    verdict = "pass" if (lie_worst <= tol_lie and comm_worst <= tol_comm
-                         and eigen_worst <= tol_eigen) else "fail"
+    verdict = "pass" if (lie_worst <= TOL and comm_worst <= TOL
+                         and eigen_worst <= TOL) else "fail"
     return {
         "lie_residual": lie_worst,
         "commutator_norm": comm_worst,

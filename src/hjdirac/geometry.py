@@ -8,7 +8,7 @@ sum(coeff * prod(x_i**e_i)); no string expressions are evaluated.
 
 import numpy as np
 
-from .clifford import ETA_DIAG
+from .clifford import ETA_DIAG, GAMMAS
 from .config import METRIC, parse
 from .errors import BadSignature, SingularJacobian, SingularMetric, UsageError
 
@@ -247,14 +247,14 @@ def christoffel_at(metric, x):
 
 
 class CoordinateChart:
-    """A chart of the flat reference frame, given by its Jacobian in closed
-    form: jacobian(x_chart) -> J[a, mu] = d(reference^a)/d(chart^mu).
+    """A 4-dimensional chart of the flat reference frame, given by its
+    Jacobian in closed form:
+    jacobian(x_chart) -> J[a, mu] = d(reference^a)/d(chart^mu).
     """
 
-    def __init__(self, name, jacobian, dim=4):
+    def __init__(self, name, jacobian):
         self.name = name
         self._jacobian = jacobian
-        self.dim = dim
 
     def jacobian_matrix(self, x):
         return np.asarray(self._jacobian(np.asarray(x, dtype=float)), dtype=float)
@@ -278,23 +278,21 @@ def polar_chart():
 def chart_metric(chart, x):
     """Metric induced on the chart by the flat reference: g = J^T eta J."""
     jac = chart.jacobian_matrix(x)
-    return jac.T @ np.diag(ETA_DIAG[: chart.dim]) @ jac
+    return jac.T @ np.diag(ETA_DIAG) @ jac
 
 
-def covariant_gamma(rep, chart, x):
+def covariant_gamma(chart, x):
     """Chart-adapted gamma matrices gamma~^mu = (d chart^mu / d ref^a) gamma^a.
 
     They satisfy {gamma~^mu, gamma~^nu} = 2 g^{mu nu} I for the induced
     inverse metric. Raises SingularJacobian when the chart Jacobian is
     numerically singular at x.
     """
-    if chart.dim != 4:
-        raise UsageError("covariant gammas need a 4-dimensional chart")
     jac = chart.jacobian_matrix(x)
     det = np.linalg.det(jac)
     if abs(det) < 1e-12 or np.linalg.cond(jac) > COND_GUARD:
         raise SingularJacobian(f"chart Jacobian det = {det:.3e} at x = {np.asarray(x).tolist()}")
     jinv = np.linalg.inv(jac)  # jinv[mu, a] = d(chart^mu)/d(ref^a)
-    gammas = [sum(jinv[mu, a] * rep.gammas[a] for a in range(4)) for mu in range(4)]
+    gammas = [sum(jinv[mu, a] * GAMMAS[a] for a in range(4)) for mu in range(4)]
     ginv = jinv @ np.diag(ETA_DIAG) @ jinv.T
     return gammas, ginv

@@ -13,7 +13,7 @@ axis-aligned rectangles.
 
 import numpy as np
 
-from .clifford import ETA_DIAG
+from .clifford import ETA_DIAG, TOL_NULL
 from ._util import central_difference
 from .errors import (
     DomainBoundary,
@@ -41,7 +41,9 @@ __all__ = [
     "decompose_parallel_perp",
 ]
 
-TOL_NULL = 1e-10
+TOL = 1e-8  # every exactness and scaling judgement
+# is_exact's sample: closedness points, random rectangles and segments a side
+N_POINTS, N_LOOPS, SEGMENTS = 40, 20, 4096
 
 
 class Box:
@@ -105,7 +107,7 @@ def _closedness_residual(field, points):
     return float(np.abs(d - np.swapaxes(d, 0, -1)).max())
 
 
-def loop_integral(field, axes, corner, extents, segments=4096):
+def loop_integral(field, axes, corner, extents, segments=SEGMENTS):
     """Trapezoid integral of the one-form around an axis-aligned rectangle.
 
     The loop starts at `corner`, runs +axes[0], +axes[1], -axes[0], -axes[1]
@@ -134,29 +136,21 @@ def loop_integral(field, axes, corner, extents, segments=4096):
 class HJReport:
     """Exactness verdict plus the residuals behind it."""
 
-    def __init__(self, name, closedness_residual, max_loop_abs, max_loop_normalized,
-                 mass_shell_residual, tol_closed, tol_loop, n_points, n_loops, segments):
-        self.name = name
+    def __init__(self, closedness_residual, max_loop_normalized, mass_shell_residual):
         self.closedness_residual = float(closedness_residual)
-        self.max_loop_abs = float(max_loop_abs)
         self.max_loop_normalized = float(max_loop_normalized)
         self.mass_shell_residual = None if mass_shell_residual is None else float(mass_shell_residual)
-        self.tol_closed = float(tol_closed)
-        self.tol_loop = float(tol_loop)
-        self.n_points = int(n_points)
-        self.n_loops = int(n_loops)
-        self.segments = int(segments)
-        self.passed = bool(self.closedness_residual <= self.tol_closed
-                           and self.max_loop_normalized <= self.tol_loop)
+        self.passed = bool(self.closedness_residual <= TOL
+                           and self.max_loop_normalized <= TOL)
 
 
-def is_exact(field, region=None, n_points=40, n_loops=20, segments=4096,
-             tol_closed=1e-8, tol_loop=1e-8, seed=0):
-    """Exactness check: closedness residual plus random-rectangle loop integrals.
+def is_exact(field, region=None, seed=0):
+    """Exactness check: closedness residual at N_POINTS random points plus
+    the integrals around N_LOOPS random rectangles.
 
     Loop values are normalized by perimeter * max|one-form| on the loop; the
-    field passes when both routes sit below their tolerances. Deterministic
-    for a fixed seed.
+    field passes when both routes sit at or below TOL. Deterministic for a
+    fixed seed.
     """
     region = region or field.region
     if region is None:
@@ -164,25 +158,22 @@ def is_exact(field, region=None, n_points=40, n_loops=20, segments=4096,
     rng = np.random.default_rng(seed)
     scale = region.hi - region.lo
     # sample with a small inward margin so the closedness stencil stays in-region
-    points = region.lo + (0.001 + 0.998 * rng.uniform(size=(n_points, 4))) * scale
+    points = region.lo + (0.001 + 0.998 * rng.uniform(size=(N_POINTS, 4))) * scale
     closed = _closedness_residual(field, points)
-    worst_abs = 0.0
     worst_norm = 0.0
     pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
-    for _ in range(n_loops):
+    for _ in range(N_LOOPS):
         a, b = pairs[rng.integers(len(pairs))]
         ext = rng.uniform(0.2, 0.9, size=2) * np.array([scale[a], scale[b]])
         corner = region.lo + rng.uniform(0.0, 1.0, size=4) * (region.hi - region.lo)
         corner[a] = region.lo[a] + rng.uniform(0, 1) * (scale[a] - ext[0])
         corner[b] = region.lo[b] + rng.uniform(0, 1) * (scale[b] - ext[1])
-        value, loop_scale = loop_integral(field, (a, b), corner, ext, segments)
-        worst_abs = max(worst_abs, abs(value))
+        value, loop_scale = loop_integral(field, (a, b), corner, ext)
         worst_norm = max(worst_norm, abs(value) / loop_scale)
     shell = None
     if field.m0 is not None:
         shell = mass_shell_check(field, points)
-    return HJReport(field.name, closed, worst_abs, worst_norm, shell,
-                    tol_closed, tol_loop, n_points, n_loops, segments)
+    return HJReport(closed, worst_norm, shell)
 
 
 def mass_shell_check(field, points):
@@ -220,14 +211,13 @@ def _invert_monotone(psi, y, lo, hi, increasing, tol=1e-13, max_iter=200):
     return 0.5 * (lo + hi)
 
 
-def scale_check(field, psi, psi_prime, region=None, n_points=25, seed=0,
-                tol=1e-8, inverse=True):
+def scale_check(field, psi, psi_prime, region=None, n_points=25, seed=0):
     """Reparameterization invariance: W* = psi(W) has one-form psi'(W) dW.
 
     Forward: the transformed field passes is_exact and its momentum / H are
-    the psi'(W)-scaled originals. Inverse (when psi is monotone on the W range
-    of the region): W recovered from psi(W) by bisection matches W. Raises
-    NonMonotone when psi' vanishes or changes sign on the needed range.
+    the psi'(W)-scaled originals. Inverse: W recovered from psi(W) by
+    bisection matches W. Raises NonMonotone when psi' vanishes or changes
+    sign on the needed range.
     """
     region = region or field.region
     if region is None:
@@ -266,21 +256,20 @@ def scale_check(field, psi, psi_prime, region=None, n_points=25, seed=0,
     comp_err = float(np.abs(scaled_form - factors[:, None] * base_form).max())
 
     inv_err = 0.0
-    if inverse:
-        lo, hi = w_lo - pad, w_hi + pad
-        for x in pts:
-            y = psi(field.value(x))
-            w_rec = _invert_monotone(psi, y, lo, hi, increasing)
-            inv_err = max(inv_err, abs(w_rec - field.value(x)))
-    passed = exactness.passed and comp_err <= tol and inv_err <= 1e-7 * max(1.0, abs(w_hi))
+    lo, hi = w_lo - pad, w_hi + pad
+    for x in pts:
+        y = psi(field.value(x))
+        w_rec = _invert_monotone(psi, y, lo, hi, increasing)
+        inv_err = max(inv_err, abs(w_rec - field.value(x)))
+    passed = exactness.passed and comp_err <= TOL and inv_err <= 1e-7 * max(1.0, abs(w_hi))
     report = ScaleReport(exactness, inv_err, (w_lo, w_hi), passed)
     return report
 
 
 # -- concrete fields ---------------------------------------------------------
 
-def construct_geodesic_W(m0, base_point=(0.0, 0.0, 0.0, 0.0), k=0.0, region=None):
-    """W = m0 * s + k with s the proper separation from the base point.
+def construct_geodesic_W(m0, base_point=(0.0, 0.0, 0.0, 0.0)):
+    """W = m0 * s with s the proper separation from the base point.
 
     One-form components are m0 * (dt, -dx1, -dx2, -dx3)/s (= m0 times the
     lowered unit tangent of the straight line through base_point and x).
@@ -298,7 +287,7 @@ def construct_geodesic_W(m0, base_point=(0.0, 0.0, 0.0, 0.0), k=0.0, region=None
 
     def value(x):
         s, _ = proper_s(x)
-        return m0 * s + k
+        return m0 * s
 
     def one_form(x):
         s, delta = proper_s(x)
@@ -306,7 +295,7 @@ def construct_geodesic_W(m0, base_point=(0.0, 0.0, 0.0, 0.0), k=0.0, region=None
         return m0 * lowered / s[..., None]
 
     return HamiltonJacobiField(value=value, one_form=one_form, m0=m0,
-                               region=region, name="geodesic")
+                               name="geodesic")
 
 
 class ProjectileField(HamiltonJacobiField):
@@ -389,11 +378,11 @@ class ProjectileField(HamiltonJacobiField):
         return np.broadcast_to(self._coeffs(), x.shape).copy()
 
 
-def projectile_field(m0, u_x, u_y, g, w0=0.0, base_event=(0.0, 0.0, 0.0, 0.0), region=None):
-    return ProjectileField(m0, u_x, u_y, g, w0=w0, base_event=base_event, region=region)
+def projectile_field(m0, u_x, u_y, g):
+    return ProjectileField(m0, u_x, u_y, g)
 
 
-def curl_counterexample_field(region=None):
+def curl_counterexample_field():
     """One-form (0, -x2, x1, 0): not closed; loop value = 2 * enclosed area."""
 
     def one_form(x):
@@ -403,8 +392,7 @@ def curl_counterexample_field(region=None):
         out[..., 2] = x[..., 1]
         return out
 
-    return HamiltonJacobiField(one_form=one_form, region=region,
-                               name="curl-counterexample")
+    return HamiltonJacobiField(one_form=one_form, name="curl-counterexample")
 
 
 def linearly_shifted(field, coeffs, name=None):

@@ -103,7 +103,8 @@ class VelocitySample:
 def sample_mb(config):
     """Draw config.n independent 3-velocities from the squared-amplitude
     Gaussian. The index range is split into SAMPLE_CHUNK-sized chunks, each
-    drawn from its own spawned substream of config.seed.
+    drawn from its own spawned substream of config.seed. Raises
+    DegenerateData when a kinetic energy overflows.
     """
     n = config.n
     sigma = math.sqrt(config.sigma2)
@@ -114,7 +115,12 @@ def sample_mb(config):
     parts = [sigma * np.random.default_rng(child).standard_normal((size, 3))
              for child, size in zip(children, sizes)]
     v = np.concatenate(parts)
-    energies = 0.5 * config.m0 * (v * v).sum(axis=1)
+    with np.errstate(over="ignore"):  # an overflowed energy is refused below
+        energies = 0.5 * config.m0 * (v * v).sum(axis=1)
+    overflowed = int(np.count_nonzero(~np.isfinite(energies)))
+    if overflowed:
+        raise DegenerateData("kinetic energy m0 |v|^2 / 2 overflows in %d of %d "
+                             "samples" % (overflowed, n))
     return VelocitySample(velocities=v, energies=energies, config=config)
 
 
@@ -138,9 +144,6 @@ def write_histogram_csv(sample, path, bins=50):
 
 # ---------------------------------------------------------------------------
 # occupation enumeration
-
-_STAT_TAGS = {"BE": "BE", "FD": "FD", "MB": "MB", "MB-DISTINGUISHABLE": "MB"}
-
 
 @dataclass
 class PartitionTable:
@@ -170,8 +173,8 @@ def partition_enumerate(levels, n, beta, statistics):
     Raises DegeneratePartition when the partition sum underflows to zero or
     overflows, since the probabilities are then undefined.
     """
-    tag = _STAT_TAGS.get(str(statistics).strip().upper())
-    if tag is None:
+    tag = str(statistics).strip().upper()
+    if tag not in ("BE", "FD", "MB"):
         raise UsageError("statistics must be one of BE, FD, MB")
     levels = tuple(float(e) for e in levels)
     L = len(levels)

@@ -19,8 +19,8 @@ from . import dynamics as dyn
 from . import geometry as geo
 from . import hamilton_jacobi as hj
 from . import statmech as sm
-from .clifford import (anticommutator, build_gamma_rep, minkowski_dot, slash,
-                       slash_eigensystem)
+from .clifford import (anticommutator, anticommutator_residual, minkowski_dot,
+                       slash, slash_eigensystem)
 from .dirac import (conventional_dirac_residual, derivative_split,
                     geodesic_congruence, geodesic_criterion_check,
                     sheared_congruence)
@@ -78,18 +78,17 @@ ROWS = [Row(*fields) for fields in [
 
 def clifford(seed, size):
     """size random vectors squared, then size // 10 timelike spectra."""
-    rep = build_gamma_rep()
     rng = np.random.default_rng(seed)
-    anti = rep.check()
+    anti = anticommutator_residual()
     vs = rng.normal(size=(size, 4))
-    sq = max(np.abs(slash(rep, v) @ slash(rep, v)
+    sq = max(np.abs(slash(v) @ slash(v)
                     - minkowski_dot(v, v) * np.eye(4)).max() for v in vs)
     spread = 0.0
     for _ in range(size // 10):
         v = rng.normal(size=4)
         v[0] = np.linalg.norm(v[1:]) + rng.uniform(0.5, 2.0)
         root = np.sqrt(minkowski_dot(v, v))
-        eigs = sorted(ev for ev, _ in slash_eigensystem(rep, v))
+        eigs = sorted(ev for ev, _ in slash_eigensystem(v))
         spread = max(spread, np.abs(np.array(eigs)
                                     - [-root, -root, root, root]).max())
     return [anti, sq, spread]
@@ -97,7 +96,6 @@ def clifford(seed, size):
 
 def geometry(seed, size):
     """size random points of the polar chart."""
-    rep = build_gamma_rep()
     rng = np.random.default_rng(seed)
     metric = geo.polar_metric(4)
     chart = geo.polar_chart()
@@ -108,7 +106,7 @@ def geometry(seed, size):
         tetrad_res = max(tetrad_res, geo.tetrad_at(metric, x).residual)
         chart_res = max(chart_res, np.abs(geo.chart_metric(chart, x)
                                           - metric.matrix(x)).max())
-        gammas, ginv = geo.covariant_gamma(rep, chart, x)
+        gammas, ginv = geo.covariant_gamma(chart, x)
         gamma_res = max(gamma_res,
                         max(np.abs(anticommutator(gammas[m], gammas[n])
                                    - 2.0 * ginv[m, n] * np.eye(4)).max()
@@ -137,31 +135,30 @@ def dirac(seed, size):
     size // 10 points of a geodesic and of a sheared fan. The geodesic fan's
     residual is its worst criterion; the sheared fan must fail all three, so
     its residual is the inverse of its least."""
-    rep = build_gamma_rep()
     rng = np.random.default_rng(seed)
     plus = minus = split_res = 0.0
     for _ in range(size):
         m0 = rng.uniform(0.5, 2.0)
         p = rng.normal(size=4)
         p[0] = np.sqrt(m0 ** 2 + (p[1:] ** 2).sum())
-        for ev, xi in slash_eigensystem(rep, p):
-            res = conventional_dirac_residual(rep, p, xi, m0=m0)
+        for ev, xi in slash_eigensystem(p):
+            res = conventional_dirac_residual(p, xi, m0=m0)
             if ev > 0:
                 plus = max(plus, res)
             else:
                 minus = max(minus, abs(res - 2.0 * m0))
         u = rng.normal(size=4)
         w = rng.normal(size=4)
-        split_res = max(split_res, abs(derivative_split(rep, u, w).scalar - u @ w))
+        split_res = max(split_res, abs(derivative_split(u, w).scalar - u @ w))
 
     # each point is timelike-separated from its fan's base
     m0 = rng.uniform(0.7, 1.8)
     base = rng.uniform(-0.3, 0.3, size=4)
     box = hj.Box([2.0, -0.5, -0.5, -0.5], [3.0, 0.5, 0.5, 0.5])
-    fan = geodesic_criterion_check(rep, geodesic_congruence(m0, base),
+    fan = geodesic_criterion_check(geodesic_congruence(m0, base),
                                    box.sample(rng, size // 10))
     shear_box = hj.Box([2.2, -1.0, -1.0, -1.0], [3.0, 1.0, 1.0, 1.0])
-    sheared = geodesic_criterion_check(rep, sheared_congruence(m0, amplitude=0.1),
+    sheared = geodesic_criterion_check(sheared_congruence(m0, amplitude=0.1),
                                        shear_box.sample(rng, size // 10))
     criteria = ("lie_residual", "commutator_norm", "eigen_residual")
     least = min(sheared[key] for key in criteria)

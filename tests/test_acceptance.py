@@ -19,10 +19,9 @@ from hjdirac import hamilton_jacobi as hj
 from hjdirac import statmech as sm
 from hjdirac import verify
 from hjdirac.cli import main as cli_main
-from hjdirac.clifford import build_gamma_rep, minkowski_dot, slash, slash_covector
+from hjdirac.clifford import minkowski_dot, slash, slash_covector
 from hjdirac.errors import NotCommuting
 
-REP = build_gamma_rep()
 BOX = hj.Box([2.0, -0.5, -0.5, -0.5], [3.0, 0.5, 0.5, 0.5])
 
 
@@ -104,7 +103,7 @@ def test_scaling_and_joint_eigenvectors():
             v = rng.normal(size=4)
             v[0] = np.linalg.norm(v[1:]) + rng.uniform(0.5, 2.0)
             factor = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 3.0)
-            state = dr.simultaneous_eigenvector(REP, v, factor * v)
+            state = dr.simultaneous_eigenvector(v, factor * v)
             assert state.residual_a < 1e-10
             assert state.residual_b < 1e-10
         rejected = 0
@@ -114,7 +113,7 @@ def test_scaling_and_joint_eigenvectors():
             w = rng.normal(size=4)
             w[0] = np.linalg.norm(w[1:]) + rng.uniform(0.5, 2.0)
             try:
-                dr.simultaneous_eigenvector(REP, v, w)
+                dr.simultaneous_eigenvector(v, w)
             except NotCommuting:
                 rejected += 1
         assert rejected == 100
@@ -125,9 +124,9 @@ def test_scaling_and_joint_eigenvectors():
         pts = BOX.sample(np.random.default_rng(4), 8)
         dec = hj.decompose_parallel_perp(shifted, radial_tangent, pts)
         for x in pts:
-            lhs = slash_covector(REP, shifted.one_form(x))
-            rhs = slash(REP, radial_tangent(x)) \
-                + slash_covector(REP, dec.constants) / m0
+            lhs = slash_covector(shifted.one_form(x))
+            rhs = slash(radial_tangent(x)) \
+                + slash_covector(dec.constants) / m0
             assert np.abs(lhs @ rhs - rhs @ lhs).max() < 1e-10
 
 
@@ -152,7 +151,7 @@ def test_transport_criterion():
             base = rng.uniform(-0.3, 0.3, size=4)
             cong = dr.geodesic_congruence(m0, base)
             pts = BOX.sample(np.random.default_rng(100 + i), 10)
-            report = dr.geodesic_criterion_check(REP, cong, pts)
+            report = dr.geodesic_criterion_check(cong, pts)
             assert report["verdict"] == "pass"
             assert report["lie_residual"] < 1e-6
             t_fail, d_fail = sides(report)
@@ -163,7 +162,7 @@ def test_transport_criterion():
             m0 = rng.uniform(0.7, 1.8)
             cong = dr.sheared_congruence(m0, amplitude=0.1)
             pts = shear_box.sample(np.random.default_rng(200 + i), 10)
-            report = dr.geodesic_criterion_check(REP, cong, pts)
+            report = dr.geodesic_criterion_check(cong, pts)
             assert report["verdict"] == "fail"
             assert report["lie_residual"] > 1e-6
             assert report["commutator_norm"] > 1e-3

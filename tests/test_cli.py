@@ -482,6 +482,23 @@ class TestEnsemble:
         assert "moments.json not written" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("cfg", [{"n": 1000, "m0": 5e307, "T": 1e308},
+                                     {"n": 1000, "T": 1e308}])
+    def test_overflowed_energy_exits_one_and_writes_nothing(self, tmp_path, capsys,
+                                                            cfg, fmt):
+        # m0 |v|^2 / 2 overflows to inf for some draws, while the moments of
+        # the first config stay finite
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["ensemble", "--config", str(path), "--format", fmt,
+                         "--out", str(out)]) == 1
+        assert "kinetic energy m0 |v|^2 / 2 overflows" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("cfg, code, message", [
         # the weight exp(1e308) overflows: the partition sum is inf
         ({"kind": "occupancy", "levels": [0, 1e308], "beta": -1}, 1,

@@ -5,8 +5,6 @@ from hjdirac import clifford as cl
 from hjdirac.dirac import derivative_split
 from hjdirac.errors import NullVector
 
-rep = cl.build_gamma_rep()
-
 
 def random_timelike(rng, scale=1.0):
     v = rng.normal(size=4) * scale
@@ -15,17 +13,19 @@ def random_timelike(rng, scale=1.0):
 
 
 def test_anticommutator_table_exact():
+    eta = np.diag(cl.ETA_DIAG)
     for a in range(4):
         for b in range(4):
-            lhs = cl.anticommutator(rep.gammas[a], rep.gammas[b])
-            rhs = 2.0 * cl.ETA[a, b] * np.eye(4)
+            lhs = cl.anticommutator(cl.GAMMAS[a], cl.GAMMAS[b])
+            rhs = 2.0 * eta[a, b] * np.eye(4)
             assert np.array_equal(lhs, rhs)
+    assert cl.anticommutator_residual() == 0.0
 
 
 def test_gamma_squares():
-    assert np.array_equal(rep.gammas[0] @ rep.gammas[0], np.eye(4))
+    assert np.array_equal(cl.GAMMAS[0] @ cl.GAMMAS[0], np.eye(4))
     for k in (1, 2, 3):
-        assert np.array_equal(rep.gammas[k] @ rep.gammas[k], -np.eye(4))
+        assert np.array_equal(cl.GAMMAS[k] @ cl.GAMMAS[k], -np.eye(4))
 
 
 @pytest.mark.parametrize(
@@ -36,21 +36,21 @@ def test_gamma_squares():
     ],
 )
 def test_slash_examples(v, expected):
-    assert np.array_equal(cl.slash(rep, v), expected)
+    assert np.array_equal(cl.slash(v), expected)
 
 
 def test_slash_equals_covector_slash_of_lowered():
     rng = np.random.default_rng(7)
     for _ in range(50):
         v = rng.normal(size=4)
-        assert np.array_equal(cl.slash(rep, v), cl.slash_covector(rep, cl.ETA_DIAG * v))
+        assert np.array_equal(cl.slash(v), cl.slash_covector(cl.ETA_DIAG * v))
 
 
 def test_slash_square_is_minkowski_norm():
     rng = np.random.default_rng(11)
     for _ in range(500):
         v = rng.normal(size=4) * rng.uniform(0.1, 10)
-        s = cl.slash(rep, v)
+        s = cl.slash(v)
         n2 = cl.minkowski_dot(v, v)
         scale = max(1.0, abs(n2))
         assert np.abs(s @ s - n2 * np.eye(4)).max() <= 1e-12 * scale
@@ -61,8 +61,8 @@ def test_slash_linearity():
     for _ in range(100):
         u, w = rng.normal(size=4), rng.normal(size=4)
         a, b = rng.normal(size=2)
-        lhs = cl.slash(rep, a * u + b * w)
-        rhs = a * cl.slash(rep, u) + b * cl.slash(rep, w)
+        lhs = cl.slash(a * u + b * w)
+        rhs = a * cl.slash(u) + b * cl.slash(w)
         assert np.abs(lhs - rhs).max() < 1e-12
 
 
@@ -71,7 +71,7 @@ def test_eigensystem_time_axis_matches_generic_solver():
     vals, vecs = np.linalg.eig(cl.GAMMA0)
     order = np.argsort(-vals.real)
     expect_vals = vals[order]
-    pairs = cl.slash_eigensystem(rep, [1, 0, 0, 0])
+    pairs = cl.slash_eigensystem([1, 0, 0, 0])
     got_vals = np.array([p[0] for p in pairs])
     assert np.allclose(got_vals, expect_vals, atol=1e-12)
     # gamma0 is diagonal, so the canonical basis is the eigenbasis
@@ -87,8 +87,8 @@ def test_eigensystem_random_timelike_against_generic_solver():
         v = random_timelike(rng, scale=rng.uniform(0.2, 5))
         n2 = cl.minkowski_dot(v, v)
         lam = np.sqrt(n2)
-        s = cl.slash(rep, v)
-        pairs = cl.slash_eigensystem(rep, v)
+        s = cl.slash(v)
+        pairs = cl.slash_eigensystem(v)
         got = sorted(np.real(p[0]) for p in pairs)
         oracle = sorted(np.linalg.eigvals(s).real)
         assert np.allclose(got, oracle, atol=1e-9 * max(1, lam))
@@ -101,8 +101,8 @@ def test_eigensystem_random_timelike_against_generic_solver():
 def test_eigensystem_basis_orthonormal_and_deterministic():
     rng = np.random.default_rng(17)
     v = random_timelike(rng)
-    first = cl.slash_eigensystem(rep, v)
-    second = cl.slash_eigensystem(rep, v)
+    first = cl.slash_eigensystem(v)
+    second = cl.slash_eigensystem(v)
     for (l1, e1), (l2, e2) in zip(first, second):
         assert l1 == l2
         assert np.array_equal(e1, e2)
@@ -116,16 +116,16 @@ def test_eigensystem_basis_orthonormal_and_deterministic():
 
 def test_eigensystem_null_raises():
     with pytest.raises(NullVector):
-        cl.slash_eigensystem(rep, [1, 1, 0, 0])
+        cl.slash_eigensystem([1, 1, 0, 0])
     with pytest.raises(NullVector):
-        cl.slash_eigensystem(rep, [0, 0, 0, 0])
+        cl.slash_eigensystem([0, 0, 0, 0])
 
 
 def test_eigensystem_spacelike_complex_pair():
-    pairs = cl.slash_eigensystem(rep, [0, 1, 0, 0])
+    pairs = cl.slash_eigensystem([0, 1, 0, 0])
     vals = [p[0] for p in pairs]
     assert np.allclose(vals, [1j, 1j, -1j, -1j], atol=1e-12)
-    s = cl.slash(rep, [0, 1, 0, 0])
+    s = cl.slash([0, 1, 0, 0])
     for val, vec in pairs:
         assert np.linalg.norm(s @ vec - val * vec) < 1e-10
 
@@ -135,8 +135,8 @@ def test_product_decomposition_reconstructs():
     rng = np.random.default_rng(5)
     for _ in range(200):
         u, w = rng.normal(size=4), rng.normal(size=4)
-        split = derivative_split(rep, u, cl.ETA_DIAG * w)
-        product = cl.slash(rep, u) @ cl.slash(rep, w)
+        split = derivative_split(u, cl.ETA_DIAG * w)
+        product = cl.slash(u) @ cl.slash(w)
         scale = max(1.0, np.abs(product).max())
         assert abs(split.scalar - cl.minkowski_dot(u, w)) < 1e-12 * scale
         assert np.abs(product - (split.scalar * np.eye(4) + split.wedge)).max() < 1e-12 * scale
@@ -148,6 +148,6 @@ def test_parallel_vectors_commute():
     for _ in range(100):
         v = random_timelike(rng)
         lam = rng.uniform(0.1, 4)
-        a, b = cl.slash(rep, v), cl.slash(rep, lam * v)
+        a, b = cl.slash(v), cl.slash(lam * v)
         assert np.linalg.norm(a @ b - b @ a) < 1e-12 * max(1.0, lam * cl.minkowski_dot(v, v))
 

@@ -6,8 +6,6 @@ from hjdirac import geometry as geo
 from hjdirac._util import central_difference
 from hjdirac.errors import BadSignature, SingularJacobian, SingularMetric, UsageError
 
-rep = cl.build_gamma_rep()
-
 
 def test_tetrad_polar_example():
     frame = geo.tetrad_at(geo.polar_metric(dim=3), [0.0, 2.0, 0.1])
@@ -87,7 +85,7 @@ def test_christoffel_singular_metric_raises():
 def test_covariant_gamma_polar_anticommutator():
     chart = geo.polar_chart()
     x = [0.0, 2.0, np.pi / 3, 0.0]
-    gammas, ginv = geo.covariant_gamma(rep, chart, x)
+    gammas, ginv = geo.covariant_gamma(chart, x)
     # {gamma~^theta, gamma~^theta} = 2 g^{theta theta} I = -I/2 at r = 2
     acc = cl.anticommutator(gammas[2], gammas[2])
     assert np.allclose(acc, -0.5 * np.eye(4), atol=1e-10)
@@ -101,14 +99,14 @@ def test_covariant_gamma_scaled_time():
     # chart time is twice the reference time: d(ref^0)/d(chart^0) = 1/2
     scale = np.array([0.5, 1.0, 1.0, 1.0])
     chart = geo.CoordinateChart("scaled-time", lambda x: np.diag(scale))
-    gammas, ginv = geo.covariant_gamma(rep, chart, [0.5, 1.0, 1.0, 1.0])
+    gammas, ginv = geo.covariant_gamma(chart, [0.5, 1.0, 1.0, 1.0])
     assert np.allclose(cl.anticommutator(gammas[0], gammas[0]), 8.0 * np.eye(4), atol=1e-12)
     assert ginv[0, 0] == pytest.approx(4.0, abs=1e-12)
 
 
 def test_covariant_gamma_singular_jacobian():
     with pytest.raises(SingularJacobian):
-        geo.covariant_gamma(rep, geo.polar_chart(), [0.0, 0.0, 0.0, 0.0])  # r = 0
+        geo.covariant_gamma(geo.polar_chart(), [0.0, 0.0, 0.0, 0.0])  # r = 0
 
 
 def test_chart_metric_matches_polar_metric():

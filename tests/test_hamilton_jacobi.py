@@ -3,7 +3,7 @@ import pytest
 
 from hjdirac import hamilton_jacobi as hj
 from hjdirac._util import central_difference
-from hjdirac.clifford import build_gamma_rep, minkowski_dot, slash, slash_covector
+from hjdirac.clifford import minkowski_dot, slash, slash_covector
 from hjdirac.errors import (
     DomainBoundary,
     IllConditioned,
@@ -26,8 +26,8 @@ class TestGeodesicField:
     def test_value_example(self):
         geo = hj.construct_geodesic_W(1.0)
         assert np.isclose(geo.value([2.0, 1.0, 0.0, 0.0]), np.sqrt(3.0), rtol=0, atol=1e-14)
-        shifted = hj.construct_geodesic_W(2.0, k=0.25)
-        assert np.isclose(shifted.value([2.0, 1.0, 0.0, 0.0]), 2 * np.sqrt(3.0) + 0.25)
+        scaled = hj.construct_geodesic_W(2.0)
+        assert np.isclose(scaled.value([2.0, 1.0, 0.0, 0.0]), 2 * np.sqrt(3.0))
 
     def test_one_form_is_scaled_unit_tangent(self):
         geo = hj.construct_geodesic_W(1.5)
@@ -149,9 +149,12 @@ class TestProjectileField:
 
 class TestFieldFactories:
     def test_region_guard(self):
-        geo = hj.construct_geodesic_W(1.0, region=BOX)
+        geo = hj.construct_geodesic_W(1.0)
+        guarded = hj.HamiltonJacobiField(geo.one_form, geo.value, region=BOX)
         with pytest.raises(DomainBoundary):
-            geo.one_form([5.0, 0.0, 0.0, 0.0])
+            guarded.one_form([5.0, 0.0, 0.0, 0.0])
+        with pytest.raises(DomainBoundary):
+            guarded.value([5.0, 0.0, 0.0, 0.0])
         with pytest.raises(UsageError):
             hj.is_exact(hj.construct_geodesic_W(1.0))
         with pytest.raises(UsageError):
@@ -226,7 +229,6 @@ class TestParallelPerpSplit:
     def test_split_operators_commute(self):
         # dW = m0 * lowered(u) + c makes slash(dW) commute with
         # slash(u) + slash_covector(c) / m0 identically
-        rep = build_gamma_rep()
         m0 = 1.3
         geo = hj.construct_geodesic_W(m0)
         coeffs = np.array([0.0, 0.5, -0.2, 0.1])
@@ -235,6 +237,6 @@ class TestParallelPerpSplit:
         dec = hj.decompose_parallel_perp(shifted, radial_tangent, pts)
         for x in pts:
             u = radial_tangent(x)
-            lhs = slash_covector(rep, shifted.one_form(x))
-            rhs = slash(rep, u) + slash_covector(rep, dec.constants) / m0
+            lhs = slash_covector(shifted.one_form(x))
+            rhs = slash(u) + slash_covector(dec.constants) / m0
             assert np.abs(lhs @ rhs - rhs @ lhs).max() < 1e-10

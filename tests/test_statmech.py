@@ -110,8 +110,12 @@ class TestPartitionEnumeration:
         assert fd.occupations.tolist() == [[1, 1]]
         assert fd.probabilities[0] == 1.0
 
-        mb = sm.partition_enumerate([0.0, 1.0], 2, 1.0, "MB-distinguishable")
+        mb = sm.partition_enumerate([0.0, 1.0], 2, 1.0, " mb ")
+        assert mb.statistics == "MB"
         assert abs(mb.z - (1.0 + math.exp(-1.0)) ** 2) < 1e-14
+        # the schema's spellings only
+        with pytest.raises(UsageError):
+            sm.partition_enumerate([0.0, 1.0], 2, 1.0, "MB-distinguishable")
 
     @pytest.mark.parametrize("L,n", [(5, 4), (7, 3), (4, 4)])
     def test_state_counts_and_factorization(self, L, n):
