@@ -266,6 +266,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:
+            raise UsageError("--seed must be a non-negative integer, got %d" % args.seed)
         return args.func(args)
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)

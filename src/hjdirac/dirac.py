@@ -21,10 +21,10 @@ from .clifford import (
 )
 from ._util import central_difference
 from .dynamics import operator_commutator
-from .errors import NotCommuting, OffShell, UsageError
+from .errors import OffShell, UsageError
 
-# the tolerance of every judgement here: the mass shell, commutation and the
-# three transport criteria
+# the tolerance of every judgement here: the mass shell and the three
+# transport criteria
 TOL = 1e-8
 STEP = 1e-5  # central-difference step of the congruence derivatives
 
@@ -39,7 +39,6 @@ __all__ = [
     "curve_derivative",
     "operator_derivative",
     "SpinorState",
-    "simultaneous_eigenvector",
     "conventional_dirac_residual",
     "Congruence",
     "geodesic_congruence",
@@ -177,22 +176,6 @@ def _joint_candidates(v, b_matrix):
         res_b = np.linalg.norm(b_matrix @ xi - mus[i] * xi)
         states.append(SpinorState(xi, lam, mus[i], res_a, res_b))
     return states
-
-
-def simultaneous_eigenvector(v, w):
-    """Joint eigenvector of slash(v) and slash(w) for commuting slashes.
-
-    Raises NotCommuting when the Frobenius norm of the commutator of the two
-    slash matrices exceeds TOL times max(1, the product of their
-    Frobenius norms), which is 4 |v| |w| (Euclidean norms). The returned
-    state carries both eigenvalues and both residuals.
-    """
-    comm = operator_commutator(v, w)[0]
-    scale = max(1.0, 4.0 * np.linalg.norm(v) * np.linalg.norm(w))
-    if comm > TOL * scale:
-        raise NotCommuting(f"slash commutator {comm:.3e} exceeds {TOL:.1e} * {scale:.3e}")
-    states = _joint_candidates(v, slash(w))
-    return min(states, key=lambda st: max(st.residual_a, st.residual_b))
 
 
 def conventional_dirac_residual(p, xi, m0=None):

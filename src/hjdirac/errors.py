@@ -29,24 +29,8 @@ class SingularJacobian(HJDiracError):
     """Chart Jacobian numerically singular at the sampled point."""
 
 
-class DomainBoundary(HJDiracError):
-    """Field evaluated outside its declared region (finite differences would leave it)."""
-
-
-class NonMonotone(HJDiracError):
-    """Reparameterization psi is not monotone on the needed range; no inverse branch."""
-
-
 class NonTimelikeSeparation(HJDiracError):
     """Separation from the base point is null or spacelike; no real proper time."""
-
-
-class IllConditioned(HJDiracError):
-    """Least-squares normal matrix singular; the fit does not determine the constants."""
-
-
-class NotCommuting(HJDiracError):
-    """Slashed operators do not commute; no simultaneous eigenvector exists."""
 
 
 class OffShell(HJDiracError):

@@ -15,39 +15,28 @@ import numpy as np
 
 from .clifford import ETA_DIAG, TOL_NULL
 from ._util import central_difference
-from .errors import (
-    DomainBoundary,
-    IllConditioned,
-    NonMonotone,
-    NonTimelikeSeparation,
-    UsageError,
-)
+from .errors import NonTimelikeSeparation, UsageError
 
 __all__ = [
     "Box",
     "HamiltonJacobiField",
     "ProjectileField",
     "HJReport",
-    "ScaleReport",
-    "PerpDecomposition",
     "loop_integral",
     "is_exact",
     "mass_shell_check",
-    "scale_check",
     "construct_geodesic_W",
     "projectile_field",
     "curl_counterexample_field",
-    "linearly_shifted",
-    "decompose_parallel_perp",
 ]
 
-TOL = 1e-8  # every exactness and scaling judgement
+TOL = 1e-8  # every exactness judgement
 # is_exact's sample: closedness points, random rectangles and segments a side
 N_POINTS, N_LOOPS, SEGMENTS = 40, 20, 4096
 
 
 class Box:
-    """Axis-aligned region lo <= x <= hi used for sampling and domain guards."""
+    """Axis-aligned region lo <= x <= hi that the checks sample."""
 
     def __init__(self, lo, hi):
         self.lo = np.asarray(lo, dtype=float)
@@ -64,38 +53,20 @@ class HamiltonJacobiField:
     (4,) or a stack of points (..., 4), so loop quadrature runs at array
     speed."""
 
-    def __init__(self, one_form, value=None, m0=None, region=None, name="field"):
+    def __init__(self, one_form, value=None, m0=None, name="field"):
         self._value = value
         self._one_form = one_form
         self.m0 = m0
-        self.region = region
         self.name = name
-
-    # -- evaluation ---------------------------------------------------------
-
-    def _guard(self, x):
-        if self.region is None:
-            return
-        pts = np.asarray(x, dtype=float).reshape(-1, 4)
-        slack = 1e-12
-        bad = np.any(pts < self.region.lo - slack, axis=1) | np.any(pts > self.region.hi + slack, axis=1)
-        if bad.any():
-            p = pts[int(np.argmax(bad))]
-            raise DomainBoundary(f"{p.tolist()} outside the field's region")
 
     def value(self, x):
         if self._value is None:
             raise UsageError(f"field {self.name!r} has no W, only a one-form")
-        self._guard(x)
         return np.asarray(self._value(np.asarray(x, dtype=float)), dtype=float)
 
     def one_form(self, x):
         """dW components at x (or at a stack of points (..., 4))."""
-        self._guard(x)
         return np.asarray(self._one_form(np.asarray(x, dtype=float)), dtype=float)
-
-    def has_value(self):
-        return self._value is not None
 
 
 # -- exactness ---------------------------------------------------------------
@@ -144,7 +115,7 @@ class HJReport:
                            and self.max_loop_normalized <= TOL)
 
 
-def is_exact(field, region=None, seed=0):
+def is_exact(field, region, seed=0):
     """Exactness check: closedness residual at N_POINTS random points plus
     the integrals around N_LOOPS random rectangles.
 
@@ -152,9 +123,6 @@ def is_exact(field, region=None, seed=0):
     field passes when both routes sit at or below TOL. Deterministic for a
     fixed seed.
     """
-    region = region or field.region
-    if region is None:
-        raise UsageError("is_exact needs a region (argument or field.region)")
     rng = np.random.default_rng(seed)
     scale = region.hi - region.lo
     # sample with a small inward margin so the closedness stencil stays in-region
@@ -185,85 +153,6 @@ def mass_shell_check(field, points):
     h2 = form[:, 0] ** 2
     p2 = (form[:, 1:] ** 2).sum(axis=1)
     return float(np.abs(h2 - p2 - field.m0 ** 2).max() / max(1.0, field.m0 ** 2))
-
-
-# -- reparameterization (scaling) -------------------------------------------
-
-class ScaleReport:
-    def __init__(self, exactness, inverse_max_err, w_range, passed):
-        self.exactness = exactness      # HJReport of the transformed field
-        self.inverse_max_err = inverse_max_err
-        self.w_range = w_range
-        self.passed = passed
-
-
-def _invert_monotone(psi, y, lo, hi, increasing, tol=1e-13, max_iter=200):
-    flo, fhi = psi(lo), psi(hi)
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = psi(mid)
-        if (fm < y) == increasing:
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-        if hi - lo < tol * max(1.0, abs(lo) + abs(hi)):
-            break
-    return 0.5 * (lo + hi)
-
-
-def scale_check(field, psi, psi_prime, region=None, n_points=25, seed=0):
-    """Reparameterization invariance: W* = psi(W) has one-form psi'(W) dW.
-
-    Forward: the transformed field passes is_exact and its momentum / H are
-    the psi'(W)-scaled originals. Inverse: W recovered from psi(W) by
-    bisection matches W. Raises NonMonotone when psi' vanishes or changes
-    sign on the needed range.
-    """
-    region = region or field.region
-    if region is None:
-        raise UsageError("scale_check needs a region")
-    if not field.has_value():
-        raise UsageError("scale_check needs a field with W values")
-    rng = np.random.default_rng(seed)
-    probe = region.sample(rng, max(n_points, 200))
-    w_vals = np.atleast_1d(field.value(probe))
-    w_lo, w_hi = float(w_vals.min()), float(w_vals.max())
-    pad = 1e-6 * max(1.0, abs(w_lo), abs(w_hi)) + 0.05 * (w_hi - w_lo)
-    grid = np.linspace(w_lo - pad, w_hi + pad, 512)
-    dpsi = np.array([psi_prime(w) for w in grid])
-    if np.any(dpsi > 0) and np.any(dpsi < 0) or np.abs(dpsi).min() < 1e-12:
-        raise NonMonotone(f"psi' crosses zero on [{w_lo:.3g}, {w_hi:.3g}]")
-    increasing = bool(dpsi[0] > 0)
-
-    def scaled_value(x):
-        return psi(field.value(x))
-
-    def scaled_form(x):
-        w = np.asarray(field.value(x), dtype=float)
-        return np.asarray(psi_prime(w), dtype=float)[..., None] * field.one_form(x)
-
-    transformed = HamiltonJacobiField(
-        value=scaled_value, one_form=scaled_form, m0=None, region=region,
-        name=f"psi({field.name})",
-    )
-    exactness = is_exact(transformed, region=region, seed=seed)
-
-    # scaled momentum / H at sample points (componentwise identity)
-    pts = probe[:n_points]
-    base_form = field.one_form(pts)
-    scaled_form = transformed.one_form(pts)
-    factors = np.array([psi_prime(w) for w in np.atleast_1d(field.value(pts))])
-    comp_err = float(np.abs(scaled_form - factors[:, None] * base_form).max())
-
-    inv_err = 0.0
-    lo, hi = w_lo - pad, w_hi + pad
-    for x in pts:
-        y = psi(field.value(x))
-        w_rec = _invert_monotone(psi, y, lo, hi, increasing)
-        inv_err = max(inv_err, abs(w_rec - field.value(x)))
-    passed = exactness.passed and comp_err <= TOL and inv_err <= 1e-7 * max(1.0, abs(w_hi))
-    report = ScaleReport(exactness, inv_err, (w_lo, w_hi), passed)
-    return report
 
 
 # -- concrete fields ---------------------------------------------------------
@@ -302,24 +191,22 @@ class ProjectileField(HamiltonJacobiField):
     """Uniform-force field: a one-parameter family of exact linear fields.
 
     Differentiation treats the curve parameter s as frozen, so each member
-    W_s = m0*u_x*x + m0*(u_y - g s)*y - m0*tdot(s)*t + w0 is linear in the
+    W_s = m0*u_x*x + m0*(u_y - g s)*y - m0*tdot(s)*t is linear in the
     event with one-form (-m0*tdot, m0*u_x, m0*(u_y - g s), 0); tdot(s) =
     sqrt(1 + u_x^2 + (u_y - g s)^2) keeps (dW/dt)^2 = m0^2 + p1^2 + p2^2
     exact. at_parameter(s) freezes a member; the trajectory closed forms
-    x(s), y(s) = y0 + u_y s - g s^2/2 and t(s) come along as oracles.
+    x(s) = u_x s, y(s) = u_y s - g s^2/2 and t(s) from the origin event come
+    along as oracles.
     """
 
-    def __init__(self, m0, u_x, u_y, g, w0=0.0, base_event=(0.0, 0.0, 0.0, 0.0),
-                 frozen_s=0.0, region=None):
+    def __init__(self, m0, u_x, u_y, g, frozen_s=0.0):
         self.u_x = float(u_x)
         self.u_y = float(u_y)
         self.g = float(g)
-        self.w0 = float(w0)
-        self.base_event = np.asarray(base_event, dtype=float)
         self.frozen_s = float(frozen_s)
         m0 = float(m0)
         super().__init__(value=self._value_fn, one_form=self._one_form_fn, m0=m0,
-                         region=region, name="projectile")
+                         name="projectile")
 
     # kinematics ------------------------------------------------------------
 
@@ -327,7 +214,7 @@ class ProjectileField(HamiltonJacobiField):
         return np.sqrt(1.0 + self.u_x ** 2 + (self.u_y - self.g * np.asarray(s, dtype=float)) ** 2)
 
     def elapsed_time(self, s):
-        """Closed-form t(s) - t0 = integral of tdot (asinh antiderivative)."""
+        """Closed-form t(s) = integral of tdot from 0 (asinh antiderivative)."""
         s = np.asarray(s, dtype=float)
         a2 = 1.0 + self.u_x ** 2
         if self.g == 0.0:
@@ -341,12 +228,11 @@ class ProjectileField(HamiltonJacobiField):
     def position(self, s):
         """Event (t, x, y, z) on the trajectory at proper parameter s."""
         s = np.asarray(s, dtype=float)
-        t0, x0, y0, z0 = self.base_event
         return np.stack([
-            np.asarray(t0 + self.elapsed_time(s), dtype=float),
-            np.asarray(x0 + self.u_x * s, dtype=float),
-            np.asarray(y0 + self.u_y * s - 0.5 * self.g * s ** 2, dtype=float),
-            np.broadcast_to(np.float64(z0), s.shape),
+            np.asarray(self.elapsed_time(s), dtype=float),
+            np.asarray(self.u_x * s, dtype=float),
+            np.asarray(self.u_y * s - 0.5 * self.g * s ** 2, dtype=float),
+            np.zeros(s.shape),
         ], axis=-1)
 
     def tangent(self, s):
@@ -359,8 +245,7 @@ class ProjectileField(HamiltonJacobiField):
         ], axis=-1)
 
     def at_parameter(self, s):
-        return ProjectileField(self.m0, self.u_x, self.u_y, self.g, w0=self.w0,
-                               base_event=self.base_event, frozen_s=s, region=self.region)
+        return ProjectileField(self.m0, self.u_x, self.u_y, self.g, frozen_s=s)
 
     # field members ----------------------------------------------------------
 
@@ -371,7 +256,7 @@ class ProjectileField(HamiltonJacobiField):
 
     def _value_fn(self, x):
         x = np.asarray(x, dtype=float)
-        return x @ self._coeffs() + self.w0
+        return x @ self._coeffs()
 
     def _one_form_fn(self, x):
         x = np.asarray(x, dtype=float)
@@ -394,63 +279,3 @@ def curl_counterexample_field():
 
     return HamiltonJacobiField(one_form=one_form, name="curl-counterexample")
 
-
-def linearly_shifted(field, coeffs, name=None):
-    """Field with W + c_a x^a: one-form shifted by the constant covector c."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    value = None
-    if field.has_value():
-        def value(x):
-            return field.value(x) + np.asarray(x, dtype=float) @ coeffs
-
-    def one_form(x):
-        return field.one_form(x) + coeffs
-
-    return HamiltonJacobiField(value=value, one_form=one_form, m0=field.m0,
-                               region=field.region,
-                               name=name or f"{field.name}+linear")
-
-
-# -- parallel / perpendicular split ------------------------------------------
-
-class PerpDecomposition:
-    def __init__(self, constants, parallel_field, residual, n_points):
-        self.constants = constants
-        self.parallel_field = parallel_field
-        self.residual = residual
-        self.n_points = n_points
-
-
-def decompose_parallel_perp(field, tangent, points):
-    """Split dW into a part parallel to the congruence and a constant covector.
-
-    tangent(x) -> unit timelike u^a (upper). Solves the joint least squares
-    dW(x_i) = c + lambda_i * lower(u(x_i)) for the global constants c; the
-    returned parallel field is W - c_a x^a. Raises IllConditioned when the
-    sampled tangents do not pin c down (normal matrix condition > 1e10).
-    """
-    pts = np.asarray(points, dtype=float).reshape(-1, 4)
-    n = len(pts)
-    if n < 2:
-        raise UsageError("need at least two sample points")
-    norm_mat = np.zeros((4, 4))
-    rhs = np.zeros(4)
-    projs = []
-    forms = []
-    for x in pts:
-        u = np.asarray(tangent(x), dtype=float)
-        ulow = ETA_DIAG * u
-        uhat = ulow / np.linalg.norm(ulow)
-        proj = np.eye(4) - np.outer(uhat, uhat)
-        w = field.one_form(x)
-        norm_mat += proj
-        rhs += proj @ w
-        projs.append(proj)
-        forms.append(w)
-    if np.linalg.cond(norm_mat) > 1e10:
-        raise IllConditioned("sampled tangents do not determine the constants")
-    constants = np.linalg.solve(norm_mat, rhs)
-    residual = max(float(np.linalg.norm(proj @ (w - constants)))
-                   for proj, w in zip(projs, forms))
-    parallel = linearly_shifted(field, -constants, name=f"{field.name}-parallel")
-    return PerpDecomposition(constants, parallel, residual, n)

@@ -11,7 +11,6 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
 from hjdirac import dirac as dr
 from hjdirac import dynamics as dyn
@@ -19,8 +18,6 @@ from hjdirac import hamilton_jacobi as hj
 from hjdirac import statmech as sm
 from hjdirac import verify
 from hjdirac.cli import main as cli_main
-from hjdirac.clifford import minkowski_dot, slash, slash_covector
-from hjdirac.errors import NotCommuting
 
 BOX = hj.Box([2.0, -0.5, -0.5, -0.5], [3.0, 0.5, 0.5, 0.5])
 
@@ -40,11 +37,6 @@ def assert_suite(suite, seed, size, **bounds):
     its tolerance, or below the tighter bound given here by its --tol key."""
     for key, row in verify.checks(suite, seed, size).items():
         assert row["residual"] < bounds.get(key, row["tolerance"]), (key, row)
-
-
-def radial_tangent(x):
-    s = np.sqrt(minkowski_dot(x, x))
-    return np.asarray(x, dtype=float) / s
 
 
 def test_clifford_algebra_suite():
@@ -80,54 +72,6 @@ def test_field_exactness_suite():
         assert not hj.is_exact(hj.curl_counterexample_field(),
                                region=curl_box).passed
         assert time.perf_counter() - t0 < 5.0
-
-
-def test_scaling_and_joint_eigenvectors():
-    with verdict("scaling and joint eigenvectors"):
-        field = hj.construct_geodesic_W(1.0)
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            b, c = rng.uniform(-0.5, 0.5), rng.uniform(0.2, 2.0)
-            a = abs(b * c) + rng.uniform(0.5, 2.0)
-            sign = rng.choice([-1.0, 1.0])
-            rep = hj.scale_check(
-                field,
-                psi=lambda w, a=a, b=b, c=c, s=sign:
-                    s * (a * w + b * np.tanh(c * w)),
-                psi_prime=lambda w, a=a, b=b, c=c, s=sign:
-                    s * (a + b * c / np.cosh(c * w) ** 2),
-                region=BOX)
-            assert rep.passed
-
-        for _ in range(50):
-            v = rng.normal(size=4)
-            v[0] = np.linalg.norm(v[1:]) + rng.uniform(0.5, 2.0)
-            factor = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 3.0)
-            state = dr.simultaneous_eigenvector(v, factor * v)
-            assert state.residual_a < 1e-10
-            assert state.residual_b < 1e-10
-        rejected = 0
-        for _ in range(100):
-            v = rng.normal(size=4)
-            v[0] = np.linalg.norm(v[1:]) + rng.uniform(0.5, 2.0)
-            w = rng.normal(size=4)
-            w[0] = np.linalg.norm(w[1:]) + rng.uniform(0.5, 2.0)
-            try:
-                dr.simultaneous_eigenvector(v, w)
-            except NotCommuting:
-                rejected += 1
-        assert rejected == 100
-
-        m0 = 1.3
-        shifted = hj.linearly_shifted(hj.construct_geodesic_W(m0),
-                                      [0.0, 0.5, -0.2, 0.1])
-        pts = BOX.sample(np.random.default_rng(4), 8)
-        dec = hj.decompose_parallel_perp(shifted, radial_tangent, pts)
-        for x in pts:
-            lhs = slash_covector(shifted.one_form(x))
-            rhs = slash(radial_tangent(x)) \
-                + slash_covector(dec.constants) / m0
-            assert np.abs(lhs @ rhs - rhs @ lhs).max() < 1e-10
 
 
 def test_plane_wave_solutions():

@@ -590,6 +590,16 @@ def test_schema_refuses_and_names_the_key(tmp_path, capsys, command, text, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,seed", [("verify", "-5"), ("ensemble", "-1")])
+def test_negative_seed_refused_naming_the_flag(tmp_path, capsys, command, seed):
+    out = tmp_path / "out"
+    assert main([command, "--seed", seed, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "--seed" in err and seed in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def readme_config_tables():
     """{(family, kind): keys} from the README's "Config schema" tables."""
     tables, current = {}, None

@@ -11,7 +11,7 @@ from hjdirac.clifford import (
     slash_covector,
     slash_eigensystem,
 )
-from hjdirac.errors import NotCommuting, OffShell, UsageError
+from hjdirac.errors import OffShell, UsageError
 
 BOX = hj.Box([2.0, -0.5, -0.5, -0.5], [3.0, 0.5, 0.5, 0.5])
 
@@ -185,16 +185,13 @@ class TestSimultaneousEigenvector:
     def test_parallel_momenta(self, factor):
         rng = np.random.default_rng(8)
         p = 1.3 * unit_timelike(rng)
-        state = dr.simultaneous_eigenvector(p, factor * p)
-        assert state.residual_a < 1e-12
-        assert state.residual_b < 1e-12
+        # the pass side of geodesic_criterion_check's joint eigenvector, on a
+        # truly parallel pair rather than the fan's near-zero pdot
+        states = dr._joint_candidates(p, slash(factor * p))
+        state = min(states, key=lambda st: max(st.residual_a, st.residual_b))
+        assert max(state.residual_a, state.residual_b) < 1e-12
         assert np.isclose(state.eigenvalue_a, 1.3)
         assert np.isclose(state.eigenvalue_b, factor * 1.3, atol=1e-12)
-
-    def test_non_parallel_rejected(self):
-        with pytest.raises(NotCommuting):
-            dr.simultaneous_eigenvector([1.3, 0.2, 0.0, 0.0],
-                                        [1.5, 0.0, 0.9, 0.0])
 
 
 class TestCongruences:

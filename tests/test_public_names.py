@@ -40,10 +40,6 @@ ONE_VALUE = {
         "line's past extension",
     ("hjdirac.hamilton_jacobi", "loop_integral", "segments"):
         "test_hamilton_jacobi refines it to measure the trapezoid's order",
-    ("hjdirac.hamilton_jacobi", "scale_check", "n_points"):
-        "ROADMAP item 8: its verify row sets the suite's size",
-    ("hjdirac.hamilton_jacobi", "scale_check", "seed"):
-        "ROADMAP item 8: its verify row passes the run's seed",
     ("hjdirac.cli", "main", "argv"):
         "None reads sys.argv, as the console script does; tests and the "
         "benchmark pass argv",

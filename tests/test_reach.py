@@ -29,24 +29,13 @@ SRC = Path(__file__).parents[1] / "src" / "hjdirac"
 
 # (module, qualname) of a definition no invocation enters, and why; an entry
 # covers everything defined inside it too
-_ACCEPTANCE = ("acceptance-only check of ROADMAP item 8; it becomes a verify "
-               "row in a change that edits perfbench/")
 ALLOWED = {
     ("hjdirac.dirac", "CurveSegment"): "C1: the curve of line_curve and projectile_curve",
     ("hjdirac.statmech", "EnsembleConfig.k"): "C4: the k of eigen_solution_check",
-    ("hjdirac.hamilton_jacobi", "scale_check"): _ACCEPTANCE,
-    ("hjdirac.hamilton_jacobi", "ScaleReport"): "what scale_check returns",
-    ("hjdirac.hamilton_jacobi", "_invert_monotone"): "scale_check's inverse route",
     ("hjdirac.hamilton_jacobi", "HamiltonJacobiField.value"):
-        "W itself, which only scale_check, linearly_shifted and WaveFunction read",
-    ("hjdirac.hamilton_jacobi", "HamiltonJacobiField.has_value"):
-        "only scale_check and linearly_shifted ask",
+        "W itself, which only WaveFunction reads",
     ("hjdirac.hamilton_jacobi", "construct_geodesic_W.<locals>.value"): "a W, as above",
     ("hjdirac.hamilton_jacobi", "ProjectileField._value_fn"): "a W, as above",
-    ("hjdirac.hamilton_jacobi", "decompose_parallel_perp"): _ACCEPTANCE,
-    ("hjdirac.hamilton_jacobi", "PerpDecomposition"): "what decompose_parallel_perp returns",
-    ("hjdirac.hamilton_jacobi", "linearly_shifted"): "decompose_parallel_perp's parallel field",
-    ("hjdirac.dirac", "simultaneous_eigenvector"): _ACCEPTANCE,
 }
 # the claim checks no verify row runs yet, named once, in test_public_names
 ALLOWED.update({(module, name): "%s: waits for a verify row (ROADMAP item 2)"
