@@ -304,6 +304,10 @@ def _rejected(i, step, state, msg, error=StepRejected):
                  % (i, i * step, msg, [state[:half], state[half:]]))
 
 
+# what a metric evaluation raises during a run: re-raised naming the step
+_RUN_FAULTS = (np.linalg.LinAlgError, ArithmeticError, SingularMetric)
+
+
 def _drive(state, advance, s_max, step, record_stride, guard=None, record=None):
     """The fixed-step loop of every integrator over [0, s_max].
 
@@ -340,7 +344,7 @@ def _drive(state, advance, s_max, step, record_stride, guard=None, record=None):
                 if i % record_stride == 0 or i == n_steps:
                     k += 1
                     rows[k] = record(state)
-    except (np.linalg.LinAlgError, ArithmeticError, SingularMetric) as exc:
+    except _RUN_FAULTS as exc:
         # state is finite: advance raised before replacing it, or record raised
         raise _rejected(i, step, state, exc, type(exc)) from exc
     return np.append(np.arange(0, n_steps, record_stride), n_steps) * step, rows
@@ -445,6 +449,29 @@ class CovariantTrajectory:
         return [self.s, *self.x.T, *self.p_upper.T, self.k, self.geodesic_residual]
 
 
+def _geodesic_flow(metric, xs, pl):
+    """(v -> g^{-1} v, u = dx/ds = p^mu, dgu[lam, alpha] = d_lam g_{alpha beta}
+    u^beta, dp_mu/ds) at the arrays xs and pl = p_mu: one inverse and one
+    partials evaluation."""
+    ginv = metric.inverse(xs)
+    up = ginv(pl)
+    dgu = metric.dg(xs) @ up
+    return ginv, up, dgu, 0.5 * (dgu @ up)
+
+
+def _diagonal_geodesic_rhs(metric, y):
+    """d(x, p_mu)/ds of the state list y for a diagonal metric, in Python
+    floats: u_a = (1 / g_aa) p_a + 0.0 and dp_lam/ds = 0.5 * the sum from 0.0,
+    over the nonzero partials in order of a, of (d_lam g_aa u_a) u_a. A sum of
+    one or two terms has _geodesic_flow's bits, as the zeros it adds are exact."""
+    xs = y[:metric.dim]
+    up = [i * p + 0.0 for i, p in zip(metric.inverse_diag(xs), y[metric.dim:])]
+    pdot = [0.0] * metric.dim
+    for lam, a, _, part in metric.partials:
+        pdot[lam] += (part(xs) * up[a]) * up[a]
+    return up + [0.5 * v for v in pdot]
+
+
 def covariant_integrate(metric, x0, p0_upper, s_max, step=1e-3, record_stride=1):
     """Geodesic flow in a chart: canonical variables (x^mu, p_mu) under
     K = (1/2) g^{mu nu} p_mu p_nu, integrated with RK4.
@@ -454,29 +481,31 @@ def covariant_integrate(metric, x0, p0_upper, s_max, step=1e-3, record_stride=1)
     lowered-index partials. The recorded residual is
     |dp^mu/ds + Gamma^mu_{nu lam} u^nu p^lam| per sample, which the exact
     flow sends to rounding.
+
+    A diagonal metric steps in Python floats (_diagonal_geodesic_rhs), any
+    other in _geodesic_flow's arrays, as every record does. A fault lowering
+    p0_upper names step 0, with x0 and p0_upper as the last finite state.
     """
     x = np.asarray(x0, dtype=float)
     dim = x.size
-    p_low = metric.matrix(x) @ np.asarray(p0_upper, dtype=float)
-
-    def flow(xs, pl):
-        """(v -> g^{-1} v, u = dx/ds = p^mu, dgu[lam, alpha] = d_lam g_{alpha beta}
-        u^beta, dp_mu/ds): one inverse and one partials evaluation."""
-        ginv = metric.inverse(xs)
-        up = ginv(pl)
-        dgu = metric.dg(xs) @ up
-        return ginv, up, dgu, 0.5 * (dgu @ up)
+    p0 = np.asarray(p0_upper, dtype=float)
+    try:
+        p_low = metric.matrix(x) @ p0
+    except _RUN_FAULTS as exc:
+        raise _rejected(0, step, np.concatenate((x, p0)), exc, type(exc)) from exc
 
     def rhs(y):
         y = np.array(y)
-        _, up, _, pdot_low = flow(y[:dim], y[dim:])
+        _, up, _, pdot_low = _geodesic_flow(metric, y[:dim], y[dim:])
         return up.tolist() + pdot_low.tolist()
+
+    stage = rhs if metric.diag is None else partial(_diagonal_geodesic_rhs, metric)
 
     def record(y):
         """The row (x, p^mu, K, geodesic residual) of state y."""
         y = np.array(y)
         xs, pl = y[:dim], y[dim:]
-        ginv, up, dgu, pdot_low = flow(xs, pl)
+        ginv, up, dgu, pdot_low = _geodesic_flow(metric, xs, pl)
         k = 0.5 * float(pl @ up)
         # d(g^{-1} p)/ds = g^{-1} (dp/ds - (u^lam d_lam g) u)
         dup = ginv(pdot_low - up @ dgu)
@@ -485,7 +514,7 @@ def covariant_integrate(metric, x0, p0_upper, s_max, step=1e-3, record_stride=1)
         return np.concatenate((xs, up, [k, np.abs(resid).max()]))
 
     s, rows = _drive(np.concatenate((x, p_low)).tolist(),
-                     lambda y: rk4_step(rhs, y, step), s_max, step, record_stride,
+                     lambda y: rk4_step(stage, y, step), s_max, step, record_stride,
                      record=record)
     return CovariantTrajectory(s, rows[:, :dim], rows[:, dim:2 * dim],
                                rows[:, 2 * dim], rows[:, 2 * dim + 1])

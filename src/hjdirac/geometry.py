@@ -6,6 +6,8 @@ configs are term lists [[coeff, [e0, e1, ...]], ...] meaning
 sum(coeff * prod(x_i**e_i)); no string expressions are evaluated.
 """
 
+from functools import partial
+
 import numpy as np
 
 from .clifford import ETA_DIAG, GAMMAS
@@ -38,10 +40,12 @@ def eval_poly(terms, x):
     A single point (n,) gives a float; a stack of points (..., n) gives one
     value per point, also for a constant or empty list. A single point is
     evaluated in Python floats and a stack in numpy arrays: the two round
-    x ** e differently, and each route keeps the bytes of its callers.
+    x ** e differently, and each route keeps the bytes of its callers. A
+    list is one point, its Python floats used as they are.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
+    if isinstance(x, list):
+        coords, total = x, 0.0
+    elif (x := np.asarray(x, dtype=float)).ndim == 1:
         coords, total = x.tolist(), 0.0
     else:
         coords, total = np.moveaxis(x, -1, 0), np.zeros(x.shape[:-1])
@@ -72,22 +76,26 @@ def poly_partials(terms, dim):
 
 
 class MetricField:
-    """A metric given by a callable x -> symmetric (dim, dim) matrix, or by
-    diag(x) -> its dim diagonal entries, from which both g and g^{-1} follow,
-    together with dg(x) -> array (dim, dim, dim) of its partials
-    d_lambda g_{mu nu} in closed form, which christoffel_at and the
-    covariant flow read.
+    """A metric given by a callable x -> symmetric (dim, dim) matrix and
+    dg(x) -> array (dim, dim, dim) of its partials d_lambda g_{mu nu} in
+    closed form, which christoffel_at and the covariant flow read. A
+    diagonal metric gives diag(x) -> its dim entries and partials, the
+    (lambda, a, a, x -> d_lambda g_aa) of its nonzero partials in order of
+    a, from which g, g^{-1} and dg follow.
     """
 
-    def __init__(self, g=None, dim=4, kind="custom", *, dg, diag=None):
+    def __init__(self, g=None, dim=4, kind="custom", *, dg=None, diag=None,
+                 partials=None):
         if diag is not None:
             def g(x):
                 return np.diag(np.array(diag(x), dtype=float))
+            dg = _dg_of(partials, dim)
         self.g = g
         self.dim = dim
         self.kind = kind
         self.dg = dg
         self.diag = diag
+        self.partials = partials
 
     def matrix(self, x):
         out = np.asarray(self.g(np.asarray(x, dtype=float)), dtype=float)
@@ -95,24 +103,27 @@ class MetricField:
             raise UsageError(f"metric returned shape {out.shape}, expected ({self.dim}, {self.dim})")
         return out
 
+    def inverse_diag(self, x):
+        """A diagonal metric's 1 / g_aa at x, in Python floats, raising
+        np.linalg.inv's LinAlgError("Singular matrix") on a zero entry."""
+        d = self.diag(x)
+        if not all(d):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return [1.0 / v for v in d]
+
     def inverse(self, x):
         """The map v -> g^{-1} v at x: np.linalg.inv's product, which a
-        diagonal metric gives in closed form as 1/diag entry by entry (+ 0.0
-        makes an exact zero +0.0, as the product's sum does), raising the
-        same LinAlgError("Singular matrix") on a zero entry."""
+        diagonal metric gives in closed form as inverse_diag entry by entry
+        (+ 0.0 makes an exact zero +0.0, as the product's sum does)."""
         if self.diag is None:
             return np.linalg.inv(self.matrix(x)).__matmul__
-        d = np.array(self.diag(np.asarray(x, dtype=float)), dtype=float)
-        if not d.all():
-            raise np.linalg.LinAlgError("Singular matrix")
-        inv = 1.0 / d
+        inv = np.array(self.inverse_diag(np.asarray(x, dtype=float)))
         return lambda v: inv * v + 0.0
 
 
 def minkowski_metric(dim=4):
     eta = [1.0] + [-1.0] * (dim - 1)
-    return MetricField(dim=dim, kind="minkowski", diag=lambda x: eta,
-                       dg=lambda x: np.zeros((dim, dim, dim)))
+    return MetricField(dim=dim, kind="minkowski", diag=lambda x: eta, partials=[])
 
 
 def polar_metric(dim=4):
@@ -123,25 +134,24 @@ def polar_metric(dim=4):
     def diag(x):
         return [1.0, -1.0, -float(x[1]) ** 2] + ([-1.0] if dim == 4 else [])
 
-    def dg(x):
-        out = np.zeros((dim, dim, dim))
-        out[1, 2, 2] = -2.0 * float(x[1])
-        return out
-
-    return MetricField(dim=dim, kind="polar", dg=dg, diag=diag)
+    return MetricField(dim=dim, kind="polar", diag=diag,
+                       partials=[(1, 2, 2, lambda x: -2.0 * float(x[1]))])
 
 
-def _termwise_dg(indexed_terms, dim):
-    """dg(x) with dg[lam, i, j] = d_lam of the term list at (i, j), for the
-    ((i, j), terms) pairs given and zero elsewhere; partials that are the empty
+def _termwise_partials(indexed_terms, dim):
+    """(lam, i, j, x -> d_lam of the term list at (i, j)) for the
+    ((i, j), terms) pairs given, in their order; partials that are the empty
     term list are dropped up front, so no known zero is evaluated."""
-    partials = [(lam, i, j, part) for (i, j), terms in indexed_terms
-                for lam, part in enumerate(poly_partials(terms, dim)) if part]
+    return [(lam, i, j, partial(eval_poly, part)) for (i, j), terms in indexed_terms
+            for lam, part in enumerate(poly_partials(terms, dim)) if part]
 
+
+def _dg_of(partials, dim):
+    """dg(x) with dg[lam, i, j] from the (lam, i, j, part) given, zero elsewhere."""
     def dg(x):
         out = np.zeros((dim, dim, dim))
-        for lam, i, j, terms in partials:
-            out[lam, i, j] = eval_poly(terms, x)
+        for lam, i, j, part in partials:
+            out[lam, i, j] = part(x)
         return out
 
     return dg
@@ -153,8 +163,8 @@ def diagonal_metric(entry_polys):
     def diag(x):
         return [eval_poly(p, x) for p in entry_polys]
 
-    dg = _termwise_dg((((i, i), p) for i, p in enumerate(entry_polys)), dim)
-    return MetricField(dim=dim, kind="diagonal", dg=dg, diag=diag)
+    partials = _termwise_partials((((a, a), p) for a, p in enumerate(entry_polys)), dim)
+    return MetricField(dim=dim, kind="diagonal", diag=diag, partials=partials)
 
 
 def metric_from_config(cfg):
@@ -176,8 +186,8 @@ def metric_from_config(cfg):
                 out[i, j] = eval_poly(entries[i][j], x)
         return 0.5 * (out + out.T)
 
-    raw_dg = _termwise_dg((((i, j), entries[i][j]) for i in range(dim)
-                           for j in range(dim)), dim)
+    raw_dg = _dg_of(_termwise_partials((((i, j), entries[i][j]) for i in range(dim)
+                                        for j in range(dim)), dim), dim)
 
     def dg(x):  # symmetrized exactly as g is
         out = raw_dg(x)

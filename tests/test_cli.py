@@ -367,6 +367,65 @@ class TestSimulate:
         assert "run failed" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("config, text", [
+        # g22 = -x1 reaches exactly 0 in step 4's last stage
+        ({"metric": {"kind": "diagonal", "entries": [
+            [[1.0, [0, 0, 0, 0]]], [[-1.0, [0, 0, 0, 0]]], [[-1.0, [0, 1, 0, 0]]],
+            [[-1.0, [0, 0, 0, 0]]]]}, "x0": [0.0, 0.5, 0.0, 0.0],
+          "p0_upper": [1.0, -1.0, 0.0, 0.0], "s_max": 1.0, "step": 0.125},
+         "step 4 (s = 0.5): Singular matrix; last finite state "
+         "[[0.375, 0.125, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]]"),
+        # r ** 2 overflows in a stage of step 1, as Python floats raise
+        ({"s_max": 0.01, "p0_upper": [1e100, 0, 1e100, 0]},
+         "step 1 (s = 0.001): (34, 'Numerical result out of range'); last finite "
+         "state [[0.0, 1.0, 0.3, 0.0], [1e+100, 0.0, -1e+100, 0.0]]"),
+    ])
+    def test_stage_faults_exit_one_naming_the_step(self, tmp_path, capsys, config, text):
+        # messages taken while every stage went through numpy
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(config, kind="covariant")))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "run failed: %s\n" % text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("metric, x0", [
+        ({"kind": "diagonal", "entries": [
+            [[1.0, [0, 0, 0, 0]]], [[-1.0, [0, 0, 0, 0]]], [[-1.0, [0, 2000, 0, 0]]],
+            [[-1.0, [0, 0, 0, 0]]]]}, [0.0, 1.5, 0.3, 0.0]),
+        ({"kind": "custom-polynomial", "entries": [
+            [[[1.0, [0, 0, 0, 0]]], [], [], []], [[], [[-1.0, [0, 0, 0, 0]]], [], []],
+            [[], [], [[-1.0, [0, 2000, 0, 0]]], []], [[], [], [], [[-1.0, [0, 0, 0, 0]]]]]},
+         [0.0, 1.5, 0.3, 0.0]),
+        ({"kind": "polar"}, [0.0, 1e200, 0.3, 0.0]),
+    ])
+    def test_lowering_fault_exits_one_naming_step_zero(self, tmp_path, capsys, metric, x0):
+        # x1 ** 2000 or r ** 2 overflows lowering p0_upper, before the first step
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "covariant", "s_max": 0.01,
+                                   "metric": metric, "x0": x0}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("run failed: step 0 (s = 0.0): (34, 'Numerical result out of "
+                       "range'); last finite state [%r, [1.5, 0.3055, -0.1935, 0.0]]\n"
+                       % x0)
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_two_term_diagonal_bytes_are_pinned(self, tmp_path):
+        # g00 = 1 + 0.2 x1 and g22 = -x1^2: dp_1/ds sums two terms; digests
+        # taken while every stage went through numpy's matrix products
+        assert_simulate_digests(
+            tmp_path,
+            {"kind": "covariant", "metric": {"kind": "diagonal", "entries": [
+                [[1.0, [0, 0, 0, 0]], [0.2, [0, 1, 0, 0]]], [[-1.0, [0, 0, 0, 0]]],
+                [[-1.0, [0, 2, 0, 0]]], [[-1.0, [0, 0, 0, 0]]]]},
+             "x0": [0.0, 1.1, 0.4, 0.0], "p0_upper": [1.4, 0.25, -0.3, 0.1],
+             "s_max": 2.0, "record_stride": 10},
+            "ecb21a486c8d027ec400b395ebaf5fa8d6c3bc05e0ba03f913c23f74522ff70e",
+            "abf7d80617d366054067f5b4e54d1334d6b058df8476fbba2762004e2409e21d")
+
     def test_covariant_header_follows_dimension(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"kind": "covariant",

@@ -26,7 +26,9 @@ Model callables took (..., 4) arrays and now take components: Python floats
 for one state, numpy columns for a stack; the two round alike, so each
 callable is checked for the same bits on both, and the array-valued
 reference loops above read the components as arrays. The diagonal metrics
-invert in closed form, 1/diag; np.linalg.inv is their exact oracle.
+invert in closed form, 1/diag; np.linalg.inv is their exact oracle. Their
+covariant RK4 stages run in Python floats; the numpy flow that the record
+and the other metrics keep is the stages' exact oracle.
 
 rk4_step combined flat state arrays and now combines lists of components,
 Python floats or numpy columns; ref_rk4's array formula is its exact oracle
@@ -502,6 +504,21 @@ def test_eval_poly_stacks_match_array_loop(terms, shape):
     assert np.array_equal(got, ref_poly(terms, pts))
 
 
+def test_eval_poly_float_lists_match_array_points():
+    """A list of Python floats is one point, evaluated as it stands: the
+    array point's bits, and its OverflowError."""
+    rng = np.random.default_rng(24)
+    for terms in POLYS:
+        for x in wide_points(rng, (200, 4)):
+            assert same_bits(geo.eval_poly(terms, x.tolist()), geo.eval_poly(terms, x))
+    x = [0.0, 1.0, 1e100, 0.0]  # TERMS's x2 ** 4 overflows
+    with pytest.raises(OverflowError) as want:
+        geo.eval_poly(TERMS, np.array(x))
+    with pytest.raises(OverflowError) as got:
+        geo.eval_poly(TERMS, x)
+    assert str(got.value) == str(want.value)
+
+
 # -- Christoffel symbols and the covariant record ----------------------------------
 
 NON_DIAGONAL = geo.metric_from_config({"kind": "custom-polynomial", "entries": [
@@ -514,6 +531,12 @@ NON_DIAGONAL = geo.metric_from_config({"kind": "custom-polynomial", "entries": [
 DIAGONAL = geo.diagonal_metric([[[1.0, [0, 0, 0, 0]]], [[-1.0, [0, 0, 0, 0]]],
                                 [[-1.0, [0, 2, 0, 0]], [0.3, [1, 1, 1, 0]]],
                                 [[-1.0, [0, 0, 0, 0]]]])
+
+
+# g00 = 1 + 0.2 x1 and g22 = -x1^2: dp_1/ds sums two terms
+TWO_ENTRY = geo.diagonal_metric([[[1.0, [0, 0, 0, 0]], [0.2, [0, 1, 0, 0]]],
+                                 [[-1.0, [0, 0, 0, 0]]], [[-1.0, [0, 2, 0, 0]]],
+                                 [[-1.0, [0, 0, 0, 0]]]])
 
 
 def polar_dg(x):
@@ -651,6 +674,34 @@ def test_diagonal_inverse_matches_linalg_inv(metric):
         assert str(got.value) == str(want.value) == "Singular matrix"
 
 
+@pytest.mark.parametrize("metric", [
+    geo.minkowski_metric(3), geo.minkowski_metric(4), geo.polar_metric(3),
+    geo.polar_metric(4), DIAGONAL, TWO_ENTRY,
+])
+def test_diagonal_stage_matches_numpy_flow(metric):
+    """The Python-float RK4 stage of a diagonal metric gives the bits of the
+    numpy flow the record keeps, signed zeros included, and fails as it does
+    on a zero entry (polar's g_thth at r = 0)."""
+    if metric is TWO_ENTRY:
+        assert [lam for lam, *_ in metric.partials] == [1, 1]
+    rng = np.random.default_rng(25)
+    dim = metric.dim
+    for _ in range(300):
+        x, pl = wide_points(rng, dim), wide_points(rng, dim)
+        for v in (x, pl):
+            v[rng.random(dim) < 0.2] = 0.0
+            v[rng.random(dim) < 0.2] = -0.0
+        y = x.tolist() + pl.tolist()
+        try:
+            _, up, _, pdot = dyn._geodesic_flow(metric, x, pl)
+        except np.linalg.LinAlgError as want:
+            with pytest.raises(np.linalg.LinAlgError) as got:
+                dyn._diagonal_geodesic_rhs(metric, y)
+            assert str(got.value) == str(want) == "Singular matrix"
+            continue
+        assert same_bits(dyn._diagonal_geodesic_rhs(metric, y), np.concatenate((up, pdot)))
+
+
 def test_diagonal_metric_flow_reads_no_matrix(monkeypatch):
     calls = []
     matrix = geo.MetricField.matrix
@@ -676,6 +727,7 @@ def test_covariant_rhs_evaluates_metric_and_partials_once():
             return fn(x)
         return wrapper
 
+    # no diag: the RK4 stages take the numpy flow, as the record does
     metric = geo.MetricField(counted("g", polar.g), dim=4, dg=counted("dg", polar.dg))
     dyn.covariant_integrate(metric, [0.0, 1.0, 0.3, 0.0], [1.5, 0.3, -0.19, 0.0],
                             0.1, step=0.01, record_stride=5)
@@ -698,9 +750,29 @@ def test_covariant_record_evaluates_the_metric_partials_once(monkeypatch):
     monkeypatch.setattr(dyn, "christoffel_at", counted("christoffel", dyn.christoffel_at))
     dyn.covariant_integrate(metric, [0.0, 1.0, 0.3, 0.0],
                             [1.5, 0.3, -0.19, 0.0], 0.1, step=0.01, record_stride=5)
-    # 10 RK4 steps of 4 stages each, plus one flow call and one christoffel_at
-    # call, each reading dg once, for each of the 3 records
-    assert calls == {"dg": 4 * 10 + 3 + 3, "christoffel": 3}
+    # the RK4 stages read no dg: one flow call and one christoffel_at call,
+    # each reading dg once, for each of the 3 records
+    assert calls == {"dg": 3 + 3, "christoffel": 3}
+
+
+def test_diagonal_stages_read_neither_dg_nor_inverse(monkeypatch):
+    calls = {"dg": 0, "inverse": 0, "inverse_diag": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    metric = geo.polar_metric(4)
+    metric.dg = counted("dg", metric.dg)
+    for name in ("inverse", "inverse_diag"):
+        monkeypatch.setattr(geo.MetricField, name, counted(name, getattr(geo.MetricField, name)))
+    dyn.covariant_integrate(metric, [0.0, 1.0, 0.3, 0.0],
+                            [1.5, 0.3, -0.19, 0.0], 0.1, step=0.01, record_stride=5)
+    # only the 3 records read dg (flow and christoffel_at) and the inverse;
+    # each of the 40 stages reads inverse_diag, as the inverse does
+    assert calls == {"dg": 3 + 3, "inverse": 3, "inverse_diag": 4 * 10 + 3}
 
 
 # -- the commutator norm -----------------------------------------------------------
