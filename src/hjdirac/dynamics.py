@@ -483,16 +483,22 @@ def covariant_integrate(metric, x0, p0_upper, s_max, step=1e-3, record_stride=1)
     flow sends to rounding.
 
     A diagonal metric steps in Python floats (_diagonal_geodesic_rhs), any
-    other in _geodesic_flow's arrays, as every record does. A fault lowering
-    p0_upper names step 0, with x0 and p0_upper as the last finite state.
+    other in _geodesic_flow's arrays, as every record does. The run is sized
+    (step_count) before p0_upper is lowered. A fault lowering it, or a
+    lowered momentum that is not finite, names step 0, with x0 and p0_upper
+    as the last finite state.
     """
+    step_count(s_max, step, record_stride)
     x = np.asarray(x0, dtype=float)
     dim = x.size
     p0 = np.asarray(p0_upper, dtype=float)
     try:
-        p_low = metric.matrix(x) @ p0
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            p_low = metric.matrix(x) @ p0
     except _RUN_FAULTS as exc:
         raise _rejected(0, step, np.concatenate((x, p0)), exc, type(exc)) from exc
+    if not np.isfinite(p_low).all():
+        raise _rejected(0, step, np.concatenate((x, p0)), "non-finite lowered momentum")
 
     def rhs(y):
         y = np.array(y)

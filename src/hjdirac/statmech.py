@@ -18,11 +18,10 @@ chain-rule-consistent form and the report records which convention was used.
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from ._util import write_csv
+from ._util import TextColumn, write_csv
 from .clifford import ETA_DIAG
 from .config import ENUM_BOUND, integer
 from .errors import DegenerateData, DegeneratePartition, TooLarge, UsageError
@@ -164,6 +163,22 @@ class PartitionTable:
             return float(np.exp(-self.beta * np.asarray(self.levels)).sum())
 
 
+def _occupations(L, n, cap):
+    """(states, L) uint8 table of every occupation vector of L levels with
+    counts at most cap summing to n, in ascending lexicographic order. Built
+    from the last level back: the vectors of k + 1 levels summing to m are,
+    for c = 0..min(m, cap), c followed by each vector of k levels summing to
+    m - c."""
+    # tail[m]: the vectors of the last k levels summing to m
+    tail = [np.array([[m]] if m <= cap else np.empty((0, 1)), np.uint8)
+            for m in range(n + 1)]
+    for k in range(1, L):
+        tail = [np.concatenate([np.insert(tail[m - c], 0, c, axis=1)
+                                for c in range(min(m, cap) + 1)])
+                for m in range(n + 1)]
+    return tail[n]
+
+
 def partition_enumerate(levels, n, beta, statistics):
     """Enumerate occupation vectors and Boltzmann weights exactly.
 
@@ -186,15 +201,7 @@ def partition_enumerate(levels, n, beta, statistics):
     if tag == "FD" and n > L:
         raise UsageError("exclusion admits at most one particle per level")
 
-    generate = combinations if tag == "FD" else combinations_with_replacement
-    count_table = bytearray()
-    for chosen in generate(range(L), n):
-        occ = [0] * L
-        for idx in chosen:
-            occ[idx] += 1
-        count_table.extend(occ)
-    # both generators run in descending lexicographic order
-    counts = np.frombuffer(count_table, np.uint8).reshape(-1, L)[::-1]
+    counts = _occupations(L, n, 1 if tag == "FD" else n)
 
     # An overflow gives an inf weight, and so a sum the check below refuses,
     # or an exponent of -inf, whose weight 0 is right.
@@ -220,7 +227,7 @@ def partition_enumerate(levels, n, beta, statistics):
 _COUNT_TEXT = np.array([str(c) for c in range(ENUM_BOUND + 1)], dtype=object)
 
 
-class _States:
+class _States(TextColumn):
     """occupancy.csv's state column, "n_0;n_1;...", formatted one written
     block at a time so the whole column is never held at once."""
 

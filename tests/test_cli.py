@@ -413,6 +413,29 @@ class TestSimulate:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_lowering_to_inf_exits_one_naming_step_zero(self, tmp_path, capsys):
+        # g22 p2 = -100 * 1e307 overflows to -inf with no exception: refused at
+        # step 0, with no warning on stderr
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "covariant", "s_max": 0.01,
+                                   "x0": [0, 10, 0.3, 0], "p0_upper": [1.5, 0.3, 1e307, 0]}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "integration failed: step 0 (s = 0.0): non-finite lowered momentum; last "
+            "finite state [[0.0, 10.0, 0.3, 0.0], [1.5, 0.3, 1e+307, 0.0]]\n")
+        assert not out.exists()
+
+    def test_refused_size_exits_two_before_the_lowering(self, tmp_path, capsys):
+        # r ** 2 would overflow lowering p0_upper, but the size is refused first
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "covariant", "s_max": 1e12,
+                                   "x0": [0, 1e200, 0.3, 0]}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "more than the cap of %d" % dyn.MAX_RECORDS in capsys.readouterr().err
+        assert not out.exists()
+
     def test_two_term_diagonal_bytes_are_pinned(self, tmp_path):
         # g00 = 1 + 0.2 x1 and g22 = -x1^2: dp_1/ds sums two terms; digests
         # taken while every stage went through numpy's matrix products

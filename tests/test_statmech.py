@@ -1,4 +1,5 @@
 import math
+from itertools import combinations, combinations_with_replacement
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from hjdirac import dynamics as dyn
 from hjdirac import statmech as sm
+from hjdirac.config import ENUM_BOUND
 from hjdirac.errors import DegenerateData, DegeneratePartition, TooLarge, UsageError
 
 
@@ -100,7 +102,38 @@ class TestSampling:
         assert counts == cfg.n  # 5 sigma window holds every draw here
 
 
+def reference_occupations(L, n, exclusive):
+    """The per-state loop the numpy table replaced, kept as its oracle: each
+    itertools combination of levels counted into one occupation vector."""
+    generate = combinations if exclusive else combinations_with_replacement
+    count_table = bytearray()
+    for chosen in generate(range(L), n):
+        occ = [0] * L
+        for idx in chosen:
+            occ[idx] += 1
+        count_table.extend(occ)
+    # both generators run in descending lexicographic order
+    return np.frombuffer(count_table, np.uint8).reshape(-1, L)[::-1]
+
+
 class TestPartitionEnumeration:
+    @pytest.mark.parametrize("L", range(1, ENUM_BOUND + 1))
+    def test_occupation_table_matches_itertools(self, L):
+        for n in range(11):
+            assert np.array_equal(sm._occupations(L, n, n),
+                                  reference_occupations(L, n, False))
+        for n in sorted({*range(min(L, 10) + 1), L}):  # FD up to n = L
+            assert np.array_equal(sm._occupations(L, n, 1),
+                                  reference_occupations(L, n, True))
+
+    @pytest.mark.parametrize("statistics", ["BE", "FD", "MB"])
+    def test_each_statistics_takes_its_table(self, statistics):
+        for L, n in [(1, 0), (1, 1), (3, 3), (5, 4), (6, 2)]:
+            table = sm.partition_enumerate(np.linspace(0.0, 1.0, L), n, 0.7, statistics)
+            assert table.occupations.dtype == np.uint8
+            assert np.array_equal(table.occupations,
+                                  reference_occupations(L, n, statistics == "FD"))
+
     def test_two_level_hand_oracles(self):
         be = sm.partition_enumerate([0.0, 1.0], 2, 1.0, "BE")
         assert be.occupations.tolist() == [[0, 2], [1, 1], [2, 0]]
