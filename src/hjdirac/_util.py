@@ -78,11 +78,11 @@ class TextColumn:
 def _formatter(column):
     """The function write_csv applies to every cell of column: float.__repr__
     for a float16, float32 or float64 array, str for an int, uint or bool
-    array and for a TextColumn (whose cells are already str), fmt for
-    anything else. Each gives fmt's bytes for the builtin scalars tolist()
-    returns; longdouble is left to fmt because its tolist() returns numpy
-    scalars, which float.__repr__ refuses."""
-    if isinstance(column, TextColumn):
+    array, for a range and for a TextColumn (whose cells are already str),
+    fmt for anything else. Each gives fmt's bytes for the builtin scalars
+    tolist() returns; longdouble is left to fmt because its tolist() returns
+    numpy scalars, which float.__repr__ refuses."""
+    if isinstance(column, (TextColumn, range)):
         return str
     if isinstance(column, np.ndarray):
         if column.dtype.type in (np.float16, np.float32, np.float64):

@@ -42,8 +42,11 @@ class EnsembleConfig:
             raise UsageError("particle count n must be an integer, got %r" % (self.n,))
         if self.n < 0:
             raise UsageError("particle count must be nonnegative")
-        if self.T <= 0.0 or self.m0 <= 0.0 or self.kB <= 0.0:
-            raise UsageError("m0, T, kB must all be positive")
+        for name in ("m0", "T", "kB"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):  # NaN fails both
+                raise UsageError("%s must be a finite positive number, got %r"
+                                 % (name, value))
 
     @property
     def k(self):
@@ -71,14 +74,27 @@ class VelocitySample:
         n = len(v)
         if n < 2:  # the variance divides by n - 1
             raise DegenerateData("moments need at least 2 samples, got %d" % n)
-        # an underflowed m2, or an overflowed square or fourth power, gives
-        # NaN or inf here, which write_json refuses
+        # Two passes over SAMPLE_CHUNK-row blocks: the column sums, then those
+        # of the centered squares and fourth powers. For the C-contiguous v
+        # that sample_mb makes, each result has the bits of v.mean,
+        # v.var(ddof=1) and the whole-array central moments, which divide
+        # these same sums. An underflowed m2, or an overflowed square or
+        # fourth power, gives NaN or inf here, which write_json refuses.
+        starts = range(0, n, SAMPLE_CHUNK)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            mean = v.mean(axis=0)
-            var = v.var(axis=0, ddof=1)
-            centered = v - mean
-            m2 = (centered ** 2).mean(axis=0)
-            m4 = (centered ** 4).mean(axis=0)
+            s1 = None
+            for lo in starts:
+                s1 = _add_rows(s1, v[lo:lo + SAMPLE_CHUNK])
+            mean = s1 / n
+            s2 = s4 = None
+            for lo in starts:
+                centered = v[lo:lo + SAMPLE_CHUNK] - mean
+                s4 = _add_rows(s4, centered ** 4)
+                centered *= centered
+                s2 = _add_rows(s2, centered)
+            var = s2 / (n - 1)
+            m2 = s2 / n
+            m4 = s4 / n
             excess = m4 / m2 ** 2 - 3.0
         target = self.config.sigma2 if self.config else float(var.mean())
         report = {
@@ -99,23 +115,34 @@ class VelocitySample:
         return report
 
 
+def _add_rows(total, block):
+    """total (None or a row) plus the column sums of block's rows. numpy sums
+    a C-contiguous array over axis 0 row after row from row 0, so carrying
+    the running sum as the first row of the next block gives the bits of
+    one np.add.reduce over all the blocks stacked."""
+    return np.add.reduce(block if total is None else np.vstack((total, block)),
+                         axis=0)
+
+
 def sample_mb(config):
     """Draw config.n independent 3-velocities from the squared-amplitude
     Gaussian. The index range is split into SAMPLE_CHUNK-sized chunks, each
-    drawn from its own spawned substream of config.seed. Raises
-    DegenerateData when a kinetic energy overflows.
+    drawn from its own spawned substream of config.seed straight into its
+    rows of the sample, with its energies, so no full-size temporary is
+    made. Raises DegenerateData when a kinetic energy overflows.
     """
     n = config.n
     sigma = math.sqrt(config.sigma2)
     children = np.random.SeedSequence(config.seed).spawn(max(1, -(-n // SAMPLE_CHUNK)))
-    sizes = [min(SAMPLE_CHUNK, n - i * SAMPLE_CHUNK) for i in range(len(children))]
-    # kept as a named list: freeing it inside the concatenate call raised the
-    # ensemble benchmark's peak RSS by about 16 MB (heap fragmentation)
-    parts = [sigma * np.random.default_rng(child).standard_normal((size, 3))
-             for child, size in zip(children, sizes)]
-    v = np.concatenate(parts)
+    v = np.empty((n, 3))
+    energies = np.empty(n)
+    half_m0 = 0.5 * config.m0
     with np.errstate(over="ignore"):  # an overflowed energy is refused below
-        energies = 0.5 * config.m0 * (v * v).sum(axis=1)
+        for child, lo in zip(children, range(0, n, SAMPLE_CHUNK)):
+            block = v[lo:lo + SAMPLE_CHUNK]
+            np.random.default_rng(child).standard_normal(out=block)
+            block *= sigma
+            energies[lo:lo + SAMPLE_CHUNK] = half_m0 * (block * block).sum(axis=1)
     overflowed = int(np.count_nonzero(~np.isfinite(energies)))
     if overflowed:
         raise DegenerateData("kinetic energy m0 |v|^2 / 2 overflows in %d of %d "
@@ -126,7 +153,7 @@ def sample_mb(config):
 def write_samples_csv(sample, path):
     v = sample.velocities
     write_csv(path, ["index", "vx", "vy", "vz", "energy"],
-              [np.arange(len(v)), v[:, 0], v[:, 1], v[:, 2], sample.energies])
+              [range(len(v)), v[:, 0], v[:, 1], v[:, 2], sample.energies])
 
 
 def write_histogram_csv(sample, path, bins=50):

@@ -1,0 +1,17 @@
+import tracemalloc
+
+import pytest
+
+
+@pytest.fixture
+def traced_peak():
+    """traced_peak(fn) calls fn() and returns (its result, the peak bytes
+    tracemalloc saw allocated during the call)."""
+    def run(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return run

@@ -488,6 +488,24 @@ class TestEnsemble:
         for name in ("samples.csv", "histogram.csv", "moments.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_mb_bytes_are_pinned(self, tmp_path):
+        # sha256 of a run over two full SAMPLE_CHUNK substreams and part of a
+        # third: a change to the sampled bits, the moments' summation order
+        # or the formatting shows here
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 70001, "T": 1.5, "m0": 0.8}))
+        assert main(["ensemble", "--config", str(cfg), "--seed", "4",
+                     "--out", str(tmp_path / "out")]) == 0
+        for name, digest in (
+                ("samples.csv",
+                 "32520bcd1f4e07fbe4ff999d9f387bce15b5cc2a6c1e73774534ea501fe26e88"),
+                ("histogram.csv",
+                 "fe2064acb5fda3c97a5055ea6aacc4eaeea5698ee0fc92fe8a5a3962c266f2bb"),
+                ("moments.json",
+                 "20019edd74a9df7db5500e6156fa7aa69b9b8f025d2a7e615eeae03041d52a7e")):
+            digest_now = hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+            assert digest_now == digest, name
+
     def test_occupancy_enumeration(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"kind": "occupancy", "statistics": "FD",

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -291,7 +290,7 @@ def test_finite_state_with_an_overflowing_sum_runs():
     assert np.array_equal(traj.x[-1], [0.0, 1e308, 1e308, 0.0])
 
 
-def test_record_memory_per_sample():
+def test_record_memory_per_sample(traced_peak):
     # records are preallocated float rows, s and the 8 state components, and
     # the H, dm_ds and comm_norm columns are computed over them; a list of
     # per-record tuples of small arrays cost about 600 bytes per record here.
@@ -299,13 +298,9 @@ def test_record_memory_per_sample():
     # The run's fixed memory weighs more per record at this size than at
     # 100,001 records (about 153 B against 145 B).
     model = dyn.free_particle_model(1.0)
-    tracemalloc.start()
-    try:
-        traj = dyn.integrate(model, np.zeros(4), np.array([1.2, 0.3, -0.4, 0.5]),
-                             20.0, step=1e-3, method="leapfrog")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    traj, peak = traced_peak(lambda: dyn.integrate(
+        model, np.zeros(4), np.array([1.2, 0.3, -0.4, 0.5]), 20.0, step=1e-3,
+        method="leapfrog"))
     assert len(traj.s) == 20001
     assert peak / len(traj.s) < 200
 

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from hjdirac import _util
 from hjdirac import dynamics as dyn
 from hjdirac import statmech as sm
 from hjdirac.config import ENUM_BOUND
@@ -18,8 +19,12 @@ class TestConfigAndDensity:
         assert cfg.sigma2 == cfg.kB * cfg.T / (2.0 * cfg.m0)
 
     def test_invalid_config(self):
-        with pytest.raises(UsageError):
-            sm.EnsembleConfig(n=10, m0=1.0, T=0.0)
+        # nan <= 0.0 is False: a sign check alone lets NaN through
+        for name in ("m0", "T", "kB"):
+            for value in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+                with pytest.raises(UsageError, match="^%s must be a finite positive"
+                                   % name):
+                    sm.EnsembleConfig(**{"n": 10, "m0": 1.0, "T": 1.0, name: value})
         with pytest.raises(UsageError):
             sm.EnsembleConfig(n=-1, m0=1.0, T=1.0)
         for n in (2.5, True, "10", None):
@@ -100,6 +105,119 @@ class TestSampling:
         assert len(lines) == 21
         counts = sum(int(row.split(",")[2]) for row in lines[1:])
         assert counts == cfg.n  # 5 sigma window holds every draw here
+
+
+def reference_sample(cfg):
+    """The whole-array route sample_mb replaced, kept as its bit oracle: each
+    substream's block drawn and scaled apart, the blocks concatenated, and
+    the energies summed over all rows at once. Returns the velocities and
+    energies, overflowed energies included."""
+    n = cfg.n
+    children = np.random.SeedSequence(cfg.seed).spawn(max(1, -(-n // sm.SAMPLE_CHUNK)))
+    sizes = [min(sm.SAMPLE_CHUNK, n - i * sm.SAMPLE_CHUNK) for i in range(len(children))]
+    sigma = math.sqrt(cfg.sigma2)
+    parts = [sigma * np.random.default_rng(child).standard_normal((size, 3))
+             for child, size in zip(children, sizes)]
+    v = np.concatenate(parts)
+    with np.errstate(over="ignore"):
+        return v, 0.5 * cfg.m0 * (v * v).sum(axis=1)
+
+
+def reference_moments(v):
+    """mean, variance and excess kurtosis of v over whole arrays, as
+    VelocitySample.moments computed them before it summed by blocks."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        mean = v.mean(axis=0)
+        var = v.var(axis=0, ddof=1)
+        centered = v - mean
+        m2 = (centered ** 2).mean(axis=0)
+        m4 = (centered ** 4).mean(axis=0)
+        return mean, var, m4 / m2 ** 2 - 3.0
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestStreamedSampling:
+    """sample_mb and moments work one SAMPLE_CHUNK block at a time; every
+    number they give has the bits of the whole-array route."""
+
+    @pytest.mark.parametrize("n", [2, 3, sm.SAMPLE_CHUNK - 1, sm.SAMPLE_CHUNK,
+                                   sm.SAMPLE_CHUNK + 1, 3 * sm.SAMPLE_CHUNK + 17])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bits_match_whole_array_route(self, n, seed):
+        cfg = sm.EnsembleConfig(n=n, m0=0.7, T=1.3, seed=seed)
+        sample = sm.sample_mb(cfg)
+        v, energies = reference_sample(cfg)
+        assert same_bits(sample.velocities, v)
+        assert same_bits(sample.energies, energies)
+        mom = sample.moments()
+        mean, var, excess = reference_moments(v)
+        assert same_bits(mom["mean"], mean)
+        assert same_bits(mom["variance"], var)
+        assert same_bits(mom["excess_kurtosis"], excess)
+
+    def test_bits_match_over_wide_magnitudes(self):
+        rng = np.random.default_rng(5)
+        n = 2 * sm.SAMPLE_CHUNK + 3
+        v = rng.standard_normal((n, 3)) * np.exp(rng.uniform(-20.0, 20.0, (n, 3)))
+        mom = sm.VelocitySample(velocities=v, energies=np.zeros(n)).moments()
+        for key, want in zip(("mean", "variance", "excess_kurtosis"),
+                             reference_moments(v)):
+            assert same_bits(mom[key], want)
+
+    # T = 1e-300: m2 underflows; T = 1e300: the fourth powers overflow
+    @pytest.mark.parametrize("T", [1e-300, 1e300])
+    def test_nan_kurtosis_matches(self, T):
+        cfg = sm.EnsembleConfig(n=sm.SAMPLE_CHUNK + 5, m0=1.0, T=T, seed=2)
+        sample = sm.sample_mb(cfg)
+        v, _ = reference_sample(cfg)
+        mom = sample.moments()
+        assert all(math.isnan(k) for k in mom["excess_kurtosis"])
+        for key, want in zip(("mean", "variance", "excess_kurtosis"),
+                             reference_moments(v)):
+            assert same_bits(mom[key], want)
+
+    @pytest.mark.parametrize("m0, T", [(5e307, 1e308), (1.0, 1e308)])
+    def test_overflowed_energy_count_matches(self, m0, T):
+        cfg = sm.EnsembleConfig(n=sm.SAMPLE_CHUNK + 1000, m0=m0, T=T, seed=1)
+        _, energies = reference_sample(cfg)
+        overflowed = int(np.count_nonzero(~np.isfinite(energies)))
+        assert overflowed > 0
+        with pytest.raises(DegenerateData, match="overflows in %d of %d samples$"
+                           % (overflowed, cfg.n)):
+            sm.sample_mb(cfg)
+
+
+class TestMemoryPerSample:
+    """tracemalloc's peak per draw: the sample is 32 B per draw (3 velocity
+    components and the energy), and the streamed route adds one
+    SAMPLE_CHUNK block of temporaries. The whole-array route peaked at
+    about 80 B in sample_mb, 48 B in moments and 10 B in the write below."""
+
+    def test_sample_and_moments(self, traced_peak):
+        # measured 35.0 and 4.7 B per draw: the bounds leave about 5 MB and
+        # 3 MB over what one block's temporaries take
+        n = 10 ** 6
+        cfg = sm.EnsembleConfig(n=n, m0=1.0, T=2.0, seed=3)
+        sample, peak = traced_peak(lambda: sm.sample_mb(cfg))
+        assert peak / n <= 40
+        _, peak = traced_peak(sample.moments)
+        assert peak / n <= 8
+
+    def test_samples_csv(self, tmp_path, traced_peak, monkeypatch):
+        # write_csv holds the cell text of one CSV_BLOCK of rows at a time;
+        # with 64-row blocks that fixed cost is small against 16384 rows, so
+        # the bound reads what the write holds per row. Measured 2.2 B, so
+        # the bound leaves over twice that; an np.arange index column alone
+        # is 8 B per row.
+        monkeypatch.setattr(_util, "CSV_BLOCK", 64)
+        n = 16384
+        sample = sm.sample_mb(sm.EnsembleConfig(n=n, m0=1.0, T=2.0, seed=3))
+        _, peak = traced_peak(lambda: sm.write_samples_csv(sample, tmp_path / "s.csv"))
+        assert peak / n <= 5
 
 
 def reference_occupations(L, n, exclusive):
