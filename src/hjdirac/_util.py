@@ -13,7 +13,6 @@ from .errors import DegenerateData, UsageError
 
 SCHEMA_VERSION = 1
 CSV_BLOCK = 16384  # rows formatted per written chunk; bounds memory, not bytes
-SPLIT_ROWS = 4 * CSV_BLOCK  # larger tables are formatted by two processes
 
 
 @contextlib.contextmanager
@@ -33,9 +32,14 @@ def _atomic_handle(path):
 
 
 def _temp_beside(path):
-    """(fd, name) of a new temp file in path's directory."""
+    """(fd, name) of a new temp file in path's directory, with the mode
+    open(path, "w") would give path: 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    return tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    fd, name = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    umask = os.umask(0)
+    os.umask(umask)
+    os.fchmod(fd, 0o666 & ~umask)
+    return fd, name
 
 
 def atomic_write_text(path, text):
@@ -97,9 +101,9 @@ def write_csv(path, header, columns):
     list, or a sequence whose slices are lists, one entry per row. Rows are
     formatted CSV_BLOCK at a time and streamed into the atomic write, so
     memory stays bounded while every cell reads exactly fmt(value). A table
-    of more than SPLIT_ROWS rows is formatted by two processes when this one
-    may run on two CPUs (_write_halves); the bytes are the same. Ragged
-    columns raise UsageError, writing nothing.
+    of more than one CSV_BLOCK of rows is formatted by two processes when
+    this one may run on two CPUs (_write_halves); the bytes are the same.
+    Ragged columns raise UsageError, writing nothing.
     """
     lengths = {len(column) for column in columns}
     if len(columns) != len(header) or len(lengths) > 1:
@@ -122,7 +126,7 @@ def write_csv(path, header, columns):
 
     with _atomic_handle(path) as handle:
         handle.write(",".join(header) + "\n")
-        if (n_rows > SPLIT_ROWS and hasattr(os, "sched_getaffinity")
+        if (n_rows > CSV_BLOCK and hasattr(os, "sched_getaffinity")
                 and len(os.sched_getaffinity(0)) > 1):
             _write_halves(handle, path, rows, n_rows)
         else:

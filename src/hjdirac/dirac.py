@@ -178,12 +178,12 @@ def _joint_candidates(v, b_matrix):
     return states
 
 
-def conventional_dirac_residual(p, xi, m0=None):
+def conventional_dirac_residual(p, xi, m0):
     """Residual of (i gamma^a d_a - m0) on exp(-i p.x) xi, per unit spinor.
 
     That is |slash(p) xi - m0 xi| / |xi|: zero exactly on the positive
     eigenspace of slash(p), 2 m0 on the negative one. Raises OffShell when
-    m0 is supplied but p.p does not match it.
+    p is not timelike or p.p does not match m0.
     """
     p = np.asarray(p, dtype=float)
     xi = np.asarray(xi, dtype=complex)
@@ -191,9 +191,7 @@ def conventional_dirac_residual(p, xi, m0=None):
     if pp <= 0:
         raise OffShell("momentum must be timelike")
     mass = np.sqrt(pp)
-    if m0 is None:
-        m0 = mass
-    elif abs(mass - m0) > TOL * max(1.0, abs(m0)):
+    if abs(mass - m0) > TOL * max(1.0, abs(m0)):
         raise OffShell(f"sqrt(p.p) = {mass:.12g} but m0 = {m0:.12g}")
     op = slash(p) - m0 * ID4
     return float(np.linalg.norm(op @ xi) / np.linalg.norm(xi))

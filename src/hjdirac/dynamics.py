@@ -450,11 +450,11 @@ class CovariantTrajectory:
 
 
 def _geodesic_flow(metric, xs, pl):
-    """(v -> g^{-1} v, u = dx/ds = p^mu, dgu[lam, alpha] = d_lam g_{alpha beta}
+    """(g^{-1}, u = dx/ds = p^mu, dgu[lam, alpha] = d_lam g_{alpha beta}
     u^beta, dp_mu/ds) at the arrays xs and pl = p_mu: one inverse and one
     partials evaluation."""
-    ginv = metric.inverse(xs)
-    up = ginv(pl)
+    ginv = np.linalg.inv(metric.matrix(xs))
+    up = ginv @ pl
     dgu = metric.dg(xs) @ up
     return ginv, up, dgu, 0.5 * (dgu @ up)
 
@@ -514,7 +514,7 @@ def covariant_integrate(metric, x0, p0_upper, s_max, step=1e-3, record_stride=1)
         ginv, up, dgu, pdot_low = _geodesic_flow(metric, xs, pl)
         k = 0.5 * float(pl @ up)
         # d(g^{-1} p)/ds = g^{-1} (dp/ds - (u^lam d_lam g) u)
-        dup = ginv(pdot_low - up @ dgu)
+        dup = ginv @ (pdot_low - up @ dgu)
         gamma = christoffel_at(metric, xs)  # the residual's independent route
         resid = dup + np.einsum("mnl,n,l->m", gamma, up, up)
         return np.concatenate((xs, up, [k, np.abs(resid).max()]))

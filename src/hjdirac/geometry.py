@@ -35,20 +35,11 @@ COND_GUARD = 1e12
 
 
 def eval_poly(terms, x):
-    """Evaluate a polynomial term list [[coeff, [exponents...]], ...] at x.
-
-    A single point (n,) gives a float; a stack of points (..., n) gives one
-    value per point, also for a constant or empty list. A single point is
-    evaluated in Python floats and a stack in numpy arrays: the two round
-    x ** e differently, and each route keeps the bytes of its callers. A
-    list is one point, its Python floats used as they are.
-    """
-    if isinstance(x, list):
-        coords, total = x, 0.0
-    elif (x := np.asarray(x, dtype=float)).ndim == 1:
-        coords, total = x.tolist(), 0.0
-    else:
-        coords, total = np.moveaxis(x, -1, 0), np.zeros(x.shape[:-1])
+    """The value, a float, of a polynomial term list [[coeff, [exponents...]],
+    ...] at one point x, computed in Python floats: a list's entries as they
+    are, a 1-D array's read through tolist()."""
+    coords = x if isinstance(x, list) else np.asarray(x, dtype=float).tolist()
+    total = 0.0
     for coeff, exps in terms:
         term = float(coeff)
         for xi, ei in zip(coords, exps):
@@ -81,18 +72,16 @@ class MetricField:
     closed form, which christoffel_at and the covariant flow read. A
     diagonal metric gives diag(x) -> its dim entries and partials, the
     (lambda, a, a, x -> d_lambda g_aa) of its nonzero partials in order of
-    a, from which g, g^{-1} and dg follow.
+    a, from which g, dg and inverse_diag follow.
     """
 
-    def __init__(self, g=None, dim=4, kind="custom", *, dg=None, diag=None,
-                 partials=None):
+    def __init__(self, g=None, dim=4, *, dg=None, diag=None, partials=None):
         if diag is not None:
             def g(x):
                 return np.diag(np.array(diag(x), dtype=float))
             dg = _dg_of(partials, dim)
         self.g = g
         self.dim = dim
-        self.kind = kind
         self.dg = dg
         self.diag = diag
         self.partials = partials
@@ -111,19 +100,10 @@ class MetricField:
             raise np.linalg.LinAlgError("Singular matrix")
         return [1.0 / v for v in d]
 
-    def inverse(self, x):
-        """The map v -> g^{-1} v at x: np.linalg.inv's product, which a
-        diagonal metric gives in closed form as inverse_diag entry by entry
-        (+ 0.0 makes an exact zero +0.0, as the product's sum does)."""
-        if self.diag is None:
-            return np.linalg.inv(self.matrix(x)).__matmul__
-        inv = np.array(self.inverse_diag(np.asarray(x, dtype=float)))
-        return lambda v: inv * v + 0.0
-
 
 def minkowski_metric(dim=4):
     eta = [1.0] + [-1.0] * (dim - 1)
-    return MetricField(dim=dim, kind="minkowski", diag=lambda x: eta, partials=[])
+    return MetricField(dim=dim, diag=lambda x: eta, partials=[])
 
 
 def polar_metric(dim=4):
@@ -134,7 +114,7 @@ def polar_metric(dim=4):
     def diag(x):
         return [1.0, -1.0, -float(x[1]) ** 2] + ([-1.0] if dim == 4 else [])
 
-    return MetricField(dim=dim, kind="polar", diag=diag,
+    return MetricField(dim=dim, diag=diag,
                        partials=[(1, 2, 2, lambda x: -2.0 * float(x[1]))])
 
 
@@ -164,7 +144,7 @@ def diagonal_metric(entry_polys):
         return [eval_poly(p, x) for p in entry_polys]
 
     partials = _termwise_partials((((a, a), p) for a, p in enumerate(entry_polys)), dim)
-    return MetricField(dim=dim, kind="diagonal", diag=diag, partials=partials)
+    return MetricField(dim=dim, diag=diag, partials=partials)
 
 
 def metric_from_config(cfg):
@@ -193,7 +173,7 @@ def metric_from_config(cfg):
         out = raw_dg(x)
         return 0.5 * (out + out.transpose(0, 2, 1))
 
-    return MetricField(g, dim=dim, kind="custom-polynomial", dg=dg)
+    return MetricField(g, dim=dim, dg=dg)
 
 
 def _check_signature(gx):

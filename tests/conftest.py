@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import pytest
@@ -15,3 +16,11 @@ def traced_peak():
         finally:
             tracemalloc.stop()
     return run
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """After every test, every helper process a test forked has been reaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import re
+import stat
 import subprocess
 import sys
 import warnings
@@ -10,6 +12,7 @@ import pytest
 
 from hjdirac import dynamics as dyn
 from hjdirac import verify
+from hjdirac._util import CSV_BLOCK
 from hjdirac.cli import main
 from hjdirac.config import ENSEMBLE, METRIC, MODEL, SIMULATE
 
@@ -449,6 +452,34 @@ class TestSimulate:
             "ecb21a486c8d027ec400b395ebaf5fa8d6c3bc05e0ba03f913c23f74522ff70e",
             "abf7d80617d366054067f5b4e54d1334d6b058df8476fbba2762004e2409e21d")
 
+    @pytest.mark.parametrize("config, csv_digest, report_digest", [
+        # the benchmark's projectile-records run at seed 1: 20,001 rows, more
+        # than one CSV_BLOCK, so two processes format its table
+        ({"model": {"kind": "projectile", "m0": 1.0047, "u_x": 0.6802,
+                    "u_y": 0.8577, "g": 0.2449}, "s_max": 20.0},
+         "ed44f60cc26efc535d811f773715e75fce9a456556bd8ee1dd1c5801e2c243b0",
+         "31aefd6495e3c58f649d1d67fea7a65c21b0d11e0be15aeb48495fef24b13857"),
+        ({"kind": "covariant", "metric": {"kind": "minkowski", "dim": 4},
+          "x0": [0.0, 1.0, 0.3, 0.1], "p0_upper": [1.5, 0.3, -0.2, 0.1], "s_max": 1.0,
+          "record_stride": 5},
+         "70cb96f3824f46c94f364d9b032a163e48e3dc516d19af4bf5c298e2c37afe5b",
+         "3ecafe17b33d45ec739f97523a00cf458e5462413fb22416317fbd0bed280009"),
+        # g01 = g10 = 0.05 x1: an off-diagonal term
+        ({"kind": "covariant", "metric": {"kind": "custom-polynomial", "entries": [
+            [[[1.0, [0, 0, 0, 0]]], [[0.05, [0, 1, 0, 0]]], [], []],
+            [[[0.05, [0, 1, 0, 0]]], [[-1.0, [0, 0, 0, 0]]], [], []],
+            [[], [], [[-1.0, [0, 2, 0, 0]]], []], [[], [], [], [[-1.0, [0, 0, 0, 0]]]]]},
+          "x0": [0.0, 1.1, 0.4, 0.0], "p0_upper": [1.4, 0.25, -0.3, 0.1], "s_max": 1.0,
+          "record_stride": 5},
+         "8e906a1c1414f958edd3b83e31b5475dfa08fa04d306dc04322af6af98d85c44",
+         "cdaed92837a99f93c19a198b5c609c6b2a29c8da187b1e874048077b194641ba"),
+    ])
+    def test_split_table_and_covariant_bytes_are_pinned(self, tmp_path, config,
+                                                        csv_digest, report_digest):
+        # digests taken while tables of up to four CSV_BLOCKs stayed in one
+        # process and the diagonal metrics' records inverted in closed form
+        assert_simulate_digests(tmp_path, config, csv_digest, report_digest)
+
     def test_covariant_header_follows_dimension(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"kind": "covariant",
@@ -477,6 +508,17 @@ class TestEnsemble:
         moments = read_json(tmp_path / "moments.json")
         assert moments["within_3se"]
         assert moments["effective_config"]["seed"] == 4
+        # samples.csv has more than one CSV_BLOCK of rows: two processes
+        # format it; digests taken while it stayed in one process
+        for name, digest in (
+                ("samples.csv",
+                 "b0f260970a1b06a956602a6dd5206881ad1bf25b6392c83d4db09d9f5f7e55b4"),
+                ("histogram.csv",
+                 "7a8088cf8046fc460a2879f45c218869615a2879977547786cc75bf4f5afc827"),
+                ("moments.json",
+                 "df0bd798de2fb13126713060edfc4d0b7a21317cbfd38f5829ea00f0fa4d494e")):
+            digest_now = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert digest_now == digest, name
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -688,6 +730,26 @@ def test_schema_refuses_and_names_the_key(tmp_path, capsys, command, text, key):
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and "'%s'" % key in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+def test_artifacts_get_the_mode_of_a_plain_open(tmp_path, umask):
+    # each table has more than one CSV_BLOCK of rows, so a helper formats half
+    runs = [("simulate", {"s_max": CSV_BLOCK / 1024, "step": 1 / 1024}),
+            ("ensemble", {"kind": "mb", "n": CSV_BLOCK + 1})]
+    old = os.umask(umask)
+    try:
+        for command, config in runs:
+            cfg = tmp_path / (command + ".json")
+            cfg.write_text(json.dumps(config))
+            assert main([command, "--config", str(cfg),
+                         "--out", str(tmp_path / command)]) == 0
+    finally:
+        os.umask(old)
+    modes = {path.name: stat.S_IMODE(path.stat().st_mode)
+             for command, _ in runs for path in (tmp_path / command).iterdir()}
+    assert modes == dict.fromkeys(["trajectory.csv", "simulate_report.json", "samples.csv",
+                                   "histogram.csv", "moments.json"], 0o666 & ~umask)
 
 
 @pytest.mark.parametrize("command,seed", [("verify", "-5"), ("ensemble", "-1")])

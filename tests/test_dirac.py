@@ -177,7 +177,7 @@ class TestConventionalResidual:
         with pytest.raises(OffShell):
             dr.conventional_dirac_residual(p, xi, m0=1.5)
         with pytest.raises(OffShell):
-            dr.conventional_dirac_residual([1.0, 2.0, 0.0, 0.0], xi)
+            dr.conventional_dirac_residual([1.0, 2.0, 0.0, 0.0], xi, m0=1.0)
 
 
 class TestSimultaneousEigenvector:

@@ -129,7 +129,8 @@ def test_chart_roundtrip_and_fd_jacobian():
 
 
 def test_metric_from_config_kinds():
-    assert geo.metric_from_config({"kind": "minkowski"}).kind == "minkowski"
+    minkowski = geo.metric_from_config({"kind": "minkowski"})
+    assert np.array_equal(minkowski.matrix(np.zeros(4)), np.diag([1.0, -1.0, -1.0, -1.0]))
     assert geo.metric_from_config({"kind": "polar", "dim": 3}).dim == 3
     diag = geo.metric_from_config(
         {"kind": "diagonal", "entries": [[[1, [0, 0, 0, 0]]], [[-1, [0] * 4]], [[-1, [0, 0, 0, 0]], [-1, [0, 2, 0, 0]]], [[-1, [0] * 4]]]}

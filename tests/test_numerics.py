@@ -25,10 +25,10 @@ per-record route is kept here as their exact oracle.
 Model callables took (..., 4) arrays and now take components: Python floats
 for one state, numpy columns for a stack; the two round alike, so each
 callable is checked for the same bits on both, and the array-valued
-reference loops above read the components as arrays. The diagonal metrics
-invert in closed form, 1/diag; np.linalg.inv is their exact oracle. Their
-covariant RK4 stages run in Python floats; the numpy flow that the record
-and the other metrics keep is the stages' exact oracle.
+reference loops above read the components as arrays. The diagonal metrics'
+covariant RK4 stages invert in closed form, 1/diag, and run in Python
+floats; np.linalg.inv and the numpy flow, which every record and the other
+metrics' stages use, are the stages' exact oracle.
 
 rk4_step combined flat state arrays and now combines lists of components,
 Python floats or numpy columns; ref_rk4's array formula is its exact oracle
@@ -123,8 +123,7 @@ def ref_eval_poly(terms, x):
 
 
 def ref_poly(term_list, x):
-    """The array loop of polynomial fields that eval_poly's point stacks
-    replaced."""
+    """A polynomial field over a stack of points (..., n), in numpy arrays."""
     out = np.zeros(x.shape[:-1])
     for coeff, exps in term_list:
         term = np.full(x.shape[:-1], float(coeff))
@@ -474,7 +473,7 @@ def test_closedness_residual_matches_old_loop():
     grads = geo.poly_partials(TERMS, 4)
 
     def not_closed(x):  # the gradient of TERMS plus a term that is no gradient
-        return np.stack([geo.eval_poly(g, x) for g in grads], axis=-1) + 0.01 * x ** 2
+        return np.stack([ref_poly(g, x) for g in grads], axis=-1) + 0.01 * x ** 2
 
     fields = [hj.construct_geodesic_W(1.3), hj.curl_counterexample_field(),
               hj.HamiltonJacobiField(one_form=not_closed)]
@@ -493,15 +492,6 @@ def test_eval_poly_single_points_match_scalar_loop(terms):
         assert geo.eval_poly(terms, list(x)) == ref_eval_poly(terms, x)
     assert geo.eval_poly(terms, [1, 2, 3, 4]) == ref_eval_poly(terms, [1, 2, 3, 4])
     assert type(geo.eval_poly(terms, [1, 2, 3, 4])) is float
-
-
-@pytest.mark.parametrize("terms", POLYS)
-@pytest.mark.parametrize("shape", [(1, 4), (300, 4), (25, 20, 4)])
-def test_eval_poly_stacks_match_array_loop(terms, shape):
-    pts = wide_points(np.random.default_rng(10), shape)
-    got = geo.eval_poly(terms, pts)
-    assert got.shape == shape[:-1]
-    assert np.array_equal(got, ref_poly(terms, pts))
 
 
 def test_eval_poly_float_lists_match_array_points():
@@ -651,26 +641,30 @@ def test_covariant_rhs_matches_per_component_sums(metric, x0, p0):
         assert abs(traj.geodesic_residual[k] - np.abs(resid).max()) <= 1e-13
 
 
-@pytest.mark.parametrize("metric", [
-    geo.minkowski_metric(3), geo.minkowski_metric(4), geo.polar_metric(3),
-    geo.polar_metric(4), DIAGONAL,
-])
-def test_diagonal_inverse_matches_linalg_inv(metric):
-    """1/diag applied entry by entry gives np.linalg.inv's matrix product,
-    signed zeros included, and a zero entry fails as np.linalg.inv does."""
+@pytest.mark.parametrize("metric, polar", [
+    (geo.minkowski_metric(3), False), (geo.minkowski_metric(4), False),
+    (geo.polar_metric(3), True), (geo.polar_metric(4), True), (DIAGONAL, False),
+], ids=["metric%d" % i for i in range(5)])
+def test_diagonal_inverse_matches_linalg_inv(metric, polar):
+    """inverse_diag is np.linalg.inv's diagonal, and applied entry by entry
+    (+ 0.0, as the stages do) it gives np.linalg.inv's matrix product,
+    signed zeros included; a zero entry fails as np.linalg.inv does."""
     rng = np.random.default_rng(19)
     for _ in range(200):
         x, v = wide_points(rng, metric.dim), wide_points(rng, metric.dim)
         v[rng.random(metric.dim) < 0.3] = 0.0
         v[rng.random(metric.dim) < 0.2] = -0.0
-        assert same_bits(metric.inverse(x)(v), np.linalg.inv(metric.matrix(x)) @ v)
+        ginv = np.linalg.inv(metric.matrix(x))
+        inv = metric.inverse_diag(x.tolist())
+        assert same_bits(inv, np.diag(ginv))
+        assert same_bits([i * a + 0.0 for i, a in zip(inv, v.tolist())], ginv @ v)
         assert same_bits(metric.matrix(x), np.diag(metric.diag(x)))
-    if metric.kind == "polar":  # g_thth = -r^2 vanishes on the axis
+    if polar:  # g_thth = -r^2 vanishes on the axis
         x = np.zeros(metric.dim)
         with pytest.raises(np.linalg.LinAlgError) as want:
             np.linalg.inv(metric.matrix(x))
         with pytest.raises(np.linalg.LinAlgError) as got:
-            metric.inverse(x)
+            metric.inverse_diag(x.tolist())
         assert str(got.value) == str(want.value) == "Singular matrix"
 
 
@@ -713,8 +707,9 @@ def test_diagonal_metric_flow_reads_no_matrix(monkeypatch):
     monkeypatch.setattr(geo.MetricField, "matrix", counted)
     dyn.covariant_integrate(geo.polar_metric(4), [0.0, 1.0, 0.3, 0.0],
                             [1.5, 0.3, -0.19, 0.0], 0.1, step=0.01, record_stride=5)
-    # the initial lowering, then christoffel_at once for each of the 3 records
-    assert len(calls) == 1 + 3
+    # the initial lowering, then the flow and christoffel_at once each for
+    # each of the 3 records
+    assert len(calls) == 1 + 3 * 2
 
 
 def test_covariant_rhs_evaluates_metric_and_partials_once():
@@ -756,7 +751,7 @@ def test_covariant_record_evaluates_the_metric_partials_once(monkeypatch):
 
 
 def test_diagonal_stages_read_neither_dg_nor_inverse(monkeypatch):
-    calls = {"dg": 0, "inverse": 0, "inverse_diag": 0}
+    calls = {"dg": 0, "matrix": 0, "inverse_diag": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -766,13 +761,14 @@ def test_diagonal_stages_read_neither_dg_nor_inverse(monkeypatch):
 
     metric = geo.polar_metric(4)
     metric.dg = counted("dg", metric.dg)
-    for name in ("inverse", "inverse_diag"):
+    for name in ("matrix", "inverse_diag"):
         monkeypatch.setattr(geo.MetricField, name, counted(name, getattr(geo.MetricField, name)))
     dyn.covariant_integrate(metric, [0.0, 1.0, 0.3, 0.0],
                             [1.5, 0.3, -0.19, 0.0], 0.1, step=0.01, record_stride=5)
-    # only the 3 records read dg (flow and christoffel_at) and the inverse;
-    # each of the 40 stages reads inverse_diag, as the inverse does
-    assert calls == {"dg": 3 + 3, "inverse": 3, "inverse_diag": 4 * 10 + 3}
+    # only the 3 records read dg and the matrix, once in the flow (whose
+    # inverse is np.linalg.inv's) and once in christoffel_at, after the
+    # initial lowering's matrix; each of the 40 stages reads inverse_diag alone
+    assert calls == {"dg": 3 + 3, "matrix": 1 + 3 * 2, "inverse_diag": 4 * 10}
 
 
 # -- the commutator norm -----------------------------------------------------------

@@ -3,7 +3,7 @@
 One process runs a fixed list of cli.main invocations under sys.setprofile:
 every model kind under rk4 and leapfrog with canonical on and off, every
 metric kind, verify --suite all, mb in csv and json at small n and in csv
-above write_csv's SPLIT_ROWS, BE, FD and MB occupancy, and test_cli's
+above one write_csv CSV_BLOCK, BE, FD and MB occupancy, and test_cli's
 refused (exit 2) and failing (exit 1) configs. A function is keyed by its
 module and co_qualname, nested functions and lambdas included (two lambdas
 of one scope share a key), as enumerated from the modules' code objects.
@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from hjdirac._util import SPLIT_ROWS
+from hjdirac._util import CSV_BLOCK
 from hjdirac.cli import main
 from test_cli import BAD_CONFIGS
 from test_public_names import CLAIM_CHECKS, public_names
@@ -72,7 +72,7 @@ def invocations(tmp_path):
         runs.append((0, ["simulate"], dict(SHORT, kind="covariant", metric=metric)))
     for fmt in ("csv", "json"):
         runs.append((0, ["ensemble", "--format", fmt], {"kind": "mb", "n": 200}))
-    runs.append((0, ["ensemble"], {"kind": "mb", "n": SPLIT_ROWS + 1}))  # two writers
+    runs.append((0, ["ensemble"], {"kind": "mb", "n": CSV_BLOCK + 1}))  # two writers
     for statistics in ("BE", "FD", "MB"):
         runs.append((0, ["ensemble"], {"kind": "occupancy", "levels": [0.0, 0.5, 1.0],
                                        "statistics": statistics}))

@@ -1,4 +1,7 @@
+import io
 import math
+import os
+import shutil
 from itertools import combinations, combinations_with_replacement
 from types import SimpleNamespace
 
@@ -212,12 +215,28 @@ class TestMemoryPerSample:
         # with 64-row blocks that fixed cost is small against 16384 rows, so
         # the bound reads what the write holds per row. Measured 2.2 B, so
         # the bound leaves over twice that; an np.arange index column alone
-        # is 8 B per row.
+        # is 8 B per row. One CPU is offered, so the table stays in this
+        # process.
         monkeypatch.setattr(_util, "CSV_BLOCK", 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         n = 16384
         sample = sm.sample_mb(sm.EnsembleConfig(n=n, m0=1.0, T=2.0, seed=3))
         _, peak = traced_peak(lambda: sm.write_samples_csv(sample, tmp_path / "s.csv"))
         assert peak / n <= 5
+
+    def test_samples_csv_split(self, tmp_path, traced_peak, monkeypatch):
+        # Two CPUs offered: this process formats half the rows, as above, and
+        # then appends the helper's file with shutil.copyfileobj, whose
+        # buffers (two COPY_BUFSIZE reads and a reader's buffer, 136 KB
+        # measured alone) are a fixed cost the bound discounts; the write
+        # measured 145.5 KB at 16384 and at 65536 rows alike.
+        monkeypatch.setattr(_util, "CSV_BLOCK", 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        n = 16384
+        sample = sm.sample_mb(sm.EnsembleConfig(n=n, m0=1.0, T=2.0, seed=3))
+        _, peak = traced_peak(lambda: sm.write_samples_csv(sample, tmp_path / "s.csv"))
+        copy = 2 * shutil.COPY_BUFSIZE + io.DEFAULT_BUFFER_SIZE
+        assert (peak - copy) / n <= 5
 
 
 def reference_occupations(L, n, exclusive):

@@ -144,34 +144,26 @@ def test_failed_write_leaves_no_temp_file(tmp_path):
     assert path.read_text() == "old\n"
 
 
-# -- tables of more than SPLIT_ROWS rows: two processes format them
-
-@pytest.fixture(autouse=True)
-def no_child_left():
-    yield
-    with pytest.raises(ChildProcessError):  # every helper has been reaped
-        os.waitpid(-1, os.WNOHANG)
-
+# -- tables of more than one CSV_BLOCK of rows: two processes format them
 
 @pytest.fixture
 def split(monkeypatch):
-    """Blocks of 4 rows, tables of more than 16 rows split, two CPUs offered;
-    returns the list of forks made by this process."""
+    """Blocks of 4 rows, so tables of more than 4 rows split, two CPUs
+    offered; returns the list of forks made by this process."""
     monkeypatch.setattr(_util, "CSV_BLOCK", 4)
-    monkeypatch.setattr(_util, "SPLIT_ROWS", 16)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
     return forks
 
 
-@pytest.mark.parametrize("n", [15, 16, 17, 18, 43])
+@pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 6, 15, 16, 17, 18, 43])
 def test_split_matches_per_row_reference(tmp_path, split, n):
     columns = mixed_columns(n) + [kind_column("text", n)]
     path = tmp_path / "t.csv"
     write_csv(path, HEADER + ["text"], columns)
     assert path.read_bytes() == reference_csv(HEADER + ["text"], columns)
-    assert len(split) == (n > 16)
+    assert len(split) == (n > 4)  # one block or less stays in this process
     assert os.listdir(tmp_path) == ["t.csv"]
 
 
