@@ -25,7 +25,7 @@ from . import statmech as sm
 from . import verify
 from ._util import atomic_write_text, json_text, write_csv, write_json
 from .config import ENSEMBLE, SIMULATE, Spec, parse
-from .errors import HJDiracError, StepRejected, UsageError
+from .errors import DegenerateData, HJDiracError, StepRejected, UsageError
 
 
 # ---------------------------------------------------------------------------
@@ -107,14 +107,16 @@ def cmd_simulate(args):
                                        cfg["s_max"], step=cfg["step"],
                                        record_stride=cfg["record_stride"])
         header = traj.header()
-        diagnostics = {"k_drift": traj.k_drift(),
-                       "max_geodesic_residual": traj.max_residual(),
-                       "samples": int(len(traj.s))}
-        if cfg["metric"].get("kind") == "polar":
-            cart_x = traj.x[:, 1] * np.cos(traj.x[:, 2])
-            cart_y = traj.x[:, 1] * np.sin(traj.x[:, 2])
-            diagnostics["straightness_residual"] = \
-                _line_fit_residual(traj.s, cart_x, cart_y)
+        # a diagnostic that overflows is refused below, by name
+        with np.errstate(over="ignore", invalid="ignore"):
+            diagnostics = {"k_drift": traj.k_drift(),
+                           "max_geodesic_residual": traj.max_residual(),
+                           "samples": int(len(traj.s))}
+            if cfg["metric"].get("kind") == "polar":
+                cart_x = traj.x[:, 1] * np.cos(traj.x[:, 2])
+                cart_y = traj.x[:, 1] * np.sin(traj.x[:, 2])
+                diagnostics["straightness_residual"] = \
+                    _line_fit_residual(traj.s, cart_x, cart_y)
     else:
         model = dyn.model_from_config(cfg["model"])
         p0 = cfg["p0"]
@@ -132,31 +134,40 @@ def cmd_simulate(args):
                              record_stride=cfg["record_stride"])
         header = list(traj.COLUMNS)
         late = traj.comm_norm[traj.s > 0.1]
-        diagnostics = {"energy_drift": traj.energy_drift(),
-                       "mass_shell_drift": traj.mass_shell_drift(),
-                       "comm_norm_max": float(traj.comm_norm.max()),
-                       "comm_norm_late_min":
-                           float(late.min()) if late.size else 0.0,
-                       "samples": int(len(traj.s))}
-        if (cfg["model"].get("kind") == "projectile" and cfg["method"] == "rk4"
-                and not cfg["canonical"]):
-            ref = model.reference
-            diagnostics["closed_form_deviation"] = float(max(
-                np.abs(traj.x - ref.position(traj.s)).max(),
-                np.abs(traj.p - model.m0 * ref.tangent(traj.s)).max()))
+        # a diagnostic that overflows is refused below, by name
+        with np.errstate(over="ignore", invalid="ignore"):
+            diagnostics = {"energy_drift": traj.energy_drift(),
+                           "mass_shell_drift": traj.mass_shell_drift(),
+                           "comm_norm_max": float(traj.comm_norm.max()),
+                           "comm_norm_late_min":
+                               float(late.min()) if late.size else 0.0,
+                           "samples": int(len(traj.s))}
+            if (cfg["model"].get("kind") == "projectile" and cfg["method"] == "rk4"
+                    and not cfg["canonical"]):
+                ref = model.reference
+                diagnostics["closed_form_deviation"] = float(max(
+                    np.abs(traj.x - ref.position(traj.s)).max(),
+                    np.abs(traj.p - model.m0 * ref.tangent(traj.s)).max()))
         cfg["p0"] = [float(v) for v in np.asarray(p0, float)]
 
+    # everything that can fail runs before the first file is written
+    report_path = os.path.join(args.out, "simulate_report.json")
+    for key, value in diagnostics.items():
+        if not math.isfinite(value):
+            raise DegenerateData("%s not written: diagnostic %s is %r"
+                                 % (report_path, key, value))
+    report_text = json_text(report_path, {"command": "simulate", "effective_config": cfg,
+                                          "diagnostics": diagnostics})
+    path = os.path.join(args.out, "trajectory." + args.format)
+    if args.format == "json":
+        text = json_text(path, {"columns": header,
+                                "rows": np.column_stack(traj.columns()).tolist()})
     os.makedirs(args.out, exist_ok=True)
     if args.format == "json":
-        write_json(os.path.join(args.out, "trajectory.json"),
-                   {"columns": header,
-                    "rows": np.column_stack(traj.columns()).tolist()})
+        atomic_write_text(path, text)
     else:
-        write_csv(os.path.join(args.out, "trajectory.csv"), header,
-                  traj.columns())
-    write_json(os.path.join(args.out, "simulate_report.json"),
-               {"command": "simulate", "effective_config": cfg,
-                "diagnostics": diagnostics})
+        write_csv(path, header, traj.columns())
+    atomic_write_text(report_path, report_text)
     print("simulate: %d samples written" % diagnostics["samples"])
     return 0
 

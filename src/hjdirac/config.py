@@ -11,8 +11,12 @@ from .errors import UsageError
 
 REQUIRED = object()  # the default of a key that has none
 # occupancy enumeration's cap on levels and on particles; its count table
-# holds one byte per count, so keep it below 256
+# holds one byte per count and the state column's kernel (_cells.count_cells)
+# writes at most two digits per count, so keep it below 100
 ENUM_BOUND = 12
+# mb's cap on draws: a sample of at most 1 GiB at 32 B per draw (three
+# velocity components and the energy)
+MAX_SAMPLES = 2 ** 25
 
 
 class Spec(namedtuple("Spec", "text ok")):
@@ -82,7 +86,7 @@ SIMULATE = {
                       record_stride=(integer(1), 10)),
 }
 ENSEMBLE = {
-    "mb": {"n": (integer(2), 10 ** 5), "m0": (POSITIVE, 1.0), "T": (POSITIVE, 2.0),
+    "mb": {"n": (integer(2, MAX_SAMPLES), 10 ** 5), "m0": (POSITIVE, 1.0), "T": (POSITIVE, 2.0),
            "kB": (POSITIVE, 1.0), "bins": (integer(1), 50)},
     "occupancy": {"levels": (Spec("a list of 1 to %d numbers" % ENUM_BOUND,
                                   lambda v: NUMBERS.ok(v) and 1 <= len(v) <= ENUM_BOUND),

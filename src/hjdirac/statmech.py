@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import TextColumn, write_csv
+from ._cells import count_cells
+from ._util import CellColumn, write_csv
 from .clifford import ETA_DIAG
 from .config import ENUM_BOUND, integer
 from .errors import DegenerateData, DegeneratePartition, TooLarge, UsageError
@@ -251,10 +252,7 @@ def partition_enumerate(levels, n, beta, statistics):
                           weights=weights, probabilities=weights / z, z=z)
 
 
-_COUNT_TEXT = np.array([str(c) for c in range(ENUM_BOUND + 1)], dtype=object)
-
-
-class _States(TextColumn):
+class _States(CellColumn):
     """occupancy.csv's state column, "n_0;n_1;...", formatted one written
     block at a time so the whole column is never held at once."""
 
@@ -265,8 +263,7 @@ class _States(TextColumn):
         return len(self.counts)
 
     def __getitem__(self, rows):
-        # one text per count, looked up, then joined level by level per row
-        return list(map(";".join, zip(*_COUNT_TEXT[self.counts[rows]].T)))
+        return count_cells(self.counts[rows])
 
 
 def write_occupancy_csv(table, path):

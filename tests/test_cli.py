@@ -14,7 +14,7 @@ from hjdirac import dynamics as dyn
 from hjdirac import verify
 from hjdirac._util import CSV_BLOCK
 from hjdirac.cli import main
-from hjdirac.config import ENSEMBLE, METRIC, MODEL, SIMULATE
+from hjdirac.config import ENSEMBLE, MAX_SAMPLES, METRIC, MODEL, SIMULATE
 
 
 def read_json(path):
@@ -429,6 +429,24 @@ class TestSimulate:
             "finite state [[0.0, 10.0, 0.3, 0.0], [1.5, 0.3, 1e+307, 0.0]]\n")
         assert not out.exists()
 
+    def test_non_finite_diagnostic_exits_one_and_writes_nothing(self, tmp_path, capsys):
+        # p.p / 2 overflows to inf in every record, so the energy drift is NaN:
+        # refused by name, with no warning and before any file or directory
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"kind": "free", "m0": 1.0},
+                                   "p0": [1e300, 1e300, 1e300, 1e300],
+                                   "s_max": 0.05, "step": 0.01}))
+        out = tmp_path / "out"
+        for fmt in ("csv", "json"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["simulate", "--config", str(cfg), "--format", fmt,
+                             "--out", str(out)]) == 1
+            assert capsys.readouterr().err == (
+                "error: %s not written: diagnostic energy_drift is nan\n"
+                % (out / "simulate_report.json"))
+            assert not out.exists()
+
     def test_refused_size_exits_two_before_the_lowering(self, tmp_path, capsys):
         # r ** 2 would overflow lowering p0_upper, but the size is refused first
         cfg = tmp_path / "cfg.json"
@@ -601,6 +619,22 @@ class TestEnsemble:
         path.write_text(json.dumps(cfg))
         out = tmp_path / "out"
         assert main(["ensemble", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n", [MAX_SAMPLES + 1, 10 ** 9])
+    def test_oversized_mb_exits_two_before_sampling(self, tmp_path, capsys,
+                                                    traced_peak, n):
+        # 10 ** 9 draws would take 32 GB: refused by the cap before any array
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"kind": "mb", "n": n}))
+        out = tmp_path / "out"
+        code, peak = traced_peak(lambda: main(["ensemble", "--config", str(path),
+                                               "--out", str(out)]))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "usage error: ensemble config 'mb' key 'n' must be an integer from 2 "
+            "to 33554432, got %d\n" % n)
+        assert peak < 2 ** 20
         assert not out.exists()
 
     @pytest.mark.parametrize("statistics", ["BE", "MB"])

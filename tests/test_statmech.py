@@ -1,14 +1,11 @@
-import io
 import math
 import os
-import shutil
 from itertools import combinations, combinations_with_replacement
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from hjdirac import _util
 from hjdirac import dynamics as dyn
 from hjdirac import statmech as sm
 from hjdirac.config import ENUM_BOUND
@@ -210,33 +207,31 @@ class TestMemoryPerSample:
         _, peak = traced_peak(sample.moments)
         assert peak / n <= 8
 
+    def write_slope(self, tmp_path, traced_peak, n):
+        """tracemalloc's peak of write_samples_csv at 4n draws less that at n,
+        per added row: what the write holds per row. Its fixed cost, one
+        chunk's cell matrices and temporaries (about 4.1 MB measured with
+        one CPU and with two), and, with two, shutil.copyfileobj's buffers
+        for the helper's file, cancel."""
+        peaks = []
+        for size in (n, 4 * n):
+            sample = sm.sample_mb(sm.EnsembleConfig(n=size, m0=1.0, T=2.0, seed=3))
+            peaks.append(traced_peak(
+                lambda: sm.write_samples_csv(sample, tmp_path / "s.csv"))[1])
+        return (peaks[1] - peaks[0]) / (3 * n)
+
     def test_samples_csv(self, tmp_path, traced_peak, monkeypatch):
-        # write_csv holds the cell text of one CSV_BLOCK of rows at a time;
-        # with 64-row blocks that fixed cost is small against 16384 rows, so
-        # the bound reads what the write holds per row. Measured 2.2 B, so
-        # the bound leaves over twice that; an np.arange index column alone
-        # is 8 B per row. One CPU is offered, so the table stays in this
-        # process.
-        monkeypatch.setattr(_util, "CSV_BLOCK", 64)
+        # One CPU offered, so the table stays in this process. Measured
+        # within 1.1 B per row of 0 at n = 20000; an np.arange index column
+        # alone would be 8 B per row.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        n = 16384
-        sample = sm.sample_mb(sm.EnsembleConfig(n=n, m0=1.0, T=2.0, seed=3))
-        _, peak = traced_peak(lambda: sm.write_samples_csv(sample, tmp_path / "s.csv"))
-        assert peak / n <= 5
+        assert self.write_slope(tmp_path, traced_peak, 20000) <= 2
 
     def test_samples_csv_split(self, tmp_path, traced_peak, monkeypatch):
         # Two CPUs offered: this process formats half the rows, as above, and
-        # then appends the helper's file with shutil.copyfileobj, whose
-        # buffers (two COPY_BUFSIZE reads and a reader's buffer, 136 KB
-        # measured alone) are a fixed cost the bound discounts; the write
-        # measured 145.5 KB at 16384 and at 65536 rows alike.
-        monkeypatch.setattr(_util, "CSV_BLOCK", 64)
+        # then appends the helper's file. Measured within 0.1 B per row of 0.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        n = 16384
-        sample = sm.sample_mb(sm.EnsembleConfig(n=n, m0=1.0, T=2.0, seed=3))
-        _, peak = traced_peak(lambda: sm.write_samples_csv(sample, tmp_path / "s.csv"))
-        copy = 2 * shutil.COPY_BUFSIZE + io.DEFAULT_BUFFER_SIZE
-        assert (peak - copy) / n <= 5
+        assert self.write_slope(tmp_path, traced_peak, 20000) <= 2
 
 
 def reference_occupations(L, n, exclusive):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hjdirac import _util
-from hjdirac._util import CSV_BLOCK, TextColumn, _formatter, fmt, write_csv, write_json
+from hjdirac._util import CSV_BLOCK, _formatter, fmt, write_csv, write_json
 from hjdirac.errors import DegenerateData, UsageError
 
 HEADER = ["i", "flag", "name", "x", "y"]
@@ -45,7 +45,9 @@ def test_matches_per_row_reference(tmp_path, n):
     assert path.read_bytes() == reference_csv(HEADER, columns)
 
 
-class Text(TextColumn):
+class Text:
+    """A sequence of str cells whose slices are lists, as write_csv takes."""
+
     def __init__(self, cells):
         self.cells = cells
 
@@ -78,12 +80,11 @@ def kind_column(kind, n):
 
 
 # the formatter each kind must get: the fast paths give fmt's bytes on the
-# builtin scalars tolist() returns and on a TextColumn's str cells, every
-# other kind keeps fmt
+# builtin scalars tolist() returns, every other kind keeps fmt
 KIND_FORMATTERS = {"float16": float.__repr__, "float32": float.__repr__,
                    "float64": float.__repr__, "longdouble": fmt, "int8": str,
                    "uint8": str, "int64": str, "bool": str, "object": fmt,
-                   "str_": fmt, "complex": fmt, "list": fmt, "text": str}
+                   "str_": fmt, "complex": fmt, "list": fmt, "text": fmt}
 
 
 @pytest.mark.parametrize("n", [0, 1, CSV_BLOCK, CSV_BLOCK + 1])
@@ -140,6 +141,20 @@ def test_failed_write_leaves_no_temp_file(tmp_path):
     path.write_text("old\n")
     with pytest.raises(RuntimeError):
         write_csv(path, ["a"], [Boom()])
+    assert os.listdir(tmp_path) == ["t.csv"]
+    assert path.read_text() == "old\n"
+
+
+@pytest.mark.parametrize("column", [["a", "b\0c"], Text(["a", "b\0c"]),
+                                    np.array(["a", "b\0c"], dtype=object)])
+def test_nul_in_a_text_cell_is_refused_naming_the_column(tmp_path, column):
+    # the cells' zero-byte padding is deleted when rows are joined, so a NUL
+    # would vanish from the file
+    path = tmp_path / "t.csv"
+    path.write_text("old\n")
+    with pytest.raises(UsageError, match="CSV column 'label' not written: a cell "
+                                         "holds a NUL character"):
+        write_csv(path, ["i", "label"], [np.arange(2), column])
     assert os.listdir(tmp_path) == ["t.csv"]
     assert path.read_text() == "old\n"
 
