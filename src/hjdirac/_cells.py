@@ -130,7 +130,10 @@ def _shortest(bits):
     # vrIsTrailingZeros and vmIsTrailingZeros)
     low_bits = (_U64(1) << np.minimum(q, 62).astype(np.uint64)) - _U64(1)
     vr_zeros = ~up & (q < 63) & (mv & low_bits == 0)
-    vm_zeros = ~up & (q <= 1) & accept & (mm_shift == 1)
+    # Ryu's vm term of the ~up, q <= 1 rows holds only at biased exponent
+    # 1076 with one digit cut, where digits is 2 m2 and vm_cut 2 m2 - 1: odd,
+    # so it cuts no zeros and never equals digits, and it changes nothing
+    vm_zeros = np.zeros_like(vr_zeros)
     vp -= (~up & (q <= 1) & ~accept).astype(np.uint64)
     small = np.flatnonzero(up & (q <= 21))
     if small.size:

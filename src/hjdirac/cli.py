@@ -122,15 +122,18 @@ def cmd_simulate(args):
         p0 = cfg["p0"]
         if p0 is None:
             if getattr(model, "reference", None) is not None:
-                p0 = model.m0 * model.reference.tangent(0.0)
+                with np.errstate(over="ignore"):  # refused below
+                    p0 = model.m0 * model.reference.tangent(0.0)
+                if not np.isfinite(p0).all():
+                    raise UsageError("config key 'p0' is null and the model's own p0 "
+                                     "%s is not finite" % p0.tolist())
             elif model.m0:
                 p0 = [model.m0, 0.0, 0.0, 0.0]
             else:
                 raise UsageError("config needs p0 for this model")
         traj = dyn.integrate(model, np.asarray(cfg["x0"], float),
                              np.asarray(p0, float), cfg["s_max"],
-                             step=cfg["step"], method=cfg["method"],
-                             canonical=cfg["canonical"],
+                             step=cfg["step"], canonical=cfg["canonical"],
                              record_stride=cfg["record_stride"])
         header = list(traj.COLUMNS)
         late = traj.comm_norm[traj.s > 0.1]
@@ -142,8 +145,7 @@ def cmd_simulate(args):
                            "comm_norm_late_min":
                                float(late.min()) if late.size else 0.0,
                            "samples": int(len(traj.s))}
-            if (cfg["model"].get("kind") == "projectile" and cfg["method"] == "rk4"
-                    and not cfg["canonical"]):
+            if cfg["model"].get("kind") == "projectile" and not cfg["canonical"]:
                 ref = model.reference
                 diagnostics["closed_form_deviation"] = float(max(
                     np.abs(traj.x - ref.position(traj.s)).max(),
@@ -293,6 +295,9 @@ def main(argv=None):
     # run failure, not a config error
     except (np.linalg.LinAlgError, ArithmeticError) as exc:
         print("run failed: %s" % exc, file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print("run failed: out of memory: %r" % exc, file=sys.stderr)
         return 1
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print("config error: %s" % exc, file=sys.stderr)

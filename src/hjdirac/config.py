@@ -14,8 +14,8 @@ REQUIRED = object()  # the default of a key that has none
 # holds one byte per count and the state column's kernel (_cells.count_cells)
 # writes at most two digits per count, so keep it below 100
 ENUM_BOUND = 12
-# mb's cap on draws: a sample of at most 1 GiB at 32 B per draw (three
-# velocity components and the energy)
+# mb's cap on draws, a sample of at most 1 GiB at 32 B per draw (three
+# velocity components and the energy), and on histogram bins
 MAX_SAMPLES = 2 ** 25
 
 
@@ -62,8 +62,7 @@ SQUARE = Spec("a non-empty square matrix of term lists",
 
 # simulate's "model" and "metric" objects
 MODEL = {"free": {"m0": (NUMBER, REQUIRED)},
-         "projectile": {key: (NUMBER, REQUIRED) for key in ("m0", "u_x", "u_y", "g")},
-         "quadratic": {}, "harmonic": {"omega": (NUMBER, 1.0)}}
+         "projectile": {key: (NUMBER, REQUIRED) for key in ("m0", "u_x", "u_y", "g")}}
 METRIC = {"minkowski": {"dim": (integer(1), 4)},
           "polar": {"dim": (Spec("3 or 4", lambda v: _int(v) and v in (3, 4)), 4)},
           "diagonal": {"entries": (TERM_LISTS, REQUIRED)},
@@ -76,7 +75,7 @@ SIMULATE = {
                                         "u_y": 1.0, "g": 0.2}),
                   x0=(VECTOR, [0.0, 0.0, 0.0, 0.0]),
                   p0=(Spec("null or " + VECTOR.text, lambda v: v is None or VECTOR.ok(v)), None),
-                  method=(Spec("'rk4' or 'leapfrog'", lambda v: v in ("rk4", "leapfrog")), "rk4"),
+                  method=(Spec("'rk4'", lambda v: v == "rk4"), "rk4"),
                   canonical=(Spec("true or false", lambda v: isinstance(v, bool)), False),
                   record_stride=(integer(1), 1)),
     # x0 and p0_upper are checked against the metric's dim once it is built
@@ -87,7 +86,7 @@ SIMULATE = {
 }
 ENSEMBLE = {
     "mb": {"n": (integer(2, MAX_SAMPLES), 10 ** 5), "m0": (POSITIVE, 1.0), "T": (POSITIVE, 2.0),
-           "kB": (POSITIVE, 1.0), "bins": (integer(1), 50)},
+           "kB": (POSITIVE, 1.0), "bins": (integer(1, MAX_SAMPLES), 50)},
     "occupancy": {"levels": (Spec("a list of 1 to %d numbers" % ENUM_BOUND,
                                   lambda v: NUMBERS.ok(v) and 1 <= len(v) <= ENUM_BOUND),
                              [0.0, 1.0]),

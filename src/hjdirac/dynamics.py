@@ -20,18 +20,16 @@ from itertools import combinations
 
 import numpy as np
 
-from .clifford import ETA_DIAG, minkowski_dot
+from .clifford import minkowski_dot
 from .geometry import christoffel_at
 from .config import MODEL, integer, parse
-from .errors import NonSeparable, SingularMetric, StepRejected, UsageError
+from .errors import SingularMetric, StepRejected, UsageError
 from .hamilton_jacobi import projectile_field
 
 __all__ = [
     "HamiltonianModel",
     "free_particle_model",
     "projectile_model",
-    "quadratic_model",
-    "harmonic_model",
     "model_from_config",
     "hamilton_rhs",
     "Trajectory",
@@ -65,14 +63,11 @@ class HamiltonianModel:
     differently. Both partials are required, in closed form. The guard sees
     one state."""
 
-    def __init__(self, name, hamiltonian, dh_dx, dh_dp, flow=None,
-                 separable=False, guard=None, m0=None):
-        self.name = name
+    def __init__(self, hamiltonian, dh_dx, dh_dp, flow=None, guard=None, m0=None):
         self.hamiltonian = hamiltonian
         self.dh_dx = dh_dx
         self.dh_dp = dh_dp
         self.flow = flow
-        self.separable = separable
         self.guard = guard
         self.m0 = m0
 
@@ -113,7 +108,7 @@ def free_particle_model(m0):
         e = _energy(p, m0_sq)
         return 0.0, p[1] / e, p[2] / e, p[3] / e
 
-    return HamiltonianModel("free", h, dh_dx, dh_dp, separable=True, m0=m0)
+    return HamiltonianModel(h, dh_dx, dh_dp, m0=m0)
 
 
 def projectile_model(m0, u_x, u_y, g):
@@ -142,50 +137,17 @@ def projectile_model(m0, u_x, u_y, g):
             return "energy component vanished"
         return None
 
-    model = HamiltonianModel("projectile", h, dh_dx, dh_dp, flow=flow,
-                             separable=True, guard=guard, m0=m0)
+    model = HamiltonianModel(h, dh_dx, dh_dp, flow=flow, guard=guard, m0=m0)
     model.reference = reference
     return model
-
-
-def quadratic_model():
-    def h(x, p):
-        return 0.5 * (p[0] * p[0] - p[1] * p[1] - p[2] * p[2] - p[3] * p[3])
-
-    def dh_dx(x, p):
-        return 0.0, 0.0, 0.0, 0.0
-
-    def dh_dp(x, p):
-        return p[0], -p[1], -p[2], -p[3]
-
-    return HamiltonianModel("quadratic", h, dh_dx, dh_dp, separable=True)
-
-
-def harmonic_model(omega=1.0):
-    omega_sq = omega ** 2
-
-    def h(x, p):
-        return 0.5 * (p[1] * p[1]) + 0.5 * omega_sq * (x[1] * x[1])
-
-    def dh_dx(x, p):
-        return 0.0, omega_sq * x[1], 0.0, 0.0
-
-    def dh_dp(x, p):
-        return 0.0, p[1], 0.0, 0.0
-
-    return HamiltonianModel("harmonic", h, dh_dx, dh_dp, separable=True)
 
 
 def model_from_config(cfg):
     cfg = parse(MODEL, cfg, "model")
     if cfg["kind"] == "free":
         return free_particle_model(float(cfg["m0"]))
-    if cfg["kind"] == "projectile":
-        return projectile_model(float(cfg["m0"]), float(cfg["u_x"]),
-                                float(cfg["u_y"]), float(cfg["g"]))
-    if cfg["kind"] == "quadratic":
-        return quadratic_model()
-    return harmonic_model(float(cfg["omega"]))
+    return projectile_model(float(cfg["m0"]), float(cfg["u_x"]),
+                            float(cfg["u_y"]), float(cfg["g"]))
 
 
 def _abs_max(components):
@@ -308,13 +270,14 @@ def _rejected(i, step, state, msg, error=StepRejected):
 _RUN_FAULTS = (np.linalg.LinAlgError, ArithmeticError, SingularMetric)
 
 
-def _drive(state, advance, s_max, step, record_stride, guard=None, record=None):
-    """The fixed-step loop of every integrator over [0, s_max].
+def _drive(state, stage, s_max, step, record_stride, guard=None, record=None):
+    """The fixed-step RK4 loop of both integrators over [0, s_max].
 
-    state is one list of components, the coordinates then the momenta, that
-    advance(state) maps one step on. Step 0, every record_stride-th step and
-    the last are recorded: returns (s, rows), their s values and one
-    preallocated row each, holding record(state) (by default the state).
+    state is one list of components, the coordinates then the momenta, and
+    stage(state) its right-hand side, one such list. Step 0, every
+    record_stride-th step and the last are recorded: returns (s, rows), their
+    s values and one preallocated row each, holding record(state) (by default
+    the state).
     Raises StepRejected when the state goes non-finite or guard(state)
     returns a message, and step_count's UsageError before the first step. A
     singular or overflowing evaluation during the run is re-raised as its
@@ -327,14 +290,14 @@ def _drive(state, advance, s_max, step, record_stride, guard=None, record=None):
     record = record or (lambda y: y)
     i = k = 0
     try:
-        first = record(state)
-        rows = np.empty((n_records, len(first)))
-        rows[0] = first
         # overflow or a zero division here is a detected condition
-        # (StepRejected), not a warning
+        # (StepRejected, or a non-finite diagnostic), not a warning
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            first = record(state)
+            rows = np.empty((n_records, len(first)))
+            rows[0] = first
             for i in range(1, n_steps + 1):
-                last, state = state, advance(state)
+                last, state = state, rk4_step(stage, state, step)
                 # not a sum: that overflows on some finite states
                 if not all(map(math.isfinite, state)):
                     raise _rejected(i, step, last, "non-finite state")
@@ -345,16 +308,15 @@ def _drive(state, advance, s_max, step, record_stride, guard=None, record=None):
                     k += 1
                     rows[k] = record(state)
     except _RUN_FAULTS as exc:
-        # state is finite: advance raised before replacing it, or record raised
+        # state is finite: a stage raised before replacing it, or record raised
         raise _rejected(i, step, state, exc, type(exc)) from exc
     return np.append(np.arange(0, n_steps, record_stride), n_steps) * step, rows
 
 
-def _rhs_for(model, method, canonical):
+def _rhs_for(model, canonical):
     """integrate's (x, p) -> (dx/ds, dp/ds) and its dp/ds half alone: the
-    model's flow override for rk4 unless canonical, else the canonical
-    equations, as leapfrog always is."""
-    if model.flow is not None and method == "rk4" and not canonical:
+    model's flow override unless canonical, else the canonical equations."""
+    if model.flow is not None and not canonical:
         return model.flow, lambda x, p: model.flow(x, p)[1]
     return partial(hamilton_rhs, model), partial(_momentum_rhs, model)
 
@@ -364,30 +326,22 @@ def _rhs_for(model, method, canonical):
 _FLOAT_FAULTS = (ZeroDivisionError, OverflowError, ValueError)
 
 
-def integrate(model, x0, p0, s_max, step=1e-3, method="rk4", record_stride=1,
-              canonical=False):
-    """Fixed-step integration of one model from (x0, p0) over [0, s_max].
+def integrate(model, x0, p0, s_max, step=1e-3, record_stride=1, canonical=False):
+    """Fixed-step RK4 integration of one model from (x0, p0) over [0, s_max].
 
-    method "rk4" uses the model's flow override when it has one (pass
-    canonical=True to force the literal canonical equations); "leapfrog" is
-    kick-drift-kick on the canonical equations and demands a separable H.
-    The state is one list of 8 Python floats, the coordinates then the
-    momenta: each stage hands the model its halves and lists the components
-    it answers, with no numpy call per step. The dm_ds and comm_norm columns
+    The model's flow override is used when it has one (pass canonical=True
+    to force the literal canonical equations). The state is one list of 8
+    Python floats, the coordinates then the momenta: each stage hands the
+    model its halves and lists the components it answers, with no numpy call
+    per step. The dm_ds and comm_norm columns
     come from the dp/ds half of the right-hand side that was integrated,
     evaluated once over the recorded columns.
     Raises StepRejected when the state goes non-finite (also when a model
     callable raises ZeroDivisionError, OverflowError or ValueError on the
     Python floats, where numpy would give inf or nan) or the model's guard
-    trips, and UsageError for a bad step, record_stride or method.
+    trips, and UsageError for a bad step or record_stride.
     """
-    if method not in ("rk4", "leapfrog"):
-        raise UsageError(f"unknown method {method!r}")
-    if method == "leapfrog" and not model.separable:
-        raise NonSeparable(f"model {model.name!r} has no T(p) + V(x) split")
-    rhs, pdot_of = _rhs_for(model, method, canonical)
-    kick = (0.5 * step * ETA_DIAG).tolist()
-    drift = (step * ETA_DIAG).tolist()
+    rhs, pdot_of = _rhs_for(model, canonical)
 
     def stage(y):
         try:
@@ -396,23 +350,10 @@ def integrate(model, x0, p0, s_max, step=1e-3, method="rk4", record_stride=1,
             return [math.nan] * 8
         return [*dx, *dp]
 
-    def leapfrog(y):
-        x, p = y[:4], y[4:]
-        try:
-            p = [b - k * f for b, k, f in zip(p, kick, model.dh_dx(x, p))]
-            x = [a + d * u for a, d, u in zip(x, drift, model.dh_dp(x, p))]
-            p = [b - k * f for b, k, f in zip(p, kick, model.dh_dx(x, p))]
-        except _FLOAT_FAULTS:
-            return [math.nan] * 8
-        return x + p
-
-    def advance(y):
-        return rk4_step(stage, y, step) if method == "rk4" else leapfrog(y)
-
     guard = model.guard and (lambda y: model.guard(y[:4], y[4:]))
     state = np.concatenate((np.asarray(x0, dtype=float),
                             np.asarray(p0, dtype=float))).tolist()
-    s, rows = _drive(state, advance, s_max, step, record_stride, guard)
+    s, rows = _drive(state, stage, s_max, step, record_stride, guard)
     cols = rows.T
     with np.errstate(over="ignore", invalid="ignore"):
         h = np.broadcast_to(model.hamiltonian(cols[:4], cols[4:]), s.shape)
@@ -519,8 +460,7 @@ def covariant_integrate(metric, x0, p0_upper, s_max, step=1e-3, record_stride=1)
         resid = dup + np.einsum("mnl,n,l->m", gamma, up, up)
         return np.concatenate((xs, up, [k, np.abs(resid).max()]))
 
-    s, rows = _drive(np.concatenate((x, p_low)).tolist(),
-                     lambda y: rk4_step(stage, y, step), s_max, step, record_stride,
-                     record=record)
+    s, rows = _drive(np.concatenate((x, p_low)).tolist(), stage, s_max, step,
+                     record_stride, record=record)
     return CovariantTrajectory(s, rows[:, :dim], rows[:, dim:2 * dim],
                                rows[:, 2 * dim], rows[:, 2 * dim + 1])

@@ -37,10 +37,6 @@ class OffShell(HJDiracError):
     """Momentum violates p.p = m0^2 beyond tolerance."""
 
 
-class NonSeparable(HJDiracError):
-    """Leapfrog requested for a Hamiltonian without a T(p) + V(x) split."""
-
-
 class StepRejected(HJDiracError):
     """Integrator produced a non-finite state component."""
 

@@ -242,8 +242,7 @@ class CoordinateChart:
     jacobian(x_chart) -> J[a, mu] = d(reference^a)/d(chart^mu).
     """
 
-    def __init__(self, name, jacobian):
-        self.name = name
+    def __init__(self, jacobian):
         self._jacobian = jacobian
 
     def jacobian_matrix(self, x):
@@ -262,7 +261,7 @@ def polar_chart():
             [0.0, 0.0, 0.0, 1.0],
         ])
 
-    return CoordinateChart("polar", jacobian)
+    return CoordinateChart(jacobian)
 
 
 def chart_metric(chart, x):

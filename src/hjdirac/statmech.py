@@ -24,7 +24,7 @@ import numpy as np
 from ._cells import count_cells
 from ._util import CellColumn, write_csv
 from .clifford import ETA_DIAG
-from .config import ENUM_BOUND, integer
+from .config import ENUM_BOUND, MAX_SAMPLES, integer
 from .errors import DegenerateData, DegeneratePartition, TooLarge, UsageError
 
 SAMPLE_CHUNK = 65536  # draws per spawned substream; part of the sampled bytes
@@ -138,7 +138,8 @@ def sample_mb(config):
     v = np.empty((n, 3))
     energies = np.empty(n)
     half_m0 = 0.5 * config.m0
-    with np.errstate(over="ignore"):  # an overflowed energy is refused below
+    # an overflowed energy, or inf * 0 where half_m0 underflows, is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
         for child, lo in zip(children, range(0, n, SAMPLE_CHUNK)):
             block = v[lo:lo + SAMPLE_CHUNK]
             np.random.default_rng(child).standard_normal(out=block)
@@ -159,7 +160,7 @@ def write_samples_csv(sample, path):
 
 def write_histogram_csv(sample, path, bins=50):
     """Histogram vx against the Gaussian prediction."""
-    integer(1).check(bins, "bins")
+    integer(1, MAX_SAMPLES).check(bins, "bins")
     sigma = math.sqrt(sample.config.sigma2)
     edges = np.linspace(-5.0 * sigma, 5.0 * sigma, bins + 1)
     counts, _ = np.histogram(sample.velocities[:, 0], edges)

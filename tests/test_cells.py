@@ -71,6 +71,14 @@ def test_narrow_floats_print_as_the_float64_they_widen_to(dtype):
         assert_reprs(np.arange(0, 2 ** 16, dtype=np.uint16).view(np.float16))
 
 
+def test_multiples_of_four_from_two_to_the_53():
+    # the floats in [2^53, 2^54) with an even mantissa: the only ones at which
+    # Ryu's vm trailing-zeros term of the e2 < 0 rows can hold, which
+    # _shortest leaves false, as there it cannot change the digits
+    k = np.random.default_rng(22).integers(2 ** 51, 2 ** 52, 100000, dtype=np.int64)
+    assert_reprs(np.concatenate([[2 ** 51, 2 ** 52 - 1], k]) * 4)
+
+
 def test_random_bit_patterns():
     bits = np.random.default_rng(21).integers(0, 2 ** 64, 200000, np.uint64,
                                               endpoint=False)

@@ -33,6 +33,23 @@ def assert_simulate_digests(tmp_path, config, csv_digest, report_digest):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
+# two pinned runs; their test's name and ids are those they were first
+# pinned under, after a harmonic leapfrog case that went with that integrator
+CANONICAL_AND_POLAR = [
+    # the benchmark's projectile-canonical run at seed 1
+    ({"model": {"kind": "projectile", "m0": 1.0047, "u_x": 0.6802,
+                "u_y": 0.8577, "g": 0.2449}, "s_max": 10.0,
+      "canonical": True, "record_stride": 100},
+     "7598a8d6c2ab1b274b93327d19c51aac52ec1502215f1da6d751e97d6ef68655",
+     "b77a81b59bc34d057484db341d58501f0c7068a7d7b4e29c7ba4347a9c793b50"),
+    ({"kind": "covariant", "metric": {"kind": "polar", "dim": 3},
+      "x0": [0.0, 1.2, -0.4], "p0_upper": [1.4, -0.2, 0.25], "s_max": 1.0,
+      "record_stride": 5},
+     "33082ae33a40a5f9b10e5290d46c714f37e30f6effa19faa519d65fe14451ab4",
+     "3be3763a44c695923724fafade0b99bb1a82e89305a211649c7c80767f7cf31f"),
+]
+
+
 class TestVerify:
     def test_all_suites_green(self, tmp_path):
         assert main(["verify", "--suite", "all", "--out", str(tmp_path)]) == 0
@@ -167,24 +184,9 @@ class TestSimulate:
                                         report_digest):
         assert_simulate_digests(tmp_path, config, csv_digest, report_digest)
 
-    @pytest.mark.parametrize("config, csv_digest, report_digest", [
-        ({"model": {"kind": "harmonic", "omega": 1.3}, "x0": [0.0, 1.0, 0.0, 0.0],
-          "p0": [0.0, 0.5, 0.0, 0.0], "s_max": 10.0, "method": "leapfrog",
-          "record_stride": 10},
-         "1b3ce68c48e209a848b1bb1570ac0ddefcf9405954405b93e2c47e2994a2ec05",
-         "60fc6e5d94d695f1d89e0cfc3f82c2ab954d74bcd1eb5d6a6d8abb11db0b9c80"),
-        # the benchmark's projectile-canonical run at seed 1
-        ({"model": {"kind": "projectile", "m0": 1.0047, "u_x": 0.6802,
-                    "u_y": 0.8577, "g": 0.2449}, "s_max": 10.0,
-          "canonical": True, "record_stride": 100},
-         "7598a8d6c2ab1b274b93327d19c51aac52ec1502215f1da6d751e97d6ef68655",
-         "b77a81b59bc34d057484db341d58501f0c7068a7d7b4e29c7ba4347a9c793b50"),
-        ({"kind": "covariant", "metric": {"kind": "polar", "dim": 3},
-          "x0": [0.0, 1.2, -0.4], "p0_upper": [1.4, -0.2, 0.25], "s_max": 1.0,
-          "record_stride": 5},
-         "33082ae33a40a5f9b10e5290d46c714f37e30f6effa19faa519d65fe14451ab4",
-         "3be3763a44c695923724fafade0b99bb1a82e89305a211649c7c80767f7cf31f"),
-    ])
+    @pytest.mark.parametrize("config, csv_digest, report_digest", CANONICAL_AND_POLAR,
+                             ids=["config%d-%s-%s" % (i, csv, report) for i, (_, csv, report)
+                                  in enumerate(CANONICAL_AND_POLAR, 1)])
     def test_leapfrog_canonical_and_polar_bytes_are_pinned(self, tmp_path, config,
                                                            csv_digest, report_digest):
         # digests taken before the model callables took components and the
@@ -200,15 +202,11 @@ class TestSimulate:
           "record_stride": 10},
          "0233ac14e91cb6cbf39b9318e719fc173e55b71efa8ef7b929c1f41a4cbd8d9c",
          "da990777e76fb8baa843207367f7a2df3bc367cf0803840222c9d6995d4bd6dc"),
-        ({"model": {"kind": "quadratic"}, "x0": [0.0, 0.1, -0.2, 0.3],
-          "p0": [1.4, 0.3, -0.2, 0.1], "s_max": 5.0, "step": 0.01,
-          "method": "leapfrog", "record_stride": 5},
-         "e2752b242d845f508807a6c0436c0be3d79ec9e3849467052640b3496aa57cef",
-         "38bdee2b85533daaea6af00799c6ad4bf7e870a69f436657d99f6e82999dde70"),
     ])
     def test_diagonal_and_quadratic_bytes_are_pinned(self, tmp_path, config,
                                                      csv_digest, report_digest):
-        # digests taken while the integrator stepped a numpy state array
+        # digests taken while the integrator stepped a numpy state array; the
+        # name is the one pinned then, beside a retired quadratic leapfrog case
         assert_simulate_digests(tmp_path, config, csv_digest, report_digest)
 
     def test_python_float_fault_exits_one_naming_the_step(self, tmp_path, capsys,
@@ -216,7 +214,7 @@ class TestSimulate:
         # a flow dividing by x1, which reaches exactly 0 in step 4's last stage
         zero = (0.0, 0.0, 0.0, 0.0)  # the partials of H = 0
         model = dyn.HamiltonianModel(
-            "pole", lambda x, p: 0.0, lambda x, p: zero, lambda x, p: zero,
+            lambda x, p: 0.0, lambda x, p: zero, lambda x, p: zero,
             flow=lambda x, p: ((0.0, -1.0, 0.0, 0.0), (0.0, 1.0 / x[1], 0.0, 0.0)))
         monkeypatch.setattr(dyn, "model_from_config", lambda cfg: model)
         cfg = tmp_path / "cfg.json"
@@ -232,20 +230,16 @@ class TestSimulate:
 
     def test_closed_form_deviation_only_for_rk4_flow_runs(self, tmp_path):
         reported = {}
-        for method in ("rk4", "leapfrog"):
-            for canonical in (False, True):
-                cfg = tmp_path / "cfg.json"
-                cfg.write_text(json.dumps({"method": method, "canonical": canonical,
-                                           "s_max": 0.1}))
-                out = tmp_path / ("%s-%s" % (method, canonical))
-                assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-                diag = read_json(out / "simulate_report.json")["diagnostics"]
-                reported[method, canonical] = "closed_form_deviation" in diag
-        assert reported == {("rk4", False): True, ("rk4", True): False,
-                            ("leapfrog", False): False, ("leapfrog", True): False}
-        # leapfrog integrates the canonical equations either way
-        assert (tmp_path / "leapfrog-False" / "trajectory.csv").read_bytes() == \
-            (tmp_path / "leapfrog-True" / "trajectory.csv").read_bytes()
+        for canonical in (False, True):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"method": "rk4", "canonical": canonical,
+                                       "s_max": 0.1}))
+            out = tmp_path / str(canonical)
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+            report = read_json(out / "simulate_report.json")
+            assert report["effective_config"]["method"] == "rk4"
+            reported[canonical] = "closed_form_deviation" in report["diagnostics"]
+        assert reported == {False: True, True: False}
 
     def test_free_particle_commutator_column_zero(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -698,9 +692,10 @@ class TestEnsemble:
         assert message in "".join(capsys.readouterr())
 
 
-# Configs the schema refuses: command, config text and the key to be named.
-# Each ran at an earlier commit, exited 0 after silently reading the value,
-# ended in a traceback, or refused it without naming the key.
+# Configs the schema refuses: command, config text and the key (or kind) to
+# be named. Each ran at an earlier commit, exited 0 after silently reading
+# the value, ended in a traceback or a warning, or refused it without naming
+# the key.
 _COV = '{"kind": "covariant", "metric": %s}'
 _EXPONENT = ('{"kind": "diagonal", "entries": [[[1.0, [0, 0, 0, 0]]], '
              '[[-1.0, [0, 0, 0, 0]]], [[-1.0, [0, 1.5, 0, 0]]], [[-1.0, [0, 0, 0, 0]]]]}')
@@ -735,7 +730,15 @@ BAD_CONFIGS = [
     pytest.param("simulate", '{"kind": "covariant", "x0": [0, 1]}', "x0",
                  id="covariant-x0-short"),
     pytest.param("simulate", '{"method": 5}', "method", id="method-int"),
+    # retired: a second integrator and two model kinds no claim check ran
+    pytest.param("simulate", '{"method": "leapfrog"}', "method", id="method-leapfrog"),
+    pytest.param("simulate", '{"model": {"kind": "quadratic"}}', "quadratic",
+                 id="model-quadratic"),
+    pytest.param("simulate", '{"model": {"kind": "harmonic", "omega": 1.3}}', "harmonic",
+                 id="model-harmonic"),
     pytest.param("simulate", '{"step": NaN}', "step", id="step-nan"),
+    pytest.param("simulate", '{"model": {"kind": "projectile", "m0": 1.0, "u_x": 0.5, '
+                 '"u_y": 1e300, "g": 0.2}}', "p0", id="natural-p0-overflows"),
     pytest.param("ensemble", '{"kind": "occupancy", "n": true}', "n",
                  id="occupancy-n-bool"),
     pytest.param("ensemble", '{"kind": "occupancy", "beta": true}', "beta",

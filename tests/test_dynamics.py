@@ -6,7 +6,9 @@ import pytest
 
 from hjdirac import dynamics as dyn
 from hjdirac import geometry as geo
-from hjdirac.errors import NonSeparable, StepRejected, UsageError
+from hjdirac.errors import StepRejected, UsageError
+
+from conftest import harmonic_model, quadratic_model
 
 M0, UX, UY, G = 1.0, 0.5, 1.0, 0.2
 
@@ -28,7 +30,7 @@ class TestCanonicalFlow:
         assert np.allclose(xdot, [0.0, -p0[1] / e, -p0[2] / e, 0.0], atol=1e-15)
 
     def test_quadratic_flow_is_straight(self):
-        model = dyn.quadratic_model()
+        model = quadratic_model()
         x0 = np.array([0.0, 0.2, -0.1, 0.3])
         p0 = np.array([1.4, 0.3, -0.2, 0.1])
         xdot, pdot = dyn.hamilton_rhs(model, x0, p0)
@@ -48,9 +50,9 @@ class TestCanonicalFlow:
         assert traj.energy_drift() == 0.0
 
     @pytest.mark.parametrize("make", [
-        lambda: dyn.harmonic_model(),
+        lambda: harmonic_model(),
         lambda: dyn.HamiltonianModel(
-            "mixed", lambda x, p: 0.5 * (p[1] * p[1]) + 0.3 * x[1] * p[1] + 0.5 * (x[1] * x[1]),
+            lambda x, p: 0.5 * (p[1] * p[1]) + 0.3 * x[1] * p[1] + 0.5 * (x[1] * x[1]),
             dh_dx=lambda x, p: (0.0, 0.3 * p[1] + x[1], 0.0, 0.0),
             dh_dp=lambda x, p: (0.0, p[1] + 0.3 * x[1], 0.0, 0.0)),
     ])
@@ -68,43 +70,25 @@ class TestCanonicalFlow:
         assert traj.energy_drift() < 1e-8
 
     def test_harmonic_matches_cosine(self):
-        traj = dyn.integrate(dyn.harmonic_model(), np.array([0.0, 1.0, 0.0, 0.0]),
+        traj = dyn.integrate(harmonic_model(), np.array([0.0, 1.0, 0.0, 0.0]),
                              np.zeros(4), 10.0, step=1e-3, record_stride=100)
         assert abs(traj.x[-1, 1] - np.cos(10.0)) < 1e-10
 
-    def test_leapfrog_energy_bounded(self):
-        traj = dyn.integrate(dyn.harmonic_model(), np.array([0.0, 1.0, 0.0, 0.0]),
-                             np.zeros(4), 10.0, step=1e-3, method="leapfrog",
-                             record_stride=100)
-        assert traj.energy_drift() < 1e-6
-
-    def test_leapfrog_requires_separable(self):
-        mixed = dyn.HamiltonianModel(
-            "mixed", lambda x, p: x[1] * p[1] * p[2],
-            dh_dx=lambda x, p: (0.0, p[1] * p[2], 0.0, 0.0),
-            dh_dp=lambda x, p: (0.0, x[1] * p[2], x[1] * p[1], 0.0))
-        with pytest.raises(NonSeparable):
-            dyn.integrate(mixed, np.zeros(4), np.ones(4), 1.0, step=0.1,
-                          method="leapfrog")
-
     def test_bad_arguments(self):
-        model = dyn.quadratic_model()
+        model = quadratic_model()
         with pytest.raises(UsageError):
             dyn.integrate(model, np.zeros(4), np.ones(4), 1.0, step=0.0)
         with pytest.raises(UsageError):
             dyn.integrate(model, np.zeros(4), np.ones(4), 1.05, step=0.1)
-        with pytest.raises(UsageError):
-            dyn.integrate(model, np.zeros(4), np.ones(4), 1.0, step=0.1,
-                          method="euler")
 
     def test_model_from_config(self):
         assert dyn.model_from_config({"kind": "free", "m0": 2.0}).m0 == 2.0
-        assert dyn.model_from_config({"kind": "harmonic"}).name == "harmonic"
         proj = dyn.model_from_config({"kind": "projectile", "m0": 1.0, "u_x": 0.5,
                                       "u_y": 1.0, "g": 0.2})
         assert proj.flow is not None
-        with pytest.raises(UsageError):
-            dyn.model_from_config({"kind": "bogus"})
+        for kind in ("bogus", "quadratic", "harmonic"):
+            with pytest.raises(UsageError, match="unknown model kind '%s'" % kind):
+                dyn.model_from_config({"kind": kind})
 
     def test_model_config_rejects_keys_its_kind_does_not_read(self):
         with pytest.raises(UsageError, match="mass"):
@@ -172,17 +156,6 @@ class TestProjectileKinematics:
         pred = M0 * G * np.sqrt(1.0 - (traj.p[:, 2] / traj.p[:, 0]) ** 2)
         assert np.abs(traj.dm_ds - pred).max() < 1e-12
 
-    def test_leapfrog_diagnostics_come_from_the_integrated_equations(self):
-        # leapfrog steps the canonical equations, flow override or not, so
-        # canonical=False and True are the same run, columns and all
-        model, x0, p0 = projectile_setup()
-        runs = [dyn.integrate(model, x0, p0, 1.0, step=1e-2, method="leapfrog",
-                              canonical=canonical) for canonical in (False, True)]
-        for a, b in zip(runs[0].columns(), runs[1].columns()):
-            assert np.array_equal(a, b)
-        _, pdot = dyn.hamilton_rhs(model, runs[0].x[0], runs[0].p[0])
-        assert runs[0].comm_norm[0] == dyn.operator_commutator(runs[0].p[0], pdot)[1]
-
     def test_model_h_not_conserved_under_kinematic_flow(self):
         # the override is proper-time kinematics: H = E + m0 g y moves, and
         # that is recorded honestly rather than smoothed over
@@ -192,7 +165,7 @@ class TestProjectileKinematics:
 
     def test_runaway_model_rejected(self):
         blow = dyn.HamiltonianModel(
-            "runaway", lambda x, p: -10.0 * x[1] * p[1],
+            lambda x, p: -10.0 * x[1] * p[1],
             dh_dx=lambda x, p: np.array([0.0, -10.0 * p[1], 0.0, 0.0]),
             dh_dp=lambda x, p: np.array([0.0, -10.0 * x[1], 0.0, 0.0]))
         with pytest.raises(StepRejected):
@@ -201,7 +174,7 @@ class TestProjectileKinematics:
 
     def test_guard_trip_names_step_and_state(self):
         drift = dyn.HamiltonianModel(
-            "drift", lambda x, p: 0.0, dh_dx=lambda x, p: np.zeros(4),
+            lambda x, p: 0.0, dh_dx=lambda x, p: np.zeros(4),
             dh_dp=lambda x, p: np.array([0.0, 1.0, 0.0, 0.0]),
             guard=lambda x, p: "x1 below -0.3" if x[1] < -0.3 else None)
         with pytest.raises(StepRejected) as info:
@@ -224,31 +197,25 @@ def root(x1, numpy):
     return (np.sqrt if numpy else math.sqrt)(x1 - 0.1)
 
 
-@pytest.mark.parametrize("fn", [reciprocal, root])
-@pytest.mark.parametrize("method", ["rk4", "leapfrog"])
-def test_python_float_faults_read_as_non_finite_state(fn, method):
+# ids as first pinned, when a second integrator was parametrized here too
+@pytest.mark.parametrize("fn", [reciprocal, root], ids=["rk4-reciprocal", "rk4-root"])
+def test_python_float_faults_read_as_non_finite_state(fn):
     # x1 falls from 0.5 by 0.125 per step; in step 4 it is 0.0625 at the
-    # second RK4 stage and 0.0 at the last one and at the second leapfrog kick.
-    # There 1 / 0.0 raises ZeroDivisionError and math.sqrt of a negative
-    # ValueError on Python floats, where numpy gives inf or nan: the run is
-    # rejected at the same step, with the same message, either way, and
-    # numpy's division by zero warns of nothing, with no np.errstate here.
+    # second RK4 stage and 0.0 at the last one. There 1 / 0.0 raises
+    # ZeroDivisionError and math.sqrt of a negative ValueError on Python
+    # floats, where numpy gives inf or nan: the run is rejected at the same
+    # step, with the same message, either way, and numpy's division by zero
+    # warns of nothing, with no np.errstate here.
     messages = []
     for numpy in (False, True):
-        if method == "rk4":
-            model = dyn.HamiltonianModel(
-                "pole", lambda x, p: 0.0, zero_partials, zero_partials, flow=lambda x, p: (
-                    (0.0, -1.0, 0.0, 0.0), (0.0, fn(x[1], numpy), 0.0, 0.0)))
-        else:
-            model = dyn.HamiltonianModel(
-                "pole", lambda x, p: 0.0, separable=True,
-                dh_dx=lambda x, p: (0.0, fn(x[1], numpy), 0.0, 0.0),
-                dh_dp=lambda x, p: (0.0, 1.0, 0.0, 0.0))
+        model = dyn.HamiltonianModel(
+            lambda x, p: 0.0, zero_partials, zero_partials, flow=lambda x, p: (
+                (0.0, -1.0, 0.0, 0.0), (0.0, fn(x[1], numpy), 0.0, 0.0)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(StepRejected) as info:
                 dyn.integrate(model, [0.0, 0.5, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], 1.0,
-                              step=0.125, method=method)
+                              step=0.125)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert messages[0].startswith("step 4 (s = 0.5): non-finite state; "
@@ -270,7 +237,7 @@ def test_silent_float_overflow_reads_as_non_finite_state(dp1, dx1, message):
     # catches these; _drive's finiteness check must. The messages are those
     # of the integrator that stepped a numpy state array.
     model = dyn.HamiltonianModel(
-        "overflow", lambda x, p: 0.0, zero_partials, zero_partials, flow=lambda x, p: (
+        lambda x, p: 0.0, zero_partials, zero_partials, flow=lambda x, p: (
             (0.0, dx1, 0.0, 0.0), (0.0, dp1(x[1]), 0.0, 0.0)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -283,7 +250,7 @@ def test_silent_float_overflow_reads_as_non_finite_state(dp1, dx1, message):
 def test_finite_state_with_an_overflowing_sum_runs():
     # every component is finite though their sum is not: a finiteness check
     # by summing the state would reject this run
-    model = dyn.HamiltonianModel("still", lambda x, p: 0.0, zero_partials, zero_partials,
+    model = dyn.HamiltonianModel(lambda x, p: 0.0, zero_partials, zero_partials,
                                  flow=lambda x, p: ((0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)))
     traj = dyn.integrate(model, [0.0, 1e308, 1e308, 0.0], [1.0, 0.0, 0.0, 0.0], 1.0,
                          step=0.25)
@@ -294,14 +261,11 @@ def test_record_memory_per_sample(traced_peak):
     # records are preallocated float rows, s and the 8 state components, and
     # the H, dm_ds and comm_norm columns are computed over them; a list of
     # per-record tuples of small arrays cost about 600 bytes per record here.
-    # Leapfrog keeps the 20,000 steps quick; the records are those of rk4.
-    # The run's fixed memory weighs more per record at this size than at
-    # 100,001 records (about 153 B against 145 B).
+    # The peak is about 153 B per record at 10,001 records and at 20,001.
     model = dyn.free_particle_model(1.0)
     traj, peak = traced_peak(lambda: dyn.integrate(
-        model, np.zeros(4), np.array([1.2, 0.3, -0.4, 0.5]), 20.0, step=1e-3,
-        method="leapfrog"))
-    assert len(traj.s) == 20001
+        model, np.zeros(4), np.array([1.2, 0.3, -0.4, 0.5]), 10.0, step=1e-3))
+    assert len(traj.s) == 10001
     assert peak / len(traj.s) < 200
 
 
@@ -336,7 +300,7 @@ class TestCovariant:
         p0 = np.array([1.4, 0.3, -0.2, 0.1])
         cov = dyn.covariant_integrate(geo.minkowski_metric(4), x0, p0, 2.0,
                                       step=0.01, record_stride=10)
-        flat = dyn.integrate(dyn.quadratic_model(), x0, p0, 2.0, step=0.01,
+        flat = dyn.integrate(quadratic_model(), x0, p0, 2.0, step=0.01,
                              record_stride=10)
         assert np.abs(cov.x - flat.x).max() < 1e-10
         assert np.abs(cov.p_upper - flat.p).max() < 1e-10

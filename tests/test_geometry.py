@@ -98,7 +98,7 @@ def test_covariant_gamma_polar_anticommutator():
 def test_covariant_gamma_scaled_time():
     # chart time is twice the reference time: d(ref^0)/d(chart^0) = 1/2
     scale = np.array([0.5, 1.0, 1.0, 1.0])
-    chart = geo.CoordinateChart("scaled-time", lambda x: np.diag(scale))
+    chart = geo.CoordinateChart(lambda x: np.diag(scale))
     gammas, ginv = geo.covariant_gamma(chart, [0.5, 1.0, 1.0, 1.0])
     assert np.allclose(cl.anticommutator(gammas[0], gammas[0]), 8.0 * np.eye(4), atol=1e-12)
     assert ginv[0, 0] == pytest.approx(4.0, abs=1e-12)

@@ -50,6 +50,8 @@ from hjdirac._util import central_difference
 from hjdirac.clifford import slash
 from hjdirac.dynamics import rk4_step
 
+from conftest import harmonic_model, quadratic_model
+
 BOX = hj.Box([2.0, -0.5, -0.5, -0.5], [3.0, 0.5, 0.5, 0.5])
 TERMS = [[1.5, [2, 0, 1, 0]], [-0.3, [0, 3, 0, 1]], [2, [0, 0, 0, 0]],
          [0.7, [1, 1, 1, 1]], [-1.1, [0, 0, 4, 0]], [0.25, [0, 5, 0, 2]]]
@@ -315,7 +317,7 @@ def test_rk4_step_matches_inline_loop(canonical):
         rhs, states = swap_rhs, wide_states(rng, 15)
     else:
         model = dyn.projectile_model(1.1, 0.4, 0.9, 0.2)
-        rhs = dyn._rhs_for(model, "rk4", canonical)[0]
+        rhs = dyn._rhs_for(model, canonical)[0]
         states = rng.normal(size=(15, 8))
         states[:, 4] = np.abs(states[:, 4]) + 3.0
 
@@ -351,7 +353,7 @@ def test_integrate_records_the_inline_loop_states():
 def mixed_model():
     """A model whose H couples x1 and p1, so no T(p) + V(x) split exists."""
     return dyn.HamiltonianModel(
-        "mixed", lambda x, p: 0.5 * (p[1] * p[1]) + 0.3 * x[1] * p[1] + 0.5 * (x[1] * x[1]),
+        lambda x, p: 0.5 * (p[1] * p[1]) + 0.3 * x[1] * p[1] + 0.5 * (x[1] * x[1]),
         dh_dx=lambda x, p: (0.0, 0.3 * p[1] + x[1], 0.0, 0.0),
         dh_dp=lambda x, p: (0.0, p[1] + 0.3 * x[1], 0.0, 0.0))
 
@@ -359,20 +361,20 @@ def mixed_model():
 PROJECTILE = dyn.projectile_model(1.0, 0.5, 1.0, 0.2)
 
 
-@pytest.mark.parametrize("model, p0, method, canonical", [
-    (dyn.free_particle_model(1.1), [1.2, 0.3, -0.4, 0.5], "rk4", False),
-    (PROJECTILE, PROJECTILE.reference.tangent(0.0), "rk4", False),
-    (PROJECTILE, PROJECTILE.reference.tangent(0.0), "rk4", True),
-    (PROJECTILE, PROJECTILE.reference.tangent(0.0), "leapfrog", False),
-    (dyn.quadratic_model(), [1.4, 0.3, -0.2, 0.1], "rk4", False),
-    (dyn.harmonic_model(1.3), [0.0, 0.5, 0.0, 0.0], "rk4", False),
-    (dyn.harmonic_model(1.3), [0.0, 0.5, 0.0, 0.0], "leapfrog", False),
-    (mixed_model(), [0.0, 0.5, 0.0, 0.0], "rk4", False),
-])
-def test_record_columns_match_per_record_route(model, p0, method, canonical):
+# ids as first pinned, when a second integrator was parametrized here too
+@pytest.mark.parametrize("model, p0, canonical", [
+    (dyn.free_particle_model(1.1), [1.2, 0.3, -0.4, 0.5], False),
+    (PROJECTILE, PROJECTILE.reference.tangent(0.0), False),
+    (PROJECTILE, PROJECTILE.reference.tangent(0.0), True),
+    (quadratic_model(), [1.4, 0.3, -0.2, 0.1], False),
+    (harmonic_model(1.3), [0.0, 0.5, 0.0, 0.0], False),
+    (mixed_model(), [0.0, 0.5, 0.0, 0.0], False),
+], ids=["model%d-p0%d-rk4-%s" % (i, i, canonical) for i, canonical in
+        [(0, False), (1, False), (2, True), (4, False), (5, False), (7, False)]])
+def test_record_columns_match_per_record_route(model, p0, canonical):
     traj = dyn.integrate(model, [0.0, 1.0, 0.2, 0.0], p0, 0.6, step=1e-2,
-                         method=method, canonical=canonical, record_stride=4)
-    if model.flow is not None and method == "rk4" and not canonical:
+                         canonical=canonical, record_stride=4)
+    if model.flow is not None and not canonical:
         rhs = model.flow
     else:
         def rhs(x, p):
@@ -395,8 +397,8 @@ def component_states(rng, n):
 
 
 @pytest.mark.parametrize("model", [
-    dyn.free_particle_model(1.1), PROJECTILE, dyn.quadratic_model(),
-    dyn.harmonic_model(1.3), mixed_model(),
+    dyn.free_particle_model(1.1), PROJECTILE, quadratic_model(),
+    harmonic_model(1.3), mixed_model(),
 ])
 def test_model_callables_answer_per_state_on_stacks(model):
     """Per state, Python-float components, a 1-D float array and column
@@ -428,8 +430,8 @@ def test_canonical_rhs_applies_eta_per_component():
     """hamilton_rhs is eta dH/dp and -eta dH/dx, as the arrays it replaced."""
     x, p = component_states(np.random.default_rng(18), 40)
     eta = np.array([1.0, -1.0, -1.0, -1.0])
-    for model in (dyn.free_particle_model(1.1), PROJECTILE, dyn.quadratic_model(),
-                  dyn.harmonic_model(1.3), mixed_model()):
+    for model in (dyn.free_particle_model(1.1), PROJECTILE, quadratic_model(),
+                  harmonic_model(1.3), mixed_model()):
         for a, b in zip(x, p):
             xdot, pdot = dyn.hamilton_rhs(model, a.tolist(), b.tolist())
             assert same_bits(xdot, eta * np.asarray(model.dh_dp(a, b), dtype=float))

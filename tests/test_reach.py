@@ -1,10 +1,10 @@
 """Every function in src/ is entered by some command-line run.
 
 One process runs a fixed list of cli.main invocations under sys.setprofile:
-every model kind under rk4 and leapfrog with canonical on and off, every
-metric kind, verify --suite all, mb in csv and json at small n and in csv
-above one write_csv CSV_BLOCK, BE, FD and MB occupancy, and test_cli's
-refused (exit 2) and failing (exit 1) configs. A function is keyed by its
+test_sweep's config of every kind, the model runs with canonical off and
+on, verify --suite all, mb in csv and json at small n and in csv above one
+write_csv CSV_BLOCK, BE, FD and MB occupancy, and test_cli's refused (exit
+2) and failing (exit 1) configs. A function is keyed by its
 module and co_qualname, nested functions and lambdas included (two lambdas
 of one scope share a key), as enumerated from the modules' code objects.
 The test fails on a function that no invocation enters and that ALLOWED
@@ -26,6 +26,7 @@ from hjdirac._util import CSV_BLOCK
 from hjdirac.cli import main
 from test_cli import BAD_CONFIGS
 from test_public_names import CLAIM_CHECKS, public_names
+from test_sweep import KIND_CONFIGS, MINUS_ONE, ONE
 
 SRC = Path(__file__).parents[1] / "src" / "hjdirac"
 
@@ -44,36 +45,18 @@ ALLOWED.update({(module, name): "%s: waits for a verify row (ROADMAP item 2)"
                                 % CLAIM_CHECKS[name]
                 for name, module in public_names().items() if name in CLAIM_CHECKS})
 
-MODEL_KINDS = [{"kind": "free", "m0": 1.0},
-               {"kind": "projectile", "m0": 1.0, "u_x": 0.5, "u_y": 1.0, "g": 0.2},
-               {"kind": "quadratic"}, {"kind": "harmonic"}]
-ONE = [[1.0, [0, 0, 0, 0]]]
-MINUS_ONE = [[-1.0, [0, 0, 0, 0]]]
-METRIC_KINDS = [{"kind": "minkowski"}, {"kind": "polar"},
-                {"kind": "diagonal", "entries": [ONE, MINUS_ONE, [[-1.0, [0, 2, 0, 0]]],
-                                                 MINUS_ONE]},
-                {"kind": "custom-polynomial", "entries": [
-                    [ONE, [], [], []], [[], MINUS_ONE, [], []],
-                    [[], [], [[-1.0, [0, 2, 0, 0]]], []], [[], [], [], MINUS_ONE]]}]
-SHORT = {"s_max": 0.02, "step": 0.01}
-
 
 def invocations(tmp_path):
     """(exit code, argv, config or None) of every run, the config as JSON
     text or an object."""
     runs = [(0, ["verify", "--suite", "all"], None)]
-    for model in MODEL_KINDS:
-        for method in ("rk4", "leapfrog"):
-            for canonical in (False, True):
-                runs.append((0, ["simulate"], dict(SHORT, model=model, method=method,
-                                                   canonical=canonical,
-                                                   p0=[1.2, 0.1, 0.2, 0.0])))
-    for metric in METRIC_KINDS:
-        runs.append((0, ["simulate"], dict(SHORT, kind="covariant", metric=metric)))
-    for fmt in ("csv", "json"):
-        runs.append((0, ["ensemble", "--format", fmt], {"kind": "mb", "n": 200}))
+    for command, config in KIND_CONFIGS:
+        runs.append((0, [command], config))
+        if "model" in config:
+            runs.append((0, [command], dict(config, canonical=True)))
+    runs.append((0, ["ensemble", "--format", "json"], {"kind": "mb", "n": 200}))
     runs.append((0, ["ensemble"], {"kind": "mb", "n": CSV_BLOCK + 1}))  # two writers
-    for statistics in ("BE", "FD", "MB"):
+    for statistics in ("FD", "MB"):  # and BE, the table's
         runs.append((0, ["ensemble"], {"kind": "occupancy", "levels": [0.0, 0.5, 1.0],
                                        "statistics": statistics}))
     # refused: exit 2
@@ -82,7 +65,7 @@ def invocations(tmp_path):
         runs.append((2, ["verify", "--suite", "all", "--tol", tol], None))
     runs += [(2, ["simulate"], text) for text in ("{ not json", "[1, 2]", '{"stepp": 0.1}')]
     runs += [(2, ["simulate"], {"model": {"kind": "warp"}}),
-             (2, ["simulate"], {"model": {"kind": "quadratic"}}),  # no p0
+             (2, ["simulate"], {"model": {"kind": "free", "m0": 0.0}}),  # no p0
              (2, ["simulate"], {"s_max": 1e12}),
              (2, ["simulate"], {"kind": "covariant", "s_max": 1e12}),
              (2, ["ensemble"], {"kind": "grand-canonical"}),
