@@ -257,13 +257,21 @@ def step_count(s_max, step, record_stride):
     return n_steps, n_records
 
 
-def _rejected(i, step, state, msg, error=StepRejected):
+def _rejected(i, step, state, msg, error=StepRejected, label="last finite state"):
     """An error (StepRejected) naming step i, its s and the last finite
-    state, printed as its two halves [[x...], [p...]] of plain floats."""
+    state (or what label says it is), printed as its two halves
+    [[x...], [p...]] of plain floats."""
     state = np.asarray(state, dtype=float).tolist()
     half = len(state) // 2
-    return error("step %d (s = %r): %s; last finite state %s"
-                 % (i, i * step, msg, [state[:half], state[half:]]))
+    return error("step %d (s = %r): %s; %s %s"
+                 % (i, i * step, msg, label, [state[:half], state[half:]]))
+
+
+def _check_initial(state, step):
+    """StepRejected at step 0 for an initial state, a list, with a component
+    that is not finite: no step is taken from it."""
+    if not all(map(math.isfinite, state)):
+        raise _rejected(0, step, state, "non-finite state", label="initial state")
 
 
 # what a metric evaluation raises during a run: re-raised naming the step
@@ -278,12 +286,13 @@ def _drive(state, stage, s_max, step, record_stride, guard=None, record=None):
     record_stride-th step and the last are recorded: returns (s, rows), their
     s values and one preallocated row each, holding record(state) (by default
     the state).
-    Raises StepRejected when the state goes non-finite or guard(state)
+    Raises StepRejected when the state is or goes non-finite or guard(state)
     returns a message, and step_count's UsageError before the first step. A
     singular or overflowing evaluation during the run is re-raised as its
     own type, naming the step as StepRejected does.
     """
     n_steps, n_records = step_count(s_max, step, record_stride)
+    _check_initial(state, step)
     msg = guard and guard(state)
     if msg:
         raise _rejected(0, step, state, msg)
@@ -425,14 +434,15 @@ def covariant_integrate(metric, x0, p0_upper, s_max, step=1e-3, record_stride=1)
 
     A diagonal metric steps in Python floats (_diagonal_geodesic_rhs), any
     other in _geodesic_flow's arrays, as every record does. The run is sized
-    (step_count) before p0_upper is lowered. A fault lowering it, or a
-    lowered momentum that is not finite, names step 0, with x0 and p0_upper
-    as the last finite state.
+    (step_count) before p0_upper is lowered. An x0 or p0_upper that is not
+    finite, a fault lowering p0_upper, or a lowered momentum that is not
+    finite, names step 0 with x0 and p0_upper.
     """
     step_count(s_max, step, record_stride)
     x = np.asarray(x0, dtype=float)
     dim = x.size
     p0 = np.asarray(p0_upper, dtype=float)
+    _check_initial(np.concatenate((x, p0)).tolist(), step)
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
             p_low = metric.matrix(x) @ p0

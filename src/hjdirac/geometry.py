@@ -102,8 +102,9 @@ class MetricField:
 
 
 def minkowski_metric(dim=4):
-    eta = [1.0] + [-1.0] * (dim - 1)
-    return MetricField(dim=dim, diag=lambda x: eta, partials=[])
+    # the entries are listed per call, so a dim too large for memory is
+    # refused by the caller's check of x0 against it, before any is listed
+    return MetricField(dim=dim, diag=lambda x: [1.0] + [-1.0] * (dim - 1), partials=[])
 
 
 def polar_metric(dim=4):

@@ -76,11 +76,14 @@ class VelocitySample:
         if n < 2:  # the variance divides by n - 1
             raise DegenerateData("moments need at least 2 samples, got %d" % n)
         # Two passes over SAMPLE_CHUNK-row blocks: the column sums, then those
-        # of the centered squares and fourth powers. For the C-contiguous v
-        # that sample_mb makes, each result has the bits of v.mean,
-        # v.var(ddof=1) and the whole-array central moments, which divide
-        # these same sums. An underflowed m2, or an overflowed square or
-        # fourth power, gives NaN or inf here, which write_json refuses.
+        # of the centered squares and fourth powers. Each fourth power is
+        # its square squared, two IEEE multiplications with the same bits on
+        # every CPU numpy dispatches to, where numpy's ** 4 differs between
+        # them. For the C-contiguous v that sample_mb makes, each result has
+        # the bits of v.mean, v.var(ddof=1) and the whole-array central
+        # moments, which divide these same sums. An underflowed m2, or an
+        # overflowed square or fourth power, gives NaN or inf here, which
+        # write_json refuses.
         starts = range(0, n, SAMPLE_CHUNK)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             s1 = None
@@ -90,9 +93,10 @@ class VelocitySample:
             s2 = s4 = None
             for lo in starts:
                 centered = v[lo:lo + SAMPLE_CHUNK] - mean
-                s4 = _add_rows(s4, centered ** 4)
                 centered *= centered
                 s2 = _add_rows(s2, centered)
+                centered *= centered
+                s4 = _add_rows(s4, centered)
             var = s2 / (n - 1)
             m2 = s2 / n
             m4 = s4 / n
@@ -144,7 +148,9 @@ def sample_mb(config):
             block = v[lo:lo + SAMPLE_CHUNK]
             np.random.default_rng(child).standard_normal(out=block)
             block *= sigma
-            energies[lo:lo + SAMPLE_CHUNK] = half_m0 * (block * block).sum(axis=1)
+            # the bits of (block * block).sum(axis=1), without its reduction
+            sq = block * block
+            energies[lo:lo + SAMPLE_CHUNK] = half_m0 * ((sq[:, 0] + sq[:, 1]) + sq[:, 2])
     overflowed = int(np.count_nonzero(~np.isfinite(energies)))
     if overflowed:
         raise DegenerateData("kinetic energy m0 |v|^2 / 2 overflows in %d of %d "

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import re
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from hjdirac import dynamics as dyn
+from hjdirac import statmech as sm
 from hjdirac import verify
 from hjdirac._util import CSV_BLOCK
 from hjdirac.cli import main
@@ -506,6 +508,46 @@ class TestSimulate:
         assert {len(line.split(",")) for line in lines} == {9}
 
 
+# test_mb_bytes_are_pinned's run and the sha256 of the files it writes
+MB_PINNED_CONFIG = {"n": 70001, "T": 1.5, "m0": 0.8}
+MB_PINNED_DIGESTS = (
+    ("samples.csv", "32520bcd1f4e07fbe4ff999d9f387bce15b5cc2a6c1e73774534ea501fe26e88"),
+    ("histogram.csv", "fe2064acb5fda3c97a5055ea6aacc4eaeea5698ee0fc92fe8a5a3962c266f2bb"),
+    ("moments.json", "191efd589194e3ff2b73b13c161932ba382dedb3d836da345a333434beea16f5"))
+
+
+def dispatch_module():
+    """numpy's _multiarray_umath, which lists the CPU-specific kernel targets
+    the build can dispatch to (__cpu_dispatch__) and which of them are on
+    (__cpu_features__), or None where numpy does not list them."""
+    for name in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        try:
+            module = importlib.import_module(name)
+        except ImportError:
+            continue
+        if hasattr(module, "__cpu_dispatch__"):
+            return module
+    return None
+
+
+# mb (n, seed) runs at m0 = 1 and T = 2 whose excess kurtosis had other bits
+# with the dispatch targets off while the moments took numpy's ** 4; the
+# pinned run's did not
+DISPATCH_SENSITIVE = [(5, 0), (1000, 2)]
+# a child's script: print, as one JSON line, the dispatch targets numpy left
+# on and the moments of the DISPATCH_SENSITIVE runs, then run the CLI
+DISPATCH_CHILD = """
+import json, sys
+from hjdirac import statmech as sm
+from hjdirac.cli import main
+umath = sys.modules[%r]
+print(json.dumps([[t for t in umath.__cpu_dispatch__ if umath.__cpu_features__[t]],
+                  [sm.sample_mb(sm.EnsembleConfig(n=n, m0=1.0, T=2.0, seed=seed)).moments()
+                   for n, seed in %r]]))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
 class TestEnsemble:
     def test_mb_run(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -521,14 +563,15 @@ class TestEnsemble:
         assert moments["within_3se"]
         assert moments["effective_config"]["seed"] == 4
         # samples.csv has more than one CSV_BLOCK of rows: two processes
-        # format it; digests taken while it stayed in one process
+        # format it; digests taken while it stayed in one process, and
+        # moments.json's since its fourth powers are two squarings
         for name, digest in (
                 ("samples.csv",
                  "b0f260970a1b06a956602a6dd5206881ad1bf25b6392c83d4db09d9f5f7e55b4"),
                 ("histogram.csv",
                  "7a8088cf8046fc460a2879f45c218869615a2879977547786cc75bf4f5afc827"),
                 ("moments.json",
-                 "df0bd798de2fb13126713060edfc4d0b7a21317cbfd38f5829ea00f0fa4d494e")):
+                 "e9ce83b79a4c9e01dd2d29f32ab000b7bf0b1cae2f4252f271db184ea89fcdab")):
             digest_now = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             assert digest_now == digest, name
 
@@ -545,18 +588,37 @@ class TestEnsemble:
     def test_mb_bytes_are_pinned(self, tmp_path):
         # sha256 of a run over two full SAMPLE_CHUNK substreams and part of a
         # third: a change to the sampled bits, the moments' summation order
-        # or the formatting shows here
+        # or the formatting shows here (moments.json's digest re-taken when
+        # its fourth powers became two squarings)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n": 70001, "T": 1.5, "m0": 0.8}))
+        cfg.write_text(json.dumps(MB_PINNED_CONFIG))
         assert main(["ensemble", "--config", str(cfg), "--seed", "4",
                      "--out", str(tmp_path / "out")]) == 0
-        for name, digest in (
-                ("samples.csv",
-                 "32520bcd1f4e07fbe4ff999d9f387bce15b5cc2a6c1e73774534ea501fe26e88"),
-                ("histogram.csv",
-                 "fe2064acb5fda3c97a5055ea6aacc4eaeea5698ee0fc92fe8a5a3962c266f2bb"),
-                ("moments.json",
-                 "20019edd74a9df7db5500e6156fa7aa69b9b8f025d2a7e615eeae03041d52a7e")):
+        for name, digest in MB_PINNED_DIGESTS:
+            digest_now = hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+            assert digest_now == digest, name
+
+    def test_mb_bytes_do_not_depend_on_cpu_dispatch(self, tmp_path):
+        # the pinned run again in a child whose numpy runs its baseline
+        # kernels only, every CPU-specific dispatch target switched off
+        umath = dispatch_module()
+        if umath is None:
+            pytest.skip("this numpy does not list its CPU dispatch targets")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(MB_PINNED_CONFIG))
+        proc = subprocess.run(
+            [sys.executable, "-c", DISPATCH_CHILD % (umath.__name__, DISPATCH_SENSITIVE),
+             "ensemble", "--config", str(cfg), "--seed", "4", "--out", str(tmp_path / "out")],
+            env=dict(os.environ,
+                     NPY_DISABLE_CPU_FEATURES=" ".join(umath.__cpu_dispatch__)),
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        targets_on, moments = json.loads(proc.stdout.splitlines()[0])
+        assert targets_on == []
+        assert moments == [
+            sm.sample_mb(sm.EnsembleConfig(n=n, m0=1.0, T=2.0, seed=seed)).moments()
+            for n, seed in DISPATCH_SENSITIVE]
+        for name, digest in MB_PINNED_DIGESTS:
             digest_now = hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
             assert digest_now == digest, name
 
@@ -727,6 +789,12 @@ BAD_CONFIGS = [
     pytest.param("simulate", '{"model": {"kind": "free", "m0": 1, "m0": 2}}', "m0",
                  id="repeated-nested-key"),
     pytest.param("simulate", '{"x0": [0, 0]}', "x0", id="x0-short"),
+    # a minkowski dim is refused against x0 before anything dim-sized is
+    # made: 2**63 ended as "out of memory", 10**9 would have listed 8 GB
+    pytest.param("simulate", _COV % '{"kind": "minkowski", "dim": %d}' % 2 ** 63, "x0",
+                 id="minkowski-dim-2**63"),
+    pytest.param("simulate", _COV % '{"kind": "minkowski", "dim": %d}' % 10 ** 9, "x0",
+                 id="minkowski-dim-10**9"),
     pytest.param("simulate", '{"kind": "covariant", "x0": [0, 1]}', "x0",
                  id="covariant-x0-short"),
     pytest.param("simulate", '{"method": 5}', "method", id="method-int"),
@@ -759,13 +827,17 @@ BAD_CONFIGS = [
 
 
 @pytest.mark.parametrize("command,text,key", BAD_CONFIGS)
-def test_schema_refuses_and_names_the_key(tmp_path, capsys, command, text, key):
+def test_schema_refuses_and_names_the_key(tmp_path, capsys, traced_peak, command, text,
+                                          key):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
     out = tmp_path / "out"
-    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    code, peak = traced_peak(lambda: main([command, "--config", str(cfg),
+                                           "--out", str(out)]))
+    assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and "'%s'" % key in err
+    assert peak < 2 ** 20  # refused before anything is built to the config's size
     assert not out.exists()
 
 

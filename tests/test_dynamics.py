@@ -257,6 +257,18 @@ def test_finite_state_with_an_overflowing_sum_runs():
     assert np.array_equal(traj.x[-1], [0.0, 1e308, 1e308, 0.0])
 
 
+def test_non_finite_initial_state_rejected_at_step_zero():
+    # no step is taken from an inf, and the inf is not called finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepRejected) as info:
+            dyn.integrate(dyn.free_particle_model(1.0), np.zeros(4),
+                          np.array([math.inf, 0.0, 0.0, 0.0]), 1.0, step=0.25)
+    assert str(info.value) == (
+        "step 0 (s = 0.0): non-finite state; initial state "
+        "[[0.0, 0.0, 0.0, 0.0], [inf, 0.0, 0.0, 0.0]]")
+
+
 def test_record_memory_per_sample(traced_peak):
     # records are preallocated float rows, s and the 8 state components, and
     # the H, dm_ds and comm_norm columns are computed over them; a list of
@@ -339,6 +351,20 @@ class TestCovariant:
         assert str(info.value) == (
             "step 1 (s = 0.001): non-finite state; last finite state "
             "[[0.0, 0.0, 0.0, 0.0], [1.5, -0.3, 0.0, 0.0]]")
+
+    @pytest.mark.parametrize("metric", [geo.minkowski_metric(4), geo.polar_metric(4)],
+                             ids=["minkowski", "polar"])
+    def test_non_finite_x0_rejected_at_step_zero(self, metric):
+        # minkowski lowers p0_upper to a finite momentum whatever x0 is, and
+        # polar's r^2 would lower it to a non-finite one
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepRejected) as info:
+                dyn.covariant_integrate(metric, np.array([0.0, math.inf, 0.0, 0.0]),
+                                        np.array([1.5, 0.3, 0.0, 0.0]), 1.0, step=0.25)
+        assert str(info.value) == (
+            "step 0 (s = 0.0): non-finite state; initial state "
+            "[[0.0, inf, 0.0, 0.0], [1.5, 0.3, 0.0, 0.0]]")
 
     def test_record_cap_refused_before_the_first_step(self):
         metric = geo.MetricField(lambda x: np.diag([1.0, -1.0, -1.0, -1.0]),

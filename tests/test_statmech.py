@@ -1,5 +1,6 @@
 import math
 import os
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from types import SimpleNamespace
 
@@ -125,13 +126,14 @@ def reference_sample(cfg):
 
 def reference_moments(v):
     """mean, variance and excess kurtosis of v over whole arrays, as
-    VelocitySample.moments computed them before it summed by blocks."""
+    VelocitySample.moments computed them before it summed by blocks, with
+    its fourth power: the square squared."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         mean = v.mean(axis=0)
         var = v.var(axis=0, ddof=1)
         centered = v - mean
         m2 = (centered ** 2).mean(axis=0)
-        m4 = (centered ** 4).mean(axis=0)
+        m4 = np.square(np.square(centered)).mean(axis=0)
         return mean, var, m4 / m2 ** 2 - 3.0
 
 
@@ -142,7 +144,11 @@ def same_bits(a, b):
 
 class TestStreamedSampling:
     """sample_mb and moments work one SAMPLE_CHUNK block at a time; every
-    number they give has the bits of the whole-array route."""
+    number they give has the bits of the whole-array route. Both routes take
+    each fourth power as two IEEE squarings, which give the same bits on
+    every CPU numpy dispatches to; numpy's ** 4, which gave excess_kurtosis
+    before, does not, and moments.json's excess_kurtosis bytes changed with
+    the switch."""
 
     @pytest.mark.parametrize("n", [2, 3, sm.SAMPLE_CHUNK - 1, sm.SAMPLE_CHUNK,
                                    sm.SAMPLE_CHUNK + 1, 3 * sm.SAMPLE_CHUNK + 17])
@@ -189,6 +195,84 @@ class TestStreamedSampling:
         with pytest.raises(DegenerateData, match="overflows in %d of %d samples$"
                            % (overflowed, cfg.n)):
             sm.sample_mb(cfg)
+
+
+U = Fraction(1, 2 ** 53)  # float64's unit roundoff
+
+
+def gamma(k):
+    """Higham's gamma_k = k u / (1 - k u): k roundings, each a factor
+    (1 + delta) or its inverse with |delta| <= u, compound to a relative
+    error of at most this."""
+    return k * U / (1 - k * U)
+
+
+def exact_moments(column):
+    """[(value, bound)] for the mean, variance and excess kurtosis of a
+    column of floats: each value exact, in Fractions, and each bound the
+    worst case of moments' float operations, so a route that rounds as
+    moments does lands within it whatever its summation order. From Higham,
+    Accuracy and Stability of Numerical Algorithms (2nd ed., 4.2), a float
+    sum of n terms in any order errs by at most gamma(n - 1) times the sum
+    of the terms' magnitudes."""
+    x = [Fraction(v) for v in column.tolist()]
+    n = len(x)
+    mean = sum(x) / n
+    d = [v - mean for v in x]
+    t2 = sum(v * v for v in d)
+    t4 = sum((v * v) ** 2 for v in d)
+    # the mean: the sum, then a division
+    e_mean = gamma(n) * sum(map(abs, x)) / n
+    # a centered value: its own rounding and the mean's error; then bounds
+    # on how far the sums of its squares and fourth powers move with it
+    e_c = [U * abs(v) + (1 + U) * e_mean for v in d]
+    a2 = sum((abs(v) + e) ** 2 - v * v for v, e in zip(d, e_c))
+    a4 = sum((abs(v) + e) ** 4 - v ** 4 for v, e in zip(d, e_c))
+    # one rounding per squaring, then the sums'
+    e2 = a2 + gamma(n) * (t2 + a2)
+    e4 = a4 + gamma(n + 2) * (t4 + a4)
+    var = t2 / (n - 1)
+    e_var = (e2 + U * (t2 + e2)) / (n - 1)
+    # m4 / m2 ** 2 = n s4 / s2 ** 2 over the sums' ranges; s2 / n, s4 / n,
+    # the square and the quotient round five factors
+    ratio = n * t4 / t2 ** 2
+    lo = n * (t4 - e4) / (t2 + e2) ** 2 * (1 - gamma(5))
+    hi = n * (t4 + e4) / (t2 - e2) ** 2 * (1 + gamma(5))
+    e_ratio = max(hi - ratio, ratio - lo)
+    excess = ratio - 3
+    # and the subtraction's own rounding
+    e_excess = e_ratio + U * (abs(excess) + e_ratio)
+    return [(mean, e_mean), (var, e_var), (excess, e_excess)]
+
+
+class TestExactMoments:
+    """moments against exact arithmetic on the float sample, which relies on
+    neither numpy route to a fourth power. Each reported value's relative
+    error must be within its bound from exact_moments divided by the exact
+    value: the worst case of moments' own roundings, so the test holds on
+    every CPU and summation order and fails on a formula error, which is of
+    order 1. At these seeds the bounds run from 2e-16 (n = 2) to 4e-9 (an
+    excess kurtosis near 0 at n = 1000), and the errors reach at most 0.28
+    of them."""
+
+    def assert_within_bounds(self, v):
+        mom = sm.VelocitySample(velocities=v, energies=np.zeros(len(v))).moments()
+        for axis in range(3):
+            for key, (value, bound) in zip(("mean", "variance", "excess_kurtosis"),
+                                           exact_moments(v[:, axis])):
+                error = abs(Fraction(mom[key][axis]) - value)
+                assert error / abs(value) <= bound / abs(value), (key, axis)
+
+    @pytest.mark.parametrize("n", [2, 3, 1000])
+    def test_sampled(self, n):
+        self.assert_within_bounds(
+            sm.sample_mb(sm.EnsembleConfig(n=n, m0=0.7, T=1.3, seed=3)).velocities)
+
+    def test_scaled_by_powers_of_two(self):
+        # np.ldexp scales exactly, where np.exp's bits are CPU-dispatched
+        v = sm.sample_mb(sm.EnsembleConfig(n=1000, m0=0.7, T=1.3, seed=3)).velocities
+        exponents = np.random.default_rng(8).integers(-40, 41, v.shape)
+        self.assert_within_bounds(np.ldexp(v, exponents))
 
 
 class TestMemoryPerSample:
