@@ -4,8 +4,10 @@ central-difference stencil."""
 import contextlib
 import json
 import os
+import pickle
 import shutil
 import tempfile
+from functools import partial
 
 import numpy as np
 
@@ -175,8 +177,7 @@ def write_csv(path, header, columns):
 
         out = handle.buffer
         out.write((",".join(header) + "\n").encode(handle.encoding))
-        if (n_rows > CSV_BLOCK and hasattr(os, "sched_getaffinity")
-                and len(os.sched_getaffinity(0)) > 1):
+        if n_rows > CSV_BLOCK:
             _write_halves(out, path, rows, n_rows)
         else:
             out.writelines(rows(0, n_rows))
@@ -184,46 +185,84 @@ def write_csv(path, header, columns):
 
 def _write_halves(handle, path, rows, n_rows):
     """Write rows(0, n_rows), bytes, to the binary handle, formatted by this
-    process and one forked helper at once. The helper writes rows(mid,
-    n_rows) to a temp file beside path while this process writes rows(0,
-    mid); its file is then appended. If the fork fails, or the helper exits
-    non-zero or is killed, this process formats the second half itself, so
-    a column's exception is raised here with its own type. If this
-    process's half raises, the helper is killed and reaped. The helper's
+    process and a helper that forked() starts, at once. The helper writes
+    rows(mid, n_rows) to a temp file beside path while this process writes
+    rows(0, mid); its file is then appended, so only its True, not the
+    rows, passes through forked()'s pipe. When forked() runs the second
+    half in this process instead, it goes straight to handle. The temp
     file is removed in every case."""
     mid = n_rows // 2
     fd, part = _temp_beside(path)
-    pid = None  # the helper, while it is to be reaped
     try:
+        with os.fdopen(fd, "wb") as second, \
+                forked(partial(_stream, second, rows(mid, n_rows)),
+                        here=partial(handle.writelines, rows(mid, n_rows))) as second_half:
+            _stream(handle, rows(0, mid))
+            if second_half():  # True from the helper, None from here
+                with open(part, "rb") as written:
+                    shutil.copyfileobj(written, handle)
+    finally:
+        os.unlink(part)
+
+
+def _stream(out, chunks):
+    """Write the byte chunks to the binary handle out, flush it and return
+    True."""
+    out.writelines(chunks)
+    out.flush()
+    return True
+
+
+@contextlib.contextmanager
+def forked(task, here=None):
+    """Run task() in a forked child while the with block runs in this
+    process; the block calls the yielded function for task()'s value,
+    pickled back through a pipe. That function runs here() in this process
+    instead (task() when here is None) when only one CPU is available, the
+    fork fails, or the child does not exit 0 with a value, so an exception
+    of task is raised in this process with its own type. The child leaves
+    by os._exit, so it flushes no buffer it inherited. If the block raises
+    while the child runs, the child is killed and reaped."""
+    pid = pipe = None  # the child, while it is to be reaped, and its pipe
+    if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
+        read_end, write_end = os.pipe()
         try:
             pid = os.fork()
         except OSError:
-            pass
-        if pid == 0:  # the helper: exits here, without unwinding
+            os.close(write_end)
+            os.close(read_end)
+        if pid == 0:  # the child: exits here, without unwinding
             code = 1
             try:
-                with os.fdopen(fd, "wb") as out:
-                    out.writelines(rows(mid, n_rows))
+                os.close(read_end)
+                with open(write_end, "wb") as out:
+                    pickle.dump(task(), out)
                 code = 0
             finally:
                 os._exit(code)
-        os.close(fd)
-        handle.writelines(rows(0, mid))
         if pid is not None:
+            os.close(write_end)
+            pipe = open(read_end, "rb")
+
+    def value():
+        nonlocal pid
+        if pid is not None:
+            data = pipe.read()
             status = os.waitpid(pid, 0)[1]
             pid = None
-            if os.waitstatus_to_exitcode(status) == 0:
-                handle.flush()
-                with open(part, "rb") as second:
-                    shutil.copyfileobj(second, handle)
-                return
-        handle.writelines(rows(mid, n_rows))
+            if data and os.waitstatus_to_exitcode(status) == 0:
+                return pickle.loads(data)
+        return (here or task)()
+
+    try:
+        yield value
     finally:
-        if pid:  # this process's half raised while the helper ran
+        if pid is not None:  # the block raised while the child ran
             from signal import SIGKILL
             os.kill(pid, SIGKILL)
             os.waitpid(pid, 0)
-        os.unlink(part)
+        if pipe is not None:
+            pipe.close()
 
 
 def central_difference(f, x, scale):

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from . import dynamics as dyn
 from . import geometry as geo
 from . import statmech as sm
 from . import verify
-from ._util import atomic_write_text, json_text, write_csv, write_json
+from ._util import atomic_write_text, forked, json_text, write_csv, write_json
 from .config import ENSEMBLE, SIMULATE, Spec, parse
 from .errors import DegenerateData, HJDiracError, StepRejected, UsageError
 
@@ -66,12 +67,39 @@ def cmd_verify(args):
     tol = _tol_overrides(args.tol, names)
     report = {"command": "verify", "suite": args.suite, "seed": args.seed,
               "overrides": tol, "suites": {}}
-    for name in names:
-        checks = list(verify.checks(name, args.seed, tol=tol).values())
+
+    def run(name):
+        return list(verify.checks(name, args.seed, tol=tol).values())
+
+    def record(name, checks):
         passed = sum(c["passed"] for c in checks)
         report["suites"][name] = {"checks": checks,
                                   "passed": passed == len(checks)}
         print("%-9s %d/%d checks passed" % (name, passed, len(checks)))
+
+    if len(names) == 1:
+        record(names[0], run(names[0]))
+    else:
+        # The dynamics suite, the slowest, runs in a forked helper while this
+        # process runs the others. Results are recorded, and a suite's
+        # exception raised, in table order: a suite after it is computed
+        # first, its exception held until the dynamics suite's outcome.
+        at = names.index("dynamics")
+        later = []
+        with forked(partial(run, "dynamics")) as dynamics:
+            for name in names[:at]:
+                record(name, run(name))
+            for name in names[at + 1:]:
+                try:
+                    later.append((name, run(name)))
+                except Exception as exc:
+                    later.append((name, exc))
+                    break
+            record("dynamics", dynamics())
+        for name, outcome in later:
+            if isinstance(outcome, Exception):
+                raise outcome
+            record(name, outcome)
     report["passed"] = all(s["passed"] for s in report["suites"].values())
     os.makedirs(args.out, exist_ok=True)
     write_json(os.path.join(args.out, "verify_report.json"), report)

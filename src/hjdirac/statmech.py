@@ -121,12 +121,18 @@ class VelocitySample:
 
 
 def _add_rows(total, block):
-    """total (None or a row) plus the column sums of block's rows. numpy sums
-    a C-contiguous array over axis 0 row after row from row 0, so carrying
-    the running sum as the first row of the next block gives the bits of
-    one np.add.reduce over all the blocks stacked."""
-    return np.add.reduce(block if total is None else np.vstack((total, block)),
-                         axis=0)
+    """total (None or a row) plus the column sums of block's rows, each
+    column summed one value after another from row 0 by np.add.accumulate,
+    with total added to its first value: the bits of one np.add.reduce over
+    all the blocks stacked, which numpy sums row after row for a
+    C-contiguous array, at about half its cost."""
+    sums = []
+    for j, column in enumerate(block.T):
+        column = column.copy()  # one column at a time: a third of the block
+        if total is not None:
+            column[0] += total[j]
+        sums.append(np.add.accumulate(column, out=column)[-1])
+    return np.array(sums)
 
 
 def sample_mb(config):

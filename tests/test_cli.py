@@ -1,11 +1,16 @@
+import contextlib
+import errno
 import hashlib
 import importlib
+import io
 import json
 import os
 import re
+import signal
 import stat
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -17,6 +22,7 @@ from hjdirac import verify
 from hjdirac._util import CSV_BLOCK
 from hjdirac.cli import main
 from hjdirac.config import ENSEMBLE, MAX_SAMPLES, METRIC, MODEL, SIMULATE
+from hjdirac.errors import StepRejected
 
 
 def read_json(path):
@@ -52,6 +58,14 @@ CANONICAL_AND_POLAR = [
 ]
 
 
+# sha256 of each report of verify --suite all --format csv --seed 0
+VERIFY_DIGESTS = (
+    ("verify_report.json",
+     "17c96aa7be4cc8d5481cc21718ca97cc9360499f145f654985ef484e1b2df142"),
+    ("verify_report.csv",
+     "818c39954041e3439a6542795b764d783697f28c35e907ee330794ea90f4504a"))
+
+
 class TestVerify:
     def test_all_suites_green(self, tmp_path):
         assert main(["verify", "--suite", "all", "--out", str(tmp_path)]) == 0
@@ -82,11 +96,7 @@ class TestVerify:
         # differ in their last bits under another LAPACK build.
         assert main(["verify", "--suite", "all", "--format", "csv", "--seed", "0",
                      "--out", str(tmp_path)]) == 0
-        for name, digest in (
-                ("verify_report.json",
-                 "17c96aa7be4cc8d5481cc21718ca97cc9360499f145f654985ef484e1b2df142"),
-                ("verify_report.csv",
-                 "818c39954041e3439a6542795b764d783697f28c35e907ee330794ea90f4504a")):
+        for name, digest in VERIFY_DIGESTS:
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
     def test_unknown_tolerance_rejected(self, tmp_path, capsys):
@@ -148,6 +158,161 @@ class TestVerify:
             (b / "verify_report.json").read_bytes()
         assert (a / "verify_report.csv").read_bytes() == \
             (b / "verify_report.csv").read_bytes()
+
+
+# -- verify --suite all runs the dynamics suite in a forked helper
+
+VERIFY_ALL = ["verify", "--suite", "all", "--format", "csv", "--seed", "0"]
+
+
+def run_verify(out, argv=VERIFY_ALL):
+    """(exit code, stdout, {file name: bytes}) of one verify run into out."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(argv + ["--out", str(out)])
+    files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+    return code, stdout.getvalue(), files
+
+
+@pytest.fixture(scope="module")
+def sequential(tmp_path_factory):
+    """run_verify's result with one CPU offered, so no helper is forked;
+    its reports are the pinned ones."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        result = run_verify(tmp_path_factory.mktemp("sequential"))
+    for name, digest in VERIFY_DIGESTS:
+        assert hashlib.sha256(result[2][name]).hexdigest() == digest
+    return result
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Two CPUs offered; returns the pids of the children this process forks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def patch_suite(monkeypatch, name, act):
+    """Make suite name call act(in_child) before it runs; in_child is true
+    in a process forked from this one."""
+    parent, suite = os.getpid(), verify.SUITE_FUNCS[name]
+
+    def patched(seed, size):
+        act(os.getpid() != parent)
+        return suite(seed, size)
+
+    monkeypatch.setitem(verify.SUITE_FUNCS, name, patched)
+
+
+class SuiteError(Exception):
+    pass
+
+
+def lines_before(stdout, suite):
+    """The suite lines of stdout that come before suite's."""
+    lines = stdout.splitlines(keepends=True)
+    return "".join(lines[:[line.split()[0] for line in lines].index(suite)])
+
+
+class TestVerifyHelper:
+    def test_dynamics_runs_in_one_helper(self, tmp_path, forks, sequential):
+        assert run_verify(tmp_path) == sequential
+        assert len(forks) == 1
+
+    def test_one_cpu_or_one_suite_forks_nothing(self, tmp_path, forks, monkeypatch,
+                                               sequential):
+        argv = ["verify", "--suite", "dynamics", "--seed", "0"]
+        assert run_verify(tmp_path / "one", argv)[:2] == (
+            0, "".join(line for line in sequential[1].splitlines(keepends=True)
+                       if line.startswith("dynamics ")))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert run_verify(tmp_path / "all") == sequential
+        assert forks == []
+
+    def test_failed_fork_runs_the_suite_here(self, tmp_path, monkeypatch, sequential):
+        def fork():
+            raise OSError(errno.EAGAIN, "no process")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", fork)
+        assert run_verify(tmp_path) == sequential
+
+    @pytest.mark.parametrize("death", [lambda: os.kill(os.getpid(), signal.SIGKILL),
+                                       lambda: os._exit(3)])
+    def test_dead_helper_is_redone_here(self, tmp_path, forks, monkeypatch, sequential,
+                                        death):
+        patch_suite(monkeypatch, "dynamics", lambda in_child: in_child and death())
+        assert run_verify(tmp_path) == sequential
+        assert len(forks) == 1
+
+    def test_error_in_the_helper_is_raised_here_with_its_type(self, tmp_path, forks,
+                                                              monkeypatch, capsys,
+                                                              sequential):
+        def act(in_child):
+            raise SuiteError("in the child" if in_child else "here")
+
+        patch_suite(monkeypatch, "dynamics", act)
+        with pytest.raises(SuiteError, match="here"):
+            main(VERIFY_ALL + ["--out", str(tmp_path / "out")])
+        assert capsys.readouterr().out == lines_before(sequential[1], "dynamics")
+        assert len(forks) == 1
+        assert not (tmp_path / "out").exists()
+
+    # dynamics: raised in the helper, then again here
+    @pytest.mark.parametrize("suite", ["hj", "dynamics", "statmech"])
+    def test_a_suite_error_exits_where_the_table_puts_it(self, tmp_path, forks,
+                                                        monkeypatch, sequential, suite):
+        def act(in_child):
+            raise StepRejected("%s failed" % suite)
+
+        patch_suite(monkeypatch, suite, act)
+        code, stdout, files = run_verify(tmp_path / "out")
+        assert (code, stdout, files) == (1, lines_before(sequential[1], suite), {})
+        assert len(forks) == 1
+
+    def test_dynamics_error_comes_before_a_later_suite_error(self, tmp_path, forks,
+                                                            monkeypatch, capsys,
+                                                            sequential):
+        def fail(error):
+            def act(in_child):
+                raise error
+            return act
+
+        patch_suite(monkeypatch, "dynamics", fail(SuiteError("dynamics")))
+        patch_suite(monkeypatch, "statmech", fail(StepRejected("statmech")))
+        with pytest.raises(SuiteError, match="dynamics"):
+            main(VERIFY_ALL + ["--out", str(tmp_path)])
+        assert capsys.readouterr().out == lines_before(sequential[1], "dynamics")
+
+    @pytest.mark.parametrize("suite, error", [("geometry", SuiteError),
+                                              ("hj", KeyboardInterrupt),
+                                              ("statmech", KeyboardInterrupt)])
+    def test_interrupt_or_error_here_kills_the_helper(self, tmp_path, forks,
+                                                     monkeypatch, suite, error):
+        def stall(in_child):
+            if in_child:
+                time.sleep(60)  # still running when this process fails
+
+        def act(in_child):
+            raise error
+
+        patch_suite(monkeypatch, "dynamics", stall)
+        patch_suite(monkeypatch, suite, act)
+        start = time.monotonic()
+        with pytest.raises(error):
+            run_verify(tmp_path)
+        assert time.monotonic() - start < 30
+        assert len(forks) == 1  # and no_child_left sees it reaped
 
 
 class TestSimulate:
@@ -918,6 +1083,18 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "3/3 checks passed" in proc.stdout
+
+    def test_block_buffered_stdout_is_written_once(self, tmp_path):
+        # stdout to a pipe is block-buffered: a helper that flushed its copy
+        # of the buffer would print the suite lines twice
+        proc = subprocess.run([sys.executable, "-m", "hjdirac.cli"] + VERIFY_ALL
+                              + ["--out", str(tmp_path)], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert [line.split()[0] for line in proc.stdout.splitlines()] == list(verify.SUITES)
+        assert all(re.fullmatch(r"\S+ +(\d+)/\1 checks passed", line)
+                   for line in proc.stdout.splitlines())
+        for name, digest in VERIFY_DIGESTS:
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
     def test_missing_subcommand_is_usage_error(self):
         proc = subprocess.run([sys.executable, "-m", "hjdirac.cli"],
