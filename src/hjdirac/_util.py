@@ -69,13 +69,6 @@ def write_json(path, payload):
     atomic_write_text(path, json_text(path, payload))
 
 
-def fmt(value):
-    """Deterministic float formatting for CSV cells (shortest round-trip form)."""
-    if isinstance(value, float):
-        return repr(float(value))  # builtin repr; numpy scalars print their type
-    return str(value)
-
-
 class CellColumn:
     """A column whose slices are its finished cells as a (rows, width) uint8
     matrix, each row one cell's bytes with zero bytes as padding: write_csv
@@ -83,38 +76,18 @@ class CellColumn:
     __getitem__ that takes a slice of rows."""
 
 
-def _formatter(column):
-    """The function whose bytes write_csv gives every cell of column:
-    float.__repr__ for a float16, float32 or float64 array, str for an int,
-    uint or bool array and for a range, fmt for anything else. Each gives
-    fmt's bytes for the builtin scalars tolist() returns; longdouble is left
-    to fmt because its tolist() returns numpy scalars, which float.__repr__
-    refuses. write_csv formats float arrays, int and uint arrays and ranges
-    by the numpy kernels of _cells, which the tests hold to these bytes, and
-    calls it on the cells of every other column."""
-    if isinstance(column, range):
-        return str
-    if isinstance(column, np.ndarray):
-        if column.dtype.type in (np.float16, np.float32, np.float64):
-            return float.__repr__
-        if column.dtype.kind in "iub":
-            return str
-    return fmt
-
-
 def _cells_of(name, column, encoding):
     """The function write_csv applies to a slice of column's rows to get
     their cells as a (rows, width) uint8 matrix, each row one cell's bytes
-    with zero bytes as padding; None for a float array, whose cells
-    write_csv gets from one float_cells call per chunk for all float
+    with zero bytes as padding; None for a float64 array, whose cells
+    write_csv gets from one float_cells call per chunk for all float64
     columns. An int or uint array and a range within int64 go through
-    int_cells; every other column's cells are _formatter's text, encoded,
-    and a NUL in one raises UsageError naming the column, as the padding
-    would drop it."""
+    int_cells; every other column's cells are str of its entries (of the
+    builtin scalars tolist() gives, for an array), encoded, and a NUL in one
+    raises UsageError naming the column, as the padding would drop it."""
     if isinstance(column, CellColumn):
         return lambda part: part
-    formatter = _formatter(column)
-    if formatter is float.__repr__:
+    if isinstance(column, np.ndarray) and column.dtype.type is np.float64:
         return None
     if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
         return int_cells
@@ -124,9 +97,7 @@ def _cells_of(name, column, encoding):
                                                 dtype=np.int64))
 
     def text_cells(part):
-        if isinstance(part, np.ndarray):
-            part = part.tolist()  # builtin scalars: fmt's bytes, faster
-        text = list(map(formatter, part))
+        text = list(map(str, part.tolist() if isinstance(part, np.ndarray) else part))
         if "\0" in "".join(text):
             raise UsageError("CSV column %r not written: a cell holds a NUL "
                              "character" % name)
@@ -140,7 +111,8 @@ def write_csv(path, header, columns):
     list, or a sequence whose slices are lists, one entry per row. Rows are
     formatted in chunks of about CSV_BLOCK cells, each column's cells as a
     uint8 matrix (_cells_of), joined and streamed into the atomic write, so
-    memory stays bounded while every cell reads exactly fmt(value). A table
+    memory stays bounded. A float cell reads float.__repr__ of the value,
+    any other str of it (the same text for a builtin float). A table
     of more than one CSV_BLOCK of rows is formatted by two processes when
     this one may run on two CPUs (_write_halves); the bytes are the same.
     Ragged columns, and a NUL in a cell, raise UsageError, writing nothing.

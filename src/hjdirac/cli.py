@@ -2,7 +2,8 @@
 
 Three subcommands, all file-oriented and reproducible from (config, seed):
 
-  verify    run a named invariant suite, write a JSON report, exit 0 iff green
+  verify    run a named invariant suite, write a JSON and a CSV report,
+            exit 0 iff green
   simulate  integrate a configured model, write trajectory CSV plus sidecar
   ensemble  velocity sampling or occupation enumeration artifacts
 
@@ -103,12 +104,11 @@ def cmd_verify(args):
     report["passed"] = all(s["passed"] for s in report["suites"].values())
     os.makedirs(args.out, exist_ok=True)
     write_json(os.path.join(args.out, "verify_report.json"), report)
-    if args.format == "csv":
-        rows = [dict(c, suite=s) for s, suite in report["suites"].items()
-                for c in suite["checks"]]
-        header = ["suite", "check", "residual", "tolerance", "passed"]
-        write_csv(os.path.join(args.out, "verify_report.csv"), header,
-                  [[row[key] for row in rows] for key in header])
+    rows = [dict(c, suite=s) for s, suite in report["suites"].items()
+            for c in suite["checks"]]
+    header = ["suite", "check", "residual", "tolerance", "passed"]
+    write_csv(os.path.join(args.out, "verify_report.csv"), header,
+              [[row[key] for row in rows] for key in header])
     return 0 if report["passed"] else 1
 
 
@@ -188,15 +188,8 @@ def cmd_simulate(args):
                                  % (report_path, key, value))
     report_text = json_text(report_path, {"command": "simulate", "effective_config": cfg,
                                           "diagnostics": diagnostics})
-    path = os.path.join(args.out, "trajectory." + args.format)
-    if args.format == "json":
-        text = json_text(path, {"columns": header,
-                                "rows": np.column_stack(traj.columns()).tolist()})
     os.makedirs(args.out, exist_ok=True)
-    if args.format == "json":
-        atomic_write_text(path, text)
-    else:
-        write_csv(path, header, traj.columns())
+    write_csv(os.path.join(args.out, "trajectory.csv"), header, traj.columns())
     atomic_write_text(report_path, report_text)
     print("simulate: %d samples written" % diagnostics["samples"])
     return 0
@@ -232,12 +225,7 @@ def cmd_ensemble(args):
     os.makedirs(args.out, exist_ok=True)
     sm.write_histogram_csv(sample, os.path.join(args.out, "histogram.csv"),
                            bins=cfg["bins"])
-    if args.format == "json":
-        write_json(os.path.join(args.out, "samples.json"),
-                   {"velocities": sample.velocities.tolist(),
-                    "energies": sample.energies.tolist()})
-    else:
-        sm.write_samples_csv(sample, os.path.join(args.out, "samples.csv"))
+    sm.write_samples_csv(sample, os.path.join(args.out, "samples.csv"))
     atomic_write_text(moments_path, moments_text)
     worst = max(abs(v - ens.sigma2) for v in moments["variance"])
     if worst > 4.0 * moments["variance_se"]:
@@ -284,7 +272,7 @@ def build_parser():
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--out", default=".", help="output directory")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
+    common.add_argument("--format", choices=("csv",), default="csv")
 
     p_verify = sub.add_parser("verify", parents=[common],
                               help="run an invariant suite")

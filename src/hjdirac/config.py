@@ -15,8 +15,10 @@ REQUIRED = object()  # the default of a key that has none
 # writes at most two digits per count, so keep it below 100
 ENUM_BOUND = 12
 # mb's cap on draws, a sample of at most 1 GiB at 32 B per draw (three
-# velocity components and the energy), and on histogram bins
+# velocity components and the energy)
 MAX_SAMPLES = 2 ** 25
+# mb's cap on histogram bins, at about 69 B of peak memory per bin
+MAX_BINS = 2 ** 16
 
 
 class Spec(namedtuple("Spec", "text ok")):
@@ -86,7 +88,7 @@ SIMULATE = {
 }
 ENSEMBLE = {
     "mb": {"n": (integer(2, MAX_SAMPLES), 10 ** 5), "m0": (POSITIVE, 1.0), "T": (POSITIVE, 2.0),
-           "kB": (POSITIVE, 1.0), "bins": (integer(1, MAX_SAMPLES), 50)},
+           "kB": (POSITIVE, 1.0), "bins": (integer(1, MAX_BINS), 50)},
     "occupancy": {"levels": (Spec("a list of 1 to %d numbers" % ENUM_BOUND,
                                   lambda v: NUMBERS.ok(v) and 1 <= len(v) <= ENUM_BOUND),
                              [0.0, 1.0]),

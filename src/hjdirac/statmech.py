@@ -24,7 +24,7 @@ import numpy as np
 from ._cells import count_cells
 from ._util import CellColumn, write_csv
 from .clifford import ETA_DIAG
-from .config import ENUM_BOUND, MAX_SAMPLES, integer
+from .config import ENUM_BOUND, MAX_BINS, integer
 from .errors import DegenerateData, DegeneratePartition, TooLarge, UsageError
 
 SAMPLE_CHUNK = 65536  # draws per spawned substream; part of the sampled bytes
@@ -172,7 +172,7 @@ def write_samples_csv(sample, path):
 
 def write_histogram_csv(sample, path, bins=50):
     """Histogram vx against the Gaussian prediction."""
-    integer(1, MAX_SAMPLES).check(bins, "bins")
+    integer(1, MAX_BINS).check(bins, "bins")
     sigma = math.sqrt(sample.config.sigma2)
     edges = np.linspace(-5.0 * sigma, 5.0 * sigma, bins + 1)
     counts, _ = np.histogram(sample.velocities[:, 0], edges)
@@ -244,7 +244,7 @@ def partition_enumerate(levels, n, beta, statistics):
 
     counts = _occupations(L, n, 1 if tag == "FD" else n)
 
-    # An overflow gives an inf weight, and so a sum the check below refuses,
+    # An overflow gives an inf weight or sum, which the check below refuses,
     # or an exponent of -inf, whose weight 0 is right.
     with np.errstate(over="ignore"):
         # level by level from 0.0, so every energy adds its terms in level order
@@ -256,7 +256,7 @@ def partition_enumerate(levels, n, beta, statistics):
             n_fact = math.factorial(n)
             weights *= np.array([n_fact // math.prod(map(math.factorial, o))
                                  for o in counts.tolist()], dtype=float)
-    z = float(weights.sum())
+        z = float(weights.sum())
     if not (math.isfinite(z) and z > 0.0):
         raise DegeneratePartition("partition sum is %r at beta = %r; the Boltzmann "
                                   "weights under- or overflow" % (z, beta))

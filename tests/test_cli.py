@@ -142,6 +142,12 @@ class TestVerify:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_default_format_writes_the_pinned_reports(self, tmp_path, sequential):
+        code, stdout, files = run_verify(tmp_path, ["verify", "--suite", "all",
+                                                    "--seed", "0"])
+        assert (code, stdout, files) == sequential
+        assert sorted(files) == sorted(name for name, _ in VERIFY_DIGESTS)
+
     def test_csv_format(self, tmp_path):
         assert main(["verify", "--suite", "clifford", "--format", "csv",
                      "--out", str(tmp_path)]) == 0
@@ -429,15 +435,6 @@ class TestSimulate:
         assert diag["straightness_residual"] < 1e-6
         assert diag["k_drift"] < 1e-8
 
-    def test_json_format(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"s_max": 0.1, "step": 0.01}))
-        assert main(["simulate", "--config", str(cfg), "--format", "json",
-                     "--out", str(tmp_path)]) == 0
-        data = read_json(tmp_path / "trajectory.json")
-        assert data["columns"][0] == "s"
-        assert len(data["rows"]) == 11
-
     def test_guard_trip_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"p0": [1e-13, 0.0, 0.0, 0.0]}))
@@ -598,15 +595,13 @@ class TestSimulate:
                                    "p0": [1e300, 1e300, 1e300, 1e300],
                                    "s_max": 0.05, "step": 0.01}))
         out = tmp_path / "out"
-        for fmt in ("csv", "json"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert main(["simulate", "--config", str(cfg), "--format", fmt,
-                             "--out", str(out)]) == 1
-            assert capsys.readouterr().err == (
-                "error: %s not written: diagnostic energy_drift is nan\n"
-                % (out / "simulate_report.json"))
-            assert not out.exists()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: %s not written: diagnostic energy_drift is nan\n"
+            % (out / "simulate_report.json"))
+        assert not out.exists()
 
     def test_refused_size_exits_two_before_the_lowering(self, tmp_path, capsys):
         # r ** 2 would overflow lowering p0_upper, but the size is refused first
@@ -809,14 +804,6 @@ class TestEnsemble:
         report = read_json(tmp_path / "ensemble_report.json")
         assert report["factorization_residual"] < 1e-12
 
-    def test_json_samples_format(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n": 100}))
-        assert main(["ensemble", "--config", str(cfg), "--format", "json",
-                     "--out", str(tmp_path)]) == 0
-        data = read_json(tmp_path / "samples.json")
-        assert len(data["velocities"]) == 100
-
     def test_bad_kind(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"kind": "grand-canonical"}))
@@ -879,7 +866,8 @@ class TestEnsemble:
         assert "moments.json not written" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    # one format since json was retired; the ids keep the parameter
+    @pytest.mark.parametrize("fmt", ["csv"])
     @pytest.mark.parametrize("cfg", [{"n": 1000, "m0": 5e307, "T": 1e308},
                                      {"n": 1000, "T": 1e308}])
     def test_overflowed_energy_exits_one_and_writes_nothing(self, tmp_path, capsys,
@@ -907,7 +895,10 @@ class TestEnsemble:
         ({"kind": "occupancy", "levels": [0, 2], "n": 2, "beta": 1e308,
           "statistics": "MB"}, 0, "ensemble: 3 states enumerated"),
         # the fourth moments overflow: the kurtosis is NaN
-        ({"kind": "mb", "n": 1000, "T": 1e300}, 1, "moments.json not written")])
+        ({"kind": "mb", "n": 1000, "T": 1e300}, 1, "moments.json not written"),
+        # every weight is finite, but their sum overflows
+        ({"kind": "occupancy", "levels": [-354.5, -354.5], "n": 2, "beta": 1.0}, 1,
+         "error: partition sum is inf")])
     def test_overflow_is_judged_without_warnings(self, tmp_path, capsys, cfg, code,
                                                  message):
         path = tmp_path / "cfg.json"
@@ -981,6 +972,8 @@ BAD_CONFIGS = [
     pytest.param("ensemble", '{"n": 1}', "n", id="mb-n-one"),
     pytest.param("ensemble", '{"n": 100, "bins": 0}', "bins", id="mb-bins-zero"),
     pytest.param("ensemble", '{"n": 100, "bins": 2.5}', "bins", id="mb-bins-float"),
+    # MAX_BINS + 1: each bin costs about 69 B and a CSV row
+    pytest.param("ensemble", '{"n": 100, "bins": 65537}', "bins", id="mb-bins-65537"),
     pytest.param("ensemble", '{"kind": "occupancy", "statistics": "XY"}', "statistics",
                  id="occupancy-statistics-spelling"),
     pytest.param("ensemble", '{"kind": "occupancy", "levels": %s}' % list(range(13)),
@@ -1024,6 +1017,18 @@ def test_artifacts_get_the_mode_of_a_plain_open(tmp_path, umask):
              for command, _ in runs for path in (tmp_path / command).iterdir()}
     assert modes == dict.fromkeys(["trajectory.csv", "simulate_report.json", "samples.csv",
                                    "histogram.csv", "moments.json"], 0o666 & ~umask)
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate", "ensemble"])
+def test_json_format_is_refused(tmp_path, capsys, command):
+    # retired: CSV is the one table format
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--format", "json", "--out", str(out)])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "--format" in err and "'json'" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,seed", [("verify", "-5"), ("ensemble", "-1")])

@@ -2,11 +2,11 @@
 
 One process runs a fixed list of cli.main invocations under sys.setprofile:
 test_sweep's config of every kind, the model runs with canonical off and
-on, verify --suite all, mb in csv and json at small n and in csv above one
-write_csv CSV_BLOCK, BE, FD and MB occupancy, and test_cli's refused (exit
-2) and failing (exit 1) configs. A function is keyed by its
-module and co_qualname, nested functions and lambdas included (two lambdas
-of one scope share a key), as enumerated from the modules' code objects.
+on, verify --suite all, mb above one write_csv CSV_BLOCK, BE, FD and MB
+occupancy, and test_cli's refused (exit 2) and failing (exit 1) configs.
+A function is keyed by its module and co_qualname, nested functions and
+lambdas included (two lambdas of one scope share a key), as enumerated
+from the modules' code objects.
 The test fails on a function that no invocation enters and that ALLOWED
 does not name, and on an ALLOWED entry that names no such function any
 more.
@@ -54,7 +54,6 @@ def invocations(tmp_path):
         runs.append((0, [command], config))
         if "model" in config:
             runs.append((0, [command], dict(config, canonical=True)))
-    runs.append((0, ["ensemble", "--format", "json"], {"kind": "mb", "n": 200}))
     runs.append((0, ["ensemble"], {"kind": "mb", "n": CSV_BLOCK + 1}))  # two writers
     for statistics in ("FD", "MB"):  # and BE, the table's
         runs.append((0, ["ensemble"], {"kind": "occupancy", "levels": [0.0, 0.5, 1.0],

@@ -7,10 +7,18 @@ import numpy as np
 import pytest
 
 from hjdirac import _util
-from hjdirac._util import CSV_BLOCK, _formatter, fmt, write_csv, write_json
+from hjdirac._cells import int_cells
+from hjdirac._util import CSV_BLOCK, _cells_of, write_csv, write_json
 from hjdirac.errors import DegenerateData, UsageError
 
 HEADER = ["i", "flag", "name", "x", "y"]
+
+
+def fmt(value):
+    """Deterministic float formatting for CSV cells (shortest round-trip form)."""
+    if isinstance(value, float):
+        return repr(float(value))  # builtin repr; numpy scalars print their type
+    return str(value)
 
 
 def reference_csv(header, columns):
@@ -59,7 +67,7 @@ class Text:
 
 
 def kind_column(kind, n):
-    """An n-row column of one of the kinds _formatter tells apart."""
+    """An n-row column of one of the kinds of KIND_KERNELS."""
     x = np.resize(np.array(SPECIALS), n)
     k = np.arange(n)
     mixed = [[SPECIALS[i % 9], i - 5, i % 3 == 0, "s%d" % i][i % 4] for i in range(n)]
@@ -79,16 +87,17 @@ def kind_column(kind, n):
             "list": mixed, "text": Text(["s%d;%d" % (i, i % 7) for i in range(n)])}[kind]
 
 
-# the formatter each kind must get: the fast paths give fmt's bytes on the
-# builtin scalars tolist() returns, every other kind keeps fmt
-KIND_FORMATTERS = {"float16": float.__repr__, "float32": float.__repr__,
-                   "float64": float.__repr__, "longdouble": fmt, "int8": str,
-                   "uint8": str, "int64": str, "bool": str, "object": fmt,
-                   "str_": fmt, "complex": fmt, "list": fmt, "text": fmt}
+# the cell kernel each kind must get: a float64 array float_cells (which
+# write_csv calls for all float64 columns at once, so _cells_of gives None),
+# an int or uint array int_cells, every other kind str of its entries; all
+# give fmt's bytes, as the test below checks
+KIND_KERNELS = dict.fromkeys(["float16", "float32", "longdouble", "bool", "object",
+                              "str_", "complex", "list", "text"], "text_cells")
+KIND_KERNELS.update(float64=None, int8=int_cells, uint8=int_cells, int64=int_cells)
 
 
 @pytest.mark.parametrize("n", [0, 1, CSV_BLOCK, CSV_BLOCK + 1])
-@pytest.mark.parametrize("kind", sorted(KIND_FORMATTERS))
+@pytest.mark.parametrize("kind", sorted(KIND_KERNELS))
 def test_each_column_kind_matches_per_row_reference(tmp_path, kind, n):
     columns = [np.arange(n), kind_column(kind, n)]
     path = tmp_path / "t.csv"
@@ -96,9 +105,10 @@ def test_each_column_kind_matches_per_row_reference(tmp_path, kind, n):
     assert path.read_bytes() == reference_csv(["i", kind], columns)
 
 
-@pytest.mark.parametrize("kind", sorted(KIND_FORMATTERS))
+@pytest.mark.parametrize("kind", sorted(KIND_KERNELS))
 def test_formatter_rule(kind):
-    assert _formatter(kind_column(kind, 3)) is KIND_FORMATTERS[kind]
+    kernel = _cells_of(kind, kind_column(kind, 3), "utf-8")
+    assert kernel is KIND_KERNELS[kind] or kernel.__name__ == KIND_KERNELS[kind]
 
 
 def test_zero_rows_is_header_only(tmp_path):
