@@ -19,6 +19,9 @@ ENUM_BOUND = 12
 MAX_SAMPLES = 2 ** 25
 # mb's cap on histogram bins, at about 69 B of peak memory per bin
 MAX_BINS = 2 ** 16
+# a metric's cap on dimensions: a covariant record costs O(dim^4) (its
+# christoffel_at), and RK4 compiles code that grows with the 2 * dim state
+MAX_DIM = 8
 
 
 class Spec(namedtuple("Spec", "text ok")):
@@ -55,17 +58,18 @@ POSITIVE = Spec("a number > 0", lambda v: _num(v) and v > 0)
 NUMBERS = Spec("a list of numbers", lambda v: isinstance(v, list) and all(map(_num, v)))
 VECTOR = Spec("a list of 4 numbers", lambda v: NUMBERS.ok(v) and len(v) == 4)
 OBJECT = Spec("a JSON object", lambda v: isinstance(v, dict))
-# a metric needs at least one dimension, so an empty entries list is refused
-TERM_LISTS = Spec("a non-empty list of term lists",
-                  lambda v: isinstance(v, list) and len(v) > 0 and all(map(_terms, v)))
-SQUARE = Spec("a non-empty square matrix of term lists",
-              lambda v: isinstance(v, list) and len(v) > 0 and all(
+# a metric has 1 to MAX_DIM dimensions, so an empty entries list is refused
+TERM_LISTS = Spec("a list of 1 to %d term lists" % MAX_DIM,
+                  lambda v: isinstance(v, list) and 1 <= len(v) <= MAX_DIM
+                  and all(map(_terms, v)))
+SQUARE = Spec("a square matrix of 1 to %d rows of term lists" % MAX_DIM,
+              lambda v: isinstance(v, list) and 1 <= len(v) <= MAX_DIM and all(
                   TERM_LISTS.ok(row) and len(row) == len(v) for row in v))
 
 # simulate's "model" and "metric" objects
 MODEL = {"free": {"m0": (NUMBER, REQUIRED)},
          "projectile": {key: (NUMBER, REQUIRED) for key in ("m0", "u_x", "u_y", "g")}}
-METRIC = {"minkowski": {"dim": (integer(1), 4)},
+METRIC = {"minkowski": {"dim": (integer(1, MAX_DIM), 4)},
           "polar": {"dim": (Spec("3 or 4", lambda v: _int(v) and v in (3, 4)), 4)},
           "diagonal": {"entries": (TERM_LISTS, REQUIRED)},
           "custom-polynomial": {"entries": (SQUARE, REQUIRED)}}

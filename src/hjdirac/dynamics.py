@@ -22,7 +22,7 @@ import numpy as np
 
 from .clifford import minkowski_dot
 from .geometry import christoffel_at
-from .config import MODEL, integer, parse
+from .config import MAX_DIM, MODEL, integer, parse
 from .errors import SingularMetric, StepRejected, UsageError
 from .hamilton_jacobi import projectile_field
 
@@ -45,9 +45,9 @@ __all__ = [
 # usage error raised before the first step.
 MAX_RECORDS = 10 ** 6
 # Most steps one run may take, s_max / step, whatever its record_stride: this
-# bounds a run's time (about 2 to 3 minutes at the 11-17 us a canonical model
-# RK4 step takes on a shared 2-core x86 machine). A larger request is a usage
-# error raised before the first step.
+# bounds a run's time (about 1.5 to 2.5 minutes at the 9-14 us a canonical
+# model RK4 step takes on a shared 2-core x86 machine). A larger request is a
+# usage error raised before the first step.
 MAX_STEPS = 10 ** 7
 
 
@@ -215,19 +215,52 @@ class Trajectory:
         return [self.s, *self.x.T, *self.p.T, self.h, self.dm_ds, self.comm_norm]
 
 
+# (axpy, final) per state length, built at first use by _kernels
+_KERNELS = {}
+
+
+def _kernels(n):
+    """rk4_step's two combinations for states of n components, written out
+    term by term and compiled once per n: a stage's input
+        axpy(a, b, h) = [a[i] + h * b[i], ...]
+    and the new state
+        final(a, b, c, d, e, h) = [a[i] + h * (b[i] + 2.0 * c[i] + 2.0 * d[i]
+                                               + e[i]), ...].
+    Only n reaches the generated source. UsageError for more than
+    2 * config.MAX_DIM components, as the source grows with n."""
+    kernels = _KERNELS.get(n)
+    if kernels is None:
+        if n > 2 * MAX_DIM:
+            raise UsageError("a state of %d components, more than the cap of %d "
+                             "(twice config.MAX_DIM)" % (n, 2 * MAX_DIM))
+        axpy = ", ".join("a[%d] + h * b[%d]" % (i, i) for i in range(n))
+        final = ", ".join("a[%d] + h * (b[%d] + 2.0 * c[%d] + 2.0 * d[%d] + e[%d])"
+                          % ((i,) * 5) for i in range(n))
+        source = ("def axpy(a, b, h):\n    return [%s]\n"
+                  "def final(a, b, c, d, e, h):\n    return [%s]\n" % (axpy, final))
+        namespace = {}
+        exec(compile(source, "<rk4 kernels of %d components>" % n, "exec"), namespace)
+        kernels = _KERNELS[n] = namespace["axpy"], namespace["final"]
+    return kernels
+
+
 def rk4_step(rhs, state, step):
     """One classical RK4 step of d(state)/ds = rhs(state); returns the new
     state. state is a list of components (Python floats for one state, numpy
     columns for a stack) and rhs answers one such list. Each component is
     combined as state + sixth * (k1 + 2 k2 + 2 k3 + k4) combines arrays, in
-    the same order, so the bits are those of the array formula."""
-    half, sixth = 0.5 * step, step / 6.0
+    the same order, so the bits are those of the array formula. The
+    combinations are _kernels' straight-line code: about 2 us a step of 8
+    Python floats, where zip comprehensions took about 5.5 us (best of 7
+    timeit runs on a shared 2-core x86 machine). UsageError for a state of
+    more than 2 * config.MAX_DIM components."""
+    axpy, final = _kernels(len(state))
+    half = 0.5 * step
     k1 = rhs(state)
-    k2 = rhs([a + half * b for a, b in zip(state, k1)])
-    k3 = rhs([a + half * b for a, b in zip(state, k2)])
-    k4 = rhs([a + step * b for a, b in zip(state, k3)])
-    return [a + sixth * (b + 2 * c + 2 * d + e)
-            for a, b, c, d, e in zip(state, k1, k2, k3, k4)]
+    k2 = rhs(axpy(state, k1, half))
+    k3 = rhs(axpy(state, k2, half))
+    k4 = rhs(axpy(state, k3, step))
+    return final(state, k1, k2, k3, k4, step / 6.0)
 
 
 def step_count(s_max, step, record_stride):
@@ -287,11 +320,13 @@ def _drive(state, stage, s_max, step, record_stride, guard=None, record=None):
     s values and one preallocated row each, holding record(state) (by default
     the state).
     Raises StepRejected when the state is or goes non-finite or guard(state)
-    returns a message, and step_count's UsageError before the first step. A
-    singular or overflowing evaluation during the run is re-raised as its
-    own type, naming the step as StepRejected does.
+    returns a message, and UsageError before the first step: step_count's,
+    or rk4_step's for a state over its cap. A singular or overflowing
+    evaluation during the run is re-raised as its own type, naming the step
+    as StepRejected does.
     """
     n_steps, n_records = step_count(s_max, step, record_stride)
+    _kernels(len(state))  # refuses a state too long for rk4_step here
     _check_initial(state, step)
     msg = guard and guard(state)
     if msg:

@@ -17,6 +17,7 @@ chain-rule-consistent form and the report records which convention was used.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -185,6 +186,28 @@ def write_histogram_csv(sample, path, bins=50):
 # ---------------------------------------------------------------------------
 # occupation enumeration
 
+# log of the largest float, rounded: its exp is finite and the next float's
+# overflows, on any faithfully rounded exp
+_EXP_MAX = math.log(sys.float_info.max)
+_EXP_BLOCK = 8192
+
+
+def _exp(values):
+    """np.exp of a 1-D float64 array through math.exp, one value at a time:
+    np.exp's bits depend on the CPU kernels numpy dispatches to, libm's do
+    not. A value above _EXP_MAX gives inf, as np.exp's overflow does, where
+    math.exp would raise. The values pass through Python floats _EXP_BLOCK
+    at a time: the whole array's float objects, 32 B a value, would raise
+    the peak memory."""
+    out = np.empty(len(values))
+    clipped = np.minimum(values, _EXP_MAX)  # a NaN stays NaN
+    for start in range(0, len(values), _EXP_BLOCK):
+        out[start:start + _EXP_BLOCK] = list(
+            map(math.exp, clipped[start:start + _EXP_BLOCK].tolist()))
+    out[values > _EXP_MAX] = math.inf
+    return out
+
+
 @dataclass
 class PartitionTable:
     statistics: str
@@ -201,7 +224,7 @@ class PartitionTable:
         # a term that overflows to inf has overflowed the partition sum too,
         # which partition_enumerate refuses, unless n = 0, where z ** 0 is 1
         with np.errstate(over="ignore"):
-            return float(np.exp(-self.beta * np.asarray(self.levels)).sum())
+            return float(_exp(-self.beta * np.asarray(self.levels)).sum())
 
 
 def _occupations(L, n, cap):
@@ -251,7 +274,7 @@ def partition_enumerate(levels, n, beta, statistics):
         energies = np.zeros(len(counts))
         for level, e in enumerate(levels):
             energies += counts[:, level].astype(float) * e
-        weights = np.exp(-beta * energies)
+        weights = _exp(-beta * energies)
         if tag == "MB":  # multinomial multiplicity n!/prod(c!)
             n_fact = math.factorial(n)
             weights *= np.array([n_fact // math.prod(map(math.factorial, o))

@@ -21,7 +21,7 @@ from hjdirac import statmech as sm
 from hjdirac import verify
 from hjdirac._util import CSV_BLOCK
 from hjdirac.cli import main
-from hjdirac.config import ENSEMBLE, MAX_SAMPLES, METRIC, MODEL, SIMULATE
+from hjdirac.config import ENSEMBLE, MAX_DIM, MAX_SAMPLES, METRIC, MODEL, SIMULATE
 from hjdirac.errors import StepRejected
 
 
@@ -694,8 +694,15 @@ def dispatch_module():
 # with the dispatch targets off while the moments took numpy's ** 4; the
 # pinned run's did not
 DISPATCH_SENSITIVE = [(5, 0), (1000, 2)]
+# the benchmark's occupancy op at seed 1: 352,716 states, whose weights took
+# np.exp, and so had other bits with the dispatch targets off, until they
+# took math.exp
+BENCH_OCCUPANCY = {"kind": "occupancy", "levels": [
+    0.0413, 0.2162, 0.4677, 0.4946, 0.6138, 0.635, 0.8072, 0.8244, 1.1303, 1.1826,
+    1.2416, 1.423], "n": 10, "beta": 0.9548, "statistics": "BE"}
 # a child's script: print, as one JSON line, the dispatch targets numpy left
-# on and the moments of the DISPATCH_SENSITIVE runs, then run the CLI
+# on and the moments of the DISPATCH_SENSITIVE runs, then run the CLI once
+# per argument list of the JSON list argv[1] and print their exit codes
 DISPATCH_CHILD = """
 import json, sys
 from hjdirac import statmech as sm
@@ -704,8 +711,14 @@ umath = sys.modules[%r]
 print(json.dumps([[t for t in umath.__cpu_dispatch__ if umath.__cpu_features__[t]],
                   [sm.sample_mb(sm.EnsembleConfig(n=n, m0=1.0, T=2.0, seed=seed)).moments()
                    for n, seed in %r]]))
-sys.exit(main(sys.argv[1:]))
+print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
 """
+
+
+def digests(out):
+    """{file name: sha256} of the files in directory out."""
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(Path(out).iterdir())}
 
 
 class TestEnsemble:
@@ -759,28 +772,41 @@ class TestEnsemble:
             assert digest_now == digest, name
 
     def test_mb_bytes_do_not_depend_on_cpu_dispatch(self, tmp_path):
-        # the pinned run again in a child whose numpy runs its baseline
-        # kernels only, every CPU-specific dispatch target switched off
+        # the pinned mb run, the benchmark's occupancy run and verify again in
+        # a child whose numpy runs its baseline kernels only, every
+        # CPU-specific dispatch target switched off: each file keeps the
+        # bits of this process's run
         umath = dispatch_module()
         if umath is None:
             pytest.skip("this numpy does not list its CPU dispatch targets")
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(MB_PINNED_CONFIG))
+        runs = []
+        for name, config, argv in (("mb", MB_PINNED_CONFIG, ["ensemble", "--seed", "4"]),
+                                   ("occupancy", BENCH_OCCUPANCY, ["ensemble"]),
+                                   ("verify", None, ["verify", "--suite", "all"])):
+            if config is not None:
+                (tmp_path / (name + ".json")).write_text(json.dumps(config))
+                argv = argv + ["--config", str(tmp_path / (name + ".json"))]
+            runs.append((name, argv))
+        child = [argv + ["--out", str(tmp_path / "child" / name)] for name, argv in runs]
         proc = subprocess.run(
             [sys.executable, "-c", DISPATCH_CHILD % (umath.__name__, DISPATCH_SENSITIVE),
-             "ensemble", "--config", str(cfg), "--seed", "4", "--out", str(tmp_path / "out")],
+             json.dumps(child)],
             env=dict(os.environ,
                      NPY_DISABLE_CPU_FEATURES=" ".join(umath.__cpu_dispatch__)),
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        targets_on, moments = json.loads(proc.stdout.splitlines()[0])
+        lines = proc.stdout.splitlines()
+        targets_on, moments = json.loads(lines[0])
         assert targets_on == []
         assert moments == [
             sm.sample_mb(sm.EnsembleConfig(n=n, m0=1.0, T=2.0, seed=seed)).moments()
             for n, seed in DISPATCH_SENSITIVE]
-        for name, digest in MB_PINNED_DIGESTS:
-            digest_now = hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
-            assert digest_now == digest, name
+        assert json.loads(lines[-1]) == [0] * len(runs)
+        assert digests(tmp_path / "child" / "mb") == dict(MB_PINNED_DIGESTS)
+        with contextlib.redirect_stdout(io.StringIO()):
+            for name, argv in runs:
+                assert main(argv + ["--out", str(tmp_path / "here" / name)]) == 0
+                assert digests(tmp_path / "child" / name) == digests(tmp_path / "here" / name)
 
     def test_occupancy_enumeration(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -926,6 +952,11 @@ _DIAGONAL_DIM = ('{"kind": "covariant", "x0": [0, 1, 0.3], "p0_upper": [1.5, 0.3
 # no entries: a 0-dimensional metric, with empty x0 and p0_upper to match
 _EMPTY = ('{"kind": "covariant", "x0": [], "p0_upper": [], '
           '"metric": {"kind": "%s", "entries": []}}')
+# metrics of MAX_DIM + 1 dimensions, one over the cap
+_TERMS_OVER_CAP = "[%s]" % ", ".join(["[[1.0, [0]]]"] * (MAX_DIM + 1))
+_DIAGONAL_OVER_CAP = '{"kind": "diagonal", "entries": %s}' % _TERMS_OVER_CAP
+_SQUARE_OVER_CAP = ('{"kind": "custom-polynomial", "entries": [%s]}'
+                    % ", ".join([_TERMS_OVER_CAP] * (MAX_DIM + 1)))
 BAD_CONFIGS = [
     pytest.param("simulate", '{"canonical": "no"}', "canonical", id="canonical-string"),
     pytest.param("simulate", _COV % '{"kind": "polar", "dim": 4.9}', "dim",
@@ -945,12 +976,20 @@ BAD_CONFIGS = [
     pytest.param("simulate", '{"model": {"kind": "free", "m0": 1, "m0": 2}}', "m0",
                  id="repeated-nested-key"),
     pytest.param("simulate", '{"x0": [0, 0]}', "x0", id="x0-short"),
-    # a minkowski dim is refused against x0 before anything dim-sized is
-    # made: 2**63 ended as "out of memory", 10**9 would have listed 8 GB
-    pytest.param("simulate", _COV % '{"kind": "minkowski", "dim": %d}' % 2 ** 63, "x0",
+    # a metric of more than MAX_DIM dimensions is refused by the schema,
+    # before anything dim-sized is made: a minkowski dim of 2**63 ended as
+    # "out of memory", 10**9 would have listed 8 GB, and each record costs
+    # O(dim^4)
+    pytest.param("simulate", _COV % '{"kind": "minkowski", "dim": %d}' % 2 ** 63, "dim",
                  id="minkowski-dim-2**63"),
-    pytest.param("simulate", _COV % '{"kind": "minkowski", "dim": %d}' % 10 ** 9, "x0",
+    pytest.param("simulate", _COV % '{"kind": "minkowski", "dim": %d}' % 10 ** 9, "dim",
                  id="minkowski-dim-10**9"),
+    pytest.param("simulate", _COV % '{"kind": "minkowski", "dim": %d}' % (MAX_DIM + 1),
+                 "dim", id="minkowski-dim-over-cap"),
+    pytest.param("simulate", _COV % _DIAGONAL_OVER_CAP, "entries",
+                 id="diagonal-entries-over-cap"),
+    pytest.param("simulate", _COV % _SQUARE_OVER_CAP, "entries",
+                 id="custom-polynomial-entries-over-cap"),
     pytest.param("simulate", '{"kind": "covariant", "x0": [0, 1]}', "x0",
                  id="covariant-x0-short"),
     pytest.param("simulate", '{"method": 5}', "method", id="method-int"),

@@ -32,7 +32,13 @@ metrics' stages use, are the stages' exact oracle.
 
 rk4_step combined flat state arrays and now combines lists of components,
 Python floats or numpy columns; ref_rk4's array formula is its exact oracle
-on both.
+on both. Its combinations were zip comprehensions and are now straight-line
+code generated per state length; ref_rk4_step keeps the comprehensions as
+their exact oracle, NaNs, infinities and signs of zero included.
+
+partition_enumerate's weights took np.exp and now take math.exp, whose bits
+do not depend on the CPU numpy dispatches to; ref_partition takes math.exp
+too.
 """
 
 import math
@@ -47,8 +53,10 @@ from hjdirac import geometry as geo
 from hjdirac import hamilton_jacobi as hj
 from hjdirac import statmech as sm
 from hjdirac._util import central_difference
+from hjdirac.config import MAX_DIM
 from hjdirac.clifford import slash
 from hjdirac.dynamics import rk4_step
+from hjdirac.errors import UsageError
 
 from conftest import harmonic_model, quadratic_model
 
@@ -277,7 +285,9 @@ def ref_partition(levels, n, beta, statistics):
     multiplicities = np.array([multiplicities[i] for i in order], dtype=float)
     energies = np.array([sum(o * e for o, e in zip(occ, levels))
                          for occ in occupations])
-    return occupations, energies, multiplicities * np.exp(-beta * energies)
+    # math.exp, as partition_enumerate's weights: np.exp's bits depend on the CPU
+    weights = [math.exp(v) for v in (-beta * energies).tolist()]
+    return occupations, energies, multiplicities * np.array(weights)
 
 
 def same_bits(a, b):
@@ -337,6 +347,101 @@ def test_rk4_step_matches_inline_loop(canonical):
             columns = rk4_step(stage, columns, 1e-3)
         want = ref_rk4(on_stacks(rhs), stack.T[:4], stack.T[4:], 1e-3, 50)
         assert same_bits(columns, np.concatenate(want))
+
+
+def ref_rk4_step(rhs, state, step):
+    """rk4_step as zip comprehensions, before its straight-line kernels."""
+    half, sixth = 0.5 * step, step / 6.0
+    k1 = rhs(state)
+    k2 = rhs([a + half * b for a, b in zip(state, k1)])
+    k3 = rhs([a + half * b for a, b in zip(state, k2)])
+    k4 = rhs([a + step * b for a, b in zip(state, k3)])
+    return [a + sixth * (b + 2 * c + 2 * d + e)
+            for a, b, c, d, e in zip(state, k1, k2, k3, k4)]
+
+
+def bit_patterns(components):
+    """The IEEE bits of a list of floats or of equal-length columns, every
+    NaN read as one pattern: equal patterns are equal values and signs of
+    zero. A NaN's sign is not: IEEE 754 leaves it unspecified, and CPython's
+    float + and * pass on the first operand's NaN once the instruction is
+    specialized and the second's before (no NaN reaches an artifact: _drive
+    rejects a non-finite state)."""
+    values = np.asarray(components, dtype=float)
+    return np.where(np.isnan(values), math.nan, values).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("n", [2, 6, 8, 2 * MAX_DIM])
+def test_rk4_kernels_match_the_comprehensions(n):
+    # states of n components, one all finite, one with NaN, infs and zeros of
+    # either sign, stepped on Python floats and as the columns of the stack,
+    # under a cyclic linear rhs that keeps the sign of a zero
+    rng = np.random.default_rng(n)
+    coeffs = rng.normal(size=n).tolist()
+
+    def rhs(y):
+        return [c * y[(i + 1) % n] for i, c in enumerate(coeffs)]
+
+    states = rng.choice([-1.0, 1.0], size=(3, n)) * 10.0 ** rng.uniform(-300, 300, (3, n))
+    states[1, ::2] = np.resize([math.nan, math.inf, -math.inf, -0.0], (n + 1) // 2)
+    states[2] = np.copysign(0.0, states[2])
+    for y0 in states:
+        y = want = y0.tolist()
+        for _ in range(5):
+            y, want = rk4_step(rhs, y, 1e-3), ref_rk4_step(rhs, want, 1e-3)
+            assert all(type(v) is float for v in y)
+            assert bit_patterns(y) == bit_patterns(want)
+    columns = want = list(states.T)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf and the like
+        for _ in range(5):
+            columns, want = rk4_step(rhs, columns, 1e-3), ref_rk4_step(rhs, want, 1e-3)
+            assert bit_patterns(columns) == bit_patterns(want)
+
+
+def test_rk4_refuses_a_state_over_the_cap():
+    calls = []
+    with pytest.raises(UsageError, match="%d components" % (2 * MAX_DIM + 1)):
+        rk4_step(calls.append, [0.0] * (2 * MAX_DIM + 1), 1e-3)
+    assert calls == []
+    # and a run's, before its first step or record: christoffel_at is O(dim^4)
+    metric = geo.minkowski_metric(MAX_DIM + 1)
+    with pytest.raises(UsageError, match="%d components" % (2 * MAX_DIM + 2)):
+        dyn.covariant_integrate(metric, [0.0] * (MAX_DIM + 1),
+                                [1.0] + [0.0] * MAX_DIM, 1e-2, step=1e-3)
+
+
+def test_rk4_step_calls_the_stage_four_times():
+    calls = []
+
+    def stage(y):
+        calls.append(y)
+        return [-v for v in y]
+
+    rk4_step(stage, [1.0, 2.0], 0.1)
+    assert len(calls) == 4
+
+
+def test_rk4_kernels_are_built_once_per_length(monkeypatch):
+    # compile counted through the dynamics module's globals, the kernel
+    # cache emptied: three runs of 8-component states build one pair, a
+    # 3-dimensional covariant run one more
+    compiled = []
+
+    def counting_compile(*args):
+        compiled.append(args)
+        return compile(*args)
+
+    monkeypatch.setattr(dyn, "_KERNELS", {})
+    monkeypatch.setattr(dyn, "compile", counting_compile, raising=False)
+    model = dyn.projectile_model(1.0, 0.5, 1.0, 0.2)
+    for canonical in (False, True):
+        dyn.integrate(model, np.zeros(4), model.reference.tangent(0.0), 0.05,
+                      canonical=canonical)
+    dyn.covariant_integrate(geo.polar_metric(4), [0.0, 1.0, 0.3, 0.0],
+                            [1.5, 0.3, -0.2, 0.0], 0.05)
+    assert len(compiled) == 1 and sorted(dyn._KERNELS) == [8]
+    dyn.covariant_integrate(geo.polar_metric(3), [0.0, 1.0, 0.3], [1.5, 0.3, -0.2], 0.05)
+    assert len(compiled) == 2 and sorted(dyn._KERNELS) == [6, 8]
 
 
 def test_integrate_records_the_inline_loop_states():

@@ -413,6 +413,18 @@ class TestPartitionEnumeration:
         assert lines[1].startswith("0;2,")
         assert len(lines) == 4
 
+    def test_weights_take_math_exp_with_np_exp_edges(self):
+        # math.exp value by value, across block boundaries; above _EXP_MAX,
+        # where math.exp raises, inf as np.exp gives; NaN stays NaN
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-745.0, 709.0, 2 * sm._EXP_BLOCK + 3)
+        assert sm._exp(x).tolist() == [math.exp(v) for v in x.tolist()]
+        edges = np.array([-np.inf, -0.0, sm._EXP_MAX, np.nextafter(sm._EXP_MAX, np.inf),
+                          1e308, np.inf, np.nan])
+        got = sm._exp(edges)
+        assert got[:3].tolist() == [0.0, 1.0, math.exp(sm._EXP_MAX)]
+        assert got[3:6].tolist() == [math.inf] * 3 and math.isnan(got[6])
+
 
 class TestEigenSolutionCheck:
     def test_geodesic_momentum_is_stationary(self):
