@@ -174,10 +174,7 @@ def cmd_simulate(args):
                                float(late.min()) if late.size else 0.0,
                            "samples": int(len(traj.s))}
             if cfg["model"].get("kind") == "projectile" and not cfg["canonical"]:
-                ref = model.reference
-                diagnostics["closed_form_deviation"] = float(max(
-                    np.abs(traj.x - ref.position(traj.s)).max(),
-                    np.abs(traj.p - model.m0 * ref.tangent(traj.s)).max()))
+                diagnostics["closed_form_deviation"] = traj.closed_form_deviation(model)
         cfg["p0"] = [float(v) for v in np.asarray(p0, float)]
 
     # everything that can fail runs before the first file is written

@@ -45,23 +45,23 @@ __all__ = [
 # usage error raised before the first step.
 MAX_RECORDS = 10 ** 6
 # Most steps one run may take, s_max / step, whatever its record_stride: this
-# bounds a run's time (about 1.5 to 2.5 minutes at the 9-14 us a canonical
-# model RK4 step takes on a shared 2-core x86 machine). A larger request is a
-# usage error raised before the first step.
+# bounds a run's time (about a minute at the 5.6-5.9 us a canonical model RK4
+# step takes, best and median of 7 runs of 20,000 steps on a shared 2-core
+# x86 machine). A larger request is a usage error raised before the first step.
 MAX_STEPS = 10 ** 7
 
 
 class HamiltonianModel:
-    """H(x, p), its partials, an optional flow override and a guard, in
-    component form: x and p are 4 components each; H answers one number per
-    state, each partial 4 components (a tuple; a constant one may be a plain
-    number) and the flow a pair of them. integrate passes one state's
-    components as Python floats (its state is a list of them) while stepping
-    and the recorded states' numpy columns (rows.T) for its diagnostics.
-    + - * / and square roots round alike on both, so one definition serves
-    both; write x * x, not x ** 2, which the two round and overflow
-    differently. Both partials are required, in closed form. The guard sees
-    one state."""
+    """H, its partials, an optional flow override and a guard, each a
+    callable of one state y = (x^0, x^1, x^2, x^3, p^0, p^1, p^2, p^3):
+    y[0:4] are the coordinates x^a and y[4:8] the momenta p^a. H answers
+    one number per state, each partial 4 components (a tuple; a constant one
+    may be a plain number), the flow dy/ds as 8 components, and the guard a
+    message or None. integrate passes one state as a list of 8 Python floats
+    while stepping and the recorded states' 8 numpy columns (rows.T) for its
+    diagnostics. + - * / and square roots round alike on both, so one
+    definition serves both; write x * x, not x ** 2, which the two round and
+    overflow differently. Both partials are required, in closed form."""
 
     def __init__(self, hamiltonian, dh_dx, dh_dp, flow=None, guard=None, m0=None):
         self.hamiltonian = hamiltonian
@@ -72,16 +72,11 @@ class HamiltonianModel:
         self.m0 = m0
 
 
-def _momentum_rhs(model, x, p):
-    """dp^a/ds = -eta^{ab} dH/dx^b, with eta = diag(1, -1, -1, -1) written out."""
-    f = model.dh_dx(x, p)
-    return -f[0], f[1], f[2], f[3]
-
-
-def hamilton_rhs(model, x, p):
-    """The literal canonical equations, per component; see the module docstring."""
-    v = model.dh_dp(x, p)
-    return (v[0], -v[1], -v[2], -v[3]), _momentum_rhs(model, x, p)
+def hamilton_rhs(model, y):
+    """dy/ds, 8 components, by the literal canonical equations; see the
+    module docstring."""
+    v, f = model.dh_dp(y), model.dh_dx(y)
+    return [v[0], -v[1], -v[2], -v[3], -f[0], f[1], f[2], f[3]]
 
 
 def _sqrt(v):
@@ -90,23 +85,25 @@ def _sqrt(v):
     return math.sqrt(v) if isinstance(v, float) else np.sqrt(v)
 
 
-def _energy(p, m0_sq):
-    """sqrt(m0^2 + |p_spatial|^2)."""
-    return _sqrt(m0_sq + (p[1] * p[1] + p[2] * p[2] + p[3] * p[3]))
+def _energy(y, m0_sq):
+    """sqrt(m0^2 + |p_spatial|^2) of state y."""
+    _, _, _, _, _, p1, p2, p3 = y
+    return _sqrt(m0_sq + (p1 * p1 + p2 * p2 + p3 * p3))
 
 
 def free_particle_model(m0):
     m0_sq = m0 ** 2
 
-    def h(x, p):
-        return _energy(p, m0_sq)
+    def h(y):
+        return _energy(y, m0_sq)
 
-    def dh_dx(x, p):
+    def dh_dx(y):
         return 0.0, 0.0, 0.0, 0.0
 
-    def dh_dp(x, p):
-        e = _energy(p, m0_sq)
-        return 0.0, p[1] / e, p[2] / e, p[3] / e
+    def dh_dp(y):
+        _, _, _, _, _, p1, p2, p3 = y
+        e = _energy(y, m0_sq)
+        return 0.0, p1 / e, p2 / e, p3 / e
 
     return HamiltonianModel(h, dh_dx, dh_dp, m0=m0)
 
@@ -114,30 +111,28 @@ def free_particle_model(m0):
 def projectile_model(m0, u_x, u_y, g):
     """Uniform force along -x2. The flow override is proper-time kinematics:
     dx/ds = p/m0 and dp2/ds = -m0 g, with dp0/ds chosen so p.p stays put.
-    reference carries the closed-form trajectory for oracles."""
+    reference carries the closed-form trajectory for oracles. H is the free
+    particle's plus m0 g x2, so the two share dH/dp."""
     reference = projectile_field(m0, u_x, u_y, g)
     m0_sq, mg = m0 ** 2, m0 * g
 
-    def h(x, p):
-        return _energy(p, m0_sq) + mg * x[2]
+    def h(y):
+        return _energy(y, m0_sq) + mg * y[2]
 
-    def dh_dx(x, p):
+    def dh_dx(y):
         return 0.0, 0.0, mg, 0.0
 
-    def dh_dp(x, p):
-        e = _energy(p, m0_sq)
-        return 0.0, p[1] / e, p[2] / e, p[3] / e
+    def flow(y):
+        _, _, _, _, p0, p1, p2, p3 = y
+        return [p0 / m0, p1 / m0, p2 / m0, p3 / m0, -mg * p2 / p0, 0.0, -mg, 0.0]
 
-    def flow(x, p):
-        return ((p[0] / m0, p[1] / m0, p[2] / m0, p[3] / m0),
-                (-mg * p[2] / p[0], 0.0, -mg, 0.0))
-
-    def guard(x, p):
-        if p[0] <= 1e-12:
+    def guard(y):
+        if y[4] <= 1e-12:
             return "energy component vanished"
         return None
 
-    model = HamiltonianModel(h, dh_dx, dh_dp, flow=flow, guard=guard, m0=m0)
+    model = HamiltonianModel(h, dh_dx, free_particle_model(m0).dh_dp, flow=flow,
+                             guard=guard, m0=m0)
     model.reference = reference
     return model
 
@@ -209,6 +204,13 @@ class Trajectory:
     def mass_shell_drift(self):
         pp = self.p[:, 0] ** 2 - (self.p[:, 1:] ** 2).sum(axis=1)
         return float(np.abs(pp - pp[0]).max())
+
+    def closed_form_deviation(self, model):
+        """Largest |x - position| and |p - m0 tangent| over the samples, from
+        the closed-form trajectory model.reference of a run of model's flow."""
+        ref = model.reference
+        return float(max(np.abs(self.x - ref.position(self.s)).max(),
+                         np.abs(self.p - model.m0 * ref.tangent(self.s)).max()))
 
     def columns(self):
         """One array per COLUMNS name, in order."""
@@ -357,52 +359,52 @@ def _drive(state, stage, s_max, step, record_stride, guard=None, record=None):
     return np.append(np.arange(0, n_steps, record_stride), n_steps) * step, rows
 
 
-def _rhs_for(model, canonical):
-    """integrate's (x, p) -> (dx/ds, dp/ds) and its dp/ds half alone: the
-    model's flow override unless canonical, else the canonical equations."""
-    if model.flow is not None and not canonical:
-        return model.flow, lambda x, p: model.flow(x, p)[1]
-    return partial(hamilton_rhs, model), partial(_momentum_rhs, model)
-
-
 # Python floats raise where numpy returns inf or nan; a stage that raises one
 # of these leaves a NaN state, which _drive rejects as non-finite
 _FLOAT_FAULTS = (ZeroDivisionError, OverflowError, ValueError)
+
+
+def _components(v, n, name):
+    """v as a float array of n components; UsageError naming it otherwise."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (n,):
+        got = len(v) if v.ndim == 1 else "shape %s" % (v.shape,)
+        raise UsageError("%s must be %d components, not %s" % (name, n, got))
+    return v
 
 
 def integrate(model, x0, p0, s_max, step=1e-3, record_stride=1, canonical=False):
     """Fixed-step RK4 integration of one model from (x0, p0) over [0, s_max].
 
     The model's flow override is used when it has one (pass canonical=True
-    to force the literal canonical equations). The state is one list of 8
-    Python floats, the coordinates then the momenta: each stage hands the
-    model its halves and lists the components it answers, with no numpy call
-    per step. The dm_ds and comm_norm columns
-    come from the dp/ds half of the right-hand side that was integrated,
-    evaluated once over the recorded columns.
+    to force the literal canonical equations). The state, one list of 8
+    Python floats, goes to the model's callables as it is: no numpy call per
+    step. dm_ds and comm_norm come from dp/ds = dy/ds[4:] of the right-hand
+    side that was integrated, evaluated once over the recorded columns.
     Raises StepRejected when the state goes non-finite (also when a model
     callable raises ZeroDivisionError, OverflowError or ValueError on the
     Python floats, where numpy would give inf or nan) or the model's guard
-    trips, and UsageError for a bad step or record_stride.
+    trips, and UsageError for an x0 or p0 that is not 4 components or a bad
+    step or record_stride.
     """
-    rhs, pdot_of = _rhs_for(model, canonical)
+    rhs = (model.flow if model.flow is not None and not canonical
+           else partial(hamilton_rhs, model))
 
     def stage(y):
         try:
-            dx, dp = rhs(y[:4], y[4:])
+            return rhs(y)
         except _FLOAT_FAULTS:
             return [math.nan] * 8
-        return [*dx, *dp]
 
-    guard = model.guard and (lambda y: model.guard(y[:4], y[4:]))
-    state = np.concatenate((np.asarray(x0, dtype=float),
-                            np.asarray(p0, dtype=float))).tolist()
-    s, rows = _drive(state, stage, s_max, step, record_stride, guard)
+    state = np.concatenate((_components(x0, 4, "x0"),
+                            _components(p0, 4, "p0"))).tolist()
+    s, rows = _drive(state, stage, s_max, step, record_stride, model.guard)
     cols = rows.T
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = np.broadcast_to(model.hamiltonian(cols[:4], cols[4:]), s.shape)
+    # as in _drive: a non-finite diagnostic is detected, not a warning
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        h = np.broadcast_to(model.hamiltonian(cols), s.shape)
         # a constant component comes back a number: broadcast it to a column
-        pdot = np.array(np.broadcast_arrays(*pdot_of(cols[:4], cols[4:]), s)[:-1]).T
+        pdot = np.array(np.broadcast_arrays(*rhs(cols)[4:], s)[:-1]).T
         comm = operator_commutator(rows[:, 4:], pdot)[1]
         dm_ds = np.sqrt(np.abs(minkowski_dot(pdot, pdot)))
     return Trajectory(s, rows[:, :4], rows[:, 4:], h, dm_ds, comm)
@@ -474,9 +476,9 @@ def covariant_integrate(metric, x0, p0_upper, s_max, step=1e-3, record_stride=1)
     finite, names step 0 with x0 and p0_upper.
     """
     step_count(s_max, step, record_stride)
-    x = np.asarray(x0, dtype=float)
-    dim = x.size
-    p0 = np.asarray(p0_upper, dtype=float)
+    dim = metric.dim
+    x = _components(x0, dim, "x0")
+    p0 = _components(p0_upper, dim, "p0_upper")
     _check_initial(np.concatenate((x, p0)).tolist(), step)
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # refused below

@@ -190,8 +190,7 @@ def dynamics(seed, size):
     p0 = model.reference.tangent(0.0)
     traj = dyn.integrate(model, np.zeros(4), p0, traj_s, step=size,
                          record_stride=traj_stride)
-    traj_err = max(np.abs(traj.x - model.reference.position(traj.s)).max(),
-                   np.abs(traj.p - model.reference.tangent(traj.s)).max())
+    traj_err = traj.closed_form_deviation(model)
     canonical = dyn.integrate(model, np.zeros(4), p0, canonical_s, step=size,
                               canonical=True, record_stride=canonical_stride)
     late = traj.comm_norm[traj.s > 0.1]

@@ -1,5 +1,6 @@
 import os
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -8,17 +9,20 @@ from hjdirac.dynamics import HamiltonianModel
 
 # Two oracle models the tests build: H = p.p / 2, whose canonical flow is a
 # straight line at constant momentum, and the 1-D oscillator in x1, whose
-# x1 is cos(omega s) from x1 = 1 at rest.
+# x1 is cos(omega s) from x1 = 1 at rest. Their callables take one state
+# y = (x0, x1, x2, x3, p0, p1, p2, p3).
 
 def quadratic_model():
-    def h(x, p):
-        return 0.5 * (p[0] * p[0] - p[1] * p[1] - p[2] * p[2] - p[3] * p[3])
+    def h(y):
+        _, _, _, _, p0, p1, p2, p3 = y
+        return 0.5 * (p0 * p0 - p1 * p1 - p2 * p2 - p3 * p3)
 
-    def dh_dx(x, p):
+    def dh_dx(y):
         return 0.0, 0.0, 0.0, 0.0
 
-    def dh_dp(x, p):
-        return p[0], -p[1], -p[2], -p[3]
+    def dh_dp(y):
+        _, _, _, _, p0, p1, p2, p3 = y
+        return p0, -p1, -p2, -p3
 
     return HamiltonianModel(h, dh_dx, dh_dp)
 
@@ -26,16 +30,25 @@ def quadratic_model():
 def harmonic_model(omega=1.0):
     omega_sq = omega ** 2
 
-    def h(x, p):
-        return 0.5 * (p[1] * p[1]) + 0.5 * omega_sq * (x[1] * x[1])
+    def h(y):
+        _, x1, _, _, _, p1, _, _ = y
+        return 0.5 * (p1 * p1) + 0.5 * omega_sq * (x1 * x1)
 
-    def dh_dx(x, p):
-        return 0.0, omega_sq * x[1], 0.0, 0.0
+    def dh_dx(y):
+        return 0.0, omega_sq * y[1], 0.0, 0.0
 
-    def dh_dp(x, p):
-        return 0.0, p[1], 0.0, 0.0
+    def dh_dp(y):
+        return 0.0, y[5], 0.0, 0.0
 
     return HamiltonianModel(h, dh_dx, dh_dp)
+
+
+def src_env(**extra):
+    """os.environ, with this checkout's src/ first on PYTHONPATH and extra
+    set, for a child Python that must import this hjdirac."""
+    src = str(Path(__file__).parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src, **extra)
 
 
 @pytest.fixture

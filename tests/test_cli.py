@@ -24,6 +24,8 @@ from hjdirac.cli import main
 from hjdirac.config import ENSEMBLE, MAX_DIM, MAX_SAMPLES, METRIC, MODEL, SIMULATE
 from hjdirac.errors import StepRejected
 
+from conftest import src_env
+
 
 def read_json(path):
     with open(path) as fh:
@@ -387,8 +389,8 @@ class TestSimulate:
         # a flow dividing by x1, which reaches exactly 0 in step 4's last stage
         zero = (0.0, 0.0, 0.0, 0.0)  # the partials of H = 0
         model = dyn.HamiltonianModel(
-            lambda x, p: 0.0, lambda x, p: zero, lambda x, p: zero,
-            flow=lambda x, p: ((0.0, -1.0, 0.0, 0.0), (0.0, 1.0 / x[1], 0.0, 0.0)))
+            lambda y: 0.0, lambda y: zero, lambda y: zero,
+            flow=lambda y: (0.0, -1.0, 0.0, 0.0, 0.0, 1.0 / y[1], 0.0, 0.0))
         monkeypatch.setattr(dyn, "model_from_config", lambda cfg: model)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"x0": [0.0, 0.5, 0.0, 0.0], "p0": [1.0, 0.0, 0.0, 0.0],
@@ -791,8 +793,7 @@ class TestEnsemble:
         proc = subprocess.run(
             [sys.executable, "-c", DISPATCH_CHILD % (umath.__name__, DISPATCH_SENSITIVE),
              json.dumps(child)],
-            env=dict(os.environ,
-                     NPY_DISABLE_CPU_FEATURES=" ".join(umath.__cpu_dispatch__)),
+            env=src_env(NPY_DISABLE_CPU_FEATURES=" ".join(umath.__cpu_dispatch__)),
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
@@ -1124,7 +1125,7 @@ class TestEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-m", "hjdirac.cli", "verify",
              "--suite", "clifford", "--out", str(tmp_path)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=src_env())
         assert proc.returncode == 0
         assert "3/3 checks passed" in proc.stdout
 
@@ -1132,7 +1133,8 @@ class TestEntryPoint:
         # stdout to a pipe is block-buffered: a helper that flushed its copy
         # of the buffer would print the suite lines twice
         proc = subprocess.run([sys.executable, "-m", "hjdirac.cli"] + VERIFY_ALL
-                              + ["--out", str(tmp_path)], capture_output=True, text=True)
+                              + ["--out", str(tmp_path)], capture_output=True, text=True,
+                              env=src_env())
         assert proc.returncode == 0, proc.stderr
         assert [line.split()[0] for line in proc.stdout.splitlines()] == list(verify.SUITES)
         assert all(re.fullmatch(r"\S+ +(\d+)/\1 checks passed", line)
@@ -1142,5 +1144,5 @@ class TestEntryPoint:
 
     def test_missing_subcommand_is_usage_error(self):
         proc = subprocess.run([sys.executable, "-m", "hjdirac.cli"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=src_env())
         assert proc.returncode == 2

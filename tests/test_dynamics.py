@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -23,7 +24,8 @@ def projectile_setup():
 class TestCanonicalFlow:
     def test_projectile_hand_oracle(self):
         model, x0, p0 = projectile_setup()
-        xdot, pdot = dyn.hamilton_rhs(model, x0, p0)
+        dy = dyn.hamilton_rhs(model, np.concatenate((x0, p0)))
+        xdot, pdot = dy[:4], dy[4:]
         assert np.allclose(pdot, [0.0, 0.0, M0 * G, 0.0], atol=1e-15)
         e = np.sqrt(M0 ** 2 + (p0[1:] ** 2).sum())
         # the literal eta placement sends x0 nowhere and flips the spatial sign
@@ -33,7 +35,8 @@ class TestCanonicalFlow:
         model = quadratic_model()
         x0 = np.array([0.0, 0.2, -0.1, 0.3])
         p0 = np.array([1.4, 0.3, -0.2, 0.1])
-        xdot, pdot = dyn.hamilton_rhs(model, x0, p0)
+        dy = dyn.hamilton_rhs(model, np.concatenate((x0, p0)))
+        xdot, pdot = dy[:4], dy[4:]
         assert np.array_equal(xdot, p0)
         assert np.array_equal(pdot, np.zeros(4))
         traj = dyn.integrate(model, x0, p0, 2.0, step=0.01)
@@ -51,10 +54,11 @@ class TestCanonicalFlow:
 
     @pytest.mark.parametrize("make", [
         lambda: harmonic_model(),
+        # y[1] is x1 and y[5] is p1
         lambda: dyn.HamiltonianModel(
-            lambda x, p: 0.5 * (p[1] * p[1]) + 0.3 * x[1] * p[1] + 0.5 * (x[1] * x[1]),
-            dh_dx=lambda x, p: (0.0, 0.3 * p[1] + x[1], 0.0, 0.0),
-            dh_dp=lambda x, p: (0.0, p[1] + 0.3 * x[1], 0.0, 0.0)),
+            lambda y: 0.5 * (y[5] * y[5]) + 0.3 * y[1] * y[5] + 0.5 * (y[1] * y[1]),
+            dh_dx=lambda y: (0.0, 0.3 * y[5] + y[1], 0.0, 0.0),
+            dh_dp=lambda y: (0.0, y[5] + 0.3 * y[1], 0.0, 0.0)),
     ])
     def test_h_conserved_under_literal_flow(self, make):
         model = make()
@@ -165,18 +169,18 @@ class TestProjectileKinematics:
 
     def test_runaway_model_rejected(self):
         blow = dyn.HamiltonianModel(
-            lambda x, p: -10.0 * x[1] * p[1],
-            dh_dx=lambda x, p: np.array([0.0, -10.0 * p[1], 0.0, 0.0]),
-            dh_dp=lambda x, p: np.array([0.0, -10.0 * x[1], 0.0, 0.0]))
+            lambda y: -10.0 * y[1] * y[5],
+            dh_dx=lambda y: np.array([0.0, -10.0 * y[5], 0.0, 0.0]),
+            dh_dp=lambda y: np.array([0.0, -10.0 * y[1], 0.0, 0.0]))
         with pytest.raises(StepRejected):
             dyn.integrate(blow, np.array([0.0, 1.0, 0.0, 0.0]),
                           np.array([0.0, 1.0, 0.0, 0.0]), 100.0, step=0.01)
 
     def test_guard_trip_names_step_and_state(self):
         drift = dyn.HamiltonianModel(
-            lambda x, p: 0.0, dh_dx=lambda x, p: np.zeros(4),
-            dh_dp=lambda x, p: np.array([0.0, 1.0, 0.0, 0.0]),
-            guard=lambda x, p: "x1 below -0.3" if x[1] < -0.3 else None)
+            lambda y: 0.0, dh_dx=lambda y: np.zeros(4),
+            dh_dp=lambda y: np.array([0.0, 1.0, 0.0, 0.0]),
+            guard=lambda y: "x1 below -0.3" if y[1] < -0.3 else None)
         with pytest.raises(StepRejected) as info:
             dyn.integrate(drift, np.zeros(4), np.zeros(4), 1.0, step=0.25)
         assert str(info.value) == (
@@ -184,7 +188,7 @@ class TestProjectileKinematics:
             "[[0.0, -0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]")
 
 
-def zero_partials(x, p):
+def zero_partials(y):
     """dH/dx and dH/dp of H = 0, the H of the flow-only models below."""
     return 0.0, 0.0, 0.0, 0.0
 
@@ -209,8 +213,8 @@ def test_python_float_faults_read_as_non_finite_state(fn):
     messages = []
     for numpy in (False, True):
         model = dyn.HamiltonianModel(
-            lambda x, p: 0.0, zero_partials, zero_partials, flow=lambda x, p: (
-                (0.0, -1.0, 0.0, 0.0), (0.0, fn(x[1], numpy), 0.0, 0.0)))
+            lambda y: 0.0, zero_partials, zero_partials, flow=lambda y: (
+                0.0, -1.0, 0.0, 0.0, 0.0, fn(y[1], numpy), 0.0, 0.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(StepRejected) as info:
@@ -237,8 +241,8 @@ def test_silent_float_overflow_reads_as_non_finite_state(dp1, dx1, message):
     # catches these; _drive's finiteness check must. The messages are those
     # of the integrator that stepped a numpy state array.
     model = dyn.HamiltonianModel(
-        lambda x, p: 0.0, zero_partials, zero_partials, flow=lambda x, p: (
-            (0.0, dx1, 0.0, 0.0), (0.0, dp1(x[1]), 0.0, 0.0)))
+        lambda y: 0.0, zero_partials, zero_partials, flow=lambda y: (
+            0.0, dx1, 0.0, 0.0, 0.0, dp1(y[1]), 0.0, 0.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(StepRejected) as info:
@@ -250,8 +254,8 @@ def test_silent_float_overflow_reads_as_non_finite_state(dp1, dx1, message):
 def test_finite_state_with_an_overflowing_sum_runs():
     # every component is finite though their sum is not: a finiteness check
     # by summing the state would reject this run
-    model = dyn.HamiltonianModel(lambda x, p: 0.0, zero_partials, zero_partials,
-                                 flow=lambda x, p: ((0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)))
+    model = dyn.HamiltonianModel(lambda y: 0.0, zero_partials, zero_partials,
+                                 flow=lambda y: (0.0,) * 8)
     traj = dyn.integrate(model, [0.0, 1e308, 1e308, 0.0], [1.0, 0.0, 0.0, 0.0], 1.0,
                          step=0.25)
     assert np.array_equal(traj.x[-1], [0.0, 1e308, 1e308, 0.0])
@@ -267,6 +271,74 @@ def test_non_finite_initial_state_rejected_at_step_zero():
     assert str(info.value) == (
         "step 0 (s = 0.0): non-finite state; initial state "
         "[[0.0, 0.0, 0.0, 0.0], [inf, 0.0, 0.0, 0.0]]")
+
+
+def never_called(*args):
+    pytest.fail("a step was taken")
+
+
+STEPLESS = dyn.HamiltonianModel(never_called, never_called, never_called,
+                                flow=never_called, guard=never_called)
+
+
+@pytest.mark.parametrize("run, message", [
+    # p0's first component would have run as x3
+    (lambda: dyn.integrate(STEPLESS, [0, 0, 0], [0, 1.5, 0.5, 1.0, 0], 1.0, step=0.25),
+     "x0 must be 4 components, not 3"),
+    (lambda: dyn.integrate(STEPLESS, np.zeros(4), [1.5, 0.5, 1.0], 1.0, step=0.25),
+     "p0 must be 4 components, not 3"),
+    (lambda: dyn.integrate(STEPLESS, np.zeros((2, 2)), np.ones(4), 1.0, step=0.25),
+     r"x0 must be 4 components, not shape \(2, 2\)"),
+    # this ran in a 3-dimensional chart, reporting K as its geodesic residual
+    (lambda: dyn.covariant_integrate(geo.polar_metric(4), [0, 1, 0.3],
+                                     [1.5, 0.3, -0.2, 0], 0.01),
+     "x0 must be 4 components, not 3"),
+    (lambda: dyn.covariant_integrate(geo.polar_metric(3), [0, 1, 0.3],
+                                     [1.5, 0.3, -0.2, 0], 0.01),
+     "p0_upper must be 3 components, not 4"),
+], ids=["integrate-x0", "integrate-p0", "integrate-x0-2d", "covariant-x0",
+        "covariant-p0_upper"])
+def test_misaligned_state_refused_before_the_first_step(run, message):
+    with pytest.raises(UsageError, match="^%s$" % message):
+        run()
+
+
+def python_calls_per_step(model, canonical):
+    """Python-level calls (sys.setprofile "call" events) per RK4 step of an
+    integrate run, over the difference of a 200-step and a 100-step run, so
+    a run's fixed calls cancel. Each run records only its first and last
+    state."""
+    x0, p0 = np.zeros(4), model.reference.tangent(0.0)
+
+    def calls(n_steps):
+        count = [0]
+
+        def profile(frame, event, arg):
+            if event == "call":
+                count[0] += 1
+
+        sys.setprofile(profile)
+        try:
+            dyn.integrate(model, x0, p0, n_steps * 0.01, step=0.01,
+                          canonical=canonical, record_stride=10 ** 9)
+        finally:
+            sys.setprofile(None)
+        return count[0]
+
+    calls(100)  # builds what a first run builds
+    return (calls(200) - calls(100)) / 100
+
+
+@pytest.mark.parametrize("canonical, per_step", [(False, 15), (True, 31)],
+                         ids=["flow", "canonical"])
+def test_python_calls_per_step(canonical, per_step):
+    # a count, not a timing: it holds on a loaded machine. Each step is
+    # rk4_step, _kernels, 3 axpy, final and the guard, plus 4 stages: the
+    # fault wrapper and the flow (2 calls), or the fault wrapper,
+    # hamilton_rhs, dh_dp, its _energy and _sqrt, and dh_dx (6 calls): no
+    # layer between integrate and the model's callables
+    model = dyn.projectile_model(M0, UX, UY, G)
+    assert python_calls_per_step(model, canonical) == per_step
 
 
 def test_record_memory_per_sample(traced_peak):

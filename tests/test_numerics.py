@@ -25,8 +25,10 @@ per-record route is kept here as their exact oracle.
 Model callables took (..., 4) arrays and now take components: Python floats
 for one state, numpy columns for a stack; the two round alike, so each
 callable is checked for the same bits on both, and the array-valued
-reference loops above read the components as arrays. The diagonal metrics'
-covariant RK4 stages invert in closed form, 1/diag, and run in Python
+reference loops above read the components as arrays. They took x and p
+apart and now take one state y = (x, p) of 8 components; the reference
+loops keep their (x, p) halves and join them for each call (halves). The
+diagonal metrics' covariant RK4 stages invert in closed form, 1/diag, and run in Python
 floats; np.linalg.inv and the numpy flow, which every record and the other
 metrics' stages use, are the stages' exact oracle.
 
@@ -42,6 +44,7 @@ too.
 """
 
 import math
+from functools import partial
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
@@ -223,6 +226,14 @@ def ref_scalar_commutator(p, pdot):
     return raw, raw / denom
 
 
+def halves(rhs):
+    """A model's y -> dy/ds as ref_rk4's (x, p) -> (dx/ds, dp/ds)."""
+    def split(x, p):
+        dy = rhs([*x, *p])
+        return dy[:4], dy[4:]
+    return split
+
+
 def ref_record_columns(model, traj, rhs):
     """integrate's per-record diagnostics, one recorded state at a time, with
     rhs the (x, p) -> (xdot, pdot) that was integrated: (H, dm_ds, comm_norm)."""
@@ -232,7 +243,7 @@ def ref_record_columns(model, traj, rhs):
         _, pdot = rhs(x, p)
         fdotf = float(pdot[0] * pdot[0] - pdot[1] * pdot[1]
                       - pdot[2] * pdot[2] - pdot[3] * pdot[3])
-        h.append(float(model.hamiltonian(x, p)))
+        h.append(float(model.hamiltonian(np.concatenate((x, p)))))
         dm_ds.append(np.sqrt(abs(fdotf)))
         comm.append(ref_scalar_commutator(p, pdot)[1])
     return h, dm_ds, comm
@@ -298,10 +309,10 @@ def same_bits(a, b):
 
 # -- RK4 ---------------------------------------------------------------------------
 
-def swap_rhs(x, p):
+def swap_rhs(y):
     """dx/ds = p, dp/ds = -x: no rounding of its own, so the stages see the
     states' magnitudes and zero signs as they are."""
-    return tuple(p), tuple(-a for a in x)
+    return [*y[4:], *(-a for a in y[:4])]
 
 
 def wide_states(rng, n):
@@ -324,16 +335,13 @@ def test_rk4_step_matches_inline_loop(canonical):
     # stack of three; canonical None steps swap_rhs from wide_states
     rng = np.random.default_rng(1)
     if canonical is None:
-        rhs, states = swap_rhs, wide_states(rng, 15)
+        stage, states = swap_rhs, wide_states(rng, 15)
     else:
         model = dyn.projectile_model(1.1, 0.4, 0.9, 0.2)
-        rhs = dyn._rhs_for(model, canonical)[0]
+        stage = partial(dyn.hamilton_rhs, model) if canonical else model.flow
         states = rng.normal(size=(15, 8))
         states[:, 4] = np.abs(states[:, 4]) + 3.0
-
-    def stage(y):
-        dx, dp = rhs(y[:4], y[4:])
-        return [*dx, *dp]
+    rhs = halves(stage)
 
     for stack in states.reshape(5, 3, 8):
         for y0 in stack:
@@ -451,16 +459,17 @@ def test_integrate_records_the_inline_loop_states():
     steps = [0, 4, 8, 12, 16, 20, 24, 28, 32, 35]
     assert np.array_equal(traj.s, [i * 1e-2 for i in steps])
     for k, i in enumerate(steps):
-        x, p = ref_rk4(model.flow, x0, p0, 1e-2, i)
+        x, p = ref_rk4(halves(model.flow), x0, p0, 1e-2, i)
         assert np.array_equal(traj.x[k], x) and np.array_equal(traj.p[k], p)
 
 
 def mixed_model():
-    """A model whose H couples x1 and p1, so no T(p) + V(x) split exists."""
+    """A model whose H couples x1 and p1, so no T(p) + V(x) split exists;
+    y[1] is x1 and y[5] is p1."""
     return dyn.HamiltonianModel(
-        lambda x, p: 0.5 * (p[1] * p[1]) + 0.3 * x[1] * p[1] + 0.5 * (x[1] * x[1]),
-        dh_dx=lambda x, p: (0.0, 0.3 * p[1] + x[1], 0.0, 0.0),
-        dh_dp=lambda x, p: (0.0, p[1] + 0.3 * x[1], 0.0, 0.0))
+        lambda y: 0.5 * (y[5] * y[5]) + 0.3 * y[1] * y[5] + 0.5 * (y[1] * y[1]),
+        dh_dx=lambda y: (0.0, 0.3 * y[5] + y[1], 0.0, 0.0),
+        dh_dp=lambda y: (0.0, y[5] + 0.3 * y[1], 0.0, 0.0))
 
 
 PROJECTILE = dyn.projectile_model(1.0, 0.5, 1.0, 0.2)
@@ -482,9 +491,8 @@ def test_record_columns_match_per_record_route(model, p0, canonical):
     if model.flow is not None and not canonical:
         rhs = model.flow
     else:
-        def rhs(x, p):
-            return dyn.hamilton_rhs(model, x, p)
-    h, dm_ds, comm = ref_record_columns(model, traj, rhs)
+        rhs = partial(dyn.hamilton_rhs, model)
+    h, dm_ds, comm = ref_record_columns(model, traj, halves(rhs))
     assert same_bits(traj.h, h)
     assert same_bits(traj.dm_ds, dm_ds)
     assert same_bits(traj.comm_norm, comm)
@@ -508,15 +516,15 @@ def component_states(rng, n):
 def test_model_callables_answer_per_state_on_stacks(model):
     """Per state, Python-float components, a 1-D float array and column
     stacks (one axis or two) give the same bits."""
-    x, p = component_states(np.random.default_rng(17), 60)
+    y = np.hstack(component_states(np.random.default_rng(17), 60))
     calls = [model.hamiltonian, model.dh_dx, model.dh_dp]
     if model.flow is not None:
-        calls += [lambda x, p: model.flow(x, p)[0], lambda x, p: model.flow(x, p)[1]]
+        calls.append(model.flow)
     for call in calls:
-        on_floats = [call(a.tolist(), b.tolist()) for a, b in zip(x, p)]
-        on_arrays = [call(a, b) for a, b in zip(x, p)]
-        on_columns = call(x.T, p.T)
-        on_grid = call(x.T.reshape(4, 3, 20), p.T.reshape(4, 3, 20))
+        on_floats = [call(state.tolist()) for state in y]
+        on_arrays = [call(state) for state in y]
+        on_columns = call(y.T)
+        on_grid = call(y.T.reshape(8, 3, 20))
         if call is model.hamiltonian:  # one number per state
             on_floats, on_arrays = [on_floats], [on_arrays]
             on_columns, on_grid = [on_columns], [on_grid]
@@ -533,14 +541,14 @@ def test_model_callables_answer_per_state_on_stacks(model):
 
 def test_canonical_rhs_applies_eta_per_component():
     """hamilton_rhs is eta dH/dp and -eta dH/dx, as the arrays it replaced."""
-    x, p = component_states(np.random.default_rng(18), 40)
+    y = np.hstack(component_states(np.random.default_rng(18), 40))
     eta = np.array([1.0, -1.0, -1.0, -1.0])
     for model in (dyn.free_particle_model(1.1), PROJECTILE, quadratic_model(),
                   harmonic_model(1.3), mixed_model()):
-        for a, b in zip(x, p):
-            xdot, pdot = dyn.hamilton_rhs(model, a.tolist(), b.tolist())
-            assert same_bits(xdot, eta * np.asarray(model.dh_dp(a, b), dtype=float))
-            assert same_bits(pdot, -eta * np.asarray(model.dh_dx(a, b), dtype=float))
+        for state in y:
+            dy = dyn.hamilton_rhs(model, state.tolist())
+            assert same_bits(dy[:4], eta * np.asarray(model.dh_dp(state), dtype=float))
+            assert same_bits(dy[4:], -eta * np.asarray(model.dh_dx(state), dtype=float))
 
 
 # -- central differences -----------------------------------------------------------
