@@ -41,10 +41,10 @@ def _num(v):  # json.load also reads NaN and Infinity, which are not JSON
     return _int(v) or isinstance(v, float) and math.isfinite(v)
 
 
-def _terms(v):  # a polynomial term list [[coeff, [e0, e1, ...]], ...]
+def _terms(v, dim):  # a polynomial term list [[coeff, [e0, e1, ...]], ...]
     return isinstance(v, list) and all(
-        isinstance(t, list) and len(t) == 2 and _num(t[0])
-        and isinstance(t[1], list) and all(map(_int, t[1])) for t in v)
+        isinstance(t, list) and len(t) == 2 and _num(t[0]) and isinstance(t[1], list)
+        and len(t[1]) <= dim and all(map(_int, t[1])) for t in v)
 
 
 def integer(lo, hi=None):
@@ -58,11 +58,14 @@ POSITIVE = Spec("a number > 0", lambda v: _num(v) and v > 0)
 NUMBERS = Spec("a list of numbers", lambda v: isinstance(v, list) and all(map(_num, v)))
 VECTOR = Spec("a list of 4 numbers", lambda v: NUMBERS.ok(v) and len(v) == 4)
 OBJECT = Spec("a JSON object", lambda v: isinstance(v, dict))
-# a metric has 1 to MAX_DIM dimensions, so an empty entries list is refused
-TERM_LISTS = Spec("a list of 1 to %d term lists" % MAX_DIM,
+# a metric has 1 to MAX_DIM dimensions, one per entry (or row), so an empty
+# entries list is refused, and so is an exponent of a coordinate it lacks
+TERM_LISTS = Spec("a list of 1 to %d term lists, no exponent list longer than "
+                  "the list" % MAX_DIM,
                   lambda v: isinstance(v, list) and 1 <= len(v) <= MAX_DIM
-                  and all(map(_terms, v)))
-SQUARE = Spec("a square matrix of 1 to %d rows of term lists" % MAX_DIM,
+                  and all(_terms(t, len(v)) for t in v))
+SQUARE = Spec("a square matrix of 1 to %d rows of term lists, no exponent list "
+              "longer than a row" % MAX_DIM,
               lambda v: isinstance(v, list) and 1 <= len(v) <= MAX_DIM and all(
                   TERM_LISTS.ok(row) and len(row) == len(v) for row in v))
 

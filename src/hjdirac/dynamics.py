@@ -309,23 +309,35 @@ def _check_initial(state, step):
         raise _rejected(0, step, state, "non-finite state", label="initial state")
 
 
-# what a metric evaluation raises during a run: re-raised naming the step
-_RUN_FAULTS = (np.linalg.LinAlgError, ArithmeticError, SingularMetric)
+# what an evaluation may raise during a run, each read by _fault (a
+# LinAlgError is a ValueError)
+_RUN_FAULTS = (ArithmeticError, ValueError, SingularMetric)
+# overflow or a zero division during a run is a detected condition
+# (StepRejected, or a non-finite diagnostic), not a warning
+_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
-def _drive(state, stage, s_max, step, record_stride, guard=None, record=None):
+def _fault(exc, i, step, state, msg="non-finite state"):
+    """The error exc, raised evaluating the finite state at step i, reads as,
+    naming both: a singular metric (LinAlgError, SingularMetric) keeps its
+    type, and what a Python float raises where numpy gives inf or nan reads
+    as numpy's condition, msg."""
+    if isinstance(exc, (np.linalg.LinAlgError, SingularMetric)):
+        return _rejected(i, step, state, exc, type(exc))
+    return _rejected(i, step, state, msg)
+
+
+def _drive(state, rhs, s_max, step, record_stride, guard=None):
     """The fixed-step RK4 loop of both integrators over [0, s_max].
 
     state is one list of components, the coordinates then the momenta, and
-    stage(state) its right-hand side, one such list. Step 0, every
+    rhs(state) its right-hand side, one such list. Step 0, every
     record_stride-th step and the last are recorded: returns (s, rows), their
-    s values and one preallocated row each, holding record(state) (by default
-    the state).
+    s values and one preallocated row each, holding the state.
     Raises StepRejected when the state is or goes non-finite or guard(state)
     returns a message, and UsageError before the first step: step_count's,
-    or rk4_step's for a state over its cap. A singular or overflowing
-    evaluation during the run is re-raised as its own type, naming the step
-    as StepRejected does.
+    or rk4_step's for a state over its cap. A fault raised during a step
+    names the step and the last finite state, with the type _fault gives it.
     """
     n_steps, n_records = step_count(s_max, step, record_stride)
     _kernels(len(state))  # refuses a state too long for rk4_step here
@@ -333,17 +345,13 @@ def _drive(state, stage, s_max, step, record_stride, guard=None, record=None):
     msg = guard and guard(state)
     if msg:
         raise _rejected(0, step, state, msg)
-    record = record or (lambda y: y)
-    i = k = 0
+    rows = np.empty((n_records, len(state)))
+    rows[0] = state
+    k = 0
     try:
-        # overflow or a zero division here is a detected condition
-        # (StepRejected, or a non-finite diagnostic), not a warning
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            first = record(state)
-            rows = np.empty((n_records, len(first)))
-            rows[0] = first
+        with np.errstate(**_QUIET):
             for i in range(1, n_steps + 1):
-                last, state = state, rk4_step(stage, state, step)
+                last, state = state, rk4_step(rhs, state, step)
                 # not a sum: that overflows on some finite states
                 if not all(map(math.isfinite, state)):
                     raise _rejected(i, step, last, "non-finite state")
@@ -352,16 +360,11 @@ def _drive(state, stage, s_max, step, record_stride, guard=None, record=None):
                     raise _rejected(i, step, state, msg)
                 if i % record_stride == 0 or i == n_steps:
                     k += 1
-                    rows[k] = record(state)
+                    rows[k] = state
     except _RUN_FAULTS as exc:
-        # state is finite: a stage raised before replacing it, or record raised
-        raise _rejected(i, step, state, exc, type(exc)) from exc
+        # state is finite: a stage raised before replacing it
+        raise _fault(exc, i, step, state) from exc
     return np.append(np.arange(0, n_steps, record_stride), n_steps) * step, rows
-
-
-# Python floats raise where numpy returns inf or nan; a stage that raises one
-# of these leaves a NaN state, which _drive rejects as non-finite
-_FLOAT_FAULTS = (ZeroDivisionError, OverflowError, ValueError)
 
 
 def _components(v, n, name):
@@ -382,26 +385,17 @@ def integrate(model, x0, p0, s_max, step=1e-3, record_stride=1, canonical=False)
     step. dm_ds and comm_norm come from dp/ds = dy/ds[4:] of the right-hand
     side that was integrated, evaluated once over the recorded columns.
     Raises StepRejected when the state goes non-finite (also when a model
-    callable raises ZeroDivisionError, OverflowError or ValueError on the
-    Python floats, where numpy would give inf or nan) or the model's guard
-    trips, and UsageError for an x0 or p0 that is not 4 components or a bad
-    step or record_stride.
+    callable raises ArithmeticError or ValueError on the Python floats, where
+    numpy would give inf or nan) or the model's guard trips, and UsageError
+    for an x0 or p0 that is not 4 components or a bad step or record_stride.
     """
     rhs = (model.flow if model.flow is not None and not canonical
            else partial(hamilton_rhs, model))
-
-    def stage(y):
-        try:
-            return rhs(y)
-        except _FLOAT_FAULTS:
-            return [math.nan] * 8
-
     state = np.concatenate((_components(x0, 4, "x0"),
                             _components(p0, 4, "p0"))).tolist()
-    s, rows = _drive(state, stage, s_max, step, record_stride, model.guard)
+    s, rows = _drive(state, rhs, s_max, step, record_stride, model.guard)
     cols = rows.T
-    # as in _drive: a non-finite diagnostic is detected, not a warning
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(**_QUIET):  # as in _drive
         h = np.broadcast_to(model.hamiltonian(cols), s.shape)
         # a constant component comes back a number: broadcast it to a column
         pdot = np.array(np.broadcast_arrays(*rhs(cols)[4:], s)[:-1]).T
@@ -448,11 +442,15 @@ def _geodesic_flow(metric, xs, pl):
 
 def _diagonal_geodesic_rhs(metric, y):
     """d(x, p_mu)/ds of the state list y for a diagonal metric, in Python
-    floats: u_a = (1 / g_aa) p_a + 0.0 and dp_lam/ds = 0.5 * the sum from 0.0,
+    floats: u_a = (1 / g_aa) p_a + 0.0, which has np.linalg.inv's bits and
+    fails as it does on a zero entry, and dp_lam/ds = 0.5 * the sum from 0.0,
     over the nonzero partials in order of a, of (d_lam g_aa u_a) u_a. A sum of
     one or two terms has _geodesic_flow's bits, as the zeros it adds are exact."""
     xs = y[:metric.dim]
-    up = [i * p + 0.0 for i, p in zip(metric.inverse_diag(xs), y[metric.dim:])]
+    d = metric.diag(xs)
+    if not all(d):
+        raise np.linalg.LinAlgError("Singular matrix")
+    up = [(1.0 / v) * p + 0.0 for v, p in zip(d, y[metric.dim:])]
     pdot = [0.0] * metric.dim
     for lam, a, _, part in metric.partials:
         pdot[lam] += (part(xs) * up[a]) * up[a]
@@ -470,23 +468,27 @@ def covariant_integrate(metric, x0, p0_upper, s_max, step=1e-3, record_stride=1)
     flow sends to rounding.
 
     A diagonal metric steps in Python floats (_diagonal_geodesic_rhs), any
-    other in _geodesic_flow's arrays, as every record does. The run is sized
+    other in _geodesic_flow's arrays. After the last step each record takes
+    the numpy flow and christoffel_at at its recorded state (x, p_mu), so a
+    fault at any step is raised before a record's. The run is sized
     (step_count) before p0_upper is lowered. An x0 or p0_upper that is not
     finite, a fault lowering p0_upper, or a lowered momentum that is not
-    finite, names step 0 with x0 and p0_upper.
+    finite, names step 0 with x0 and p0_upper. Faults read as _fault reads
+    them, a Python float's at the lowering as a non-finite lowered momentum.
     """
-    step_count(s_max, step, record_stride)
+    n_steps = step_count(s_max, step, record_stride)[0]
     dim = metric.dim
     x = _components(x0, dim, "x0")
     p0 = _components(p0_upper, dim, "p0_upper")
-    _check_initial(np.concatenate((x, p0)).tolist(), step)
+    initial = np.concatenate((x, p0))
+    _check_initial(initial.tolist(), step)
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
             p_low = metric.matrix(x) @ p0
     except _RUN_FAULTS as exc:
-        raise _rejected(0, step, np.concatenate((x, p0)), exc, type(exc)) from exc
+        raise _fault(exc, 0, step, initial, "non-finite lowered momentum") from exc
     if not np.isfinite(p_low).all():
-        raise _rejected(0, step, np.concatenate((x, p0)), "non-finite lowered momentum")
+        raise _rejected(0, step, initial, "non-finite lowered momentum")
 
     def rhs(y):
         y = np.array(y)
@@ -494,20 +496,21 @@ def covariant_integrate(metric, x0, p0_upper, s_max, step=1e-3, record_stride=1)
         return up.tolist() + pdot_low.tolist()
 
     stage = rhs if metric.diag is None else partial(_diagonal_geodesic_rhs, metric)
-
-    def record(y):
-        """The row (x, p^mu, K, geodesic residual) of state y."""
-        y = np.array(y)
-        xs, pl = y[:dim], y[dim:]
-        ginv, up, dgu, pdot_low = _geodesic_flow(metric, xs, pl)
-        k = 0.5 * float(pl @ up)
-        # d(g^{-1} p)/ds = g^{-1} (dp/ds - (u^lam d_lam g) u)
-        dup = ginv @ (pdot_low - up @ dgu)
-        gamma = christoffel_at(metric, xs)  # the residual's independent route
-        resid = dup + np.einsum("mnl,n,l->m", gamma, up, up)
-        return np.concatenate((xs, up, [k, np.abs(resid).max()]))
-
     s, rows = _drive(np.concatenate((x, p_low)).tolist(), stage, s_max, step,
-                     record_stride, record=record)
-    return CovariantTrajectory(s, rows[:, :dim], rows[:, dim:2 * dim],
-                               rows[:, 2 * dim], rows[:, 2 * dim + 1])
+                     record_stride)
+    records = np.empty((len(rows), 2))  # K and the geodesic residual per row
+    try:
+        with np.errstate(**_QUIET):
+            for k, y in enumerate(rows):
+                xs, pl = y[:dim], y[dim:]
+                ginv, up, dgu, pdot_low = _geodesic_flow(metric, xs, pl)
+                # d(g^{-1} p)/ds = g^{-1} (dp/ds - (u^lam d_lam g) u)
+                dup = ginv @ (pdot_low - up @ dgu)
+                gamma = christoffel_at(metric, xs)  # the residual's independent route
+                resid = dup + np.einsum("mnl,n,l->m", gamma, up, up)
+                records[k] = 0.5 * float(pl @ up), np.abs(resid).max()
+                pl[:] = up  # p^mu takes the place of p_mu, which is read no more
+    except _RUN_FAULTS as exc:
+        # an int step, so that its s prints as a plain float
+        raise _fault(exc, int(min(k * record_stride, n_steps)), step, y) from exc
+    return CovariantTrajectory(s, rows[:, :dim], rows[:, dim:], *records.T)

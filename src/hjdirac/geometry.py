@@ -72,7 +72,7 @@ class MetricField:
     closed form, which christoffel_at and the covariant flow read. A
     diagonal metric gives diag(x) -> its dim entries and partials, the
     (lambda, a, a, x -> d_lambda g_aa) of its nonzero partials in order of
-    a, from which g, dg and inverse_diag follow.
+    a, from which g and dg follow.
     """
 
     def __init__(self, g=None, dim=4, *, dg=None, diag=None, partials=None):
@@ -91,14 +91,6 @@ class MetricField:
         if out.shape != (self.dim, self.dim):
             raise UsageError(f"metric returned shape {out.shape}, expected ({self.dim}, {self.dim})")
         return out
-
-    def inverse_diag(self, x):
-        """A diagonal metric's 1 / g_aa at x, in Python floats, raising
-        np.linalg.inv's LinAlgError("Singular matrix") on a zero entry."""
-        d = self.diag(x)
-        if not all(d):
-            raise np.linalg.LinAlgError("Singular matrix")
-        return [1.0 / v for v in d]
 
 
 def minkowski_metric(dim=4):

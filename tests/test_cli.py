@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from hjdirac import dynamics as dyn
+from hjdirac import geometry as geo
 from hjdirac import statmech as sm
 from hjdirac import verify
 from hjdirac._util import CSV_BLOCK
@@ -506,7 +507,8 @@ class TestSimulate:
             assert "unknown" in capsys.readouterr().err
 
     def test_singular_solve_exits_one(self, tmp_path, capsys):
-        # g22 = 0: the first inverse metric solve raises LinAlgError
+        # g22 = 0: the first inverse metric solve raises LinAlgError, in the
+        # first stage of step 1, which names the initial state
         entries = [[[1.0, [0, 0, 0, 0]]], [[-1.0, [0, 0, 0, 0]]],
                    [[0.0, [0, 0, 0, 0]]], [[-1.0, [0, 0, 0, 0]]]]
         cfg = tmp_path / "cfg.json"
@@ -517,39 +519,68 @@ class TestSimulate:
                      "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "run failed" in err
-        assert "step 0 (s = 0.0): Singular matrix; last finite state " \
+        assert "step 1 (s = 0.001): Singular matrix; last finite state " \
             "[[0.0, 1.0, 0.3, 0.0], [1.5, -0.3055, 0.0, 0.0]]" in err
 
     def test_coordinate_overflow_exits_one(self, tmp_path, capsys):
-        # r = 1e100: the polar metric's Python-float r ** 2 overflows
+        # r = 1e100: the polar metric's Python-float r ** 2 overflows, where
+        # numpy's would give inf
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"kind": "covariant", "s_max": 0.01,
                                    "p0_upper": [1e100, 0, 1e100, 0]}))
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
-        assert "run failed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("integration failed: ") and "non-finite state" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("config, text", [
+    @pytest.mark.parametrize("config, text, failed", [
         # g22 = -x1 reaches exactly 0 in step 4's last stage
         ({"metric": {"kind": "diagonal", "entries": [
             [[1.0, [0, 0, 0, 0]]], [[-1.0, [0, 0, 0, 0]]], [[-1.0, [0, 1, 0, 0]]],
             [[-1.0, [0, 0, 0, 0]]]]}, "x0": [0.0, 0.5, 0.0, 0.0],
           "p0_upper": [1.0, -1.0, 0.0, 0.0], "s_max": 1.0, "step": 0.125},
          "step 4 (s = 0.5): Singular matrix; last finite state "
-         "[[0.375, 0.125, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]]"),
-        # r ** 2 overflows in a stage of step 1, as Python floats raise
+         "[[0.375, 0.125, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]]", "run failed"),
+        # r ** 2 overflows in a stage of step 1, as Python floats raise: read
+        # as the non-finite state numpy's inf would give
         ({"s_max": 0.01, "p0_upper": [1e100, 0, 1e100, 0]},
-         "step 1 (s = 0.001): (34, 'Numerical result out of range'); last finite "
-         "state [[0.0, 1.0, 0.3, 0.0], [1e+100, 0.0, -1e+100, 0.0]]"),
+         "step 1 (s = 0.001): non-finite state; last finite "
+         "state [[0.0, 1.0, 0.3, 0.0], [1e+100, 0.0, -1e+100, 0.0]]", "integration failed"),
+        # g22 = -x1^2000 overflows at x1 = 1.5, in step 1's second stage: a
+        # Python-float fault reads as in a model run
+        ({"metric": {"kind": "diagonal", "entries": [
+            [[1.0, [0, 0, 0, 0]]], [[-1.0, [0, 0, 0, 0]]], [[-1.0, [0, 2000, 0, 0]]],
+            [[-1.0, [0, 0, 0, 0]]]]}, "p0_upper": [1.5, 1000.0, 0.0, 0.0], "s_max": 0.01},
+         "step 1 (s = 0.001): non-finite state; last finite state "
+         "[[0.0, 1.0, 0.3, 0.0], [1.5, -1000.0, 0.0, 0.0]]", "integration failed"),
     ])
-    def test_stage_faults_exit_one_naming_the_step(self, tmp_path, capsys, config, text):
+    def test_stage_faults_exit_one_naming_the_step(self, tmp_path, capsys, config, text,
+                                                   failed):
         # messages taken while every stage went through numpy
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(dict(config, kind="covariant")))
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "run failed: %s\n" % text
+        assert capsys.readouterr().err == "%s: %s\n" % (failed, text)
+        assert not out.exists()
+
+    def test_record_singular_metric_names_its_record(self, tmp_path, capsys, monkeypatch):
+        # with the guard at cond(g) = 1.5 the polar run's record at step 720
+        # (r = 1.228) trips christoffel_at's guard, which no stage reads: it
+        # is reported after the run, naming the record's step and state
+        monkeypatch.setattr(geo, "COND_GUARD", 1.5)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "covariant", "x0": [0, 1, 0.3, 0],
+                                   "p0_upper": [1.5, 0.3055, -0.1935, 0], "s_max": 2,
+                                   "record_stride": 10}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: step 720 (s = 0.72): cond(g) = 1.508e+00 at x = [1.0799999999999854, "
+            "1.2278894347619427, 0.18629214326524002, 0.0]; last finite state "
+            "[[1.0799999999999854, 1.2278894347619427, 0.18629214326524002, 0.0], "
+            "[1.5, -0.325482236987799, 0.1935, 0.0]]\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("metric, x0", [
@@ -563,15 +594,16 @@ class TestSimulate:
         ({"kind": "polar"}, [0.0, 1e200, 0.3, 0.0]),
     ])
     def test_lowering_fault_exits_one_naming_step_zero(self, tmp_path, capsys, metric, x0):
-        # x1 ** 2000 or r ** 2 overflows lowering p0_upper, before the first step
+        # x1 ** 2000 or r ** 2 overflows lowering p0_upper, before the first
+        # step: read as the non-finite momentum numpy's inf would give
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"kind": "covariant", "s_max": 0.01,
                                    "metric": metric, "x0": x0}))
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err == ("run failed: step 0 (s = 0.0): (34, 'Numerical result out of "
-                       "range'); last finite state [%r, [1.5, 0.3055, -0.1935, 0.0]]\n"
+        assert err == ("integration failed: step 0 (s = 0.0): non-finite lowered "
+                       "momentum; last finite state [%r, [1.5, 0.3055, -0.1935, 0.0]]\n"
                        % x0)
         assert "Traceback" not in err
         assert not out.exists()
@@ -958,6 +990,9 @@ _TERMS_OVER_CAP = "[%s]" % ", ".join(["[[1.0, [0]]]"] * (MAX_DIM + 1))
 _DIAGONAL_OVER_CAP = '{"kind": "diagonal", "entries": %s}' % _TERMS_OVER_CAP
 _SQUARE_OVER_CAP = ('{"kind": "custom-polynomial", "entries": [%s]}'
                     % ", ".join([_TERMS_OVER_CAP] * (MAX_DIM + 1)))
+_COV_3D = ('{"kind": "covariant", "s_max": 0.01, "x0": [0, 1, 0.3], '
+           '"p0_upper": [1.5, 0.3, -0.2], "metric": %s}')
+_DIAG_PAST_DIM = ("[[1.0, [0]]]", "[[-1.0, [0]]]", "[[-1.0, [0, 0, 0, 2]]]")
 BAD_CONFIGS = [
     pytest.param("simulate", '{"canonical": "no"}', "canonical", id="canonical-string"),
     pytest.param("simulate", _COV % '{"kind": "polar", "dim": 4.9}', "dim",
@@ -969,6 +1004,14 @@ BAD_CONFIGS = [
     pytest.param("simulate", _COV % _EXPONENT, "entries", id="exponent-float"),
     pytest.param("simulate", _COV % _NOT_SQUARE, "entries", id="entries-not-square"),
     pytest.param("simulate", _DIAGONAL_DIM, "dim", id="diagonal-dim"),
+    # -x3^2 in a 3-dim metric, which has no x3: these ran as the constant -1
+    pytest.param("simulate", _COV_3D % ('{"kind": "diagonal", "entries": [%s, %s, %s]}'
+                                        % _DIAG_PAST_DIM), "entries",
+                 id="diagonal-exponent-past-dim"),
+    pytest.param("simulate", _COV_3D % ('{"kind": "custom-polynomial", "entries": '
+                                        '[[%s, [], []], [[], %s, []], [[], [], %s]]}'
+                                        % _DIAG_PAST_DIM), "entries",
+                 id="custom-polynomial-exponent-past-dim"),
     pytest.param("simulate", _EMPTY % "diagonal", "entries", id="diagonal-entries-empty"),
     pytest.param("simulate", _EMPTY % "custom-polynomial", "entries",
                  id="custom-polynomial-entries-empty"),

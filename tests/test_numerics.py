@@ -761,25 +761,30 @@ def test_covariant_rhs_matches_per_component_sums(metric, x0, p0):
     (geo.polar_metric(3), True), (geo.polar_metric(4), True), (DIAGONAL, False),
 ], ids=["metric%d" % i for i in range(5)])
 def test_diagonal_inverse_matches_linalg_inv(metric, polar):
-    """inverse_diag is np.linalg.inv's diagonal, and applied entry by entry
-    (+ 0.0, as the stages do) it gives np.linalg.inv's matrix product,
-    signed zeros included; a zero entry fails as np.linalg.inv does."""
+    """The stage's u = (1 / g_aa) p_a + 0.0 is np.linalg.inv's matrix
+    product, signed zeros included, and at a unit momentum e_a its entry a is
+    np.linalg.inv's diagonal entry; a zero entry fails as np.linalg.inv
+    does."""
     rng = np.random.default_rng(19)
+    dim = metric.dim
+
+    def u(x, v):
+        return dyn._diagonal_geodesic_rhs(metric, np.concatenate((x, v)).tolist())[:dim]
+
     for _ in range(200):
-        x, v = wide_points(rng, metric.dim), wide_points(rng, metric.dim)
-        v[rng.random(metric.dim) < 0.3] = 0.0
-        v[rng.random(metric.dim) < 0.2] = -0.0
+        x, v = wide_points(rng, dim), wide_points(rng, dim)
+        v[rng.random(dim) < 0.3] = 0.0
+        v[rng.random(dim) < 0.2] = -0.0
         ginv = np.linalg.inv(metric.matrix(x))
-        inv = metric.inverse_diag(x.tolist())
-        assert same_bits(inv, np.diag(ginv))
-        assert same_bits([i * a + 0.0 for i, a in zip(inv, v.tolist())], ginv @ v)
+        assert same_bits([u(x, e)[a] for a, e in enumerate(np.eye(dim))], np.diag(ginv))
+        assert same_bits(u(x, v), ginv @ v)
         assert same_bits(metric.matrix(x), np.diag(metric.diag(x)))
     if polar:  # g_thth = -r^2 vanishes on the axis
-        x = np.zeros(metric.dim)
+        x = np.zeros(dim)
         with pytest.raises(np.linalg.LinAlgError) as want:
             np.linalg.inv(metric.matrix(x))
         with pytest.raises(np.linalg.LinAlgError) as got:
-            metric.inverse_diag(x.tolist())
+            u(x, np.ones(dim))
         assert str(got.value) == str(want.value) == "Singular matrix"
 
 
@@ -892,7 +897,7 @@ def test_covariant_record_evaluates_the_metric_partials_once(monkeypatch):
 
 
 def test_diagonal_stages_read_neither_dg_nor_inverse(monkeypatch):
-    calls = {"dg": 0, "matrix": 0, "inverse_diag": 0}
+    calls = {"dg": 0, "matrix": 0, "diag": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -902,14 +907,15 @@ def test_diagonal_stages_read_neither_dg_nor_inverse(monkeypatch):
 
     metric = geo.polar_metric(4)
     metric.dg = counted("dg", metric.dg)
-    for name in ("matrix", "inverse_diag"):
-        monkeypatch.setattr(geo.MetricField, name, counted(name, getattr(geo.MetricField, name)))
+    metric.diag = counted("diag", metric.diag)  # matrix reads its own diag
+    monkeypatch.setattr(geo.MetricField, "matrix", counted("matrix", geo.MetricField.matrix))
     dyn.covariant_integrate(metric, [0.0, 1.0, 0.3, 0.0],
                             [1.5, 0.3, -0.19, 0.0], 0.1, step=0.01, record_stride=5)
     # only the 3 records read dg and the matrix, once in the flow (whose
     # inverse is np.linalg.inv's) and once in christoffel_at, after the
-    # initial lowering's matrix; each of the 40 stages reads inverse_diag alone
-    assert calls == {"dg": 3 + 3, "matrix": 1 + 3 * 2, "inverse_diag": 4 * 10}
+    # initial lowering's matrix; each of the 40 stages reads the diagonal
+    # entries alone, and inverts them itself
+    assert calls == {"dg": 3 + 3, "matrix": 1 + 3 * 2, "diag": 4 * 10}
 
 
 # -- the commutator norm -----------------------------------------------------------
