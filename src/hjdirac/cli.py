@@ -22,11 +22,10 @@ from functools import partial
 import numpy as np
 
 from . import dynamics as dyn
-from . import geometry as geo
 from . import statmech as sm
 from . import verify
-from ._util import atomic_write_text, forked, json_text, write_csv, write_json
-from .config import ENSEMBLE, SIMULATE, Spec, parse
+from ._util import forked, json_text, write_csv, write_json
+from .config import ENSEMBLE, parse
 from .errors import DegenerateData, HJDiracError, StepRejected, UsageError
 
 
@@ -102,92 +101,27 @@ def cmd_verify(args):
                 raise outcome
             record(name, outcome)
     report["passed"] = all(s["passed"] for s in report["suites"].values())
-    os.makedirs(args.out, exist_ok=True)
-    write_json(os.path.join(args.out, "verify_report.json"), report)
     rows = [dict(c, suite=s) for s, suite in report["suites"].items()
             for c in suite["checks"]]
     header = ["suite", "check", "residual", "tolerance", "passed"]
-    write_csv(os.path.join(args.out, "verify_report.csv"), header,
-              [[row[key] for row in rows] for key in header])
+    columns = [[row[key] for row in rows] for key in header]
+    _publish(args.out, {"verify_report.json": report},
+             {"verify_report.csv": lambda path: write_csv(path, header, columns)})
     return 0 if report["passed"] else 1
 
 
 # ---------------------------------------------------------------------------
 # simulate
 
-def _line_fit_residual(s, x, y):
-    design = np.stack([np.ones_like(s), s], axis=1)
-    rx = x - design @ np.linalg.lstsq(design, x, rcond=None)[0]
-    ry = y - design @ np.linalg.lstsq(design, y, rcond=None)[0]
-    return float(max(np.abs(rx).max(), np.abs(ry).max()))
-
-
 def cmd_simulate(args):
-    cfg = parse(SIMULATE, _load_config(args.config), "simulate config", "model")
-    if cfg["kind"] == "covariant":
-        metric = geo.metric_from_config(cfg["metric"])
-        for key in ("x0", "p0_upper"):
-            Spec("a list of %d numbers, one per metric dimension" % metric.dim,
-                 lambda v: len(v) == metric.dim).check(
-                     cfg[key], "simulate config 'covariant' key %r" % key)
-        traj = dyn.covariant_integrate(metric, np.asarray(cfg["x0"], float),
-                                       np.asarray(cfg["p0_upper"], float),
-                                       cfg["s_max"], step=cfg["step"],
-                                       record_stride=cfg["record_stride"])
-        header = traj.header()
-        # a diagnostic that overflows is refused below, by name
-        with np.errstate(over="ignore", invalid="ignore"):
-            diagnostics = {"k_drift": traj.k_drift(),
-                           "max_geodesic_residual": traj.max_residual(),
-                           "samples": int(len(traj.s))}
-            if cfg["metric"].get("kind") == "polar":
-                cart_x = traj.x[:, 1] * np.cos(traj.x[:, 2])
-                cart_y = traj.x[:, 1] * np.sin(traj.x[:, 2])
-                diagnostics["straightness_residual"] = \
-                    _line_fit_residual(traj.s, cart_x, cart_y)
-    else:
-        model = dyn.model_from_config(cfg["model"])
-        p0 = cfg["p0"]
-        if p0 is None:
-            if getattr(model, "reference", None) is not None:
-                with np.errstate(over="ignore"):  # refused below
-                    p0 = model.m0 * model.reference.tangent(0.0)
-                if not np.isfinite(p0).all():
-                    raise UsageError("config key 'p0' is null and the model's own p0 "
-                                     "%s is not finite" % p0.tolist())
-            elif model.m0:
-                p0 = [model.m0, 0.0, 0.0, 0.0]
-            else:
-                raise UsageError("config needs p0 for this model")
-        traj = dyn.integrate(model, np.asarray(cfg["x0"], float),
-                             np.asarray(p0, float), cfg["s_max"],
-                             step=cfg["step"], canonical=cfg["canonical"],
-                             record_stride=cfg["record_stride"])
-        header = list(traj.COLUMNS)
-        late = traj.comm_norm[traj.s > 0.1]
-        # a diagnostic that overflows is refused below, by name
-        with np.errstate(over="ignore", invalid="ignore"):
-            diagnostics = {"energy_drift": traj.energy_drift(),
-                           "mass_shell_drift": traj.mass_shell_drift(),
-                           "comm_norm_max": float(traj.comm_norm.max()),
-                           "comm_norm_late_min":
-                               float(late.min()) if late.size else 0.0,
-                           "samples": int(len(traj.s))}
-            if cfg["model"].get("kind") == "projectile" and not cfg["canonical"]:
-                diagnostics["closed_form_deviation"] = traj.closed_form_deviation(model)
-        cfg["p0"] = [float(v) for v in np.asarray(p0, float)]
-
-    # everything that can fail runs before the first file is written
-    report_path = os.path.join(args.out, "simulate_report.json")
+    cfg, traj, diagnostics = dyn.simulate(_load_config(args.config))
     for key, value in diagnostics.items():
         if not math.isfinite(value):
-            raise DegenerateData("%s not written: diagnostic %s is %r"
-                                 % (report_path, key, value))
-    report_text = json_text(report_path, {"command": "simulate", "effective_config": cfg,
-                                          "diagnostics": diagnostics})
-    os.makedirs(args.out, exist_ok=True)
-    write_csv(os.path.join(args.out, "trajectory.csv"), header, traj.columns())
-    atomic_write_text(report_path, report_text)
+            raise DegenerateData("%s not written: diagnostic %s is %r" % (
+                os.path.join(args.out, "simulate_report.json"), key, value))
+    report = {"command": "simulate", "effective_config": cfg, "diagnostics": diagnostics}
+    _publish(args.out, {"simulate_report.json": report},
+             {"trajectory.csv": lambda path: write_csv(path, traj.header(), traj.columns())})
     print("simulate: %d samples written" % diagnostics["samples"])
     return 0
 
@@ -200,42 +134,48 @@ def cmd_ensemble(args):
     if cfg["kind"] == "occupancy":
         table = sm.partition_enumerate(cfg["levels"], cfg["n"], cfg["beta"],
                                        cfg["statistics"])
-        os.makedirs(args.out, exist_ok=True)
-        sm.write_occupancy_csv(table, os.path.join(args.out, "occupancy.csv"))
-        payload = {"command": "ensemble", "effective_config": cfg,
-                   "statistics": table.statistics, "states":
-                       int(len(table.occupations)), "partition_sum": table.z}
+        report = {"command": "ensemble", "effective_config": cfg,
+                  "statistics": table.statistics,
+                  "states": int(len(table.occupations)), "partition_sum": table.z}
         if table.statistics == "MB":
-            payload["factorization_residual"] = abs(
-                table.z - table.single_particle_z() ** table.n) / table.z
-        write_json(os.path.join(args.out, "ensemble_report.json"), payload)
+            report["factorization_residual"] = table.factorization_residual()
+        _publish(args.out, {"ensemble_report.json": report},
+                 {"occupancy.csv": partial(sm.write_occupancy_csv, table)})
         print("ensemble: %d states enumerated" % len(table.occupations))
         return 0
     ens = sm.EnsembleConfig(n=cfg["n"], m0=cfg["m0"], T=cfg["T"],
                             kB=cfg["kB"], seed=args.seed)
     sample = sm.sample_mb(ens)
-    # everything that can fail runs before the first file is written
     moments = sample.moments()
-    moments_path = os.path.join(args.out, "moments.json")
-    moments_text = json_text(moments_path, dict(
-        moments, command="ensemble", effective_config=dict(cfg, seed=args.seed)))
-    os.makedirs(args.out, exist_ok=True)
-    sm.write_histogram_csv(sample, os.path.join(args.out, "histogram.csv"),
-                           bins=cfg["bins"])
-    sm.write_samples_csv(sample, os.path.join(args.out, "samples.csv"))
-    atomic_write_text(moments_path, moments_text)
-    worst = max(abs(v - ens.sigma2) for v in moments["variance"])
-    if worst > 4.0 * moments["variance_se"]:
-        print("ensemble: variance off by %.3g (4 se = %.3g)"
-              % (worst, 4.0 * moments["variance_se"]), file=sys.stderr)
+    report = dict(moments, command="ensemble", effective_config=dict(cfg, seed=args.seed))
+    _publish(args.out, {"moments.json": report},
+             {"histogram.csv": lambda path: sm.write_histogram_csv(sample, path, cfg["bins"]),
+              "samples.csv": partial(sm.write_samples_csv, sample)})
+    worst, se = sm.variance_deviation(moments), moments["variance_se"]
+    if worst > 4.0 * se:
+        print("ensemble: variance off by %.3g (4 se = %.3g)" % (worst, 4.0 * se),
+              file=sys.stderr)
         return 1
-    print("ensemble: %d samples, variance within %.2f se"
-          % (ens.n, worst / moments["variance_se"]))
+    print("ensemble: %d samples, variance within %.2f se" % (ens.n, worst / se))
     return 0
 
 
 # ---------------------------------------------------------------------------
 # plumbing
+
+def _publish(out, reports, tables):
+    """Write reports, {file name: JSON payload}, and tables, {file name:
+    function writing that CSV to the path it is given}, into directory out.
+    Every report is serialized first, so one that is not strict JSON raises
+    DegenerateData naming it before out exists; then out, tables, reports."""
+    for name, payload in reports.items():
+        json_text(os.path.join(out, name), payload)
+    os.makedirs(out, exist_ok=True)
+    for name, write in tables.items():
+        write(os.path.join(out, name))
+    for name, payload in reports.items():
+        write_json(os.path.join(out, name), payload)
+
 
 def _load_config(path):
     if not path:
@@ -266,7 +206,6 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file")
     common.add_argument("--out", default=".", help="output directory")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--format", choices=("csv",), default="csv")
@@ -279,13 +218,12 @@ def build_parser():
                           help="tolerance override, repeatable")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_sim = sub.add_parser("simulate", parents=[common],
-                           help="integrate a model and write its trajectory")
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_ens = sub.add_parser("ensemble", parents=[common],
-                           help="sampling and enumeration artifacts")
-    p_ens.set_defaults(func=cmd_ensemble)
+    for name, func, text in (
+            ("simulate", cmd_simulate, "integrate a model and write its trajectory"),
+            ("ensemble", cmd_ensemble, "sampling and enumeration artifacts")):
+        configured = sub.add_parser(name, parents=[common], help=text)
+        configured.add_argument("--config", help="JSON config file")
+        configured.set_defaults(func=func)
     return parser
 
 

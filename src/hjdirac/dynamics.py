@@ -21,8 +21,8 @@ from itertools import combinations
 import numpy as np
 
 from .clifford import minkowski_dot
-from .geometry import christoffel_at
-from .config import MAX_DIM, MODEL, integer, parse
+from .geometry import christoffel_at, metric_from_config
+from .config import MAX_DIM, MODEL, SIMULATE, Spec, integer, parse
 from .errors import SingularMetric, StepRejected, UsageError
 from .hamilton_jacobi import projectile_field
 
@@ -37,6 +37,7 @@ __all__ = [
     "operator_commutator",
     "CovariantTrajectory",
     "covariant_integrate",
+    "simulate",
 ]
 
 # Most samples one run may record, ceil((s_max / step) / record_stride) + 1.
@@ -187,9 +188,6 @@ def operator_commutator(p, pdot):
 class Trajectory:
     """Sampled run of one model: arrays indexed by sample, not by step."""
 
-    COLUMNS = ["s", "x0", "x1", "x2", "x3", "p0", "p1", "p2", "p3",
-               "H", "dm_ds", "comm_norm"]
-
     def __init__(self, s, x, p, h, dm_ds, comm_norm):
         self.s = np.asarray(s)
         self.x = np.asarray(x)
@@ -212,8 +210,11 @@ class Trajectory:
         return float(max(np.abs(self.x - ref.position(self.s)).max(),
                          np.abs(self.p - model.m0 * ref.tangent(self.s)).max()))
 
+    def header(self):
+        return ["s", "x0", "x1", "x2", "x3", "p0", "p1", "p2", "p3", "H", "dm_ds", "comm_norm"]
+
     def columns(self):
-        """One array per COLUMNS name, in order."""
+        """One array per header() name, in order."""
         return [self.s, *self.x.T, *self.p.T, self.h, self.dm_ds, self.comm_norm]
 
 
@@ -514,3 +515,60 @@ def covariant_integrate(metric, x0, p0_upper, s_max, step=1e-3, record_stride=1)
         # an int step, so that its s prints as a plain float
         raise _fault(exc, int(min(k * record_stride, n_steps)), step, y) from exc
     return CovariantTrajectory(s, rows[:, :dim], rows[:, dim:], *records.T)
+
+
+# -- runs from a config --------------------------------------------------------
+
+def _line_fit_residual(s, x, y):
+    design = np.stack([np.ones_like(s), s], axis=1)
+    return float(max(np.abs(c - design @ np.linalg.lstsq(design, c, rcond=None)[0]).max()
+                     for c in (x, y)))
+
+
+def simulate(cfg):
+    """(effective config, trajectory, diagnostics) of the run a simulate
+    config asks for; a model run's effective p0 is the floats it started
+    from. A diagnostic that overflows is returned, inf or nan, unwarned."""
+    cfg = parse(SIMULATE, cfg, "simulate config", "model")
+    if cfg["kind"] == "covariant":
+        metric = metric_from_config(cfg["metric"])
+        for key in ("x0", "p0_upper"):
+            Spec("a list of %d numbers, one per metric dimension" % metric.dim, lambda v:
+                 len(v) == metric.dim).check(cfg[key], "simulate config 'covariant' key %r" % key)
+        traj = covariant_integrate(metric, cfg["x0"], cfg["p0_upper"], cfg["s_max"],
+                                   step=cfg["step"], record_stride=cfg["record_stride"])
+        with np.errstate(over="ignore", invalid="ignore"):
+            diagnostics = {"k_drift": traj.k_drift(),
+                           "max_geodesic_residual": traj.max_residual(),
+                           "samples": int(len(traj.s))}
+            if cfg["metric"].get("kind") == "polar":
+                r, theta = traj.x[:, 1], traj.x[:, 2]
+                diagnostics["straightness_residual"] = _line_fit_residual(
+                    traj.s, r * np.cos(theta), r * np.sin(theta))
+        return cfg, traj, diagnostics
+    model = model_from_config(cfg["model"])
+    p0 = cfg["p0"]
+    if p0 is None:
+        if getattr(model, "reference", None) is not None:
+            with np.errstate(over="ignore"):  # refused below
+                p0 = model.m0 * model.reference.tangent(0.0)
+            if not np.isfinite(p0).all():
+                raise UsageError("config key 'p0' is null and the model's own p0 "
+                                 "%s is not finite" % p0.tolist())
+        elif model.m0:
+            p0 = [model.m0, 0.0, 0.0, 0.0]
+        else:
+            raise UsageError("config needs p0 for this model")
+    cfg["p0"] = [float(v) for v in np.asarray(p0, float)]
+    traj = integrate(model, cfg["x0"], cfg["p0"], cfg["s_max"], step=cfg["step"],
+                     canonical=cfg["canonical"], record_stride=cfg["record_stride"])
+    late = traj.comm_norm[traj.s > 0.1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        diagnostics = {"energy_drift": traj.energy_drift(),
+                       "mass_shell_drift": traj.mass_shell_drift(),
+                       "comm_norm_max": float(traj.comm_norm.max()),
+                       "comm_norm_late_min": float(late.min()) if late.size else 0.0,
+                       "samples": int(len(traj.s))}
+        if cfg["model"].get("kind") == "projectile" and not cfg["canonical"]:
+            diagnostics["closed_form_deviation"] = traj.closed_form_deviation(model)
+    return cfg, traj, diagnostics

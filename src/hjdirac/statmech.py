@@ -115,10 +115,14 @@ class VelocitySample:
         if self.config:
             report.update(m0=self.config.m0, T=self.config.T,
                           kB=self.config.kB, seed=self.config.seed)
-            se = report["variance_se"]
             report["within_3se"] = bool(
-                max(abs(x - target) for x in report["variance"]) < 3.0 * se)
+                variance_deviation(report) < 3.0 * report["variance_se"])
         return report
+
+
+def variance_deviation(moments):
+    """max |variance - target_variance| over a moments() report's axes."""
+    return max(abs(v - moments["target_variance"]) for v in moments["variance"])
 
 
 def _add_rows(total, block):
@@ -225,6 +229,13 @@ class PartitionTable:
         # which partition_enumerate refuses, unless n = 0, where z ** 0 is 1
         with np.errstate(over="ignore"):
             return float(_exp(-self.beta * np.asarray(self.levels)).sum())
+
+    def factorization_residual(self):
+        """|z - z_1^n| / z, zero for MB counting; inf if z_1^n overflows."""
+        try:
+            return abs(self.z - self.single_particle_z() ** self.n) / self.z
+        except OverflowError:
+            return math.inf
 
 
 def _occupations(L, n, cap):

@@ -166,49 +166,42 @@ def dirac(seed, size):
             1.0 / least if least > 0 else np.inf]
 
 
-# (s_max, record_stride) of the dynamics suite's runs: the projectile against
-# its closed form, its canonical H drift and the polar straight line
-DYNAMICS_RUNS = ((2.0, 1), (10.0, 100), (2.0, 10))
+# the dynamics suite's simulate configs, run at its size as step: the projectile, its
+# canonical flow, and a polar geodesic from (r, theta) at Cartesian velocity (vx, vy)
+_R0, _TH0, _VX, _VY = 1.0, 0.3, 0.4, -0.25
+_CX0, _CY0 = _R0 * np.cos(_TH0), _R0 * np.sin(_TH0)
+DYNAMICS_RUNS = (
+    {"kind": "model", "s_max": 2.0, "record_stride": 1},
+    {"kind": "model", "s_max": 10.0, "record_stride": 100, "canonical": True},
+    {"kind": "covariant", "metric": {"kind": "polar"}, "x0": [0.0, _R0, _TH0, 0.0],
+     "p0_upper": [1.5, float((_CX0 * _VX + _CY0 * _VY) / _R0),
+                  float((_CX0 * _VY - _CY0 * _VX) / _R0 ** 2), 0.0],
+     "s_max": 2.0, "record_stride": 10})
 
 
 def check_step(step):
     """UsageError, naming --tol step, unless every run of the dynamics suite
     takes this step (dynamics.step_count's rules)."""
-    for s_max, record_stride in DYNAMICS_RUNS:
+    for run in DYNAMICS_RUNS:
         try:
-            dyn.step_count(s_max, step, record_stride)
+            dyn.step_count(run["s_max"], step, run["record_stride"])
         except UsageError as exc:
-            raise UsageError("--tol step=%r does not fit the dynamics suite's "
-                             "run over s_max = %r: %s" % (step, s_max, exc)) from None
+            raise UsageError("--tol step=%r does not fit the dynamics suite's run "
+                             "over s_max = %r: %s" % (step, run["s_max"], exc)) from None
 
 
 def dynamics(seed, size):
-    """size is the integration step of every run."""
-    ((traj_s, traj_stride), (canonical_s, canonical_stride),
-     (line_s, line_stride)) = DYNAMICS_RUNS
-    model = dyn.projectile_model(1.0, 0.5, 1.0, 0.2)
-    p0 = model.reference.tangent(0.0)
-    traj = dyn.integrate(model, np.zeros(4), p0, traj_s, step=size,
-                         record_stride=traj_stride)
-    traj_err = traj.closed_form_deviation(model)
-    canonical = dyn.integrate(model, np.zeros(4), p0, canonical_s, step=size,
-                              canonical=True, record_stride=canonical_stride)
-    late = traj.comm_norm[traj.s > 0.1]
-    comm_floor = 1.0 / late.min() if late.size and late.min() > 0 else np.inf
-
-    r0, th0 = 1.0, 0.3
-    vx, vy = 0.4, -0.25
-    cx0, cy0 = r0 * np.cos(th0), r0 * np.sin(th0)
-    u0 = np.array([1.5, (cx0 * vx + cy0 * vy) / r0,
-                   (cx0 * vy - cy0 * vx) / r0 ** 2, 0.0])
-    cov = dyn.covariant_integrate(geo.polar_metric(4),
-                                  np.array([0.0, r0, th0, 0.0]), u0, line_s,
-                                  step=size, record_stride=line_stride)
-    cart_x = cov.x[:, 1] * np.cos(cov.x[:, 2])
-    cart_y = cov.x[:, 1] * np.sin(cov.x[:, 2])
-    line_err = max(np.abs(cart_x - (cx0 + vx * cov.s)).max(),
-                   np.abs(cart_y - (cy0 + vy * cov.s)).max())
-    return [traj_err, canonical.energy_drift(), comm_floor, line_err]
+    """size is the integration step of every run. The first three rows read
+    the diagnostics simulate reports; the line row checks the polar run's
+    Cartesian image against the exact line."""
+    (_, _, projectile), (_, _, canonical), (_, polar, _) = [
+        dyn.simulate(dict(run, step=size)) for run in DYNAMICS_RUNS]
+    late_min = projectile["comm_norm_late_min"]
+    r, theta, s = polar.x[:, 1], polar.x[:, 2], polar.s
+    line_err = max(np.abs(r * np.cos(theta) - (_CX0 + _VX * s)).max(),
+                   np.abs(r * np.sin(theta) - (_CY0 + _VY * s)).max())
+    return [projectile["closed_form_deviation"], canonical["energy_drift"],
+            1.0 / late_min if late_min > 0 else np.inf, line_err]
 
 
 def statmech(seed, size):
@@ -216,8 +209,7 @@ def statmech(seed, size):
     samples, enumerations = size
     cfg = sm.EnsembleConfig(n=samples, m0=1.0, T=2.0, seed=seed)
     mom = sm.sample_mb(cfg).moments()
-    var_sigmas = max(abs(v - cfg.sigma2) for v in mom["variance"]) \
-        / mom["variance_se"]
+    var_sigmas = sm.variance_deviation(mom) / mom["variance_se"]
 
     count_err = fact_err = 0
     for n_levels, n in enumerations:
@@ -228,7 +220,7 @@ def statmech(seed, size):
         count_err = max(count_err,
                         abs(len(be.occupations) - math.comb(n + n_levels - 1, n)),
                         abs(len(fd.occupations) - math.comb(n_levels, n)))
-        fact_err = max(fact_err, abs(mb.z - mb.single_particle_z() ** n) / mb.z)
+        fact_err = max(fact_err, mb.factorization_residual())
     return [var_sigmas, count_err, fact_err]
 
 

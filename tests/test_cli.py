@@ -158,6 +158,42 @@ class TestVerify:
         assert lines[0] == "suite,check,residual,tolerance,passed"
         assert len(lines) == 4
 
+    def test_refused_report_leaves_no_directory(self, tmp_path, monkeypatch, capsys):
+        # an inf residual fails its row, and the report that would hold it
+        # is not strict JSON: refused before the directory is made
+        monkeypatch.setitem(verify.SUITE_FUNCS, "clifford", lambda seed, size: [
+            float("inf"), 0.0, 0.0])
+        out = tmp_path / "out"
+        assert main(["verify", "--suite", "clifford", "--out", str(out)]) == 1
+        assert "verify_report.json not written" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_is_refused(self, tmp_path, capsys):
+        # verify reads no config: --config is a usage error from the parser
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_:
+            main(["verify", "--suite", "clifford", "--config", str(tmp_path / "absent.json"),
+                  "--out", str(out)])
+        assert exit_.value.code == 2
+        assert "--config" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dynamics_rows_read_the_simulate_reports(self, tmp_path):
+        # each dynamics run is a simulate config: simulate writes the
+        # diagnostics that the traj, h_drift and comm_floor rows report
+        diagnostics = []
+        for i, run in enumerate(verify.DYNAMICS_RUNS):
+            cfg, out = tmp_path / ("run%d.json" % i), tmp_path / ("run%d" % i)
+            cfg.write_text(json.dumps(dict(run, step=1e-3)))
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+            diagnostics.append(read_json(out / "simulate_report.json")["diagnostics"])
+        assert main(["verify", "--suite", "dynamics", "--seed", "0",
+                     "--out", str(tmp_path / "verify")]) == 0
+        rows = read_json(tmp_path / "verify" / "verify_report.json")["suites"]["dynamics"]
+        assert [row["residual"] for row in rows["checks"][:3]] == [
+            diagnostics[0]["closed_form_deviation"], diagnostics[1]["energy_drift"],
+            1.0 / diagnostics[0]["comm_norm_late_min"]]
+
     def test_rerun_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -749,6 +785,23 @@ print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
 """
 
 
+# an MB occupancy whose partition sum is finite while z_1 ** n overflows
+OVERFLOWED_FACTORIZATION = {"kind": "occupancy", "levels": [-117.60397163500406] * 2,
+                            "n": 6, "beta": 1.0, "statistics": "MB"}
+# one BE and one MB occupancy run and the sha256 of occupancy.csv and
+# ensemble_report.json; the MB report's factorization residual is not zero
+OCCUPANCY_PINNED = [
+    ({"kind": "occupancy", "levels": [0.0, 0.3, 0.7, 1.1], "n": 5, "beta": 0.9,
+      "statistics": "BE"},
+     "4598785a3f2f8afd7de9f96f1d91ee5bf0299076ff16bfc2033f5942b472d71d",
+     "d4d381d2acd192b2a4369cf3ab8be8c78e88d8e36f8733b0b19d6dbcf9f6dc63"),
+    ({"kind": "occupancy", "levels": [0.0, 0.25, 0.9], "n": 4, "beta": 1.3,
+      "statistics": "MB"},
+     "84e0ffadbde7f10e9b0e58dc6009e3d8f074a1e4df0f6e1f25fd51dd0c213e48",
+     "ee174509b7871f3fc516ee181657329f67c64994369f16658b5b9865548c01ea"),
+]
+
+
 def digests(out):
     """{file name: sha256} of the files in directory out."""
     return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
@@ -957,7 +1010,10 @@ class TestEnsemble:
         ({"kind": "mb", "n": 1000, "T": 1e300}, 1, "moments.json not written"),
         # every weight is finite, but their sum overflows
         ({"kind": "occupancy", "levels": [-354.5, -354.5], "n": 2, "beta": 1.0}, 1,
-         "error: partition sum is inf")])
+         "error: partition sum is inf"),
+        # the partition sum is finite, but z_1 ** n overflows: the
+        # factorization residual is inf, which the report refuses
+        (OVERFLOWED_FACTORIZATION, 1, "ensemble_report.json not written")])
     def test_overflow_is_judged_without_warnings(self, tmp_path, capsys, cfg, code,
                                                  message):
         path = tmp_path / "cfg.json"
@@ -967,6 +1023,15 @@ class TestEnsemble:
             assert main(["ensemble", "--config", str(path),
                          "--out", str(tmp_path / "out")]) == code
         assert message in "".join(capsys.readouterr())
+        assert (tmp_path / "out").exists() == (code == 0)
+
+    @pytest.mark.parametrize("cfg, csv_digest, report_digest", OCCUPANCY_PINNED)
+    def test_occupancy_bytes_are_pinned(self, tmp_path, cfg, csv_digest, report_digest):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["ensemble", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert digests(tmp_path / "out") == {"occupancy.csv": csv_digest,
+                                             "ensemble_report.json": report_digest}
 
 
 # Configs the schema refuses: command, config text and the key (or kind) to

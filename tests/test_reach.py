@@ -24,7 +24,7 @@ import pytest
 
 from hjdirac._util import CSV_BLOCK
 from hjdirac.cli import main
-from test_cli import BAD_CONFIGS
+from test_cli import BAD_CONFIGS, OVERFLOWED_FACTORIZATION
 from test_public_names import CLAIM_CHECKS, public_names
 from test_sweep import KIND_CONFIGS, MINUS_ONE, ONE
 
@@ -79,7 +79,8 @@ def invocations(tmp_path):
                                 "p0_upper": [1e100, 0, 1e100, 0]}),  # overflow
              (1, ["ensemble"], {"kind": "occupancy", "levels": [1.0, 2.0], "n": 3,
                                 "beta": 1e6}),  # partition sum underflows
-             (1, ["ensemble"], {"kind": "mb", "n": 1000, "T": 1e-300})]  # NaN kurtosis
+             (1, ["ensemble"], {"kind": "mb", "n": 1000, "T": 1e-300}),  # NaN kurtosis
+             (1, ["ensemble"], OVERFLOWED_FACTORIZATION)]  # z_1 ** n overflows
     return runs
 
 
