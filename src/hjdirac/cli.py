@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from functools import partial
 
 import numpy as np
@@ -190,10 +191,11 @@ def _load_config(path):
 
 
 def _unique_keys(pairs):
-    """json.load's object hook: an object that repeats a key is refused."""
-    keys = [key for key, _ in pairs]
-    for key in keys:
-        if keys.count(key) > 1:
+    """json.load's object hook: an object that repeats a key is refused,
+    naming the first key, in document order, that occurs more than once."""
+    counts = Counter(key for key, _ in pairs)
+    for key, _ in pairs:
+        if counts[key] > 1:
             raise UsageError("config repeats key %r" % key)
     return dict(pairs)
 

@@ -8,10 +8,11 @@ trajectory is proper-time kinematics, which the canonical flow of its H is
 not); the H column in the record then reports whatever the model's H does
 along that flow instead of a conserved value.
 
-A trajectory record carries, per sample: the state, H, the four-force norm
+Both integrators return one Trajectory: per sample, the state and the
+run's named records. A model run records H, the four-force norm
 dm/ds = sqrt(|pdot . pdot|), and the scale-normalized commutator of slash(p)
-with slash(pdot). The last is the geodesic criterion: it vanishes iff pdot
-is parallel to p.
+with slash(pdot), the geodesic criterion: it vanishes iff pdot is parallel
+to p. A geodesic run in a chart records K and its geodesic residual.
 """
 
 import math
@@ -35,7 +36,6 @@ __all__ = [
     "Trajectory",
     "integrate",
     "operator_commutator",
-    "CovariantTrajectory",
     "covariant_integrate",
     "simulate",
 ]
@@ -186,36 +186,25 @@ def operator_commutator(p, pdot):
 
 
 class Trajectory:
-    """Sampled run of one model: arrays indexed by sample, not by step."""
+    """Sampled run of either integrator, arrays indexed by sample, not by
+    step: the parameter s, the coordinates x, the upper-index momenta p, and
+    records, the integrator's per-sample columns by name, in order (H, dm_ds
+    and comm_norm for a model run; K and geodesic_residual for a geodesic)."""
 
-    def __init__(self, s, x, p, h, dm_ds, comm_norm):
+    def __init__(self, s, x, p, **records):
         self.s = np.asarray(s)
         self.x = np.asarray(x)
         self.p = np.asarray(p)
-        self.h = np.asarray(h)
-        self.dm_ds = np.asarray(dm_ds)
-        self.comm_norm = np.asarray(comm_norm)
-
-    def energy_drift(self):
-        return float(np.abs(self.h - self.h[0]).max())
-
-    def mass_shell_drift(self):
-        pp = self.p[:, 0] ** 2 - (self.p[:, 1:] ** 2).sum(axis=1)
-        return float(np.abs(pp - pp[0]).max())
-
-    def closed_form_deviation(self, model):
-        """Largest |x - position| and |p - m0 tangent| over the samples, from
-        the closed-form trajectory model.reference of a run of model's flow."""
-        ref = model.reference
-        return float(max(np.abs(self.x - ref.position(self.s)).max(),
-                         np.abs(self.p - model.m0 * ref.tangent(self.s)).max()))
+        self.records = {name: np.asarray(v) for name, v in records.items()}
 
     def header(self):
-        return ["s", "x0", "x1", "x2", "x3", "p0", "p1", "p2", "p3", "H", "dm_ds", "comm_norm"]
+        """s, x0.., p0.., then the record names."""
+        dims = range(self.x.shape[1])
+        return ["s", *("x%d" % i for i in dims), *("p%d" % i for i in dims), *self.records]
 
     def columns(self):
         """One array per header() name, in order."""
-        return [self.s, *self.x.T, *self.p.T, self.h, self.dm_ds, self.comm_norm]
+        return [self.s, *self.x.T, *self.p.T, *self.records.values()]
 
 
 # (axpy, final) per state length, built at first use by _kernels
@@ -270,9 +259,9 @@ def step_count(s_max, step, record_stride):
     """(steps, records) of a fixed-step run over [0, s_max] that records
     step 0, every record_stride-th step and the last. Every run checks its
     size here before its first step: UsageError for a step that is not
-    positive, an s_max that is not a positive multiple of it, a
-    record_stride that is not an int >= 1, more than MAX_RECORDS records or
-    more than MAX_STEPS steps."""
+    positive, an s_max that is not a positive multiple of it (within
+    1e-9 * s_max), a record_stride that is not an int >= 1, more than
+    MAX_RECORDS records or more than MAX_STEPS steps."""
     if not step > 0:
         raise UsageError("step must be positive")
     integer(1).check(record_stride, "record_stride")
@@ -281,7 +270,7 @@ def step_count(s_max, step, record_stride):
         raise UsageError("s_max / step overflows, more than the cap of %d steps"
                          % MAX_STEPS)
     n_steps = int(round(ratio))
-    if n_steps < 1 or abs(n_steps * step - s_max) > 1e-9 * max(1.0, abs(s_max)):
+    if n_steps < 1 or abs(n_steps * step - s_max) > 1e-9 * s_max:
         raise UsageError("s_max must be a positive multiple of step")
     n_records = -(-n_steps // record_stride) + 1
     if n_records > MAX_RECORDS:
@@ -402,34 +391,10 @@ def integrate(model, x0, p0, s_max, step=1e-3, record_stride=1, canonical=False)
         pdot = np.array(np.broadcast_arrays(*rhs(cols)[4:], s)[:-1]).T
         comm = operator_commutator(rows[:, 4:], pdot)[1]
         dm_ds = np.sqrt(np.abs(minkowski_dot(pdot, pdot)))
-    return Trajectory(s, rows[:, :4], rows[:, 4:], h, dm_ds, comm)
+    return Trajectory(s, rows[:, :4], rows[:, 4:], H=h, dm_ds=dm_ds, comm_norm=comm)
 
 
 # -- curved-chart runs ---------------------------------------------------------
-
-class CovariantTrajectory:
-    def __init__(self, s, x, p_upper, k, geodesic_residual):
-        self.s = np.asarray(s)
-        self.x = np.asarray(x)
-        self.p_upper = np.asarray(p_upper)
-        self.k = np.asarray(k)
-        self.geodesic_residual = np.asarray(geodesic_residual)
-
-    def k_drift(self):
-        return float(np.abs(self.k - self.k[0]).max())
-
-    def max_residual(self):
-        return float(self.geodesic_residual.max())
-
-    def header(self):
-        dims = range(self.x.shape[1])
-        return (["s"] + ["x%d" % i for i in dims] + ["p%d" % i for i in dims]
-                + ["K", "geodesic_residual"])
-
-    def columns(self):
-        """One array per header() name, in order."""
-        return [self.s, *self.x.T, *self.p_upper.T, self.k, self.geodesic_residual]
-
 
 def _geodesic_flow(metric, xs, pl):
     """(g^{-1}, u = dx/ds = p^mu, dgu[lam, alpha] = d_lam g_{alpha beta}
@@ -514,10 +479,16 @@ def covariant_integrate(metric, x0, p0_upper, s_max, step=1e-3, record_stride=1)
     except _RUN_FAULTS as exc:
         # an int step, so that its s prints as a plain float
         raise _fault(exc, int(min(k * record_stride, n_steps)), step, y) from exc
-    return CovariantTrajectory(s, rows[:, :dim], rows[:, dim:], *records.T)
+    return Trajectory(s, rows[:, :dim], rows[:, dim:], K=records[:, 0],
+                      geodesic_residual=records[:, 1])
 
 
 # -- runs from a config --------------------------------------------------------
+
+def _drift(v):
+    """Largest |v - v[0]| over a column."""
+    return float(np.abs(v - v[0]).max())
+
 
 def _line_fit_residual(s, x, y):
     design = np.stack([np.ones_like(s), s], axis=1)
@@ -538,8 +509,8 @@ def simulate(cfg):
         traj = covariant_integrate(metric, cfg["x0"], cfg["p0_upper"], cfg["s_max"],
                                    step=cfg["step"], record_stride=cfg["record_stride"])
         with np.errstate(over="ignore", invalid="ignore"):
-            diagnostics = {"k_drift": traj.k_drift(),
-                           "max_geodesic_residual": traj.max_residual(),
+            diagnostics = {"k_drift": _drift(traj.records["K"]),
+                           "max_geodesic_residual": float(traj.records["geodesic_residual"].max()),
                            "samples": int(len(traj.s))}
             if cfg["metric"].get("kind") == "polar":
                 r, theta = traj.x[:, 1], traj.x[:, 2]
@@ -562,13 +533,16 @@ def simulate(cfg):
     cfg["p0"] = [float(v) for v in np.asarray(p0, float)]
     traj = integrate(model, cfg["x0"], cfg["p0"], cfg["s_max"], step=cfg["step"],
                      canonical=cfg["canonical"], record_stride=cfg["record_stride"])
-    late = traj.comm_norm[traj.s > 0.1]
+    s, x, p, comm = traj.s, traj.x, traj.p, traj.records["comm_norm"]
+    late = comm[s > 0.1]
     with np.errstate(over="ignore", invalid="ignore"):
-        diagnostics = {"energy_drift": traj.energy_drift(),
-                       "mass_shell_drift": traj.mass_shell_drift(),
-                       "comm_norm_max": float(traj.comm_norm.max()),
+        diagnostics = {"energy_drift": _drift(traj.records["H"]),
+                       "mass_shell_drift": _drift(p[:, 0] ** 2 - (p[:, 1:] ** 2).sum(axis=1)),
+                       "comm_norm_max": float(comm.max()),
                        "comm_norm_late_min": float(late.min()) if late.size else 0.0,
-                       "samples": int(len(traj.s))}
+                       "samples": int(len(s))}
         if cfg["model"].get("kind") == "projectile" and not cfg["canonical"]:
-            diagnostics["closed_form_deviation"] = traj.closed_form_deviation(model)
+            ref = model.reference  # the closed form of the model's flow
+            diagnostics["closed_form_deviation"] = float(max(
+                np.abs(x - ref.position(s)).max(), np.abs(p - model.m0 * ref.tangent(s)).max()))
     return cfg, traj, diagnostics

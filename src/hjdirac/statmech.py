@@ -65,7 +65,7 @@ class EnsembleConfig:
 class VelocitySample:
     velocities: np.ndarray  # (n, 3)
     energies: np.ndarray    # (n,)  kinetic, m0 |v|^2 / 2
-    config: EnsembleConfig = field(repr=False, default=None)
+    config: EnsembleConfig = field(repr=False)
 
     def __post_init__(self):
         if not np.isfinite(self.velocities).all():
@@ -102,7 +102,7 @@ class VelocitySample:
             m2 = s2 / n
             m4 = s4 / n
             excess = m4 / m2 ** 2 - 3.0
-        target = self.config.sigma2 if self.config else float(var.mean())
+        target = self.config.sigma2
         report = {
             "n": int(n),
             "target_variance": float(target),
@@ -112,11 +112,9 @@ class VelocitySample:
             "excess_kurtosis": [float(x) for x in excess],
             "kurtosis_se": float(math.sqrt(24.0 / n)),
         }
-        if self.config:
-            report.update(m0=self.config.m0, T=self.config.T,
-                          kB=self.config.kB, seed=self.config.seed)
-            report["within_3se"] = bool(
-                variance_deviation(report) < 3.0 * report["variance_se"])
+        report.update(m0=self.config.m0, T=self.config.T,
+                      kB=self.config.kB, seed=self.config.seed)
+        report["within_3se"] = bool(variance_deviation(report) < 3.0 * report["variance_se"])
         return report
 
 

@@ -140,7 +140,7 @@ def test_commutator_criterion():
     with verdict("commutator criterion"):
         free = dyn.integrate(dyn.free_particle_model(1.0), np.zeros(4),
                              np.array([0.0, 0.4, -0.3, 0.2]), 2.0, step=1e-2)
-        assert np.abs(free.comm_norm).max() < 1e-12
+        assert np.abs(free.records["comm_norm"]).max() < 1e-12
 
         rng = np.random.default_rng(5)
         for _ in range(20):

@@ -499,6 +499,19 @@ class TestSimulate:
                 assert text in capsys.readouterr().err
                 assert not out.exists()
 
+    @pytest.mark.parametrize("config", [
+        {"kind": "model", "s_max": 1e-10, "step": 4e-11},  # 3 steps end at 1.2e-10
+        {"kind": "covariant", "s_max": 3e-10, "step": 2e-10},  # 2 steps end at 4e-10
+    ])
+    def test_small_s_max_off_a_step_multiple_exits_two(self, tmp_path, capsys, config):
+        # the tolerance on n_steps * step is relative to s_max, also below 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "s_max must be a positive multiple of step" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_errors_exit_two(self, tmp_path):
         bad_model = tmp_path / "m.json"
         bad_model.write_text(json.dumps({"model": {"kind": "warp"}}))
@@ -1084,6 +1097,10 @@ BAD_CONFIGS = [
                  id="repeated-key"),
     pytest.param("simulate", '{"model": {"kind": "free", "m0": 1, "m0": 2}}', "m0",
                  id="repeated-nested-key"),
+    # the first key, in document order, that occurs twice: a set of the keys
+    # seen so far would name the second 'a'
+    pytest.param("simulate", '{"b": 1, "a": 2, "a": 3, "b": 4}', "b",
+                 id="repeated-keys-interleaved"),
     pytest.param("simulate", '{"x0": [0, 0]}', "x0", id="x0-short"),
     # a metric of more than MAX_DIM dimensions is refused by the schema,
     # before anything dim-sized is made: a minkowski dim of 2**63 ended as
@@ -1145,6 +1162,17 @@ def test_schema_refuses_and_names_the_key(tmp_path, capsys, traced_peak, command
     assert err.startswith("usage error: ") and "'%s'" % key in err
     assert peak < 2 ** 20  # refused before anything is built to the config's size
     assert not out.exists()
+
+
+def test_many_keys_are_refused_in_linear_time(tmp_path, capsys):
+    # 20,000 keys, the last one repeated: a count per key took seconds
+    keys = ["k%d" % i for i in range(20000)] + ["k19999"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{%s}" % ", ".join('"%s": 0' % k for k in keys))
+    t0 = time.perf_counter()
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - t0 < 0.5
+    assert "config repeats key 'k19999'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)

@@ -493,9 +493,9 @@ def test_record_columns_match_per_record_route(model, p0, canonical):
     else:
         rhs = partial(dyn.hamilton_rhs, model)
     h, dm_ds, comm = ref_record_columns(model, traj, halves(rhs))
-    assert same_bits(traj.h, h)
-    assert same_bits(traj.dm_ds, dm_ds)
-    assert same_bits(traj.comm_norm, comm)
+    assert same_bits(traj.records["H"], h)
+    assert same_bits(traj.records["dm_ds"], dm_ds)
+    assert same_bits(traj.records["comm_norm"], comm)
 
 
 def component_states(rng, n):
@@ -718,9 +718,9 @@ def test_covariant_records_match_two_rhs_record(metric, x0, p0):
     same partials: they differ only by rounding."""
     traj = dyn.covariant_integrate(metric, x0, p0, 0.12, step=0.01)
     rows = ref_covariant_records(metric, x0, p0, 0.01, 12)
-    assert np.abs(traj.p_upper - [r[0] for r in rows]).max() <= 1e-13
-    assert np.abs(traj.k - [r[1] for r in rows]).max() <= 1e-13
-    assert np.abs(traj.geodesic_residual - [r[2] for r in rows]).max() <= 1e-13
+    assert np.abs(traj.p - [r[0] for r in rows]).max() <= 1e-13
+    assert np.abs(traj.records["K"] - [r[1] for r in rows]).max() <= 1e-13
+    assert np.abs(traj.records["geodesic_residual"] - [r[2] for r in rows]).max() <= 1e-13
 
 
 @pytest.mark.parametrize("metric, x0, p0", [
@@ -751,9 +751,9 @@ def test_covariant_rhs_matches_per_component_sums(metric, x0, p0):
         resid = [dup[m] + sum(gamma[m, n, lam] * u[n] * u[lam]
                               for n in range(dim) for lam in range(dim)) for m in range(dim)]
         assert np.abs(traj.x[k] - x).max() <= 1e-13
-        assert np.abs(traj.p_upper[k] - u).max() <= 1e-13
-        assert abs(traj.k[k] - 0.5 * sum(pl[m] * u[m] for m in range(dim))) <= 1e-13
-        assert abs(traj.geodesic_residual[k] - np.abs(resid).max()) <= 1e-13
+        assert np.abs(traj.p[k] - u).max() <= 1e-13
+        assert abs(traj.records["K"][k] - 0.5 * sum(pl[m] * u[m] for m in range(dim))) <= 1e-13
+        assert abs(traj.records["geodesic_residual"][k] - np.abs(resid).max()) <= 1e-13
 
 
 @pytest.mark.parametrize("metric, polar", [

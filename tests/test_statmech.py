@@ -169,7 +169,8 @@ class TestStreamedSampling:
         rng = np.random.default_rng(5)
         n = 2 * sm.SAMPLE_CHUNK + 3
         v = rng.standard_normal((n, 3)) * np.exp(rng.uniform(-20.0, 20.0, (n, 3)))
-        mom = sm.VelocitySample(velocities=v, energies=np.zeros(n)).moments()
+        mom = sm.VelocitySample(velocities=v, energies=np.zeros(n),
+                                config=sm.EnsembleConfig(n=n, m0=1.0, T=1.0)).moments()
         for key, want in zip(("mean", "variance", "excess_kurtosis"),
                              reference_moments(v)):
             assert same_bits(mom[key], want)
@@ -256,7 +257,8 @@ class TestExactMoments:
     of them."""
 
     def assert_within_bounds(self, v):
-        mom = sm.VelocitySample(velocities=v, energies=np.zeros(len(v))).moments()
+        mom = sm.VelocitySample(velocities=v, energies=np.zeros(len(v)),
+                                config=sm.EnsembleConfig(n=len(v), m0=1.0, T=1.0)).moments()
         for axis in range(3):
             for key, (value, bound) in zip(("mean", "variance", "excess_kurtosis"),
                                            exact_moments(v[:, axis])):
