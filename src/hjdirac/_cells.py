@@ -144,21 +144,16 @@ def _shortest(bits):
         vp[small] -= (~mod5 & ~accept[small] & ((mvs + _U64(2)) % p5 == 0)).astype(np.uint64)
 
     # Ryu's loop cuts a digit off vr, vp and vm while vp // 10 > vm // 10.
-    # It cuts at least d - 1 of them, d being the digits of vp - vm, so
-    # those go at once; the loop then goes on for the rows that need it.
+    # It cuts at least d - 1 of them, d being the digits of vp - vm; the rows
+    # that need more stop just after the first digit where vp and vm differ.
     removed = np.maximum(np.searchsorted(_P10, vp - vm, side="right") - 1, 0)
+    vm_cut = vm // _P10[removed]
+    more = np.flatnonzero(vp // _P10[removed] // _U64(10) > vm_cut // _U64(10))
+    removed[more] = 19 - np.argmax(_digit_chars(vp[more]) != _digit_chars(vm[more]), axis=1)
+    vm_cut[more] = vm[more] // _P10[removed[more]]
     cut = vr // _P10[np.maximum(removed - 1, 0)]   # all cut digits but the last
     last = np.where(removed > 0, cut % _U64(10), _U64(0))
     digits = np.where(removed > 0, cut // _U64(10), vr)
-    vp_cut, vm_cut = vp // _P10[removed], vm // _P10[removed]
-    more = np.flatnonzero(vp_cut // _U64(10) > vm_cut // _U64(10))
-    while more.size:
-        last[more] = digits[more] % _U64(10)
-        digits[more] //= _U64(10)
-        vp_cut[more] //= _U64(10)
-        vm_cut[more] //= _U64(10)
-        removed[more] += 1
-        more = more[vp_cut[more] // _U64(10) > vm_cut[more] // _U64(10)]
     round_up = (digits == vm_cut) | (last >= 5)
     odd = np.flatnonzero(vr_zeros | vm_zeros)
     if odd.size:   # Ryu's general case, rare: trailing zeros decide the rounding

@@ -259,12 +259,14 @@ def step_count(s_max, step, record_stride):
     """(steps, records) of a fixed-step run over [0, s_max] that records
     step 0, every record_stride-th step and the last. Every run checks its
     size here before its first step: UsageError for a step that is not
-    positive, an s_max that is not a positive multiple of it (within
-    1e-9 * s_max), a record_stride that is not an int >= 1, more than
+    positive, an s_max that is not finite or not a positive multiple of it
+    (within 1e-9 * s_max), a record_stride that is not an int >= 1, more than
     MAX_RECORDS records or more than MAX_STEPS steps."""
     if not step > 0:
         raise UsageError("step must be positive")
     integer(1).check(record_stride, "record_stride")
+    if not math.isfinite(s_max):  # round has no int for it
+        raise UsageError("s_max must be finite, got %r" % s_max)
     ratio = s_max / step
     if math.isinf(ratio):  # no int to round to
         raise UsageError("s_max / step overflows, more than the cap of %d steps"

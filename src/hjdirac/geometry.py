@@ -3,9 +3,11 @@
 All metrics carry signature (+, -, ..., -) with the timelike direction first.
 Points are plain float arrays in chart coordinates. Polynomial entries in JSON
 configs are term lists [[coeff, [e0, e1, ...]], ...] meaning
-sum(coeff * prod(x_i**e_i)); no string expressions are evaluated.
+sum(coeff * prod(x_i**e_i)); no string expressions are read. A metric
+compiles each of its term lists once, in eval_poly's order, from its numbers.
 """
 
+import math
 from functools import partial
 
 import numpy as np
@@ -47,6 +49,50 @@ def eval_poly(terms, x):
                 term *= xi ** int(ei)
         total += term
     return total
+
+
+class _Sym(str):
+    """Source text of a value eval_poly computes from coordinates given as
+    _Sym names: each operation writes out the one it stands for, in
+    eval_poly's order. eval_poly multiplies a term only by powers and adds
+    only terms, so a product needs no parentheses; a sum keeps one summand
+    per line, so that a term list of any length compiles. IEEE sums and
+    products commute, so the reflected operations are the same."""
+
+    def __pow__(self, e):
+        return _Sym("%s ** %d" % (self, e))
+
+    def __mul__(self, other):
+        return _Sym("%s * %s" % (self, _text(other)))
+
+    def __add__(self, other):
+        return _Sym("%s\n%s" % (self, _text(other)))
+
+    __rmul__, __radd__ = __mul__, __add__
+
+
+def _text(value):  # only numbers reach the source; inf and nan are bound there
+    return value if isinstance(value, _Sym) else repr(float(value))
+
+
+def _compiled(values, dim):
+    """x -> values(xs), compiled once as straight-line code, where values
+    maps the dim _Sym coordinates xs to eval_poly's result or a list of
+    them. Like eval_poly, it reads a list x as it is and any other point
+    through np.asarray(x, float).tolist()."""
+    out = values([_Sym("x[%d]" % i) for i in range(dim)])
+    items = out if isinstance(out, list) else [out]
+    lines = ["if not isinstance(x, list):", "    x = asarray(x, float).tolist()"]
+    for k, value in enumerate(items):
+        summands = _text(value).split("\n")
+        lines += ["v%d = %s" % (k, " + ".join(summands[:2]))]
+        lines += ["v%d += %s" % (k, r) for r in summands[2:]]
+    names = ", ".join("v%d" % k for k in range(len(items)))
+    lines.append("return " + ("[%s]" % names if isinstance(out, list) else names))
+    namespace = {"asarray": np.asarray, "inf": math.inf, "nan": math.nan}
+    exec(compile("def f(x):\n    " + "\n    ".join(lines), "<metric polynomials>", "exec"),
+         namespace)
+    return namespace["f"]
 
 
 def poly_partials(terms, dim):
@@ -113,9 +159,10 @@ def polar_metric(dim=4):
 
 def _termwise_partials(indexed_terms, dim):
     """(lam, i, j, x -> d_lam of the term list at (i, j)) for the
-    ((i, j), terms) pairs given, in their order; partials that are the empty
-    term list are dropped up front, so no known zero is evaluated."""
-    return [(lam, i, j, partial(eval_poly, part)) for (i, j), terms in indexed_terms
+    ((i, j), terms) pairs given, in their order, compiled; partials that are
+    the empty term list are dropped up front, so no known zero is evaluated."""
+    return [(lam, i, j, _compiled(partial(eval_poly, part), dim))
+            for (i, j), terms in indexed_terms
             for lam, part in enumerate(poly_partials(terms, dim)) if part]
 
 
@@ -132,10 +179,7 @@ def _dg_of(partials, dim):
 
 def diagonal_metric(entry_polys):
     dim = len(entry_polys)
-
-    def diag(x):
-        return [eval_poly(p, x) for p in entry_polys]
-
+    diag = _compiled(lambda xs: [eval_poly(p, xs) for p in entry_polys], dim)
     partials = _termwise_partials((((a, a), p) for a, p in enumerate(entry_polys)), dim)
     return MetricField(dim=dim, diag=diag, partials=partials)
 
@@ -151,12 +195,10 @@ def metric_from_config(cfg):
     # custom-polynomial: a full matrix of term lists
     entries = cfg["entries"]
     dim = len(entries)
+    flat = _compiled(lambda xs: [eval_poly(t, xs) for row in entries for t in row], dim)
 
     def g(x):
-        out = np.empty((dim, dim))
-        for i in range(dim):
-            for j in range(dim):
-                out[i, j] = eval_poly(entries[i][j], x)
+        out = np.reshape(flat(x), (dim, dim))
         return 0.5 * (out + out.T)
 
     raw_dg = _dg_of(_termwise_partials((((i, j), entries[i][j]) for i in range(dim)

@@ -58,6 +58,10 @@ def test_integers_and_short_decimals():
     k = np.arange(-5000, 5000)
     for j in range(0, 20, 3):
         assert_reprs(k / 10.0 ** j)
+    # as a trajectory writes them: s = k * step, constants, exact zeros
+    s = np.arange(20001) * 1e-3
+    assert_reprs(np.concatenate([s, np.zeros(50), np.full(50, 0.3055), np.full(50, -1.5),
+                                 1.0 + s, -0.25 * np.arange(20001)]))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float16])

@@ -657,6 +657,17 @@ class TestSimulate:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_huge_integer_coefficient_exits_one_as_the_metric_is_built(self, tmp_path,
+                                                                        capsys):
+        # float(10 ** 400) raises compiling g00, before the run is sized
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "covariant", "s_max": 0.01, "metric": {
+            "kind": "diagonal", "entries": [[[10 ** 400, [0, 0, 0, 0]]]] + [[[-1.0, [0, 0, 0, 0]]]] * 3}}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "run failed: int too large to convert to float\n"
+        assert not out.exists()
+
     def test_lowering_to_inf_exits_one_naming_step_zero(self, tmp_path, capsys):
         # g22 p2 = -100 * 1e307 overflows to -inf with no exception: refused at
         # step 0, with no warning on stderr

@@ -303,6 +303,15 @@ def test_misaligned_state_refused_before_the_first_step(run, message):
         run()
 
 
+@pytest.mark.parametrize("s_max", [math.nan, math.inf, -math.inf])
+def test_non_finite_s_max_refused_before_rounding(s_max):
+    # round(nan) raised a bare ValueError, and inf was read as an overflow
+    with pytest.raises(UsageError, match="^s_max must be finite, got %r$" % s_max):
+        dyn.step_count(s_max, 1e-3, 1)
+    with pytest.raises(UsageError, match="^s_max must be finite"):
+        dyn.integrate(STEPLESS, np.zeros(4), np.ones(4), s_max, step=0.25)
+
+
 def python_calls_per_step(model, canonical):
     """Python-level calls (sys.setprofile "call" events) per RK4 step of an
     integrate run, over the difference of a 200-step and a 100-step run, so

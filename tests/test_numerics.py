@@ -38,6 +38,10 @@ on both. Its combinations were zip comprehensions and are now straight-line
 code generated per state length; ref_rk4_step keeps the comprehensions as
 their exact oracle, NaNs, infinities and signs of zero included.
 
+A polynomial metric's term lists went through eval_poly at every
+evaluation and are now compiled once per metric into straight-line code;
+ref_eval_poly is their exact oracle, exceptions included.
+
 partition_enumerate's weights took np.exp and now take math.exp, whose bits
 do not depend on the CPU numpy dispatches to; ref_partition takes math.exp
 too.
@@ -622,6 +626,105 @@ def test_eval_poly_float_lists_match_array_points():
     with pytest.raises(OverflowError) as got:
         geo.eval_poly(TERMS, x)
     assert str(got.value) == str(want.value)
+
+
+def random_term_lists(rng, dim, count):
+    """count term lists of 0 to 5 terms on dim axes: normal, whole, zero and
+    -0.0 coefficients, exponents from -3 to 4 in lists of 0 to dim entries."""
+    plain = [0.0, -0.0, 2, -1, 1.5]
+    return [[[rng.normal() if rng.random() < 0.6 else plain[rng.integers(len(plain))],
+              rng.integers(-3, 5, size=rng.integers(0, dim + 1)).tolist()]
+             for _ in range(rng.integers(0, 6))] for _ in range(count)]
+
+
+def outcome(f, x):
+    """f(x), or the type of the ArithmeticError it raises."""
+    try:
+        return f(x)
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+def agree(got, want):
+    """The same exception type, or the same values and signs of zero; a NaN
+    (an inf - inf, say) matches any NaN, whose sign IEEE leaves open."""
+    if isinstance(want, type):
+        return got == want
+    a, b = np.asarray(got), np.asarray(want)
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(
+        np.signbit(a) | np.isnan(a), np.signbit(b) | np.isnan(b))
+
+
+def polynomial_points(rng, dim):
+    """Array points, their float lists, int lists with zeros (under negative
+    exponents, ZeroDivisionError) and a point whose 4th powers overflow."""
+    arrays = list(wide_points(rng, (8, dim))) + [np.zeros(dim), np.full(dim, 1e100)]
+    return arrays + [x.tolist() for x in arrays] + [
+        rng.integers(-3, 4, size=dim).tolist() for _ in range(8)]
+
+
+@pytest.mark.parametrize("dim", [1, 3, 4])
+def test_compiled_polynomials_match_scalar_loop(dim):
+    """A metric compiles its term lists once: the diagonal entries, every
+    term-wise partial and the custom-polynomial g give the scalar loop's bits,
+    and raise its exception type where it raises."""
+    rng = np.random.default_rng(40 + dim)
+    for _ in range(25):
+        lists = random_term_lists(rng, dim, dim)
+        metric = geo.diagonal_metric(lists)
+        partials = [(part, geo.poly_partials(lists[a], dim)[lam])
+                    for lam, a, _, part in metric.partials]
+        rows = [random_term_lists(rng, dim, dim) for _ in range(dim)]
+        custom = geo.metric_from_config({"kind": "custom-polynomial", "entries": rows})
+
+        def ref_g(x):
+            out = np.array([[ref_eval_poly(t, x) for t in row] for row in rows])
+            return 0.5 * (out + out.T)
+
+        for x in polynomial_points(rng, dim):
+            want = outcome(lambda x: [ref_eval_poly(t, x) for t in lists], x)
+            assert agree(outcome(metric.diag, x), want), (lists, x)
+            for part, terms in partials:
+                assert agree(outcome(part, x), outcome(partial(ref_eval_poly, terms), x))
+            assert agree(outcome(custom.g, np.asarray(x, float)), outcome(ref_g, x))
+
+
+def test_compiled_polynomial_edges():
+    # an empty term list, constants only, -0.0 terms (0.0 + -0.0 is 0.0),
+    # exponent lists shorter than dim and a zero exponent
+    lists = [[], [[2, []], [-0.5, [0]]], [[-0.0, [1]]], [[-0.0, []]],
+             [[1.5, [0, 2]], [-2.0, [0, 0, 0, 0, -1]]]]
+    diag = geo.diagonal_metric(lists).diag
+    for x in ([1.0, -3.0, 0.5, 2.0, 4.0], [1, 2, 3, 4, 5], np.arange(1.0, 6.0)):
+        got = diag(x)
+        assert same_bits(got, [ref_eval_poly(t, x) for t in lists])
+        assert [type(v) for v in got] == [float] * 5
+    assert same_bits(diag([0.0, 0.0, 0.0, 0.0, 1.0]), [0.0, 1.5, 0.0, 0.0, -2.0])
+    with pytest.raises(ZeroDivisionError):
+        diag([1, 1, 1, 1, 0])
+
+
+class ReprIsCode:
+    """A coefficient whose repr is code that evaluates to another number."""
+
+    def __float__(self):
+        return 2.5
+
+    def __repr__(self):
+        return "__import__('os').getpid()"
+
+
+def test_compiled_coefficient_is_its_float_value():
+    metric = geo.diagonal_metric([[[ReprIsCode(), [2]]], [[ReprIsCode(), []]]])
+    assert metric.diag([3.0, 1.0]) == [22.5, 2.5]
+    assert [(lam, a, part([3.0, 1.0])) for lam, a, _, part in metric.partials] == [(0, 0, 15.0)]
+
+
+def test_compiled_non_finite_coefficients():
+    # the config schema refuses them, a library caller may pass them
+    diag = geo.diagonal_metric([[[math.inf, [1]]], [[-math.inf, []]], [[math.nan, [0, 1]]]]).diag
+    got = diag([2.0, -1.0, 0.0])
+    assert got[:2] == [math.inf, -math.inf] and math.isnan(got[2])
 
 
 # -- Christoffel symbols and the covariant record ----------------------------------

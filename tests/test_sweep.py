@@ -24,6 +24,8 @@ SHORT = {"s_max": 0.02, "step": 0.01}
 ONE = [[1.0, [0, 0, 0, 0]]]
 MINUS_ONE = [[-1.0, [0, 0, 0, 0]]]
 MINUS_R_SQUARED = [[-1.0, [0, 2, 0, 0]]]
+# -r^2 in two terms, so that the compiled entry sums two products
+MINUS_R_SQUARED_HALVES = [[-0.5, [0, 2, 0, 0]], [-0.5, [0, 2, 0, 0]]]
 
 # (command, config) of one small run per kind; a simulate config names a
 # simulate kind and a model or metric kind
@@ -34,7 +36,8 @@ KIND_CONFIGS = [
     ("simulate", dict(SHORT, kind="covariant", metric={"kind": "minkowski"})),
     ("simulate", dict(SHORT, kind="covariant", metric={"kind": "polar"})),
     ("simulate", dict(SHORT, kind="covariant", metric={
-        "kind": "diagonal", "entries": [ONE, MINUS_ONE, MINUS_R_SQUARED, MINUS_ONE]})),
+        "kind": "diagonal", "entries": [ONE, MINUS_ONE, MINUS_R_SQUARED_HALVES,
+                                        MINUS_ONE]})),
     ("simulate", dict(SHORT, kind="covariant", metric={
         "kind": "custom-polynomial", "entries": [
             [ONE, [], [], []], [[], MINUS_ONE, [], []],
