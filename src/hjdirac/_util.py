@@ -3,6 +3,7 @@ central-difference stencil."""
 
 import contextlib
 import json
+import math
 import os
 import pickle
 import shutil
@@ -45,28 +46,34 @@ def _temp_beside(path):
     return fd, name
 
 
-def atomic_write_text(path, text):
-    """Write the str text to path atomically (a temp file, then a rename)."""
-    with _atomic_handle(path) as handle:
-        handle.write(text)
-
-
 def json_text(path, payload):
-    """The text write_json(path, payload) writes: payload (dict) with
-    schema_version, in stable key order. Strict JSON only: a NaN or infinite
-    value raises DegenerateData naming path."""
+    """The text of the report payload (dict) with schema_version, in stable
+    key order. Strict JSON only: a NaN or infinite value raises DegenerateData
+    naming path and the key path of the first such value written."""
     body = dict(payload)
     body.setdefault("schema_version", SCHEMA_VERSION)
     try:
         return json.dumps(body, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
-        raise DegenerateData("%s not written: %s" % (path, exc))
+        raise DegenerateData("%s not written: %s" % (path, next(_non_finite(body), exc)))
 
 
-def write_json(path, payload):
-    """Write json_text(path, payload) atomically; a payload that is not strict
-    JSON raises DegenerateData before any file is created."""
-    atomic_write_text(path, json_text(path, payload))
+def _non_finite(value, key=""):
+    """'key is value' of each non-finite float in value, in written order."""
+    if isinstance(value, dict):
+        for k in sorted(value):
+            yield from _non_finite(value[k], "%s.%s" % (key, k) if key else k)
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            yield from _non_finite(item, "%s[%d]" % (key, i))
+    elif isinstance(value, float) and not math.isfinite(value):
+        yield "%s is %r" % (key, float(value))
+
+
+def write_json(path, text):
+    """Write the str text, a json_text, to path atomically."""
+    with _atomic_handle(path) as handle:
+        handle.write(text)
 
 
 class CellColumn:

@@ -27,7 +27,7 @@ from . import statmech as sm
 from . import verify
 from ._util import forked, json_text, write_csv, write_json
 from .config import ENSEMBLE, parse
-from .errors import DegenerateData, HJDiracError, StepRejected, UsageError
+from .errors import HJDiracError, StepRejected, UsageError
 
 
 # ---------------------------------------------------------------------------
@@ -116,10 +116,6 @@ def cmd_verify(args):
 
 def cmd_simulate(args):
     cfg, traj, diagnostics = dyn.simulate(_load_config(args.config))
-    for key, value in diagnostics.items():
-        if not math.isfinite(value):
-            raise DegenerateData("%s not written: diagnostic %s is %r" % (
-                os.path.join(args.out, "simulate_report.json"), key, value))
     report = {"command": "simulate", "effective_config": cfg, "diagnostics": diagnostics}
     _publish(args.out, {"simulate_report.json": report},
              {"trajectory.csv": lambda path: write_csv(path, traj.header(), traj.columns())})
@@ -167,15 +163,15 @@ def cmd_ensemble(args):
 def _publish(out, reports, tables):
     """Write reports, {file name: JSON payload}, and tables, {file name:
     function writing that CSV to the path it is given}, into directory out.
-    Every report is serialized first, so one that is not strict JSON raises
+    Each report is serialized once, first: one that is not strict JSON raises
     DegenerateData naming it before out exists; then out, tables, reports."""
-    for name, payload in reports.items():
-        json_text(os.path.join(out, name), payload)
+    texts = {name: json_text(os.path.join(out, name), payload)
+             for name, payload in reports.items()}
     os.makedirs(out, exist_ok=True)
     for name, write in tables.items():
         write(os.path.join(out, name))
-    for name, payload in reports.items():
-        write_json(os.path.join(out, name), payload)
+    for name, text in texts.items():
+        write_json(os.path.join(out, name), text)
 
 
 def _load_config(path):

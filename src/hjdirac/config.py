@@ -57,6 +57,9 @@ NUMBER = Spec("a finite number", _num)
 POSITIVE = Spec("a number > 0", lambda v: _num(v) and v > 0)
 NUMBERS = Spec("a list of numbers", lambda v: isinstance(v, list) and all(map(_num, v)))
 VECTOR = Spec("a list of 4 numbers", lambda v: NUMBERS.ok(v) and len(v) == 4)
+# a model parameter squared as a Python float, whose ** raises on overflow:
+# below 2 ** 511, a sum of two squares stays below 2 ** 1023
+SQUARABLE = Spec("a number of magnitude below 2 ** 511", lambda v: _num(v) and abs(v) < 2 ** 511)
 OBJECT = Spec("a JSON object", lambda v: isinstance(v, dict))
 # a metric has 1 to MAX_DIM dimensions, one per entry (or row), so an empty
 # entries list is refused, and so is an exponent of a coordinate it lacks
@@ -70,8 +73,9 @@ SQUARE = Spec("a square matrix of 1 to %d rows of term lists, no exponent list "
                   TERM_LISTS.ok(row) and len(row) == len(v) for row in v))
 
 # simulate's "model" and "metric" objects
-MODEL = {"free": {"m0": (NUMBER, REQUIRED)},
-         "projectile": {key: (NUMBER, REQUIRED) for key in ("m0", "u_x", "u_y", "g")}}
+MODEL = {"free": {"m0": (SQUARABLE, REQUIRED)},
+         "projectile": {"m0": (SQUARABLE, REQUIRED), "u_x": (SQUARABLE, REQUIRED),
+                        "u_y": (SQUARABLE, REQUIRED), "g": (NUMBER, REQUIRED)}}
 METRIC = {"minkowski": {"dim": (integer(1, MAX_DIM), 4)},
           "polar": {"dim": (Spec("3 or 4", lambda v: _int(v) and v in (3, 4)), 4)},
           "diagonal": {"entries": (TERM_LISTS, REQUIRED)},

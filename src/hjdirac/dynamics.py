@@ -523,11 +523,8 @@ def simulate(cfg):
     p0 = cfg["p0"]
     if p0 is None:
         if getattr(model, "reference", None) is not None:
-            with np.errstate(over="ignore"):  # refused below
-                p0 = model.m0 * model.reference.tangent(0.0)
-            if not np.isfinite(p0).all():
-                raise UsageError("config key 'p0' is null and the model's own p0 "
-                                 "%s is not finite" % p0.tolist())
+            # finite: config.MODEL keeps m0, u_x and u_y below 2 ** 511
+            p0 = model.m0 * model.reference.tangent(0.0)
         elif model.m0:
             p0 = [model.m0, 0.0, 0.0, 0.0]
         else:

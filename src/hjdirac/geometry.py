@@ -3,8 +3,9 @@
 All metrics carry signature (+, -, ..., -) with the timelike direction first.
 Points are plain float arrays in chart coordinates. Polynomial entries in JSON
 configs are term lists [[coeff, [e0, e1, ...]], ...] meaning
-sum(coeff * prod(x_i**e_i)); no string expressions are read. A metric
-compiles each of its term lists once, in eval_poly's order, from its numbers.
+sum(coeff * prod(x_i**e_i)); no string expressions are read. Every metric
+kind, minkowski and polar too, is built from term lists, which it compiles
+once, with their term-wise partials, in eval_poly's order, from their numbers.
 """
 
 import math
@@ -140,21 +141,15 @@ class MetricField:
 
 
 def minkowski_metric(dim=4):
-    # the entries are listed per call, so a dim too large for memory is
-    # refused by the caller's check of x0 against it, before any is listed
-    return MetricField(dim=dim, diag=lambda x: [1.0] + [-1.0] * (dim - 1), partials=[])
+    """diag(1, -1, ..., -1) of dim entries, each a constant term list."""
+    return diagonal_metric([[[1.0, []]]] + [[[-1.0, []]]] * (dim - 1))
 
 
 def polar_metric(dim=4):
     """diag(1, -1, -r^2[, -1]) in coordinates (t, r, theta[, z])."""
     if dim not in (3, 4):
         raise UsageError("polar metric supports dim 3 or 4")
-
-    def diag(x):
-        return [1.0, -1.0, -float(x[1]) ** 2] + ([-1.0] if dim == 4 else [])
-
-    return MetricField(dim=dim, diag=diag,
-                       partials=[(1, 2, 2, lambda x: -2.0 * float(x[1]))])
+    return diagonal_metric([[[1.0, []]], [[-1.0, []]], [[-1.0, [0, 2]]], [[-1.0, []]]][:dim])
 
 
 def _termwise_partials(indexed_terms, dim):

@@ -84,7 +84,7 @@ class VelocitySample:
         # the bits of v.mean, v.var(ddof=1) and the whole-array central
         # moments, which divide these same sums. An underflowed m2, or an
         # overflowed square or fourth power, gives NaN or inf here, which
-        # write_json refuses.
+        # json_text refuses.
         starts = range(0, n, SAMPLE_CHUNK)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             s1 = None

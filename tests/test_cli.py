@@ -693,8 +693,40 @@ class TestSimulate:
             warnings.simplefilter("error")
             assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
-            "error: %s not written: diagnostic energy_drift is nan\n"
+            "error: %s not written: diagnostics.energy_drift is nan\n"
             % (out / "simulate_report.json"))
+        assert not out.exists()
+
+    def test_one_simulate_serializes_its_report_once(self, tmp_path, monkeypatch):
+        calls = []
+        dumps = json.dumps
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return dumps(*args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counted)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
+
+    # Python's float ** raises on overflow: m0 ** 2 builds either model, and
+    # the closed form squares u_x and u_y, the last config only after the run
+    @pytest.mark.parametrize("model, p0, key", [
+        ({"kind": "free", "m0": 1e200}, None, "m0"),
+        ({"kind": "projectile", "m0": 1e200, "u_x": 0.5, "u_y": 1.0, "g": 0.2}, None, "m0"),
+        ({"kind": "projectile", "m0": 1.0, "u_x": 1e200, "u_y": 1.0, "g": 0.2}, None, "u_x"),
+        ({"kind": "projectile", "m0": 1.0, "u_x": 1e200, "u_y": 1.0, "g": 0.2},
+         [1.5, 0.5, 1.0, 0.0], "u_x")])
+    def test_model_parameter_whose_square_overflows_exits_two(self, tmp_path, capsys,
+                                                               model, p0, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": model, "p0": p0}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "usage error: model %r key %r must be a number of magnitude below "
+            "2 ** 511, got 1e+200\n" % (model["kind"], key))
         assert not out.exists()
 
     def test_refused_size_exits_two_before_the_lowering(self, tmp_path, capsys):
@@ -999,7 +1031,8 @@ class TestEnsemble:
         cfg.write_text(json.dumps({"kind": "mb", "n": 1000, "T": 1e-300}))
         out = tmp_path / "out"
         assert main(["ensemble", "--config", str(cfg), "--out", str(out)]) == 1
-        assert "moments.json not written" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: %s not written: excess_kurtosis[0] is nan\n" % (out / "moments.json"))
         assert not out.exists()
 
     # one format since json was retired; the ids keep the parameter
@@ -1137,8 +1170,9 @@ BAD_CONFIGS = [
     pytest.param("simulate", '{"model": {"kind": "harmonic", "omega": 1.3}}', "harmonic",
                  id="model-harmonic"),
     pytest.param("simulate", '{"step": NaN}', "step", id="step-nan"),
+    # the natural p0 would overflow: u_y, its cause, is refused
     pytest.param("simulate", '{"model": {"kind": "projectile", "m0": 1.0, "u_x": 0.5, '
-                 '"u_y": 1e300, "g": 0.2}}', "p0", id="natural-p0-overflows"),
+                 '"u_y": 1e300, "g": 0.2}}', "u_y", id="natural-p0-overflows"),
     pytest.param("ensemble", '{"kind": "occupancy", "n": true}', "n",
                  id="occupancy-n-bool"),
     pytest.param("ensemble", '{"kind": "occupancy", "beta": true}', "beta",

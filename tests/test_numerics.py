@@ -779,22 +779,47 @@ def non_diagonal_dg(x):
     return out
 
 
+def minkowski_dg(x):
+    """d_lam of diag(1, -1, ..., -1): every partial is zero."""
+    return np.zeros((len(x),) * 3)
+
+
 @pytest.mark.parametrize("metric, closed_form", [
     (geo.polar_metric(4), polar_dg),
     (geo.polar_metric(3), polar_dg),
     (DIAGONAL, diagonal_dg),
     (NON_DIAGONAL, non_diagonal_dg),
+    (geo.minkowski_metric(1), minkowski_dg),
+    (geo.minkowski_metric(4), minkowski_dg),
+    (geo.minkowski_metric(MAX_DIM), minkowski_dg),
 ])
 def test_analytic_metric_partials(metric, closed_form):
     """Exactly the hand-derived partials, and central differences agree."""
     rng = np.random.default_rng(14)
     for _ in range(30):
         x = 3.0 * rng.normal(size=metric.dim)
-        x[1] = rng.uniform(0.3, 3.0)
+        if metric.dim > 1:
+            x[1] = rng.uniform(0.3, 3.0)
         dg = metric.dg(x)
         assert np.array_equal(dg, closed_form(x))
         fd = central_difference(metric.matrix, x, 1e-5)
         assert np.abs(dg - fd).max() <= 1e-8 * max(1.0, np.abs(dg).max())
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_polar_entries_are_the_closed_form(dim):
+    """The compiled entries of the polar term lists have the bits of
+    diag(1, -1, -r^2[, -1]) at any r != 0, list or array point."""
+    metric = geo.polar_metric(dim)
+    rng = np.random.default_rng(15)
+    for r in np.concatenate((rng.normal(size=100), 10.0 ** rng.uniform(-150, 150, size=100),
+                             -(10.0 ** rng.uniform(-150, 150, size=100)))):
+        x = rng.normal(size=dim)
+        x[1] = r
+        closed = [1.0, -1.0, -(float(r) ** 2), -1.0][:dim]
+        assert same_bits(metric.diag(x), closed)
+        assert same_bits(metric.diag(x.tolist()), closed)
+        assert np.array_equal(metric.matrix(x), np.diag(closed))
 
 
 @pytest.mark.parametrize("metric", [

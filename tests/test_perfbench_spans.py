@@ -31,7 +31,7 @@ RUNS = [
 REACHED = {
     "cli.verify", "cli.simulate", "cli.ensemble",
     "dynamics.integrate", "dynamics.covariant_integrate", "dynamics.operator_commutator",
-    "geometry.christoffel_at", "geometry.MetricField.matrix",
+    "geometry.christoffel_at", "geometry.MetricField.matrix", "geometry.eval_poly",
     "clifford.slash", "clifford.slash_eigensystem",
     "statmech.sample_mb", "statmech.partition_enumerate",
     "statmech.write_samples_csv", "statmech.write_occupancy_csv",

@@ -1,4 +1,5 @@
 import errno
+import json
 import os
 import signal
 import time
@@ -8,7 +9,7 @@ import pytest
 
 from hjdirac import _util
 from hjdirac._cells import int_cells
-from hjdirac._util import CSV_BLOCK, _cells_of, write_csv, write_json
+from hjdirac._util import CSV_BLOCK, _cells_of, json_text, write_csv, write_json
 from hjdirac.errors import DegenerateData, UsageError
 
 HEADER = ["i", "flag", "name", "x", "y"]
@@ -281,8 +282,22 @@ def test_interrupt_in_own_half_kills_the_helper(tmp_path, split):
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_write_json_refuses_non_finite_values(tmp_path, value):
+def test_json_text_refuses_non_finite_values(tmp_path, value):
+    # the first non-finite value is named by its key path, in written (sorted)
+    # order, not in the payload's own order
     path = tmp_path / "r.json"
-    with pytest.raises(DegenerateData, match="r.json"):
-        write_json(path, {"ok": 1.0, "nested": {"values": [0.5, value]}})
+    payload = {"z": np.inf, "ok": 1.0, "nested": {"values": [0.5, value, np.nan]}}
+    with pytest.raises(DegenerateData) as info:
+        json_text(path, payload)
+    assert str(info.value) == "%s not written: nested.values[1] is %r" % (path, float(value))
     assert os.listdir(tmp_path) == []
+
+
+def test_write_json_writes_the_given_text(tmp_path):
+    path = tmp_path / "r.json"
+    path.write_text("old\n")
+    text = json_text(path, {"b": [1.5, 2], "a": {"c": None}})
+    assert json.loads(text) == {"a": {"c": None}, "b": [1.5, 2], "schema_version": 1}
+    write_json(path, text)
+    assert path.read_text() == text
+    assert os.listdir(tmp_path) == ["r.json"]
