@@ -3,9 +3,15 @@ float.__repr__ (CPython's dtoa, an independent route to the shortest
 round-trip digits), int_cells against str and count_cells against
 ";".join of str."""
 
+import math
+import subprocess
+import sys
+from decimal import Decimal
+
 import numpy as np
 import pytest
 
+from conftest import src_env
 from hjdirac._cells import count_cells, float_cells, int_cells
 
 
@@ -76,17 +82,99 @@ def test_narrow_floats_print_as_the_float64_they_widen_to(dtype):
 
 
 def test_multiples_of_four_from_two_to_the_53():
-    # the floats in [2^53, 2^54) with an even mantissa: the only ones at which
-    # Ryu's vm trailing-zeros term of the e2 < 0 rows can hold, which
-    # _shortest leaves false, as there it cannot change the digits
+    # the floats in [2^53, 2^54) with an even significand: integers v whose
+    # closed rounding interval [v - 1, v + 1] has the next integer up on its
+    # end, so both candidates at the last digit read back and v, exact, wins
     k = np.random.default_rng(22).integers(2 ** 51, 2 ** 52, 100000, dtype=np.int64)
     assert_reprs(np.concatenate([[2 ** 51, 2 ** 52 - 1], k]) * 4)
+
+
+def test_every_small_subnormal():
+    # significands below 20,000 at biased exponent 0, both signs: 5e-324 and
+    # its first multiples, whose digits may be a single one
+    bits = np.arange(20000, dtype=np.uint64)
+    assert_reprs(np.concatenate([bits, bits | np.uint64(1 << 63)]).view(np.float64))
+
+
+def test_binade_edges():
+    # significands 0, 1, 2, 3, 2^52 - 2 and 2^52 - 1 at every biased exponent
+    # 1..2046, both signs: every power of ten the digits are scaled by, and at
+    # significand 0 a power of two, whose lower gap is half its upper one
+    exponents = np.arange(1, 2047, dtype=np.uint64) << np.uint64(52)
+    significands = np.array([0, 1, 2, 3, 2 ** 52 - 2, 2 ** 52 - 1], np.uint64)
+    bits = (exponents[:, None] | significands).ravel()
+    assert_reprs(np.concatenate([bits, bits | np.uint64(1 << 63)]).view(np.float64))
+
+
+def test_short_decimals_and_their_neighbours():
+    # d 10^p for d < 10^8: the shortest digits are a multiple of ten at 16 or
+    # 17 digits, often with many zeros to strip; the neighbours one ulp either
+    # side print 16 or 17 digits
+    rng = np.random.default_rng(23)
+    pairs = zip(rng.integers(1, 10 ** 8, 100000).tolist(),
+                rng.integers(-330, 310, 100000).tolist())
+    values = np.array([float("%de%d" % pair) for pair in pairs])
+    assert_reprs(np.concatenate([values, np.nextafter(values, 0),
+                                 np.nextafter(values, np.inf)]))
+
+
+def test_exact_halfway_values():
+    # floats whose exact decimal value has 17 or 18 digits ending in 5, so
+    # lies halfway between the two closest 16- or 17-digit decimals: c 2^q
+    # with 2^(-q - 1 + floor(q log10 2)) dividing c; the tie goes to the
+    # even digit when no shorter decimal reads back
+    rng = np.random.default_rng(26)
+    bits = []
+    for q in range(-1074, 0):
+        m = -q - 1 + math.floor(q * math.log10(2))
+        if 0 <= m <= 52:   # c = 2^m odd in [2^52, 2^53)
+            odd = rng.integers((1 << 52) >> m, (1 << 53) >> m, 20) | 1
+            c = np.unique(odd).astype(np.uint64) << np.uint64(m)
+            bits.append(np.uint64(q + 1075) << np.uint64(52) | c & np.uint64((1 << 52) - 1))
+    values = np.concatenate(bits).view(np.float64)
+    exact = [Decimal(v).as_tuple().digits for v in values.tolist()]
+    halfway = values[[len(d) in (17, 18) and d[-1] == 5 for d in exact]]
+    assert len(halfway) > 1000
+    assert_reprs(halfway)
+
+
+def test_mb_like_chunk():
+    # one write_csv chunk of an mb run: 3,276 rows of vx, vy, vz and energy
+    v = np.random.default_rng(24).standard_normal((3276, 3)) * 1.3
+    assert_reprs(np.column_stack([v, 0.4 * (v * v).sum(axis=1)]).ravel())
 
 
 def test_random_bit_patterns():
     bits = np.random.default_rng(21).integers(0, 2 ** 64, 200000, np.uint64,
                                               endpoint=False)
     assert_reprs(bits.view(np.float64))
+
+
+@pytest.mark.parametrize("kernel, empty", [(float_cells, np.empty(0)),
+                                           (int_cells, np.empty(0, np.int64)),
+                                           (count_cells, np.empty((0, 12), np.uint8))])
+def test_zero_rows(kernel, empty):
+    cells = kernel(empty)
+    assert cells.dtype == np.uint8 and cells.ndim == 2 and cells.shape[0] == 0
+
+
+def test_float_cells_peak_memory(traced_peak):
+    # 16,384 values of a 1e-3 grid and 16,384 normals: the bound is the
+    # 8,809,327 B (268.8 B a value) tracemalloc read for the Ryu kernel this
+    # one replaced; Schubfach's reads 5,573,824 B (170.1 B a value)
+    values = np.concatenate([np.arange(16384) * 1e-3,
+                             np.random.default_rng(25).standard_normal(16384)])
+    float_cells(values[:10])   # the tables, built once
+    _, peak = traced_peak(lambda: float_cells(values))
+    assert peak / len(values) <= 268.8
+
+
+def test_importing_the_cli_builds_no_table():
+    # the tables are built on the first call, not at import
+    code = "import hjdirac.cli, hjdirac._cells as c; print(len(c._TABLES))"
+    out = subprocess.run([sys.executable, "-c", code], env=src_env(), check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["0"]
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16, np.uint16, np.int32,
