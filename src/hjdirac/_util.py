@@ -1,5 +1,5 @@
-"""Small shared helpers: atomic file writes, stable formatting and the
-central-difference stencil."""
+"""Small shared helpers: atomic file writes, stable formatting, the
+central-difference stencil and the tape that compiles traced arithmetic."""
 
 import contextlib
 import json
@@ -8,7 +8,7 @@ import os
 import pickle
 import shutil
 import tempfile
-from functools import partial
+from functools import partial, partialmethod
 
 import numpy as np
 
@@ -261,3 +261,73 @@ def central_difference(f, x, scale):
         # np.subtract keeps a numpy type for scalar-valued f, so .T applies
         parts.append((np.subtract(f(xp), f(xm)).T / (2.0 * h)).T)
     return np.array(parts)
+
+
+class Tape:
+    """Straight-line code recorded from arithmetic on Traced values, one
+    statement per IEEE operation in the order they ran, so the compiled
+    function has their bits and raises what they raise. Only reprs of
+    numbers (float(c), or an int exponent) and of a guard's message reach
+    the source; names holds the globals it reads, inf and nan among them."""
+
+    def __init__(self):
+        self.lines = []
+        self.names = {"sqrt": math.sqrt, "inf": math.inf, "nan": math.nan, "asarray": np.asarray}
+
+    def emit(self, expression):
+        """A Traced value named for a new statement computing expression."""
+        name = "t%d" % len(self.lines)
+        self.lines.append("%s = %s" % (name, expression))
+        return Traced(self, name)
+
+    def compile(self, signature, outputs, label):
+        """def signature: the lines, then return outputs (a list or a value)."""
+        returned = ("[%s]" % ", ".join(map(_text, outputs)) if isinstance(outputs, list)
+                    else _text(outputs))
+        exec(compile("def %s:\n    %s\n    return %s\n" % (
+            signature, "\n    ".join(self.lines), returned), label, "exec"), self.names)
+        return self.names[signature.partition("(")[0]]
+
+
+class Traced:
+    """A float that a Tape's code computes. + * / **, unary - and sqrt
+    (which np.sqrt calls) write their statement into the tape and answer its
+    result, Traced. A truth test, a comparison or float() raises TypeError,
+    so no branch on a traced value is frozen into the code."""
+
+    def __init__(self, tape, name):
+        self.tape, self.name = tape, name
+
+    def _op(self, form, *others):
+        return self.tape.emit(form.format(self.name, *map(_text, others)))
+
+    __add__, __radd__ = partialmethod(_op, "{0} + {1}"), partialmethod(_op, "{1} + {0}")
+    __mul__, __rmul__ = partialmethod(_op, "{0} * {1}"), partialmethod(_op, "{1} * {0}")
+    __truediv__, __rtruediv__ = partialmethod(_op, "{0} / {1}"), partialmethod(_op, "{1} / {0}")
+    __pow__, __neg__ = partialmethod(_op, "{0} ** {1}"), partialmethod(_op, "-{0}")
+    sqrt = partialmethod(_op, "sqrt({0})")
+
+    def __bool__(self, *_):
+        raise TypeError("compiled code may not branch on a traced value")
+
+    __eq__ = __ne__ = __bool__
+
+
+def _text(value):
+    """A Traced value's name, an int's repr (an exponent), else repr(float(value))."""
+    if isinstance(value, Traced):
+        return value.name
+    return repr(value if type(value) is int else float(value))
+
+
+def require_nonzero(values, error, message):
+    """Raise error(message) unless every one of values is nonzero. Where
+    they hold a Traced value, that test is written into its tape instead."""
+    try:
+        if not all(values):
+            raise error(message)
+    except TypeError:  # a Traced value has no truth value
+        tape = next(v.tape for v in values if isinstance(v, Traced))
+        tape.names[error.__name__] = error
+        tape.lines.append("if not (%s): raise %s(%r)" % (
+            " and ".join(map(_text, values)), error.__name__, message))

@@ -21,6 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
+from ._util import Tape, Traced, require_nonzero
 from .clifford import minkowski_dot
 from .geometry import christoffel_at, metric_from_config
 from .config import MAX_DIM, MODEL, SIMULATE, Spec, integer, parse
@@ -46,9 +47,9 @@ __all__ = [
 # usage error raised before the first step.
 MAX_RECORDS = 10 ** 6
 # Most steps one run may take, s_max / step, whatever its record_stride: this
-# bounds a run's time (about a minute at the 5.6-5.9 us a canonical model RK4
-# step takes, best and median of 7 runs of 20,000 steps on a shared 2-core
-# x86 machine). A larger request is a usage error raised before the first step.
+# bounds a run's time (about 30 s at the 2.6-2.9 us a canonical model RK4 step
+# takes, the least of 3 timings of 20,000 steps in each of 5 runs on a shared
+# 2-core x86 machine). A larger request is a usage error before the first step.
 MAX_STEPS = 10 ** 7
 
 
@@ -58,10 +59,11 @@ class HamiltonianModel:
     y[0:4] are the coordinates x^a and y[4:8] the momenta p^a. H answers
     one number per state, each partial 4 components (a tuple; a constant one
     may be a plain number), the flow dy/ds as 8 components, and the guard a
-    message or None. integrate passes one state as a list of 8 Python floats
-    while stepping and the recorded states' 8 numpy columns (rows.T) for its
-    diagnostics. + - * / and square roots round alike on both, so one
-    definition serves both; write x * x, not x ** 2, which the two round and
+    message or None. integrate traces the right-hand side it steps once per
+    run, so no callable in it may branch on a state value; the guard takes
+    each step's 8 Python floats, and every callable the recorded states' 8
+    numpy columns for the diagnostics. + - * / and square roots round alike
+    on all; write x * x, not x ** 2, which floats and columns round and
     overflow differently. Both partials are required, in closed form."""
 
     def __init__(self, hamiltonian, dh_dx, dh_dp, flow=None, guard=None, m0=None):
@@ -207,52 +209,53 @@ class Trajectory:
         return [self.s, *self.x.T, *self.p.T, *self.records.values()]
 
 
-# (axpy, final) per state length, built at first use by _kernels
-_KERNELS = {}
-
-
-def _kernels(n):
-    """rk4_step's two combinations for states of n components, written out
-    term by term and compiled once per n: a stage's input
-        axpy(a, b, h) = [a[i] + h * b[i], ...]
-    and the new state
-        final(a, b, c, d, e, h) = [a[i] + h * (b[i] + 2.0 * c[i] + 2.0 * d[i]
-                                               + e[i]), ...].
-    Only n reaches the generated source. UsageError for more than
-    2 * config.MAX_DIM components, as the source grows with n."""
-    kernels = _KERNELS.get(n)
-    if kernels is None:
-        if n > 2 * MAX_DIM:
-            raise UsageError("a state of %d components, more than the cap of %d "
-                             "(twice config.MAX_DIM)" % (n, 2 * MAX_DIM))
-        axpy = ", ".join("a[%d] + h * b[%d]" % (i, i) for i in range(n))
-        final = ", ".join("a[%d] + h * (b[%d] + 2.0 * c[%d] + 2.0 * d[%d] + e[%d])"
-                          % ((i,) * 5) for i in range(n))
-        source = ("def axpy(a, b, h):\n    return [%s]\n"
-                  "def final(a, b, c, d, e, h):\n    return [%s]\n" % (axpy, final))
-        namespace = {}
-        exec(compile(source, "<rk4 kernels of %d components>" % n, "exec"), namespace)
-        kernels = _KERNELS[n] = namespace["axpy"], namespace["final"]
-    return kernels
-
-
 def rk4_step(rhs, state, step):
     """One classical RK4 step of d(state)/ds = rhs(state); returns the new
     state. state is a list of components (Python floats for one state, numpy
-    columns for a stack) and rhs answers one such list. Each component is
-    combined as state + sixth * (k1 + 2 k2 + 2 k3 + k4) combines arrays, in
-    the same order, so the bits are those of the array formula. The
-    combinations are _kernels' straight-line code: about 2 us a step of 8
-    Python floats, where zip comprehensions took about 5.5 us (best of 7
-    timeit runs on a shared 2-core x86 machine). UsageError for a state of
-    more than 2 * config.MAX_DIM components."""
-    axpy, final = _kernels(len(state))
-    half = 0.5 * step
+    columns for a stack, Traced values for _compiled_step) and rhs answers
+    one such list. Each component is combined as state + sixth * (k1 + 2 k2
+    + 2 k3 + k4) combines arrays, in the same order, so the bits are those
+    of the array formula. A run steps one compiled trace of it (so its rhs
+    may not branch on a state value): 2.3 us a step of the projectile flow,
+    2.7 of its canonical equations, 3.6 of a polar geodesic, where a call per
+    stage took 3.2, 5.0 and 10.3 us (medians of 5 runs, shared 2-core x86).
+    UsageError for a state of more than 2 * config.MAX_DIM components, as
+    the compiled step grows with it."""
+    if len(state) > 2 * MAX_DIM:
+        raise UsageError("a state of %d components, more than the cap of %d "
+                         "(twice config.MAX_DIM)" % (len(state), 2 * MAX_DIM))
+    half, sixth = 0.5 * step, step / 6.0
     k1 = rhs(state)
-    k2 = rhs(axpy(state, k1, half))
-    k3 = rhs(axpy(state, k2, half))
-    k4 = rhs(axpy(state, k3, step))
-    return final(state, k1, k2, k3, k4, step / 6.0)
+    k2 = rhs([a + half * b for a, b in zip(state, k1, strict=True)])
+    k3 = rhs([a + half * b for a, b in zip(state, k2, strict=True)])
+    k4 = rhs([a + step * b for a, b in zip(state, k3, strict=True)])
+    return [a + sixth * (b + 2.0 * c + 2.0 * d + e)
+            for a, b, c, d, e in zip(state, k1, k2, k3, k4, strict=True)]
+
+
+def _compiled_step(rhs, n):
+    """step(y, h) = rk4_step(rhs, y, h) for y a list of n Python floats,
+    compiled from one trace of rk4_step over Traced values: all four stages
+    and their combinations as straight-line code, with rk4_step's bits and
+    no Python call inside. An rhs that cannot take Traced values (it
+    branches on one, or makes it an array) is called from the compiled step
+    instead, once per stage, and faults where it did."""
+    tape = Tape()
+    y, h = [Traced(tape, "y%d" % i) for i in range(n)], Traced(tape, "h")
+    try:
+        out = rk4_step(rhs, y, h)
+    except (TypeError,) + _RUN_FAULTS:  # raised again at the step that meets it
+        tape.lines.clear()
+        tape.names["rhs"] = rhs
+        out = rk4_step(partial(_called_stage, tape, n), y, h)
+    tape.lines.insert(0, "%s, = y" % ", ".join(v.name for v in y))
+    return tape.compile("step(y, h)", out, "<rk4 step of %d components>" % n)
+
+
+def _called_stage(tape, n, y):
+    """The n components of rhs(y), called from tape's code."""
+    k = tape.emit("rhs([%s])" % ", ".join(v.name for v in y))
+    return [Traced(tape, "%s[%d]" % (k.name, i)) for i in range(n)]
 
 
 def step_count(s_max, step, record_stride):
@@ -332,7 +335,7 @@ def _drive(state, rhs, s_max, step, record_stride, guard=None):
     names the step and the last finite state, with the type _fault gives it.
     """
     n_steps, n_records = step_count(s_max, step, record_stride)
-    _kernels(len(state))  # refuses a state too long for rk4_step here
+    advance = _compiled_step(rhs, len(state))  # refuses a state over rk4_step's cap
     _check_initial(state, step)
     msg = guard and guard(state)
     if msg:
@@ -343,7 +346,7 @@ def _drive(state, rhs, s_max, step, record_stride, guard=None):
     try:
         with np.errstate(**_QUIET):
             for i in range(1, n_steps + 1):
-                last, state = state, rk4_step(rhs, state, step)
+                last, state = state, advance(state, step)
                 # not a sum: that overflows on some finite states
                 if not all(map(math.isfinite, state)):
                     raise _rejected(i, step, last, "non-finite state")
@@ -416,8 +419,7 @@ def _diagonal_geodesic_rhs(metric, y):
     one or two terms has _geodesic_flow's bits, as the zeros it adds are exact."""
     xs = y[:metric.dim]
     d = metric.diag(xs)
-    if not all(d):
-        raise np.linalg.LinAlgError("Singular matrix")
+    require_nonzero(d, np.linalg.LinAlgError, "Singular matrix")
     up = [(1.0 / v) * p + 0.0 for v, p in zip(d, y[metric.dim:])]
     pdot = [0.0] * metric.dim
     for lam, a, _, part in metric.partials:

@@ -8,11 +8,11 @@ kind, minkowski and polar too, is built from term lists, which it compiles
 once, with their term-wise partials, in eval_poly's order, from their numbers.
 """
 
-import math
 from functools import partial
 
 import numpy as np
 
+from ._util import Tape, Traced
 from .clifford import ETA_DIAG, GAMMAS
 from .config import METRIC, parse
 from .errors import BadSignature, SingularJacobian, SingularMetric, UsageError
@@ -52,48 +52,15 @@ def eval_poly(terms, x):
     return total
 
 
-class _Sym(str):
-    """Source text of a value eval_poly computes from coordinates given as
-    _Sym names: each operation writes out the one it stands for, in
-    eval_poly's order. eval_poly multiplies a term only by powers and adds
-    only terms, so a product needs no parentheses; a sum keeps one summand
-    per line, so that a term list of any length compiles. IEEE sums and
-    products commute, so the reflected operations are the same."""
-
-    def __pow__(self, e):
-        return _Sym("%s ** %d" % (self, e))
-
-    def __mul__(self, other):
-        return _Sym("%s * %s" % (self, _text(other)))
-
-    def __add__(self, other):
-        return _Sym("%s\n%s" % (self, _text(other)))
-
-    __rmul__, __radd__ = __mul__, __add__
-
-
-def _text(value):  # only numbers reach the source; inf and nan are bound there
-    return value if isinstance(value, _Sym) else repr(float(value))
-
-
 def _compiled(values, dim):
-    """x -> values(xs), compiled once as straight-line code, where values
-    maps the dim _Sym coordinates xs to eval_poly's result or a list of
-    them. Like eval_poly, it reads a list x as it is and any other point
-    through np.asarray(x, float).tolist()."""
-    out = values([_Sym("x[%d]" % i) for i in range(dim)])
-    items = out if isinstance(out, list) else [out]
-    lines = ["if not isinstance(x, list):", "    x = asarray(x, float).tolist()"]
-    for k, value in enumerate(items):
-        summands = _text(value).split("\n")
-        lines += ["v%d = %s" % (k, " + ".join(summands[:2]))]
-        lines += ["v%d += %s" % (k, r) for r in summands[2:]]
-    names = ", ".join("v%d" % k for k in range(len(items)))
-    lines.append("return " + ("[%s]" % names if isinstance(out, list) else names))
-    namespace = {"asarray": np.asarray, "inf": math.inf, "nan": math.nan}
-    exec(compile("def f(x):\n    " + "\n    ".join(lines), "<metric polynomials>", "exec"),
-         namespace)
-    return namespace["f"]
+    """x -> values(xs), compiled once as straight-line code from one trace
+    of values, which maps the dim Traced coordinates xs to eval_poly's
+    result or a list of them. Like eval_poly, it reads a list x as it is and
+    any other point through np.asarray(x, float).tolist()."""
+    tape = Tape()
+    tape.lines.append("x = x if isinstance(x, list) else asarray(x, float).tolist()")
+    return tape.compile("f(x)", values([Traced(tape, "x[%d]" % i) for i in range(dim)]),
+                        "<metric polynomials>")
 
 
 def poly_partials(terms, dim):

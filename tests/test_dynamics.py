@@ -312,12 +312,11 @@ def test_non_finite_s_max_refused_before_rounding(s_max):
         dyn.integrate(STEPLESS, np.zeros(4), np.ones(4), s_max, step=0.25)
 
 
-def python_calls_per_step(model, canonical):
-    """Python-level calls (sys.setprofile "call" events) per RK4 step of an
-    integrate run, over the difference of a 200-step and a 100-step run, so
-    a run's fixed calls cancel. Each run records only its first and last
-    state."""
-    x0, p0 = np.zeros(4), model.reference.tangent(0.0)
+def python_calls_per_step(run):
+    """Python-level calls (sys.setprofile "call" events) per RK4 step of
+    run(s_max), a run at step 0.01 that records only its first and last
+    state, over the difference of a 200-step and a 100-step run, so a run's
+    fixed calls (its compiled step's trace among them) cancel."""
 
     def calls(n_steps):
         count = [0]
@@ -328,8 +327,7 @@ def python_calls_per_step(model, canonical):
 
         sys.setprofile(profile)
         try:
-            dyn.integrate(model, x0, p0, n_steps * 0.01, step=0.01,
-                          canonical=canonical, record_stride=10 ** 9)
+            run(n_steps * 0.01)
         finally:
             sys.setprofile(None)
         return count[0]
@@ -338,16 +336,27 @@ def python_calls_per_step(model, canonical):
     return (calls(200) - calls(100)) / 100
 
 
-@pytest.mark.parametrize("canonical, per_step", [(False, 11), (True, 27)],
-                         ids=["flow", "canonical"])
-def test_python_calls_per_step(canonical, per_step):
-    # a count, not a timing: it holds on a loaded machine. Each step is
-    # rk4_step, _kernels, 3 axpy, final and the guard, plus 4 stages: the
-    # flow (1 call), or hamilton_rhs, dh_dp, its _energy and _sqrt, and dh_dx
-    # (5 calls): no layer between integrate and the model's callables, as
-    # _drive's one try reads a stage's fault
+def model_run(canonical):
     model = dyn.projectile_model(M0, UX, UY, G)
-    assert python_calls_per_step(model, canonical) == per_step
+    return lambda s_max: dyn.integrate(model, np.zeros(4), model.reference.tangent(0.0), s_max,
+                                       step=0.01, canonical=canonical, record_stride=10 ** 9)
+
+
+def polar_run(s_max):
+    dyn.covariant_integrate(geo.polar_metric(4), [0.0, 1.0, 0.3, 0.0], [1.5, 0.3, -0.2, 0.0],
+                            s_max, step=0.01, record_stride=10 ** 9)
+
+
+@pytest.mark.parametrize("run, per_step", [(model_run(False), 2), (model_run(True), 2),
+                                           (polar_run, 1)],
+                         ids=["flow", "canonical", "covariant-polar"])
+def test_python_calls_per_step(run, per_step):
+    # a count, not a timing: it holds on a loaded machine. Each step is one
+    # call of the run's compiled RK4 step, which holds all four stages of the
+    # flow, the canonical equations or the diagonal geodesic flow, plus the
+    # model's guard (a geodesic run has none); it was 11 calls for the flow
+    # and 27 for the canonical equations when each stage was a call
+    assert python_calls_per_step(run) == per_step
 
 
 def test_record_memory_per_sample(traced_peak):

@@ -34,9 +34,12 @@ metrics' stages use, are the stages' exact oracle.
 
 rk4_step combined flat state arrays and now combines lists of components,
 Python floats or numpy columns; ref_rk4's array formula is its exact oracle
-on both. Its combinations were zip comprehensions and are now straight-line
-code generated per state length; ref_rk4_step keeps the comprehensions as
-their exact oracle, NaNs, infinities and signs of zero included.
+on both. Its combinations were zip comprehensions, then straight-line code
+generated per state length, and are zip comprehensions again: a run steps
+one function compiled from a trace of rk4_step, its four stages and their
+combinations as one straight-line body. ref_rk4_step keeps the
+comprehensions as the exact oracle of both, NaNs, infinities and signs of
+zero included, and of the faults a run reports.
 
 A polynomial metric's term lists went through eval_poly at every
 evaluation and are now compiled once per metric into straight-line code;
@@ -59,11 +62,12 @@ from hjdirac import dynamics as dyn
 from hjdirac import geometry as geo
 from hjdirac import hamilton_jacobi as hj
 from hjdirac import statmech as sm
+from hjdirac import _util as util
 from hjdirac._util import central_difference
 from hjdirac.config import MAX_DIM
 from hjdirac.clifford import slash
 from hjdirac.dynamics import rk4_step
-from hjdirac.errors import UsageError
+from hjdirac.errors import StepRejected, UsageError
 
 from conftest import harmonic_model, quadratic_model
 
@@ -362,7 +366,8 @@ def test_rk4_step_matches_inline_loop(canonical):
 
 
 def ref_rk4_step(rhs, state, step):
-    """rk4_step as zip comprehensions, before its straight-line kernels."""
+    """RK4 as zip comprehensions: rk4_step's code before its straight-line
+    kernels, and now the oracle of rk4_step and of each run's compiled step."""
     half, sixth = 0.5 * step, step / 6.0
     k1 = rhs(state)
     k2 = rhs([a + half * b for a, b in zip(state, k1)])
@@ -386,21 +391,23 @@ def bit_patterns(components):
 @pytest.mark.parametrize("n", [2, 6, 8, 2 * MAX_DIM])
 def test_rk4_kernels_match_the_comprehensions(n):
     # states of n components, one all finite, one with NaN, infs and zeros of
-    # either sign, stepped on Python floats and as the columns of the stack,
-    # under a cyclic linear rhs that keeps the sign of a zero
+    # either sign, stepped on Python floats by the compiled step and as the
+    # columns of the stack by rk4_step, under a cyclic linear rhs that keeps
+    # the sign of a zero
     rng = np.random.default_rng(n)
     coeffs = rng.normal(size=n).tolist()
 
     def rhs(y):
         return [c * y[(i + 1) % n] for i, c in enumerate(coeffs)]
 
+    step = dyn._compiled_step(rhs, n)
     states = rng.choice([-1.0, 1.0], size=(3, n)) * 10.0 ** rng.uniform(-300, 300, (3, n))
     states[1, ::2] = np.resize([math.nan, math.inf, -math.inf, -0.0], (n + 1) // 2)
     states[2] = np.copysign(0.0, states[2])
     for y0 in states:
         y = want = y0.tolist()
         for _ in range(5):
-            y, want = rk4_step(rhs, y, 1e-3), ref_rk4_step(rhs, want, 1e-3)
+            y, want = step(y, 1e-3), ref_rk4_step(rhs, want, 1e-3)
             assert all(type(v) is float for v in y)
             assert bit_patterns(y) == bit_patterns(want)
     columns = want = list(states.T)
@@ -433,27 +440,27 @@ def test_rk4_step_calls_the_stage_four_times():
     assert len(calls) == 4
 
 
-def test_rk4_kernels_are_built_once_per_length(monkeypatch):
-    # compile counted through the dynamics module's globals, the kernel
-    # cache emptied: three runs of 8-component states build one pair, a
-    # 3-dimensional covariant run one more
+def test_rk4_step_is_compiled_once_per_run(monkeypatch):
+    # compile counted through the globals of _util, which holds the tape:
+    # each run compiles one step, whatever its number of steps, from one
+    # trace of rk4_step
     compiled = []
 
     def counting_compile(*args):
-        compiled.append(args)
+        compiled.append(args[1])
         return compile(*args)
 
-    monkeypatch.setattr(dyn, "_KERNELS", {})
-    monkeypatch.setattr(dyn, "compile", counting_compile, raising=False)
     model = dyn.projectile_model(1.0, 0.5, 1.0, 0.2)
-    for canonical in (False, True):
-        dyn.integrate(model, np.zeros(4), model.reference.tangent(0.0), 0.05,
-                      canonical=canonical)
-    dyn.covariant_integrate(geo.polar_metric(4), [0.0, 1.0, 0.3, 0.0],
-                            [1.5, 0.3, -0.2, 0.0], 0.05)
-    assert len(compiled) == 1 and sorted(dyn._KERNELS) == [8]
+    polar = geo.polar_metric(4)
+    monkeypatch.setattr(util, "compile", counting_compile, raising=False)
+    for s_max in (0.05, 0.5):
+        dyn.integrate(model, np.zeros(4), model.reference.tangent(0.0), s_max)
+        dyn.integrate(model, np.zeros(4), model.reference.tangent(0.0), s_max, canonical=True)
+        dyn.covariant_integrate(polar, [0.0, 1.0, 0.3, 0.0], [1.5, 0.3, -0.2, 0.0], s_max)
+    assert compiled == ["<rk4 step of 8 components>"] * 6
     dyn.covariant_integrate(geo.polar_metric(3), [0.0, 1.0, 0.3], [1.5, 0.3, -0.2], 0.05)
-    assert len(compiled) == 2 and sorted(dyn._KERNELS) == [6, 8]
+    # the metric's polynomials, then the step
+    assert compiled[6:] == ["<metric polynomials>"] * 2 + ["<rk4 step of 6 components>"]
 
 
 def test_integrate_records_the_inline_loop_states():
@@ -1041,9 +1048,141 @@ def test_diagonal_stages_read_neither_dg_nor_inverse(monkeypatch):
                             [1.5, 0.3, -0.19, 0.0], 0.1, step=0.01, record_stride=5)
     # only the 3 records read dg and the matrix, once in the flow (whose
     # inverse is np.linalg.inv's) and once in christoffel_at, after the
-    # initial lowering's matrix; each of the 40 stages reads the diagonal
-    # entries alone, and inverts them itself
-    assert calls == {"dg": 3 + 3, "matrix": 1 + 3 * 2, "diag": 4 * 10}
+    # initial lowering's matrix; each of the 4 stages of the one trace that
+    # builds the run's compiled step reads the diagonal entries alone, and
+    # inverts them itself (each of the 40 stages stepped did, before)
+    assert calls == {"dg": 3 + 3, "matrix": 1 + 3 * 2, "diag": 4}
+
+
+# -- the compiled RK4 step --------------------------------------------------------
+
+# every entry depends on x1, so dp_1/ds sums MAX_DIM partials
+MAX_DIM_METRIC = geo.diagonal_metric([[[1.0, []], [0.05, [0, 2]]]] + [
+    [[-1.0, []], [-0.1 * a, [0, 1]]] for a in range(1, MAX_DIM)])
+
+
+def off_axis_states(rng, dim, n):
+    """n states of 2 dim components, x1 (polar's r) kept off 0."""
+    y = rng.normal(size=(n, 2 * dim))
+    y[:, 1] = np.abs(y[:, 1]) + 0.5
+    return y
+
+
+@pytest.mark.parametrize("rhs, n", [
+    (PROJECTILE.flow, 8),
+    (partial(dyn.hamilton_rhs, dyn.free_particle_model(1.1)), 8),
+    (partial(dyn.hamilton_rhs, PROJECTILE), 8),
+    (partial(dyn._diagonal_geodesic_rhs, geo.polar_metric(3)), 6),
+    (partial(dyn._diagonal_geodesic_rhs, geo.polar_metric(4)), 8),
+    (partial(dyn._diagonal_geodesic_rhs, FOUR_ENTRY), 8),
+    (partial(dyn._diagonal_geodesic_rhs, MAX_DIM_METRIC), 2 * MAX_DIM),
+], ids=["flow", "canonical-free", "canonical-projectile", "polar3", "polar4",
+        "four-partials", "max-dim"])
+def test_compiled_step_matches_the_comprehensions(rhs, n):
+    """A run's compiled step gives ref_rk4_step's bits on Python floats, and
+    rk4_step gives them on numpy columns: three states' columns for a model,
+    one state's for a geodesic stage, whose zero-entry test reads one truth
+    value per entry."""
+    rng = np.random.default_rng(n)
+    model = getattr(rhs, "func", None) is not dyn._diagonal_geodesic_rhs
+    states = off_axis_states(rng, n // 2, 3)
+    if model:
+        states[:, 4] = np.abs(states[:, 4]) + 3.0
+    step = dyn._compiled_step(rhs, n)
+    for y0 in states:
+        y = want = y0.tolist()
+        for _ in range(20):
+            y, want = step(y, 1e-2), ref_rk4_step(rhs, want, 1e-2)
+            assert all(type(v) is float for v in y)
+            assert same_bits(y, want)
+    for stack in [states] if model else states[:, None]:
+        columns = want = list(stack.T)
+        for _ in range(20):
+            columns, want = rk4_step(rhs, columns, 1e-2), ref_rk4_step(rhs, want, 1e-2)
+            assert same_bits(columns, want)
+
+
+@pytest.mark.parametrize("entries, error, message", [
+    # g_22 = x0 - 1 vanishes as the k4 stage of step 8 reaches x0 = 1
+    ([[[1.0, []]], [[-1.0, []]], [[1.0, [1]], [-1.0, []]], [[-1.0, []]]],
+     np.linalg.LinAlgError, "Singular matrix"),
+    # x1 ** 2000 overflows once x1 passes 1.426
+    ([[[1.0, []]], [[-1.0, []]], [[-1.0, []]], [[-1.0, []], [-1.0, [0, 2000]]]],
+     StepRejected, "non-finite state"),
+], ids=["zero-entry", "overflow"])
+def test_compiled_step_faults_where_the_comprehensions_fault(entries, error, message):
+    metric = geo.diagonal_metric(entries)
+    rhs = partial(dyn._diagonal_geodesic_rhs, metric)
+    x0, p0, step = [0.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0], 0.125
+    y = x0 + (metric.matrix(np.array(x0)) @ np.array(p0)).tolist()
+    for i in range(1, 17):
+        try:
+            y_next = ref_rk4_step(rhs, y, step)
+        except (ArithmeticError, np.linalg.LinAlgError):
+            break
+        y = y_next
+    else:
+        pytest.fail("the reference run took every step")
+    with pytest.raises(error) as got:
+        dyn.covariant_integrate(metric, x0, p0, 2.0, step=step)
+    assert str(got.value) == "step %d (s = %r): %s; last finite state %s" % (
+        i, i * step, message, [y[:4], y[4:]])
+
+
+class CodeRepr(float):
+    """A float whose repr is code that evaluates to another number."""
+
+    def __repr__(self):
+        return "__import__('os').getpid()"
+
+
+def test_compiled_constant_is_its_float_value():
+    c = CodeRepr(0.75)
+
+    def rhs(y):
+        return [c * y[1], -c * y[0] + c]
+
+    step = dyn._compiled_step(rhs, 2)
+    y = want = [1.0, 0.5]
+    for _ in range(10):
+        y, want = step(y, 0.1), ref_rk4_step(rhs, want, 0.1)
+    assert same_bits(y, want)
+
+
+def test_a_traced_value_refuses_a_branch():
+    traced = util.Traced(util.Tape(), "y0")
+    for branch in (bool, float, lambda v: v == 0.0, lambda v: v != 0.0, lambda v: v < 1.0):
+        with pytest.raises(TypeError):
+            branch(traced)
+
+    # so an rhs that branches on the state is called from its compiled step,
+    # and takes its branch at every stage
+    def rhs(y):
+        return [1.0 if y[0] < 0.5 else -y[1], y[0]]
+
+    step = dyn._compiled_step(rhs, 2)
+    y = want = [0.0, 0.3]
+    for _ in range(20):
+        y, want = step(y, 0.1), ref_rk4_step(rhs, want, 0.1)
+        assert same_bits(y, want)
+    assert y[0] > 0.5
+
+
+def test_untraceable_rhs_steps_with_the_comprehensions_bits():
+    # custom-polynomial's numpy flow makes the state an array, so it cannot
+    # be traced: its run calls it from the compiled step, once per stage
+    def rhs(y):
+        y = np.array(y)
+        _, up, _, pdot = dyn._geodesic_flow(NON_DIAGONAL, y[:4], y[4:])
+        return up.tolist() + pdot.tolist()
+
+    x0, p0 = [0.1, 0.9, 0.3, 0.2], [1.3, 0.2, -0.1, 0.05]
+    traj = dyn.covariant_integrate(NON_DIAGONAL, x0, p0, 0.05, step=0.01)
+    y = x0 + (NON_DIAGONAL.matrix(np.array(x0)) @ np.array(p0)).tolist()
+    for k in range(1, 6):
+        y = ref_rk4_step(rhs, y, 0.01)
+        up = dyn._geodesic_flow(NON_DIAGONAL, np.array(y[:4]), np.array(y[4:]))[1]
+        assert same_bits(traj.x[k], y[:4]) and same_bits(traj.p[k], up)
 
 
 # -- the commutator norm -----------------------------------------------------------
