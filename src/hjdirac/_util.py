@@ -290,7 +290,7 @@ class Tape:
 
 
 class Traced:
-    """A float that a Tape's code computes. + * / **, unary - and sqrt
+    """A float that a Tape's code computes. + - * / **, unary - and sqrt
     (which np.sqrt calls) write their statement into the tape and answer its
     result, Traced. A truth test, a comparison or float() raises TypeError,
     so no branch on a traced value is frozen into the code."""
@@ -302,6 +302,7 @@ class Traced:
         return self.tape.emit(form.format(self.name, *map(_text, others)))
 
     __add__, __radd__ = partialmethod(_op, "{0} + {1}"), partialmethod(_op, "{1} + {0}")
+    __sub__, __rsub__ = partialmethod(_op, "{0} - {1}"), partialmethod(_op, "{1} - {0}")
     __mul__, __rmul__ = partialmethod(_op, "{0} * {1}"), partialmethod(_op, "{1} * {0}")
     __truediv__, __rtruediv__ = partialmethod(_op, "{0} / {1}"), partialmethod(_op, "{1} / {0}")
     __pow__, __neg__ = partialmethod(_op, "{0} ** {1}"), partialmethod(_op, "-{0}")

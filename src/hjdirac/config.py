@@ -61,16 +61,12 @@ VECTOR = Spec("a list of 4 numbers", lambda v: NUMBERS.ok(v) and len(v) == 4)
 # below 2 ** 511, a sum of two squares stays below 2 ** 1023
 SQUARABLE = Spec("a number of magnitude below 2 ** 511", lambda v: _num(v) and abs(v) < 2 ** 511)
 OBJECT = Spec("a JSON object", lambda v: isinstance(v, dict))
-# a metric has 1 to MAX_DIM dimensions, one per entry (or row), so an empty
-# entries list is refused, and so is an exponent of a coordinate it lacks
+# a metric has 1 to MAX_DIM dimensions, one per entry, so an empty entries
+# list is refused, and so is an exponent of a coordinate it lacks
 TERM_LISTS = Spec("a list of 1 to %d term lists, no exponent list longer than "
                   "the list" % MAX_DIM,
                   lambda v: isinstance(v, list) and 1 <= len(v) <= MAX_DIM
                   and all(_terms(t, len(v)) for t in v))
-SQUARE = Spec("a square matrix of 1 to %d rows of term lists, no exponent list "
-              "longer than a row" % MAX_DIM,
-              lambda v: isinstance(v, list) and 1 <= len(v) <= MAX_DIM and all(
-                  TERM_LISTS.ok(row) and len(row) == len(v) for row in v))
 
 # simulate's "model" and "metric" objects
 MODEL = {"free": {"m0": (SQUARABLE, REQUIRED)},
@@ -78,8 +74,7 @@ MODEL = {"free": {"m0": (SQUARABLE, REQUIRED)},
                         "u_y": (SQUARABLE, REQUIRED), "g": (NUMBER, REQUIRED)}}
 METRIC = {"minkowski": {"dim": (integer(1, MAX_DIM), 4)},
           "polar": {"dim": (Spec("3 or 4", lambda v: _int(v) and v in (3, 4)), 4)},
-          "diagonal": {"entries": (TERM_LISTS, REQUIRED)},
-          "custom-polynomial": {"entries": (SQUARE, REQUIRED)}}
+          "diagonal": {"entries": (TERM_LISTS, REQUIRED)}}
 
 # the top-level configs of simulate and ensemble
 _RUN = {"s_max": (POSITIVE, 2.0), "step": (POSITIVE, 1e-3)}

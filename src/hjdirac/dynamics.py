@@ -237,25 +237,24 @@ def _compiled_step(rhs, n):
     """step(y, h) = rk4_step(rhs, y, h) for y a list of n Python floats,
     compiled from one trace of rk4_step over Traced values: all four stages
     and their combinations as straight-line code, with rk4_step's bits and
-    no Python call inside. An rhs that cannot take Traced values (it
-    branches on one, or makes it an array) is called from the compiled step
-    instead, once per stage, and faults where it did."""
+    no Python call inside. A run fault the trace raises (a constant zero
+    entry of a diagonal metric) is raised by the step, so the first step
+    meets it. UsageError, chained to the TypeError, for an rhs that branches
+    on a traced value or makes it an array: a model callable is traced once
+    per run, so it may not branch on a state value."""
     tape = Tape()
     y, h = [Traced(tape, "y%d" % i) for i in range(n)], Traced(tape, "h")
     try:
         out = rk4_step(rhs, y, h)
-    except (TypeError,) + _RUN_FAULTS:  # raised again at the step that meets it
-        tape.lines.clear()
-        tape.names["rhs"] = rhs
-        out = rk4_step(partial(_called_stage, tape, n), y, h)
+    except TypeError as exc:
+        raise UsageError("a model callable is traced once per run, so it may not "
+                         "branch on a state value: %s" % exc) from exc
+    except _RUN_FAULTS as exc:
+        def step(y, h, fault=exc):
+            raise fault
+        return step
     tape.lines.insert(0, "%s, = y" % ", ".join(v.name for v in y))
     return tape.compile("step(y, h)", out, "<rk4 step of %d components>" % n)
-
-
-def _called_stage(tape, n, y):
-    """The n components of rhs(y), called from tape's code."""
-    k = tape.emit("rhs([%s])" % ", ".join(v.name for v in y))
-    return [Traced(tape, "%s[%d]" % (k.name, i)) for i in range(n)]
 
 
 def step_count(s_max, step, record_stride):
@@ -331,8 +330,9 @@ def _drive(state, rhs, s_max, step, record_stride, guard=None):
     s values and one preallocated row each, holding the state.
     Raises StepRejected when the state is or goes non-finite or guard(state)
     returns a message, and UsageError before the first step: step_count's,
-    or rk4_step's for a state over its cap. A fault raised during a step
-    names the step and the last finite state, with the type _fault gives it.
+    rk4_step's for a state over its cap, or _compiled_step's for an rhs that
+    cannot be traced. A fault raised during a step names the step and the
+    last finite state, with the type _fault gives it.
     """
     n_steps, n_records = step_count(s_max, step, record_stride)
     advance = _compiled_step(rhs, len(state))  # refuses a state over rk4_step's cap
@@ -422,7 +422,7 @@ def _diagonal_geodesic_rhs(metric, y):
     require_nonzero(d, np.linalg.LinAlgError, "Singular matrix")
     up = [(1.0 / v) * p + 0.0 for v, p in zip(d, y[metric.dim:])]
     pdot = [0.0] * metric.dim
-    for lam, a, _, part in metric.partials:
+    for lam, a, part in metric.partials:
         pdot[lam] += (part(xs) * up[a]) * up[a]
     return up + [0.5 * v for v in pdot]
 
@@ -437,14 +437,14 @@ def covariant_integrate(metric, x0, p0_upper, s_max, step=1e-3, record_stride=1)
     |dp^mu/ds + Gamma^mu_{nu lam} u^nu p^lam| per sample, which the exact
     flow sends to rounding.
 
-    A diagonal metric steps in Python floats (_diagonal_geodesic_rhs), any
-    other in _geodesic_flow's arrays. After the last step each record takes
-    the numpy flow and christoffel_at at its recorded state (x, p_mu), so a
-    fault at any step is raised before a record's. The run is sized
-    (step_count) before p0_upper is lowered. An x0 or p0_upper that is not
-    finite, a fault lowering p0_upper, or a lowered momentum that is not
-    finite, names step 0 with x0 and p0_upper. Faults read as _fault reads
-    them, a Python float's at the lowering as a non-finite lowered momentum.
+    The steps take Python floats (_diagonal_geodesic_rhs). After the last
+    step each record takes the numpy flow and christoffel_at at its recorded
+    state (x, p_mu), so a fault at any step is raised before a record's. The
+    run is sized (step_count) before p0_upper is lowered. An x0 or p0_upper
+    that is not finite, a fault lowering p0_upper, or a lowered momentum that
+    is not finite, names step 0 with x0 and p0_upper. Faults read as _fault
+    reads them, a Python float's at the lowering as a non-finite lowered
+    momentum.
     """
     n_steps = step_count(s_max, step, record_stride)[0]
     dim = metric.dim
@@ -459,15 +459,8 @@ def covariant_integrate(metric, x0, p0_upper, s_max, step=1e-3, record_stride=1)
         raise _fault(exc, 0, step, initial, "non-finite lowered momentum") from exc
     if not np.isfinite(p_low).all():
         raise _rejected(0, step, initial, "non-finite lowered momentum")
-
-    def rhs(y):
-        y = np.array(y)
-        _, up, _, pdot_low = _geodesic_flow(metric, y[:dim], y[dim:])
-        return up.tolist() + pdot_low.tolist()
-
-    stage = rhs if metric.diag is None else partial(_diagonal_geodesic_rhs, metric)
-    s, rows = _drive(np.concatenate((x, p_low)).tolist(), stage, s_max, step,
-                     record_stride)
+    s, rows = _drive(np.concatenate((x, p_low)).tolist(),
+                     partial(_diagonal_geodesic_rhs, metric), s_max, step, record_stride)
     records = np.empty((len(rows), 2))  # K and the geodesic residual per row
     try:
         with np.errstate(**_QUIET):

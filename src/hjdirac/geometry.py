@@ -20,12 +20,11 @@ from .errors import BadSignature, SingularJacobian, SingularMetric, UsageError
 __all__ = [
     "MetricField",
     "TetradFrame",
-    "CoordinateChart",
     "minkowski_metric",
     "polar_metric",
     "diagonal_metric",
     "metric_from_config",
-    "polar_chart",
+    "polar_jacobian",
     "tetrad_at",
     "christoffel_at",
     "covariant_gamma",
@@ -81,30 +80,21 @@ def poly_partials(terms, dim):
 
 
 class MetricField:
-    """A metric given by a callable x -> symmetric (dim, dim) matrix and
-    dg(x) -> array (dim, dim, dim) of its partials d_lambda g_{mu nu} in
-    closed form, which christoffel_at and the covariant flow read. A
-    diagonal metric gives diag(x) -> its dim entries and partials, the
-    (lambda, a, a, x -> d_lambda g_aa) of its nonzero partials in order of
-    a, from which g and dg follow.
+    """A diagonal metric of dim entries: diag(x) -> its dim entries, and
+    partials, the (lambda, a, x -> d_lambda g_aa) of its nonzero partials in
+    order of a. The (dim, dim) matrix(x) and dg(x) -> array (dim, dim, dim)
+    of the partials d_lambda g_{mu nu}, which christoffel_at and the
+    covariant records read, follow from them.
     """
 
-    def __init__(self, g=None, dim=4, *, dg=None, diag=None, partials=None):
-        if diag is not None:
-            def g(x):
-                return np.diag(np.array(diag(x), dtype=float))
-            dg = _dg_of(partials, dim)
-        self.g = g
+    def __init__(self, dim, diag, partials):
         self.dim = dim
-        self.dg = dg
         self.diag = diag
         self.partials = partials
+        self.dg = _dg_of(partials, dim)
 
     def matrix(self, x):
-        out = np.asarray(self.g(np.asarray(x, dtype=float)), dtype=float)
-        if out.shape != (self.dim, self.dim):
-            raise UsageError(f"metric returned shape {out.shape}, expected ({self.dim}, {self.dim})")
-        return out
+        return np.diag(self.diag(np.asarray(x, dtype=float)))
 
 
 def minkowski_metric(dim=4):
@@ -119,21 +109,22 @@ def polar_metric(dim=4):
     return diagonal_metric([[[1.0, []]], [[-1.0, []]], [[-1.0, [0, 2]]], [[-1.0, []]]][:dim])
 
 
-def _termwise_partials(indexed_terms, dim):
-    """(lam, i, j, x -> d_lam of the term list at (i, j)) for the
-    ((i, j), terms) pairs given, in their order, compiled; partials that are
-    the empty term list are dropped up front, so no known zero is evaluated."""
-    return [(lam, i, j, _compiled(partial(eval_poly, part), dim))
-            for (i, j), terms in indexed_terms
+def _termwise_partials(entry_polys):
+    """(lam, a, x -> d_lam of entry a's term list) for the diagonal entries
+    in order of a, compiled; partials that are the empty term list are
+    dropped up front, so no known zero is evaluated."""
+    dim = len(entry_polys)
+    return [(lam, a, _compiled(partial(eval_poly, part), dim))
+            for a, terms in enumerate(entry_polys)
             for lam, part in enumerate(poly_partials(terms, dim)) if part]
 
 
 def _dg_of(partials, dim):
-    """dg(x) with dg[lam, i, j] from the (lam, i, j, part) given, zero elsewhere."""
+    """dg(x) with dg[lam, a, a] from the (lam, a, part) given, zero elsewhere."""
     def dg(x):
         out = np.zeros((dim, dim, dim))
-        for lam, i, j, part in partials:
-            out[lam, i, j] = part(x)
+        for lam, a, part in partials:
+            out[lam, a, a] = part(x)
         return out
 
     return dg
@@ -142,8 +133,7 @@ def _dg_of(partials, dim):
 def diagonal_metric(entry_polys):
     dim = len(entry_polys)
     diag = _compiled(lambda xs: [eval_poly(p, xs) for p in entry_polys], dim)
-    partials = _termwise_partials((((a, a), p) for a, p in enumerate(entry_polys)), dim)
-    return MetricField(dim=dim, diag=diag, partials=partials)
+    return MetricField(dim, diag, _termwise_partials(entry_polys))
 
 
 def metric_from_config(cfg):
@@ -152,25 +142,7 @@ def metric_from_config(cfg):
         return minkowski_metric(cfg["dim"])
     if cfg["kind"] == "polar":
         return polar_metric(cfg["dim"])
-    if cfg["kind"] == "diagonal":
-        return diagonal_metric(cfg["entries"])
-    # custom-polynomial: a full matrix of term lists
-    entries = cfg["entries"]
-    dim = len(entries)
-    flat = _compiled(lambda xs: [eval_poly(t, xs) for row in entries for t in row], dim)
-
-    def g(x):
-        out = np.reshape(flat(x), (dim, dim))
-        return 0.5 * (out + out.T)
-
-    raw_dg = _dg_of(_termwise_partials((((i, j), entries[i][j]) for i in range(dim)
-                                        for j in range(dim)), dim), dim)
-
-    def dg(x):  # symmetrized exactly as g is
-        out = raw_dg(x)
-        return 0.5 * (out + out.transpose(0, 2, 1))
-
-    return MetricField(g, dim=dim, dg=dg)
+    return diagonal_metric(cfg["entries"])
 
 
 def _check_signature(gx):
@@ -233,48 +205,34 @@ def christoffel_at(metric, x):
     return 0.5 * gamma
 
 
-class CoordinateChart:
-    """A 4-dimensional chart of the flat reference frame, given by its
-    Jacobian in closed form:
-    jacobian(x_chart) -> J[a, mu] = d(reference^a)/d(chart^mu).
-    """
+# A 4-dimensional chart of the flat reference frame is given by its Jacobian
+# in closed form: jacobian(x_chart) -> J[a, mu] = d(reference^a)/d(chart^mu).
 
-    def __init__(self, jacobian):
-        self._jacobian = jacobian
-
-    def jacobian_matrix(self, x):
-        return np.asarray(self._jacobian(np.asarray(x, dtype=float)), dtype=float)
-
-
-def polar_chart():
+def polar_jacobian(x):
     """The Jacobian of (t, r, theta, z) -> (t, r cos theta, r sin theta, z)."""
-
-    def jacobian(x):
-        _, r, th, _ = x
-        return np.array([
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, np.cos(th), -r * np.sin(th), 0.0],
-            [0.0, np.sin(th), r * np.cos(th), 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        ])
-
-    return CoordinateChart(jacobian)
+    _, r, th, _ = x
+    return np.array([
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, np.cos(th), -r * np.sin(th), 0.0],
+        [0.0, np.sin(th), r * np.cos(th), 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+    ])
 
 
-def chart_metric(chart, x):
-    """Metric induced on the chart by the flat reference: g = J^T eta J."""
-    jac = chart.jacobian_matrix(x)
+def chart_metric(jacobian, x):
+    """Metric induced on a chart by the flat reference: g = J^T eta J."""
+    jac = jacobian(x)
     return jac.T @ np.diag(ETA_DIAG) @ jac
 
 
-def covariant_gamma(chart, x):
+def covariant_gamma(jacobian, x):
     """Chart-adapted gamma matrices gamma~^mu = (d chart^mu / d ref^a) gamma^a.
 
     They satisfy {gamma~^mu, gamma~^nu} = 2 g^{mu nu} I for the induced
     inverse metric. Raises SingularJacobian when the chart Jacobian is
     numerically singular at x.
     """
-    jac = chart.jacobian_matrix(x)
+    jac = jacobian(x)
     det = np.linalg.det(jac)
     if abs(det) < 1e-12 or np.linalg.cond(jac) > COND_GUARD:
         raise SingularJacobian(f"chart Jacobian det = {det:.3e} at x = {np.asarray(x).tolist()}")

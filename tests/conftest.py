@@ -2,9 +2,11 @@ import os
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hjdirac.dynamics import HamiltonianModel
+from hjdirac.geometry import eval_poly, poly_partials
 
 
 # Two oracle models the tests build: H = p.p / 2, whose canonical flow is a
@@ -41,6 +43,28 @@ def harmonic_model(omega=1.0):
         return 0.0, y[5], 0.0, 0.0
 
     return HamiltonianModel(h, dh_dx, dh_dp)
+
+
+class TermListMetric:
+    """A metric with off-diagonal entries, for the routines that take any
+    metric (tetrad_at, christoffel_at), which no metric kind is: dim,
+    matrix(x) and dg(x), the partials d_lambda g_{mu nu}, from a square
+    matrix of term lists, each entry evaluated by eval_poly and
+    differentiated term by term by poly_partials, and both symmetrized as
+    0.5 * (m + m^T) (exact when the term lists are symmetric)."""
+
+    def __init__(self, entries):
+        self.entries = entries
+        self.dim = len(entries)
+
+    def matrix(self, x):
+        out = np.array([[eval_poly(t, x) for t in row] for row in self.entries])
+        return 0.5 * (out + out.T)
+
+    def dg(self, x):
+        out = np.array([[[eval_poly(poly_partials(t, self.dim)[lam], x) for t in row]
+                         for row in self.entries] for lam in range(self.dim)])
+        return 0.5 * (out + out.transpose(0, 2, 1))
 
 
 def src_env(**extra):

@@ -632,15 +632,12 @@ class TestSimulate:
             "[1.5, -0.325482236987799, 0.1935, 0.0]]\n")
         assert not out.exists()
 
+    # ids as first pinned, when a custom-polynomial metric was the second case
     @pytest.mark.parametrize("metric, x0", [
-        ({"kind": "diagonal", "entries": [
+        pytest.param({"kind": "diagonal", "entries": [
             [[1.0, [0, 0, 0, 0]]], [[-1.0, [0, 0, 0, 0]]], [[-1.0, [0, 2000, 0, 0]]],
-            [[-1.0, [0, 0, 0, 0]]]]}, [0.0, 1.5, 0.3, 0.0]),
-        ({"kind": "custom-polynomial", "entries": [
-            [[[1.0, [0, 0, 0, 0]]], [], [], []], [[], [[-1.0, [0, 0, 0, 0]]], [], []],
-            [[], [], [[-1.0, [0, 2000, 0, 0]]], []], [[], [], [], [[-1.0, [0, 0, 0, 0]]]]]},
-         [0.0, 1.5, 0.3, 0.0]),
-        ({"kind": "polar"}, [0.0, 1e200, 0.3, 0.0]),
+            [[-1.0, [0, 0, 0, 0]]]]}, [0.0, 1.5, 0.3, 0.0], id="metric0-x00"),
+        pytest.param({"kind": "polar"}, [0.0, 1e200, 0.3, 0.0], id="metric2-x02"),
     ])
     def test_lowering_fault_exits_one_naming_step_zero(self, tmp_path, capsys, metric, x0):
         # x1 ** 2000 or r ** 2 overflows lowering p0_upper, before the first
@@ -764,15 +761,6 @@ class TestSimulate:
           "record_stride": 5},
          "70cb96f3824f46c94f364d9b032a163e48e3dc516d19af4bf5c298e2c37afe5b",
          "3ecafe17b33d45ec739f97523a00cf458e5462413fb22416317fbd0bed280009"),
-        # g01 = g10 = 0.05 x1: an off-diagonal term
-        ({"kind": "covariant", "metric": {"kind": "custom-polynomial", "entries": [
-            [[[1.0, [0, 0, 0, 0]]], [[0.05, [0, 1, 0, 0]]], [], []],
-            [[[0.05, [0, 1, 0, 0]]], [[-1.0, [0, 0, 0, 0]]], [], []],
-            [[], [], [[-1.0, [0, 2, 0, 0]]], []], [[], [], [], [[-1.0, [0, 0, 0, 0]]]]]},
-          "x0": [0.0, 1.1, 0.4, 0.0], "p0_upper": [1.4, 0.25, -0.3, 0.1], "s_max": 1.0,
-          "record_stride": 5},
-         "8e906a1c1414f958edd3b83e31b5475dfa08fa04d306dc04322af6af98d85c44",
-         "cdaed92837a99f93c19a198b5c609c6b2a29c8da187b1e874048077b194641ba"),
     ])
     def test_split_table_and_covariant_bytes_are_pinned(self, tmp_path, config,
                                                         csv_digest, report_digest):
@@ -1098,8 +1086,6 @@ class TestEnsemble:
 _COV = '{"kind": "covariant", "metric": %s}'
 _EXPONENT = ('{"kind": "diagonal", "entries": [[[1.0, [0, 0, 0, 0]]], '
              '[[-1.0, [0, 0, 0, 0]]], [[-1.0, [0, 1.5, 0, 0]]], [[-1.0, [0, 0, 0, 0]]]]}')
-_NOT_SQUARE = ('{"kind": "custom-polynomial", '
-               '"entries": [[[[1.0, [0, 0, 0, 0]]]], [[]]]}')
 # four entries and "dim": 3, with 3-vectors x0 and p0_upper
 _DIAGONAL_DIM = ('{"kind": "covariant", "x0": [0, 1, 0.3], "p0_upper": [1.5, 0.3, 0], '
                  '"metric": {"kind": "diagonal", "dim": 3, "entries": [[[1.0, [0, 0, 0, 0]]], '
@@ -1110,8 +1096,6 @@ _EMPTY = ('{"kind": "covariant", "x0": [], "p0_upper": [], '
 # metrics of MAX_DIM + 1 dimensions, one over the cap
 _TERMS_OVER_CAP = "[%s]" % ", ".join(["[[1.0, [0]]]"] * (MAX_DIM + 1))
 _DIAGONAL_OVER_CAP = '{"kind": "diagonal", "entries": %s}' % _TERMS_OVER_CAP
-_SQUARE_OVER_CAP = ('{"kind": "custom-polynomial", "entries": [%s]}'
-                    % ", ".join([_TERMS_OVER_CAP] * (MAX_DIM + 1)))
 _COV_3D = ('{"kind": "covariant", "s_max": 0.01, "x0": [0, 1, 0.3], '
            '"p0_upper": [1.5, 0.3, -0.2], "metric": %s}')
 _DIAG_PAST_DIM = ("[[1.0, [0]]]", "[[-1.0, [0]]]", "[[-1.0, [0, 0, 0, 2]]]")
@@ -1124,19 +1108,12 @@ BAD_CONFIGS = [
     pytest.param("simulate", '{"model": {"kind": "free", "m0": "1.0"}}', "m0",
                  id="m0-string"),
     pytest.param("simulate", _COV % _EXPONENT, "entries", id="exponent-float"),
-    pytest.param("simulate", _COV % _NOT_SQUARE, "entries", id="entries-not-square"),
     pytest.param("simulate", _DIAGONAL_DIM, "dim", id="diagonal-dim"),
     # -x3^2 in a 3-dim metric, which has no x3: these ran as the constant -1
     pytest.param("simulate", _COV_3D % ('{"kind": "diagonal", "entries": [%s, %s, %s]}'
                                         % _DIAG_PAST_DIM), "entries",
                  id="diagonal-exponent-past-dim"),
-    pytest.param("simulate", _COV_3D % ('{"kind": "custom-polynomial", "entries": '
-                                        '[[%s, [], []], [[], %s, []], [[], [], %s]]}'
-                                        % _DIAG_PAST_DIM), "entries",
-                 id="custom-polynomial-exponent-past-dim"),
     pytest.param("simulate", _EMPTY % "diagonal", "entries", id="diagonal-entries-empty"),
-    pytest.param("simulate", _EMPTY % "custom-polynomial", "entries",
-                 id="custom-polynomial-entries-empty"),
     pytest.param("simulate", '{"s_max": 0.01, "s_max": 0.02}', "s_max",
                  id="repeated-key"),
     pytest.param("simulate", '{"model": {"kind": "free", "m0": 1, "m0": 2}}', "m0",
@@ -1158,8 +1135,6 @@ BAD_CONFIGS = [
                  "dim", id="minkowski-dim-over-cap"),
     pytest.param("simulate", _COV % _DIAGONAL_OVER_CAP, "entries",
                  id="diagonal-entries-over-cap"),
-    pytest.param("simulate", _COV % _SQUARE_OVER_CAP, "entries",
-                 id="custom-polynomial-entries-over-cap"),
     pytest.param("simulate", '{"kind": "covariant", "x0": [0, 1]}', "x0",
                  id="covariant-x0-short"),
     pytest.param("simulate", '{"method": 5}', "method", id="method-int"),
@@ -1169,6 +1144,11 @@ BAD_CONFIGS = [
                  id="model-quadratic"),
     pytest.param("simulate", '{"model": {"kind": "harmonic", "omega": 1.3}}', "harmonic",
                  id="model-harmonic"),
+    # retired: the one non-diagonal metric kind, which no claim check ran
+    pytest.param("simulate", _COV % ('{"kind": "custom-polynomial", "entries": '
+                                     '[[[[1.0, [0, 0, 0, 0]]], [[0.05, [0, 1, 0, 0]]]], '
+                                     '[[[0.05, [0, 1, 0, 0]]], [[-1.0, [0, 0, 0, 0]]]]]}'),
+                 "custom-polynomial", id="metric-custom-polynomial"),
     pytest.param("simulate", '{"step": NaN}', "step", id="step-nan"),
     # the natural p0 would overflow: u_y, its cause, is refused
     pytest.param("simulate", '{"model": {"kind": "projectile", "m0": 1.0, "u_x": 0.5, '

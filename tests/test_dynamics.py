@@ -1,3 +1,4 @@
+import ast
 import math
 import sys
 import warnings
@@ -5,11 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
+from hjdirac import _util as util
 from hjdirac import dynamics as dyn
 from hjdirac import geometry as geo
 from hjdirac.errors import StepRejected, UsageError
 
 from conftest import harmonic_model, quadratic_model
+from test_sweep import KIND_CONFIGS
 
 M0, UX, UY, G = 1.0, 0.5, 1.0, 0.2
 
@@ -198,7 +201,8 @@ def reciprocal(x1, numpy):
 
 
 def root(x1, numpy):
-    return (np.sqrt if numpy else math.sqrt)(x1 - 0.1)
+    # dyn._sqrt traces to math.sqrt, which raises on a negative
+    return (np.sqrt if numpy else dyn._sqrt)(x1 - 0.1)
 
 
 # ids as first pinned, when a second integrator was parametrized here too
@@ -227,12 +231,14 @@ def test_python_float_faults_read_as_non_finite_state(fn):
 
 
 @pytest.mark.parametrize("dp1, dx1, message", [
-    # the flow's own product overflows: 1e300 * 5e8 at step 3's second stage
-    (lambda x1: 1e300 * max(x1 - 1.2e10, 0.0), 1e10,
+    # the flow's own product overflows: x1 * 1.5e298 at step 3's second stage,
+    # where x1 is 1.25e10, and inf * p1 = inf * 0.0 is NaN; before it, the
+    # product is finite and dp1/ds is 0.0
+    (lambda y: y[1] * 1.5e298 * y[5], 1e10,
      "step 3 (s = 1.5): non-finite state; last finite state "
      "[[0.0, 10000000000.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]"),
     # the flow stays finite and RK4's weighted sum of its stages overflows
-    (lambda x1: x1 * 1e308, 1.0,
+    (lambda y: y[1] * 1e308, 1.0,
      "step 2 (s = 1.0): non-finite state; last finite state "
      "[[0.0, 0.5, 0.0, 0.0], [1.0, 1.25e+307, 0.0, 0.0]]"),
 ])
@@ -242,7 +248,7 @@ def test_silent_float_overflow_reads_as_non_finite_state(dp1, dx1, message):
     # of the integrator that stepped a numpy state array.
     model = dyn.HamiltonianModel(
         lambda y: 0.0, zero_partials, zero_partials, flow=lambda y: (
-            0.0, dx1, 0.0, 0.0, 0.0, dp1(y[1]), 0.0, 0.0))
+            0.0, dx1, 0.0, 0.0, 0.0, dp1(y), 0.0, 0.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(StepRejected) as info:
@@ -359,6 +365,41 @@ def test_python_calls_per_step(run, per_step):
     assert python_calls_per_step(run) == per_step
 
 
+def simulate_runs():
+    """The simulate config of each kind in test_sweep's table, a model run's
+    with canonical off and on."""
+    runs = []
+    for command, config in KIND_CONFIGS:
+        if command == "simulate":
+            nested = config.get("metric", config.get("model"))
+            runs.append(pytest.param(config, id=nested["kind"]))
+            if "model" in config:
+                runs.append(pytest.param(dict(config, canonical=True),
+                                         id=nested["kind"] + "-canonical"))
+    return runs
+
+
+@pytest.mark.parametrize("config", simulate_runs())
+def test_each_run_steps_one_traced_step(monkeypatch, config):
+    # no right-hand side is called from its step: the one compiled RK4 step
+    # of a run calls nothing but sqrt and raises nothing but the zero-entry
+    # guard's LinAlgError
+    sources = []
+    compile_ = util.Tape.compile
+
+    def recording(tape, signature, outputs, label):
+        if label.startswith("<rk4 step"):
+            sources.append(ast.parse("\n".join(tape.lines)))
+        return compile_(tape, signature, outputs, label)
+
+    monkeypatch.setattr(util.Tape, "compile", recording)
+    dyn.simulate(config)
+    assert len(sources) == 1
+    called = {node.func.id if isinstance(node.func, ast.Name) else ast.dump(node.func)
+              for node in ast.walk(sources[0]) if isinstance(node, ast.Call)}
+    assert called <= {"sqrt", "LinAlgError"}
+
+
 def test_record_memory_per_sample(traced_peak):
     # records are preallocated float rows, s and the 8 state components, and
     # the H, dm_ds and comm_norm columns are computed over them; a list of
@@ -429,10 +470,10 @@ class TestCovariant:
                                     np.array([1.0, 0, 0, 0]), 1.0, step=-0.1)
 
     def test_overflow_is_step_rejected_without_warning(self):
-        # partials that vanish at x0 = 0 and reach 1e305 one stage later
-        eta = np.diag([1.0, -1.0, -1.0, -1.0])
-        metric = geo.MetricField(lambda x: eta,
-                                 dg=lambda x: np.full((4, 4, 4), 1e308 * x[0]))
+        # g11 = -1 + 1e308 x0 x2: eta at x = 0, where its partials vanish,
+        # and d_2 g11 = 1e308 x0 reaches 7.5e304 one stage later
+        metric = geo.diagonal_metric([[[1.0, []]], [[-1.0, []], [1e308, [1, 0, 1]]],
+                                      [[-1.0, []]], [[-1.0, []]]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(StepRejected) as info:
@@ -457,8 +498,9 @@ class TestCovariant:
             "[[0.0, inf, 0.0, 0.0], [1.5, 0.3, 0.0, 0.0]]")
 
     def test_record_cap_refused_before_the_first_step(self):
-        metric = geo.MetricField(lambda x: np.diag([1.0, -1.0, -1.0, -1.0]),
-                                 dg=lambda x: pytest.fail("a step was taken"))
+        # a diagonal metric whose entries are never read: not to lower
+        # p0_upper, nor to trace or take a step
+        metric = geo.MetricField(4, lambda x: pytest.fail("a step was taken"), [])
         with pytest.raises(UsageError, match="cap of %d" % dyn.MAX_RECORDS):
             dyn.covariant_integrate(metric, np.zeros(4), np.ones(4), 1e12)
 

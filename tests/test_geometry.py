@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import TermListMetric
 from hjdirac import clifford as cl
 from hjdirac import geometry as geo
 from hjdirac._util import central_difference
@@ -34,7 +35,8 @@ def test_tetrad_orthonormality_random_points():
 
 
 def test_tetrad_off_diagonal_metric():
-    # mild off-diagonal polynomial metric stays (+,-,-,-) near the origin
+    # mild off-diagonal polynomial metric stays (+,-,-,-) near the origin;
+    # tetrad_at takes any metric, though every metric kind is diagonal
     const = lambda c: [[c, [0] * 4]]
     entries = [
         [const(1.0), const(0.1), const(0.0), const(0.0)],
@@ -42,7 +44,7 @@ def test_tetrad_off_diagonal_metric():
         [const(0.0), const(0.0), const(-1.0), const(0.05)],
         [const(0.0), const(0.0), const(0.05), const(-1.0)],
     ]
-    metric = geo.metric_from_config({"kind": "custom-polynomial", "entries": entries})
+    metric = TermListMetric(entries)
     frame = geo.tetrad_at(metric, [0.0, 0.0, 0.0, 0.0])
     assert frame.residual < 1e-12
 
@@ -83,9 +85,8 @@ def test_christoffel_singular_metric_raises():
 
 
 def test_covariant_gamma_polar_anticommutator():
-    chart = geo.polar_chart()
     x = [0.0, 2.0, np.pi / 3, 0.0]
-    gammas, ginv = geo.covariant_gamma(chart, x)
+    gammas, ginv = geo.covariant_gamma(geo.polar_jacobian, x)
     # {gamma~^theta, gamma~^theta} = 2 g^{theta theta} I = -I/2 at r = 2
     acc = cl.anticommutator(gammas[2], gammas[2])
     assert np.allclose(acc, -0.5 * np.eye(4), atol=1e-10)
@@ -98,24 +99,22 @@ def test_covariant_gamma_polar_anticommutator():
 def test_covariant_gamma_scaled_time():
     # chart time is twice the reference time: d(ref^0)/d(chart^0) = 1/2
     scale = np.array([0.5, 1.0, 1.0, 1.0])
-    chart = geo.CoordinateChart(lambda x: np.diag(scale))
-    gammas, ginv = geo.covariant_gamma(chart, [0.5, 1.0, 1.0, 1.0])
+    gammas, ginv = geo.covariant_gamma(lambda x: np.diag(scale), [0.5, 1.0, 1.0, 1.0])
     assert np.allclose(cl.anticommutator(gammas[0], gammas[0]), 8.0 * np.eye(4), atol=1e-12)
     assert ginv[0, 0] == pytest.approx(4.0, abs=1e-12)
 
 
 def test_covariant_gamma_singular_jacobian():
     with pytest.raises(SingularJacobian):
-        geo.covariant_gamma(geo.polar_chart(), [0.0, 0.0, 0.0, 0.0])  # r = 0
+        geo.covariant_gamma(geo.polar_jacobian, [0.0, 0.0, 0.0, 0.0])  # r = 0
 
 
 def test_chart_metric_matches_polar_metric():
-    chart = geo.polar_chart()
     metric = geo.polar_metric()
     rng = np.random.default_rng(12)
     for _ in range(20):
         x = np.array([rng.uniform(-1, 1), rng.uniform(0.3, 3), rng.uniform(0, 2 * np.pi), rng.uniform(-1, 1)])
-        assert np.abs(geo.chart_metric(chart, x) - metric.matrix(x)).max() < 1e-9
+        assert np.abs(geo.chart_metric(geo.polar_jacobian, x) - metric.matrix(x)).max() < 1e-9
 
 
 def test_chart_roundtrip_and_fd_jacobian():
@@ -125,7 +124,7 @@ def test_chart_roundtrip_and_fd_jacobian():
 
     x = np.array([0.3, 1.7, 0.9, -0.4])
     fd = central_difference(forward, x, 1e-6).T  # fd[a, mu] = d(ref^a)/d(chart^mu)
-    assert np.abs(fd - geo.polar_chart().jacobian_matrix(x)).max() < 1e-8
+    assert np.abs(fd - geo.polar_jacobian(x)).max() < 1e-8
 
 
 def test_metric_from_config_kinds():
@@ -144,7 +143,7 @@ def test_metric_from_config_kinds():
 @pytest.mark.parametrize("cfg", [
     {"kind": "polar", "entries": []},
     {"kind": "minkowski", "dim": 4, "signature": "-+++"},
-    {"kind": "custom-polynomial", "entries": [[[[1.0, [0]]]]], "dim": 1},
+    {"kind": "diagonal", "entries": [[[1.0, [0]]]], "dim": 1},
     {"kind": "diagonal", "entries": [[[1.0, [0]]]], "scale": 2.0},
     "polar",
 ])

@@ -28,9 +28,9 @@ callable is checked for the same bits on both, and the array-valued
 reference loops above read the components as arrays. They took x and p
 apart and now take one state y = (x, p) of 8 components; the reference
 loops keep their (x, p) halves and join them for each call (halves). The
-diagonal metrics' covariant RK4 stages invert in closed form, 1/diag, and run in Python
-floats; np.linalg.inv and the numpy flow, which every record and the other
-metrics' stages use, are the stages' exact oracle.
+covariant RK4 stages of every metric, each diagonal, invert in closed form,
+1/diag, and run in Python floats; np.linalg.inv and the numpy flow, which
+every record uses, are the stages' exact oracle.
 
 rk4_step combined flat state arrays and now combines lists of components,
 Python floats or numpy columns; ref_rk4's array formula is its exact oracle
@@ -69,7 +69,7 @@ from hjdirac.clifford import slash
 from hjdirac.dynamics import rk4_step
 from hjdirac.errors import StepRejected, UsageError
 
-from conftest import harmonic_model, quadratic_model
+from conftest import TermListMetric, harmonic_model, quadratic_model
 
 BOX = hj.Box([2.0, -0.5, -0.5, -0.5], [3.0, 0.5, 0.5, 0.5])
 TERMS = [[1.5, [2, 0, 1, 0]], [-0.3, [0, 3, 0, 1]], [2, [0, 0, 0, 0]],
@@ -672,28 +672,20 @@ def polynomial_points(rng, dim):
 
 @pytest.mark.parametrize("dim", [1, 3, 4])
 def test_compiled_polynomials_match_scalar_loop(dim):
-    """A metric compiles its term lists once: the diagonal entries, every
-    term-wise partial and the custom-polynomial g give the scalar loop's bits,
-    and raise its exception type where it raises."""
+    """A metric compiles its term lists once: the diagonal entries and every
+    term-wise partial give the scalar loop's bits, and raise its exception
+    type where it raises."""
     rng = np.random.default_rng(40 + dim)
     for _ in range(25):
         lists = random_term_lists(rng, dim, dim)
         metric = geo.diagonal_metric(lists)
         partials = [(part, geo.poly_partials(lists[a], dim)[lam])
-                    for lam, a, _, part in metric.partials]
-        rows = [random_term_lists(rng, dim, dim) for _ in range(dim)]
-        custom = geo.metric_from_config({"kind": "custom-polynomial", "entries": rows})
-
-        def ref_g(x):
-            out = np.array([[ref_eval_poly(t, x) for t in row] for row in rows])
-            return 0.5 * (out + out.T)
-
+                    for lam, a, part in metric.partials]
         for x in polynomial_points(rng, dim):
             want = outcome(lambda x: [ref_eval_poly(t, x) for t in lists], x)
             assert agree(outcome(metric.diag, x), want), (lists, x)
             for part, terms in partials:
                 assert agree(outcome(part, x), outcome(partial(ref_eval_poly, terms), x))
-            assert agree(outcome(custom.g, np.asarray(x, float)), outcome(ref_g, x))
 
 
 def test_compiled_polynomial_edges():
@@ -724,7 +716,7 @@ class ReprIsCode:
 def test_compiled_coefficient_is_its_float_value():
     metric = geo.diagonal_metric([[[ReprIsCode(), [2]]], [[ReprIsCode(), []]]])
     assert metric.diag([3.0, 1.0]) == [22.5, 2.5]
-    assert [(lam, a, part([3.0, 1.0])) for lam, a, _, part in metric.partials] == [(0, 0, 15.0)]
+    assert [(lam, a, part([3.0, 1.0])) for lam, a, part in metric.partials] == [(0, 0, 15.0)]
 
 
 def test_compiled_non_finite_coefficients():
@@ -736,11 +728,13 @@ def test_compiled_non_finite_coefficients():
 
 # -- Christoffel symbols and the covariant record ----------------------------------
 
-NON_DIAGONAL = geo.metric_from_config({"kind": "custom-polynomial", "entries": [
+# christoffel_at takes any metric: its off-diagonal index terms are checked
+# on a metric that no metric kind makes
+NON_DIAGONAL = TermListMetric([
     [[[1.0, [0, 0, 0, 0]], [0.2, [0, 1, 1, 0]]], [[0.1, [0, 1, 0, 0]]], [], [[0.05, [1, 0, 0, 1]]]],
     [[[0.1, [0, 1, 0, 0]]], [[-1.0, [0, 0, 0, 0]]], [[0.05, [0, 0, 1, 0]]], []],
     [[], [[0.05, [0, 0, 1, 0]]], [[-1.0, [0, 2, 0, 0]]], [[-0.3, [0, 0, 0, 3]]]],
-    [[[0.05, [1, 0, 0, 1]]], [], [[-0.3, [0, 0, 0, 3]]], [[-1.0, [0, 0, 0, 0]]]]]})
+    [[[0.05, [1, 0, 0, 1]]], [], [[-0.3, [0, 0, 0, 3]]], [[-1.0, [0, 0, 0, 0]]]]])
 
 
 DIAGONAL = geo.diagonal_metric([[[1.0, [0, 0, 0, 0]]], [[-1.0, [0, 0, 0, 0]]],
@@ -846,7 +840,6 @@ def test_christoffel_matches_quadruple_loop(metric):
 @pytest.mark.parametrize("metric, x0, p0", [
     (geo.polar_metric(4), [0.0, 1.0, 0.3, 0.0], [1.5, 0.3, -0.19, 0.1]),
     (geo.polar_metric(3), [0.0, 1.2, -0.4], [1.4, -0.2, 0.25]),
-    (NON_DIAGONAL, [0.1, 1.0, 0.3, -0.2], [1.5, 0.2, -0.1, 0.05]),
 ])
 def test_covariant_records_match_two_rhs_record(metric, x0, p0):
     """The lowered-index flow against the old g^{-1} dg g^{-1} algebra, on the
@@ -862,7 +855,6 @@ def test_covariant_records_match_two_rhs_record(metric, x0, p0):
     (geo.polar_metric(4), [0.0, 1.0, 0.3, 0.0], [1.5, 0.3, -0.19, 0.1]),
     (geo.polar_metric(3), [0.0, 1.2, -0.4], [1.4, -0.2, 0.25]),
     (DIAGONAL, [0.2, 1.1, -0.3, 0.4], [1.3, 0.1, 0.2, -0.1]),
-    (NON_DIAGONAL, [0.1, 1.0, 0.3, -0.2], [1.5, 0.2, -0.1, 0.05]),
 ])
 def test_covariant_rhs_matches_per_component_sums(metric, x0, p0):
     """States, K and residuals of the flow written out index by index."""
@@ -993,25 +985,6 @@ def test_diagonal_metric_flow_reads_no_matrix(monkeypatch):
     assert len(calls) == 1 + 3 * 2
 
 
-def test_covariant_rhs_evaluates_metric_and_partials_once():
-    polar = geo.polar_metric(4)
-    calls = {"g": 0, "dg": 0}
-
-    def counted(name, fn):
-        def wrapper(x):
-            calls[name] += 1
-            return fn(x)
-        return wrapper
-
-    # no diag: the RK4 stages take the numpy flow, as the record does
-    metric = geo.MetricField(counted("g", polar.g), dim=4, dg=counted("dg", polar.dg))
-    dyn.covariant_integrate(metric, [0.0, 1.0, 0.3, 0.0], [1.5, 0.3, -0.19, 0.0],
-                            0.1, step=0.01, record_stride=5)
-    # 10 RK4 steps of 4 RHS calls each; each of the 3 records makes one RHS
-    # call and one christoffel_at call; the initial lowering reads g once
-    assert calls == {"g": 4 * 10 + 3 * 2 + 1, "dg": 4 * 10 + 3 * 2}
-
-
 def test_covariant_record_evaluates_the_metric_partials_once(monkeypatch):
     calls = {"dg": 0, "christoffel": 0}
 
@@ -1050,8 +1023,9 @@ def test_diagonal_stages_read_neither_dg_nor_inverse(monkeypatch):
     # inverse is np.linalg.inv's) and once in christoffel_at, after the
     # initial lowering's matrix; each of the 4 stages of the one trace that
     # builds the run's compiled step reads the diagonal entries alone, and
-    # inverts them itself (each of the 40 stages stepped did, before)
-    assert calls == {"dg": 3 + 3, "matrix": 1 + 3 * 2, "diag": 4}
+    # inverts them itself (each of the 40 stages stepped did, before); every
+    # matrix is np.diag of the diagonal entries, so diag counts its 7 calls
+    assert calls == {"dg": 3 + 3, "matrix": 1 + 3 * 2, "diag": 4 + 1 + 3 * 2}
 
 
 # -- the compiled RK4 step --------------------------------------------------------
@@ -1149,40 +1123,38 @@ def test_compiled_constant_is_its_float_value():
     assert same_bits(y, want)
 
 
+def test_compiled_subtraction_keeps_its_operand_order():
+    # a - b and c - a, as a model callable writes them, with Python's bits
+    def rhs(y):
+        return [y[1] - 0.25 * y[0], 1.5 - y[0]]
+
+    step = dyn._compiled_step(rhs, 2)
+    y = want = [1.0, 0.5]
+    for _ in range(10):
+        y, want = step(y, 0.1), ref_rk4_step(rhs, want, 0.1)
+        assert same_bits(y, want)
+
+
 def test_a_traced_value_refuses_a_branch():
     traced = util.Traced(util.Tape(), "y0")
     for branch in (bool, float, lambda v: v == 0.0, lambda v: v != 0.0, lambda v: v < 1.0):
         with pytest.raises(TypeError):
             branch(traced)
 
-    # so an rhs that branches on the state is called from its compiled step,
-    # and takes its branch at every stage
-    def rhs(y):
+    # so an rhs that branches on the state, or makes it an array, is refused
+    # as its step is compiled, before a run takes one; it was called from the
+    # compiled step, once per stage, before
+    def branches(y):
         return [1.0 if y[0] < 0.5 else -y[1], y[0]]
 
-    step = dyn._compiled_step(rhs, 2)
-    y = want = [0.0, 0.3]
-    for _ in range(20):
-        y, want = step(y, 0.1), ref_rk4_step(rhs, want, 0.1)
-        assert same_bits(y, want)
-    assert y[0] > 0.5
+    def makes_an_array(y):
+        return np.asarray(y, dtype=float).tolist()
 
-
-def test_untraceable_rhs_steps_with_the_comprehensions_bits():
-    # custom-polynomial's numpy flow makes the state an array, so it cannot
-    # be traced: its run calls it from the compiled step, once per stage
-    def rhs(y):
-        y = np.array(y)
-        _, up, _, pdot = dyn._geodesic_flow(NON_DIAGONAL, y[:4], y[4:])
-        return up.tolist() + pdot.tolist()
-
-    x0, p0 = [0.1, 0.9, 0.3, 0.2], [1.3, 0.2, -0.1, 0.05]
-    traj = dyn.covariant_integrate(NON_DIAGONAL, x0, p0, 0.05, step=0.01)
-    y = x0 + (NON_DIAGONAL.matrix(np.array(x0)) @ np.array(p0)).tolist()
-    for k in range(1, 6):
-        y = ref_rk4_step(rhs, y, 0.01)
-        up = dyn._geodesic_flow(NON_DIAGONAL, np.array(y[:4]), np.array(y[4:]))[1]
-        assert same_bits(traj.x[k], y[:4]) and same_bits(traj.p[k], up)
+    for rhs in (branches, makes_an_array):
+        with pytest.raises(UsageError, match="^a model callable is traced once per run, "
+                                             "so it may not branch on a state value: ") as got:
+            dyn._compiled_step(rhs, 2)
+        assert isinstance(got.value.__cause__, TypeError)
 
 
 # -- the commutator norm -----------------------------------------------------------

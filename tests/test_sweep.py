@@ -23,7 +23,6 @@ from hjdirac.config import ENSEMBLE, METRIC, MODEL, SIMULATE
 SHORT = {"s_max": 0.02, "step": 0.01}
 ONE = [[1.0, [0, 0, 0, 0]]]
 MINUS_ONE = [[-1.0, [0, 0, 0, 0]]]
-MINUS_R_SQUARED = [[-1.0, [0, 2, 0, 0]]]
 # -r^2 in two terms, so that the compiled entry sums two products
 MINUS_R_SQUARED_HALVES = [[-0.5, [0, 2, 0, 0]], [-0.5, [0, 2, 0, 0]]]
 
@@ -38,10 +37,6 @@ KIND_CONFIGS = [
     ("simulate", dict(SHORT, kind="covariant", metric={
         "kind": "diagonal", "entries": [ONE, MINUS_ONE, MINUS_R_SQUARED_HALVES,
                                         MINUS_ONE]})),
-    ("simulate", dict(SHORT, kind="covariant", metric={
-        "kind": "custom-polynomial", "entries": [
-            [ONE, [], [], []], [[], MINUS_ONE, [], []],
-            [[], [], MINUS_R_SQUARED, []], [[], [], [], MINUS_ONE]]})),
     ("ensemble", {"kind": "mb", "n": 200}),
     ("ensemble", {"kind": "occupancy", "levels": [0.0, 0.5, 1.0]}),
 ]
