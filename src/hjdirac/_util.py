@@ -8,7 +8,7 @@ import os
 import pickle
 import shutil
 import tempfile
-from functools import partial, partialmethod
+from functools import partial
 
 import numpy as np
 
@@ -263,50 +263,163 @@ def central_difference(f, x, scale):
     return np.array(parts)
 
 
+# Most operations one fused expression nests. A term-list sum, written one
+# summand a step, nests as deep as it is long once fused, and Python's
+# compiler refuses a deep enough expression (RecursionError).
+FUSE_DEPTH = 32
+# form: (its precedence, the least precedence each operand is written bare
+# at), operands left to right; + and - are 1, * and / 2, unary - 3, ** 4 and
+# a name or a call 5. A number operand is always bare: its repr binds
+# tighter than any operation it is an operand of here.
+_FORMS = {"%s + %s": (1, (1, 2)), "%s - %s": (1, (1, 2)), "%s * %s": (2, (2, 3)),
+          "%s / %s": (2, (2, 3)), "%s ** %s": (4, (5, 0)), "-%s": (3, (3,)),
+          "sqrt(%s)": (5, (0,))}
+# the forms that may raise on floats; + - * and unary - never do
+_RAISING = {"%s / %s", "%s ** %s", "sqrt(%s)"}
+
+
 class Tape:
-    """Straight-line code recorded from arithmetic on Traced values, one
-    statement per IEEE operation in the order they ran, so the compiled
-    function has their bits and raises what they raise. Only reprs of
-    numbers (float(c), or an int exponent) and of a guard's message reach
-    the source; names holds the globals it reads, inf and nan among them."""
+    """Straight-line code recorded from arithmetic on Traced values: one step
+    per IEEE operation in the order they ran, and the guard lines that
+    require_nonzero writes between them. code() writes the steps out fused,
+    so the compiled function has their bits and raises what they raise.
+    Only reprs of numbers (float(c), or an int exponent) and of a guard's
+    message reach the source; names holds the globals it reads, inf and nan
+    among them, and head the lines compile() writes first."""
 
     def __init__(self):
-        self.lines = []
+        # (result, form, operands), a number operand as its text; a guard
+        # line's result is None
+        self.steps = []
+        self.guarded = False  # a guard line is on the tape
+        self.head = []
         self.names = {"sqrt": math.sqrt, "inf": math.inf, "nan": math.nan, "asarray": np.asarray}
 
-    def emit(self, expression):
-        """A Traced value named for a new statement computing expression."""
-        name = "t%d" % len(self.lines)
-        self.lines.append("%s = %s" % (name, expression))
-        return Traced(self, name)
+    def emit(self, form, operands, fixed):
+        """A Traced value named for a new step, form (a key of _FORMS) of
+        the operands, fixed if they are, unless it may raise after a guard
+        line."""
+        result = Traced(self, "t%d" % len(self.steps),
+                        fixed and not (self.guarded and form in _RAISING))
+        self.steps.append((result, form, operands))
+        return result
+
+    def guard(self, form, operands):
+        """Write a guard line, form % the operands' texts: a test that no
+        step is moved across."""
+        for v in operands:
+            if type(v) is Traced:
+                v.uses += 1
+        self.steps.append((None, form, [v if type(v) is Traced else _text(v) for v in operands]))
+        self.guarded = True
+
+    def code(self, outputs):
+        """(hoisted, body, results), in one pass over the tape: the steps as
+        source lines and the outputs' expressions, for a tape written out
+        once. A fixed step goes to hoisted, the others and the guard lines to
+        body, in order. A step that one later step or output reads is
+        written into it, unless a guard line comes between them, a fixed
+        step is read by one that is not, or the reader would then nest more
+        than FUSE_DEPTH operations. Parentheses keep each operation's
+        operands, so each still rounds once, on the same operands."""
+        for v in outputs:
+            if type(v) is Traced:
+                v.uses += 1
+        hoisted, body = [], []
+        fused = {}  # name: (expression, precedence, depth, fixed) of a step kept for its reader
+        pop = fused.pop
+        for result, form, operands in self.steps:
+            if result is None:  # a guard line: no step moves across it
+                for name, (expression, _, _, fixed) in fused.items():
+                    (hoisted if fixed else body).append("%s = %s" % (name, expression))
+                fused.clear()
+                body.append(form % tuple(v if type(v) is str else v.name for v in operands))
+                continue
+            precedence, bare = _FORMS[form]
+            fixed, depth, texts = result.fixed, 1, []
+            for v, least in zip(operands, bare):
+                if type(v) is Traced:
+                    name = v.name
+                    kept = pop(name, None)
+                    if kept is None:
+                        v = name
+                    else:
+                        expression, rank, below, lifted = kept
+                        if lifted and not fixed:  # a hoisted step the loop reads
+                            hoisted.append(name + " = " + expression)
+                            v = name
+                        else:
+                            v = expression if rank >= least else "(" + expression + ")"
+                            depth = max(depth, below + 1)
+                texts.append(v)
+            expression = form % tuple(texts)
+            if result.uses == 1 and depth < FUSE_DEPTH:
+                fused[result.name] = expression, precedence, depth, fixed
+            else:
+                (hoisted if fixed else body).append(result.name + " = " + expression)
+        results = []
+        for v in outputs:
+            kept = pop(v.name, None) if type(v) is Traced else None
+            if kept is not None and kept[3]:
+                hoisted.append("%s = %s" % (v.name, kept[0]))
+            results.append(_text(v) if kept is None or kept[3] else kept[0])
+        return hoisted, body, results
 
     def compile(self, signature, outputs, label):
-        """def signature: the lines, then return outputs (a list or a value)."""
-        returned = ("[%s]" % ", ".join(map(_text, outputs)) if isinstance(outputs, list)
-                    else _text(outputs))
-        exec(compile("def %s:\n    %s\n    return %s\n" % (
-            signature, "\n    ".join(self.lines), returned), label, "exec"), self.names)
-        return self.names[signature.partition("(")[0]]
+        """def signature: head, the code() lines, then return outputs (a list
+        or a value)."""
+        hoisted, body, results = self.code(outputs if isinstance(outputs, list) else [outputs])
+        returned = "[%s]" % ", ".join(results) if isinstance(outputs, list) else results[0]
+        return self.define("def %s:\n    %s\n    return %s\n" % (
+            signature, "\n    ".join(self.head + hoisted + body), returned), label)
+
+    def define(self, source, label):
+        """The function that source, one def, defines, compiled over names."""
+        exec(compile(source, label, "exec"), self.names)
+        return self.names[source[4:source.index("(")]]
+
+
+def _operator(form, reflected=False):
+    """Traced's method for a binary form: self its left operand and other
+    the right one, or the other way round when reflected."""
+    def method(self, other):
+        self.uses += 1
+        if type(other) is Traced:
+            other.uses += 1
+            fixed = self.fixed and other.fixed
+        else:
+            other, fixed = _text(other), self.fixed
+        return self.tape.emit(form, (other, self) if reflected else (self, other), fixed)
+    return method
 
 
 class Traced:
     """A float that a Tape's code computes. + - * / **, unary - and sqrt
-    (which np.sqrt calls) write their statement into the tape and answer its
+    (which np.sqrt calls) write their step into the tape and answer its
     result, Traced. A truth test, a comparison or float() raises TypeError,
-    so no branch on a traced value is frozen into the code."""
+    so no branch on a traced value is frozen into the code. fixed: the value
+    is the same on every pass of a loop around the code, so a step that
+    reads only fixed values and numbers is fixed too; uses counts the steps
+    and guard lines that read it."""
 
-    def __init__(self, tape, name):
-        self.tape, self.name = tape, name
+    __slots__ = ("tape", "name", "fixed", "uses")
 
-    def _op(self, form, *others):
-        return self.tape.emit(form.format(self.name, *map(_text, others)))
+    def __init__(self, tape, name, fixed=False):
+        self.tape, self.name, self.fixed, self.uses = tape, name, fixed, 0
 
-    __add__, __radd__ = partialmethod(_op, "{0} + {1}"), partialmethod(_op, "{1} + {0}")
-    __sub__, __rsub__ = partialmethod(_op, "{0} - {1}"), partialmethod(_op, "{1} - {0}")
-    __mul__, __rmul__ = partialmethod(_op, "{0} * {1}"), partialmethod(_op, "{1} * {0}")
-    __truediv__, __rtruediv__ = partialmethod(_op, "{0} / {1}"), partialmethod(_op, "{1} / {0}")
-    __pow__, __neg__ = partialmethod(_op, "{0} ** {1}"), partialmethod(_op, "-{0}")
-    sqrt = partialmethod(_op, "sqrt({0})")
+    __add__, __radd__ = _operator("%s + %s"), _operator("%s + %s", True)
+    __sub__, __rsub__ = _operator("%s - %s"), _operator("%s - %s", True)
+    __mul__, __rmul__ = _operator("%s * %s"), _operator("%s * %s", True)
+    __truediv__, __rtruediv__ = _operator("%s / %s"), _operator("%s / %s", True)
+    __pow__ = _operator("%s ** %s")
+
+    def __neg__(self):
+        self.uses += 1
+        return self.tape.emit("-%s", (self,), self.fixed)
+
+    def sqrt(self):
+        self.uses += 1
+        return self.tape.emit("sqrt(%s)", (self,), self.fixed)
 
     def __bool__(self, *_):
         raise TypeError("compiled code may not branch on a traced value")
@@ -330,5 +443,6 @@ def require_nonzero(values, error, message):
     except TypeError:  # a Traced value has no truth value
         tape = next(v.tape for v in values if isinstance(v, Traced))
         tape.names[error.__name__] = error
-        tape.lines.append("if not (%s): raise %s(%r)" % (
-            " and ".join(map(_text, values)), error.__name__, message))
+        tape.guard("if not (%s): raise %s(%s)" % (
+            " and ".join(["%s"] * len(values)), error.__name__,
+            repr(message).replace("%", "%%")), values)

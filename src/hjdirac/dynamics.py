@@ -47,26 +47,32 @@ __all__ = [
 # usage error raised before the first step.
 MAX_RECORDS = 10 ** 6
 # Most steps one run may take, s_max / step, whatever its record_stride: this
-# bounds a run's time (about 30 s at the 2.6-2.9 us a canonical model RK4 step
+# bounds a run's time (about 17 s at the 1.6-1.7 us a canonical model RK4 step
 # takes, the least of 3 timings of 20,000 steps in each of 5 runs on a shared
 # 2-core x86 machine). A larger request is a usage error before the first step.
 MAX_STEPS = 10 ** 7
 
 
 class HamiltonianModel:
-    """H, its partials, an optional flow override and a guard, each a
-    callable of one state y = (x^0, x^1, x^2, x^3, p^0, p^1, p^2, p^3):
-    y[0:4] are the coordinates x^a and y[4:8] the momenta p^a. H answers
-    one number per state, each partial 4 components (a tuple; a constant one
-    may be a plain number), the flow dy/ds as 8 components, and the guard a
-    message or None. integrate traces the right-hand side it steps once per
-    run, so no callable in it may branch on a state value; the guard takes
-    each step's 8 Python floats, and every callable the recorded states' 8
+    """H, its partials and an optional flow override, each a callable of
+    one state y = (x^0, x^1, x^2, x^3, p^0, p^1, p^2, p^3): y[0:4] are the
+    coordinates x^a and y[4:8] the momenta p^a. H answers one number per
+    state, each partial 4 components (a tuple; a constant one may be a plain
+    number) and the flow dy/ds as 8 components. integrate traces the
+    right-hand side it steps once per run, so no callable in it may branch
+    on a state value, and calls every callable on the recorded states' 8
     numpy columns for the diagnostics. + - * / and square roots round alike
-    on all; write x * x, not x ** 2, which floats and columns round and
-    overflow differently. Both partials are required, in closed form."""
+    on both; write x * x, not x ** 2, which floats and columns round and
+    overflow differently. Both partials are required, in closed form. The
+    optional guard is (index, bound, message), not a callable (UsageError):
+    a run stops, StepRejected with the message, at the first state whose
+    y[index] <= bound, the initial state included."""
 
     def __init__(self, hamiltonian, dh_dx, dh_dp, flow=None, guard=None, m0=None):
+        if guard is not None and not (isinstance(guard, tuple) and len(guard) == 3
+                                      and type(guard[0]) is int and 0 <= guard[0] < 8):
+            raise UsageError("a guard is (index, bound, message), index an int from 0 "
+                             "to 7, not %r" % (guard,))
         self.hamiltonian = hamiltonian
         self.dh_dx = dh_dx
         self.dh_dp = dh_dp
@@ -129,13 +135,8 @@ def projectile_model(m0, u_x, u_y, g):
         _, _, _, _, p0, p1, p2, p3 = y
         return [p0 / m0, p1 / m0, p2 / m0, p3 / m0, -mg * p2 / p0, 0.0, -mg, 0.0]
 
-    def guard(y):
-        if y[4] <= 1e-12:
-            return "energy component vanished"
-        return None
-
     model = HamiltonianModel(h, dh_dx, free_particle_model(m0).dh_dp, flow=flow,
-                             guard=guard, m0=m0)
+                             guard=(4, 1e-12, "energy component vanished"), m0=m0)
     model.reference = reference
     return model
 
@@ -212,15 +213,17 @@ class Trajectory:
 def rk4_step(rhs, state, step):
     """One classical RK4 step of d(state)/ds = rhs(state); returns the new
     state. state is a list of components (Python floats for one state, numpy
-    columns for a stack, Traced values for _compiled_step) and rhs answers
+    columns for a stack, Traced values for _compiled_run) and rhs answers
     one such list. Each component is combined as state + sixth * (k1 + 2 k2
     + 2 k3 + k4) combines arrays, in the same order, so the bits are those
-    of the array formula. A run steps one compiled trace of it (so its rhs
-    may not branch on a state value): 2.3 us a step of the projectile flow,
-    2.7 of its canonical equations, 3.6 of a polar geodesic, where a call per
-    stage took 3.2, 5.0 and 10.3 us (medians of 5 runs, shared 2-core x86).
-    UsageError for a state of more than 2 * config.MAX_DIM components, as
-    the compiled step grows with it."""
+    of the array formula. A run's loop is compiled from one trace of it (so
+    its rhs may not branch on a state value): 1.5 us a step of the
+    projectile flow, 1.6 of its canonical equations and 2.3 of a polar
+    geodesic, where a Python loop calling one compiled step took 2.5, 3.0
+    and 4.0 us (medians of 15 alternating runs of 20,000 steps at
+    record_stride 100 in one process, shared 2-core x86). UsageError for a
+    state of more than 2 * config.MAX_DIM components, as the compiled loop
+    grows with it."""
     if len(state) > 2 * MAX_DIM:
         raise UsageError("a state of %d components, more than the cap of %d "
                          "(twice config.MAX_DIM)" % (len(state), 2 * MAX_DIM))
@@ -233,28 +236,65 @@ def rk4_step(rhs, state, step):
             for a, b, c, d, e in zip(state, k1, k2, k3, k4, strict=True)]
 
 
-def _compiled_step(rhs, n):
-    """step(y, h) = rk4_step(rhs, y, h) for y a list of n Python floats,
-    compiled from one trace of rk4_step over Traced values: all four stages
-    and their combinations as straight-line code, with rk4_step's bits and
-    no Python call inside. A run fault the trace raises (a constant zero
-    entry of a diagonal metric) is raised by the step, so the first step
-    meets it. UsageError, chained to the TypeError, for an rhs that branches
+# the source of _compiled_run's loop; o - o is 0.0 for a finite o and NaN
+# otherwise, so the finite test's sum cannot overflow
+_RUN = """def run(y, h, n_steps, stride, rows):
+    %(state)s, = y
+    i, b, fault = 1, 0, None
+    try:
+        %(hoisted)s
+        for i in range(1, n_steps + 1):
+            %(step)s
+            if %(finite)s != 0.0: fault = 'non-finite state'; break
+            %(copy)s
+            %(guard)s
+            if i %% stride == 0 or i == n_steps:
+                b += %(n)d; %(store)s
+    except FAULTS as exc:
+        fault = exc
+    return i, fault, [%(state)s]
+"""
+
+
+def _compiled_run(rhs, n, guard=None):
+    """run(y, h, n_steps, stride, rows): _drive's loop of n_steps RK4 steps
+    from the state y, a list of n Python floats, compiled from one trace of
+    rk4_step over Traced values. Each step is the trace's code inlined, its
+    steps that read only h (fixed) written once before the loop, so the
+    loop calls no Python function. After each step it tests the new state
+    finite, then the guard (index, bound, message), which trips at
+    y[index] <= bound, and writes every stride-th and the last state into
+    rows, a flat float64 memoryview, from its second row. It returns
+    (i, fault, state): fault is None once all n_steps ran, else step i's, an
+    exception of _RUN_FAULTS or the message 'non-finite state' or the
+    guard's, and state the last finite one, or the one the guard read. A run
+    fault the trace raises (a constant zero entry of a diagonal metric) is
+    step 1's. UsageError, chained to the TypeError, for an rhs that branches
     on a traced value or makes it an array: a model callable is traced once
     per run, so it may not branch on a state value."""
     tape = Tape()
-    y, h = [Traced(tape, "y%d" % i) for i in range(n)], Traced(tape, "h")
+    y = [Traced(tape, "y%d" % i) for i in range(n)]
     try:
-        out = rk4_step(rhs, y, h)
+        out = rk4_step(rhs, y, Traced(tape, "h", fixed=True))
     except TypeError as exc:
         raise UsageError("a model callable is traced once per run, so it may not "
                          "branch on a state value: %s" % exc) from exc
     except _RUN_FAULTS as exc:
-        def step(y, h, fault=exc):
-            raise fault
-        return step
-    tape.lines.insert(0, "%s, = y" % ", ".join(v.name for v in y))
-    return tape.compile("step(y, h)", out, "<rk4 step of %d components>" % n)
+        return lambda y, *_, fault=exc: (1, fault, y)
+    hoisted, body, results = tape.code(out)
+    state, new = [v.name for v in y], ["o%d" % i for i in range(n)]
+    tested = ""
+    if guard:
+        index, bound, message = guard
+        tested = "if %s <= %r: fault = %r; break" % (state[index], float(bound), str(message))
+    tape.names["FAULTS"] = _RUN_FAULTS
+    return tape.define(_RUN % dict(
+        state=", ".join(state), n=n, hoisted="\n        ".join(hoisted),
+        step="\n            ".join([*body, *map("%s = %s".__mod__, zip(new, results))]),
+        finite=" + ".join("(%s - %s)" % (o, o) for o in new),
+        copy="; ".join(map("%s = %s".__mod__, zip(state, new))), guard=tested,
+        store="; ".join("rows[b + %d] = %s" % c for c in enumerate(state))),
+        "<rk4 run of %d components>" % n)
 
 
 def step_count(s_max, step, record_stride):
@@ -327,38 +367,27 @@ def _drive(state, rhs, s_max, step, record_stride, guard=None):
     state is one list of components, the coordinates then the momenta, and
     rhs(state) its right-hand side, one such list. Step 0, every
     record_stride-th step and the last are recorded: returns (s, rows), their
-    s values and one preallocated row each, holding the state.
-    Raises StepRejected when the state is or goes non-finite or guard(state)
-    returns a message, and UsageError before the first step: step_count's,
-    rk4_step's for a state over its cap, or _compiled_step's for an rhs that
+    s values and one preallocated row each, holding the state. The loop is
+    one compiled run (_compiled_run). Raises StepRejected when the state is
+    or goes non-finite or the guard (index, bound, message) trips, at
+    state[index] <= bound, and UsageError before the first step: step_count's,
+    rk4_step's for a state over its cap, or _compiled_run's for an rhs that
     cannot be traced. A fault raised during a step names the step and the
     last finite state, with the type _fault gives it.
     """
     n_steps, n_records = step_count(s_max, step, record_stride)
-    advance = _compiled_step(rhs, len(state))  # refuses a state over rk4_step's cap
+    run = _compiled_run(rhs, len(state), guard)  # refuses a state over rk4_step's cap
     _check_initial(state, step)
-    msg = guard and guard(state)
-    if msg:
-        raise _rejected(0, step, state, msg)
+    if guard and state[guard[0]] <= guard[1]:
+        raise _rejected(0, step, state, guard[2])
     rows = np.empty((n_records, len(state)))
     rows[0] = state
-    k = 0
-    try:
-        with np.errstate(**_QUIET):
-            for i in range(1, n_steps + 1):
-                last, state = state, advance(state, step)
-                # not a sum: that overflows on some finite states
-                if not all(map(math.isfinite, state)):
-                    raise _rejected(i, step, last, "non-finite state")
-                msg = guard and guard(state)
-                if msg:
-                    raise _rejected(i, step, state, msg)
-                if i % record_stride == 0 or i == n_steps:
-                    k += 1
-                    rows[k] = state
-    except _RUN_FAULTS as exc:
-        # state is finite: a stage raised before replacing it
-        raise _fault(exc, i, step, state) from exc
+    with np.errstate(**_QUIET):  # a numpy scalar step makes numpy scalar states
+        i, fault, last = run(state, step, n_steps, record_stride, memoryview(rows.reshape(-1)))
+    if isinstance(fault, str):
+        raise _rejected(i, step, last, fault)
+    if fault is not None:
+        raise _fault(fault, i, step, last) from fault
     return np.append(np.arange(0, n_steps, record_stride), n_steps) * step, rows
 
 

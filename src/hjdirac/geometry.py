@@ -57,7 +57,7 @@ def _compiled(values, dim):
     result or a list of them. Like eval_poly, it reads a list x as it is and
     any other point through np.asarray(x, float).tolist()."""
     tape = Tape()
-    tape.lines.append("x = x if isinstance(x, list) else asarray(x, float).tolist()")
+    tape.head.append("x = x if isinstance(x, list) else asarray(x, float).tolist()")
     return tape.compile("f(x)", values([Traced(tape, "x[%d]" % i) for i in range(dim)]),
                         "<metric polynomials>")
 

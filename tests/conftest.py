@@ -1,3 +1,4 @@
+import ast
 import os
 import tracemalloc
 from pathlib import Path
@@ -95,3 +96,11 @@ def no_child_left():
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def loop_calls(source):
+    """The names called in the one for loop of a compiled run's source, a
+    raise's exception class among them."""
+    loop, = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.For)]
+    return {ast.unparse(node.func) for statement in loop.body for node in ast.walk(statement)
+            if isinstance(node, ast.Call)}

@@ -11,7 +11,7 @@ from hjdirac import dynamics as dyn
 from hjdirac import geometry as geo
 from hjdirac.errors import StepRejected, UsageError
 
-from conftest import harmonic_model, quadratic_model
+from conftest import harmonic_model, loop_calls, quadratic_model
 from test_sweep import KIND_CONFIGS
 
 M0, UX, UY, G = 1.0, 0.5, 1.0, 0.2
@@ -183,7 +183,7 @@ class TestProjectileKinematics:
         drift = dyn.HamiltonianModel(
             lambda y: 0.0, dh_dx=lambda y: np.zeros(4),
             dh_dp=lambda y: np.array([0.0, 1.0, 0.0, 0.0]),
-            guard=lambda y: "x1 below -0.3" if y[1] < -0.3 else None)
+            guard=(1, -0.3, "x1 below -0.3"))  # trips at y[1] <= -0.3
         with pytest.raises(StepRejected) as info:
             dyn.integrate(drift, np.zeros(4), np.zeros(4), 1.0, step=0.25)
         assert str(info.value) == (
@@ -191,9 +191,30 @@ class TestProjectileKinematics:
             "[[0.0, -0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]")
 
 
+@pytest.mark.parametrize("x1, tripped", [(0.0, 2), (-0.5, 0)])
+def test_guard_trips_at_its_bound(x1, tripped):
+    # x1 falls by 0.25 a step: the guard trips as it reaches the bound, at
+    # step 2 from 0.0 and at step 0 from the bound itself
+    drift = dyn.HamiltonianModel(lambda y: 0.0, dh_dx=lambda y: np.zeros(4),
+                                 dh_dp=lambda y: np.array([0.0, 1.0, 0.0, 0.0]),
+                                 guard=(1, -0.5, "x1 at -0.5"))
+    with pytest.raises(StepRejected, match=r"^step %d \(s = %r\): x1 at -0.5; last finite "
+                                           r"state \[\[0.0, -0.5, " % (tripped, tripped * 0.25)):
+        dyn.integrate(drift, [0.0, x1, 0.0, 0.0], np.zeros(4), 1.0, step=0.25)
+
+
 def zero_partials(y):
     """dH/dx and dH/dp of H = 0, the H of the flow-only models below."""
     return 0.0, 0.0, 0.0, 0.0
+
+
+@pytest.mark.parametrize("guard", [lambda y: None, (4, 1e-12), (8, 0.0, "past p3"),
+                                   (4.0, 0.0, "a float index")],
+                         ids=["callable", "two-items", "index-past-p3", "float-index"])
+def test_guard_is_a_spec_not_a_callable(guard):
+    with pytest.raises(UsageError, match=r"^a guard is \(index, bound, message\), index an "
+                                         r"int from 0 to 7, not "):
+        dyn.HamiltonianModel(zero_partials, zero_partials, zero_partials, guard=guard)
 
 
 def reciprocal(x1, numpy):
@@ -284,7 +305,7 @@ def never_called(*args):
 
 
 STEPLESS = dyn.HamiltonianModel(never_called, never_called, never_called,
-                                flow=never_called, guard=never_called)
+                                flow=never_called)
 
 
 @pytest.mark.parametrize("run, message", [
@@ -353,16 +374,14 @@ def polar_run(s_max):
                             s_max, step=0.01, record_stride=10 ** 9)
 
 
-@pytest.mark.parametrize("run, per_step", [(model_run(False), 2), (model_run(True), 2),
-                                           (polar_run, 1)],
+@pytest.mark.parametrize("run", [model_run(False), model_run(True), polar_run],
                          ids=["flow", "canonical", "covariant-polar"])
-def test_python_calls_per_step(run, per_step):
-    # a count, not a timing: it holds on a loaded machine. Each step is one
-    # call of the run's compiled RK4 step, which holds all four stages of the
-    # flow, the canonical equations or the diagonal geodesic flow, plus the
-    # model's guard (a geodesic run has none); it was 11 calls for the flow
-    # and 27 for the canonical equations when each stage was a call
-    assert python_calls_per_step(run) == per_step
+def test_python_calls_per_step(run):
+    # a count, not a timing: it holds on a loaded machine. Each run's loop is
+    # one compiled function, which holds all four stages of the flow, the
+    # canonical equations or the diagonal geodesic flow, the finite test,
+    # the model's guard and the record store
+    assert python_calls_per_step(run) == 0
 
 
 def simulate_runs():
@@ -379,25 +398,45 @@ def simulate_runs():
     return runs
 
 
+def run_sources(monkeypatch, run):
+    """The source of each compiled RK4 run that run() defines."""
+    sources = []
+    define = util.Tape.define
+
+    def recording(tape, source, label):
+        if label.startswith("<rk4 run"):
+            sources.append(source)
+        return define(tape, source, label)
+
+    monkeypatch.setattr(util.Tape, "define", recording)
+    run()
+    return sources
+
+
 @pytest.mark.parametrize("config", simulate_runs())
 def test_each_run_steps_one_traced_step(monkeypatch, config):
-    # no right-hand side is called from its step: the one compiled RK4 step
-    # of a run calls nothing but sqrt and raises nothing but the zero-entry
-    # guard's LinAlgError
-    sources = []
-    compile_ = util.Tape.compile
-
-    def recording(tape, signature, outputs, label):
-        if label.startswith("<rk4 step"):
-            sources.append(ast.parse("\n".join(tape.lines)))
-        return compile_(tape, signature, outputs, label)
-
-    monkeypatch.setattr(util.Tape, "compile", recording)
-    dyn.simulate(config)
+    # no right-hand side is called from its loop: the one compiled RK4 run
+    # of a run calls nothing in its loop but sqrt and raises nothing but the
+    # zero-entry guard's LinAlgError
+    sources = run_sources(monkeypatch, lambda: dyn.simulate(config))
     assert len(sources) == 1
-    called = {node.func.id if isinstance(node.func, ast.Name) else ast.dump(node.func)
-              for node in ast.walk(sources[0]) if isinstance(node, ast.Call)}
-    assert called <= {"sqrt", "LinAlgError"}
+    assert loop_calls(sources[0]) <= {"sqrt", "LinAlgError"}
+
+
+# (before the loop, in the loop) statements of each run's compiled RK4
+# loop: the 115, 133 and 171 operations a step traces (flow, canonical,
+# polar), fused, those that read only h hoisted, then the loop's own finite
+# test, state copy, guard and record store
+@pytest.mark.parametrize("run, statements", [
+    (model_run(False), (14, 65)), (model_run(True), (22, 69)), (polar_run, (14, 81))],
+    ids=["flow", "canonical", "covariant-polar"])
+def test_compiled_statements_per_run(monkeypatch, run, statements):
+    source, = run_sources(monkeypatch, lambda: run(0.02))
+    body = ast.parse(source).body[0].body
+    tried, = [node for node in body if isinstance(node, ast.Try)]
+    loop = tried.body[-1]
+    assert (len(tried.body) - 1, sum(isinstance(node, ast.stmt) for node in ast.walk(loop)) - 1
+            ) == statements
 
 
 def test_record_memory_per_sample(traced_peak):

@@ -35,9 +35,9 @@ every record uses, are the stages' exact oracle.
 rk4_step combined flat state arrays and now combines lists of components,
 Python floats or numpy columns; ref_rk4's array formula is its exact oracle
 on both. Its combinations were zip comprehensions, then straight-line code
-generated per state length, and are zip comprehensions again: a run steps
-one function compiled from a trace of rk4_step, its four stages and their
-combinations as one straight-line body. ref_rk4_step keeps the
+generated per state length, and are zip comprehensions again: a run's loop
+is one function compiled from a trace of rk4_step, its four stages and
+their combinations fused into few statements. ref_rk4_step keeps the
 comprehensions as the exact oracle of both, NaNs, infinities and signs of
 zero included, and of the faults a run reports.
 
@@ -50,6 +50,7 @@ do not depend on the CPU numpy dispatches to; ref_partition takes math.exp
 too.
 """
 
+import ast
 import math
 from functools import partial
 from itertools import combinations, combinations_with_replacement
@@ -69,7 +70,7 @@ from hjdirac.clifford import slash
 from hjdirac.dynamics import rk4_step
 from hjdirac.errors import StepRejected, UsageError
 
-from conftest import TermListMetric, harmonic_model, quadratic_model
+from conftest import TermListMetric, harmonic_model, loop_calls, quadratic_model
 
 BOX = hj.Box([2.0, -0.5, -0.5, -0.5], [3.0, 0.5, 0.5, 0.5])
 TERMS = [[1.5, [2, 0, 1, 0]], [-0.3, [0, 3, 0, 1]], [2, [0, 0, 0, 0]],
@@ -377,6 +378,35 @@ def ref_rk4_step(rhs, state, step):
             for a, b, c, d, e in zip(state, k1, k2, k3, k4)]
 
 
+def compiled_step(rhs, n):
+    """(y, h) -> the next state, by the code of one trace of rk4_step with h
+    fixed, as a run's loop inlines it, but written out by Tape.compile:
+    unlike a run, it passes on a non-finite state."""
+    tape = util.Tape()
+    y = [util.Traced(tape, "y%d" % i) for i in range(n)]
+    tape.head.append("%s, = y" % ", ".join(v.name for v in y))
+    return tape.compile("step(y, h)", rk4_step(rhs, y, util.Traced(tape, "h", fixed=True)),
+                        "<rk4 step of %d components>" % n)
+
+
+def ref_rows(rhs, y0, h, n_steps):
+    """y0 and the state after each of n_steps of ref_rk4_step, in Python
+    floats."""
+    rows = [np.asarray(y0, dtype=float).tolist()]
+    for _ in range(n_steps):
+        rows.append(ref_rk4_step(rhs, rows[-1], h))
+    return rows
+
+
+def run_rows(run, y0, h, n_steps, stride=1):
+    """(rows, (i, fault, state)) of a compiled run from the state y0, in
+    Python floats, as _drive steps it: step 0 and every stride-th and the
+    last step's state."""
+    rows = np.empty((-(-n_steps // stride) + 1, len(y0)))
+    rows[0] = y0
+    return rows, run(rows[0].tolist(), h, n_steps, stride, memoryview(rows.reshape(-1)))
+
+
 def bit_patterns(components):
     """The IEEE bits of a list of floats or of equal-length columns, every
     NaN read as one pattern: equal patterns are equal values and signs of
@@ -391,7 +421,7 @@ def bit_patterns(components):
 @pytest.mark.parametrize("n", [2, 6, 8, 2 * MAX_DIM])
 def test_rk4_kernels_match_the_comprehensions(n):
     # states of n components, one all finite, one with NaN, infs and zeros of
-    # either sign, stepped on Python floats by the compiled step and as the
+    # either sign, stepped on Python floats by a run's fused step and as the
     # columns of the stack by rk4_step, under a cyclic linear rhs that keeps
     # the sign of a zero
     rng = np.random.default_rng(n)
@@ -400,7 +430,7 @@ def test_rk4_kernels_match_the_comprehensions(n):
     def rhs(y):
         return [c * y[(i + 1) % n] for i, c in enumerate(coeffs)]
 
-    step = dyn._compiled_step(rhs, n)
+    step = compiled_step(rhs, n)
     states = rng.choice([-1.0, 1.0], size=(3, n)) * 10.0 ** rng.uniform(-300, 300, (3, n))
     states[1, ::2] = np.resize([math.nan, math.inf, -math.inf, -0.0], (n + 1) // 2)
     states[2] = np.copysign(0.0, states[2])
@@ -442,12 +472,15 @@ def test_rk4_step_calls_the_stage_four_times():
 
 def test_rk4_step_is_compiled_once_per_run(monkeypatch):
     # compile counted through the globals of _util, which holds the tape:
-    # each run compiles one step, whatever its number of steps, from one
-    # trace of rk4_step
+    # each run compiles one loop, whatever its number of steps, from one
+    # trace of rk4_step; its loop calls nothing but sqrt and raises nothing
+    # but the zero-entry guard's LinAlgError
     compiled = []
 
     def counting_compile(*args):
         compiled.append(args[1])
+        if args[1].startswith("<rk4 run"):
+            assert loop_calls(args[0]) <= {"sqrt", "LinAlgError"}
         return compile(*args)
 
     model = dyn.projectile_model(1.0, 0.5, 1.0, 0.2)
@@ -457,10 +490,10 @@ def test_rk4_step_is_compiled_once_per_run(monkeypatch):
         dyn.integrate(model, np.zeros(4), model.reference.tangent(0.0), s_max)
         dyn.integrate(model, np.zeros(4), model.reference.tangent(0.0), s_max, canonical=True)
         dyn.covariant_integrate(polar, [0.0, 1.0, 0.3, 0.0], [1.5, 0.3, -0.2, 0.0], s_max)
-    assert compiled == ["<rk4 step of 8 components>"] * 6
+    assert compiled == ["<rk4 run of 8 components>"] * 6
     dyn.covariant_integrate(geo.polar_metric(3), [0.0, 1.0, 0.3], [1.5, 0.3, -0.2], 0.05)
-    # the metric's polynomials, then the step
-    assert compiled[6:] == ["<metric polynomials>"] * 2 + ["<rk4 step of 6 components>"]
+    # the metric's polynomials, then the run
+    assert compiled[6:] == ["<metric polynomials>"] * 2 + ["<rk4 run of 6 components>"]
 
 
 def test_integrate_records_the_inline_loop_states():
@@ -701,6 +734,30 @@ def test_compiled_polynomial_edges():
     assert same_bits(diag([0.0, 0.0, 0.0, 0.0, 1.0]), [0.0, 1.5, 0.0, 0.0, -2.0])
     with pytest.raises(ZeroDivisionError):
         diag([1, 1, 1, 1, 0])
+
+
+def operation_depth(node):
+    """The most operations (BinOp, UnaryOp, Call) nested in the tree at node."""
+    below = max(map(operation_depth, ast.iter_child_nodes(node)), default=0)
+    return below + isinstance(node, (ast.BinOp, ast.UnaryOp, ast.Call))
+
+
+@pytest.mark.parametrize("count, axes", [(500, 4), (3000, 1)])
+def test_long_term_list_compiles_under_the_depth_cap(monkeypatch, count, axes):
+    # a sum written one summand a step nests as deep as it is long once
+    # fused; FUSE_DEPTH bounds each expression (and its number's unary -),
+    # so the entry compiles (3000 summands unbounded raise RecursionError in
+    # CPython 3.11's compiler) and keeps the scalar loop's bits. Exponents
+    # on one axis only keep the 3000 terms' partials constant, one number.
+    rng = np.random.default_rng(count)
+    terms = [[c, rng.integers(0, 3, size=axes).tolist()] for c in rng.normal(size=count).tolist()]
+    sources, define = [], util.Tape.define
+    monkeypatch.setattr(util.Tape, "define", lambda tape, source, label: (
+        sources.append(source), define(tape, source, label))[1])
+    metric = geo.diagonal_metric([terms, [[1.0, []]], [[-1.0, []]], [[-1.0, []]]])
+    assert max(operation_depth(ast.parse(source)) for source in sources) <= util.FUSE_DEPTH + 1
+    for x in rng.normal(size=(20, 4)).tolist():
+        assert same_bits(metric.diag(x)[0], ref_eval_poly(terms, x))
 
 
 class ReprIsCode:
@@ -1053,7 +1110,7 @@ def off_axis_states(rng, dim, n):
 ], ids=["flow", "canonical-free", "canonical-projectile", "polar3", "polar4",
         "four-partials", "max-dim"])
 def test_compiled_step_matches_the_comprehensions(rhs, n):
-    """A run's compiled step gives ref_rk4_step's bits on Python floats, and
+    """A run's compiled steps give ref_rk4_step's bits on Python floats, and
     rk4_step gives them on numpy columns: three states' columns for a model,
     one state's for a geodesic stage, whose zero-entry test reads one truth
     value per entry."""
@@ -1062,13 +1119,11 @@ def test_compiled_step_matches_the_comprehensions(rhs, n):
     states = off_axis_states(rng, n // 2, 3)
     if model:
         states[:, 4] = np.abs(states[:, 4]) + 3.0
-    step = dyn._compiled_step(rhs, n)
+    run = dyn._compiled_run(rhs, n)
     for y0 in states:
-        y = want = y0.tolist()
-        for _ in range(20):
-            y, want = step(y, 1e-2), ref_rk4_step(rhs, want, 1e-2)
-            assert all(type(v) is float for v in y)
-            assert same_bits(y, want)
+        rows, (i, fault, last) = run_rows(run, y0, 1e-2, 20)
+        assert (i, fault) == (20, None) and same_bits(rows, ref_rows(rhs, y0, 1e-2, 20))
+        assert all(type(v) is float for v in last)
     for stack in [states] if model else states[:, None]:
         columns = want = list(stack.T)
         for _ in range(20):
@@ -1116,23 +1171,57 @@ def test_compiled_constant_is_its_float_value():
     def rhs(y):
         return [c * y[1], -c * y[0] + c]
 
-    step = dyn._compiled_step(rhs, 2)
-    y = want = [1.0, 0.5]
-    for _ in range(10):
-        y, want = step(y, 0.1), ref_rk4_step(rhs, want, 0.1)
-    assert same_bits(y, want)
+    assert same_bits(run_rows(dyn._compiled_run(rhs, 2), [1.0, 0.5], 0.1, 10)[0],
+                     ref_rows(rhs, [1.0, 0.5], 0.1, 10))
 
 
 def test_compiled_subtraction_keeps_its_operand_order():
-    # a - b and c - a, as a model callable writes them, with Python's bits
+    # a - b and c - a, as a model callable writes them, with Python's bits,
+    # and a - (b + c) and a / (b * c), whose right operand a fused step
+    # writes in parentheses
     def rhs(y):
-        return [y[1] - 0.25 * y[0], 1.5 - y[0]]
+        return [y[1] - 0.25 * y[0] - (y[0] + 0.5), 1.5 - y[0] / (y[1] * 2.0 + 3.0)]
 
-    step = dyn._compiled_step(rhs, 2)
-    y = want = [1.0, 0.5]
-    for _ in range(10):
-        y, want = step(y, 0.1), ref_rk4_step(rhs, want, 0.1)
-        assert same_bits(y, want)
+    assert same_bits(run_rows(dyn._compiled_run(rhs, 2), [1.0, 0.5], 0.1, 10)[0],
+                     ref_rows(rhs, [1.0, 0.5], 0.1, 10))
+
+
+@pytest.mark.parametrize("kind", ["flow", "canonical", "polar"])
+def test_compiled_run_rows_match_a_loop_of_steps(kind):
+    # 200 random initial states a run, each run recording every step, every
+    # 7th and the last, and only the first and the last: every row has the
+    # bits of a plain loop of ref_rk4_step (a model run under its guard,
+    # which no state here trips)
+    rng = np.random.default_rng(len(kind))
+    states = off_axis_states(rng, 4, 200)
+    if kind == "polar":
+        rhs, guard = partial(dyn._diagonal_geodesic_rhs, geo.polar_metric(4)), None
+    else:
+        rhs = PROJECTILE.flow if kind == "flow" else partial(dyn.hamilton_rhs, PROJECTILE)
+        guard, states[:, 4] = PROJECTILE.guard, np.abs(states[:, 4]) + 3.0
+    run, n_steps = dyn._compiled_run(rhs, 8, guard), 20
+    for y0 in states:
+        want = ref_rows(rhs, y0, 1e-2, n_steps)
+        for stride in (1, 7, n_steps):
+            rows, (i, fault, _) = run_rows(run, y0, 1e-2, n_steps, stride)
+            assert (i, fault) == (n_steps, None)
+            assert same_bits(rows, [want[k] for k in [*range(0, n_steps, stride), n_steps]])
+
+
+def test_code_hoists_and_fuses_but_not_across_a_guard():
+    # y0 + 1.0, read after a zero-entry guard, is written before it; after
+    # the guard, 1.0 / h may raise, so it stays after the guard, fused into
+    # its one reader; h * 2.0 cannot raise and reads only fixed h, so it is
+    # hoisted, as a statement, as its reader is not fixed
+    tape = util.Tape()
+    y, h = util.Traced(tape, "y0"), util.Traced(tape, "h", fixed=True)
+    before = y + 1.0
+    util.require_nonzero([y], np.linalg.LinAlgError, "Singular matrix")
+    outputs = [before * 2.0, y + 1.0 / h, y + h * 2.0]
+    assert tape.code(outputs) == (
+        ["t5 = h * 2.0"],
+        ["t0 = y0 + 1.0", "if not (y0): raise LinAlgError('Singular matrix')"],
+        ["t0 * 2.0", "y0 + 1.0 / h", "y0 + t5"])
 
 
 def test_a_traced_value_refuses_a_branch():
@@ -1142,7 +1231,7 @@ def test_a_traced_value_refuses_a_branch():
             branch(traced)
 
     # so an rhs that branches on the state, or makes it an array, is refused
-    # as its step is compiled, before a run takes one; it was called from the
+    # as its run is compiled, before it takes a step; it was called from the
     # compiled step, once per stage, before
     def branches(y):
         return [1.0 if y[0] < 0.5 else -y[1], y[0]]
@@ -1153,7 +1242,7 @@ def test_a_traced_value_refuses_a_branch():
     for rhs in (branches, makes_an_array):
         with pytest.raises(UsageError, match="^a model callable is traced once per run, "
                                              "so it may not branch on a state value: ") as got:
-            dyn._compiled_step(rhs, 2)
+            dyn._compiled_run(rhs, 2)
         assert isinstance(got.value.__cause__, TypeError)
 
 
