@@ -51,6 +51,10 @@ MAX_RECORDS = 10 ** 6
 # takes, the least of 3 timings of 20,000 steps in each of 5 runs on a shared
 # 2-core x86 machine). A larger request is a usage error before the first step.
 MAX_STEPS = 10 ** 7
+# Records a covariant run computes at once, its final record apart: this
+# bounds the (n, dim, dim, dim) temporaries of the record pass, about
+# RECORD_BLOCK * 4 KB each at config.MAX_DIM, whatever the run's length.
+RECORD_BLOCK = 512
 
 
 class HamiltonianModel:
@@ -431,13 +435,14 @@ def integrate(model, x0, p0, s_max, step=1e-3, record_stride=1, canonical=False)
 # -- curved-chart runs ---------------------------------------------------------
 
 def _geodesic_flow(metric, xs, pl):
-    """(g^{-1}, u = dx/ds = p^mu, dgu[lam, alpha] = d_lam g_{alpha beta}
-    u^beta, dp_mu/ds) at the arrays xs and pl = p_mu: one inverse and one
-    partials evaluation."""
+    """(g^{-1}, u = dx/ds = p^mu, dgu[..., lam, alpha] = d_lam g_{alpha beta}
+    u^beta, dp_mu/ds) at each point of the stack xs (..., dim), with momenta
+    pl = p_mu: one stacked inverse and one partials evaluation, each point's
+    with the bits it has alone."""
     ginv = np.linalg.inv(metric.matrix(xs))
-    up = ginv @ pl
-    dgu = metric.dg(xs) @ up
-    return ginv, up, dgu, 0.5 * (dgu @ up)
+    up = (ginv @ pl[..., None])[..., 0]
+    dgu = (metric.dg(xs) @ up[..., None, :, None])[..., 0]
+    return ginv, up, dgu, 0.5 * (dgu @ up[..., None])[..., 0]
 
 
 def _diagonal_geodesic_rhs(metric, y):
@@ -467,8 +472,10 @@ def covariant_integrate(metric, x0, p0_upper, s_max, step=1e-3, record_stride=1)
     flow sends to rounding.
 
     The steps take Python floats (_diagonal_geodesic_rhs). After the last
-    step each record takes the numpy flow and christoffel_at at its recorded
-    state (x, p_mu), so a fault at any step is raised before a record's. The
+    step the records take the numpy flow and christoffel_at at their recorded
+    states (x, p_mu), stacked, RECORD_BLOCK records at a time; each keeps the
+    bits it has alone. So a fault at any step is raised before a record's,
+    and the first record's that faults is raised, naming its step. The
     run is sized (step_count) before p0_upper is lowered. An x0 or p0_upper
     that is not finite, a fault lowering p0_upper, or a lowered momentum that
     is not finite, names step 0 with x0 and p0_upper. Faults read as _fault
@@ -490,21 +497,28 @@ def covariant_integrate(metric, x0, p0_upper, s_max, step=1e-3, record_stride=1)
         raise _rejected(0, step, initial, "non-finite lowered momentum")
     s, rows = _drive(np.concatenate((x, p_low)).tolist(),
                      partial(_diagonal_geodesic_rhs, metric), s_max, step, record_stride)
-    records = np.empty((len(rows), 2))  # K and the geodesic residual per row
+    n = len(rows)
+    records = np.empty((n, 2))  # K and the geodesic residual per row
+    # the final record, the one state no RK4 stage read, is a block of its
+    # own: every other passed a k1 stage's zero-entry and finite tests, so
+    # only christoffel_at's guard can trip there, naming its first point
+    starts = [*range(0, n - 1, RECORD_BLOCK), n - 1, n]
     try:
         with np.errstate(**_QUIET):
-            for k, y in enumerate(rows):
-                xs, pl = y[:dim], y[dim:]
+            for lo, hi in zip(starts, starts[1:]):
+                xs, pl = rows[lo:hi, :dim], rows[lo:hi, dim:]
                 ginv, up, dgu, pdot_low = _geodesic_flow(metric, xs, pl)
                 # d(g^{-1} p)/ds = g^{-1} (dp/ds - (u^lam d_lam g) u)
-                dup = ginv @ (pdot_low - up @ dgu)
+                dup = (ginv @ (pdot_low - (up[:, None] @ dgu)[:, 0])[..., None])[..., 0]
                 gamma = christoffel_at(metric, xs)  # the residual's independent route
-                resid = dup + np.einsum("mnl,n,l->m", gamma, up, up)
-                records[k] = 0.5 * float(pl @ up), np.abs(resid).max()
+                resid = dup + np.einsum("kmnl,kn,kl->km", gamma, up, up)
+                records[lo:hi, 0] = 0.5 * (pl[:, None] @ up[..., None])[:, 0, 0]
+                records[lo:hi, 1] = np.abs(resid).max(axis=1)
                 pl[:] = up  # p^mu takes the place of p_mu, which is read no more
     except _RUN_FAULTS as exc:
+        k = lo + (exc.point if isinstance(exc, SingularMetric) else 0)
         # an int step, so that its s prints as a plain float
-        raise _fault(exc, int(min(k * record_stride, n_steps)), step, y) from exc
+        raise _fault(exc, int(min(k * record_stride, n_steps)), step, rows[k]) from exc
     return Trajectory(s, rows[:, :dim], rows[:, dim:], K=records[:, 0],
                       geodesic_residual=records[:, 1])
 

@@ -22,7 +22,13 @@ class BadSignature(HJDiracError):
 
 
 class SingularMetric(HJDiracError):
-    """Metric matrix numerically singular (condition number above guard)."""
+    """Metric matrix numerically singular (condition number above guard);
+    point is the flat index of the point it names in a stack of points, 0
+    for a single point."""
+
+    def __init__(self, message, point=0):
+        super().__init__(message)
+        self.point = point
 
 
 class SingularJacobian(HJDiracError):

@@ -51,6 +51,16 @@ def eval_poly(terms, x):
     return total
 
 
+def _coordinates(x):
+    """(the stack's shape, the coordinates) of a point x (dim,) or a stack of
+    points (..., dim), as the compiled polynomials read them: dim Python
+    floats for a point, dim object arrays of them for a stack. So each entry
+    of a stack is the Python float operations of its point alone, x ** e by
+    Python's pow too, with their bits and their OverflowError."""
+    x = np.asarray(x, dtype=float)
+    return x.shape[:-1], list(np.moveaxis(x, -1, 0).astype(object))
+
+
 def _compiled(values, dim):
     """x -> values(xs), compiled once as straight-line code from one trace
     of values, which maps the dim Traced coordinates xs to eval_poly's
@@ -82,19 +92,30 @@ def poly_partials(terms, dim):
 class MetricField:
     """A diagonal metric of dim entries: diag(x) -> its dim entries, and
     partials, the (lambda, a, x -> d_lambda g_aa) of its nonzero partials in
-    order of a. The (dim, dim) matrix(x) and dg(x) -> array (dim, dim, dim)
-    of the partials d_lambda g_{mu nu}, which christoffel_at and the
-    covariant records read, follow from them.
+    order of a. matrix(x) -> the (..., dim, dim) metric and dg(x) -> the
+    (..., dim, dim, dim) partials d_lambda g_{mu nu}, which christoffel_at
+    and the covariant records read, follow from them, at a point x (dim,) or
+    at each of a stack of points (..., dim).
     """
 
     def __init__(self, dim, diag, partials):
         self.dim = dim
         self.diag = diag
         self.partials = partials
-        self.dg = _dg_of(partials, dim)
 
     def matrix(self, x):
-        return np.diag(self.diag(np.asarray(x, dtype=float)))
+        shape, coords = _coordinates(x)
+        out = np.zeros(shape + (self.dim,) * 2)
+        for a, entry in enumerate(self.diag(coords)):
+            out[..., a, a] = entry
+        return out
+
+    def dg(self, x):
+        shape, coords = _coordinates(x)
+        out = np.zeros(shape + (self.dim,) * 3)
+        for lam, a, part in self.partials:
+            out[..., lam, a, a] = part(coords)
+        return out
 
 
 def minkowski_metric(dim=4):
@@ -117,17 +138,6 @@ def _termwise_partials(entry_polys):
     return [(lam, a, _compiled(partial(eval_poly, part), dim))
             for a, terms in enumerate(entry_polys)
             for lam, part in enumerate(poly_partials(terms, dim)) if part]
-
-
-def _dg_of(partials, dim):
-    """dg(x) with dg[lam, a, a] from the (lam, a, part) given, zero elsewhere."""
-    def dg(x):
-        out = np.zeros((dim, dim, dim))
-        for lam, a, part in partials:
-            out[lam, a, a] = part(x)
-        return out
-
-    return dg
 
 
 def diagonal_metric(entry_polys):
@@ -187,21 +197,29 @@ def tetrad_at(metric, x):
 
 
 def christoffel_at(metric, x):
-    """Gamma^mu_{nu lambda} from the metric, symmetric in (nu, lambda).
+    """Gamma^mu_{nu lambda} from the metric, symmetric in (nu, lambda), at a
+    point x (dim,) or at each of a stack of points (..., dim): (..., dim,
+    dim, dim), each point's with the bits it has alone.
 
     The partials are the metric's dg. Raises SingularMetric when cond(g)
-    exceeds 1e12.
+    exceeds COND_GUARD at a point, naming the first such point of the stack
+    (in C order) and giving its flat index as the error's point.
     """
     gx = metric.matrix(x)
-    if np.linalg.cond(gx) > COND_GUARD:
-        raise SingularMetric(f"cond(g) = {np.linalg.cond(gx):.3e} at x = {np.asarray(x).tolist()}")
+    cond = np.ravel(np.linalg.cond(gx))
+    over = np.flatnonzero(cond > COND_GUARD)
+    if over.size:
+        i = int(over[0])
+        raise SingularMetric("cond(g) = %.3e at x = %s" % (
+            cond[i], np.reshape(x, (-1, metric.dim))[i].tolist()), point=i)
     ginv = np.linalg.inv(gx)
-    dg = metric.dg(np.asarray(x, dtype=float))
+    dg = metric.dg(x)
     # one sigma term at a time: each entry sums in the order of the index formula
-    gamma = np.zeros((metric.dim,) * 3)
+    gamma = np.zeros(dg.shape)
     for sig in range(metric.dim):
-        d = dg[:, sig, :]  # d[nu, lam] = d_nu g_{sig lam}
-        gamma += ginv[:, sig, None, None] * (d + d.T - dg[sig])
+        d = dg[..., sig, :]  # d[..., nu, lam] = d_nu g_{sig lam}
+        gamma += ginv[..., sig, None, None] * (d + np.swapaxes(d, -1, -2)
+                                               - dg[..., sig, :, :])[..., None, :, :]
     return 0.5 * gamma
 
 

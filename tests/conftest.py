@@ -52,17 +52,22 @@ class TermListMetric:
     matrix(x) and dg(x), the partials d_lambda g_{mu nu}, from a square
     matrix of term lists, each entry evaluated by eval_poly and
     differentiated term by term by poly_partials, and both symmetrized as
-    0.5 * (m + m^T) (exact when the term lists are symmetric)."""
+    0.5 * (m + m^T) (exact when the term lists are symmetric). A stack of
+    points (..., dim) is read one point at a time."""
 
     def __init__(self, entries):
         self.entries = entries
         self.dim = len(entries)
 
     def matrix(self, x):
+        if np.ndim(x) > 1:
+            return np.array([self.matrix(p) for p in x])
         out = np.array([[eval_poly(t, x) for t in row] for row in self.entries])
         return 0.5 * (out + out.T)
 
     def dg(self, x):
+        if np.ndim(x) > 1:
+            return np.array([self.dg(p) for p in x])
         out = np.array([[[eval_poly(poly_partials(t, self.dim)[lam], x) for t in row]
                          for row in self.entries] for lam in range(self.dim)])
         return 0.5 * (out + out.transpose(0, 2, 1))

@@ -84,6 +84,18 @@ def test_christoffel_singular_metric_raises():
         geo.christoffel_at(metric, [0.0, 0.0, 0.0, 0.0])
 
 
+def test_christoffel_names_the_first_singular_point_of_a_stack():
+    # cond(g) = r^-2 at r < 1: 1e14 at r = 1e-7, inf on the axis
+    metric = geo.polar_metric(3)
+    xs = [[0.0, 1.0, 0.0], [0.0, 1e-7, 0.0], [0.0, 0.0, 0.0]]
+    with pytest.raises(SingularMetric) as alone:
+        geo.christoffel_at(metric, xs[1])
+    with pytest.raises(SingularMetric) as stacked:
+        geo.christoffel_at(metric, [xs, xs[::-1]])
+    assert str(stacked.value) == str(alone.value) == "cond(g) = 1.000e+14 at x = [0.0, 1e-07, 0.0]"
+    assert (alone.value.point, stacked.value.point) == (0, 1)
+
+
 def test_covariant_gamma_polar_anticommutator():
     x = [0.0, 2.0, np.pi / 3, 0.0]
     gammas, ginv = geo.covariant_gamma(geo.polar_jacobian, x)

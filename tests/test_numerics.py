@@ -68,7 +68,7 @@ from hjdirac._util import central_difference
 from hjdirac.config import MAX_DIM
 from hjdirac.clifford import slash
 from hjdirac.dynamics import rk4_step
-from hjdirac.errors import StepRejected, UsageError
+from hjdirac.errors import SingularMetric, StepRejected, UsageError
 
 from conftest import TermListMetric, harmonic_model, loop_calls, quadratic_model
 
@@ -172,7 +172,39 @@ def ref_christoffel(metric, x):
     return gamma
 
 
-def ref_covariant_records(metric, x0, p0_upper, step, n_steps):
+def ref_covariant_records(metric, rows):
+    """covariant_integrate's record loop before its records were stacked, one
+    record at a time over a run's rows (x, p_mu), christoffel_at's sigma loop
+    and guard inline: (records, None), one row (K, geodesic residual,
+    p^mu...) per record, or (None, (index, error)) of the first record that
+    raises."""
+    dim = metric.dim
+    out = []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k, y in enumerate(rows):
+            xs, pl = y[:dim], y[dim:]
+            try:
+                ginv = np.linalg.inv(metric.matrix(xs))
+                up = ginv @ pl
+                dgu = metric.dg(xs) @ up
+                dup = ginv @ (0.5 * (dgu @ up) - up @ dgu)
+                gx = metric.matrix(xs)
+                if np.linalg.cond(gx) > geo.COND_GUARD:
+                    raise SingularMetric(f"cond(g) = {np.linalg.cond(gx):.3e} at x = "
+                                         f"{np.asarray(xs).tolist()}")
+                gamma_inv, dg = np.linalg.inv(gx), metric.dg(xs)
+                gamma = np.zeros((dim,) * 3)
+                for sig in range(dim):
+                    d = dg[:, sig, :]
+                    gamma += gamma_inv[:, sig, None, None] * (d + d.T - dg[sig])
+                resid = dup + np.einsum("mnl,n,l->m", 0.5 * gamma, up, up)
+            except (ArithmeticError, ValueError, SingularMetric) as exc:
+                return None, (k, exc)
+            out.append([0.5 * float(pl @ up), np.abs(resid).max(), *up])
+    return np.array(out), None
+
+
+def ref_two_rhs_records(metric, x0, p0_upper, step, n_steps):
     """covariant_integrate's former record, which evaluated the RHS twice,
     at every step: rows of (p^mu, K, geodesic residual)."""
     dim = metric.dim
@@ -892,6 +924,13 @@ def test_christoffel_matches_quadruple_loop(metric):
         x = rng.normal(size=metric.dim)
         x[1] = rng.uniform(0.3, 3.0)  # off the polar axis r = 0
         assert same_bits(geo.christoffel_at(metric, x), ref_christoffel(metric, x))
+    # a stack of points (3, 10, dim), each with the bits it has alone
+    xs = rng.normal(size=(3, 10, metric.dim))
+    xs[..., 1] = rng.uniform(0.3, 3.0, size=(3, 10))
+    gammas = geo.christoffel_at(metric, xs)
+    assert gammas.shape == (3, 10) + (metric.dim,) * 3
+    for i in np.ndindex(3, 10):
+        assert same_bits(gammas[i], ref_christoffel(metric, xs[i]))
 
 
 @pytest.mark.parametrize("metric, x0, p0", [
@@ -902,7 +941,7 @@ def test_covariant_records_match_two_rhs_record(metric, x0, p0):
     """The lowered-index flow against the old g^{-1} dg g^{-1} algebra, on the
     same partials: they differ only by rounding."""
     traj = dyn.covariant_integrate(metric, x0, p0, 0.12, step=0.01)
-    rows = ref_covariant_records(metric, x0, p0, 0.01, 12)
+    rows = ref_two_rhs_records(metric, x0, p0, 0.01, 12)
     assert np.abs(traj.p - [r[0] for r in rows]).max() <= 1e-13
     assert np.abs(traj.records["K"] - [r[1] for r in rows]).max() <= 1e-13
     assert np.abs(traj.records["geodesic_residual"] - [r[2] for r in rows]).max() <= 1e-13
@@ -1007,6 +1046,11 @@ FOUR_ENTRY = geo.diagonal_metric([[[2.0, [0, 0, 0, 0]], [1.0, [0, 2, 0, 0]]],
                                   [[-1.0, [0, 0, 0, 0]], [-0.5, [0, 3, 0, 0]]]])
 
 
+# every entry depends on x1, so dp_1/ds sums MAX_DIM partials
+MAX_DIM_METRIC = geo.diagonal_metric([[[1.0, []], [0.05, [0, 2]]]] + [
+    [[-1.0, []], [-0.1 * a, [0, 1]]] for a in range(1, MAX_DIM)])
+
+
 def test_diagonal_stage_with_four_partials_is_within_rounding_of_numpy_flow():
     """With four nonzero partials in one sum the Python-float stage, summing
     in order of a, and the numpy flow's product may round apart (about a
@@ -1038,8 +1082,8 @@ def test_diagonal_metric_flow_reads_no_matrix(monkeypatch):
     dyn.covariant_integrate(geo.polar_metric(4), [0.0, 1.0, 0.3, 0.0],
                             [1.5, 0.3, -0.19, 0.0], 0.1, step=0.01, record_stride=5)
     # the initial lowering, then the flow and christoffel_at once each for
-    # each of the 3 records
-    assert len(calls) == 1 + 3 * 2
+    # each of the 2 blocks of the 3 records: the first two, then the final one
+    assert len(calls) == 1 + 2 * 2
 
 
 def test_covariant_record_evaluates_the_metric_partials_once(monkeypatch):
@@ -1057,8 +1101,8 @@ def test_covariant_record_evaluates_the_metric_partials_once(monkeypatch):
     dyn.covariant_integrate(metric, [0.0, 1.0, 0.3, 0.0],
                             [1.5, 0.3, -0.19, 0.0], 0.1, step=0.01, record_stride=5)
     # the RK4 stages read no dg: one flow call and one christoffel_at call,
-    # each reading dg once, for each of the 3 records
-    assert calls == {"dg": 3 + 3, "christoffel": 3}
+    # each reading dg once, for each of the 2 blocks of the 3 records
+    assert calls == {"dg": 2 + 2, "christoffel": 2}
 
 
 def test_diagonal_stages_read_neither_dg_nor_inverse(monkeypatch):
@@ -1076,21 +1120,140 @@ def test_diagonal_stages_read_neither_dg_nor_inverse(monkeypatch):
     monkeypatch.setattr(geo.MetricField, "matrix", counted("matrix", geo.MetricField.matrix))
     dyn.covariant_integrate(metric, [0.0, 1.0, 0.3, 0.0],
                             [1.5, 0.3, -0.19, 0.0], 0.1, step=0.01, record_stride=5)
-    # only the 3 records read dg and the matrix, once in the flow (whose
-    # inverse is np.linalg.inv's) and once in christoffel_at, after the
-    # initial lowering's matrix; each of the 4 stages of the one trace that
-    # builds the run's compiled step reads the diagonal entries alone, and
-    # inverts them itself (each of the 40 stages stepped did, before); every
-    # matrix is np.diag of the diagonal entries, so diag counts its 7 calls
-    assert calls == {"dg": 3 + 3, "matrix": 1 + 3 * 2, "diag": 4 + 1 + 3 * 2}
+    # only the 2 blocks of the 3 records read dg and the matrix, once in the
+    # flow (whose inverse is np.linalg.inv's) and once in christoffel_at,
+    # after the initial lowering's matrix; each of the 4 stages of the one
+    # trace that builds the run's compiled step reads the diagonal entries
+    # alone, and inverts them itself (each of the 40 stages stepped did,
+    # before); every matrix is read from the diagonal entries, so diag counts
+    # its 5 calls
+    assert calls == {"dg": 2 + 2, "matrix": 1 + 2 * 2, "diag": 4 + 1 + 2 * 2}
+
+
+def covariant_rows(metric, x0, p0_upper, s_max, step, stride=1):
+    """The rows (x, p_mu) that covariant_integrate's run records, from _drive."""
+    x = np.asarray(x0, dtype=float)
+    y = np.concatenate((x, metric.matrix(x) @ np.asarray(p0_upper, dtype=float))).tolist()
+    return dyn._drive(y, partial(dyn._diagonal_geodesic_rhs, metric), s_max, step, stride)[1]
+
+
+def records_match_the_loop(metric, x0, p0, s_max, step, stride=1):
+    """Check covariant_integrate against ref_covariant_records on the same
+    rows: the same bits of K, the residual and p^mu, or the same first fault,
+    naming the same step, state and error. Returns that fault, (record
+    index, error), or None."""
+    dim = metric.dim
+    rows = covariant_rows(metric, x0, p0, s_max, step, stride)
+    want, fault = ref_covariant_records(metric, rows)
+    if fault is None:
+        traj = dyn.covariant_integrate(metric, x0, p0, s_max, step=step, record_stride=stride)
+        assert same_bits(traj.x, rows[:, :dim])
+        assert same_bits(np.column_stack((traj.records["K"], traj.records["geodesic_residual"],
+                                          traj.p)), want)
+        return None
+    k, exc = fault
+    i = min(k * stride, dyn.step_count(s_max, step, stride)[0])
+    kept = isinstance(exc, (np.linalg.LinAlgError, SingularMetric))
+    with pytest.raises(type(exc) if kept else StepRejected) as got:
+        dyn.covariant_integrate(metric, x0, p0, s_max, step=step, record_stride=stride)
+    y = rows[k].tolist()
+    assert str(got.value) == "step %d (s = %r): %s; last finite state %s" % (
+        i, i * step, exc if kept else "non-finite state", [y[:dim], y[dim:]])
+    return fault
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 200, dyn.RECORD_BLOCK, dyn.RECORD_BLOCK + 1])
+@pytest.mark.parametrize("metric, x0, p0", [
+    (geo.polar_metric(4), [0.0, 1.0, 0.3, 0.0], [1.5, 0.3, -0.19, 0.1]),
+    (geo.polar_metric(3), [0.0, 1.2, -0.4], [1.4, -0.2, 0.25]),
+    (FOUR_ENTRY, [0.2, 1.1, -0.3, 0.4], [1.3, 0.01, 0.2, -0.1]),
+    (MAX_DIM_METRIC, [0.0, 1.0] + [0.0] * (MAX_DIM - 2), [1.5, 0.3] + [0.1] * (MAX_DIM - 2)),
+], ids=["polar4", "polar3", "four-entry", "max-dim"])
+def test_stacked_records_match_the_record_loop(metric, x0, p0, n_steps):
+    """n_steps + 1 records: blocks of 1 and 2 before the final record, of
+    200, of a whole RECORD_BLOCK, and of one record after a whole block."""
+    assert records_match_the_loop(metric, x0, p0, n_steps * 0.01, 0.01) is None
+
+
+def random_diagonal_metric(rng, dim):
+    """diag(1, -1, ..., -1), each entry plus one to three small terms of
+    exponents from 0 to 3, whose x ** 2 and x ** 3 are Python's pow."""
+    return geo.diagonal_metric([
+        [[1.0 if a == 0 else -1.0, []]] + [[float(rng.uniform(-0.2, 0.2)),
+                                            rng.integers(0, 4, size=dim).tolist()]
+                                           for _ in range(rng.integers(1, 4))]
+        for a in range(dim)])
+
+
+@pytest.mark.parametrize("dim", range(1, MAX_DIM + 1))
+def test_stacked_records_match_the_record_loop_on_random_metrics(dim):
+    rng = np.random.default_rng(40 + dim)
+    for _ in range(2):
+        p0 = rng.uniform(-0.3, 0.3, dim)
+        p0[0] = 1.2
+        assert records_match_the_loop(random_diagonal_metric(rng, dim),
+                                      rng.uniform(-0.3, 0.3, dim), p0, 3.0, 0.01) is None
+
+
+# The one step of 3.1 from x0 = 0 at unit speed ends at x0 = FINAL_X0 =
+# 3.1000000000000005, past its k4 stage's x0 = 3.1, so an entry can vanish or
+# overflow at the final record alone, which no stage reads: C * x0 overflows
+# there and at no point before.
+FINAL_STEP, C = 3.1, 5.799010112459082e+307
+FINAL_X0 = 0.0 + (FINAL_STEP / 6.0) * 6.0
+
+
+@pytest.mark.parametrize("entry, error, message", [
+    # g22 = x0 - FINAL_X0
+    ([[1.0, [1]], [-FINAL_X0, []]], np.linalg.LinAlgError, "Singular matrix"),
+    # g22 = -1 + (C x0) x1 with x1 = 0 throughout: inf * 0 is NaN
+    ([[-1.0, []], [C, [1, 1]]], np.linalg.LinAlgError, "SVD did not converge"),
+    # g22 = -1 - C x0 is -inf, which the stages read as u2 = 0
+    ([[-1.0, []], [-C, [1]]], SingularMetric, "cond(g) = inf at x = [%r, 0.0, 0.0, 0.0]"
+     % FINAL_X0),
+], ids=["zero", "nan", "inf"])
+def test_final_record_faults_as_the_record_loop(entry, error, message):
+    assert math.isinf(C * FINAL_X0) and not math.isinf(C * FINAL_STEP)
+    metric = geo.diagonal_metric([[[1.0, []]], [[-1.0, []]], entry, [[-1.0, []]]])
+    k, exc = records_match_the_loop(metric, np.zeros(4), [1.0, 0.0, 0.0, 0.0],
+                                    FINAL_STEP, FINAL_STEP)
+    assert (k, type(exc), str(exc)) == (1, error, message)
+
+
+@pytest.mark.parametrize("stride, first", [(10, 72), (1, 711)])
+def test_first_record_over_the_guard_is_named(monkeypatch, stride, first):
+    # cond(g) = r^2 passes the guard at step 711 and stays above it to the
+    # last record: the first over it is record 72 of the first block at
+    # stride 10, and record 711 of the second block at stride 1
+    monkeypatch.setattr(geo, "COND_GUARD", 1.5)
+    polar, x0, p0 = geo.polar_metric(4), [0.0, 1.0, 0.3, 0.0], [1.5, 0.3055, -0.1935, 0.0]
+    k, exc = records_match_the_loop(polar, x0, p0, 2.0, 1e-3, stride)
+    assert (k, type(exc)) == (first, SingularMetric)
+    last = covariant_rows(polar, x0, p0, 2.0, 1e-3, stride)[-1, :4]
+    assert np.linalg.cond(polar.matrix(last)) > geo.COND_GUARD
+
+
+def test_record_pass_memory_is_bounded_by_its_blocks(monkeypatch, traced_peak):
+    # the rows, s and the two record columns cost 152 B a record at MAX_DIM,
+    # and a block's (RECORD_BLOCK, dim, dim, dim) temporaries, about 10 MB,
+    # do not grow with the run: one pass over all records would add about 20
+    # KB a record. _drive's rows are computed untraced, beforehand, so the
+    # peak is the record pass's, with a copy of the rows that _drive makes.
+    x0, p0 = [0.0, 1.0] + [0.0] * (MAX_DIM - 2), [1.5, 0.3] + [0.1] * (MAX_DIM - 2)
+    drive, peaks = dyn._drive, []
+    for n_steps in (2000, 10000):
+        monkeypatch.setattr(dyn, "_drive", drive)
+        rows = covariant_rows(MAX_DIM_METRIC, x0, p0, n_steps * 1e-3, 1e-3)
+        monkeypatch.setattr(dyn, "_drive", lambda *args: (np.arange(n_steps + 1) * 1e-3,
+                                                          rows.copy()))
+        traj, peak = traced_peak(lambda: dyn.covariant_integrate(
+            MAX_DIM_METRIC, x0, p0, n_steps * 1e-3, step=1e-3))
+        assert len(traj.s) == n_steps + 1 and same_bits(traj.x, rows[:, :MAX_DIM])
+        peaks.append(peak)
+    assert (peaks[1] - peaks[0]) / 8000 < 200
 
 
 # -- the compiled RK4 step --------------------------------------------------------
-
-# every entry depends on x1, so dp_1/ds sums MAX_DIM partials
-MAX_DIM_METRIC = geo.diagonal_metric([[[1.0, []], [0.05, [0, 2]]]] + [
-    [[-1.0, []], [-0.1 * a, [0, 1]]] for a in range(1, MAX_DIM)])
-
 
 def off_axis_states(rng, dim, n):
     """n states of 2 dim components, x1 (polar's r) kept off 0."""

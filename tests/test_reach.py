@@ -78,6 +78,9 @@ def invocations(tmp_path):
                                                  MINUS_ONE]}}),  # singular
              (1, ["simulate"], {"kind": "covariant", "s_max": 0.01,
                                 "p0_upper": [1e100, 0, 1e100, 0]}),  # overflow
+             (1, ["simulate"], {"kind": "covariant", "s_max": 0.01, "metric": {
+                 "kind": "diagonal", "entries": [ONE, MINUS_ONE, [[-1e-13, [0, 0, 0, 0]]],
+                                                 MINUS_ONE]}}),  # cond(g) over the guard
              (1, ["ensemble"], {"kind": "occupancy", "levels": [1.0, 2.0], "n": 3,
                                 "beta": 1e6}),  # partition sum underflows
              (1, ["ensemble"], {"kind": "mb", "n": 1000, "T": 1e-300}),  # NaN kurtosis
