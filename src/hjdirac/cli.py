@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from collections import Counter
+from contextlib import nullcontext
 from functools import partial
 
 import numpy as np
@@ -78,29 +79,13 @@ def cmd_verify(args):
                                   "passed": passed == len(checks)}
         print("%-9s %d/%d checks passed" % (name, passed, len(checks)))
 
-    if len(names) == 1:
-        record(names[0], run(names[0]))
-    else:
-        # The dynamics suite, the slowest, runs in a forked helper while this
-        # process runs the others. Results are recorded, and a suite's
-        # exception raised, in table order: a suite after it is computed
-        # first, its exception held until the dynamics suite's outcome.
-        at = names.index("dynamics")
-        later = []
-        with forked(partial(run, "dynamics")) as dynamics:
-            for name in names[:at]:
-                record(name, run(name))
-            for name in names[at + 1:]:
-                try:
-                    later.append((name, run(name)))
-                except Exception as exc:
-                    later.append((name, exc))
-                    break
-            record("dynamics", dynamics())
-        for name, outcome in later:
-            if isinstance(outcome, Exception):
-                raise outcome
-            record(name, outcome)
+    # With more than one suite, the dynamics suite starts in a forked helper
+    # and this process takes its value at its place in the table, so suites
+    # run, and raise, in table order. The four suites before it take more
+    # than twice as long as it does, so this process does not wait for it.
+    with forked(partial(run, "dynamics")) if len(names) > 1 else nullcontext() as dynamics:
+        for name in names:
+            record(name, dynamics() if dynamics and name == "dynamics" else run(name))
     report["passed"] = all(s["passed"] for s in report["suites"].values())
     rows = [dict(c, suite=s) for s, suite in report["suites"].items()
             for c in suite["checks"]]

@@ -347,9 +347,13 @@ def _check_initial(state, step):
         raise _rejected(0, step, state, "non-finite state", label="initial state")
 
 
-# what an evaluation may raise during a run, each read by _fault (a
-# LinAlgError is a ValueError)
-_RUN_FAULTS = (ArithmeticError, ValueError, SingularMetric)
+# what a compiled run may raise, each read by _fault: a Python float's
+# ArithmeticError, and ValueError, math.sqrt's for a negative argument and
+# the zero-entry guard's LinAlgError
+_RUN_FAULTS = (ArithmeticError, ValueError)
+# what the lowering of p0_upper and the records may raise, each read by
+# _fault; any other ValueError there is a fault of the program, not the run
+_NUMPY_FAULTS = (ArithmeticError, np.linalg.LinAlgError, SingularMetric)
 # overflow or a zero division during a run is a detected condition
 # (StepRejected, or a non-finite diagnostic), not a warning
 _QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
@@ -491,7 +495,7 @@ def covariant_integrate(metric, x0, p0_upper, s_max, step=1e-3, record_stride=1)
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
             p_low = metric.matrix(x) @ p0
-    except _RUN_FAULTS as exc:
+    except _NUMPY_FAULTS as exc:
         raise _fault(exc, 0, step, initial, "non-finite lowered momentum") from exc
     if not np.isfinite(p_low).all():
         raise _rejected(0, step, initial, "non-finite lowered momentum")
@@ -515,7 +519,7 @@ def covariant_integrate(metric, x0, p0_upper, s_max, step=1e-3, record_stride=1)
                 records[lo:hi, 0] = 0.5 * (pl[:, None] @ up[..., None])[:, 0, 0]
                 records[lo:hi, 1] = np.abs(resid).max(axis=1)
                 pl[:] = up  # p^mu takes the place of p_mu, which is read no more
-    except _RUN_FAULTS as exc:
+    except _NUMPY_FAULTS as exc:
         k = lo + (exc.point if isinstance(exc, SingularMetric) else 0)
         # an int step, so that its s prints as a plain float
         raise _fault(exc, int(min(k * record_stride, n_steps)), step, rows[k]) from exc

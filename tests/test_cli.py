@@ -339,9 +339,24 @@ class TestVerifyHelper:
             main(VERIFY_ALL + ["--out", str(tmp_path)])
         assert capsys.readouterr().out == lines_before(sequential[1], "dynamics")
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_dynamics_error_stops_the_run_before_any_later_suite(
+            self, tmp_path, forks, monkeypatch, sequential, cpus):
+        def act(in_child):
+            raise StepRejected("dynamics failed")
+
+        if cpus == 1:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        calls = []
+        patch_suite(monkeypatch, "dynamics", act)
+        patch_suite(monkeypatch, "statmech", calls.append)
+        code, stdout, files = run_verify(tmp_path / "out")
+        assert (code, stdout, files) == (1, lines_before(sequential[1], "dynamics"), {})
+        assert calls == []
+        assert len(forks) == cpus - 1
+
     @pytest.mark.parametrize("suite, error", [("geometry", SuiteError),
-                                              ("hj", KeyboardInterrupt),
-                                              ("statmech", KeyboardInterrupt)])
+                                              ("hj", KeyboardInterrupt)])
     def test_interrupt_or_error_here_kills_the_helper(self, tmp_path, forks,
                                                      monkeypatch, suite, error):
         def stall(in_child):
@@ -357,6 +372,34 @@ class TestVerifyHelper:
         with pytest.raises(error):
             run_verify(tmp_path)
         assert time.monotonic() - start < 30
+        assert len(forks) == 1  # and no_child_left sees it reaped
+
+    def test_interrupt_while_waiting_on_the_helper_kills_it(self, tmp_path, forks,
+                                                           monkeypatch, capsys, sequential):
+        def stall(in_child):
+            if in_child:
+                time.sleep(60)  # still running when this process is interrupted
+
+        def interrupt(*_):
+            raise KeyboardInterrupt
+
+        def arm(in_child):  # the last suite before dynamics sets the alarm
+            if not in_child:
+                signal.setitimer(signal.ITIMER_REAL, 1.0)
+
+        patch_suite(monkeypatch, "dynamics", stall)
+        patch_suite(monkeypatch, "dirac", arm)
+        handler = signal.signal(signal.SIGALRM, interrupt)
+        start = time.monotonic()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                main(VERIFY_ALL + ["--out", str(tmp_path / "out")])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, handler)
+        assert time.monotonic() - start < 30
+        # interrupted in dynamics(): every earlier suite recorded, no later one
+        assert capsys.readouterr().out == lines_before(sequential[1], "dynamics")
         assert len(forks) == 1  # and no_child_left sees it reaped
 
 

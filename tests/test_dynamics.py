@@ -536,6 +536,26 @@ class TestCovariant:
             "step 0 (s = 0.0): non-finite state; initial state "
             "[[0.0, inf, 0.0, 0.0], [1.5, 0.3, 0.0, 0.0]]")
 
+    @pytest.mark.parametrize("where", ["lowering", "records"])
+    def test_a_plain_value_error_is_not_a_run_fault(self, monkeypatch, where):
+        # a program error, here a broadcasting bug's plain ValueError, raised
+        # lowering p0_upper or in the record pass reaches the caller as it
+        # is: only a float's arithmetic errors, LinAlgError and SingularMetric
+        # read as the run's faults there
+        error = ValueError("operands could not be broadcast together")
+
+        def fail(*args):
+            raise error
+
+        metric = geo.polar_metric(4)
+        if where == "lowering":
+            monkeypatch.setattr(metric, "matrix", fail)
+        else:
+            monkeypatch.setattr(dyn, "christoffel_at", fail)
+        with pytest.raises(ValueError) as info:
+            dyn.covariant_integrate(metric, [0.0, 1.0, 0.3, 0.0], [1.5, 0.3, -0.2, 0.0], 0.01)
+        assert info.value is error
+
     def test_record_cap_refused_before_the_first_step(self):
         # a diagonal metric whose entries are never read: not to lower
         # p0_upper, nor to trace or take a step
